@@ -164,9 +164,10 @@ def parse_config(doc: dict, command: str) -> RunConfig:
 def _write_json(doc: dict, path: str | None) -> None:
     if not path:
         return
+    # serialize first: a non-finite float raises before the file is opened
+    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
     with io.open(path, "w", encoding="ascii", newline="\n") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _write_csv(columns: list[str], rows: np.ndarray, path: str | None) -> None:

@@ -41,3 +41,7 @@ class SpecError(MinvarError):
 
 class SamplingExhausted(MinvarError):
     """Rejection sampling could not find enough non-excluded points."""
+
+
+class NonFiniteResidual(MinvarError):
+    """A check produced NaN or infinite residuals, which admit no verdict."""

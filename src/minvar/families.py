@@ -722,15 +722,18 @@ _BUILDERS = {
 
 # --- screw motion -----------------------------------------------------------
 
-def screw_action(pitch: PitchVector, t: float, points,
+def screw_action(pitch: PitchVector, t, points,
                  block_dims: tuple[int, ...] | None = None,
                  axial_coordinate: bool = True) -> np.ndarray:
     """Rotate each block by e^{i λ_s t} and translate the axis by λ₀t.
 
-    ``block_dims`` gives the (even) real size of each block; by default the
-    non-axial coordinates split evenly among the pitch's blocks.
+    ``t`` is a scalar or an array of angles that broadcasts against the
+    leading (batch) axes of ``points``.  ``block_dims`` gives the (even)
+    real size of each block; by default the non-axial coordinates split
+    evenly among the pitch's blocks.
     """
     q = np.asarray(points, dtype=np.float64)
+    t = np.asarray(t, dtype=np.float64)
     L = pitch.blocks
     width = q.shape[-1] - (1 if axial_coordinate else 0)
     if block_dims is None:
@@ -750,7 +753,7 @@ def screw_action(pitch: PitchVector, t: float, points,
         half = size // 2
         a = q[..., start:start + half]
         b = q[..., start + half:start + size]
-        ang = pitch.lambdas[s] * t
+        ang = pitch.lambdas[s] * t[..., None]
         ca, sa = np.cos(ang), np.sin(ang)
         out[..., start:start + half] = ca * a - sa * b
         out[..., start + half:start + size] = ca * b + sa * a

@@ -18,7 +18,8 @@ import numpy as np
 
 from . import __version__
 from .charts import SphereChart
-from .errors import NotSpherical, SamplingExhausted, SpecError
+from .errors import (NonFiniteResidual, NotSpherical, SamplingExhausted,
+                     SpecError)
 from .families import (
     BDJ,
     ChoeHoppe,
@@ -270,27 +271,38 @@ def sample_points(imm: Immersion, plan: SamplePlan):
     """Draw plan.count non-excluded points; returns (points, rejected).
 
     Each point gets its own RNG stream keyed by (seed, index), so serial
-    and parallel evaluation orders produce identical samples.
+    and parallel evaluation orders produce identical samples.  Sampling
+    runs in rounds: each round draws the next candidate of every pending
+    point from that point's stream and makes one guard call
+    (``imm.excluded``) on the stacked batch; only rejected rows stay
+    pending.  Every stream is consumed exactly as a point-by-point loop
+    would consume it, so points and reject counts match that loop bit
+    for bit.
     """
     box = np.asarray(plan.box if plan.box is not None else imm.domain,
                      dtype=float)
     if box.shape != (imm.param_dim, 2):
         raise SpecError(f"sampling box has shape {box.shape}, expected "
                         f"({imm.param_dim}, 2)")
+    rngs = [np.random.default_rng(
+                np.random.SeedSequence(plan.seed, spawn_key=(i,)))
+            for i in range(plan.count)]
     points = np.empty((plan.count, imm.param_dim))
+    pending = np.arange(plan.count)
     rejected = 0
-    for i in range(plan.count):
-        rng = np.random.default_rng(
-            np.random.SeedSequence(plan.seed, spawn_key=(i,)))
-        for _ in range(plan.max_rejects):
-            p = rng.uniform(box[:, 0], box[:, 1])
-            if not imm.excluded(p):
-                points[i] = p
-                break
-            rejected += 1
-        else:
-            raise SamplingExhausted(
-                f"point {i}: {plan.max_rejects} consecutive draws excluded")
+    for _ in range(plan.max_rejects):
+        draws = np.array([rngs[i].uniform(box[:, 0], box[:, 1])
+                          for i in pending])
+        bad = imm.excluded(draws)
+        points[pending[~bad]] = draws[~bad]
+        pending = pending[bad]
+        rejected += len(pending)
+        if not len(pending):
+            break
+    else:
+        # the lowest exhausted index is where a point-by-point loop stops
+        raise SamplingExhausted(f"point {pending[0]}: {plan.max_rejects} "
+                                f"consecutive draws excluded")
     if rejected and rejected / (rejected + plan.count) >= 0.5:
         raise SamplingExhausted(
             f"{rejected} of {rejected + plan.count} draws excluded; the "
@@ -343,6 +355,10 @@ def _minimality_residuals(spec, imm: Immersion, points: np.ndarray):
 def _summarize(name: str, residuals: np.ndarray, tolerance: float,
                expected: str, excluded: int,
                tol_negative: float) -> CheckResult:
+    bad = int(np.count_nonzero(~np.isfinite(residuals)))
+    if bad:
+        raise NonFiniteResidual(f"{name}: {bad} of {len(residuals)} "
+                                f"residuals are not finite")
     mx = float(np.max(residuals))
     mn = float(np.min(residuals))
     mean = float(np.mean(residuals))
@@ -404,15 +420,12 @@ def verify_screw_invariance(spec, plan: SamplePlan = SamplePlan(),
     points, rejected = sample_points(imm, plan)
     angles = _aux_stream(plan, 1).uniform(-2 * np.pi, 2 * np.pi, plan.count)
 
-    base = imm.position(points)
-    residuals = np.empty(plan.count)
-    for i, (p, t) in enumerate(zip(points, angles)):
-        shifted = np.array(p, copy=True)
-        shifted[data.theta_index] += t
-        moved = screw_action(data.pitch, float(t), base[i],
-                             block_dims=data.block_dims,
-                             axial_coordinate=data.axial_coordinate)
-        residuals[i] = np.max(np.abs(imm.position(shifted) - moved))
+    shifted = np.array(points, copy=True)
+    shifted[:, data.theta_index] += angles
+    moved = screw_action(data.pitch, angles, imm.position(points),
+                         block_dims=data.block_dims,
+                         axial_coordinate=data.axial_coordinate)
+    residuals = np.max(np.abs(imm.position(shifted) - moved), axis=-1)
 
     checks = [_summarize("screw-invariance", residuals, SCREW_TOL, "PASS",
                          rejected, tol.tol_negative)]

@@ -23,6 +23,8 @@ from .geometry import Immersion
 __all__ = ["MeshData", "resolve_projection", "tessellate", "obj_text",
            "write_obj"]
 
+_RENDER_ROWS = 4096
+
 
 @dataclass(frozen=True)
 class MeshData:
@@ -125,27 +127,27 @@ def tessellate(source, resolution=(64, 64), axes=(0, 1), fixed=None,
     masked = imm.excluded(flat) | ~np.all(np.isfinite(position), axis=-1)
     vertices = np.where(masked[:, None], 0.0, position[:, list(proj)])
 
-    faces = []
-    for i in range(nu - 1):
-        row, nxt = i * nv, (i + 1) * nv
-        for j in range(nv - 1):
-            a, b, c, d = row + j, nxt + j, nxt + j + 1, row + j + 1
-            if masked[a] or masked[b] or masked[c] or masked[d]:
-                continue
-            faces.append((a, b, c))
-            faces.append((a, c, d))
+    # corners (a, b, c, d) = (i, j), (i+1, j), (i+1, j+1), (i, j+1) of each
+    # quad in row-major order; a kept quad emits (a, b, c) then (a, c, d)
+    quads = np.arange(nu * nv).reshape(nu, nv)[:-1, :-1].reshape(-1, 1)
+    corners = quads + np.array([0, nv, nv + 1, 1])
+    corners = corners[~masked[corners].any(axis=1)]
     return MeshData(vertices=vertices,
-                    faces=np.array(faces, dtype=np.int64).reshape(-1, 3))
+                    faces=corners[:, [0, 1, 2, 0, 2, 3]].reshape(-1, 3))
 
 
 def obj_text(mesh: MeshData) -> str:
     """Render v/f records; floats as shortest round-trip decimals."""
-    parts = []
-    for x, y, z in mesh.vertices:
-        parts.append(f"v {float(x)!r} {float(y)!r} {float(z)!r}")
-    for a, b, c in mesh.faces:
-        parts.append(f"f {a + 1} {b + 1} {c + 1}")
-    return "\n".join(parts) + "\n"
+    # rows are converted a block at a time: one tolist() of a large mesh
+    # would hold far more memory in Python objects than the text itself
+    blocks = []
+    for start in range(0, len(mesh.vertices), _RENDER_ROWS):
+        rows = mesh.vertices[start:start + _RENDER_ROWS].tolist()
+        blocks.append("".join([f"v {x!r} {y!r} {z!r}\n" for x, y, z in rows]))
+    for start in range(0, len(mesh.faces), _RENDER_ROWS):
+        rows = (mesh.faces[start:start + _RENDER_ROWS] + 1).tolist()
+        blocks.append("".join([f"f {a} {b} {c}\n" for a, b, c in rows]))
+    return "".join(blocks) or "\n"        # an empty mesh is one newline
 
 
 def write_obj(mesh: MeshData, target) -> None:

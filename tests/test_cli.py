@@ -9,9 +9,11 @@ deterministic for a fixed config.
 import csv
 import json
 
+import numpy as np
 import pytest
 
-from minvar.cli import load_reports, main, parse_config
+from minvar import harness
+from minvar.cli import _write_json, load_reports, main, parse_config
 from minvar.errors import SpecError
 from minvar.harness import TakahashiReport, VerificationReport
 
@@ -132,6 +134,25 @@ class TestVerifyCommand:
         path = tmp_path / "broken.json"
         path.write_text("{not json")
         assert main(["verify", str(path)]) == 2
+
+    def test_non_finite_residual_exits_two_without_report(
+            self, tmp_path, monkeypatch, capsys):
+        def residuals(spec, imm, points):
+            return np.full(len(points), np.nan), np.zeros(len(points))
+        monkeypatch.setattr(harness, "_minimality_residuals", residuals)
+        rep = tmp_path / "report.json"
+        cfg = write_config(tmp_path, family=TORUS, plan={"count": 5},
+                           checks=["minimality"],
+                           output={"report": str(rep)})
+        assert main(["verify", cfg]) == 2
+        assert "5 of 5 residuals are not finite" in capsys.readouterr().err
+        assert not rep.exists()
+
+    def test_json_output_refuses_nan(self, tmp_path):
+        out = tmp_path / "doc.json"
+        with pytest.raises(ValueError):
+            _write_json({"max_residual": float("nan")}, str(out))
+        assert not out.exists()
 
     def test_takahashi_check_inside_verify(self, tmp_path):
         cfg = write_config(tmp_path, family=TORUS, rays=2,

@@ -236,6 +236,16 @@ def test_screw_action_group_law():
     assert float(np.max(np.abs(once - twice))) <= 1e-12
 
 
+def test_screw_action_broadcasts_angle_array():
+    rng = np.random.default_rng(8)
+    pitch = PitchVector(lambda0=0.4, lambdas=(1.0, -2.0, 0.5))
+    q = rng.standard_normal((50, 7))
+    ts = rng.uniform(-2.0, 2.0, size=50)
+    each = np.stack([screw_action(pitch, float(t), row)
+                     for t, row in zip(ts, q)])
+    assert_close(screw_action(pitch, ts, q), each, 1e-15)
+
+
 def test_screw_action_validation():
     pitch = PitchVector(lambda0=0.0, lambdas=(1.0, 2.0))
     with pytest.raises(DimensionMismatch):

@@ -33,6 +33,31 @@ def patch(threshold=None, components=None):
                      exclusions=exclusions, name="patch")
 
 
+def reference_obj_text(imm, nu, nv, vertices):
+    """Reference renderer: faces and records built one quad at a time."""
+    u, v = np.meshgrid(np.linspace(*imm.domain[0], nu),
+                       np.linspace(*imm.domain[1], nv), indexing="ij")
+    flat = np.stack([u.ravel(), v.ravel()], axis=-1)
+    with np.errstate(all="ignore"):
+        finite = np.all(np.isfinite(imm.position(flat)), axis=-1)
+    masked = imm.excluded(flat) | ~finite
+    faces = []
+    for i in range(nu - 1):
+        row, nxt = i * nv, (i + 1) * nv
+        for j in range(nv - 1):
+            a, b, c, d = row + j, nxt + j, nxt + j + 1, row + j + 1
+            if masked[a] or masked[b] or masked[c] or masked[d]:
+                continue
+            faces.append((a, b, c))
+            faces.append((a, c, d))
+    parts = []
+    for x, y, z in vertices:
+        parts.append(f"v {float(x)!r} {float(y)!r} {float(z)!r}")
+    for a, b, c in faces:
+        parts.append(f"f {a + 1} {b + 1} {c + 1}")
+    return "\n".join(parts) + "\n", int(masked.sum())
+
+
 class TestResolveProjection:
     def test_explicit_and_preset(self):
         assert resolve_projection((0, 1, 2), 5) == (0, 1, 2)
@@ -175,6 +200,23 @@ class TestObjOutput:
         for line, vertex in zip(obj_text(mesh).splitlines(), mesh.vertices):
             got = [float(tok) for tok in line.split()[1:]]
             assert got == [float(x) for x in vertex]
+
+    def test_matches_reference_renderer_byte_for_byte(self):
+        # scattered exclusions plus a non-finite column mask interior
+        # vertices; a non-square grid catches swapped strides, and more
+        # than 4096 vertices and faces span several render blocks
+        comps = lambda cols: [np.sin(3 * cols[0]) / (cols[1] - 0.5),
+                              -cols[1], cols[0] * cols[1] - 0.3]
+        imm = Immersion(
+            param_dim=2, ambient_dim=3, components=comps,
+            domain=((0.0, 1.0), (0.0, 1.0)),
+            exclusions=(("speckle", lambda p: np.sin(40 * p[..., 0])
+                         * np.cos(31 * p[..., 1]) > 0.8),),
+            name="speckled")
+        mesh = tessellate(imm, resolution=(83, 61))
+        want, masked = reference_obj_text(imm, 83, 61, mesh.vertices)
+        assert masked > 0 and 4096 < len(mesh.faces) < 2 * 82 * 60
+        assert obj_text(mesh).encode("ascii") == want.encode("ascii")
 
     def test_byte_identical_across_runs(self):
         a = obj_text(tessellate(HELICOID, resolution=(16, 16)))
