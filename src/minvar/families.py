@@ -344,27 +344,25 @@ def _base_immersion(base: BaseSpec) -> Immersion:
 
 
 def _sliced_exclusions(base: Immersion, stop: int) -> tuple:
-    """Base exclusions lifted to a longer parameter vector (base params first)."""
+    """Base guards lifted to a longer parameter vector (base params first).
+
+    The base's metric floor becomes a lifted predicate, not the lifted
+    immersion's own floor: it guards the base's metric on the base's
+    parameters.
+    """
+    guards = base.exclusions
+    if base.metric_floor is not None:
+        floor_only = replace(base, exclusions=())
+        guards += (("metric-degenerate", floor_only.excluded),)
+
     def lift(pred):
         return lambda p: pred(np.asarray(p)[..., :stop])
-    return tuple((name, lift(pred)) for name, pred in base.exclusions)
-
-
-def _metric_ratio_predicate(imm: Immersion, floor: float):
-    """Exclude points whose induced metric is close to rank-deficient."""
-    def predicate(p):
-        pe = imm.eval(p)
-        g = np.einsum("...ki,...kj->...ij", pe.jacobian, pe.jacobian)
-        det = np.linalg.det(g)
-        diag = np.einsum("...ii->...i", g)
-        return (det <= 0.0) | (det <= floor * np.prod(diag, axis=-1))
-    return predicate
+    return tuple((name, lift(pred)) for name, pred in guards)
 
 
 def _with_degeneracy_guard(imm: Immersion,
                            floor: float = METRIC_RATIO_FLOOR) -> Immersion:
-    guard = ("metric-degenerate", _metric_ratio_predicate(imm, floor))
-    return replace(imm, exclusions=imm.exclusions + (guard,))
+    return replace(imm, metric_floor=floor)
 
 
 def spec_dimensions(spec: FamilySpec) -> tuple[int, int]:

@@ -13,7 +13,8 @@ finite-difference oracle.  Everything downstream is assembled from
 
 The mean curvature vector is H = Δ_g F; it is normal to the immersion, which
 the tangential-residual field quantifies.  For maps into the unit sphere,
-minimality is equivalent to Δ_g F = −n·F (sphere_minimality_residual).
+minimality is equivalent to Δ_g F = −n·F (sphere_minimality_residual, or
+sphere_residual_from_pointeval on an existing ``PointEval``).
 
 All operations accept batched points (leading axes broadcast through).
 """
@@ -35,12 +36,14 @@ __all__ = [
     "MetricEval",
     "MeanCurvatureEval",
     "metric",
+    "metric_below_floor",
     "metric_derivative",
     "laplace_beltrami",
     "laplace_from_pointeval",
     "coordinate_laplacian",
     "mean_curvature",
     "sphere_minimality_residual",
+    "sphere_residual_from_pointeval",
 ]
 
 # Scale-invariant rank threshold: for a positive-definite g, Hadamard's
@@ -84,6 +87,11 @@ class Immersion:
     arrays or jets) and must return a sequence of ``ambient_dim`` scalar-like
     outputs built from the jet primitives.  ``exclusions`` are named
     predicates mapping a point batch (..., n) to a boolean exclusion mask.
+    ``metric_floor``, if set, also excludes points whose induced metric is
+    near rank-deficient (``metric_below_floor``).  It is data, not a
+    predicate, because its test needs an ``eval``: ``screen`` returns that
+    ``PointEval`` of the accepted points, so sampling and the residuals
+    share one evaluation per draw.
     """
 
     param_dim: int
@@ -92,6 +100,7 @@ class Immersion:
     domain: tuple[tuple[float, float], ...]
     exclusions: tuple[tuple[str, Callable[[np.ndarray], np.ndarray]], ...] = ()
     name: str = ""
+    metric_floor: float | None = None
     metadata: dict = field(default_factory=dict, compare=False)
 
     def _check_point_shape(self, p: np.ndarray) -> None:
@@ -139,14 +148,47 @@ class Immersion:
                          jacobian=np.stack(grads, axis=-2),
                          second=np.stack(hesss, axis=-3))
 
-    def excluded(self, p) -> np.ndarray:
-        """Boolean mask of points rejected by any degeneracy guard."""
+    def screen(self, p) -> tuple[np.ndarray, PointEval | None]:
+        """(exclusion mask, PointEval of the accepted points, in order).
+
+        The predicates run first; the metric floor then tests only the
+        points they left, from one ``eval`` of those points.  Without a
+        floor nothing is evaluated and the PointEval is None.
+        """
         p = np.asarray(p, dtype=np.float64)
         self._check_point_shape(p)
         mask = np.zeros(p.shape[:-1], dtype=bool)
         for _, predicate in self.exclusions:
             mask |= np.asarray(predicate(p), dtype=bool)
-        return mask
+        if self.metric_floor is None:
+            return mask, None
+        keep = ~mask
+        # with nothing excluded, a flat view spares the copy p[keep] makes
+        pe = self.eval(p.reshape(-1, self.param_dim) if keep.all()
+                       else p[keep])
+        low = metric_below_floor(pe.jacobian, self.metric_floor)
+        mask[keep] = low
+        if low.any():
+            pe = PointEval(position=pe.position[~low],
+                           jacobian=pe.jacobian[~low],
+                           second=pe.second[~low])
+        return mask, pe
+
+    def excluded(self, p) -> np.ndarray:
+        """Boolean mask of points rejected by any degeneracy guard."""
+        return self.screen(p)[0]
+
+
+def metric_below_floor(jacobian: np.ndarray, floor: float) -> np.ndarray:
+    """Mask of points whose metric g = JᵀJ is close to rank-deficient.
+
+    Flags det g ≤ floor · Π g_ii (the scale-free Hadamard ratio that
+    RANK_TOL also bounds) and any non-positive determinant.
+    """
+    g = np.einsum("...ki,...kj->...ij", jacobian, jacobian)
+    det = np.linalg.det(g)
+    diag = np.einsum("...ii->...i", g)
+    return (det <= 0.0) | (det <= floor * np.prod(diag, axis=-1))
 
 
 def metric(pe: PointEval, rank_tol: float = RANK_TOL) -> MetricEval:
@@ -241,12 +283,23 @@ def sphere_minimality_residual(imm: Immersion, p,
                                sphere_tol: float = 1e-12) -> np.ndarray:
     """‖n·F + Δ_g F‖ for immersions into the unit sphere (0 ⟺ minimal there)."""
     n = imm.param_dim if intrinsic_dim is None else intrinsic_dim
-    pe = imm.eval(p)
+    return sphere_residual_from_pointeval(imm.eval(p), n,
+                                          sphere_tol=sphere_tol)
+
+
+def sphere_residual_from_pointeval(pe: PointEval, n: int,
+                                   H: np.ndarray | None = None,
+                                   sphere_tol: float = 1e-12) -> np.ndarray:
+    """‖n·F + Δ_g F‖ from a PointEval; raises NotSpherical off the sphere.
+
+    ``H``, if given, is Δ_g F already assembled from ``pe``.
+    """
     radius = np.linalg.norm(pe.position, axis=-1)
     off = float(np.max(np.abs(radius - 1.0)))
     if off > sphere_tol:
         raise NotSpherical(
             f"image point leaves the unit sphere by {off:.3e} "
             f"(tolerance {sphere_tol:.1e})")
-    H = laplace_from_pointeval(pe)
+    if H is None:
+        H = laplace_from_pointeval(pe)
     return np.linalg.norm(n * pe.position + H, axis=-1)

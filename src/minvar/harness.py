@@ -4,7 +4,10 @@ A campaign samples non-excluded parameter points deterministically,
 evaluates a residual per point, and condenses the result into verdict
 records.  Positive families must PASS; registered negative controls
 must FAIL by a wide margin (FAIL-EXPECTED), so a trivially-agreeing
-engine cannot slip through.  Reports serialize to versioned JSON and
+engine cannot slip through.  Each sampled point is evaluated once: for
+an immersion with a metric floor, the ``PointEval`` the guard computed
+for the accepted draws feeds the residual stage; any other immersion is
+evaluated after sampling.  Reports serialize to versioned JSON and
 are deterministic for a fixed (spec, plan, tolerance) triple, except
 for the wall-time stamp.
 """
@@ -52,9 +55,10 @@ from .families import (
 )
 from .geometry import (
     Immersion,
+    PointEval,
     laplace_from_pointeval,
     metric,
-    sphere_minimality_residual,
+    sphere_residual_from_pointeval,
 )
 
 __all__ = [
@@ -273,11 +277,22 @@ def sample_points(imm: Immersion, plan: SamplePlan):
     Each point gets its own RNG stream keyed by (seed, index), so serial
     and parallel evaluation orders produce identical samples.  Sampling
     runs in rounds: each round draws the next candidate of every pending
-    point from that point's stream and makes one guard call
-    (``imm.excluded``) on the stacked batch; only rejected rows stay
-    pending.  Every stream is consumed exactly as a point-by-point loop
-    would consume it, so points and reject counts match that loop bit
-    for bit.
+    point from that point's stream and screens the stacked batch once
+    (``imm.screen``: the predicates, then the metric floor on the rows
+    they left); only rejected rows stay pending.  Every stream is
+    consumed exactly as a point-by-point loop would consume it, so points
+    and reject counts match that loop bit for bit.  The campaigns run the
+    same loop and keep the floor's ``PointEval`` of the accepted rows.
+    """
+    points, rejected, _ = _sample(imm, plan)
+    return points, rejected
+
+
+def _sample(imm: Immersion, plan: SamplePlan):
+    """The rejection loop of ``sample_points``; returns (points, rejected, pe).
+
+    ``pe`` is the PointEval of ``points`` that the metric floor's test
+    computed, or None for an immersion without a floor.
     """
     box = np.asarray(plan.box if plan.box is not None else imm.domain,
                      dtype=float)
@@ -289,12 +304,16 @@ def sample_points(imm: Immersion, plan: SamplePlan):
             for i in range(plan.count)]
     points = np.empty((plan.count, imm.param_dim))
     pending = np.arange(plan.count)
+    pieces = []                         # (point indices, their PointEval)
     rejected = 0
     for _ in range(plan.max_rejects):
-        draws = np.array([rngs[i].uniform(box[:, 0], box[:, 1])
-                          for i in pending])
-        bad = imm.excluded(draws)
+        # the operations of Generator.uniform, applied to the whole batch
+        u = np.array([rngs[i].random(imm.param_dim) for i in pending])
+        draws = box[:, 0] + (box[:, 1] - box[:, 0]) * u
+        bad, pe = imm.screen(draws)
         points[pending[~bad]] = draws[~bad]
+        if pe is not None:
+            pieces.append((pending[~bad], pe))
         pending = pending[bad]
         rejected += len(pending)
         if not len(pending):
@@ -307,7 +326,30 @@ def sample_points(imm: Immersion, plan: SamplePlan):
         raise SamplingExhausted(
             f"{rejected} of {rejected + plan.count} draws excluded; the "
             f"domain box is dominated by the exclusion set")
-    return points, rejected
+    return points, rejected, _in_point_order(pieces, plan.count)
+
+
+def _in_point_order(pieces: list, count: int) -> PointEval | None:
+    """One PointEval of all points from each round's accepted rows."""
+    if not pieces:
+        return None
+    if len(pieces) == 1:
+        return pieces[0][1]             # round 1 accepted every point
+
+    def gather(name):
+        rows = [getattr(pe, name) for _, pe in pieces]
+        out = np.empty((count,) + rows[0].shape[1:])
+        for (indices, _), part in zip(pieces, rows):
+            out[indices] = part
+        return out
+    return PointEval(position=gather("position"),
+                     jacobian=gather("jacobian"), second=gather("second"))
+
+
+def _sample_evaluated(imm: Immersion, plan: SamplePlan):
+    """(points, rejected, PointEval of points), each point evaluated once."""
+    points, rejected, pe = _sample(imm, plan)
+    return points, rejected, imm.eval(points) if pe is None else pe
 
 
 def _aux_stream(plan: SamplePlan, label: int) -> np.random.Generator:
@@ -321,7 +363,7 @@ def _aux_stream(plan: SamplePlan, label: int) -> np.random.Generator:
 # ---------------------------------------------------------------------------
 
 
-def _minimality_residuals(spec, imm: Immersion, points: np.ndarray):
+def _minimality_residuals(spec, pe: PointEval):
     """(normalized minimality, normalized tangential) residual arrays.
 
     Families living on the unit sphere are judged by the sphere target
@@ -329,21 +371,16 @@ def _minimality_residuals(spec, imm: Immersion, points: np.ndarray):
     1 + the squared Frobenius norm of the Jacobian, so one tolerance
     serves every cone radius.
     """
-    pe = imm.eval(points)
     met = metric(pe)
     H = laplace_from_pointeval(pe, met=met)
     jac_sq = np.einsum("...an,...an->...", pe.jacobian, pe.jacobian)
     scale = 1.0 + jac_sq
 
     if isinstance(spec, SPHERICAL_KINDS):
-        radius = np.linalg.norm(pe.position, axis=-1)
-        off = float(np.max(np.abs(radius - 1.0)))
-        if off > 1e-12:
-            raise NotSpherical(f"image leaves the unit sphere by {off:.3e}")
-        target = H + imm.param_dim * pe.position
+        minimality = sphere_residual_from_pointeval(
+            pe, pe.jacobian.shape[-1], H=H) / scale
     else:
-        target = H
-    minimality = np.linalg.norm(target, axis=-1) / scale
+        minimality = np.linalg.norm(H, axis=-1) / scale
 
     rhs = np.einsum("...an,...a->...n", pe.jacobian, H)
     coeff = np.linalg.solve(met.g, rhs[..., None])[..., 0]
@@ -395,8 +432,8 @@ def verify_minimality(spec, plan: SamplePlan = SamplePlan(),
     """
     started = time.perf_counter()
     imm = build_immersion(spec)
-    points, rejected = sample_points(imm, plan)
-    minimality, tangential = _minimality_residuals(spec, imm, points)
+    _, rejected, pe = _sample_evaluated(imm, plan)
+    minimality, tangential = _minimality_residuals(spec, pe)
     expected = "FAIL-EXPECTED" if is_negative_control(spec) else "PASS"
     checks = [
         _summarize("minimality", minimality, tol.tol_H, expected, rejected,
@@ -443,7 +480,7 @@ def verify_cone_scaling(spec, plan: SamplePlan = SamplePlan(),
             f"{type(spec).__name__} is not a cone here (no scaling "
             f"parameters; a nonzero axial rate breaks homogeneity)")
     imm = build_immersion(spec)
-    points, rejected = sample_points(imm, plan)
+    points, rejected, pe = _sample_evaluated(imm, plan)
     factors = _aux_stream(plan, 2).uniform(0.1, 10.0, plan.count)
 
     scaled = np.array(points, copy=True)
@@ -451,7 +488,7 @@ def verify_cone_scaling(spec, plan: SamplePlan = SamplePlan(),
     defect = imm.position(scaled) - factors[:, None] * imm.position(points)
     residuals = np.max(np.abs(defect), axis=-1)
 
-    minimality, _ = _minimality_residuals(spec, imm, points)
+    minimality, _ = _minimality_residuals(spec, pe)
     checks = [
         _summarize("cone-scaling", residuals, SCALING_TOL, "PASS", rejected,
                    tol.tol_negative),
@@ -486,20 +523,19 @@ def takahashi_equivalence(base, rays: int,
                 and is_negative_control(base) else "PASS")
 
     base_imm = _base_immersion(base)
-    base_pts, base_rej = sample_points(base_imm, plan)
-    base_res = sphere_minimality_residual(base_imm, base_pts)
+    _, base_rej, base_pe = _sample_evaluated(base_imm, plan)
+    base_res = sphere_residual_from_pointeval(base_pe, base_imm.param_dim)
 
     inner_plan = replace(plan, box=None)
     join_spec = SphericalJoin(xs=standard_chart(rays - 1), base=base)
     join_imm = build_immersion(join_spec)
-    join_pts, join_rej = sample_points(join_imm, inner_plan)
-    join_res = sphere_minimality_residual(join_imm, join_pts)
+    _, join_rej, join_pe = _sample_evaluated(join_imm, inner_plan)
+    join_res = sphere_residual_from_pointeval(join_pe, join_imm.param_dim)
 
     cone_spec = LRaysCone(rays=rays, base=base)
     cone_imm = build_immersion(cone_spec)
-    cone_pts, cone_rej = sample_points(cone_imm, inner_plan)
-    cone_res = np.linalg.norm(
-        laplace_from_pointeval(cone_imm.eval(cone_pts)), axis=-1)
+    _, cone_rej, cone_pe = _sample_evaluated(cone_imm, inner_plan)
+    cone_res = np.linalg.norm(laplace_from_pointeval(cone_pe), axis=-1)
 
     checks = (
         _summarize("sphere-base", base_res, tol.tol_H, expected, base_rej,

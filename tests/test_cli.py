@@ -137,8 +137,9 @@ class TestVerifyCommand:
 
     def test_non_finite_residual_exits_two_without_report(
             self, tmp_path, monkeypatch, capsys):
-        def residuals(spec, imm, points):
-            return np.full(len(points), np.nan), np.zeros(len(points))
+        def residuals(spec, pe):
+            return (np.full(len(pe.position), np.nan),
+                    np.zeros(len(pe.position)))
         monkeypatch.setattr(harness, "_minimality_residuals", residuals)
         rep = tmp_path / "report.json"
         cfg = write_config(tmp_path, family=TORUS, plan={"count": 5},

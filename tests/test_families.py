@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from minvar import families
 from minvar.charts import SphereChart, matrix_tuple
 from minvar.errors import (
     BranchLocusError,
@@ -25,6 +26,7 @@ from minvar.families import (
     PitchVector,
     SphericalJoin,
     SphericalSlice,
+    _with_degeneracy_guard,
     build_immersion,
     choe_hoppe_graph_function,
     choe_hoppe_graph_residual,
@@ -51,7 +53,7 @@ def sample_box(imm, count, seed, keep=True):
     lo = np.array([b[0] for b in imm.domain])
     hi = np.array([b[1] for b in imm.domain])
     pts = lo + (hi - lo) * rng.random((count, imm.param_dim))
-    if keep and imm.exclusions:
+    if keep:
         pts = pts[~imm.excluded(pts)]
     return pts
 
@@ -329,6 +331,35 @@ def test_degeneracy_guard_excludes_aligned_torus_points():
     generic = np.array([[0.3, 0.3, 0.5, 1.0]])               # m = -1
     assert imm.excluded(aligned)[0]
     assert not imm.excluded(generic)[0]
+
+
+SLICE_BASE = SphericalSlice(inner=GenHelicoidA(
+    pitch=PitchVector(0.0, (1.0, 1.3)),
+    blocks=(standard_block(1), standard_block(1))))
+
+
+@pytest.mark.parametrize("lifted", [
+    lambda base: LRaysCone(rays=2, base=base),
+    lambda base: SphericalJoin(xs=standard_chart(1), base=base),
+], ids=["rays-cone", "join"])
+@pytest.mark.parametrize("base_spec, floor", [
+    # the Lawson metric is diagonal, so its ratio is 1 and a floor above 1
+    # rejects every point; the slice's ratio varies, so 0.3 splits the batch
+    (LawsonSurface(1.0, 2.0), 1.5),
+    (SLICE_BASE, 0.3),
+], ids=["lawson", "slice"])
+def test_lifted_guards_test_the_base_metric(monkeypatch, lifted, base_spec,
+                                            floor):
+    base = _with_degeneracy_guard(build_immersion(base_spec), floor=floor)
+    monkeypatch.setattr(families, "_base_immersion", lambda spec: base)
+    imm = build_immersion(lifted(base_spec))
+    assert imm.metric_floor is None
+    pts = sample_box(imm, 200, seed=8, keep=False)
+    want = base.excluded(pts[:, :base.param_dim])
+    assert want.any()
+    if floor < 1.0:
+        assert not want.all()
+    np.testing.assert_array_equal(imm.excluded(pts), want)
 
 
 def test_graph_function_values_and_homogeneity():

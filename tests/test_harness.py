@@ -28,6 +28,7 @@ from minvar.families import (
     LRaysCliffordCone,
     PitchVector,
     SphericalSlice,
+    _with_degeneracy_guard,
     build_immersion,
     standard_block,
     standard_chart,
@@ -212,6 +213,53 @@ class TestSamplePoints:
         assert not str(got.value).startswith("point 0:")
 
 
+def count_eval_rows(monkeypatch):
+    """Record the number of points of every Immersion.eval call."""
+    rows = []
+    original = Immersion.eval
+
+    def counting(self, p):
+        rows.append(int(np.prod(np.shape(p)[:-1])))
+        return original(self, p)
+    monkeypatch.setattr(Immersion, "eval", counting)
+    return rows
+
+
+class TestOneEvaluationPerDraw:
+    def test_verify_minimality_evaluates_once(self, monkeypatch):
+        # the metric floor's PointEval of the draws is the residuals' too
+        rows = count_eval_rows(monkeypatch)
+        spec = dict(default_campaign())["helicoid-blocks"]
+        report = verify_minimality(spec, SamplePlan(count=60))
+        assert report.all_expected
+        assert report.checks[0].points_excluded == 0
+        assert rows == [60]
+
+    @pytest.mark.parametrize("floor", [0.2, 0.4])
+    @pytest.mark.parametrize("label", ["helicoid-blocks", "helicoid-slice"])
+    def test_forced_rejects_reuse_the_guard_eval(self, monkeypatch, label,
+                                                 floor):
+        spec = dict(default_campaign())[label]
+        imm = _with_degeneracy_guard(build_immersion(spec), floor=floor)
+        plan = SamplePlan(count=100, seed=11)
+        rows = count_eval_rows(monkeypatch)
+        points, rejected, pe = harness._sample_evaluated(imm, plan)
+        assert rejected > 0
+        assert sum(rows) == plan.count + rejected
+        monkeypatch.undo()
+
+        want_points, want_rejected = serial_sample_points(imm, plan)
+        assert points.tobytes() == want_points.tobytes()
+        assert rejected == want_rejected
+        ref = imm.eval(points)
+        for name in ("position", "jacobian", "second"):
+            assert getattr(pe, name).tobytes() == getattr(ref, name).tobytes()
+        got = harness._minimality_residuals(spec, pe)
+        want = harness._minimality_residuals(spec, ref)
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
+
+
 class TestVerifyMinimality:
     def test_clifford_torus_passes(self):
         plan = SamplePlan(count=60, seed=4)
@@ -274,10 +322,10 @@ class TestVerifyMinimality:
         assert json.dumps(ja, sort_keys=True) == json.dumps(jb, sort_keys=True)
 
     def test_non_finite_residual_is_a_typed_error(self, monkeypatch):
-        def residuals(spec, imm, points):
-            res = np.zeros(len(points))
+        def residuals(spec, pe):
+            res = np.zeros(len(pe.position))
             res[[1, 4]] = (np.nan, np.inf)
-            return res, np.zeros(len(points))
+            return res, np.zeros(len(pe.position))
         monkeypatch.setattr(harness, "_minimality_residuals", residuals)
         with pytest.raises(NonFiniteResidual,
                            match="minimality: 2 of 10 residuals"):
