@@ -90,8 +90,8 @@ class Immersion:
     ``metric_floor``, if set, also excludes points whose induced metric is
     near rank-deficient (``metric_below_floor``).  It is data, not a
     predicate, because its test needs an ``eval``: ``screen`` returns that
-    ``PointEval`` of the accepted points, so sampling and the residuals
-    share one evaluation per draw.
+    ``PointEval``, so sampling and the residuals share one evaluation per
+    draw.
     """
 
     param_dim: int
@@ -149,11 +149,12 @@ class Immersion:
                          second=np.stack(hesss, axis=-3))
 
     def screen(self, p) -> tuple[np.ndarray, PointEval | None]:
-        """(exclusion mask, PointEval of the accepted points, in order).
+        """(exclusion mask, PointEval of every point of ``p``).
 
-        The predicates run first; the metric floor then tests only the
-        points they left, from one ``eval`` of those points.  Without a
-        floor nothing is evaluated and the PointEval is None.
+        The mask ORs the predicates and, if set, the metric floor, which
+        is tested on one ``eval`` of the batch; that PointEval is returned
+        so a caller can keep its accepted rows.  Without a floor nothing
+        is evaluated and the PointEval is None.
         """
         p = np.asarray(p, dtype=np.float64)
         self._check_point_shape(p)
@@ -162,16 +163,8 @@ class Immersion:
             mask |= np.asarray(predicate(p), dtype=bool)
         if self.metric_floor is None:
             return mask, None
-        keep = ~mask
-        # with nothing excluded, a flat view spares the copy p[keep] makes
-        pe = self.eval(p.reshape(-1, self.param_dim) if keep.all()
-                       else p[keep])
-        low = metric_below_floor(pe.jacobian, self.metric_floor)
-        mask[keep] = low
-        if low.any():
-            pe = PointEval(position=pe.position[~low],
-                           jacobian=pe.jacobian[~low],
-                           second=pe.second[~low])
+        pe = self.eval(p)
+        mask |= metric_below_floor(pe.jacobian, self.metric_floor)
         return mask, pe
 
     def excluded(self, p) -> np.ndarray:

@@ -278,11 +278,11 @@ def sample_points(imm: Immersion, plan: SamplePlan):
     and parallel evaluation orders produce identical samples.  Sampling
     runs in rounds: each round draws the next candidate of every pending
     point from that point's stream and screens the stacked batch once
-    (``imm.screen``: the predicates, then the metric floor on the rows
-    they left); only rejected rows stay pending.  Every stream is
-    consumed exactly as a point-by-point loop would consume it, so points
-    and reject counts match that loop bit for bit.  The campaigns run the
-    same loop and keep the floor's ``PointEval`` of the accepted rows.
+    (``imm.screen``: the predicates and the metric floor); only rejected
+    rows stay pending.  Every stream is consumed exactly as a
+    point-by-point loop would consume it, so points and reject counts
+    match that loop bit for bit.  The campaigns run the same loop and keep
+    the accepted rows of the floor's ``PointEval``.
     """
     points, rejected, _ = _sample(imm, plan)
     return points, rejected
@@ -304,16 +304,17 @@ def _sample(imm: Immersion, plan: SamplePlan):
             for i in range(plan.count)]
     points = np.empty((plan.count, imm.param_dim))
     pending = np.arange(plan.count)
-    pieces = []                         # (point indices, their PointEval)
+    pieces = []                 # (point indices, round's PointEval, rows)
     rejected = 0
     for _ in range(plan.max_rejects):
         # the operations of Generator.uniform, applied to the whole batch
         u = np.array([rngs[i].random(imm.param_dim) for i in pending])
         draws = box[:, 0] + (box[:, 1] - box[:, 0]) * u
         bad, pe = imm.screen(draws)
-        points[pending[~bad]] = draws[~bad]
+        ok = ~bad
+        points[pending[ok]] = draws[ok]
         if pe is not None:
-            pieces.append((pending[~bad], pe))
+            pieces.append((pending[ok], pe, ok))
         pending = pending[bad]
         rejected += len(pending)
         if not len(pending):
@@ -337,10 +338,9 @@ def _in_point_order(pieces: list, count: int) -> PointEval | None:
         return pieces[0][1]             # round 1 accepted every point
 
     def gather(name):
-        rows = [getattr(pe, name) for _, pe in pieces]
-        out = np.empty((count,) + rows[0].shape[1:])
-        for (indices, _), part in zip(pieces, rows):
-            out[indices] = part
+        out = np.empty((count,) + getattr(pieces[0][1], name).shape[1:])
+        for indices, pe, rows in pieces:
+            out[indices] = getattr(pe, name)[rows]
         return out
     return PointEval(position=gather("position"),
                      jacobian=gather("jacobian"), second=gather("second"))
