@@ -209,8 +209,8 @@ class CliffordBlock:
     def domain_box(self) -> tuple[tuple[float, float], ...]:
         return self.chart_x.domain_box() + self.chart_y.domain_box()
 
-    def embed_pair(self, cols: Sequence) -> tuple[list, list]:
-        """Component lists (C, D) at chart parameters (scalars or jets)."""
+    def _fields(self, cols: Sequence, signs: tuple) -> list:
+        """(X; ±Y)/√2, one component list per sign, from one chart pass."""
         nx = self.chart_x.param_dim
         if len(cols) != self.param_dim:
             raise SpecError(f"block expects {self.param_dim} parameters, "
@@ -218,23 +218,31 @@ class CliffordBlock:
         x = self.chart_x.embed(cols[:nx])
         y = self.chart_y.embed(cols[nx:])
         inv = 1.0 / np.sqrt(2.0)
-        c = [inv * xi for xi in x] + [inv * yi for yi in y]
-        d = [inv * xi for xi in x] + [-inv * yi for yi in y]
         u = self.unitary_matrix
-        if u is not None:
-            c = _rotate_components(u, c)
-            d = _rotate_components(u, d)
+        out = []
+        for sign in signs:
+            f = [inv * xi for xi in x] + [sign * inv * yi for yi in y]
+            out.append(f if u is None else _rotate_components(u, f))
+        return out
+
+    def embed(self, cols: Sequence) -> list:
+        """Component list of C at chart parameters (scalars or jets)."""
+        return self._fields(cols, (1.0,))[0]
+
+    def embed_pair(self, cols: Sequence) -> tuple[list, list]:
+        """Component lists (C, D) at chart parameters (scalars or jets)."""
+        c, d = self._fields(cols, (1.0, -1.0))
         return c, d
 
     def immersion(self) -> Immersion:
         return Immersion(param_dim=self.param_dim, ambient_dim=self.ambient_dim,
-                         components=lambda cols: self.embed_pair(cols)[0],
+                         components=self.embed,
                          domain=self.domain_box(),
                          name=f"clifford-torus-S{self.sphere_dim}")
 
     def dual_immersion(self) -> Immersion:
         return Immersion(param_dim=self.param_dim, ambient_dim=self.ambient_dim,
-                         components=lambda cols: self.embed_pair(cols)[1],
+                         components=lambda cols: self._fields(cols, (-1.0,))[0],
                          domain=self.domain_box(),
                          name=f"clifford-dual-S{self.sphere_dim}")
 

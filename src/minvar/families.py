@@ -439,7 +439,7 @@ def _build_clifford_cone(spec: CliffordCone) -> Immersion:
     nu = block.param_dim
 
     def comps(cols):
-        c, _ = block.embed_pair(cols[:nu])
+        c = block.embed(cols[:nu])
         r = cols[nu]
         return [r * ci for ci in c]
 
@@ -513,7 +513,7 @@ def _build_gen_helicoid_a(spec: GenHelicoidA) -> Immersion:
         out = []
         for t, b in enumerate(blocks):
             lo, hi = spans[t]
-            c, _ = b.embed_pair(cols[lo:hi])
+            c = b.embed(cols[lo:hi])
             r = cols[theta_index + 1 + t]
             out += [r * x for x in _rotated_block(c, lams[t] * th)]
         out.append(lam0 * th)
@@ -536,7 +536,7 @@ def _build_gen_helicoid_b(spec: GenHelicoidB) -> Immersion:
     lam, lam0 = spec.angular_pitch, spec.axial_pitch
 
     def comps(cols):
-        c, _ = block.embed_pair(cols[:nu])
+        c = block.embed(cols[:nu])
         rotated = _rotated_block(c, lam * cols[nu])
         out = []
         for t in range(L):
@@ -662,7 +662,7 @@ def _build_spherical_slice(spec: SphericalSlice) -> Immersion:
         out = []
         for t, b in enumerate(blocks):
             lo, hi = spans[t]
-            c, _ = b.embed_pair(cols[lo:hi])
+            c = b.embed(cols[lo:hi])
             out += [x[t] * v for v in _rotated_block(c, lams[t] * th)]
         return out
 

@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DegenerateMetric, DimensionMismatch, NotSpherical
-from .jets import Jet2, variables
+from .jets import Jet2
 
 __all__ = [
     "RANK_TOL",
@@ -121,32 +121,40 @@ class Immersion:
         return np.stack(stacked, axis=-1)
 
     def eval(self, p) -> PointEval:
-        """Exact first/second derivatives via jets, batched over leading axes."""
+        """Exact first/second derivatives via jets, batched over leading axes.
+
+        Each parameter is seeded as a one-variable jet, so a component
+        carries derivatives only on its support, the parameters it depends
+        on; each output is scattered into the dense (..., K, n) and
+        (..., K, n, n) arrays once.  The result equals running
+        ``components`` on the dense seeds ``variables(p)`` up to the sign
+        of zero entries.
+        """
         p = np.asarray(p, dtype=np.float64)
         self._check_point_shape(p)
-        seeds = variables(p)
-        outs = self.components(seeds)
+        n = self.param_dim
+        batch = p.shape[:-1]
+        one = np.broadcast_to(1.0, batch + (1,))
+        zero = np.broadcast_to(0.0, batch + (1, 1))
+        outs = self.components([Jet2(p[..., i], one, zero, (i,))
+                                for i in range(n)])
         if len(outs) != self.ambient_dim:
             raise DimensionMismatch(
                 f"{self.name or 'immersion'}: component map returned "
                 f"{len(outs)} coordinates, declared {self.ambient_dim}")
-        n = self.param_dim
-        batch = p.shape[:-1]
-        vals, grads, hesss = [], [], []
-        zg = np.zeros(batch + (n,))
-        zh = np.zeros(batch + (n, n))
-        for o in outs:
+        K = self.ambient_dim
+        position = np.empty(batch + (K,))
+        jacobian = np.zeros(batch + (K, n))
+        second = np.zeros(batch + (K, n, n))
+        for k, o in enumerate(outs):
             if isinstance(o, Jet2):
-                vals.append(np.broadcast_to(o.value, batch))
-                grads.append(np.broadcast_to(o.grad, batch + (n,)))
-                hesss.append(np.broadcast_to(o.hess, batch + (n, n)))
+                idx = np.asarray(o.support, dtype=np.intp)
+                position[..., k] = o.value
+                jacobian[..., k, idx] = o.grad
+                second[..., k, idx[:, None], idx] = o.hess
             else:
-                vals.append(np.broadcast_to(np.asarray(o, float), batch))
-                grads.append(zg)
-                hesss.append(zh)
-        return PointEval(position=np.stack(vals, axis=-1),
-                         jacobian=np.stack(grads, axis=-2),
-                         second=np.stack(hesss, axis=-3))
+                position[..., k] = o
+        return PointEval(position=position, jacobian=jacobian, second=second)
 
     def screen(self, p) -> tuple[np.ndarray, PointEval | None]:
         """(exclusion mask, PointEval of every point of ``p``).
@@ -205,8 +213,23 @@ def metric_derivative(pe: PointEval) -> np.ndarray:
 
     Returns shape (..., n, n, n) indexed [k, i, j] = ∂ₖ(∂ᵢF·∂ⱼF).
     """
-    t = np.einsum("...aki,...aj->...kij", pe.second, pe.jacobian)
+    second = pe.second
+    n = second.shape[-1]
+    # one batched matmul: (..., n·n, K) @ (..., K, n) -> (..., n·n, n)
+    flat = np.swapaxes(second.reshape(second.shape[:-2] + (n * n,)), -1, -2)
+    t = np.matmul(flat, pe.jacobian)
+    t = t.reshape(t.shape[:-2] + (n, n, n))
     return t + np.swapaxes(t, -1, -2)
+
+
+def _divergence_parts(gi: np.ndarray, dg: np.ndarray):
+    """(∂ₖ log √g, ∂ₖ g^{ij}) from g^{-1} and ∂ₖ g_ij.
+
+    ∂ₖ log √g = ½ tr(g⁻¹ ∂ₖ g) and ∂ₖ g^{ij} = −g^{ia} ∂ₖ g_ab g^{bj}.
+    """
+    dlogs = 0.5 * np.einsum("...ab,...iab->...i", gi, dg)
+    dginv = -np.einsum("...ia,...kab,...bj->...kij", gi, dg, gi)
+    return dlogs, dginv
 
 
 def laplace_from_pointeval(pe: PointEval, form: str = "contraction",
@@ -223,8 +246,7 @@ def laplace_from_pointeval(pe: PointEval, form: str = "contraction",
         corr = np.einsum("...lk,...k,...al->...a", gi, c, pe.jacobian)
         return trace2 - corr
     if form == "divergence":
-        dlogs = 0.5 * np.einsum("...ab,...iab->...i", gi, dg)
-        dginv = -np.einsum("...ia,...kab,...bj->...kij", gi, dg, gi)
+        dlogs, dginv = _divergence_parts(gi, dg)
         v = np.einsum("...i,...ij->...j", dlogs, gi) \
             + np.einsum("...iij->...j", dginv)
         return trace2 + np.einsum("...j,...aj->...a", v, pe.jacobian)
@@ -243,11 +265,8 @@ def coordinate_laplacian(imm: Immersion, p, index: int) -> np.ndarray:
     Δφ = Σᵢ [∂ᵢ(log √g) g^{ic} + ∂ᵢ g^{ic}].
     """
     pe = imm.eval(p)
-    met = metric(pe)
-    gi = met.g_inv
-    dg = metric_derivative(pe)
-    dlogs = 0.5 * np.einsum("...ab,...iab->...i", gi, dg)
-    dginv = -np.einsum("...ia,...kab,...bj->...kij", gi, dg, gi)
+    gi = metric(pe).g_inv
+    dlogs, dginv = _divergence_parts(gi, metric_derivative(pe))
     return np.einsum("...i,...i->...", dlogs, gi[..., :, index]) \
         + np.einsum("...ii->...", dginv[..., :, :, index])
 

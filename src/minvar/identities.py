@@ -20,6 +20,7 @@ from .charts import CliffordBlock, apply_complex_structure, clifford_frame
 from .errors import DimensionMismatch
 from .families import GenHelicoidA, build_immersion
 from .geometry import (
+    _divergence_parts,
     coordinate_laplacian,
     laplace_from_pointeval,
     metric,
@@ -106,9 +107,8 @@ def _divergence_terms(fr: _FrameJets) -> np.ndarray:
     do not, which makes them the right normalization scale.
     """
     sqrtg = np.sqrt(fr.det_g)
-    # ∂_k √g = ½ √g tr(g⁻¹ ∂_k g);  ∂_k g^{ij} = -g^{ia} ∂_k g_ab g^{bj}
-    dsqrtg = 0.5 * sqrtg * np.einsum("ab,kab->k", fr.g_inv, fr.dg)
-    dginv = -np.einsum("ia,kab,bj->kij", fr.g_inv, fr.dg, fr.g_inv)
+    dlogs, dginv = _divergence_parts(fr.g_inv, fr.dg)
+    dsqrtg = sqrtg * dlogs      # ∂_k √g = √g ∂_k log √g
     giw = fr.g_inv @ fr.w
     return (dsqrtg * giw
             + sqrtg * np.einsum("iij,j->i", dginv, fr.w)

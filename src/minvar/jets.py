@@ -1,19 +1,33 @@
 """Second-order forward-mode differentiation (jets) and a finite-difference oracle.
 
 A ``Jet2`` carries a scalar field together with its gradient and Hessian with
-respect to ``n`` seed variables.  All three slots are numpy arrays with a
-common leading batch shape::
+respect to the seed variables it depends on, its ``support``: a sorted tuple
+of variable indices.  The derivative slots are stored on the support only, and
+all three slots share a leading batch shape::
 
-    value : (...,)        grad : (..., n)        hess : (..., n, n)
+    value : (...,)        grad : (..., m)        hess : (..., m, m)
 
-so one jet evaluation differentiates a whole batch of points at once.  The
-algebra implemented here is exact (to floating-point rounding):
+with m = len(support), so one jet evaluation differentiates a whole batch of
+points at once.  The algebra implemented here is exact (to floating-point
+rounding):
 
     (f + g)'' = f'' + g''
     (f g)''   = f'' g + 2 sym(f' ⊗ g') + f g''
     (h ∘ f)'' = h''(f) f' ⊗ f' + h'(f) f''
 
 Hessians are symmetrized on write, so the symmetry invariant holds exactly.
+
+Supports follow the forward-mode sparsity propagation of Griewank & Walther
+(*Evaluating Derivatives*, 2nd ed., ch. 7): unary maps and scalar operations
+keep their operand's support; a binary operation on equal supports runs the
+dense formulas above, and on unequal supports it first widens both operands
+to the union (zero-filled, plans memoized per support pair).  ``variables``
+seeds every jet on the full support, so ``jet_eval`` and ``fd_jet`` return
+dense (..., n) and (..., n, n) derivatives; ``Immersion.eval`` seeds
+one-variable jets and scatters each output into dense arrays once.  A
+derivative entry outside a support is a structural zero that the dense
+formulas would have computed as ±0.0 from zero operands, so sparse and dense
+seeding agree exactly up to the sign of zero entries.
 
 The primitives ``sin``/``cos``/``exp``/``log``/``sqrt``/``atan``/``atan2``
 accept jets or plain numbers/arrays and dispatch accordingly; a map written
@@ -25,6 +39,7 @@ numpy (positions only), as jets (exact derivatives), or through ``fd_jet``
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -53,18 +68,67 @@ def _sym(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + np.swapaxes(m, -1, -2))
 
 
+@lru_cache(maxsize=4096)
+def _union_plan(s: tuple, t: tuple):
+    """(union support, widening of s, widening of t) for unequal supports.
+
+    A widening is None when the operand's support already is the union,
+    else (gradient positions, flat Hessian positions) inside the union.
+    """
+    union = tuple(sorted(set(s) | set(t)))
+    m = len(union)
+    where = {v: k for k, v in enumerate(union)}
+
+    def widening(support):
+        if support == union:
+            return None
+        pos = np.array([where[v] for v in support], dtype=np.intp)
+        return pos, (pos[:, None] * m + pos).ravel()
+    return union, widening(s), widening(t)
+
+
+def _widen(x: "Jet2", m: int, widening):
+    """x's gradient and Hessian zero-filled onto an m-variable union."""
+    if widening is None:
+        return x.grad, x.hess
+    pos, flat = widening
+    batch = x.grad.shape[:-1]
+    grad = np.zeros(batch + (m,))
+    grad[..., pos] = x.grad
+    hess = np.zeros(batch + (m * m,))
+    hess[..., flat] = x.hess.reshape(batch + (-1,))
+    return grad, hess.reshape(batch + (m, m))
+
+
+def _aligned(a: "Jet2", b: "Jet2"):
+    """(support, a.grad, a.hess, b.grad, b.hess) on a common support."""
+    if a.support is b.support or a.support == b.support:
+        return a.support, a.grad, a.hess, b.grad, b.hess
+    union, wa, wb = _union_plan(a.support, b.support)
+    m = len(union)
+    return (union,) + _widen(a, m, wa) + _widen(b, m, wb)
+
+
 class Jet2:
-    """Value, gradient and Hessian of a scalar field over a point batch."""
+    """Value, gradient and Hessian of a scalar field over a point batch.
 
-    __slots__ = ("value", "grad", "hess")
+    ``grad`` and ``hess`` are taken with respect to the variables listed in
+    ``support`` (sorted indices); the default support is every variable,
+    range(grad.shape[-1]).
+    """
 
-    def __init__(self, value, grad, hess):
+    __slots__ = ("value", "grad", "hess", "support")
+
+    def __init__(self, value, grad, hess, support: tuple | None = None):
         self.value = np.asarray(value, dtype=np.float64)
         self.grad = np.asarray(grad, dtype=np.float64)
         self.hess = np.asarray(hess, dtype=np.float64)
+        self.support = tuple(range(self.grad.shape[-1])) \
+            if support is None else support
 
     @property
     def nvars(self) -> int:
+        """Number of variables stored, len(support)."""
         return self.grad.shape[-1]
 
     def __repr__(self) -> str:  # debugging aid only
@@ -73,49 +137,50 @@ class Jet2:
     # ---- linear structure -------------------------------------------------
 
     def __neg__(self) -> "Jet2":
-        return Jet2(-self.value, -self.grad, -self.hess)
+        return Jet2(-self.value, -self.grad, -self.hess, self.support)
 
     def __add__(self, other) -> "Jet2":
         if isinstance(other, Jet2):
-            return Jet2(self.value + other.value, self.grad + other.grad,
-                        self.hess + other.hess)
+            sup, ag, ah, bg, bh = _aligned(self, other)
+            return Jet2(self.value + other.value, ag + bg, ah + bh, sup)
         if isinstance(other, _Scalar):
-            return Jet2(self.value + other, self.grad, self.hess)
+            return Jet2(self.value + other, self.grad, self.hess, self.support)
         return NotImplemented
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "Jet2":
         if isinstance(other, Jet2):
-            return Jet2(self.value - other.value, self.grad - other.grad,
-                        self.hess - other.hess)
+            sup, ag, ah, bg, bh = _aligned(self, other)
+            return Jet2(self.value - other.value, ag - bg, ah - bh, sup)
         if isinstance(other, _Scalar):
-            return Jet2(self.value - other, self.grad, self.hess)
+            return Jet2(self.value - other, self.grad, self.hess, self.support)
         return NotImplemented
 
     def __rsub__(self, other):
         if isinstance(other, _Scalar):
-            return Jet2(other - self.value, -self.grad, -self.hess)
+            return Jet2(other - self.value, -self.grad, -self.hess,
+                        self.support)
         return NotImplemented
 
     # ---- Leibniz rule -----------------------------------------------------
 
     def __mul__(self, other) -> "Jet2":
         if isinstance(other, Jet2):
+            sup, ag, ah, bg, bh = _aligned(self, other)
             av, bv = self.value, other.value
-            outer = self.grad[..., :, None] * other.grad[..., None, :]
+            outer = ag[..., :, None] * bg[..., None, :]
             # symmetrize the rank-one part first: addition is commutative but
             # not associative, so this grouping keeps hess exactly symmetric
-            hess = (av[..., None, None] * other.hess
-                    + bv[..., None, None] * self.hess
+            hess = (av[..., None, None] * bh
+                    + bv[..., None, None] * ah
                     + (outer + np.swapaxes(outer, -1, -2)))
-            return Jet2(av * bv,
-                        av[..., None] * other.grad + bv[..., None] * self.grad,
-                        hess)
+            return Jet2(av * bv, av[..., None] * bg + bv[..., None] * ag,
+                        hess, sup)
         if isinstance(other, _Scalar):
             c = np.asarray(other, dtype=np.float64)
             return Jet2(self.value * c, self.grad * c[..., None],
-                        self.hess * c[..., None, None])
+                        self.hess * c[..., None, None], self.support)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -153,7 +218,7 @@ def _chain(x: Jet2, f0: np.ndarray, f1: np.ndarray, f2: np.ndarray) -> Jet2:
     """Lift h(x) through x's jet given h, h', h'' at x.value."""
     outer = x.grad[..., :, None] * x.grad[..., None, :]
     hess = f1[..., None, None] * x.hess + f2[..., None, None] * outer
-    return Jet2(f0, f1[..., None] * x.grad, hess)
+    return Jet2(f0, f1[..., None] * x.grad, hess, x.support)
 
 
 def _reciprocal(x: Jet2) -> Jet2:
@@ -165,13 +230,16 @@ def _reciprocal(x: Jet2) -> Jet2:
 
 
 def constant_like(c, like: Jet2) -> Jet2:
-    """A jet with value c and vanishing derivatives, shaped like ``like``."""
+    """A jet with value c and vanishing derivatives, shaped like ``like``.
+
+    It keeps ``like``'s support, so it aligns with ``like`` without widening.
+    """
     value = np.broadcast_to(np.asarray(c, dtype=np.float64),
                             np.broadcast_shapes(np.shape(c), like.value.shape))
     zero = np.zeros((), dtype=np.float64)
     grad = np.broadcast_to(zero, value.shape + (like.nvars,))
     hess = np.broadcast_to(zero, value.shape + (like.nvars, like.nvars))
-    return Jet2(value, grad, hess)
+    return Jet2(value, grad, hess, like.support)
 
 
 # ---- primitives (dual dispatch: Jet2 or plain arrays) ----------------------
@@ -243,28 +311,30 @@ def atan2(y, x):
         y = constant_like(y, ref)
     if not isinstance(x, Jet2):
         x = constant_like(x, ref)
-    if y.nvars != x.nvars:
-        raise DomainError("jets seeded over different variable sets")
+    sup, xg, xh, yg, yh = _aligned(x, y)
     xv, yv = x.value, y.value
     s = xv * xv + yv * yv
     if np.any(s == 0.0):
         raise DomainError("atan2 at the origin")
-    num = xv[..., None] * y.grad - yv[..., None] * x.grad
+    num = xv[..., None] * yg - yv[..., None] * xg
     grad = num / s[..., None]
-    ds = 2.0 * (xv[..., None] * x.grad + yv[..., None] * y.grad)
-    cross = x.grad[..., :, None] * y.grad[..., None, :]
+    ds = 2.0 * (xv[..., None] * xg + yv[..., None] * yg)
+    cross = xg[..., :, None] * yg[..., None, :]
     raw = (cross - np.swapaxes(cross, -1, -2)
-           + xv[..., None, None] * y.hess - yv[..., None, None] * x.hess) \
+           + xv[..., None, None] * yh - yv[..., None, None] * xh) \
         / s[..., None, None] \
         - num[..., :, None] * ds[..., None, :] / (s * s)[..., None, None]
-    return Jet2(np.arctan2(yv, xv), grad, _sym(raw))
+    return Jet2(np.arctan2(yv, xv), grad, _sym(raw), sup)
 
 
 # ---- seeding and evaluation -------------------------------------------------
 
 
 def variables(p) -> list[Jet2]:
-    """Seed jets for the coordinates of p, shape (..., n) → n unit-seeded jets."""
+    """Seed jets for the coordinates of p, shape (..., n) → n unit-seeded jets.
+
+    Every seed carries the full support, so derived jets are dense.
+    """
     p = np.asarray(p, dtype=np.float64)
     if p.ndim == 0:
         raise DomainError("variables() needs a trailing coordinate axis")
@@ -272,11 +342,12 @@ def variables(p) -> list[Jet2]:
     batch = p.shape[:-1]
     eye = np.eye(n)
     zero = np.zeros((), dtype=np.float64)
+    full = tuple(range(n))
     out = []
     for i in range(n):
         grad = np.broadcast_to(eye[i], batch + (n,))
         hess = np.broadcast_to(zero, batch + (n, n))
-        out.append(Jet2(p[..., i], grad, hess))
+        out.append(Jet2(p[..., i], grad, hess, full))
     return out
 
 

@@ -369,3 +369,98 @@ def test_exclusion_masks_union():
     pts = np.array([[0.0, 0.5], [0.3, 0.35], [0.95, -0.5], [0.2, -0.2]])
     np.testing.assert_array_equal(imm.excluded(pts),
                                   [False, True, True, False])
+
+
+# ---- sparse-support evaluation against dense seeding ------------------------
+
+
+def dense_eval(imm, p):
+    """The components run on dense seeds ``variables(p)``, stacked."""
+    p = np.asarray(p, dtype=np.float64)
+    batch, n = p.shape[:-1], imm.param_dim
+    vals, grads, hesss = [], [], []
+    for o in imm.components(jets.variables(p)):
+        if isinstance(o, jets.Jet2):
+            vals.append(np.broadcast_to(o.value, batch))
+            grads.append(np.broadcast_to(o.grad, batch + (n,)))
+            hesss.append(np.broadcast_to(o.hess, batch + (n, n)))
+        else:
+            vals.append(np.broadcast_to(np.asarray(o, float), batch))
+            grads.append(np.zeros(batch + (n,)))
+            hesss.append(np.zeros(batch + (n, n)))
+    return (np.stack(vals, axis=-1), np.stack(grads, axis=-2),
+            np.stack(hesss, axis=-3))
+
+
+def _oracle_immersions():
+    from minvar import families
+    from minvar.charts import matrix_tuple
+    from minvar.harness import default_campaign
+
+    cases = [(label, families.build_immersion(spec))
+             for label, spec in default_campaign()]
+    for L in (1, 2, 3):
+        for N in (1, 2):
+            pitch = families.PitchVector(0.8, tuple(1.2 - 0.3 * t
+                                                    for t in range(L)))
+            blocks = tuple(families.standard_block(N) for _ in range(L))
+            cases.append((f"helicoid-a-L{L}-N{N}", families.build_immersion(
+                families.GenHelicoidA(pitch=pitch, blocks=blocks))))
+            cases.append((f"helicoid-b-L{L}-N{N}", families.build_immersion(
+                families.GenHelicoidB(rays=L, block=blocks[0],
+                                      angular_pitch=1.1, axial_pitch=0.6))))
+    for N in (1, 2, 3):
+        a = 0.6
+        eye = np.eye(N + 1)
+        u = np.block([[np.cos(a) * eye, -np.sin(a) * eye],
+                      [np.sin(a) * eye, np.cos(a) * eye]])
+        for kind in ("stereographic", "trigonometric"):
+            for unitary in (None, matrix_tuple(u)):
+                block = families.standard_block(N, kind, unitary=unitary)
+                turn = "rot" if unitary else "std"
+                cases.append((f"block-{kind}-N{N}-{turn}", block.immersion()))
+                cases.append((f"dual-{kind}-N{N}-{turn}",
+                              block.dual_immersion()))
+    cases.append(("join-over-lawson", families.build_immersion(
+        families.SphericalJoin(xs=families.standard_chart(1),
+                               base=families.LawsonSurface(1.0, 2.0)))))
+    return cases
+
+
+ORACLE_IMMERSIONS = _oracle_immersions()
+
+
+@pytest.mark.parametrize("label,imm", ORACLE_IMMERSIONS,
+                         ids=[label for label, _ in ORACLE_IMMERSIONS])
+def test_sparse_eval_equals_dense_seeding(label, imm):
+    batch = rng_points(imm, 40, seed=17)
+    for p in (batch, batch[7]):
+        pe = imm.eval(p)
+        position, jacobian, second = dense_eval(imm, p)
+        assert np.array_equal(pe.position, position)
+        assert np.array_equal(pe.jacobian, jacobian)
+        assert np.array_equal(pe.second, second)
+        assert pe.second.shape == p.shape[:-1] + (imm.ambient_dim,) \
+            + (imm.param_dim,) * 2
+
+
+def _einsum_metric_derivative(pe):
+    # the contraction metric_derivative computed before it became a matmul
+    t = np.einsum("...aki,...aj->...kij", pe.second, pe.jacobian)
+    return t + np.swapaxes(t, -1, -2)
+
+
+@pytest.mark.parametrize("batch", [(60,), ()])
+def test_metric_derivative_matches_einsum_reference(batch):
+    # a generic second tensor (not symmetric in its last pair), so that
+    # any mix-up of the k, i, j axes shows
+    rng = np.random.default_rng(23)
+    K, n = 19, 16
+    pe = PointEval(position=rng.standard_normal(batch + (K,)),
+                   jacobian=rng.standard_normal(batch + (K, n)),
+                   second=rng.standard_normal(batch + (K, n, n)))
+    dg = metric_derivative(pe)
+    ref = _einsum_metric_derivative(pe)
+    assert dg.shape == ref.shape == batch + (n, n, n)
+    eps = np.finfo(np.float64).eps
+    assert np.max(np.abs(dg - ref)) <= 64 * eps * (1.0 + np.max(np.abs(ref)))

@@ -267,3 +267,119 @@ def test_scalar_mixing_identities():
     # d/du [2u + 1 - u - u/4 + 3/u] = 0.75 - 3/u^2
     assert_close(j.grad, [0.75 - 3.0 / 1.69], 1e-14)
     assert_close(j.hess, [[6.0 / 1.3**3]], 1e-14)
+
+
+# ---- sparse supports against dense seeding ----------------------------------
+
+
+def sparse_seeds(p):
+    """One-variable seeds, as ``Immersion.eval`` makes them."""
+    batch = p.shape[:-1]
+    one = np.broadcast_to(1.0, batch + (1,))
+    zero = np.broadcast_to(0.0, batch + (1, 1))
+    return [Jet2(p[..., i], one, zero, (i,)) for i in range(p.shape[-1])]
+
+
+def densified(j, n):
+    """(value, grad, hess) of a jet scattered onto all n variables."""
+    batch = j.value.shape
+    idx = list(j.support)
+    grad = np.zeros(batch + (n,))
+    grad[..., idx] = j.grad
+    hess = np.zeros(batch + (n, n))
+    hess[..., np.asarray(idx)[:, None], idx] = j.hess
+    return j.value, grad, hess
+
+
+def assert_sparse_equals_dense(f, p):
+    sparse = f(*sparse_seeds(p))
+    dense = f(*variables(p))
+    assert dense.support == tuple(range(p.shape[-1]))
+    assert list(sparse.support) == sorted(set(sparse.support))
+    for a, b in zip(densified(sparse, p.shape[-1]),
+                    (dense.value, dense.grad, dense.hess)):
+        assert np.array_equal(a, b)
+    return sparse
+
+
+PTS4 = np.random.default_rng(5).uniform(0.3, 1.2, size=(6, 4))
+
+
+@pytest.mark.parametrize("op", ["add", "sub", "mul", "div"])
+def test_mixed_support_arithmetic_equals_dense(op):
+    def f(a, b, c, d):
+        left = a * jets.sin(c)          # support {0, 2}
+        right = jets.exp(b) - d         # support {1, 3}
+        return {"add": left + right, "sub": left - right,
+                "mul": left * right, "div": left / right}[op]
+    out = assert_sparse_equals_dense(f, PTS4)
+    assert out.support == (0, 1, 2, 3)
+    # a subset support widens one side only
+    out = assert_sparse_equals_dense(lambda a, b, c, d: f(a, b, c, d) * a,
+                                     PTS4)
+    assert out.support == (0, 1, 2, 3)
+
+
+def test_atan2_with_one_plain_argument_keeps_support():
+    out = assert_sparse_equals_dense(
+        lambda a, b, c, d: jets.atan2(b * d, 2.0), PTS4)
+    assert out.support == (1, 3)
+    out = assert_sparse_equals_dense(
+        lambda a, b, c, d: jets.atan2(-1.5, c), PTS4)
+    assert out.support == (2,)
+    out = assert_sparse_equals_dense(
+        lambda a, b, c, d: jets.atan2(a, c * d), PTS4)
+    assert out.support == (0, 2, 3)
+
+
+def test_constant_like_keeps_sparse_support():
+    a, b, c, d = sparse_seeds(PTS4)
+    x = b * d
+    k = jets.constant_like(2.5, x)
+    assert k.support == x.support
+    assert np.all(k.grad == 0.0) and np.all(k.hess == 0.0)
+    assert_sparse_equals_dense(
+        lambda a, b, c, d: jets.constant_like(2.5, b * d) * c + b * d, PTS4)
+
+
+def test_default_support_is_every_variable():
+    j = Jet2(np.ones(3), np.zeros((3, 5)), np.zeros((3, 5, 5)))
+    assert j.support == (0, 1, 2, 3, 4)
+
+
+_UNARY = {
+    "sin": jets.sin, "cos": jets.cos, "atan": jets.atan,
+    "exp_sin": lambda x: jets.exp(jets.sin(x)),
+    "soft": lambda x: jets.sqrt(1.0 + x * x),
+    "half": lambda x: 0.5 * x - 0.25,
+}
+_BINARY = {
+    "add": lambda x, y: x + y, "sub": lambda x, y: x - y,
+    "mul": lambda x, y: x * y,
+    "div": lambda x, y: x / (1.5 + y * y),
+    "atan2": lambda x, y: jets.atan2(x, 1.5 + y * y),
+}
+step = st.one_of(
+    st.tuples(st.sampled_from(sorted(_UNARY)), st.integers(0, 63)),
+    st.tuples(st.sampled_from(sorted(_BINARY)), st.integers(0, 63),
+              st.integers(0, 63)))
+
+
+@given(leaves=st.lists(st.integers(0, 4), min_size=1, max_size=4),
+       program=st.lists(step, min_size=1, max_size=8),
+       seed=st.integers(0, 2**16))
+@settings(max_examples=150, deadline=None)
+def test_random_compositions_over_variable_subsets_match_dense(
+        leaves, program, seed):
+    p = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(3, 5))
+
+    def f(*seeds):
+        stack = [seeds[i] for i in leaves]
+        for name, *args in program:
+            operands = [stack[a % len(stack)] for a in args]
+            fn = _UNARY.get(name) or _BINARY[name]
+            stack.append(fn(*operands))
+        return stack[-1]
+
+    out = assert_sparse_equals_dense(f, p)
+    assert set(out.support) <= set(leaves)
