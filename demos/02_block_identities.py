@@ -16,12 +16,9 @@ def sweep(block, count, seed):
     box = np.array(block.domain_box())
     rng = np.random.default_rng(seed)
     pts = rng.uniform(box[:, 0], box[:, 1], size=(count, len(box)))
-    worst = np.zeros(6)
-    for p in pts:
-        res = lemma_magic_residuals(block, p)
-        worst = np.maximum(worst, [res.res_a1, res.res_a2, res.res_b,
-                                   res.res_c, res.res_d, res.res_e])
-    return worst
+    res = lemma_magic_residuals(block, pts)
+    return np.max([res.res_a1, res.res_a2, res.res_b,
+                   res.res_c, res.res_d, res.res_e], axis=-1)
 
 
 def main():
@@ -38,11 +35,13 @@ def main():
     print()
     print("circle block closed forms: D.JC = -cos(u-v), w = sin(u-v)/2")
     block = standard_block(1, "trigonometric")
-    for u, v in [(0.9, 0.2), (2.4, -1.1), (-0.3, 2.8)]:
-        fr = clifford_frame(block, np.array([u, v]))
-        print(f"  u={u:+.1f} v={v:+.1f}  D.JC={float(fr.D @ fr.JC):+.6f}  "
+    uv = np.array([(0.9, 0.2), (2.4, -1.1), (-0.3, 2.8)])
+    fr = clifford_frame(block, uv)
+    alignment = np.sum(fr.D * fr.JC, axis=-1)
+    for (u, v), m, w in zip(uv, alignment, fr.w[:, 0]):
+        print(f"  u={u:+.1f} v={v:+.1f}  D.JC={m:+.6f}  "
               f"-cos(u-v)={-np.cos(u - v):+.6f}  "
-              f"w={fr.w[0]:+.6f}  sin(u-v)/2={0.5 * np.sin(u - v):+.6f}")
+              f"w={w:+.6f}  sin(u-v)/2={0.5 * np.sin(u - v):+.6f}")
 
 
 if __name__ == "__main__":

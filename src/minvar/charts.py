@@ -26,7 +26,13 @@ import numpy as np
 
 from . import jets
 from .errors import ChartDomainError, SpecError
-from .geometry import Immersion, MetricEval, metric
+from .geometry import (
+    Immersion,
+    MetricEval,
+    PointEval,
+    metric,
+    metric_derivative,
+)
 
 __all__ = [
     "SphereChart",
@@ -249,27 +255,55 @@ class CliffordBlock:
 
 @dataclass(frozen=True)
 class CliffordFrame:
-    """Pointwise frame data of a Clifford block (plain numpy arrays)."""
+    """Frame data of a Clifford block at chart points p of shape (..., n).
 
-    C: np.ndarray    # (..., 2N+2)
-    D: np.ndarray    # (..., 2N+2)
-    JC: np.ndarray   # (..., 2N+2)
-    JD: np.ndarray   # (..., 2N+2)
-    dC: np.ndarray   # (..., 2N+2, 2N)
-    dD: np.ndarray   # (..., 2N+2, 2N)
-    w: np.ndarray    # (..., 2N),  w_j = ∂_j C · JC
-    m: np.ndarray    # (...,),     m = D · JC
+    Plain numpy arrays whose leading axes are those of p; K = 2N+2 is the
+    ambient dimension and n the chart parameter count.
+    """
+
+    C: np.ndarray      # (..., K)
+    D: np.ndarray      # (..., K)
+    JC: np.ndarray     # (..., K)
+    JD: np.ndarray     # (..., K)
+    dC: np.ndarray     # (..., K, n)
+    dD: np.ndarray     # (..., K, n)
+    d2C: np.ndarray    # (..., K, n, n)
+    w: np.ndarray      # (..., n),       w_j = ∂_j C · JC
+    m: np.ndarray      # (...,),         m = D · JC
     metric: MetricEval
+    dg: np.ndarray     # (..., n, n, n), [k, i, j] = ∂_k g_ij
+    dw: np.ndarray     # (..., n, n),    [k, i] = ∂_k w_i
+    dm: np.ndarray     # (..., n)
+    split: int         # parameter count of the first factor chart
 
 
 def clifford_frame(block: CliffordBlock, p) -> CliffordFrame:
-    """First-order frame of the torus map at parameter points p."""
-    pe_c = block.immersion().eval(p)
-    pe_d = block.dual_immersion().eval(p)
-    jc = apply_complex_structure(pe_c.position)
-    jd = apply_complex_structure(pe_d.position)
-    w = np.einsum("...aj,...a->...j", pe_c.jacobian, jc)
-    m = np.einsum("...a,...a->...", pe_d.position, jc)
-    return CliffordFrame(C=pe_c.position, D=pe_d.position, JC=jc, JD=jd,
-                         dC=pe_c.jacobian, dD=pe_d.jacobian, w=w, m=m,
-                         metric=metric(pe_c))
+    """Second-order frame of the torus map at chart points p (..., n).
+
+    C and D come from one jet evaluation of ``embed_pair``, so each chart
+    is embedded once; their values and derivatives equal those of
+    ``block.immersion().eval(p)`` and ``block.dual_immersion().eval(p)``.
+    """
+    K = block.ambient_dim
+    pair = Immersion(param_dim=block.param_dim, ambient_dim=2 * K,
+                     components=lambda cols: [
+                         x for f in block.embed_pair(cols) for x in f],
+                     domain=block.domain_box(),
+                     name=f"clifford-pair-S{block.sphere_dim}")
+    pe = pair.eval(p)
+    C, D = pe.position[..., :K], pe.position[..., K:]
+    dC, dD = pe.jacobian[..., :K, :], pe.jacobian[..., K:, :]
+    pe_c = PointEval(position=C, jacobian=dC, second=pe.second[..., :K, :, :])
+    jc = apply_complex_structure(C)
+    jdc = np.swapaxes(apply_complex_structure(np.swapaxes(dC, -1, -2)),
+                      -1, -2)
+    w = np.einsum("...aj,...a->...j", dC, jc)
+    dw = np.einsum("...aik,...a->...ki", pe_c.second, jc) \
+        + np.einsum("...ai,...ak->...ki", dC, jdc)
+    dm = np.einsum("...ai,...a->...i", dD, jc) \
+        + np.einsum("...ai,...a->...i", jdc, D)
+    return CliffordFrame(C=C, D=D, JC=jc, JD=apply_complex_structure(D),
+                         dC=dC, dD=dD, d2C=pe_c.second, w=w,
+                         m=np.einsum("...a,...a->...", D, jc),
+                         metric=metric(pe_c), dg=metric_derivative(pe_c),
+                         dw=dw, dm=dm, split=block.chart_x.param_dim)

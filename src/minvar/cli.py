@@ -5,7 +5,8 @@ Four subcommands share one JSON config shape (versioned, strict keys):
 * ``verify``     runs sampling campaigns (minimality, screw, cone-scaling,
                  takahashi) against a family and writes a report.
 * ``identities`` evaluates the lemma/algebra/harmonicity/proof-term
-                 residuals per sample point and writes them as CSV.
+                 residuals over the sample points in one batched call
+                 per check and writes one CSV row per point.
 * ``mesh``       tessellates a family over a parameter grid to an OBJ file.
 * ``takahashi``  runs the three-way sphere/join/cone equivalence.
 
@@ -233,11 +234,9 @@ def cmd_verify(config: RunConfig) -> int:
 def _lemma_rows(config: RunConfig):
     block = config.family.block
     points, _ = sample_points(block.immersion(), config.plan)
-    rows = np.empty((len(points), 5))
-    for i, u in enumerate(points):
-        res = lemma_magic_residuals(block, u)
-        rows[i] = (max(res.res_a1, res.res_a2), res.res_b, res.res_c,
-                   res.res_d, res.res_e)
+    res = lemma_magic_residuals(block, points)
+    rows = np.stack([np.maximum(res.res_a1, res.res_a2), res.res_b,
+                     res.res_c, res.res_d, res.res_e], axis=-1)
     columns = ["res_a", "res_b", "res_c", "res_d", "res_e"]
     tols = [config.tolerances.tol_identity] * 5
     return columns, tols, rows
@@ -246,38 +245,29 @@ def _lemma_rows(config: RunConfig):
 def _helicoid_rows(config: RunConfig):
     spec = config.family
     points, _ = sample_points(build_immersion(spec), config.plan)
-    columns, tols, chunks = [], [], []
+    columns, tols, parts = [], [], []
     tol = config.tolerances
     if "helicoid-algebra" in config.checks:
-        part = np.empty((len(points), 2))
-        for i, p in enumerate(points):
-            alg = helicoid_algebra(spec, p)
-            part[i] = (alg.det_defect, alg.inverse_defect)
+        alg = helicoid_algebra(spec, points)
         columns += ["det_defect", "inverse_defect"]
         tols += [tol.tol_identity] * 2
-        chunks.append(part)
+        parts += [alg.det_defect, alg.inverse_defect]
     if "theta-harmonicity" in config.checks:
-        part = np.empty((len(points), 2))
-        for i, p in enumerate(points):
-            harm = theta_harmonicity(spec, p)
-            part[i] = (harm.theta_laplacian, harm.block_divergence)
+        harm = theta_harmonicity(spec, points)
         columns += ["theta_laplacian", "block_divergence"]
         tols += [tol.tol_H] * 2
-        chunks.append(part)
+        parts += [harm.theta_laplacian, harm.block_divergence]
     if "proof-terms" in config.checks:
-        part = np.empty((len(points), 2))
-        for i, p in enumerate(points):
-            worst_sum = worst_op = 0.0
-            for t in range(1, len(spec.blocks) + 1):
-                terms = proof_terms(spec, t, p)
-                scale = max(1.0, terms.scale)
-                worst_sum = max(worst_sum, terms.sum_norm / scale)
-                worst_op = max(worst_op, terms.operator_defect)
-            part[i] = (worst_sum, worst_op)
+        worst_sum = worst_op = 0.0
+        for t in range(1, len(spec.blocks) + 1):
+            terms = proof_terms(spec, t, points)
+            worst_sum = np.maximum(worst_sum, terms.sum_norm
+                                   / np.maximum(1.0, terms.scale))
+            worst_op = np.maximum(worst_op, terms.operator_defect)
         columns += ["sum_cancellation", "operator_defect"]
         tols += [tol.tol_H, 10.0 * tol.tol_H]
-        chunks.append(part)
-    return columns, tols, np.hstack(chunks)
+        parts += [worst_sum, worst_op]
+    return columns, tols, np.stack(parts, axis=-1)
 
 
 def cmd_identities(config: RunConfig) -> int:

@@ -337,6 +337,12 @@ def _rotated_block(comps: list, angle) -> list:
     return [ca * c + sa * j for c, j in zip(comps, jcomps)]
 
 
+def _block_spans(blocks) -> list[tuple[int, int]]:
+    """(start, stop) of each block's chart parameters, laid end to end."""
+    stops = np.cumsum([b.param_dim for b in blocks], dtype=int).tolist()
+    return [(hi - b.param_dim, hi) for b, hi in zip(blocks, stops)]
+
+
 def _base_immersion(base: BaseSpec) -> Immersion:
     if isinstance(base, SphereChart):
         return base.immersion()
@@ -499,12 +505,8 @@ def _build_spherical_join(spec: SphericalJoin) -> Immersion:
 def _build_gen_helicoid_a(spec: GenHelicoidA) -> Immersion:
     blocks = spec.blocks
     L = len(blocks)
-    spans = []
-    start = 0
-    for b in blocks:
-        spans.append((start, start + b.param_dim))
-        start += b.param_dim
-    theta_index = start
+    spans = _block_spans(blocks)
+    theta_index = spans[-1][1]
     lam0 = spec.pitch.lambda0
     lams = spec.pitch.lambdas
 
@@ -648,12 +650,8 @@ def _build_spherical_slice(spec: SphericalSlice) -> Immersion:
     L = len(blocks)
     chart = spec.chart or standard_chart(L - 1)
     lams = spec.inner.pitch.lambdas
-    spans = []
-    start = 0
-    for b in blocks:
-        spans.append((start, start + b.param_dim))
-        start += b.param_dim
-    theta_index = start
+    spans = _block_spans(blocks)
+    theta_index = spans[-1][1]
     nx = chart.param_dim
 
     def comps(cols):

@@ -228,8 +228,8 @@ def _divergence_parts(gi: np.ndarray, dg: np.ndarray):
     ∂ₖ log √g = ½ tr(g⁻¹ ∂ₖ g) and ∂ₖ g^{ij} = −g^{ia} ∂ₖ g_ab g^{bj}.
     """
     dlogs = 0.5 * np.einsum("...ab,...iab->...i", gi, dg)
-    dginv = -np.einsum("...ia,...kab,...bj->...kij", gi, dg, gi)
-    return dlogs, dginv
+    gk = gi[..., None, :, :]
+    return dlogs, -(gk @ dg @ gk)
 
 
 def laplace_from_pointeval(pe: PointEval, form: str = "contraction",

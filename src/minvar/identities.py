@@ -1,30 +1,39 @@
-"""Pointwise checks of the structural identities behind helicoid minimality.
+"""Batched checks of the structural identities behind helicoid minimality.
 
 The paired torus maps C and D interact with the complex structure J
 through five frame identities.  Those identities drive a factorization
 of the helicoid metric determinant, the harmonicity of the axial
 coordinate, and a six-term cancellation in the Laplacian of each
 rotating block.  Every function in this module evaluates one of these
-statements at a single parameter point and reports defect norms,
-normalized by the largest participating term so a pass is meaningful at
-any scale.
+statements at a batch of parameter points of shape (..., n) and reports
+defect norms of shape (...), normalized by the largest participating
+term so a pass is meaningful at any scale.  A single point of shape
+(n,) is a batch of one and gives shape-() values.
+
+All frame data comes from ``charts.clifford_frame``, one jet evaluation
+per block and batch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
-from .charts import CliffordBlock, apply_complex_structure, clifford_frame
+from .charts import (
+    CliffordBlock,
+    CliffordFrame,
+    apply_complex_structure,
+    clifford_frame,
+)
 from .errors import DimensionMismatch
-from .families import GenHelicoidA, build_immersion
+from .families import GenHelicoidA, _block_spans, build_immersion
 from .geometry import (
     _divergence_parts,
     coordinate_laplacian,
     laplace_from_pointeval,
     metric,
-    metric_derivative,
 )
 
 __all__ = [
@@ -40,84 +49,51 @@ __all__ = [
 ]
 
 
-def _rel(defect: float, *scales: float) -> float:
+def _rel(defect: np.ndarray, *scales: np.ndarray) -> np.ndarray:
     """Defect divided by the largest term magnitude, floored at 1.
 
     Terms in the frame identities are O(1) by construction (C and D are
     unit vectors), so the floor makes the ratio behave like an absolute
     defect near degeneracies instead of dividing by noise.
     """
-    return float(defect) / max(1.0, *(float(s) for s in scales))
+    return defect / reduce(np.maximum, scales, 1.0)
 
 
-def _j_cols(a: np.ndarray) -> np.ndarray:
-    """Apply the complex structure along the leading (component) axis."""
-    return np.moveaxis(apply_complex_structure(np.moveaxis(a, 0, -1)), -1, 0)
+def _sum_defect(terms: np.ndarray) -> np.ndarray:
+    """Relative defect of a vanishing sum over the last axis of ``terms``."""
+    return _rel(np.abs(np.sum(terms, axis=-1)),
+                np.max(np.abs(terms), axis=-1, initial=0.0))
 
 
-@dataclass(frozen=True)
-class _FrameJets:
-    """Second-order data of one block frame at a single chart point."""
-
-    C: np.ndarray        # (K,)
-    D: np.ndarray        # (K,)
-    JC: np.ndarray       # (K,)
-    JD: np.ndarray       # (K,)
-    dC: np.ndarray       # (K, n)
-    dD: np.ndarray       # (K, n)
-    g: np.ndarray        # (n, n)
-    g_inv: np.ndarray    # (n, n)
-    det_g: float
-    dg: np.ndarray       # (n, n, n), [k, i, j] = ∂_k g_ij
-    w: np.ndarray        # (n,),      w_i = ∂_i C · JC
-    dw: np.ndarray       # (n, n),    [k, i] = ∂_k w_i
-    m: float             # D · JC
-    dm: np.ndarray       # (n,)
-    split: int           # parameter count of the first factor chart
+def _norm(v: np.ndarray) -> np.ndarray:
+    return np.linalg.norm(v, axis=-1)
 
 
-def _frame_jets(block: CliffordBlock, u) -> _FrameJets:
-    u = np.asarray(u, dtype=float)
-    if u.ndim != 1:
-        raise DimensionMismatch(f"expected a single chart point, got shape "
-                                f"{u.shape}")
-    pe_c = block.immersion().eval(u)
-    pe_d = block.dual_immersion().eval(u)
-    C, dC, d2C = pe_c.position, pe_c.jacobian, pe_c.second
-    D, dD = pe_d.position, pe_d.jacobian
-    JC = apply_complex_structure(C)
-    JD = apply_complex_structure(D)
-    JdC = _j_cols(dC)
-    met = metric(pe_c)
-    dg = metric_derivative(pe_c)
-    w = dC.T @ JC
-    dw = np.einsum("aik,a->ki", d2C, JC) + np.einsum("ai,ak->ki", dC, JdC)
-    m = float(D @ JC)
-    dm = dD.T @ JC + JdC.T @ D
-    return _FrameJets(C=C, D=D, JC=JC, JD=JD, dC=dC, dD=dD,
-                      g=met.g, g_inv=met.g_inv, det_g=float(met.det_g),
-                      dg=dg, w=w, dw=dw, m=m, dm=dm,
-                      split=block.chart_x.param_dim)
+def _mv(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Matrix-vector product over the trailing axes."""
+    return (a @ v[..., None])[..., 0]
 
 
-def _divergence_terms(fr: _FrameJets) -> np.ndarray:
-    """Per-index summands ∂_i(√g Σ_j g^{ij} w_j), shape (n,).
+def _divergence_terms(fr: CliffordFrame) -> np.ndarray:
+    """Per-index summands ∂_i(√g Σ_j g^{ij} w_j), shape (..., n).
 
     Their total vanishes identically on the torus; individual summands
     do not, which makes them the right normalization scale.
     """
-    sqrtg = np.sqrt(fr.det_g)
-    dlogs, dginv = _divergence_parts(fr.g_inv, fr.dg)
+    gi = fr.metric.g_inv
+    sqrtg = np.sqrt(fr.metric.det_g)[..., None]
+    dlogs, dginv = _divergence_parts(gi, fr.dg)
     dsqrtg = sqrtg * dlogs      # ∂_k √g = √g ∂_k log √g
-    giw = fr.g_inv @ fr.w
-    return (dsqrtg * giw
-            + sqrtg * np.einsum("iij,j->i", dginv, fr.w)
-            + sqrtg * np.einsum("ij,ij->i", fr.g_inv, fr.dw))
+    return (dsqrtg * _mv(gi, fr.w)
+            + sqrtg * np.einsum("...iij,...j->...i", dginv, fr.w)
+            + sqrtg * np.einsum("...ij,...ij->...i", gi, fr.dw))
 
 
 @dataclass(frozen=True)
 class LemmaResiduals:
-    """Relative defects of the five frame identities at one chart point.
+    """Relative defects of the five frame identities at chart points.
+
+    Each field has the leading shape of the chart points.
 
     a1: JC equals m D plus the tangential lift of w through C.
     a2: -JD equals m C plus the tangential lift of w through D.
@@ -127,74 +103,64 @@ class LemmaResiduals:
     e:  the tangential gradient of m equals -2(JD + m C).
     """
 
-    res_a1: float
-    res_a2: float
-    res_b: float
-    res_c: float
-    res_d: float
-    res_e: float
+    res_a1: np.ndarray
+    res_a2: np.ndarray
+    res_b: np.ndarray
+    res_c: np.ndarray
+    res_d: np.ndarray
+    res_e: np.ndarray
 
     @property
-    def max_residual(self) -> float:
-        return max(self.res_a1, self.res_a2, self.res_b,
-                   self.res_c, self.res_d, self.res_e)
+    def max_residual(self) -> np.ndarray:
+        return reduce(np.maximum, (self.res_a1, self.res_a2, self.res_b,
+                                   self.res_c, self.res_d, self.res_e))
 
 
 def lemma_magic_residuals(block: CliffordBlock, u) -> LemmaResiduals:
-    """Evaluate both sides of the five frame identities at chart point u.
+    """Evaluate both sides of the five frame identities at chart points u.
 
-    All derivatives come from second-order jets of the torus maps; no
-    finite differences are involved.  Residuals are norms of LHS - RHS
-    divided by the largest term in the identity (floored at 1).
+    ``u`` has shape (..., n).  All derivatives come from second-order
+    jets of the torus maps; no finite differences are involved.
+    Residuals are norms of LHS - RHS divided by the largest term in the
+    identity (floored at 1).
     """
-    fr = _frame_jets(block, u)
+    fr = clifford_frame(block, u)
+    m = fr.m[..., None]
+    giw = _mv(fr.metric.g_inv, fr.w)
 
-    lift_c = np.einsum("ij,j,ai->a", fr.g_inv, fr.w, fr.dC)
-    rhs_a1 = fr.m * fr.D + lift_c
-    res_a1 = _rel(np.linalg.norm(fr.JC - rhs_a1),
-                  np.linalg.norm(fr.JC), abs(fr.m),
-                  np.linalg.norm(lift_c))
+    lift_c = _mv(fr.dC, giw)
+    res_a1 = _rel(_norm(fr.JC - (m * fr.D + lift_c)),
+                  _norm(fr.JC), np.abs(fr.m), _norm(lift_c))
 
-    lift_d = np.einsum("ij,j,ai->a", fr.g_inv, fr.w, fr.dD)
-    rhs_a2 = fr.m * fr.C + lift_d
-    res_a2 = _rel(np.linalg.norm(-fr.JD - rhs_a2),
-                  np.linalg.norm(fr.JD), abs(fr.m),
-                  np.linalg.norm(lift_d))
+    lift_d = _mv(fr.dD, giw)
+    res_a2 = _rel(_norm(-fr.JD - (m * fr.C + lift_d)),
+                  _norm(fr.JD), np.abs(fr.m), _norm(lift_d))
 
-    wnorm2 = float(fr.w @ fr.g_inv @ fr.w)
-    res_b = _rel(abs((1.0 - fr.m ** 2) - wnorm2), fr.m ** 2, abs(wnorm2))
+    wnorm2 = np.einsum("...i,...i->...", fr.w, giw)
+    res_b = _rel(np.abs((1.0 - fr.m ** 2) - wnorm2), fr.m ** 2,
+                 np.abs(wnorm2))
 
-    div_terms = _divergence_terms(fr)
-    res_c = _rel(abs(float(np.sum(div_terms))),
-                 *(np.abs(div_terms) if div_terms.size else (0.0,)))
-
-    pair_terms = (fr.g_inv @ fr.w) * fr.dm
-    res_d = _rel(abs(float(np.sum(pair_terms))),
-                 *(np.abs(pair_terms) if pair_terms.size else (0.0,)))
-
-    grad_m = np.einsum("ij,i,aj->a", fr.g_inv, fr.dm, fr.dC)
-    rhs_e = -2.0 * (fr.JD + fr.m * fr.C)
-    res_e = _rel(np.linalg.norm(grad_m - rhs_e),
-                 np.linalg.norm(grad_m), np.linalg.norm(rhs_e))
+    grad_m = _mv(fr.dC, _mv(fr.metric.g_inv, fr.dm))
+    rhs_e = -2.0 * (fr.JD + m * fr.C)
+    res_e = _rel(_norm(grad_m - rhs_e), _norm(grad_m), _norm(rhs_e))
 
     return LemmaResiduals(res_a1=res_a1, res_a2=res_a2, res_b=res_b,
-                          res_c=res_c, res_d=res_d, res_e=res_e)
+                          res_c=_sum_defect(_divergence_terms(fr)),
+                          res_d=_sum_defect(giw * fr.dm), res_e=res_e)
 
 
-def pairing_derivative_defect(block: CliffordBlock, u) -> float:
-    """Defect of the split-sign derivative rule ∂_i m = ±2 w_i.
+def pairing_derivative_defect(block: CliffordBlock, u) -> np.ndarray:
+    """Defect of the split-sign derivative rule ∂_i m = ±2 w_i, shape (...).
 
     The sign is + on parameters of the first factor chart and - on the
     second; the rule presumes that coordinate split, so it is checked
     separately from the identities that consume it.
     """
-    fr = _frame_jets(block, u)
-    sign = np.ones(fr.w.shape)
-    sign[fr.split:] = -1.0
+    fr = clifford_frame(block, u)
+    sign = np.where(np.arange(fr.w.shape[-1]) < fr.split, 1.0, -1.0)
     expected = 2.0 * sign * fr.w
-    defect = np.abs(fr.dm - expected)
-    scales = np.abs(expected) if expected.size else (0.0,)
-    return _rel(float(np.max(defect)) if defect.size else 0.0, *scales)
+    return _rel(np.max(np.abs(fr.dm - expected), axis=-1, initial=0.0),
+                np.max(np.abs(expected), axis=-1, initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -202,27 +168,25 @@ def pairing_derivative_defect(block: CliffordBlock, u) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _block_spans(spec: GenHelicoidA) -> list[tuple[int, int]]:
-    spans, start = [], 0
-    for b in spec.blocks:
-        spans.append((start, start + b.param_dim))
-        start += b.param_dim
-    return spans
+def _block_frames(spec: GenHelicoidA, params):
+    """(params, block frames, theta, radii, P) at helicoid points (..., n).
 
-
-def _split_params(spec: GenHelicoidA, params):
-    """(u-slices per block, theta, radii) from the flat parameter vector."""
+    P = λ₀² + Σ_s λ_s² r_s² m_s² is the reduced squared angular speed.
+    """
     params = np.asarray(params, dtype=float)
-    spans = _block_spans(spec)
+    spans = _block_spans(spec.blocks)
     n_u = spans[-1][1]
     L = len(spec.blocks)
-    if params.shape != (n_u + 1 + L,):
-        raise DimensionMismatch(
-            f"expected {n_u + 1 + L} parameters, got shape {params.shape}")
-    us = [params[lo:hi] for lo, hi in spans]
-    theta = float(params[n_u])
-    radii = params[n_u + 1:]
-    return us, theta, radii
+    if params.ndim == 0 or params.shape[-1] != n_u + 1 + L:
+        raise DimensionMismatch(f"expected points with {n_u + 1 + L} "
+                                f"parameters, got shape {params.shape}")
+    frames = [clifford_frame(b, params[..., lo:hi])
+              for b, (lo, hi) in zip(spec.blocks, spans)]
+    radii = params[..., n_u + 1:]
+    lams = spec.pitch.lambdas
+    P = spec.pitch.lambda0 ** 2 + sum(lams[s] ** 2 * radii[..., s] ** 2
+                                      * frames[s].m ** 2 for s in range(L))
+    return params, frames, params[..., n_u], radii, P
 
 
 @dataclass(frozen=True)
@@ -233,17 +197,19 @@ class HelicoidAlgebra:
     part of the rotation field, d the per-block weight vectors entering
     the inverse metric.  det_direct comes from the assembled Jacobian;
     det_factored and sqrtG_factored from the block formula.
-    inverse_defect is ‖G · G_formula⁻¹ - I‖_max.
+    inverse_defect is ‖G · G_formula⁻¹ - I‖_max.  Scalars have the
+    leading shape of the parameter points; d[s] adds the block's chart
+    axis.
     """
 
-    R: float
-    P: float
-    det_direct: float
-    det_factored: float
+    R: np.ndarray
+    P: np.ndarray
+    det_direct: np.ndarray
+    det_factored: np.ndarray
     d: tuple[np.ndarray, ...]
-    sqrtG_factored: float
-    det_defect: float
-    inverse_defect: float
+    sqrtG_factored: np.ndarray
+    det_defect: np.ndarray
+    inverse_defect: np.ndarray
 
 
 def helicoid_algebra(spec: GenHelicoidA, params) -> HelicoidAlgebra:
@@ -261,54 +227,51 @@ def helicoid_algebra(spec: GenHelicoidA, params) -> HelicoidAlgebra:
     blocks is a genuine rank-one term; dropping it breaks G·G⁻¹ = I
     whenever two blocks carry nonzero w.
     """
-    us, _, radii = _split_params(spec, params)
+    params, frames, _, radii, P = _block_frames(spec, params)
     lam0 = spec.pitch.lambda0
     lams = spec.pitch.lambdas
     L = len(spec.blocks)
 
-    imm = build_immersion(spec)
-    met = metric(imm.eval(params))
-    g_direct = met.g
-    det_direct = float(met.det_g)
-    n = g_direct.shape[0]
+    met = metric(build_immersion(spec).eval(params))
+    n = met.g.shape[-1]
 
-    frames = [clifford_frame(b, u) for b, u in zip(spec.blocks, us)]
-
-    R = lam0 ** 2 + float(sum(lams[s] ** 2 * radii[s] ** 2
-                              for s in range(L)))
-    P = lam0 ** 2 + float(sum(lams[s] ** 2 * radii[s] ** 2
-                              * frames[s].m ** 2 for s in range(L)))
+    R = lam0 ** 2 + sum(lams[s] ** 2 * radii[..., s] ** 2 for s in range(L))
     det_factored = P
     sqrt_factored = np.sqrt(P)
     for s, fr in enumerate(frames):
         pd = spec.blocks[s].param_dim
-        det_factored *= radii[s] ** (2 * pd) * float(fr.metric.det_g)
-        sqrt_factored *= radii[s] ** pd * np.sqrt(float(fr.metric.det_g))
+        det_g = fr.metric.det_g
+        det_factored = det_factored * (radii[..., s] ** (2 * pd) * det_g)
+        sqrt_factored = sqrt_factored * (radii[..., s] ** pd
+                                         * np.sqrt(det_g))
 
-    d = tuple(lams[s] * (frames[s].metric.g_inv @ frames[s].w)
-              for s in range(L))
+    d = tuple(lams[s] * _mv(fr.metric.g_inv, fr.w)
+              for s, fr in enumerate(frames))
 
-    spans = _block_spans(spec)
+    spans = _block_spans(spec.blocks)
     theta_idx = spans[-1][1]
-    ginv = np.zeros((n, n))
+    dvec = np.concatenate(d, axis=-1)
+    Pc = P[..., None]
+    ginv = np.zeros(met.g.shape)
     for s, (lo, hi) in enumerate(spans):
-        ginv[lo:hi, lo:hi] = frames[s].metric.g_inv / radii[s] ** 2
-        ginv[lo:hi, theta_idx] = -d[s] / P
-        ginv[theta_idx, lo:hi] = -d[s] / P
-        for s2, (lo2, hi2) in enumerate(spans):
-            ginv[lo:hi, lo2:hi2] += np.outer(d[s], d[s2]) / P
-    ginv[theta_idx, theta_idx] = 1.0 / P
-    for t in range(L):
-        ginv[theta_idx + 1 + t, theta_idx + 1 + t] = 1.0
+        ginv[..., lo:hi, lo:hi] = (frames[s].metric.g_inv
+                                   / (radii[..., s] ** 2)[..., None, None])
+    ginv[..., :theta_idx, :theta_idx] += (dvec[..., :, None]
+                                          * dvec[..., None, :]) / Pc[..., None]
+    ginv[..., :theta_idx, theta_idx] = -dvec / Pc
+    ginv[..., theta_idx, :theta_idx] = -dvec / Pc
+    ginv[..., theta_idx, theta_idx] = 1.0 / P
+    radial = np.arange(theta_idx + 1, n)
+    ginv[..., radial, radial] = 1.0
 
-    det_defect = abs(det_direct - det_factored) / max(
-        abs(det_direct), abs(det_factored))
-    inverse_defect = float(np.max(np.abs(g_direct @ ginv - np.eye(n))))
+    det_defect = np.abs(met.det_g - det_factored) / np.maximum(
+        np.abs(met.det_g), np.abs(det_factored))
+    inverse_defect = np.max(np.abs(met.g @ ginv - np.eye(n)), axis=(-2, -1))
 
-    return HelicoidAlgebra(R=R, P=P, det_direct=det_direct,
-                           det_factored=float(det_factored), d=d,
-                           sqrtG_factored=float(sqrt_factored),
-                           det_defect=float(det_defect),
+    return HelicoidAlgebra(R=R, P=P, det_direct=met.det_g,
+                           det_factored=det_factored, d=d,
+                           sqrtG_factored=sqrt_factored,
+                           det_defect=det_defect,
                            inverse_defect=inverse_defect)
 
 
@@ -319,12 +282,13 @@ class AxialHarmonicity:
     axial_laplacian is |Δ_G(λ₀ Θ)|; theta_laplacian is |Δ_G Θ| itself.
     block_divergence is the largest per-block defect of the weighted
     flux sum Σ_i ∂_i(P^{-1/2} √g g^{ij} w_j), whose vanishing is what
-    collapses the mixed Laplacian terms.
+    collapses the mixed Laplacian terms.  Each field has the leading
+    shape of the parameter points.
     """
 
-    axial_laplacian: float
-    theta_laplacian: float
-    block_divergence: float
+    axial_laplacian: np.ndarray
+    theta_laplacian: np.ndarray
+    block_divergence: np.ndarray
 
 
 def theta_harmonicity(spec: GenHelicoidA, params) -> AxialHarmonicity:
@@ -335,35 +299,25 @@ def theta_harmonicity(spec: GenHelicoidA, params) -> AxialHarmonicity:
     differentiates the closed-form flux of each block through P and the
     block metric, which is the step that makes the operator route true.
     """
-    us, _, radii = _split_params(spec, params)
+    params, frames, _, radii, P = _block_frames(spec, params)
     lam0 = spec.pitch.lambda0
     lams = spec.pitch.lambdas
 
-    spans = _block_spans(spec)
-    theta_idx = spans[-1][1]
-    imm = build_immersion(spec)
-    theta_lap = float(coordinate_laplacian(imm, np.asarray(params, float),
-                                           theta_idx))
+    theta_idx = params.shape[-1] - 1 - len(spec.blocks)
+    theta_lap = coordinate_laplacian(build_immersion(spec), params, theta_idx)
 
-    frames = [_frame_jets(b, u) for b, u in zip(spec.blocks, us)]
-    P = lam0 ** 2 + float(sum(lams[s] ** 2 * radii[s] ** 2
-                              * frames[s].m ** 2 for s in range(len(us))))
-
-    worst = 0.0
+    worst = np.zeros(P.shape)
     for s, fr in enumerate(frames):
-        if fr.w.size == 0:
-            continue
-        sqrtg = np.sqrt(fr.det_g)
-        giw = fr.g_inv @ fr.w
+        sqrtg = np.sqrt(fr.metric.det_g)[..., None]
         # ∂_i P^{-1/2} = -λ_s² r_s² m (∂_i m) P^{-3/2}
-        dinv_sqrt_p = (-lams[s] ** 2 * radii[s] ** 2 * fr.m * fr.dm
-                       * P ** -1.5)
-        terms = (_divergence_terms(fr) / np.sqrt(P)
-                 + dinv_sqrt_p * sqrtg * giw)
-        worst = max(worst, _rel(abs(float(np.sum(terms))), *np.abs(terms)))
+        dinv_sqrt_p = ((-lams[s] ** 2 * radii[..., s] ** 2 * fr.m)[..., None]
+                       * fr.dm * (P ** -1.5)[..., None])
+        terms = (_divergence_terms(fr) / np.sqrt(P)[..., None]
+                 + dinv_sqrt_p * sqrtg * _mv(fr.metric.g_inv, fr.w))
+        worst = np.maximum(worst, _sum_defect(terms))
 
-    return AxialHarmonicity(axial_laplacian=abs(lam0 * theta_lap),
-                            theta_laplacian=abs(theta_lap),
+    return AxialHarmonicity(axial_laplacian=np.abs(lam0 * theta_lap),
+                            theta_laplacian=np.abs(theta_lap),
                             block_divergence=worst)
 
 
@@ -379,7 +333,9 @@ class ProofTerms:
     S1/S2 collect the pure chart-direction derivatives, S3/S4 the mixed
     chart-angle ones, S5 the pure angle term, S6 the radial term.  Their
     sum vanishes identically; operator_defect compares the sum against
-    √G times the generic Laplacian of the same ambient components.
+    √G times the generic Laplacian of the same ambient components.  The
+    terms have shape (..., K) for the block's ambient dimension K; the
+    scalars have the leading shape of the parameter points.
     """
 
     S1: np.ndarray
@@ -388,9 +344,9 @@ class ProofTerms:
     S4: np.ndarray
     S5: np.ndarray
     S6: np.ndarray
-    sum_norm: float
-    scale: float
-    operator_defect: float
+    sum_norm: np.ndarray
+    scale: np.ndarray
+    operator_defect: np.ndarray
 
     @property
     def terms(self) -> tuple[np.ndarray, ...]:
@@ -414,30 +370,25 @@ def proof_terms(spec: GenHelicoidA, t: int, params) -> ProofTerms:
     if not 1 <= t <= L:
         raise DimensionMismatch(f"block index {t} outside 1..{L}")
     ti = t - 1
-    us, theta, radii = _split_params(spec, params)
-    lam0 = spec.pitch.lambda0
-    lams = spec.pitch.lambdas
+    params, frames, theta, radii, P = _block_frames(spec, params)
 
-    frames = [clifford_frame(b, u) for b, u in zip(spec.blocks, us)]
-    P = lam0 ** 2 + float(sum(lams[s] ** 2 * radii[s] ** 2
-                              * frames[s].m ** 2 for s in range(L)))
     q_sq = 1.0
-    for s in range(L):
+    for s, fr in enumerate(frames):
         if s != ti:
             pd = spec.blocks[s].param_dim
-            q_sq *= radii[s] ** (2 * pd) * float(frames[s].metric.det_g)
+            q_sq = q_sq * (radii[..., s] ** (2 * pd) * fr.metric.det_g)
     Q = np.sqrt(q_sq)
 
     fr = frames[ti]
     pd = spec.blocks[ti].param_dim
-    r, lam = float(radii[ti]), lams[ti]
-    sqrtg = np.sqrt(float(fr.metric.det_g))
-    m = float(fr.m)
+    r, lam = radii[..., ti], spec.pitch.lambdas[ti]
+    sqrtg = np.sqrt(fr.metric.det_g)
+    m = fr.m[..., None]
 
-    k = lam ** 2 * r ** (pd + 1) * Q * sqrtg / np.sqrt(P)
-    c = pd * r ** (pd - 1) * Q * np.sqrt(P) * sqrtg
+    k = (lam ** 2 * r ** (pd + 1) * Q * sqrtg / np.sqrt(P))[..., None]
+    c = (pd * r ** (pd - 1) * Q * np.sqrt(P) * sqrtg)[..., None]
 
-    phase = lam * theta
+    phase = (lam * theta)[..., None]
 
     def rot(v):
         return np.cos(phase) * v + np.sin(phase) * apply_complex_structure(v)
@@ -450,18 +401,15 @@ def proof_terms(spec: GenHelicoidA, t: int, params) -> ProofTerms:
     S6 = c * rot(fr.C) + k * m ** 2 * rot(fr.C)
 
     total = S1 + S2 + S3 + S4 + S5 + S6
-    scale = max(np.linalg.norm(x) for x in (S1, S2, S3, S4, S5, S6))
+    scale = reduce(np.maximum, (_norm(x) for x in (S1, S2, S3, S4, S5, S6)))
 
-    imm = build_immersion(spec)
-    pe = imm.eval(np.asarray(params, dtype=float))
+    pe = build_immersion(spec).eval(params)
     met = metric(pe)
     lap = laplace_from_pointeval(pe, form="divergence", met=met)
-    sqrtG = np.sqrt(float(met.det_g))
     amb_lo = sum(b.ambient_dim for b in spec.blocks[:ti])
-    block_lap = sqrtG * lap[amb_lo:amb_lo + spec.blocks[ti].ambient_dim]
-    operator_defect = float(np.linalg.norm(total - block_lap))
+    block_lap = (np.sqrt(met.det_g)[..., None]
+                 * lap[..., amb_lo:amb_lo + spec.blocks[ti].ambient_dim])
 
     return ProofTerms(S1=S1, S2=S2, S3=S3, S4=S4, S5=S5, S6=S6,
-                      sum_norm=float(np.linalg.norm(total)),
-                      scale=float(scale),
-                      operator_defect=operator_defect)
+                      sum_norm=_norm(total), scale=scale,
+                      operator_defect=_norm(total - block_lap))

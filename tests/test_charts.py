@@ -12,6 +12,7 @@ from minvar.charts import (
 )
 from minvar.errors import ChartDomainError, SpecError
 from minvar.geometry import metric
+from minvar.jets import StepPolicy, fd_jet
 
 
 def assert_close(actual, expected, tol):
@@ -222,6 +223,82 @@ def test_zero_dimensional_block():
     assert_close(fr.m, np.ones(5), 1e-15)
     assert fr.w.shape == (5, 0)
     assert_close(fr.metric.det_g, np.ones(5), 1e-15)
+
+
+def _commuting_unitary(half, angle):
+    eye = np.eye(half)
+    return matrix_tuple(np.block([[np.cos(angle) * eye, -np.sin(angle) * eye],
+                                  [np.sin(angle) * eye, np.cos(angle) * eye]]))
+
+
+FRAME_BLOCKS = {
+    "circle": CliffordBlock(chart_x=SphereChart(dim=1, kind="trigonometric"),
+                            chart_y=SphereChart(dim=1, kind="trigonometric")),
+    "mixed-S2-turned": CliffordBlock(
+        chart_x=SphereChart(dim=2, kind="stereographic"),
+        chart_y=SphereChart(dim=2, kind="trigonometric"),
+        unitary=_commuting_unitary(3, 0.7)),
+    "stereo-S3": CliffordBlock(chart_x=SphereChart(dim=3),
+                               chart_y=SphereChart(dim=3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FRAME_BLOCKS))
+@pytest.mark.parametrize("batched", [True, False])
+def test_one_pass_frame_equals_separate_evaluations(name, batched):
+    block = FRAME_BLOCKS[name]
+    pts = block_points(block, 20, seed=12)
+    if not batched:
+        pts = pts[3]
+    fr = clifford_frame(block, pts)
+    pe_c = block.immersion().eval(pts)
+    pe_d = block.dual_immersion().eval(pts)
+    for got, want in [(fr.C, pe_c.position), (fr.dC, pe_c.jacobian),
+                      (fr.d2C, pe_c.second), (fr.D, pe_d.position),
+                      (fr.dD, pe_d.jacobian)]:
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def _fd_frame_derivatives(block, pts):
+    """(dg, dw, dm) by finite differences of the jet-built g, w and m.
+
+    The fields g_ij, w_i and m are stacked as M outputs; a leading batch
+    axis of length M selects which output each fd_jet lane follows, so
+    one fd_jet call differentiates them all.
+    """
+    n = block.param_dim
+    M = n * n + n + 1
+
+    def fields(q):
+        fr = clifford_frame(block, q)
+        g = fr.metric.g.reshape(fr.m.shape + (n * n,))
+        return np.concatenate([g, fr.w, fr.m[..., None]], axis=-1)
+
+    lanes = np.arange(M).reshape((M,) + (1,) * pts.ndim)
+
+    def f(*cols):
+        vals = fields(np.stack(cols, axis=-1))
+        return np.take_along_axis(vals, lanes, axis=-1)[..., 0]
+
+    reps = np.broadcast_to(pts, (M,) + pts.shape)
+    grad = fd_jet(f, reps, StepPolicy(base_step=1e-4, richardson_levels=2))
+    grad = np.moveaxis(grad.grad, 0, -1)      # (..., k, field)
+    dg = grad[..., :n * n].reshape(pts.shape[:-1] + (n, n, n))
+    return dg, grad[..., n * n:n * n + n], grad[..., -1]
+
+
+@pytest.mark.parametrize("name", sorted(FRAME_BLOCKS))
+def test_second_order_frame_fields_match_finite_differences(name):
+    # same jet-vs-FD bound and step policy as acceptance criterion 8
+    block = FRAME_BLOCKS[name]
+    pts = block_points(block, 8, seed=13)
+    fr = clifford_frame(block, pts)
+    for jet, fd in zip((fr.dg, fr.dw, fr.dm),
+                       _fd_frame_derivatives(block, pts)):
+        assert jet.shape == fd.shape
+        gap = np.max(np.abs(fd - jet) / np.maximum(1.0, np.abs(jet)))
+        assert gap <= 1e-5
 
 
 def test_matrix_tuple_round_trip():

@@ -11,8 +11,11 @@ which pin every sign convention.  Generic dimensions are cross-checked
 against brute-force numpy linear algebra on the assembled Jacobian.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from minvar.charts import CliffordBlock, apply_complex_structure, clifford_frame
 from minvar.errors import DimensionMismatch
@@ -23,6 +26,7 @@ from minvar.families import (
     standard_block,
 )
 from minvar.geometry import metric
+from minvar.harness import SamplePlan, sample_points
 from minvar.identities import (
     helicoid_algebra,
     lemma_magic_residuals,
@@ -106,10 +110,12 @@ class TestLemmaResiduals:
             res = lemma_magic_residuals(block, p)
             assert res.max_residual <= 1e-9, (sphere_dim, kind, rotated, p)
 
-    def test_zero_dimensional_block_is_exact(self):
+    @pytest.mark.parametrize("shape", [(0,), (7, 0)])
+    def test_zero_dimensional_block_is_exact(self, shape):
         block = standard_block(0)
-        res = lemma_magic_residuals(block, np.zeros(0))
-        assert res.max_residual <= 1e-15
+        res = lemma_magic_residuals(block, np.zeros(shape))
+        assert res.max_residual.shape == shape[:-1]
+        assert np.all(res.max_residual <= 1e-15)
 
     def test_pairing_derivative_closed_form(self):
         # d m/du = sin(u-v) = +2 w_u and d m/dv = -sin(u-v) = -2 w_v.
@@ -292,3 +298,122 @@ class TestProofTerms:
             proof_terms(spec, 0, p)
         with pytest.raises(DimensionMismatch):
             proof_terms(spec, 3, p)
+
+
+# ---------------------------------------------------------------------------
+# Batched API: a (B, n) call is the stack of its (n,) calls
+# ---------------------------------------------------------------------------
+
+
+def _blocks():
+    return [standard_block(0), standard_block(1, "trigonometric"),
+            standard_block(2, unitary=rotation_commuting_with_j(3, 0.6))]
+
+
+def _specs():
+    return [GenHelicoidA(pitch=PitchVector(0.8, (1.2,)),
+                         blocks=(standard_block(1),)),
+            GenHelicoidA(pitch=PitchVector(0.7, (1.1, 0.6)),
+                         blocks=(standard_block(0), standard_block(0))),
+            GenHelicoidA(pitch=PitchVector(0.9, (1.3, 0.5)),
+                         blocks=(standard_block(1, "trigonometric"),
+                                 standard_block(1)))]
+
+
+def _helicoid_calls(spec):
+    calls = [("helicoid_algebra", lambda p: helicoid_algebra(spec, p)),
+             ("theta_harmonicity", lambda p: theta_harmonicity(spec, p))]
+    calls += [(f"proof_terms-{t}", lambda p, t=t: proof_terms(spec, t, p))
+              for t in range(1, len(spec.blocks) + 1)]
+    return calls
+
+
+def _block_calls(block):
+    return [("clifford_frame", lambda p: clifford_frame(block, p)),
+            ("lemma_magic_residuals",
+             lambda p: lemma_magic_residuals(block, p)),
+            ("pairing_derivative_defect",
+             lambda p: pairing_derivative_defect(block, p))]
+
+
+def _leaves(x):
+    """Array leaves of a result, in field order (ints kept as they are)."""
+    if dataclasses.is_dataclass(x):
+        return [leaf for f in dataclasses.fields(x)
+                for leaf in _leaves(getattr(x, f.name))]
+    if isinstance(x, tuple):
+        return [leaf for item in x for leaf in _leaves(item)]
+    if isinstance(x, int):
+        return [x]
+    return [np.asarray(x)]
+
+
+def _cases():
+    cases = []
+    for block in _blocks():
+        cases += [(block, name, call) for name, call in _block_calls(block)]
+    for spec in _specs():
+        cases += [(spec, name, call) for name, call in _helicoid_calls(spec)]
+    return cases
+
+
+CASES = _cases()
+
+
+def _points(owner, count, seed):
+    if isinstance(owner, CliffordBlock):
+        if owner.param_dim == 0:
+            return np.zeros((count, 0))
+        return sample_chart_points(owner, count, seed)
+    pts, _ = sample_points(build_immersion(owner),
+                           SamplePlan(count=count, seed=seed))
+    return pts
+
+
+@given(case=st.integers(0, len(CASES) - 1), count=st.integers(1, 6),
+       seed=st.integers(0, 2 ** 16))
+@settings(max_examples=60, deadline=None)
+def test_batched_call_equals_stacked_single_calls(case, count, seed):
+    owner, name, call = CASES[case]
+    pts = _points(owner, count, seed)
+    batched = _leaves(call(pts))
+    singles = [_leaves(call(p)) for p in pts]
+    for i, leaf in enumerate(batched):
+        column = [single[i] for single in singles]
+        if isinstance(leaf, int):
+            assert all(c == leaf for c in column), name
+            continue
+        stacked = np.stack(column)
+        assert leaf.shape == stacked.shape, name
+        # relative, floored at 1 as the residuals themselves are: batched
+        # BLAS calls may round a 1e-16 residual differently
+        gap = np.abs(leaf - stacked) / np.maximum(1.0, np.abs(stacked))
+        assert np.all(gap <= 1e-13), name
+
+
+@pytest.mark.parametrize("case", range(len(CASES)),
+                         ids=[f"{name}-{i}" for i, (_, name, _) in
+                              enumerate(CASES)])
+def test_leading_axes_pass_through(case):
+    # a field of shape lead + core has the core shape at one (n,) point,
+    # so per-point scalars come out with shape ()
+    owner, name, call = CASES[case]
+    pts = _points(owner, 6, seed=case)
+    single = _leaves(call(pts[0]))
+    for lead in [(6,), (2, 3)]:
+        many = _leaves(call(pts.reshape(lead + pts.shape[-1:])))
+        assert len(many) == len(single)
+        for one, leaf in zip(single, many):
+            if not isinstance(one, int):
+                assert leaf.shape == lead + one.shape, name
+
+
+@pytest.mark.parametrize("case", range(len(CASES)),
+                         ids=[f"{name}-{i}" for i, (_, name, _) in
+                              enumerate(CASES)])
+def test_wrong_trailing_dimension_raises(case):
+    owner, name, call = CASES[case]
+    n = _points(owner, 1, seed=0).shape[-1]
+    for shape in [(4, n + 1), (n + 1,), ()]:
+        with pytest.raises(DimensionMismatch):
+            call(np.full(shape, 0.5))
