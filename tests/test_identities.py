@@ -110,12 +110,12 @@ class TestLemmaResiduals:
             res = lemma_magic_residuals(block, p)
             assert res.max_residual <= 1e-9, (sphere_dim, kind, rotated, p)
 
-    @pytest.mark.parametrize("shape", [(0,), (7, 0)])
-    def test_zero_dimensional_block_is_exact(self, shape):
+    def test_zero_dimensional_block_is_exact(self):
         block = standard_block(0)
-        res = lemma_magic_residuals(block, np.zeros(shape))
-        assert res.max_residual.shape == shape[:-1]
-        assert np.all(res.max_residual <= 1e-15)
+        for shape in [(0,), (7, 0)]:
+            res = lemma_magic_residuals(block, np.zeros(shape))
+            assert res.max_residual.shape == shape[:-1]
+            assert np.all(res.max_residual <= 1e-15)
 
     def test_pairing_derivative_closed_form(self):
         # d m/du = sin(u-v) = +2 w_u and d m/dv = -sin(u-v) = -2 w_v.
