@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DegenerateMetric, DimensionMismatch, NotSpherical
-from .jets import Jet2
+from .jets import Jet1, Jet2
 
 __all__ = [
     "RANK_TOL",
@@ -89,9 +89,11 @@ class Immersion:
     predicates mapping a point batch (..., n) to a boolean exclusion mask.
     ``metric_floor``, if set, also excludes points whose induced metric is
     near rank-deficient (``metric_below_floor``).  It is data, not a
-    predicate, because its test needs an ``eval``: ``screen`` returns that
-    ``PointEval``, so sampling and the residuals share one evaluation per
-    draw.
+    predicate, because its test needs a jet pass.  ``screen`` runs a
+    second-order ``eval`` and returns that ``PointEval``, so sampling and
+    the residuals share one evaluation per draw; ``excluded``, for callers
+    that want only the mask, runs a first-order pass that gives the same
+    Jacobian bit for bit.
     """
 
     param_dim: int
@@ -120,24 +122,26 @@ class Immersion:
                    for o in outs]
         return np.stack(stacked, axis=-1)
 
-    def eval(self, p) -> PointEval:
-        """Exact first/second derivatives via jets, batched over leading axes.
+    def _jets(self, p, second: bool):
+        """(position, jacobian, second or None) from one jet pass over p.
 
         Each parameter is seeded as a one-variable jet, so a component
         carries derivatives only on its support, the parameters it depends
         on; each output is scattered into the dense (..., K, n) and
-        (..., K, n, n) arrays once.  The result equals running
-        ``components`` on the dense seeds ``variables(p)`` up to the sign
-        of zero entries.
+        (..., K, n, n) arrays once.  Without ``second`` the seeds are
+        value+gradient ``Jet1`` jets and no Hessian is formed.
         """
         p = np.asarray(p, dtype=np.float64)
         self._check_point_shape(p)
         n = self.param_dim
         batch = p.shape[:-1]
         one = np.broadcast_to(1.0, batch + (1,))
-        zero = np.broadcast_to(0.0, batch + (1, 1))
-        outs = self.components([Jet2(p[..., i], one, zero, (i,))
-                                for i in range(n)])
+        if second:
+            zero = np.broadcast_to(0.0, batch + (1, 1))
+            seeds = [Jet2(p[..., i], one, zero, (i,)) for i in range(n)]
+        else:
+            seeds = [Jet1(p[..., i], one, (i,)) for i in range(n)]
+        outs = self.components(seeds)
         if len(outs) != self.ambient_dim:
             raise DimensionMismatch(
                 f"{self.name or 'immersion'}: component map returned "
@@ -145,30 +149,45 @@ class Immersion:
         K = self.ambient_dim
         position = np.empty(batch + (K,))
         jacobian = np.zeros(batch + (K, n))
-        second = np.zeros(batch + (K, n, n))
+        hessians = np.zeros(batch + (K, n, n)) if second else None
         for k, o in enumerate(outs):
             if isinstance(o, Jet2):
                 idx = np.asarray(o.support, dtype=np.intp)
                 position[..., k] = o.value
                 jacobian[..., k, idx] = o.grad
-                second[..., k, idx[:, None], idx] = o.hess
+                if second:
+                    hessians[..., k, idx[:, None], idx] = o.hess
             else:
                 position[..., k] = o
+        return position, jacobian, hessians
+
+    def eval(self, p) -> PointEval:
+        """Exact first/second derivatives via jets, batched over leading axes.
+
+        The result equals running ``components`` on the dense seeds
+        ``variables(p)`` up to the sign of zero entries.
+        """
+        position, jacobian, second = self._jets(p, second=True)
         return PointEval(position=position, jacobian=jacobian, second=second)
 
-    def screen(self, p) -> tuple[np.ndarray, PointEval | None]:
-        """(exclusion mask, PointEval of every point of ``p``).
-
-        The mask ORs the predicates and, if set, the metric floor, which
-        is tested on one ``eval`` of the batch; that PointEval is returned
-        so a caller can keep its accepted rows.  Without a floor nothing
-        is evaluated and the PointEval is None.
-        """
+    def _predicates(self, p) -> np.ndarray:
+        """OR of the named exclusion predicates over a point batch."""
         p = np.asarray(p, dtype=np.float64)
         self._check_point_shape(p)
         mask = np.zeros(p.shape[:-1], dtype=bool)
         for _, predicate in self.exclusions:
             mask |= np.asarray(predicate(p), dtype=bool)
+        return mask
+
+    def screen(self, p) -> tuple[np.ndarray, PointEval | None]:
+        """(exclusion mask, PointEval of every point of ``p``).
+
+        The mask ORs the predicates and, if set, the metric floor, which
+        is tested on one second-order ``eval`` of the batch; that PointEval
+        is returned so a caller can keep its accepted rows.  Without a
+        floor nothing is evaluated and the PointEval is None.
+        """
+        mask = self._predicates(p)
         if self.metric_floor is None:
             return mask, None
         pe = self.eval(p)
@@ -176,8 +195,17 @@ class Immersion:
         return mask, pe
 
     def excluded(self, p) -> np.ndarray:
-        """Boolean mask of points rejected by any degeneracy guard."""
-        return self.screen(p)[0]
+        """Boolean mask of points rejected by any degeneracy guard.
+
+        The same mask as ``screen``, from first-order work only: the metric
+        floor needs the Jacobian, which a value+gradient jet pass gives
+        bit for bit.
+        """
+        mask = self._predicates(p)
+        if self.metric_floor is not None:
+            mask |= metric_below_floor(self._jets(p, second=False)[1],
+                                       self.metric_floor)
+        return mask
 
 
 def metric_below_floor(jacobian: np.ndarray, floor: float) -> np.ndarray:

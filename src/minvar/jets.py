@@ -29,6 +29,13 @@ derivative entry outside a support is a structural zero that the dense
 formulas would have computed as ±0.0 from zero operands, so sparse and dense
 seeding agree exactly up to the sign of zero entries.
 
+A value+gradient jet, ``Jet1``, is a ``Jet2`` with ``hess`` None.  Every
+operation propagates that: it runs the same gradient formulas and skips the
+Hessian, so a first-order evaluation gives bit-identical values and
+gradients for the cost of the first-order terms alone.  Callers that need
+only a Jacobian, such as the metric-floor mask ``Immersion.excluded``, seed
+``Jet1`` variables.
+
 The primitives ``sin``/``cos``/``exp``/``log``/``sqrt``/``atan``/``atan2``
 accept jets or plain numbers/arrays and dispatch accordingly; a map written
 once in these primitives can therefore be evaluated three ways: as fast plain
@@ -47,6 +54,7 @@ from .errors import DomainError, SpecError
 
 __all__ = [
     "Jet2",
+    "Jet1",
     "StepPolicy",
     "variables",
     "constant_like",
@@ -95,6 +103,8 @@ def _widen(x: "Jet2", m: int, widening):
     batch = x.grad.shape[:-1]
     grad = np.zeros(batch + (m,))
     grad[..., pos] = x.grad
+    if x.hess is None:
+        return grad, None
     hess = np.zeros(batch + (m * m,))
     hess[..., flat] = x.hess.reshape(batch + (-1,))
     return grad, hess.reshape(batch + (m, m))
@@ -114,7 +124,8 @@ class Jet2:
 
     ``grad`` and ``hess`` are taken with respect to the variables listed in
     ``support`` (sorted indices); the default support is every variable,
-    range(grad.shape[-1]).
+    range(grad.shape[-1]).  ``hess`` is None on a value+gradient jet
+    (``Jet1``).
     """
 
     __slots__ = ("value", "grad", "hess", "support")
@@ -132,18 +143,24 @@ class Jet2:
         return self.grad.shape[-1]
 
     def __repr__(self) -> str:  # debugging aid only
-        return f"Jet2(value={self.value!r})"
+        return f"{type(self).__name__}(value={self.value!r})"
 
     # ---- linear structure -------------------------------------------------
 
     def __neg__(self) -> "Jet2":
+        if self.hess is None:
+            return Jet1(-self.value, -self.grad, self.support)
         return Jet2(-self.value, -self.grad, -self.hess, self.support)
 
     def __add__(self, other) -> "Jet2":
         if isinstance(other, Jet2):
             sup, ag, ah, bg, bh = _aligned(self, other)
+            if ah is None:
+                return Jet1(self.value + other.value, ag + bg, sup)
             return Jet2(self.value + other.value, ag + bg, ah + bh, sup)
         if isinstance(other, _Scalar):
+            if self.hess is None:
+                return Jet1(self.value + other, self.grad, self.support)
             return Jet2(self.value + other, self.grad, self.hess, self.support)
         return NotImplemented
 
@@ -152,13 +169,19 @@ class Jet2:
     def __sub__(self, other) -> "Jet2":
         if isinstance(other, Jet2):
             sup, ag, ah, bg, bh = _aligned(self, other)
+            if ah is None:
+                return Jet1(self.value - other.value, ag - bg, sup)
             return Jet2(self.value - other.value, ag - bg, ah - bh, sup)
         if isinstance(other, _Scalar):
+            if self.hess is None:
+                return Jet1(self.value - other, self.grad, self.support)
             return Jet2(self.value - other, self.grad, self.hess, self.support)
         return NotImplemented
 
     def __rsub__(self, other):
         if isinstance(other, _Scalar):
+            if self.hess is None:
+                return Jet1(other - self.value, -self.grad, self.support)
             return Jet2(other - self.value, -self.grad, -self.hess,
                         self.support)
         return NotImplemented
@@ -169,16 +192,21 @@ class Jet2:
         if isinstance(other, Jet2):
             sup, ag, ah, bg, bh = _aligned(self, other)
             av, bv = self.value, other.value
+            grad = av[..., None] * bg + bv[..., None] * ag
+            if ah is None:
+                return Jet1(av * bv, grad, sup)
             outer = ag[..., :, None] * bg[..., None, :]
             # symmetrize the rank-one part first: addition is commutative but
             # not associative, so this grouping keeps hess exactly symmetric
             hess = (av[..., None, None] * bh
                     + bv[..., None, None] * ah
                     + (outer + np.swapaxes(outer, -1, -2)))
-            return Jet2(av * bv, av[..., None] * bg + bv[..., None] * ag,
-                        hess, sup)
+            return Jet2(av * bv, grad, hess, sup)
         if isinstance(other, _Scalar):
             c = np.asarray(other, dtype=np.float64)
+            if self.hess is None:
+                return Jet1(self.value * c, self.grad * c[..., None],
+                            self.support)
             return Jet2(self.value * c, self.grad * c[..., None],
                         self.hess * c[..., None, None], self.support)
         return NotImplemented
@@ -214,11 +242,36 @@ class Jet2:
                       kf * (kf - 1.0) * v ** (kf - 2.0))
 
 
+class Jet1(Jet2):
+    """A value+gradient jet: a ``Jet2`` whose ``hess`` is None.
+
+    Every operation on it runs the gradient formulas of ``Jet2`` unchanged
+    and skips the Hessian, so its values and gradients are bit-identical to
+    those of the full jet.  Results are ``Jet1`` again, so first-order
+    seeds keep a whole evaluation first order; the operands of one binary
+    operation must share one order.  Code that reads Hessians can tell the
+    orders apart by type (perfbench's Hessian byte count takes only
+    ``type(j) is Jet2``).
+    """
+
+    __slots__ = ()
+
+    def __init__(self, value, grad, support: tuple | None = None):
+        self.value = np.asarray(value, dtype=np.float64)
+        self.grad = np.asarray(grad, dtype=np.float64)
+        self.hess = None
+        self.support = tuple(range(self.grad.shape[-1])) \
+            if support is None else support
+
+
 def _chain(x: Jet2, f0: np.ndarray, f1: np.ndarray, f2: np.ndarray) -> Jet2:
     """Lift h(x) through x's jet given h, h', h'' at x.value."""
+    grad = f1[..., None] * x.grad
+    if x.hess is None:
+        return Jet1(f0, grad, x.support)
     outer = x.grad[..., :, None] * x.grad[..., None, :]
     hess = f1[..., None, None] * x.hess + f2[..., None, None] * outer
-    return Jet2(f0, f1[..., None] * x.grad, hess, x.support)
+    return Jet2(f0, grad, hess, x.support)
 
 
 def _reciprocal(x: Jet2) -> Jet2:
@@ -232,12 +285,15 @@ def _reciprocal(x: Jet2) -> Jet2:
 def constant_like(c, like: Jet2) -> Jet2:
     """A jet with value c and vanishing derivatives, shaped like ``like``.
 
-    It keeps ``like``'s support, so it aligns with ``like`` without widening.
+    It keeps ``like``'s support and order, so it aligns with ``like``
+    without widening.
     """
     value = np.broadcast_to(np.asarray(c, dtype=np.float64),
                             np.broadcast_shapes(np.shape(c), like.value.shape))
     zero = np.zeros((), dtype=np.float64)
     grad = np.broadcast_to(zero, value.shape + (like.nvars,))
+    if like.hess is None:
+        return Jet1(value, grad, like.support)
     hess = np.broadcast_to(zero, value.shape + (like.nvars, like.nvars))
     return Jet2(value, grad, hess, like.support)
 
@@ -318,6 +374,8 @@ def atan2(y, x):
         raise DomainError("atan2 at the origin")
     num = xv[..., None] * yg - yv[..., None] * xg
     grad = num / s[..., None]
+    if xh is None:
+        return Jet1(np.arctan2(yv, xv), grad, sup)
     ds = 2.0 * (xv[..., None] * xg + yv[..., None] * yg)
     cross = xg[..., :, None] * yg[..., None, :]
     raw = (cross - np.swapaxes(cross, -1, -2)

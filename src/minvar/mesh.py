@@ -4,9 +4,12 @@ A mesh samples two parameter axes on a regular grid (remaining
 parameters pinned to fixed values), projects the ambient image to three
 coordinates, and splits each grid quad into two triangles.  Vertices
 that land in an excluded set, or whose coordinates are not finite, are
-written at the origin and no face references them.  Output is a plain
-v/f OBJ stream with shortest round-trip decimals, so identical inputs
-produce byte-identical files.
+written at the origin and no face references them.  Finiteness is tested
+first, on plain positions, and the guards run on the finite vertices
+only, so a singular vertex (where a jet pass would raise a DomainError) is
+detached like any other.  The mask comes from ``Immersion.excluded``, a
+first-order pass.  Output is a plain v/f OBJ stream with shortest
+round-trip decimals, so identical inputs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -124,7 +127,11 @@ def tessellate(source, resolution=(64, 64), axes=(0, 1), fixed=None,
 
     with np.errstate(all="ignore"):
         position = imm.position(flat)
-    masked = imm.excluded(flat) | ~np.all(np.isfinite(position), axis=-1)
+    # the guards see finite vertices only: a jet pass raises at a singular
+    # point that plain numpy maps to inf or nan
+    finite = np.all(np.isfinite(position), axis=-1)
+    masked = ~finite
+    masked[finite] = imm.excluded(flat[finite])
     vertices = np.where(masked[:, None], 0.0, position[:, list(proj)])
 
     # corners (a, b, c, d) = (i, j), (i+1, j), (i+1, j+1), (i, j+1) of each
@@ -139,14 +146,17 @@ def tessellate(source, resolution=(64, 64), axes=(0, 1), fixed=None,
 def obj_text(mesh: MeshData) -> str:
     """Render v/f records; floats as shortest round-trip decimals."""
     # rows are converted a block at a time: one tolist() of a large mesh
-    # would hold far more memory in Python objects than the text itself
+    # would hold far more memory in Python objects than the text itself;
+    # each block is one %-format, and %r of a float is its shortest repr
     blocks = []
     for start in range(0, len(mesh.vertices), _RENDER_ROWS):
-        rows = mesh.vertices[start:start + _RENDER_ROWS].tolist()
-        blocks.append("".join([f"v {x!r} {y!r} {z!r}\n" for x, y, z in rows]))
+        rows = mesh.vertices[start:start + _RENDER_ROWS]
+        blocks.append(("v %r %r %r\n" * len(rows))
+                      % tuple(rows.ravel().tolist()))
     for start in range(0, len(mesh.faces), _RENDER_ROWS):
-        rows = (mesh.faces[start:start + _RENDER_ROWS] + 1).tolist()
-        blocks.append("".join([f"f {a} {b} {c}\n" for a, b, c in rows]))
+        rows = mesh.faces[start:start + _RENDER_ROWS] + 1
+        blocks.append(("f %d %d %d\n" * len(rows))
+                      % tuple(rows.ravel().tolist()))
     return "".join(blocks) or "\n"        # an empty mesh is one newline
 
 

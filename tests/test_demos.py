@@ -1,8 +1,9 @@
-"""The identity demos run to completion in-process and print their tables."""
+"""The demos run to completion in-process and print their tables."""
 
 import contextlib
 import io
 import runpy
+import sys
 from pathlib import Path
 
 import pytest
@@ -21,3 +22,16 @@ def test_demo_runs_cleanly(script, expected):
     text = out.getvalue()
     assert expected in text
     assert "nan" not in text.lower()
+
+
+def test_mesh_export_demo_writes_obj(tmp_path, monkeypatch):
+    out_path = tmp_path / "helicoid.obj"
+    monkeypatch.setattr(sys, "argv", [
+        "06_mesh_export.py", "--out", str(out_path), "--resolution", "16"])
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        runpy.run_path(str(DEMOS / "06_mesh_export.py"), run_name="__main__")
+    assert "mesh: 256 vertices" in out.getvalue()
+    lines = out_path.read_text().splitlines()
+    assert sum(line.startswith("v ") for line in lines) == 256
+    assert sum(line.startswith("f ") for line in lines) == 2 * 15 * 15

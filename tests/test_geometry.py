@@ -1,5 +1,7 @@
 """Metric, Laplace-Beltrami, and mean-curvature oracles on classical surfaces."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -442,6 +444,26 @@ def test_sparse_eval_equals_dense_seeding(label, imm):
         assert np.array_equal(pe.second, second)
         assert pe.second.shape == p.shape[:-1] + (imm.ambient_dim,) \
             + (imm.param_dim,) * 2
+
+
+@pytest.mark.parametrize("label,imm", ORACLE_IMMERSIONS,
+                         ids=[label for label, _ in ORACLE_IMMERSIONS])
+def test_first_order_guard_equals_second_order_eval(label, imm):
+    # excluded() runs a value+gradient pass; its Jacobian, and so its mask,
+    # must be the second-order eval's bit for bit.  A floor of 0.5 flags a
+    # mix of points on the non-conformal families.
+    batch = rng_points(imm, 40, seed=17)
+    for p in (batch, batch[7]):
+        position, jacobian, second = imm._jets(p, second=False)
+        pe = imm.eval(p)
+        assert second is None
+        assert position.tobytes() == pe.position.tobytes()
+        assert jacobian.tobytes() == pe.jacobian.tobytes()
+        for floor in (imm.metric_floor, 1e-10, 0.5):
+            guarded = replace(imm, metric_floor=floor)
+            mask = guarded.excluded(p)
+            assert mask.shape == p.shape[:-1]
+            assert np.array_equal(mask, guarded.screen(p)[0])
 
 
 def _einsum_metric_derivative(pe):

@@ -280,6 +280,13 @@ def sparse_seeds(p):
     return [Jet2(p[..., i], one, zero, (i,)) for i in range(p.shape[-1])]
 
 
+def first_order_seeds(p):
+    """The seeds of ``sparse_seeds`` as value+gradient jets."""
+    one = np.broadcast_to(1.0, p.shape[:-1] + (1,))
+    return [jets.Jet1(p[..., i], one, (i,))
+            for i in range(p.shape[-1])]
+
+
 def densified(j, n):
     """(value, grad, hess) of a jet scattered onto all n variables."""
     batch = j.value.shape
@@ -292,6 +299,7 @@ def densified(j, n):
 
 
 def assert_sparse_equals_dense(f, p):
+    """Sparse seeds give the dense jet; value+gradient seeds, its bytes."""
     sparse = f(*sparse_seeds(p))
     dense = f(*variables(p))
     assert dense.support == tuple(range(p.shape[-1]))
@@ -299,6 +307,12 @@ def assert_sparse_equals_dense(f, p):
     for a, b in zip(densified(sparse, p.shape[-1]),
                     (dense.value, dense.grad, dense.hess)):
         assert np.array_equal(a, b)
+    # the first-order pass runs the same formulas without the Hessian
+    first = f(*first_order_seeds(p))
+    assert type(first) is jets.Jet1 and first.hess is None
+    assert first.support == sparse.support
+    assert first.value.tobytes() == sparse.value.tobytes()
+    assert first.grad.tobytes() == sparse.grad.tobytes()
     return sparse
 
 
@@ -345,6 +359,8 @@ def test_constant_like_keeps_sparse_support():
 def test_default_support_is_every_variable():
     j = Jet2(np.ones(3), np.zeros((3, 5)), np.zeros((3, 5, 5)))
     assert j.support == (0, 1, 2, 3, 4)
+    j = jets.Jet1(np.ones(3), np.zeros((3, 5)))
+    assert j.support == (0, 1, 2, 3, 4) and j.hess is None
 
 
 _UNARY = {
@@ -352,6 +368,14 @@ _UNARY = {
     "exp_sin": lambda x: jets.exp(jets.sin(x)),
     "soft": lambda x: jets.sqrt(1.0 + x * x),
     "half": lambda x: 0.5 * x - 0.25,
+    # the bases stay bounded, so eight steps cannot overflow a Hessian
+    "pow": lambda x: (1.5 + jets.sin(x)) ** -1.5,
+    "cube": lambda x: jets.sin(x) ** 3,
+    "pow0": lambda x: x ** 0 - x,
+    "const": lambda x: jets.constant_like(0.7, x) * x,
+    "flip": lambda x: 2.0 - x,
+    "neg": lambda x: -x,
+    "recip": lambda x: 1.0 / (1.5 + x * x),
 }
 _BINARY = {
     "add": lambda x, y: x + y, "sub": lambda x, y: x - y,

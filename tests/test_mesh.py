@@ -23,14 +23,15 @@ from minvar.mesh import MeshData, obj_text, resolve_projection, tessellate, \
 HELICOID = ChoeHoppe(sphere_dim=1, pitch=0.5)
 
 
-def patch(threshold=None, components=None):
+def patch(threshold=None, components=None, metric_floor=None):
     exclusions = ()
     if threshold is not None:
         exclusions = (("low-u", lambda p: p[..., 0] < threshold),)
     comps = components or (lambda cols: [cols[0], cols[1], cols[0] + cols[1]])
     return Immersion(param_dim=2, ambient_dim=3, components=comps,
                      domain=((0.0, 1.0), (0.0, 1.0)),
-                     exclusions=exclusions, name="patch")
+                     exclusions=exclusions, name="patch",
+                     metric_floor=metric_floor)
 
 
 def reference_obj_text(imm, nu, nv, vertices):
@@ -50,12 +51,17 @@ def reference_obj_text(imm, nu, nv, vertices):
                 continue
             faces.append((a, b, c))
             faces.append((a, c, d))
+    return reference_records(vertices, faces), int(masked.sum())
+
+
+def reference_records(vertices, faces):
+    """Reference v/f records, one f-string per row."""
     parts = []
     for x, y, z in vertices:
         parts.append(f"v {float(x)!r} {float(y)!r} {float(z)!r}")
     for a, b, c in faces:
         parts.append(f"f {a + 1} {b + 1} {c + 1}")
-    return "\n".join(parts) + "\n", int(masked.sum())
+    return "\n".join(parts) + "\n"
 
 
 class TestResolveProjection:
@@ -166,6 +172,17 @@ class TestTessellate:
         assert np.isfinite(mesh.vertices).all()
         assert not np.isin(mesh.faces, [0, 1, 2]).any()
 
+    def test_singular_vertices_under_a_metric_floor_are_detached(self):
+        # the floor's jet pass would divide by zero at u = 0; the guard
+        # runs on finite vertices only, so that row is detached instead
+        comps = lambda cols: [1.0 / cols[0], cols[1], cols[0]]
+        mesh = tessellate(patch(components=comps, metric_floor=1e-10),
+                          resolution=(3, 3))
+        assert np.array_equal(mesh.vertices[:3], np.zeros((3, 3)))
+        assert np.isfinite(mesh.vertices).all()
+        assert not np.isin(mesh.faces, [0, 1, 2]).any()
+        assert mesh.faces.shape == (2 * 2, 3)
+
     @pytest.mark.parametrize("kwargs", [
         {"resolution": (1, 4)}, {"resolution": 0},
         {"resolution": "fine"},
@@ -217,6 +234,25 @@ class TestObjOutput:
         want, masked = reference_obj_text(imm, 83, 61, mesh.vertices)
         assert masked > 0 and 4096 < len(mesh.faces) < 2 * 82 * 60
         assert obj_text(mesh).encode("ascii") == want.encode("ascii")
+
+    def test_edge_values_match_reference_renderer(self):
+        # signed zero, the smallest subnormal, exponent switch-overs and the
+        # largest double, over two full render blocks and a partial third
+        edge = [-0.0, 5e-324, 1e-5, 1e16, 1.7976931348623157e308,
+                -1e-5, 0.1, -2.5e-17, 123456789.0]
+        rows = 2 * 4096 + 321
+        rng = np.random.default_rng(11)
+        vertices = rng.choice(edge, size=(rows, 3))
+        vertices[::7] = rng.standard_normal((len(vertices[::7]), 3))
+        vertices[1] = -0.0
+        vertices[2] = [5e-324, 1e16, 1.7976931348623157e308]
+        faces = rng.integers(0, rows, size=(4096 + 17, 3))
+        mesh = MeshData(vertices=vertices, faces=faces)
+        text = obj_text(mesh)
+        assert text.splitlines()[1:3] == [
+            "v -0.0 -0.0 -0.0", "v 5e-324 1e+16 1.7976931348623157e+308"]
+        want = reference_records(mesh.vertices, mesh.faces)
+        assert text.encode("ascii") == want.encode("ascii")
 
     def test_byte_identical_across_runs(self):
         a = obj_text(tessellate(HELICOID, resolution=(16, 16)))
