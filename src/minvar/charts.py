@@ -79,11 +79,6 @@ def _jet_values(x):
     return x.value if isinstance(x, jets.Jet2) else np.asarray(x, dtype=float)
 
 
-def _rotate_components(mat: np.ndarray, comps: Sequence) -> list:
-    return [sum(mat[a, k] * comps[k] for k in range(len(comps)))
-            for a in range(mat.shape[0])]
-
-
 @dataclass(frozen=True)
 class SphereChart:
     """A parametrized patch of S^dim, optionally rotated inside ℝ^{dim+1}."""
@@ -157,7 +152,7 @@ class SphereChart:
             out.append(prefix)
         rot = self.rotation_matrix
         if rot is not None:
-            out = _rotate_components(rot, out)
+            out = jets.linear_map(rot, out)
         return out
 
     def immersion(self) -> Immersion:
@@ -228,7 +223,7 @@ class CliffordBlock:
         out = []
         for sign in signs:
             f = [inv * xi for xi in x] + [sign * inv * yi for yi in y]
-            out.append(f if u is None else _rotate_components(u, f))
+            out.append(f if u is None else jets.linear_map(u, f))
         return out
 
     def embed(self, cols: Sequence) -> list:

@@ -41,6 +41,7 @@ __all__ = [
     "laplace_beltrami",
     "laplace_from_pointeval",
     "coordinate_laplacian",
+    "coordinate_laplacian_from_pointeval",
     "mean_curvature",
     "sphere_minimality_residual",
     "sphere_residual_from_pointeval",
@@ -287,13 +288,20 @@ def laplace_beltrami(imm: Immersion, p, form: str = "contraction") -> np.ndarray
 
 
 def coordinate_laplacian(imm: Immersion, p, index: int) -> np.ndarray:
-    """Δ_g of the parameter coordinate u_index, via the divergence form.
+    """Δ_g of the parameter coordinate u_index, via the divergence form."""
+    return coordinate_laplacian_from_pointeval(imm.eval(p), index)
+
+
+def coordinate_laplacian_from_pointeval(pe: PointEval, index: int,
+                                        met: MetricEval | None = None
+                                        ) -> np.ndarray:
+    """Δ_g u_index from a PointEval, via the divergence form.
 
     For φ = u_c the divergence form collapses to
-    Δφ = Σᵢ [∂ᵢ(log √g) g^{ic} + ∂ᵢ g^{ic}].
+    Δφ = Σᵢ [∂ᵢ(log √g) g^{ic} + ∂ᵢ g^{ic}].  ``met``, if given, is the
+    metric already assembled from ``pe``.
     """
-    pe = imm.eval(p)
-    gi = metric(pe).g_inv
+    gi = (met or metric(pe)).g_inv
     dlogs, dginv = _divergence_parts(gi, metric_derivative(pe))
     return np.einsum("...i,...i->...", dlogs, gi[..., :, index]) \
         + np.einsum("...ii->...", dginv[..., :, :, index])

@@ -11,12 +11,21 @@ term so a pass is meaningful at any scale.  A single point of shape
 (n,) is a batch of one and gives shape-() values.
 
 All frame data comes from ``charts.clifford_frame``, one jet evaluation
-per block and batch.
+per block and batch.  The three helicoid checks (``helicoid_algebra``,
+``theta_harmonicity`` and ``proof_terms`` for each block) read one shared
+record of a batch: per block C, JD, m, w, ∂m, g⁻¹, det g and the
+divergence summands, and for the whole helicoid its metric, Δ_G Θ and the
+divergence-form Δ_G F.  It is built from one frame pass per block and one
+helicoid ``Immersion.eval``, keeps no second-derivative arrays, and its
+arrays are read-only.  Only the last batch's record is memoized, keyed by
+the spec and the points' shape and bytes, so running every helicoid check
+on one batch costs one evaluation, while a different batch in between
+evicts it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from functools import reduce
 
 import numpy as np
@@ -27,11 +36,12 @@ from .charts import (
     apply_complex_structure,
     clifford_frame,
 )
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, SpecError
 from .families import GenHelicoidA, _block_spans, build_immersion
 from .geometry import (
+    MetricEval,
     _divergence_parts,
-    coordinate_laplacian,
+    coordinate_laplacian_from_pointeval,
     laplace_from_pointeval,
     metric,
 )
@@ -168,25 +178,104 @@ def pairing_derivative_defect(block: CliffordBlock, u) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _block_frames(spec: GenHelicoidA, params):
-    """(params, block frames, theta, radii, P) at helicoid points (..., n).
+@dataclass(frozen=True)
+class _BlockData:
+    """First-order frame data of one block at the helicoid points.
 
-    P = λ₀² + Σ_s λ_s² r_s² m_s² is the reduced squared angular speed.
+    The fields the helicoid checks read, with the ``_divergence_terms``
+    summands in place of the second derivatives they come from.
     """
-    params = np.asarray(params, dtype=float)
+
+    C: np.ndarray
+    JD: np.ndarray
+    m: np.ndarray
+    w: np.ndarray
+    dm: np.ndarray
+    g_inv: np.ndarray
+    det_g: np.ndarray
+    div_terms: np.ndarray
+
+
+@dataclass(frozen=True)
+class _HelicoidEval:
+    """Everything the helicoid checks read at one batch of points.
+
+    P = λ₀² + Σ_s λ_s² r_s² m_s² is the reduced squared angular speed;
+    ``metric`` is the assembled helicoid metric, ``theta_laplacian`` Δ_G Θ
+    and ``laplacian`` the divergence-form Δ_G F.  Arrays are read-only,
+    because the record is shared between calls.
+    """
+
+    blocks: tuple[_BlockData, ...]
+    theta: np.ndarray
+    radii: np.ndarray
+    P: np.ndarray
+    metric: MetricEval
+    theta_laplacian: np.ndarray
+    laplacian: np.ndarray
+
+
+def _read_only(obj) -> None:
+    """Mark every array under a record (dataclasses, tuples) read-only."""
+    if isinstance(obj, np.ndarray):
+        obj.flags.writeable = False
+    elif isinstance(obj, tuple):
+        for item in obj:
+            _read_only(item)
+    elif is_dataclass(obj):
+        for f in fields(obj):
+            _read_only(getattr(obj, f.name))
+
+
+# (key, record) of the last batch: key is (spec, point shape, point bytes)
+_last_eval: tuple | None = None
+
+
+def _helicoid_eval(spec: GenHelicoidA, params) -> _HelicoidEval:
+    """The shared record at helicoid points (..., n), memoized for one batch.
+
+    One ``clifford_frame`` per block and one helicoid ``Immersion.eval``
+    feed every helicoid check.  Only the last batch is kept, so a caller
+    running all checks on one batch pays for the jet work once, and
+    nothing older than the last call stays alive.
+    """
+    global _last_eval
+    if not isinstance(spec, GenHelicoidA):
+        raise SpecError(f"helicoid identities need a GenHelicoidA, "
+                        f"got {type(spec).__name__}")
+    # a private copy: the record keeps views of it (theta, radii)
+    params = np.array(params, dtype=float)
     spans = _block_spans(spec.blocks)
     n_u = spans[-1][1]
     L = len(spec.blocks)
     if params.ndim == 0 or params.shape[-1] != n_u + 1 + L:
         raise DimensionMismatch(f"expected points with {n_u + 1 + L} "
                                 f"parameters, got shape {params.shape}")
+    key = (spec, params.shape, params.tobytes())
+    last = _last_eval
+    if last is not None and last[0] == key:
+        return last[1]
+
     frames = [clifford_frame(b, params[..., lo:hi])
               for b, (lo, hi) in zip(spec.blocks, spans)]
     radii = params[..., n_u + 1:]
     lams = spec.pitch.lambdas
     P = spec.pitch.lambda0 ** 2 + sum(lams[s] ** 2 * radii[..., s] ** 2
                                       * frames[s].m ** 2 for s in range(L))
-    return params, frames, params[..., n_u], radii, P
+    pe = build_immersion(spec).eval(params)
+    met = metric(pe)
+    record = _HelicoidEval(
+        blocks=tuple(_BlockData(C=fr.C, JD=fr.JD, m=fr.m, w=fr.w, dm=fr.dm,
+                                g_inv=fr.metric.g_inv,
+                                det_g=fr.metric.det_g,
+                                div_terms=_divergence_terms(fr))
+                     for fr in frames),
+        theta=params[..., n_u], radii=radii, P=P, metric=met,
+        theta_laplacian=coordinate_laplacian_from_pointeval(pe, n_u, met),
+        laplacian=laplace_from_pointeval(pe, form="divergence", met=met))
+    _read_only(record)
+    _last_eval = (key, record)
+    return record
 
 
 @dataclass(frozen=True)
@@ -227,26 +316,25 @@ def helicoid_algebra(spec: GenHelicoidA, params) -> HelicoidAlgebra:
     blocks is a genuine rank-one term; dropping it breaks G·G⁻¹ = I
     whenever two blocks carry nonzero w.
     """
-    params, frames, _, radii, P = _block_frames(spec, params)
+    rec = _helicoid_eval(spec, params)
+    radii, P, met = rec.radii, rec.P, rec.metric
     lam0 = spec.pitch.lambda0
     lams = spec.pitch.lambdas
     L = len(spec.blocks)
-
-    met = metric(build_immersion(spec).eval(params))
     n = met.g.shape[-1]
 
     R = lam0 ** 2 + sum(lams[s] ** 2 * radii[..., s] ** 2 for s in range(L))
     det_factored = P
     sqrt_factored = np.sqrt(P)
-    for s, fr in enumerate(frames):
+    for s, blk in enumerate(rec.blocks):
         pd = spec.blocks[s].param_dim
-        det_g = fr.metric.det_g
+        det_g = blk.det_g
         det_factored = det_factored * (radii[..., s] ** (2 * pd) * det_g)
         sqrt_factored = sqrt_factored * (radii[..., s] ** pd
                                          * np.sqrt(det_g))
 
-    d = tuple(lams[s] * _mv(fr.metric.g_inv, fr.w)
-              for s, fr in enumerate(frames))
+    d = tuple(lams[s] * _mv(blk.g_inv, blk.w)
+              for s, blk in enumerate(rec.blocks))
 
     spans = _block_spans(spec.blocks)
     theta_idx = spans[-1][1]
@@ -254,7 +342,7 @@ def helicoid_algebra(spec: GenHelicoidA, params) -> HelicoidAlgebra:
     Pc = P[..., None]
     ginv = np.zeros(met.g.shape)
     for s, (lo, hi) in enumerate(spans):
-        ginv[..., lo:hi, lo:hi] = (frames[s].metric.g_inv
+        ginv[..., lo:hi, lo:hi] = (rec.blocks[s].g_inv
                                    / (radii[..., s] ** 2)[..., None, None])
     ginv[..., :theta_idx, :theta_idx] += (dvec[..., :, None]
                                           * dvec[..., None, :]) / Pc[..., None]
@@ -299,21 +387,19 @@ def theta_harmonicity(spec: GenHelicoidA, params) -> AxialHarmonicity:
     differentiates the closed-form flux of each block through P and the
     block metric, which is the step that makes the operator route true.
     """
-    params, frames, _, radii, P = _block_frames(spec, params)
+    rec = _helicoid_eval(spec, params)
+    radii, P, theta_lap = rec.radii, rec.P, rec.theta_laplacian
     lam0 = spec.pitch.lambda0
     lams = spec.pitch.lambdas
 
-    theta_idx = params.shape[-1] - 1 - len(spec.blocks)
-    theta_lap = coordinate_laplacian(build_immersion(spec), params, theta_idx)
-
     worst = np.zeros(P.shape)
-    for s, fr in enumerate(frames):
-        sqrtg = np.sqrt(fr.metric.det_g)[..., None]
+    for s, blk in enumerate(rec.blocks):
+        sqrtg = np.sqrt(blk.det_g)[..., None]
         # ∂_i P^{-1/2} = -λ_s² r_s² m (∂_i m) P^{-3/2}
-        dinv_sqrt_p = ((-lams[s] ** 2 * radii[..., s] ** 2 * fr.m)[..., None]
-                       * fr.dm * (P ** -1.5)[..., None])
-        terms = (_divergence_terms(fr) / np.sqrt(P)[..., None]
-                 + dinv_sqrt_p * sqrtg * _mv(fr.metric.g_inv, fr.w))
+        dinv_sqrt_p = ((-lams[s] ** 2 * radii[..., s] ** 2 * blk.m)[..., None]
+                       * blk.dm * (P ** -1.5)[..., None])
+        terms = (blk.div_terms / np.sqrt(P)[..., None]
+                 + dinv_sqrt_p * sqrtg * _mv(blk.g_inv, blk.w))
         worst = np.maximum(worst, _sum_defect(terms))
 
     return AxialHarmonicity(axial_laplacian=np.abs(lam0 * theta_lap),
@@ -366,23 +452,24 @@ def proof_terms(spec: GenHelicoidA, t: int, params) -> ProofTerms:
 
     Q is the square root of the other blocks' r^{4N} det g product.
     """
+    rec = _helicoid_eval(spec, params)
+    theta, radii, P = rec.theta, rec.radii, rec.P
     L = len(spec.blocks)
     if not 1 <= t <= L:
         raise DimensionMismatch(f"block index {t} outside 1..{L}")
     ti = t - 1
-    params, frames, theta, radii, P = _block_frames(spec, params)
 
     q_sq = 1.0
-    for s, fr in enumerate(frames):
+    for s, blk in enumerate(rec.blocks):
         if s != ti:
             pd = spec.blocks[s].param_dim
-            q_sq = q_sq * (radii[..., s] ** (2 * pd) * fr.metric.det_g)
+            q_sq = q_sq * (radii[..., s] ** (2 * pd) * blk.det_g)
     Q = np.sqrt(q_sq)
 
-    fr = frames[ti]
+    fr = rec.blocks[ti]
     pd = spec.blocks[ti].param_dim
     r, lam = radii[..., ti], spec.pitch.lambdas[ti]
-    sqrtg = np.sqrt(fr.metric.det_g)
+    sqrtg = np.sqrt(fr.det_g)
     m = fr.m[..., None]
 
     k = (lam ** 2 * r ** (pd + 1) * Q * sqrtg / np.sqrt(P))[..., None]
@@ -403,12 +490,10 @@ def proof_terms(spec: GenHelicoidA, t: int, params) -> ProofTerms:
     total = S1 + S2 + S3 + S4 + S5 + S6
     scale = reduce(np.maximum, (_norm(x) for x in (S1, S2, S3, S4, S5, S6)))
 
-    pe = build_immersion(spec).eval(params)
-    met = metric(pe)
-    lap = laplace_from_pointeval(pe, form="divergence", met=met)
     amb_lo = sum(b.ambient_dim for b in spec.blocks[:ti])
-    block_lap = (np.sqrt(met.det_g)[..., None]
-                 * lap[..., amb_lo:amb_lo + spec.blocks[ti].ambient_dim])
+    block_lap = (np.sqrt(rec.metric.det_g)[..., None]
+                 * rec.laplacian[..., amb_lo:amb_lo
+                                 + spec.blocks[ti].ambient_dim])
 
     return ProofTerms(S1=S1, S2=S2, S3=S3, S4=S4, S5=S5, S6=S6,
                       sum_norm=_norm(total), scale=scale,

@@ -36,6 +36,11 @@ gradients for the cost of the first-order terms alone.  Callers that need
 only a Jacobian, such as the metric-floor mask ``Immersion.excluded``, seed
 ``Jet1`` variables.
 
+``linear_map(mat, comps)`` applies a constant matrix to a list of jets and
+plain values, as chart rotations and block unitaries do: one numpy product
+and sum per jet slot and matrix column instead of two jet operations per
+entry, bit-identical to the sequential sum of jet products.
+
 The primitives ``sin``/``cos``/``exp``/``log``/``sqrt``/``atan``/``atan2``
 accept jets or plain numbers/arrays and dispatch accordingly; a map written
 once in these primitives can therefore be evaluated three ways: as fast plain
@@ -50,7 +55,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, SpecError
+from .errors import DimensionMismatch, DomainError, SpecError
 
 __all__ = [
     "Jet2",
@@ -58,6 +63,7 @@ __all__ = [
     "StepPolicy",
     "variables",
     "constant_like",
+    "linear_map",
     "jet_eval",
     "fd_jet",
     "sin",
@@ -95,19 +101,19 @@ def _union_plan(s: tuple, t: tuple):
     return union, widening(s), widening(t)
 
 
-def _widen(x: "Jet2", m: int, widening):
-    """x's gradient and Hessian zero-filled onto an m-variable union."""
+def _widen(grad: np.ndarray, hess, m: int, widening):
+    """grad and hess (or None) zero-filled onto an m-variable union."""
     if widening is None:
-        return x.grad, x.hess
+        return grad, hess
     pos, flat = widening
-    batch = x.grad.shape[:-1]
-    grad = np.zeros(batch + (m,))
-    grad[..., pos] = x.grad
-    if x.hess is None:
-        return grad, None
-    hess = np.zeros(batch + (m * m,))
-    hess[..., flat] = x.hess.reshape(batch + (-1,))
-    return grad, hess.reshape(batch + (m, m))
+    batch = grad.shape[:-1]
+    wide = np.zeros(batch + (m,))
+    wide[..., pos] = grad
+    if hess is None:
+        return wide, None
+    wide_h = np.zeros(batch + (m * m,))
+    wide_h[..., flat] = hess.reshape(batch + (-1,))
+    return wide, wide_h.reshape(batch + (m, m))
 
 
 def _aligned(a: "Jet2", b: "Jet2"):
@@ -116,7 +122,8 @@ def _aligned(a: "Jet2", b: "Jet2"):
         return a.support, a.grad, a.hess, b.grad, b.hess
     union, wa, wb = _union_plan(a.support, b.support)
     m = len(union)
-    return (union,) + _widen(a, m, wa) + _widen(b, m, wb)
+    return ((union,) + _widen(a.grad, a.hess, m, wa)
+            + _widen(b.grad, b.hess, m, wb))
 
 
 class Jet2:
@@ -131,6 +138,9 @@ class Jet2:
     __slots__ = ("value", "grad", "hess", "support")
 
     def __init__(self, value, grad, hess, support: tuple | None = None):
+        if hess is None:
+            raise DimensionMismatch("Jet2 needs a Hessian; build a "
+                                    "value+gradient jet with Jet1")
         self.value = np.asarray(value, dtype=np.float64)
         self.grad = np.asarray(grad, dtype=np.float64)
         self.hess = np.asarray(hess, dtype=np.float64)
@@ -296,6 +306,49 @@ def constant_like(c, like: Jet2) -> Jet2:
         return Jet1(value, grad, like.support)
     hess = np.broadcast_to(zero, value.shape + (like.nvars, like.nvars))
     return Jet2(value, grad, hess, like.support)
+
+
+def linear_map(mat, comps) -> list:
+    """Row sums Σ_k mat[a, k] comps[k], one output per row a of ``mat``.
+
+    ``comps`` mixes jets of one order with plain numbers or arrays.  Each
+    column scales its operand for every row in one numpy product, which is
+    zero-filled onto the union support, as pairwise widening does, and
+    summed in column order.  These are the elementwise products and sums
+    of ``sum(mat[a, k] * comps[k] for k ...)``, so the outputs are
+    bit-identical to it: a value starts from 0 + its first term and a
+    derivative from the first jet's term.
+    """
+    mat = np.asarray(mat, dtype=np.float64)
+    rows = mat.shape[0]
+    values = [c.value if isinstance(c, Jet2)
+              else np.asarray(c, dtype=np.float64) for c in comps]
+    col_shape = (rows,) + (1,) * max(v.ndim for v in values)
+    value = 0
+    for k, v in enumerate(values):
+        value = value + mat[:, k].reshape(col_shape) * v
+    jet_terms = [(k, c) for k, c in enumerate(comps) if isinstance(c, Jet2)]
+    if not jet_terms:
+        return list(value)
+    supports = {c.support for _, c in jet_terms}
+    support = supports.pop() if len(supports) == 1 \
+        else tuple(sorted(set().union(*supports)))
+    m = len(support)
+    grad = hess = None
+    for k, c in jet_terms:
+        col = mat[:, k].reshape((rows,) + (1,) * c.grad.ndim)
+        g = col * c.grad
+        h = None if c.hess is None else col[..., None] * c.hess
+        if c.support != support:
+            g, h = _widen(g, h, m, _union_plan(c.support, support)[1])
+        if grad is None:
+            grad, hess = g, h
+        else:
+            grad = grad + g
+            hess = None if h is None else hess + h
+    if hess is None:
+        return [Jet1(value[a], grad[a], support) for a in range(rows)]
+    return [Jet2(value[a], grad[a], hess[a], support) for a in range(rows)]
 
 
 # ---- primitives (dual dispatch: Jet2 or plain arrays) ----------------------

@@ -12,8 +12,11 @@ DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
 
 @pytest.mark.parametrize("script, expected", [
+    ("01_family_gallery.py", "Clifford torus"),
     ("02_block_identities.py", "circle block closed forms"),
     ("03_helicoid_anatomy.py", "per-term norms at point 0"),
+    ("04_sphere_cone_bridge.py", "agreement=True"),
+    ("05_angle_graph.py", "max equation residual"),
 ])
 def test_demo_runs_cleanly(script, expected):
     out = io.StringIO()

@@ -11,6 +11,7 @@ from minvar.geometry import (
     Immersion,
     PointEval,
     coordinate_laplacian,
+    coordinate_laplacian_from_pointeval,
     laplace_beltrami,
     laplace_from_pointeval,
     mean_curvature,
@@ -336,6 +337,17 @@ def test_coordinate_laplacian_hand_values():
     # g = diag(1, sin^2 phi): Delta phi = cot phi, Delta theta = 0
     assert_close(coordinate_laplacian(sph, q, 0), 1.0 / np.tan(1.1), 1e-12)
     assert_close(coordinate_laplacian(sph, q, 1), 0.0, 1e-13)
+
+
+def test_coordinate_laplacian_from_pointeval_reuses_a_metric():
+    imm = warped_sheet()
+    pts = rng_points(imm, 6, seed=4)
+    pe = imm.eval(pts)
+    for index in range(2):
+        want = coordinate_laplacian(imm, pts, index)
+        for met in (None, metric(pe)):
+            got = coordinate_laplacian_from_pointeval(pe, index, met)
+            assert got.tobytes() == want.tobytes()
 
 
 def test_batched_laplacian_matches_pointwise():

@@ -12,20 +12,23 @@ against brute-force numpy linear algebra on the assembled Jacobian.
 """
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from minvar import identities
 from minvar.charts import CliffordBlock, apply_complex_structure, clifford_frame
-from minvar.errors import DimensionMismatch
+from minvar.errors import DimensionMismatch, SpecError
 from minvar.families import (
     GenHelicoidA,
+    GenHelicoidB,
     PitchVector,
     build_immersion,
     standard_block,
 )
-from minvar.geometry import metric
+from minvar.geometry import Immersion, metric
 from minvar.harness import SamplePlan, sample_points
 from minvar.identities import (
     helicoid_algebra,
@@ -417,3 +420,135 @@ def test_wrong_trailing_dimension_raises(case):
     for shape in [(4, n + 1), (n + 1,), ()]:
         with pytest.raises(DimensionMismatch):
             call(np.full(shape, 0.5))
+
+
+# ---------------------------------------------------------------------------
+# The shared helicoid record: one evaluation per batch, last batch only
+# ---------------------------------------------------------------------------
+
+
+TWO_BLOCKS = GenHelicoidA(pitch=PitchVector(0.9, (1.3, 0.5)),
+                          blocks=(standard_block(1, "trigonometric"),
+                                  standard_block(1)))
+
+
+def _all_checks(spec, p):
+    return (helicoid_algebra(spec, p), theta_harmonicity(spec, p)) + tuple(
+        proof_terms(spec, t, p) for t in range(1, len(spec.blocks) + 1))
+
+
+def _bytes(result):
+    return [(type(x), x.shape, x.tobytes()) if isinstance(x, np.ndarray)
+            else x for x in _leaves(result)]
+
+
+@pytest.fixture
+def cold(monkeypatch):
+    """Forget the memoized record now and when the test ends."""
+    monkeypatch.setattr(identities, "_last_eval", None)
+
+
+@pytest.fixture
+def counted(monkeypatch, cold):
+    """Counts of helicoid ``Immersion.eval`` and ``clifford_frame`` calls."""
+    counts = {"eval": 0, "frame": 0}
+    original_eval, original_frame = Immersion.eval, identities.clifford_frame
+
+    def eval_(self, p):
+        counts["eval"] += self.name.startswith("helicoid")
+        return original_eval(self, p)
+
+    def frame(block, p):
+        counts["frame"] += 1
+        return original_frame(block, p)
+
+    monkeypatch.setattr(Immersion, "eval", eval_)
+    monkeypatch.setattr(identities, "clifford_frame", frame)
+    return counts
+
+
+@pytest.mark.parametrize("rays", [1, 2, 3])
+def test_all_checks_on_one_batch_evaluate_once(counted, rays):
+    spec = GenHelicoidA(pitch=PitchVector(0.8, (1.2, 0.7, 1.0)[:rays]),
+                        blocks=(standard_block(1),) * rays)
+    _all_checks(spec, sample_helicoid_params(spec, 4, seed=rays))
+    assert counted == {"eval": 1, "frame": rays}
+
+
+def test_only_the_last_batch_is_kept(counted):
+    a = sample_helicoid_params(TWO_BLOCKS, 3, seed=1)
+    b = sample_helicoid_params(TWO_BLOCKS, 3, seed=2)
+    for p in (a, b, a):
+        helicoid_algebra(TWO_BLOCKS, p)
+    assert counted == {"eval": 3, "frame": 6}
+    # equal points by value (a copy, another spec object) still hit
+    theta_harmonicity(dataclasses.replace(TWO_BLOCKS), a.copy())
+    assert counted == {"eval": 3, "frame": 6}
+    helicoid_algebra(TWO_BLOCKS, a[:2])
+    assert counted["eval"] == 4
+
+
+def test_every_call_order_equals_cold_calls(monkeypatch):
+    p = _points(TWO_BLOCKS, 4, seed=5)
+    calls = [lambda: helicoid_algebra(TWO_BLOCKS, p),
+             lambda: theta_harmonicity(TWO_BLOCKS, p),
+             lambda: proof_terms(TWO_BLOCKS, 1, p),
+             lambda: proof_terms(TWO_BLOCKS, 2, p)]
+    reference = []
+    for call in calls:
+        monkeypatch.setattr(identities, "_last_eval", None)
+        reference.append(_bytes(call()))
+    for order in itertools.permutations(range(len(calls))):
+        monkeypatch.setattr(identities, "_last_eval", None)
+        for i in order:
+            assert _bytes(calls[i]()) == reference[i], order
+
+
+def test_returned_record_arrays_are_read_only(cold):
+    p = _points(TWO_BLOCKS, 4, seed=7)
+    alg = helicoid_algebra(TWO_BLOCKS, p)
+    before = _bytes(_all_checks(TWO_BLOCKS, p))
+    for shared in (alg.P, alg.det_direct):
+        with pytest.raises(ValueError):
+            shared[0] = 1.0
+    # results computed after the record do not alias it
+    harm = theta_harmonicity(TWO_BLOCKS, p)
+    harm.theta_laplacian[0] = 1.0
+    assert _bytes(_all_checks(TWO_BLOCKS, p)) == before
+
+
+def test_caller_writes_to_its_points_do_not_reach_the_record(
+        monkeypatch, cold):
+    p = _points(TWO_BLOCKS, 4, seed=8)
+    q = p.copy()
+    helicoid_algebra(TWO_BLOCKS, q)
+    q[:] = 0.5      # a caller reusing its buffer
+    warm = _bytes(_all_checks(TWO_BLOCKS, p))   # equal bytes: a memo hit
+    monkeypatch.setattr(identities, "_last_eval", None)
+    assert warm == _bytes(_all_checks(TWO_BLOCKS, p))
+
+
+def test_record_keeps_no_second_derivatives(cold):
+    p = _points(TWO_BLOCKS, 4, seed=9)
+    helicoid_algebra(TWO_BLOCKS, p)
+    record = identities._last_eval[1]
+    arrays = [x for x in _leaves(record) if not isinstance(x, int)]
+    assert arrays
+    for x in arrays:
+        base = x
+        while isinstance(base, np.ndarray):
+            # (4, n, n) metrics are the widest: no (4, K, n, n) or
+            # (4, n, n, n) array, not even as the base of a view
+            assert base.ndim <= p.ndim + 1
+            base = base.base
+
+
+def test_non_helicoid_a_spec_raises_spec_error():
+    spec = GenHelicoidB(rays=2, block=standard_block(1),
+                        angular_pitch=1.1, axial_pitch=0.6)
+    p = np.full(build_immersion(spec).param_dim, 0.5)
+    for call in (lambda: helicoid_algebra(spec, p),
+                 lambda: theta_harmonicity(spec, p),
+                 lambda: proof_terms(spec, 1, p)):
+        with pytest.raises(SpecError, match="GenHelicoidB"):
+            call()

@@ -2,10 +2,10 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from minvar import jets
-from minvar.errors import DomainError, SpecError
+from minvar.errors import DimensionMismatch, DomainError, SpecError
 from minvar.jets import Jet2, StepPolicy, fd_jet, jet_eval, variables
 
 
@@ -407,3 +407,82 @@ def test_random_compositions_over_variable_subsets_match_dense(
 
     out = assert_sparse_equals_dense(f, p)
     assert set(out.support) <= set(leaves)
+
+
+def test_jet2_without_hessian_raises():
+    # a None Hessian used to become array(nan) and poison every product
+    with pytest.raises(DimensionMismatch, match="Jet1"):
+        Jet2(np.ones(2), np.ones((2, 1)), None)
+
+
+# ---- linear maps against the sequential sum ---------------------------------
+
+
+def _signed_entries(rng, shape):
+    """Normal draws with exact zeros of both signs mixed in."""
+    x = rng.standard_normal(shape)
+    pick = rng.integers(0, 4, size=shape)
+    x[pick == 0] = 0.0
+    x[pick == 1] = -0.0
+    return x
+
+
+def _operand(rng, kind, batch, support, order):
+    if kind == "float":
+        return float(rng.choice([0.0, -0.0, rng.standard_normal()]))
+    if kind == "array":
+        return _signed_entries(rng, batch)
+    m = len(support)
+    value = _signed_entries(rng, batch)
+    grad = _signed_entries(rng, batch + (m,))
+    if order == 1:
+        return jets.Jet1(value, grad, support)
+    return Jet2(value, grad, _signed_entries(rng, batch + (m, m)), support)
+
+
+def _same_bytes(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape \
+        and a.tobytes() == b.tobytes()
+
+
+coefficient = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+                        st.floats(-3.0, 3.0))
+
+
+@given(kinds=st.lists(st.sampled_from(["jet", "jet", "float", "array"]),
+                      min_size=1, max_size=5),
+       rows=st.integers(1, 5), order=st.sampled_from([1, 2]),
+       batch=st.sampled_from([(), (5,), (3, 4)]),
+       coeffs=st.lists(coefficient, min_size=25, max_size=25),
+       seed=st.integers(0, 2 ** 16))
+@settings(max_examples=120, deadline=None)
+def test_linear_map_equals_sequential_sum_byte_for_byte(
+        kinds, rows, order, batch, coeffs, seed):
+    # the reference sum breaks on an array before the first jet: ndarray +
+    # jet makes an object array; rotations never order operands that way
+    if "jet" in kinds:
+        assume("array" not in kinds[:kinds.index("jet")])
+    rng = np.random.default_rng(seed)
+    comps = []
+    for kind in kinds:
+        support = tuple(sorted(rng.choice(5, size=rng.integers(1, 4),
+                                          replace=False).tolist()))
+        comps.append(_operand(rng, kind, batch, support, order))
+    mat = np.array(coeffs[:rows * len(comps)]).reshape(rows, len(comps))
+    got = jets.linear_map(mat, comps)
+    ref = [sum(mat[a, k] * comps[k] for k in range(len(comps)))
+           for a in range(rows)]
+    assert len(got) == rows
+    for out, want in zip(got, ref):
+        assert type(out) is type(want)
+        if not isinstance(want, Jet2):
+            assert _same_bytes(out, want)
+            continue
+        assert out.support == want.support
+        assert _same_bytes(out.value, want.value)
+        assert _same_bytes(out.grad, want.grad)
+        if want.hess is None:
+            assert out.hess is None
+        else:
+            assert _same_bytes(out.hess, want.hess)
