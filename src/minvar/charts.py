@@ -51,7 +51,10 @@ ANGLE_MARGIN = 0.2
 
 def matrix_tuple(a) -> tuple:
     """Nested-tuple form of a 2-D array (hashable, JSON-friendly)."""
-    a = np.asarray(a, dtype=np.float64)
+    try:
+        a = np.asarray(a, dtype=np.float64)
+    except ValueError:
+        raise SpecError("matrix must be a 2-D array of numbers") from None
     if a.ndim != 2:
         raise SpecError(f"matrix must be 2-D, got shape {a.shape}")
     return tuple(tuple(float(x) for x in row) for row in a)
@@ -61,7 +64,7 @@ def _check_orthogonal(mat: np.ndarray, size: int, label: str) -> None:
     if mat.shape != (size, size):
         raise SpecError(f"{label} must be {size}x{size}, got {mat.shape}")
     defect = float(np.max(np.abs(mat.T @ mat - np.eye(size))))
-    if defect > ORTHO_TOL:
+    if not defect <= ORTHO_TOL:   # NaN fails too
         raise SpecError(f"{label} is not orthogonal (defect {defect:.3e})")
 
 
@@ -102,6 +105,9 @@ class SphereChart:
                                 f"got {self.branch!r}")
         elif self.dim == 0:
             raise SpecError(f"{self.kind} charts need dim >= 1")
+        elif self.branch != 1:
+            raise SpecError(f"only point charts take a branch, got "
+                            f"{self.branch!r} on a {self.kind} chart")
         if self.rotation is not None:
             _check_orthogonal(np.asarray(self.rotation, dtype=np.float64),
                               self.dim + 1, "chart rotation")
@@ -185,7 +191,7 @@ class CliffordBlock:
             j[:half, half:] = -np.eye(half)
             j[half:, :half] = np.eye(half)
             defect = float(np.max(np.abs(mat @ j - j @ mat)))
-            if defect > ORTHO_TOL:
+            if not defect <= ORTHO_TOL:
                 raise SpecError(f"block unitary must commute with the complex "
                                 f"structure (defect {defect:.3e})")
 

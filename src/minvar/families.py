@@ -23,6 +23,15 @@ an ``Immersion`` whose position map matches the family's defining formula:
 * ``LatitudeCircle`` / ``Cylinder``: negative controls (non-minimal for
   height ≠ 0, resp. ‖H‖ = 1/radius).
 
+Each family class holds everything that defines it, beside its fields:
+``dimensions()`` gives (n, K), ``build()`` the immersion, ``screw()`` the
+sweep data or None, ``scaling_indices()`` the cone parameters, and the
+flags ``spherical`` (the image lies in the unit sphere) and ``control``
+(a negative control).  ``_Family`` supplies the defaults: no sweep, no
+cone parameters, Euclidean, not a control.  The JSON codec walks the
+dataclass fields and parses each value by its type annotation, so a
+malformed value raises a ``SpecError`` that names its JSON path.
+
 Rotating a complex block by e^{iφ} in real coordinates is
 v ↦ cos(φ)·v + sin(φ)·J v with J(a; b) = (−b; a); ``screw_action`` applies
 that blockwise plus the axial translation λ₀t.
@@ -30,6 +39,9 @@ that blockwise plus the axial translation λ₀t.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
+import typing
 from dataclasses import dataclass, replace
 from typing import Union
 
@@ -80,10 +92,6 @@ BRANCH_TOL = 1e-2
 METRIC_RATIO_FLOOR = 1e-10
 
 
-def _float_tuple(xs) -> tuple[float, ...]:
-    return tuple(float(x) for x in xs)
-
-
 @dataclass(frozen=True)
 class PitchVector:
     """Axial rate lambda0 plus one angular rate per block."""
@@ -93,7 +101,8 @@ class PitchVector:
 
     def __post_init__(self):
         object.__setattr__(self, "lambda0", float(self.lambda0))
-        object.__setattr__(self, "lambdas", _float_tuple(self.lambdas))
+        object.__setattr__(self, "lambdas",
+                           tuple(float(x) for x in self.lambdas))
         if len(self.lambdas) < 1:
             raise SpecError("pitch vector needs at least one angular rate")
 
@@ -101,51 +110,155 @@ class PitchVector:
     def blocks(self) -> int:
         return len(self.lambdas)
 
-    @property
-    def is_zero(self) -> bool:
-        return self.lambda0 == 0.0 and all(l == 0.0 for l in self.lambdas)
+
+class _Family:
+    """Defaults of the family protocol: no sweep angle, not a cone."""
+
+    spherical = False
+    control = False
+
+    def screw(self) -> ScrewData | None:
+        return None
+
+    def scaling_indices(self) -> tuple[int, ...]:
+        return ()
 
 
 @dataclass(frozen=True)
-class CliffordTorus:
+class CliffordTorus(_Family):
     block: CliffordBlock
 
+    spherical = True
+
+    def dimensions(self) -> tuple[int, int]:
+        return self.block.param_dim, self.block.ambient_dim
+
+    def build(self) -> Immersion:
+        return replace(self.block.immersion(),
+                       name=f"clifford-torus-N{self.block.sphere_dim}")
+
 
 @dataclass(frozen=True)
-class CliffordCone:
+class CliffordCone(_Family):
     block: CliffordBlock
 
+    def dimensions(self) -> tuple[int, int]:
+        return self.block.param_dim + 1, self.block.ambient_dim
+
+    def scaling_indices(self) -> tuple[int, ...]:
+        return (self.dimensions()[0] - 1,)
+
+    def build(self) -> Immersion:
+        block = self.block
+        nu = block.param_dim
+
+        def comps(cols):
+            c = block.embed(cols[:nu])
+            r = cols[nu]
+            return [r * ci for ci in c]
+
+        return Immersion(
+            param_dim=nu + 1, ambient_dim=block.ambient_dim, components=comps,
+            domain=block.domain_box() + (RADIAL_BOX,),
+            name=f"clifford-cone-N{block.sphere_dim}")
+
 
 @dataclass(frozen=True)
-class LRaysCone:
+class LRaysCone(_Family):
     rays: int
-    base: "BaseSpec"
+    base: BaseSpec
 
     def __post_init__(self):
         _check_rays(self.rays)
         _check_spherical_base(self.base)
 
+    def dimensions(self) -> tuple[int, int]:
+        base = _base_dimensions(self.base)
+        return base[0] + self.rays, base[1] * self.rays
+
+    def scaling_indices(self) -> tuple[int, ...]:
+        n, _ = self.dimensions()
+        return tuple(range(n - self.rays, n))
+
+    def build(self) -> Immersion:
+        base = _base_immersion(self.base)
+        nb, L = base.param_dim, self.rays
+
+        def comps(cols):
+            f = base.components(cols[:nb])
+            out = []
+            for t in range(L):
+                r = cols[nb + t]
+                out += [r * fa for fa in f]
+            return out
+
+        return Immersion(
+            param_dim=nb + L, ambient_dim=base.ambient_dim * L,
+            components=comps, domain=base.domain + (RADIAL_BOX,) * L,
+            exclusions=_sliced_exclusions(base, nb),
+            name=f"rays-cone-L{L}-over-{base.name}")
+
 
 @dataclass(frozen=True)
-class LRaysCliffordCone:
+class LRaysCliffordCone(_Family):
     rays: int
     block: CliffordBlock
 
     def __post_init__(self):
         _check_rays(self.rays)
 
+    def dimensions(self) -> tuple[int, int]:
+        return (self.block.param_dim + self.rays,
+                self.block.ambient_dim * self.rays)
+
+    def scaling_indices(self) -> tuple[int, ...]:
+        n, _ = self.dimensions()
+        return tuple(range(n - self.rays, n))
+
+    def build(self) -> Immersion:
+        cone = LRaysCone(rays=self.rays, base=CliffordTorus(block=self.block))
+        return replace(
+            cone.build(),
+            name=f"rays-clifford-cone-L{self.rays}-N{self.block.sphere_dim}")
+
 
 @dataclass(frozen=True)
-class SphericalJoin:
+class SphericalJoin(_Family):
     xs: SphereChart
-    base: "BaseSpec"
+    base: BaseSpec
+
+    spherical = True
 
     def __post_init__(self):
         _check_spherical_base(self.base)
 
+    def dimensions(self) -> tuple[int, int]:
+        base = _base_dimensions(self.base)
+        return base[0] + self.xs.param_dim, base[1] * (self.xs.dim + 1)
+
+    def build(self) -> Immersion:
+        base = _base_immersion(self.base)
+        nb = base.param_dim
+        L = self.xs.dim + 1
+        nx = self.xs.param_dim
+
+        def comps(cols):
+            f = base.components(cols[:nb])
+            x = self.xs.embed(cols[nb:nb + nx])
+            out = []
+            for t in range(L):
+                out += [x[t] * fa for fa in f]
+            return out
+
+        return Immersion(
+            param_dim=nb + nx, ambient_dim=base.ambient_dim * L,
+            components=comps, domain=base.domain + self.xs.domain_box(),
+            exclusions=_sliced_exclusions(base, nb),
+            name=f"spherical-join-L{L}-over-{base.name}")
+
 
 @dataclass(frozen=True)
-class GenHelicoidA:
+class GenHelicoidA(_Family):
     pitch: PitchVector
     blocks: tuple[CliffordBlock, ...]
 
@@ -163,9 +276,51 @@ class GenHelicoidA:
             raise SpecError(f"blocks must share one sphere dimension, "
                             f"got {sorted(dims)}")
 
+    def dimensions(self) -> tuple[int, int]:
+        nu = sum(b.param_dim for b in self.blocks)
+        return (nu + 1 + len(self.blocks),
+                sum(b.ambient_dim for b in self.blocks) + 1)
+
+    def screw(self) -> ScrewData:
+        return _block_screw(self.pitch, self.blocks, axial=True)
+
+    def scaling_indices(self) -> tuple[int, ...]:
+        if self.pitch.lambda0 != 0.0:
+            return ()
+        n, _ = self.dimensions()
+        return tuple(range(n - len(self.blocks), n))
+
+    def build(self) -> Immersion:
+        blocks = self.blocks
+        L = len(blocks)
+        spans = _block_spans(blocks)
+        theta_index = spans[-1][1]
+        lam0 = self.pitch.lambda0
+        lams = self.pitch.lambdas
+
+        def comps(cols):
+            th = cols[theta_index]
+            out = []
+            for t, b in enumerate(blocks):
+                lo, hi = spans[t]
+                c = b.embed(cols[lo:hi])
+                r = cols[theta_index + 1 + t]
+                out += [r * x for x in _rotated_block(c, lams[t] * th)]
+            out.append(lam0 * th)
+            return out
+
+        domain = tuple(bx for b in blocks for bx in b.domain_box()) \
+            + (THETA_BOX,) + (RADIAL_BOX,) * L
+        imm = Immersion(
+            param_dim=theta_index + 1 + L,
+            ambient_dim=sum(b.ambient_dim for b in blocks) + 1,
+            components=comps, domain=domain,
+            name=f"helicoid-a-L{L}-N{blocks[0].sphere_dim}")
+        return _with_degeneracy_guard(imm)
+
 
 @dataclass(frozen=True)
-class GenHelicoidB:
+class GenHelicoidB(_Family):
     rays: int
     block: CliffordBlock
     angular_pitch: float
@@ -176,9 +331,50 @@ class GenHelicoidB:
         object.__setattr__(self, "angular_pitch", float(self.angular_pitch))
         object.__setattr__(self, "axial_pitch", float(self.axial_pitch))
 
+    def dimensions(self) -> tuple[int, int]:
+        return (self.block.param_dim + 1 + self.rays,
+                self.block.ambient_dim * self.rays + 1)
+
+    def screw(self) -> ScrewData:
+        return ScrewData(
+            pitch=PitchVector(lambda0=self.axial_pitch,
+                              lambdas=(self.angular_pitch,) * self.rays),
+            theta_index=self.block.param_dim,
+            block_dims=(self.block.ambient_dim,) * self.rays,
+            axial_coordinate=True)
+
+    def scaling_indices(self) -> tuple[int, ...]:
+        if self.axial_pitch != 0.0:
+            return ()
+        n, _ = self.dimensions()
+        return tuple(range(n - self.rays, n))
+
+    def build(self) -> Immersion:
+        block = self.block
+        L = self.rays
+        nu = block.param_dim
+        lam, lam0 = self.angular_pitch, self.axial_pitch
+
+        def comps(cols):
+            c = block.embed(cols[:nu])
+            rotated = _rotated_block(c, lam * cols[nu])
+            out = []
+            for t in range(L):
+                r = cols[nu + 1 + t]
+                out += [r * x for x in rotated]
+            out.append(lam0 * cols[nu])
+            return out
+
+        imm = Immersion(
+            param_dim=nu + 1 + L, ambient_dim=block.ambient_dim * L + 1,
+            components=comps,
+            domain=block.domain_box() + (THETA_BOX,) + (RADIAL_BOX,) * L,
+            name=f"helicoid-b-L{L}-N{block.sphere_dim}")
+        return _with_degeneracy_guard(imm)
+
 
 @dataclass(frozen=True)
-class ChoeHoppe:
+class ChoeHoppe(_Family):
     sphere_dim: int              # N: the cone lives in R^{2N}
     pitch: float
     chart_p: SphereChart | None = None
@@ -194,19 +390,97 @@ class ChoeHoppe:
                 raise SpecError(f"{label} must parametrize "
                                 f"S^{self.sphere_dim - 1}, got S^{chart.dim}")
 
+    def dimensions(self) -> tuple[int, int]:
+        return 2 * self.sphere_dim, 2 * self.sphere_dim + 1
+
+    def screw(self) -> ScrewData:
+        n, _ = self.dimensions()
+        return ScrewData(
+            pitch=PitchVector(lambda0=self.pitch,
+                              lambdas=(1.0,) * self.sphere_dim),
+            theta_index=n - 2,
+            block_dims=(2,) * self.sphere_dim,
+            axial_coordinate=True)
+
+    def scaling_indices(self) -> tuple[int, ...]:
+        return () if self.pitch != 0.0 else (self.dimensions()[0] - 1,)
+
+    def build(self) -> Immersion:
+        N = self.sphere_dim
+        chart_p = self.chart_p or standard_chart(N - 1)
+        chart_q = self.chart_q or standard_chart(N - 1)
+        np_, nq = chart_p.param_dim, chart_q.param_dim
+        lam = self.pitch
+
+        def comps(cols):
+            p_dir = chart_p.embed(cols[:np_])
+            q_dir = chart_q.embed(cols[np_:np_ + nq])
+            th = cols[np_ + nq]
+            s = cols[np_ + nq + 1]
+            ca, sa = jets.cos(th), jets.sin(th)
+            out = []
+            for k in range(N):
+                p, q = s * p_dir[k], s * q_dir[k]
+                out.append(ca * p - sa * q)
+                out.append(ca * q + sa * p)
+            out.append(lam * th)
+            return out
+
+        imm = Immersion(
+            param_dim=np_ + nq + 2, ambient_dim=2 * N + 1, components=comps,
+            domain=chart_p.domain_box() + chart_q.domain_box()
+            + (THETA_BOX, RADIAL_BOX),
+            name=f"choe-hoppe-N{N}")
+        return _with_degeneracy_guard(imm)
+
 
 @dataclass(frozen=True)
-class BDJ:
+class BDJ(_Family):
     pitch: PitchVector
 
     def __post_init__(self):
         _check_pitch(self.pitch)
 
+    def dimensions(self) -> tuple[int, int]:
+        return self.pitch.blocks + 1, 2 * self.pitch.blocks + 1
+
+    def screw(self) -> ScrewData:
+        return ScrewData(
+            pitch=self.pitch, theta_index=0,
+            block_dims=(2,) * self.pitch.blocks, axial_coordinate=True)
+
+    def scaling_indices(self) -> tuple[int, ...]:
+        if self.pitch.lambda0 != 0.0:
+            return ()
+        return tuple(range(1, self.dimensions()[0]))
+
+    def build(self) -> Immersion:
+        L = self.pitch.blocks
+        lam0, lams = self.pitch.lambda0, self.pitch.lambdas
+
+        def comps(cols):
+            th = cols[0]
+            out = []
+            for t in range(L):
+                r = cols[1 + t]
+                out.append(r * jets.cos(lams[t] * th))
+                out.append(r * jets.sin(lams[t] * th))
+            out.append(lam0 * th)
+            return out
+
+        imm = Immersion(
+            param_dim=L + 1, ambient_dim=2 * L + 1, components=comps,
+            domain=(THETA_BOX,) + (RADIAL_BOX,) * L,
+            name=f"ruled-helicoid-L{L}")
+        return _with_degeneracy_guard(imm)
+
 
 @dataclass(frozen=True)
-class LawsonSurface:
+class LawsonSurface(_Family):
     lambda1: float
     lambda2: float
+
+    spherical = True
 
     def __post_init__(self):
         object.__setattr__(self, "lambda1", float(self.lambda1))
@@ -214,9 +488,36 @@ class LawsonSurface:
         if self.lambda1 == 0.0 and self.lambda2 == 0.0:
             raise SpecError("rotation rates must not both vanish")
 
+    def dimensions(self) -> tuple[int, int]:
+        return 2, 4
+
+    def screw(self) -> ScrewData:
+        return ScrewData(
+            pitch=PitchVector(lambda0=0.0,
+                              lambdas=(self.lambda1, self.lambda2)),
+            theta_index=1, block_dims=(2, 2), axial_coordinate=False)
+
+    def build(self) -> Immersion:
+        l1, l2 = self.lambda1, self.lambda2
+
+        def comps(cols):
+            t, th = cols
+            return [jets.cos(t) * jets.cos(l1 * th),
+                    jets.cos(t) * jets.sin(l1 * th),
+                    jets.sin(t) * jets.cos(l2 * th),
+                    jets.sin(t) * jets.sin(l2 * th)]
+
+        # keep sin t and cos t away from 0 so neither rotation circle collapses
+        margin = 0.15
+        imm = Immersion(
+            param_dim=2, ambient_dim=4, components=comps,
+            domain=((margin, np.pi / 2 - margin), THETA_BOX),
+            name=f"ruled-sphere-surface-{l1:g}-{l2:g}")
+        return _with_degeneracy_guard(imm)
+
 
 @dataclass(frozen=True)
-class HarveyLawsonCone:
+class HarveyLawsonCone(_Family):
     sphere_dim: int
     chart_x: SphereChart | None = None
     chart_y: SphereChart | None = None
@@ -230,11 +531,41 @@ class HarveyLawsonCone:
                 raise SpecError(f"{label} must parametrize "
                                 f"S^{self.sphere_dim}, got S^{chart.dim}")
 
+    def dimensions(self) -> tuple[int, int]:
+        chart = self.chart_x or standard_chart(self.sphere_dim)
+        return 2 * chart.param_dim + 2, 4 * self.sphere_dim + 4
+
+    def scaling_indices(self) -> tuple[int, ...]:
+        n, _ = self.dimensions()
+        return (n - 2, n - 1)
+
+    def build(self) -> Immersion:
+        chart_x = self.chart_x or standard_chart(self.sphere_dim)
+        chart_y = self.chart_y or standard_chart(self.sphere_dim)
+        nx, ny = chart_x.param_dim, chart_y.param_dim
+
+        def comps(cols):
+            x = chart_x.embed(cols[:nx])
+            y = chart_y.embed(cols[nx:nx + ny])
+            r1, r2 = cols[nx + ny], cols[nx + ny + 1]
+            out = [r1 * xi for xi in x] + [r1 * yi for yi in y]
+            out += [r2 * xi for xi in x] + [r2 * yi for yi in y]
+            return out
+
+        return Immersion(
+            param_dim=nx + ny + 2, ambient_dim=4 * self.sphere_dim + 4,
+            components=comps,
+            domain=chart_x.domain_box() + chart_y.domain_box()
+            + (RADIAL_BOX, RADIAL_BOX),
+            name=f"twisted-normal-cone-N{self.sphere_dim}")
+
 
 @dataclass(frozen=True)
-class SphericalSlice:
+class SphericalSlice(_Family):
     inner: GenHelicoidA
     chart: SphereChart | None = None   # point of S^{L-1} replacing the radii
+
+    spherical = True
 
     def __post_init__(self):
         if self.inner.pitch.lambda0 != 0.0:
@@ -244,25 +575,97 @@ class SphericalSlice:
             raise SpecError(f"slice chart must parametrize S^{L - 1}, "
                             f"got S^{self.chart.dim}")
 
+    def dimensions(self) -> tuple[int, int]:
+        n, K = self.inner.dimensions()
+        return n - 1, K - 1
+
+    def screw(self) -> ScrewData:
+        pitch = PitchVector(lambda0=0.0, lambdas=self.inner.pitch.lambdas)
+        return _block_screw(pitch, self.inner.blocks, axial=False)
+
+    def build(self) -> Immersion:
+        blocks = self.inner.blocks
+        L = len(blocks)
+        chart = self.chart or standard_chart(L - 1)
+        lams = self.inner.pitch.lambdas
+        spans = _block_spans(blocks)
+        theta_index = spans[-1][1]
+        nx = chart.param_dim
+
+        def comps(cols):
+            th = cols[theta_index]
+            x = chart.embed(cols[theta_index + 1:theta_index + 1 + nx])
+            out = []
+            for t, b in enumerate(blocks):
+                lo, hi = spans[t]
+                c = b.embed(cols[lo:hi])
+                out += [x[t] * v for v in _rotated_block(c, lams[t] * th)]
+            return out
+
+        imm = Immersion(
+            param_dim=theta_index + 1 + nx,
+            ambient_dim=sum(b.ambient_dim for b in blocks),
+            components=comps,
+            domain=tuple(bx for b in blocks for bx in b.domain_box())
+            + (THETA_BOX,) + chart.domain_box(),
+            name=f"sphere-slice-L{L}-N{blocks[0].sphere_dim}")
+        return _with_degeneracy_guard(imm)
+
 
 @dataclass(frozen=True)
-class LatitudeCircle:
+class LatitudeCircle(_Family):
     height: float
+
+    spherical = True
 
     def __post_init__(self):
         object.__setattr__(self, "height", float(self.height))
         if not abs(self.height) < 1.0:
             raise SpecError("latitude height must satisfy |h| < 1")
 
+    @property
+    def control(self) -> bool:
+        return self.height != 0.0
+
+    def dimensions(self) -> tuple[int, int]:
+        return 1, 3
+
+    def build(self) -> Immersion:
+        rho = float(np.sqrt(1.0 - self.height**2))
+        h = self.height
+
+        def comps(cols):
+            (u,) = cols
+            return [rho * jets.cos(u), rho * jets.sin(u), h]
+
+        return Immersion(param_dim=1, ambient_dim=3, components=comps,
+                         domain=(THETA_BOX,), name=f"latitude-circle-h{h:g}")
+
 
 @dataclass(frozen=True)
-class Cylinder:
+class Cylinder(_Family):
     radius: float
+
+    control = True
 
     def __post_init__(self):
         object.__setattr__(self, "radius", float(self.radius))
         if self.radius <= 0.0:
             raise SpecError("cylinder radius must be positive")
+
+    def dimensions(self) -> tuple[int, int]:
+        return 2, 3
+
+    def build(self) -> Immersion:
+        R = self.radius
+
+        def comps(cols):
+            u, z = cols
+            return [R * jets.cos(u), R * jets.sin(u), z]
+
+        return Immersion(param_dim=2, ambient_dim=3, components=comps,
+                         domain=(THETA_BOX, AXIS_BOX),
+                         name=f"cylinder-R{R:g}")
 
 
 FamilySpec = Union[
@@ -271,9 +674,6 @@ FamilySpec = Union[
     HarveyLawsonCone, SphericalSlice, LatitudeCircle, Cylinder,
 ]
 BaseSpec = Union[FamilySpec, SphereChart]
-
-SPHERICAL_KINDS = (CliffordTorus, SphericalJoin, SphericalSlice,
-                   LawsonSurface, LatitudeCircle)
 
 
 def _check_rays(rays) -> None:
@@ -288,8 +688,6 @@ def _check_pitch(pitch) -> None:
 
 
 def _check_spherical_base(base) -> None:
-    if isinstance(base, SphereChart):
-        return
     if not lands_on_unit_sphere(base):
         raise SpecError(f"base {type(base).__name__} does not land on the "
                         f"unit sphere")
@@ -299,14 +697,12 @@ def lands_on_unit_sphere(spec: BaseSpec) -> bool:
     """Whether the built image lies in the unit sphere (by construction)."""
     if isinstance(spec, SphereChart):
         return True
-    return isinstance(spec, SPHERICAL_KINDS)
+    return isinstance(spec, _Family) and spec.spherical
 
 
 def is_negative_control(spec: FamilySpec) -> bool:
     """Controls that must fail minimality checks."""
-    if isinstance(spec, LatitudeCircle):
-        return spec.height != 0.0
-    return isinstance(spec, Cylinder)
+    return spec.control
 
 
 def standard_chart(dim: int, kind: str = "stereographic",
@@ -373,347 +769,27 @@ def _with_degeneracy_guard(imm: Immersion,
 
 def spec_dimensions(spec: FamilySpec) -> tuple[int, int]:
     """(intrinsic dim n, ambient dim K) of the built immersion."""
-    if isinstance(spec, CliffordTorus):
-        return spec.block.param_dim, spec.block.ambient_dim
-    if isinstance(spec, CliffordCone):
-        return spec.block.param_dim + 1, spec.block.ambient_dim
-    if isinstance(spec, LRaysCone):
-        base = _base_dimensions(spec.base)
-        return base[0] + spec.rays, base[1] * spec.rays
-    if isinstance(spec, LRaysCliffordCone):
-        return (spec.block.param_dim + spec.rays,
-                spec.block.ambient_dim * spec.rays)
-    if isinstance(spec, SphericalJoin):
-        base = _base_dimensions(spec.base)
-        rays = spec.xs.dim + 1
-        return base[0] + spec.xs.param_dim, base[1] * rays
-    if isinstance(spec, GenHelicoidA):
-        L = len(spec.blocks)
-        nu = sum(b.param_dim for b in spec.blocks)
-        return nu + 1 + L, sum(b.ambient_dim for b in spec.blocks) + 1
-    if isinstance(spec, GenHelicoidB):
-        return (spec.block.param_dim + 1 + spec.rays,
-                spec.block.ambient_dim * spec.rays + 1)
-    if isinstance(spec, ChoeHoppe):
-        return 2 * spec.sphere_dim, 2 * spec.sphere_dim + 1
-    if isinstance(spec, BDJ):
-        return spec.pitch.blocks + 1, 2 * spec.pitch.blocks + 1
-    if isinstance(spec, LawsonSurface):
-        return 2, 4
-    if isinstance(spec, HarveyLawsonCone):
-        chart = spec.chart_x or standard_chart(spec.sphere_dim)
-        return 2 * chart.param_dim + 2, 4 * spec.sphere_dim + 4
-    if isinstance(spec, SphericalSlice):
-        L = len(spec.inner.blocks)
-        nu = sum(b.param_dim for b in spec.inner.blocks)
-        return nu + 1 + (L - 1), sum(b.ambient_dim for b in spec.inner.blocks)
-    if isinstance(spec, LatitudeCircle):
-        return 1, 3
-    if isinstance(spec, Cylinder):
-        return 2, 3
-    raise SpecError(f"unknown family spec {type(spec).__name__}")
+    return spec.dimensions()
 
 
 def _base_dimensions(base: BaseSpec) -> tuple[int, int]:
     if isinstance(base, SphereChart):
         return base.param_dim, base.dim + 1
-    return spec_dimensions(base)
+    return base.dimensions()
 
 
 def build_immersion(spec: FamilySpec) -> Immersion:
     """Construct the family's immersion; raises SpecError on bad specs."""
-    builder = _BUILDERS.get(type(spec))
-    if builder is None:
+    if not isinstance(spec, _Family):
         raise SpecError(f"unknown family spec {type(spec).__name__}")
-    imm = builder(spec)
-    n, K = spec_dimensions(spec)
+    imm = spec.build()
+    n, K = spec.dimensions()
     if (imm.param_dim, imm.ambient_dim) != (n, K):
         raise SpecError(
             f"{imm.name}: built dimensions ({imm.param_dim}, "
             f"{imm.ambient_dim}) disagree with declared ({n}, {K})")
     imm.metadata["spec"] = spec
     return imm
-
-
-def _build_clifford_torus(spec: CliffordTorus) -> Immersion:
-    imm = spec.block.immersion()
-    return replace(imm, name=f"clifford-torus-N{spec.block.sphere_dim}")
-
-
-def _build_clifford_cone(spec: CliffordCone) -> Immersion:
-    block = spec.block
-    nu = block.param_dim
-
-    def comps(cols):
-        c = block.embed(cols[:nu])
-        r = cols[nu]
-        return [r * ci for ci in c]
-
-    return Immersion(
-        param_dim=nu + 1, ambient_dim=block.ambient_dim, components=comps,
-        domain=block.domain_box() + (RADIAL_BOX,),
-        name=f"clifford-cone-N{block.sphere_dim}")
-
-
-def _build_l_rays_cone(spec: LRaysCone) -> Immersion:
-    base = _base_immersion(spec.base)
-    nb, L = base.param_dim, spec.rays
-
-    def comps(cols):
-        f = base.components(cols[:nb])
-        out = []
-        for t in range(L):
-            r = cols[nb + t]
-            out += [r * fa for fa in f]
-        return out
-
-    return Immersion(
-        param_dim=nb + L, ambient_dim=base.ambient_dim * L, components=comps,
-        domain=base.domain + (RADIAL_BOX,) * L,
-        exclusions=_sliced_exclusions(base, nb),
-        name=f"rays-cone-L{L}-over-{base.name}")
-
-
-def _build_l_rays_clifford_cone(spec: LRaysCliffordCone) -> Immersion:
-    inner = LRaysCone(rays=spec.rays, base=CliffordTorus(block=spec.block))
-    imm = _build_l_rays_cone(inner)
-    return replace(
-        imm, name=f"rays-clifford-cone-L{spec.rays}-N{spec.block.sphere_dim}")
-
-
-def _build_spherical_join(spec: SphericalJoin) -> Immersion:
-    base = _base_immersion(spec.base)
-    nb = base.param_dim
-    L = spec.xs.dim + 1
-    nx = spec.xs.param_dim
-
-    def comps(cols):
-        f = base.components(cols[:nb])
-        x = spec.xs.embed(cols[nb:nb + nx])
-        out = []
-        for t in range(L):
-            out += [x[t] * fa for fa in f]
-        return out
-
-    return Immersion(
-        param_dim=nb + nx, ambient_dim=base.ambient_dim * L, components=comps,
-        domain=base.domain + spec.xs.domain_box(),
-        exclusions=_sliced_exclusions(base, nb),
-        name=f"spherical-join-L{L}-over-{base.name}")
-
-
-def _build_gen_helicoid_a(spec: GenHelicoidA) -> Immersion:
-    blocks = spec.blocks
-    L = len(blocks)
-    spans = _block_spans(blocks)
-    theta_index = spans[-1][1]
-    lam0 = spec.pitch.lambda0
-    lams = spec.pitch.lambdas
-
-    def comps(cols):
-        th = cols[theta_index]
-        out = []
-        for t, b in enumerate(blocks):
-            lo, hi = spans[t]
-            c = b.embed(cols[lo:hi])
-            r = cols[theta_index + 1 + t]
-            out += [r * x for x in _rotated_block(c, lams[t] * th)]
-        out.append(lam0 * th)
-        return out
-
-    domain = tuple(bx for b in blocks for bx in b.domain_box()) \
-        + (THETA_BOX,) + (RADIAL_BOX,) * L
-    imm = Immersion(
-        param_dim=theta_index + 1 + L,
-        ambient_dim=sum(b.ambient_dim for b in blocks) + 1,
-        components=comps, domain=domain,
-        name=f"helicoid-a-L{L}-N{blocks[0].sphere_dim}")
-    return _with_degeneracy_guard(imm)
-
-
-def _build_gen_helicoid_b(spec: GenHelicoidB) -> Immersion:
-    block = spec.block
-    L = spec.rays
-    nu = block.param_dim
-    lam, lam0 = spec.angular_pitch, spec.axial_pitch
-
-    def comps(cols):
-        c = block.embed(cols[:nu])
-        rotated = _rotated_block(c, lam * cols[nu])
-        out = []
-        for t in range(L):
-            r = cols[nu + 1 + t]
-            out += [r * x for x in rotated]
-        out.append(lam0 * cols[nu])
-        return out
-
-    imm = Immersion(
-        param_dim=nu + 1 + L, ambient_dim=block.ambient_dim * L + 1,
-        components=comps,
-        domain=block.domain_box() + (THETA_BOX,) + (RADIAL_BOX,) * L,
-        name=f"helicoid-b-L{L}-N{block.sphere_dim}")
-    return _with_degeneracy_guard(imm)
-
-
-def _build_choe_hoppe(spec: ChoeHoppe) -> Immersion:
-    N = spec.sphere_dim
-    chart_p = spec.chart_p or standard_chart(N - 1)
-    chart_q = spec.chart_q or standard_chart(N - 1)
-    np_, nq = chart_p.param_dim, chart_q.param_dim
-    lam = spec.pitch
-
-    def comps(cols):
-        p_dir = chart_p.embed(cols[:np_])
-        q_dir = chart_q.embed(cols[np_:np_ + nq])
-        th = cols[np_ + nq]
-        s = cols[np_ + nq + 1]
-        ca, sa = jets.cos(th), jets.sin(th)
-        out = []
-        for k in range(N):
-            p, q = s * p_dir[k], s * q_dir[k]
-            out.append(ca * p - sa * q)
-            out.append(ca * q + sa * p)
-        out.append(lam * th)
-        return out
-
-    imm = Immersion(
-        param_dim=np_ + nq + 2, ambient_dim=2 * N + 1, components=comps,
-        domain=chart_p.domain_box() + chart_q.domain_box()
-        + (THETA_BOX, RADIAL_BOX),
-        name=f"choe-hoppe-N{N}")
-    return _with_degeneracy_guard(imm)
-
-
-def _build_bdj(spec: BDJ) -> Immersion:
-    L = spec.pitch.blocks
-    lam0, lams = spec.pitch.lambda0, spec.pitch.lambdas
-
-    def comps(cols):
-        th = cols[0]
-        out = []
-        for t in range(L):
-            r = cols[1 + t]
-            out.append(r * jets.cos(lams[t] * th))
-            out.append(r * jets.sin(lams[t] * th))
-        out.append(lam0 * th)
-        return out
-
-    imm = Immersion(
-        param_dim=L + 1, ambient_dim=2 * L + 1, components=comps,
-        domain=(THETA_BOX,) + (RADIAL_BOX,) * L,
-        name=f"ruled-helicoid-L{L}")
-    return _with_degeneracy_guard(imm)
-
-
-def _build_lawson(spec: LawsonSurface) -> Immersion:
-    l1, l2 = spec.lambda1, spec.lambda2
-
-    def comps(cols):
-        t, th = cols
-        return [jets.cos(t) * jets.cos(l1 * th),
-                jets.cos(t) * jets.sin(l1 * th),
-                jets.sin(t) * jets.cos(l2 * th),
-                jets.sin(t) * jets.sin(l2 * th)]
-
-    # keep sin t and cos t away from 0 so neither rotation circle collapses
-    margin = 0.15
-    imm = Immersion(
-        param_dim=2, ambient_dim=4, components=comps,
-        domain=((margin, np.pi / 2 - margin), THETA_BOX),
-        name=f"ruled-sphere-surface-{l1:g}-{l2:g}")
-    return _with_degeneracy_guard(imm)
-
-
-def _build_harvey_lawson(spec: HarveyLawsonCone) -> Immersion:
-    chart_x = spec.chart_x or standard_chart(spec.sphere_dim)
-    chart_y = spec.chart_y or standard_chart(spec.sphere_dim)
-    nx, ny = chart_x.param_dim, chart_y.param_dim
-
-    def comps(cols):
-        x = chart_x.embed(cols[:nx])
-        y = chart_y.embed(cols[nx:nx + ny])
-        r1, r2 = cols[nx + ny], cols[nx + ny + 1]
-        out = [r1 * xi for xi in x] + [r1 * yi for yi in y]
-        out += [r2 * xi for xi in x] + [r2 * yi for yi in y]
-        return out
-
-    return Immersion(
-        param_dim=nx + ny + 2, ambient_dim=4 * spec.sphere_dim + 4,
-        components=comps,
-        domain=chart_x.domain_box() + chart_y.domain_box()
-        + (RADIAL_BOX, RADIAL_BOX),
-        name=f"twisted-normal-cone-N{spec.sphere_dim}")
-
-
-def _build_spherical_slice(spec: SphericalSlice) -> Immersion:
-    blocks = spec.inner.blocks
-    L = len(blocks)
-    chart = spec.chart or standard_chart(L - 1)
-    lams = spec.inner.pitch.lambdas
-    spans = _block_spans(blocks)
-    theta_index = spans[-1][1]
-    nx = chart.param_dim
-
-    def comps(cols):
-        th = cols[theta_index]
-        x = chart.embed(cols[theta_index + 1:theta_index + 1 + nx])
-        out = []
-        for t, b in enumerate(blocks):
-            lo, hi = spans[t]
-            c = b.embed(cols[lo:hi])
-            out += [x[t] * v for v in _rotated_block(c, lams[t] * th)]
-        return out
-
-    imm = Immersion(
-        param_dim=theta_index + 1 + nx,
-        ambient_dim=sum(b.ambient_dim for b in blocks),
-        components=comps,
-        domain=tuple(bx for b in blocks for bx in b.domain_box())
-        + (THETA_BOX,) + chart.domain_box(),
-        name=f"sphere-slice-L{L}-N{blocks[0].sphere_dim}")
-    return _with_degeneracy_guard(imm)
-
-
-def _build_latitude(spec: LatitudeCircle) -> Immersion:
-    rho = float(np.sqrt(1.0 - spec.height**2))
-    h = spec.height
-
-    def comps(cols):
-        (u,) = cols
-        return [rho * jets.cos(u), rho * jets.sin(u), h]
-
-    return Immersion(param_dim=1, ambient_dim=3, components=comps,
-                     domain=(THETA_BOX,), name=f"latitude-circle-h{h:g}")
-
-
-def _build_cylinder(spec: Cylinder) -> Immersion:
-    R = spec.radius
-
-    def comps(cols):
-        u, z = cols
-        return [R * jets.cos(u), R * jets.sin(u), z]
-
-    return Immersion(param_dim=2, ambient_dim=3, components=comps,
-                     domain=(THETA_BOX, AXIS_BOX),
-                     name=f"cylinder-R{R:g}")
-
-
-_BUILDERS = {
-    CliffordTorus: _build_clifford_torus,
-    CliffordCone: _build_clifford_cone,
-    LRaysCone: _build_l_rays_cone,
-    LRaysCliffordCone: _build_l_rays_clifford_cone,
-    SphericalJoin: _build_spherical_join,
-    GenHelicoidA: _build_gen_helicoid_a,
-    GenHelicoidB: _build_gen_helicoid_b,
-    ChoeHoppe: _build_choe_hoppe,
-    BDJ: _build_bdj,
-    LawsonSurface: _build_lawson,
-    HarveyLawsonCone: _build_harvey_lawson,
-    SphericalSlice: _build_spherical_slice,
-    LatitudeCircle: _build_latitude,
-    Cylinder: _build_cylinder,
-}
 
 
 # --- screw motion -----------------------------------------------------------
@@ -769,65 +845,22 @@ class ScrewData:
     axial_coordinate: bool
 
 
+def _block_screw(pitch: PitchVector, blocks, axial: bool) -> ScrewData:
+    """Screw data of Clifford blocks laid end to end, Θ after their charts."""
+    return ScrewData(
+        pitch=pitch, theta_index=sum(b.param_dim for b in blocks),
+        block_dims=tuple(b.ambient_dim for b in blocks),
+        axial_coordinate=axial)
+
+
 def screw_data(spec: FamilySpec) -> ScrewData | None:
     """Screw-invariance data, or None for families without a sweep angle."""
-    if isinstance(spec, GenHelicoidA):
-        return ScrewData(
-            pitch=spec.pitch,
-            theta_index=sum(b.param_dim for b in spec.blocks),
-            block_dims=tuple(b.ambient_dim for b in spec.blocks),
-            axial_coordinate=True)
-    if isinstance(spec, GenHelicoidB):
-        return ScrewData(
-            pitch=PitchVector(lambda0=spec.axial_pitch,
-                              lambdas=(spec.angular_pitch,) * spec.rays),
-            theta_index=spec.block.param_dim,
-            block_dims=(spec.block.ambient_dim,) * spec.rays,
-            axial_coordinate=True)
-    if isinstance(spec, ChoeHoppe):
-        n, _ = spec_dimensions(spec)
-        return ScrewData(
-            pitch=PitchVector(lambda0=spec.pitch,
-                              lambdas=(1.0,) * spec.sphere_dim),
-            theta_index=n - 2,
-            block_dims=(2,) * spec.sphere_dim,
-            axial_coordinate=True)
-    if isinstance(spec, BDJ):
-        return ScrewData(
-            pitch=spec.pitch, theta_index=0,
-            block_dims=(2,) * spec.pitch.blocks, axial_coordinate=True)
-    if isinstance(spec, LawsonSurface):
-        return ScrewData(
-            pitch=PitchVector(lambda0=0.0,
-                              lambdas=(spec.lambda1, spec.lambda2)),
-            theta_index=1, block_dims=(2, 2), axial_coordinate=False)
-    if isinstance(spec, SphericalSlice):
-        return ScrewData(
-            pitch=PitchVector(lambda0=0.0, lambdas=spec.inner.pitch.lambdas),
-            theta_index=sum(b.param_dim for b in spec.inner.blocks),
-            block_dims=tuple(b.ambient_dim for b in spec.inner.blocks),
-            axial_coordinate=False)
-    return None
+    return spec.screw()
 
 
 def scaling_indices(spec: FamilySpec) -> tuple[int, ...]:
     """Parameter indices whose joint scaling scales the whole image (cones)."""
-    n, _ = spec_dimensions(spec)
-    if isinstance(spec, CliffordCone):
-        return (n - 1,)
-    if isinstance(spec, (LRaysCone, LRaysCliffordCone)):
-        return tuple(range(n - spec.rays, n))
-    if isinstance(spec, HarveyLawsonCone):
-        return (n - 2, n - 1)
-    if isinstance(spec, GenHelicoidA) and spec.pitch.lambda0 == 0.0:
-        return tuple(range(n - len(spec.blocks), n))
-    if isinstance(spec, GenHelicoidB) and spec.axial_pitch == 0.0:
-        return tuple(range(n - spec.rays, n))
-    if isinstance(spec, ChoeHoppe) and spec.pitch == 0.0:
-        return (n - 1,)
-    if isinstance(spec, BDJ) and spec.pitch.lambda0 == 0.0:
-        return tuple(range(1, n))
-    return ()
+    return spec.scaling_indices()
 
 
 # --- the graph function of the Choe-Hoppe hypersurface ----------------------
@@ -899,38 +932,12 @@ def _chart_to_json(ch: SphereChart) -> dict:
 
 def _chart_from_json(d: dict, where: str) -> SphereChart:
     _check_keys(d, {"dim", "chart_kind"}, {"rotation", "branch"}, where)
-    rotation = d.get("rotation")
     return SphereChart(
-        dim=int(d["dim"]), kind=str(d["chart_kind"]),
-        rotation=matrix_tuple(rotation) if rotation is not None else None,
-        branch=int(d.get("branch", 1)))
-
-
-def _block_to_json(b: CliffordBlock) -> dict:
-    out = {"chart_x": _chart_to_json(b.chart_x),
-           "chart_y": _chart_to_json(b.chart_y)}
-    if b.unitary is not None:
-        out["unitary"] = [list(row) for row in b.unitary]
-    return out
-
-
-def _block_from_json(d: dict, where: str) -> CliffordBlock:
-    _check_keys(d, {"chart_x", "chart_y"}, {"unitary"}, where)
-    unitary = d.get("unitary")
-    return CliffordBlock(
-        chart_x=_chart_from_json(d["chart_x"], where + ".chart_x"),
-        chart_y=_chart_from_json(d["chart_y"], where + ".chart_y"),
-        unitary=matrix_tuple(unitary) if unitary is not None else None)
-
-
-def _pitch_to_json(pv: PitchVector) -> dict:
-    return {"lambda0": pv.lambda0, "lambdas": list(pv.lambdas)}
-
-
-def _pitch_from_json(d: dict, where: str) -> PitchVector:
-    _check_keys(d, {"lambda0", "lambdas"}, set(), where)
-    return PitchVector(lambda0=float(d["lambda0"]),
-                       lambdas=_float_tuple(d["lambdas"]))
+        dim=_value_from_json(int, d["dim"], where + ".dim"),
+        kind=_value_from_json(str, d["chart_kind"], where + ".chart_kind"),
+        rotation=_value_from_json(tuple | None, d.get("rotation"),
+                                  where + ".rotation"),
+        branch=_value_from_json(int, d.get("branch", 1), where + ".branch"))
 
 
 def _base_to_json(base: BaseSpec) -> dict:
@@ -940,6 +947,9 @@ def _base_to_json(base: BaseSpec) -> dict:
 
 
 def _base_from_json(d: dict, where: str) -> BaseSpec:
+    if not isinstance(d, dict):
+        raise SpecError(f"{where}: expected a JSON object, "
+                        f"got {type(d).__name__}")
     if d.get("kind") == "SphereChart":
         inner = {k: v for k, v in d.items() if k != "kind"}
         return _chart_from_json(inner, where)
@@ -957,58 +967,101 @@ def _check_keys(d: dict, required: set, optional: set, where: str) -> None:
         raise SpecError(f"{where}: unknown field(s) {sorted(unknown)}")
 
 
+@functools.cache
+def _schema(cls) -> tuple[dict, frozenset, frozenset]:
+    """(annotation per field, required keys, optional keys) of a spec class.
+
+    A field with a default (always None here) is optional.  Cached because
+    resolving the string annotations costs more than decoding a spec.
+    """
+    hints = typing.get_type_hints(cls)
+    fields = dataclasses.fields(cls)
+    types = {f.name: hints[f.name] for f in fields}
+    required = frozenset(f.name for f in fields
+                         if f.default is dataclasses.MISSING)
+    return types, required, frozenset(types) - required
+
+
+def _value_to_json(value):
+    if isinstance(value, _Family):
+        return spec_to_json(value)
+    if isinstance(value, SphereChart):
+        return _chart_to_json(value)
+    if dataclasses.is_dataclass(value):
+        return _object_to_json(value)
+    if isinstance(value, tuple):
+        return [_value_to_json(v) for v in value]
+    return value
+
+
+def _object_to_json(obj) -> dict:
+    """The fields of a spec dataclass in declaration order; None is omitted."""
+    out = {}
+    for name, tp in _schema(type(obj))[0].items():
+        value = getattr(obj, name)
+        if value is not None:
+            out[name] = (_base_to_json(value) if tp is BaseSpec
+                         else _value_to_json(value))
+    return out
+
+
+def _value_from_json(tp, value, where: str):
+    """Parse one JSON value by its type annotation; ``where`` is its path.
+
+    ``float`` takes an int or a float, ``int`` only an int (never a bool),
+    ``tuple[X, ...]`` a JSON array, a bare ``tuple`` a matrix, and a field
+    typed with a family class must decode to that class.
+    """
+    if tp in (int, float, str):
+        accepted = (int, float) if tp is float else tp
+        if isinstance(value, bool) or not isinstance(value, accepted):
+            raise SpecError(f"{where}: expected {tp.__name__}, "
+                            f"got {type(value).__name__}")
+        return tp(value)
+    if tp is BaseSpec:
+        return _base_from_json(value, where)
+    if tp is SphereChart:
+        return _chart_from_json(value, where)
+    args = typing.get_args(tp)
+    if type(None) in args:
+        if value is None:
+            return None
+        (inner,) = set(args) - {type(None)}
+        return _value_from_json(inner, value, where)
+    if typing.get_origin(tp) is tuple:
+        if not isinstance(value, list):
+            raise SpecError(f"{where}: expected a JSON array, "
+                            f"got {type(value).__name__}")
+        return tuple(_value_from_json(args[0], v, f"{where}[{i}]")
+                     for i, v in enumerate(value))
+    if tp is tuple:
+        return matrix_tuple(
+            _value_from_json(tuple[tuple[float, ...], ...], value, where))
+    if issubclass(tp, _Family):
+        spec = spec_from_json(value)
+        if type(spec) is not tp:
+            head, _, name = where.rpartition(".")
+            raise SpecError(f"{head}: {name} spec must be a {tp.__name__}")
+        return spec
+    return _object_from_json(tp, value, where)
+
+
+def _object_from_json(cls, d, where: str):
+    """Build a spec dataclass from a JSON object, one field at a time."""
+    types, required, optional = _schema(cls)
+    _check_keys(d, required, optional, where)
+    return cls(**{name: _value_from_json(tp, d[name], f"{where}.{name}")
+                  for name, tp in types.items() if name in d})
+
+
 def spec_to_json(spec: FamilySpec) -> dict:
     """Canonical JSON object with a \"kind\" discriminator."""
-    kind = type(spec).__name__
-    if isinstance(spec, (CliffordTorus, CliffordCone)):
-        return {"kind": kind, "block": _block_to_json(spec.block)}
-    if isinstance(spec, LRaysCone):
-        return {"kind": kind, "rays": spec.rays,
-                "base": _base_to_json(spec.base)}
-    if isinstance(spec, LRaysCliffordCone):
-        return {"kind": kind, "rays": spec.rays,
-                "block": _block_to_json(spec.block)}
-    if isinstance(spec, SphericalJoin):
-        return {"kind": kind, "xs": _chart_to_json(spec.xs),
-                "base": _base_to_json(spec.base)}
-    if isinstance(spec, GenHelicoidA):
-        return {"kind": kind, "pitch": _pitch_to_json(spec.pitch),
-                "blocks": [_block_to_json(b) for b in spec.blocks]}
-    if isinstance(spec, GenHelicoidB):
-        return {"kind": kind, "rays": spec.rays,
-                "block": _block_to_json(spec.block),
-                "angular_pitch": spec.angular_pitch,
-                "axial_pitch": spec.axial_pitch}
-    if isinstance(spec, ChoeHoppe):
-        out = {"kind": kind, "sphere_dim": spec.sphere_dim,
-               "pitch": spec.pitch}
-        if spec.chart_p is not None:
-            out["chart_p"] = _chart_to_json(spec.chart_p)
-        if spec.chart_q is not None:
-            out["chart_q"] = _chart_to_json(spec.chart_q)
-        return out
-    if isinstance(spec, BDJ):
-        return {"kind": kind, "pitch": _pitch_to_json(spec.pitch)}
-    if isinstance(spec, LawsonSurface):
-        return {"kind": kind, "lambda1": spec.lambda1,
-                "lambda2": spec.lambda2}
-    if isinstance(spec, HarveyLawsonCone):
-        out = {"kind": kind, "sphere_dim": spec.sphere_dim}
-        if spec.chart_x is not None:
-            out["chart_x"] = _chart_to_json(spec.chart_x)
-        if spec.chart_y is not None:
-            out["chart_y"] = _chart_to_json(spec.chart_y)
-        return out
-    if isinstance(spec, SphericalSlice):
-        out = {"kind": kind, "inner": spec_to_json(spec.inner)}
-        if spec.chart is not None:
-            out["chart"] = _chart_to_json(spec.chart)
-        return out
-    if isinstance(spec, LatitudeCircle):
-        return {"kind": kind, "height": spec.height}
-    if isinstance(spec, Cylinder):
-        return {"kind": kind, "radius": spec.radius}
-    raise SpecError(f"unknown family spec {type(spec).__name__}")
+    if not isinstance(spec, _Family):
+        raise SpecError(f"unknown family spec {type(spec).__name__}")
+    return {"kind": type(spec).__name__, **_object_to_json(spec)}
+
+
+_KINDS = {cls.__name__: cls for cls in typing.get_args(FamilySpec)}
 
 
 def spec_from_json(d) -> FamilySpec:
@@ -1019,77 +1072,8 @@ def spec_from_json(d) -> FamilySpec:
     kind = d.get("kind")
     if kind is None:
         raise SpecError("family spec is missing the \"kind\" field")
+    cls = _KINDS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise SpecError(f"unknown family kind {kind!r}")
     rest = {k: v for k, v in d.items() if k != "kind"}
-    where = f"family {kind}"
-    if kind in ("CliffordTorus", "CliffordCone"):
-        _check_keys(rest, {"block"}, set(), where)
-        cls = CliffordTorus if kind == "CliffordTorus" else CliffordCone
-        return cls(block=_block_from_json(rest["block"], where + ".block"))
-    if kind == "LRaysCone":
-        _check_keys(rest, {"rays", "base"}, set(), where)
-        return LRaysCone(rays=int(rest["rays"]),
-                         base=_base_from_json(rest["base"], where + ".base"))
-    if kind == "LRaysCliffordCone":
-        _check_keys(rest, {"rays", "block"}, set(), where)
-        return LRaysCliffordCone(
-            rays=int(rest["rays"]),
-            block=_block_from_json(rest["block"], where + ".block"))
-    if kind == "SphericalJoin":
-        _check_keys(rest, {"xs", "base"}, set(), where)
-        return SphericalJoin(
-            xs=_chart_from_json(rest["xs"], where + ".xs"),
-            base=_base_from_json(rest["base"], where + ".base"))
-    if kind == "GenHelicoidA":
-        _check_keys(rest, {"pitch", "blocks"}, set(), where)
-        return GenHelicoidA(
-            pitch=_pitch_from_json(rest["pitch"], where + ".pitch"),
-            blocks=tuple(_block_from_json(b, f"{where}.blocks[{i}]")
-                         for i, b in enumerate(rest["blocks"])))
-    if kind == "GenHelicoidB":
-        _check_keys(rest, {"rays", "block", "angular_pitch", "axial_pitch"},
-                    set(), where)
-        return GenHelicoidB(
-            rays=int(rest["rays"]),
-            block=_block_from_json(rest["block"], where + ".block"),
-            angular_pitch=float(rest["angular_pitch"]),
-            axial_pitch=float(rest["axial_pitch"]))
-    if kind == "ChoeHoppe":
-        _check_keys(rest, {"sphere_dim", "pitch"}, {"chart_p", "chart_q"},
-                    where)
-        return ChoeHoppe(
-            sphere_dim=int(rest["sphere_dim"]), pitch=float(rest["pitch"]),
-            chart_p=_chart_from_json(rest["chart_p"], where + ".chart_p")
-            if "chart_p" in rest else None,
-            chart_q=_chart_from_json(rest["chart_q"], where + ".chart_q")
-            if "chart_q" in rest else None)
-    if kind == "BDJ":
-        _check_keys(rest, {"pitch"}, set(), where)
-        return BDJ(pitch=_pitch_from_json(rest["pitch"], where + ".pitch"))
-    if kind == "LawsonSurface":
-        _check_keys(rest, {"lambda1", "lambda2"}, set(), where)
-        return LawsonSurface(lambda1=float(rest["lambda1"]),
-                             lambda2=float(rest["lambda2"]))
-    if kind == "HarveyLawsonCone":
-        _check_keys(rest, {"sphere_dim"}, {"chart_x", "chart_y"}, where)
-        return HarveyLawsonCone(
-            sphere_dim=int(rest["sphere_dim"]),
-            chart_x=_chart_from_json(rest["chart_x"], where + ".chart_x")
-            if "chart_x" in rest else None,
-            chart_y=_chart_from_json(rest["chart_y"], where + ".chart_y")
-            if "chart_y" in rest else None)
-    if kind == "SphericalSlice":
-        _check_keys(rest, {"inner"}, {"chart"}, where)
-        inner = spec_from_json(rest["inner"])
-        if not isinstance(inner, GenHelicoidA):
-            raise SpecError(f"{where}: inner spec must be a GenHelicoidA")
-        return SphericalSlice(
-            inner=inner,
-            chart=_chart_from_json(rest["chart"], where + ".chart")
-            if "chart" in rest else None)
-    if kind == "LatitudeCircle":
-        _check_keys(rest, {"height"}, set(), where)
-        return LatitudeCircle(height=float(rest["height"]))
-    if kind == "Cylinder":
-        _check_keys(rest, {"radius"}, set(), where)
-        return Cylinder(radius=float(rest["radius"]))
-    raise SpecError(f"unknown family kind {kind!r}")
+    return _object_from_json(cls, rest, f"family {kind}")

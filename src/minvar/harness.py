@@ -37,12 +37,12 @@ from .families import (
     LRaysCliffordCone,
     LRaysCone,
     PitchVector,
-    SPHERICAL_KINDS,
     SphericalJoin,
     SphericalSlice,
     _base_immersion,
     _base_to_json,
     _check_keys,
+    _value_from_json,
     build_immersion,
     is_negative_control,
     lands_on_unit_sphere,
@@ -102,7 +102,11 @@ class SamplePlan:
                             f"got {self.max_rejects!r}")
         if self.box is not None:
             box = tuple(tuple(float(x) for x in pair) for pair in self.box)
-            for lo, hi in box:
+            for pair in box:
+                if len(pair) != 2:
+                    raise SpecError(f"sampling interval must be a (lo, hi) "
+                                    f"pair, got {pair}")
+                lo, hi = pair
                 if not lo < hi:
                     raise SpecError(f"empty sampling interval ({lo}, {hi})")
             object.__setattr__(self, "box", box)
@@ -116,10 +120,10 @@ class SamplePlan:
     @staticmethod
     def from_json(d: dict) -> "SamplePlan":
         _check_keys(d, set(), {"count", "seed", "box", "max_rejects"}, "plan")
-        box = d.get("box")
+        box = _value_from_json(tuple[tuple[float, ...], ...] | None,
+                               d.get("box"), "plan.box")
         return SamplePlan(count=d.get("count", 200), seed=d.get("seed", 0),
-                          box=None if box is None else tuple(map(tuple, box)),
-                          max_rejects=d.get("max_rejects", 200))
+                          box=box, max_rejects=d.get("max_rejects", 200))
 
 
 @dataclass(frozen=True)
@@ -148,7 +152,9 @@ class TolerancePolicy:
     def from_json(d: dict) -> "TolerancePolicy":
         _check_keys(d, set(), {"tol_H", "tol_identity", "tol_negative"},
                     "tolerances")
-        return TolerancePolicy(**{k: float(v) for k, v in d.items()})
+        return TolerancePolicy(**{
+            k: _value_from_json(float, v, f"tolerances.{k}")
+            for k, v in d.items()})
 
 
 @dataclass(frozen=True)
@@ -376,7 +382,7 @@ def _minimality_residuals(spec, pe: PointEval):
     jac_sq = np.einsum("...an,...an->...", pe.jacobian, pe.jacobian)
     scale = 1.0 + jac_sq
 
-    if isinstance(spec, SPHERICAL_KINDS):
+    if spec.spherical:
         minimality = sphere_residual_from_pointeval(
             pe, pe.jacobian.shape[-1], H=H) / scale
     else:

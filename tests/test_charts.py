@@ -96,6 +96,8 @@ def test_chart_rotation_applied_and_validated():
         SphereChart(dim=1, rotation=matrix_tuple([[1.0, 0.1], [0.0, 1.0]]))
     with pytest.raises(SpecError):
         SphereChart(dim=2, rotation=rot)  # wrong size
+    with pytest.raises(SpecError, match="defect nan"):
+        SphereChart(dim=1, rotation=((float("nan"), 0.0), (0.0, 1.0)))
 
 
 def test_point_chart_branches_and_validation():
@@ -114,6 +116,8 @@ def test_point_chart_branches_and_validation():
         SphereChart(dim=-1, kind="stereographic")
     with pytest.raises(SpecError):
         SphereChart(dim=1, kind="harmonic")
+    with pytest.raises(SpecError, match="only point charts"):
+        SphereChart(dim=1, branch=-1)
 
 
 def test_embed_arity_checked():

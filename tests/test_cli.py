@@ -120,6 +120,10 @@ class TestVerifyCommand:
         assert main(["verify", cfg]) == 2
         err = capsys.readouterr().err
         assert "pitch" in err and "blocks" in err
+        bad_radius = {"kind": "Cylinder", "radius": "abc"}
+        cfg = write_config(tmp_path, family=bad_radius, checks=["minimality"])
+        assert main(["verify", cfg]) == 2
+        assert "family Cylinder.radius" in capsys.readouterr().err
 
     def test_domain_error_exits_two(self, tmp_path):
         # screw invariance is undefined for a family without a sweep angle

@@ -1,10 +1,14 @@
 """Family constructions: formulas, symmetries, equivalences, serialization."""
 
+import json
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from minvar import families
-from minvar.charts import SphereChart, matrix_tuple
+from minvar.charts import CliffordBlock, SphereChart, matrix_tuple
 from minvar.errors import (
     BranchLocusError,
     DimensionMismatch,
@@ -428,6 +432,146 @@ def test_spec_json_round_trip_with_unitary():
     assert spec_from_json(spec_to_json(spec)) == spec
 
 
+PINNED_JSON = [
+    (LRaysCone(rays=2, base=SphereChart(dim=0, kind="point", branch=-1)),
+     '{"kind": "LRaysCone", "rays": 2, "base": {"kind": "SphereChart", '
+     '"dim": 0, "chart_kind": "point", "branch": -1}}'),
+    (ChoeHoppe(sphere_dim=2, pitch=0.5,
+               chart_p=SphereChart(dim=1, kind="trigonometric")),
+     '{"kind": "ChoeHoppe", "sphere_dim": 2, "pitch": 0.5, '
+     '"chart_p": {"dim": 1, "chart_kind": "trigonometric"}}'),
+    (CliffordTorus(block=standard_block(1, unitary=(
+        (0.6, 0.0, -0.8, 0.0), (0.0, 0.6, 0.0, -0.8),
+        (0.8, 0.0, 0.6, 0.0), (0.0, 0.8, 0.0, 0.6)))),
+     '{"kind": "CliffordTorus", "block": {'
+     '"chart_x": {"dim": 1, "chart_kind": "stereographic"}, '
+     '"chart_y": {"dim": 1, "chart_kind": "stereographic"}, '
+     '"unitary": [[0.6, 0.0, -0.8, 0.0], [0.0, 0.6, 0.0, -0.8], '
+     '[0.8, 0.0, 0.6, 0.0], [0.0, 0.8, 0.0, 0.6]]}}'),
+    (SphericalSlice(inner=helicoid_a(2, 1, PitchVector(0.0, (1.0, 2.0))),
+                    chart=SphereChart(dim=1, kind="trigonometric")),
+     '{"kind": "SphericalSlice", "inner": {"kind": "GenHelicoidA", '
+     '"pitch": {"lambda0": 0.0, "lambdas": [1.0, 2.0]}, "blocks": ['
+     '{"chart_x": {"dim": 1, "chart_kind": "stereographic"}, '
+     '"chart_y": {"dim": 1, "chart_kind": "stereographic"}}, '
+     '{"chart_x": {"dim": 1, "chart_kind": "stereographic"}, '
+     '"chart_y": {"dim": 1, "chart_kind": "stereographic"}}]}, '
+     '"chart": {"dim": 1, "chart_kind": "trigonometric"}}'),
+]
+
+
+@pytest.mark.parametrize("spec,text", PINNED_JSON,
+                         ids=["point-chart-base", "choe-hoppe-chart-p",
+                              "torus-unitary", "slice-chart"])
+def test_spec_json_bytes_pinned(spec, text):
+    assert json.dumps(spec_to_json(spec)) == text
+    assert spec_from_json(json.loads(text)) == spec
+
+
+def _orthogonal(seed, size):
+    rng = np.random.default_rng(seed)
+    return matrix_tuple(np.linalg.qr(rng.standard_normal((size, size)))[0])
+
+
+def _commuting_unitary(seed, half):
+    """Real form [[A, -B], [B, A]] of a random complex unitary A + iB."""
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((half, half)) + 1j * rng.standard_normal(
+        (half, half))
+    q = np.linalg.qr(z)[0]
+    return matrix_tuple(np.block([[q.real, -q.imag], [q.imag, q.real]]))
+
+
+SEEDS = st.none() | st.integers(0, 2 ** 32 - 1)
+RATES = st.floats(-4.0, 4.0)
+DIMS = st.integers(0, 2)
+
+
+@st.composite
+def charts(draw, dim):
+    kind = ("point" if dim == 0 else
+            draw(st.sampled_from(("stereographic", "trigonometric"))))
+    branch = draw(st.sampled_from((1, -1)))
+    seed = draw(SEEDS)
+    rotation = None if seed is None else _orthogonal(seed, dim + 1)
+    if kind != "point" and branch != 1:
+        with pytest.raises(SpecError, match="only point charts"):
+            SphereChart(dim, kind, rotation, branch)
+        branch = 1
+    return SphereChart(dim, kind, rotation, branch)
+
+
+@st.composite
+def blocks(draw, dim):
+    seed = draw(SEEDS)
+    return CliffordBlock(
+        draw(charts(dim)), draw(charts(dim)),
+        None if seed is None else _commuting_unitary(seed, dim + 1))
+
+
+@st.composite
+def helicoids(draw, axial=RATES):
+    L, dim = draw(st.integers(1, 3)), draw(DIMS)
+    pitch = PitchVector(draw(axial), tuple(draw(RATES) for _ in range(L)))
+    return GenHelicoidA(pitch, tuple(draw(blocks(dim)) for _ in range(L)))
+
+
+@st.composite
+def slices(draw):
+    inner = draw(helicoids(axial=st.just(0.0)))
+    chart = draw(st.none() | charts(len(inner.blocks) - 1))
+    return SphericalSlice(inner, chart)
+
+
+@st.composite
+def choe_hoppes(draw):
+    N = draw(st.integers(1, 3))
+    return ChoeHoppe(N, draw(RATES), draw(st.none() | charts(N - 1)),
+                     draw(st.none() | charts(N - 1)))
+
+
+@st.composite
+def harvey_lawsons(draw):
+    N = draw(DIMS)
+    return HarveyLawsonCone(N, draw(st.none() | charts(N)),
+                            draw(st.none() | charts(N)))
+
+
+ANY_CHART = DIMS.flatmap(charts)
+ANY_BLOCK = DIMS.flatmap(blocks)
+LAWSON = st.builds(LawsonSurface, st.floats(0.125, 4.0), RATES)
+LATITUDE = st.builds(LatitudeCircle, st.floats(-0.99, 0.99))
+SPHERICAL_BASES = st.one_of(
+    ANY_CHART, st.builds(CliffordTorus, ANY_BLOCK), LAWSON, LATITUDE,
+    slices(), st.builds(SphericalJoin, ANY_CHART, ANY_CHART))
+FAMILY_SPECS = st.one_of(
+    st.builds(CliffordTorus, ANY_BLOCK),
+    st.builds(CliffordCone, ANY_BLOCK),
+    st.builds(LRaysCone, st.integers(1, 3), SPHERICAL_BASES),
+    st.builds(LRaysCliffordCone, st.integers(1, 3), ANY_BLOCK),
+    st.builds(SphericalJoin, ANY_CHART, SPHERICAL_BASES),
+    helicoids(),
+    st.builds(GenHelicoidB, st.integers(1, 3), ANY_BLOCK, RATES, RATES),
+    choe_hoppes(),
+    st.builds(BDJ, st.builds(PitchVector, RATES, st.lists(
+        RATES, min_size=1, max_size=3).map(tuple))),
+    LAWSON,
+    harvey_lawsons(),
+    slices(),
+    LATITUDE,
+    st.builds(Cylinder, st.floats(0.01, 10.0)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(spec=FAMILY_SPECS)
+def test_spec_json_round_trip_property(spec):
+    text = json.dumps(spec_to_json(spec))
+    decoded = spec_from_json(json.loads(text))
+    assert decoded == spec
+    assert json.dumps(spec_to_json(decoded)) == text
+
+
 def test_spec_json_strictness():
     with pytest.raises(SpecError):
         spec_from_json({"kind": "MoebiusStrip"})
@@ -442,6 +586,55 @@ def test_spec_json_strictness():
                         "inner": {"kind": "Cylinder", "radius": 1.0}})
     with pytest.raises(SpecError):
         spec_from_json([1, 2, 3])
+
+    # malformed values are rejected with their JSON path, never coerced
+    chart = {"dim": 1, "chart_kind": "stereographic"}
+    base = {"kind": "SphereChart", **chart}
+    block = {"chart_x": chart, "chart_y": chart}
+    pitch = {"lambda0": 1.0, "lambdas": [1.0]}
+    malformed = [
+        ({"kind": "Cylinder", "radius": "abc"},
+         "family Cylinder.radius: expected float, got str"),
+        ({"kind": "Cylinder", "radius": None},
+         "family Cylinder.radius: expected float, got NoneType"),
+        ({"kind": "Cylinder", "radius": True},
+         "family Cylinder.radius: expected float, got bool"),
+        ({"kind": "LRaysCone", "rays": 2, "base": [1]},
+         "family LRaysCone.base: expected a JSON object, got list"),
+        ({"kind": "LRaysCone", "rays": 2.7, "base": base},
+         "family LRaysCone.rays: expected int, got float"),
+        ({"kind": "LRaysCone", "rays": True, "base": base},
+         "family LRaysCone.rays: expected int, got bool"),
+        ({"kind": "LRaysCone", "rays": "3", "base": base},
+         "family LRaysCone.rays: expected int, got str"),
+        ({"kind": "LRaysCone", "rays": 2, "base": dict(base, dim=1.9)},
+         "family LRaysCone.base.dim: expected int, got float"),
+        ({"kind": "GenHelicoidA", "pitch": pitch, "blocks": 5},
+         "family GenHelicoidA.blocks: expected a JSON array, got int"),
+        ({"kind": "BDJ", "pitch": {"lambda0": 1.0, "lambdas": 3}},
+         "family BDJ.pitch.lambdas: expected a JSON array, got int"),
+        ({"kind": "BDJ", "pitch": {"lambda0": 1.0, "lambdas": ["1"]}},
+         "family BDJ.pitch.lambdas[0]: expected float, got str"),
+        ({"kind": "CliffordTorus", "block": dict(block, unitary="x")},
+         "family CliffordTorus.block.unitary: expected a JSON array, "
+         "got str"),
+        ({"kind": "CliffordTorus",
+          "block": dict(block, unitary=[[1.0, 0.0], [0.0]])},
+         "matrix must be a 2-D array of numbers"),
+        ({"kind": "CliffordTorus",
+          "block": {"chart_x": dict(chart, rotation=[[None, 0], [0, 1]]),
+                    "chart_y": chart}},
+         "family CliffordTorus.block.chart_x.rotation[0][0]: expected "
+         "float, got NoneType"),
+        ({"kind": "CliffordTorus",
+          "block": {"chart_x": dict(chart, branch=-1), "chart_y": chart}},
+         "only point charts take a branch"),
+        ({"kind": "LRaysCone", "rays": 2, "base": {"kind": ["SphereChart"]}},
+         "unknown family kind ['SphereChart']"),
+    ]
+    for doc, message in malformed:
+        with pytest.raises(SpecError, match=re.escape(message)):
+            spec_from_json(doc)
 
 
 def test_spec_validation_errors():

@@ -8,6 +8,7 @@ which is 1/sqrt(3) at h = 0.5.  Positive instances must sit at roundoff.
 """
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -113,6 +114,16 @@ class TestSamplePlan:
         with pytest.raises(SpecError, match="unknown"):
             SamplePlan.from_json({"count": 3, "stride": 2})
 
+    @pytest.mark.parametrize("doc,message", [
+        ({"box": 5}, "plan.box: expected a JSON array, got int"),
+        ({"box": [[0, "a"], [0, 1]]},
+         "plan.box[0][1]: expected float, got str"),
+        ({"box": [[0, 1, 2]]}, "must be a (lo, hi) pair"),
+    ])
+    def test_json_rejects_malformed_box(self, doc, message):
+        with pytest.raises(SpecError, match=re.escape(message)):
+            SamplePlan.from_json(doc)
+
 
 class TestTolerancePolicy:
     def test_defaults(self):
@@ -137,6 +148,14 @@ class TestTolerancePolicy:
         tol = TolerancePolicy(tol_H=1e-7, tol_identity=1e-8,
                               tol_negative=1e-1)
         assert TolerancePolicy.from_json(tol.to_json()) == tol
+
+    @pytest.mark.parametrize("value,got", [
+        ("x", "str"), (None, "NoneType"), (True, "bool"),
+    ])
+    def test_json_rejects_malformed_value(self, value, got):
+        with pytest.raises(SpecError, match=re.escape(
+                f"tolerances.tol_H: expected float, got {got}")):
+            TolerancePolicy.from_json({"tol_H": value})
 
 
 class TestSamplePoints:
