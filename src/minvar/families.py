@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 import typing
 from dataclasses import dataclass, replace
 from typing import Union
@@ -1008,7 +1009,7 @@ def _object_to_json(obj) -> dict:
 def _value_from_json(tp, value, where: str):
     """Parse one JSON value by its type annotation; ``where`` is its path.
 
-    ``float`` takes an int or a float, ``int`` only an int (never a bool),
+    ``float`` takes a finite int or float, ``int`` only an int (never a bool),
     ``tuple[X, ...]`` a JSON array, a bare ``tuple`` a matrix, and a field
     typed with a family class must decode to that class.
     """
@@ -1017,6 +1018,8 @@ def _value_from_json(tp, value, where: str):
         if isinstance(value, bool) or not isinstance(value, accepted):
             raise SpecError(f"{where}: expected {tp.__name__}, "
                             f"got {type(value).__name__}")
+        if tp is float and not math.isfinite(value):
+            raise SpecError(f"{where}: expected a finite number, got {value}")
         return tp(value)
     if tp is BaseSpec:
         return _base_from_json(value, where)

@@ -599,6 +599,11 @@ def test_spec_json_strictness():
          "family Cylinder.radius: expected float, got NoneType"),
         ({"kind": "Cylinder", "radius": True},
          "family Cylinder.radius: expected float, got bool"),
+        ({"kind": "Cylinder", "radius": float("nan")},
+         "family Cylinder.radius: expected a finite number, got nan"),
+        ({"kind": "BDJ", "pitch": {"lambda0": float("inf"),
+                                   "lambdas": [1.0]}},
+         "family BDJ.pitch.lambda0: expected a finite number, got inf"),
         ({"kind": "LRaysCone", "rays": 2, "base": [1]},
          "family LRaysCone.base: expected a JSON object, got list"),
         ({"kind": "LRaysCone", "rays": 2.7, "base": base},

@@ -149,12 +149,15 @@ class TestTolerancePolicy:
                               tol_negative=1e-1)
         assert TolerancePolicy.from_json(tol.to_json()) == tol
 
-    @pytest.mark.parametrize("value,got", [
-        ("x", "str"), (None, "NoneType"), (True, "bool"),
+    @pytest.mark.parametrize("value,message", [
+        ("x", "expected float, got str"),
+        (None, "expected float, got NoneType"),
+        (True, "expected float, got bool"),
+        (float("nan"), "expected a finite number, got nan"),
     ])
-    def test_json_rejects_malformed_value(self, value, got):
+    def test_json_rejects_malformed_value(self, value, message):
         with pytest.raises(SpecError, match=re.escape(
-                f"tolerances.tol_H: expected float, got {got}")):
+                f"tolerances.tol_H: {message}")):
             TolerancePolicy.from_json({"tol_H": value})
 
 
