@@ -1,6 +1,7 @@
 """Command-line front end: verification runs, identity sweeps, mesh export.
 
-Four subcommands share one JSON config shape (versioned, strict keys):
+Each subcommand decodes its versioned JSON config into its own dataclass
+with the typed codec of ``families`` (strict keys, typed values):
 
 * ``verify``     runs sampling campaigns (minimality, screw, cone-scaling,
                  takahashi) against a family and writes a report.
@@ -28,19 +29,21 @@ import numpy as np
 
 from .errors import MinvarError, SpecError
 from .families import (
+    BaseSpec,
     CliffordTorus,
+    FamilySpec,
     GenHelicoidA,
-    _base_from_json,
-    _base_to_json,
-    _check_keys,
+    _check_rays,
+    _object_from_json,
+    _value_from_json,
     build_immersion,
-    spec_from_json,
     spec_to_json,
 )
 from .harness import (
     SamplePlan,
     TolerancePolicy,
     _summarize,
+    report_from_json,
     sample_points,
     takahashi_equivalence,
     verify_cone_scaling,
@@ -55,7 +58,8 @@ from .identities import (
 )
 from .mesh import tessellate, write_obj
 
-__all__ = ["RunConfig", "main", "load_reports"]
+__all__ = ["VerifyConfig", "IdentitiesConfig", "MeshConfig",
+           "TakahashiConfig", "main", "load_reports"]
 
 CONFIG_VERSION = 1
 VERIFY_CHECKS = ("minimality", "screw", "cone-scaling", "takahashi")
@@ -64,97 +68,92 @@ IDENTITY_CHECKS = ("lemma", "helicoid-algebra", "theta-harmonicity",
 
 
 @dataclass(frozen=True)
-class RunConfig:
-    """One parsed config file; fields unused by a command stay at defaults."""
+class Output:
+    """Output paths; each command writes the ones it produces."""
 
-    family: object = None
+    report: str | None = None
+    csv: str | None = None
+    mesh: str | None = None
+
+
+@dataclass(frozen=True, kw_only=True)
+class _Config:
+    version: int
+    output: Output = Output()
+
+    def __post_init__(self):
+        if self.version != CONFIG_VERSION:
+            raise SpecError(f"unsupported config version {self.version!r}")
+
+
+@dataclass(frozen=True, kw_only=True)
+class _SampledConfig(_Config):
     plan: SamplePlan = SamplePlan()
     tolerances: TolerancePolicy = TolerancePolicy()
-    checks: tuple[str, ...] = ()
-    output: dict = field(default_factory=dict)
-    rays: int = 2
-    resolution: object = (64, 64)
-    axes: tuple = (0, 1)
-    fixed: dict = field(default_factory=dict)
-    projection: object = (0, 1, 2)
-    box: object = None
 
 
-_SCHEMAS = {
-    "verify": ({"version", "family", "checks"},
-               {"plan", "tolerances", "output", "rays"}),
-    "identities": ({"version", "family", "checks"},
-                   {"plan", "tolerances", "output"}),
-    "mesh": ({"version", "family"},
-             {"resolution", "axes", "fixed", "projection", "box", "output"}),
-    "takahashi": ({"version", "base", "rays"},
-                  {"plan", "tolerances", "output"}),
-}
+@dataclass(frozen=True, kw_only=True)
+class VerifyConfig(_SampledConfig):
+    family: FamilySpec
+    checks: tuple[str, ...]
+    rays: int = 2                   # rays of the takahashi check's cone
+
+    def __post_init__(self):
+        super().__post_init__()
+        _check_names(self.checks, VERIFY_CHECKS)
+        _check_rays(self.rays)
 
 
-def _parse_rays(value) -> int:
-    if not isinstance(value, int) or value < 1:
-        raise SpecError(f"rays must be a positive integer, got {value!r}")
-    return value
+@dataclass(frozen=True, kw_only=True)
+class IdentitiesConfig(_SampledConfig):
+    family: FamilySpec
+    checks: tuple[str, ...]
+
+    def __post_init__(self):
+        super().__post_init__()
+        _check_names(self.checks, IDENTITY_CHECKS)
+        lemma = "lemma" in self.checks
+        if lemma and set(self.checks) != {"lemma"}:
+            raise SpecError("the lemma check samples torus charts and "
+                            "cannot share a run with helicoid checks")
+        family = CliffordTorus if lemma else GenHelicoidA
+        if not isinstance(self.family, family):
+            raise SpecError(f"the {self.checks[0]} check needs a "
+                            f"{family.__name__} family")
 
 
-def _parse_checks(value, allowed: tuple[str, ...]) -> tuple[str, ...]:
-    if not isinstance(value, (list, tuple)) or not value:
+@dataclass(frozen=True, kw_only=True)
+class TakahashiConfig(_SampledConfig):
+    base: BaseSpec
+    rays: int
+
+    def __post_init__(self):
+        super().__post_init__()
+        _check_rays(self.rays)
+
+
+@dataclass(frozen=True, kw_only=True)
+class MeshConfig(_Config):
+    family: FamilySpec
+    resolution: int | tuple[int, int] = (64, 64)
+    axes: tuple[int, int] = (0, 1)
+    fixed: dict[int, float] = field(default_factory=dict)
+    projection: str | tuple[int, int, int] = (0, 1, 2)
+    box: tuple[tuple[float, float], ...] | None = None
+
+
+def _check_names(checks: tuple[str, ...], allowed: tuple[str, ...]) -> None:
+    if not checks:
         raise SpecError("checks must be a non-empty list of check names")
-    for name in value:
+    for name in checks:
         if name not in allowed:
             raise SpecError(f"unknown check {name!r}; expected one of "
                             f"{', '.join(allowed)}")
-    return tuple(value)
 
 
-def parse_config(doc: dict, command: str) -> RunConfig:
+def parse_config(doc: dict, command: str):
     """Validate a config document for one command; no evaluation happens."""
-    required, optional = _SCHEMAS[command]
-    _check_keys(doc, required, optional, "config")
-    if doc["version"] != CONFIG_VERSION:
-        raise SpecError(f"unsupported config version {doc['version']!r}")
-
-    output = doc.get("output", {})
-    _check_keys(output, set(), {"report", "csv", "mesh"}, "config output")
-    kwargs = {"output": dict(output)}
-
-    if command == "takahashi":
-        kwargs["family"] = _base_from_json(doc["base"], "base")
-        kwargs["rays"] = _parse_rays(doc["rays"])
-    else:
-        kwargs["family"] = spec_from_json(doc["family"])
-    if command in ("verify", "identities", "takahashi"):
-        kwargs["plan"] = SamplePlan.from_json(doc.get("plan", {}))
-        kwargs["tolerances"] = TolerancePolicy.from_json(
-            doc.get("tolerances", {}))
-    if command == "verify":
-        kwargs["checks"] = _parse_checks(doc["checks"], VERIFY_CHECKS)
-        if "rays" in doc:
-            kwargs["rays"] = _parse_rays(doc["rays"])
-    if command == "identities":
-        kwargs["checks"] = _parse_checks(doc["checks"], IDENTITY_CHECKS)
-        lemma_only = set(kwargs["checks"]) == {"lemma"}
-        if lemma_only and not isinstance(kwargs["family"], CliffordTorus):
-            raise SpecError("the lemma check needs a CliffordTorus family")
-        if not lemma_only:
-            if "lemma" in kwargs["checks"]:
-                raise SpecError("the lemma check samples torus charts and "
-                                "cannot share a run with helicoid checks")
-            if not isinstance(kwargs["family"], GenHelicoidA):
-                raise SpecError(f"{kwargs['checks'][0]} needs a GenHelicoidA "
-                                f"family")
-    if command == "mesh":
-        kwargs["resolution"] = doc.get("resolution", (64, 64))
-        kwargs["axes"] = tuple(doc.get("axes", (0, 1)))
-        kwargs["fixed"] = {int(k): float(v)
-                           for k, v in doc.get("fixed", {}).items()}
-        kwargs["projection"] = doc.get("projection", (0, 1, 2))
-        if not isinstance(kwargs["projection"], str):
-            kwargs["projection"] = tuple(kwargs["projection"])
-        box = doc.get("box")
-        kwargs["box"] = None if box is None else tuple(map(tuple, box))
-    return RunConfig(**kwargs)
+    return _object_from_json(_COMMANDS[command][0], doc, "config")
 
 
 # ---------------------------------------------------------------------------
@@ -190,9 +189,10 @@ def _print_checks(label: str, checks) -> None:
 
 def load_reports(doc: dict) -> list:
     """Reports from a written document (single report or a report list)."""
-    from .harness import report_from_json
     if isinstance(doc, dict) and doc.get("kind") == "report-list":
-        return [report_from_json(r) for r in doc["reports"]]
+        reports = _value_from_json(tuple[dict, ...], doc.get("reports"),
+                                   "report-list.reports")
+        return [report_from_json(r) for r in reports]
     return [report_from_json(doc)]
 
 
@@ -208,7 +208,7 @@ def _reports_doc(reports: list) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def cmd_verify(config: RunConfig) -> int:
+def cmd_verify(config: VerifyConfig) -> int:
     runners = {
         "minimality": lambda: verify_minimality(
             config.family, config.plan, config.tolerances),
@@ -227,11 +227,11 @@ def cmd_verify(config: RunConfig) -> int:
         _print_checks(label, report.checks)
         if name == "takahashi":
             print(f"{label}:agreement: {report.agreement}")
-    _write_json(_reports_doc(reports), config.output.get("report"))
+    _write_json(_reports_doc(reports), config.output.report)
     return 0 if all(r.all_expected for r in reports) else 1
 
 
-def _lemma_rows(config: RunConfig):
+def _lemma_rows(config: IdentitiesConfig):
     block = config.family.block
     points, _ = sample_points(block.immersion(), config.plan)
     res = lemma_magic_residuals(block, points)
@@ -242,7 +242,7 @@ def _lemma_rows(config: RunConfig):
     return columns, tols, rows
 
 
-def _helicoid_rows(config: RunConfig):
+def _helicoid_rows(config: IdentitiesConfig):
     spec = config.family
     points, _ = sample_points(build_immersion(spec), config.plan)
     columns, tols, parts = [], [], []
@@ -270,12 +270,12 @@ def _helicoid_rows(config: RunConfig):
     return columns, tols, np.stack(parts, axis=-1)
 
 
-def cmd_identities(config: RunConfig) -> int:
+def cmd_identities(config: IdentitiesConfig) -> int:
     if set(config.checks) == {"lemma"}:
         columns, tols, rows = _lemma_rows(config)
     else:
         columns, tols, rows = _helicoid_rows(config)
-    _write_csv(columns, rows, config.output.get("csv"))
+    _write_csv(columns, rows, config.output.csv)
 
     label = type(config.family).__name__
     checks = [
@@ -284,18 +284,18 @@ def cmd_identities(config: RunConfig) -> int:
         for j, name in enumerate(columns)
     ]
     _print_checks(label, checks)
-    if config.output.get("report"):
+    if config.output.report:
         doc = {"version": CONFIG_VERSION, "kind": "identities-report",
                "family": spec_to_json(config.family),
                "plan": config.plan.to_json(),
                "tolerances": config.tolerances.to_json(),
                "checks": [c.to_json() for c in checks]}
-        _write_json(doc, config.output["report"])
+        _write_json(doc, config.output.report)
     return 0 if all(c.as_expected for c in checks) else 1
 
 
-def cmd_mesh(config: RunConfig) -> int:
-    path = config.output.get("mesh")
+def cmd_mesh(config: MeshConfig) -> int:
+    path = config.output.mesh
     if not path:
         raise SpecError("mesh command needs an output path "
                         "(config output.mesh or --out)")
@@ -308,25 +308,23 @@ def cmd_mesh(config: RunConfig) -> int:
     return 0
 
 
-def cmd_takahashi(config: RunConfig) -> int:
-    report = takahashi_equivalence(config.family, config.rays, config.plan,
+def cmd_takahashi(config: TakahashiConfig) -> int:
+    report = takahashi_equivalence(config.base, config.rays, config.plan,
                                    config.tolerances)
-    label = type(config.family).__name__
+    label = type(config.base).__name__
     _print_checks(label, report.checks)
     print(f"{label}:agreement: {report.agreement}")
-    _write_json(report.to_json(), config.output.get("report"))
+    _write_json(report.to_json(), config.output.report)
     return 0 if report.all_expected else 1
 
 
+# command -> (config class, runner, the output that --out names)
 _COMMANDS = {
-    "verify": cmd_verify,
-    "identities": cmd_identities,
-    "mesh": cmd_mesh,
-    "takahashi": cmd_takahashi,
+    "verify": (VerifyConfig, cmd_verify, "report"),
+    "identities": (IdentitiesConfig, cmd_identities, "csv"),
+    "mesh": (MeshConfig, cmd_mesh, "mesh"),
+    "takahashi": (TakahashiConfig, cmd_takahashi, "report"),
 }
-
-_PRIMARY_OUTPUT = {"verify": "report", "identities": "csv", "mesh": "mesh",
-                   "takahashi": "report"}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -334,7 +332,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="minvar",
         description="verify minimal-submanifold families numerically")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, func in _COMMANDS.items():
+    for name, (_, func, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=func.__doc__)
         p.add_argument("config", help="path to a JSON config file")
         p.add_argument("--seed", type=int, default=None,
@@ -351,23 +349,17 @@ def main(argv=None) -> int:
     try:
         with io.open(args.config, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
+        _, run, primary = _COMMANDS[args.command]
         config = parse_config(doc, args.command)
-        plan = config.plan
-        if args.seed is not None:
-            plan = replace(plan, seed=args.seed)
-        if args.points is not None:
-            plan = replace(plan, count=args.points)
-        if plan is not config.plan:
-            config = replace(config, plan=plan)
+        plan = {k: v for k, v in (("seed", args.seed), ("count", args.points))
+                if v is not None}
+        if plan and hasattr(config, "plan"):     # a mesh samples no plan
+            config = replace(config, plan=replace(config.plan, **plan))
         if args.out is not None:
-            output = dict(config.output)
-            output[_PRIMARY_OUTPUT[args.command]] = args.out
-            config = replace(config, output=output)
-        return _COMMANDS[args.command](config)
-    except MinvarError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError) as exc:
+            config = replace(config, output=replace(config.output,
+                                                    **{primary: args.out}))
+        return run(config)
+    except (MinvarError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

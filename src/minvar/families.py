@@ -42,6 +42,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import types
 import typing
 from dataclasses import dataclass, replace
 from typing import Union
@@ -101,9 +102,9 @@ class PitchVector:
     lambdas: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "lambda0", float(self.lambda0))
-        object.__setattr__(self, "lambdas",
-                           tuple(float(x) for x in self.lambdas))
+        _finite_fields(self, "lambda0")
+        object.__setattr__(self, "lambdas", tuple(
+            _finite_float(x, "lambdas") for x in self.lambdas))
         if len(self.lambdas) < 1:
             raise SpecError("pitch vector needs at least one angular rate")
 
@@ -150,18 +151,9 @@ class CliffordCone(_Family):
         return (self.dimensions()[0] - 1,)
 
     def build(self) -> Immersion:
-        block = self.block
-        nu = block.param_dim
-
-        def comps(cols):
-            c = block.embed(cols[:nu])
-            r = cols[nu]
-            return [r * ci for ci in c]
-
-        return Immersion(
-            param_dim=nu + 1, ambient_dim=block.ambient_dim, components=comps,
-            domain=block.domain_box() + (RADIAL_BOX,),
-            name=f"clifford-cone-N{block.sphere_dim}")
+        cone = LRaysCone(rays=1, base=CliffordTorus(block=self.block))
+        return replace(cone.build(),
+                       name=f"clifford-cone-N{self.block.sphere_dim}")
 
 
 @dataclass(frozen=True)
@@ -329,8 +321,7 @@ class GenHelicoidB(_Family):
 
     def __post_init__(self):
         _check_rays(self.rays)
-        object.__setattr__(self, "angular_pitch", float(self.angular_pitch))
-        object.__setattr__(self, "axial_pitch", float(self.axial_pitch))
+        _finite_fields(self, "angular_pitch", "axial_pitch")
 
     def dimensions(self) -> tuple[int, int]:
         return (self.block.param_dim + 1 + self.rays,
@@ -384,7 +375,7 @@ class ChoeHoppe(_Family):
     def __post_init__(self):
         if not isinstance(self.sphere_dim, int) or self.sphere_dim < 1:
             raise SpecError("sphere_dim must be an integer >= 1")
-        object.__setattr__(self, "pitch", float(self.pitch))
+        _finite_fields(self, "pitch")
         for label, chart in (("chart_p", self.chart_p),
                              ("chart_q", self.chart_q)):
             if chart is not None and chart.dim != self.sphere_dim - 1:
@@ -484,8 +475,7 @@ class LawsonSurface(_Family):
     spherical = True
 
     def __post_init__(self):
-        object.__setattr__(self, "lambda1", float(self.lambda1))
-        object.__setattr__(self, "lambda2", float(self.lambda2))
+        _finite_fields(self, "lambda1", "lambda2")
         if self.lambda1 == 0.0 and self.lambda2 == 0.0:
             raise SpecError("rotation rates must not both vanish")
 
@@ -620,7 +610,7 @@ class LatitudeCircle(_Family):
     spherical = True
 
     def __post_init__(self):
-        object.__setattr__(self, "height", float(self.height))
+        _finite_fields(self, "height")
         if not abs(self.height) < 1.0:
             raise SpecError("latitude height must satisfy |h| < 1")
 
@@ -650,7 +640,7 @@ class Cylinder(_Family):
     control = True
 
     def __post_init__(self):
-        object.__setattr__(self, "radius", float(self.radius))
+        _finite_fields(self, "radius")
         if self.radius <= 0.0:
             raise SpecError("cylinder radius must be positive")
 
@@ -677,9 +667,26 @@ FamilySpec = Union[
 BaseSpec = Union[FamilySpec, SphereChart]
 
 
+def _finite_float(value, name: str) -> float:
+    """``value`` as a float; SpecError unless it is a finite number."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        raise SpecError(f"{name} must be a number, got {value!r}") from None
+    if not math.isfinite(x):
+        raise SpecError(f"{name} must be finite, got {x}")
+    return x
+
+
+def _finite_fields(spec, *names: str) -> None:
+    """Store the named fields of a frozen spec as finite floats."""
+    for name in names:
+        object.__setattr__(spec, name, _finite_float(getattr(spec, name), name))
+
+
 def _check_rays(rays) -> None:
     if not isinstance(rays, int) or rays < 1:
-        raise SpecError(f"ray count must be an integer >= 1, got {rays!r}")
+        raise SpecError(f"rays must be an integer >= 1, got {rays!r}")
 
 
 def _check_pitch(pitch) -> None:
@@ -884,7 +891,7 @@ def choe_hoppe_graph_function(x) -> np.ndarray:
     return np.asarray(_graph_value(cols))
 
 
-def _guard_branch(x: np.ndarray, branch_tol: float = BRANCH_TOL) -> None:
+def _guard_branch(x: np.ndarray) -> None:
     if x.shape[-1] % 2 or x.shape[-1] < 2:
         raise DimensionMismatch(
             f"graph function needs 2N interleaved coordinates, "
@@ -894,14 +901,13 @@ def _guard_branch(x: np.ndarray, branch_tol: float = BRANCH_TOL) -> None:
     den = np.sum(xs * xs - ys * ys, axis=-1)
     num = 2.0 * np.sum(xs * ys, axis=-1)
     mag = np.hypot(num, den)
-    if np.any(mag <= branch_tol):
+    if np.any(mag <= BRANCH_TOL):
         raise BranchLocusError(
-            f"point within {branch_tol:g} of the branch locus of the "
+            f"point within {BRANCH_TOL:g} of the branch locus of the "
             f"graph function")
 
 
-def choe_hoppe_graph_residual(sphere_dim: int, x,
-                              branch_tol: float = BRANCH_TOL) -> np.ndarray:
+def choe_hoppe_graph_residual(sphere_dim: int, x) -> np.ndarray:
     """Divergence-form minimal-surface residual Σ_k ∂_k(f_k / W) of f.
 
     W = sqrt(1 + ‖∇f‖²); expanding the divergence gives
@@ -911,7 +917,7 @@ def choe_hoppe_graph_residual(sphere_dim: int, x,
     if x.shape[-1] != 2 * sphere_dim:
         raise DimensionMismatch(
             f"expected {2 * sphere_dim} coordinates, got {x.shape[-1]}")
-    _guard_branch(x, branch_tol)
+    _guard_branch(x)
     jf = jet_eval(lambda *cols: _graph_value(list(cols)), x)
     grad, hess = jf.grad, jf.hess
     w2 = 1.0 + np.sum(grad * grad, axis=-1)
@@ -970,17 +976,18 @@ def _check_keys(d: dict, required: set, optional: set, where: str) -> None:
 
 @functools.cache
 def _schema(cls) -> tuple[dict, frozenset, frozenset]:
-    """(annotation per field, required keys, optional keys) of a spec class.
+    """(annotation per field, required keys, optional keys) of a record class.
 
-    A field with a default (always None here) is optional.  Cached because
-    resolving the string annotations costs more than decoding a spec.
+    A field with a default is optional.  Cached because resolving the string
+    annotations costs more than decoding a record.
     """
     hints = typing.get_type_hints(cls)
     fields = dataclasses.fields(cls)
-    types = {f.name: hints[f.name] for f in fields}
+    hinted = {f.name: hints[f.name] for f in fields}
     required = frozenset(f.name for f in fields
-                         if f.default is dataclasses.MISSING)
-    return types, required, frozenset(types) - required
+                         if f.default is dataclasses.MISSING
+                         and f.default_factory is dataclasses.MISSING)
+    return hinted, required, frozenset(hinted) - required
 
 
 def _value_to_json(value):
@@ -996,7 +1003,7 @@ def _value_to_json(value):
 
 
 def _object_to_json(obj) -> dict:
-    """The fields of a spec dataclass in declaration order; None is omitted."""
+    """The fields of a record dataclass in declaration order; None is omitted."""
     out = {}
     for name, tp in _schema(type(obj))[0].items():
         value = getattr(obj, name)
@@ -1009,34 +1016,60 @@ def _object_to_json(obj) -> dict:
 def _value_from_json(tp, value, where: str):
     """Parse one JSON value by its type annotation; ``where`` is its path.
 
-    ``float`` takes a finite int or float, ``int`` only an int (never a bool),
-    ``tuple[X, ...]`` a JSON array, a bare ``tuple`` a matrix, and a field
-    typed with a family class must decode to that class.
+    ``float`` takes a finite int or float, ``int`` only an int and ``bool``
+    only a bool; ``tuple[X, ...]`` takes a JSON array, ``tuple[X, Y]`` one of
+    that length, and a bare ``tuple`` a matrix; ``dict`` passes a JSON object
+    through and ``dict[int, X]`` takes keys that are decimal integers.  In a
+    union, ``null`` selects ``None`` and a JSON array the tuple member.  A
+    field typed with a family class must decode to that class.
     """
-    if tp in (int, float, str):
+    if tp in (bool, int, float, str):
         accepted = (int, float) if tp is float else tp
-        if isinstance(value, bool) or not isinstance(value, accepted):
+        if (isinstance(value, bool) is not (tp is bool)
+                or not isinstance(value, accepted)):
             raise SpecError(f"{where}: expected {tp.__name__}, "
                             f"got {type(value).__name__}")
         if tp is float and not math.isfinite(value):
             raise SpecError(f"{where}: expected a finite number, got {value}")
         return tp(value)
+    if tp is FamilySpec:
+        return spec_from_json(value)
     if tp is BaseSpec:
         return _base_from_json(value, where)
     if tp is SphereChart:
         return _chart_from_json(value, where)
-    args = typing.get_args(tp)
-    if type(None) in args:
-        if value is None:
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin in (Union, types.UnionType):
+        if value is None and type(None) in args:
             return None
-        (inner,) = set(args) - {type(None)}
+        members = [a for a in args if a is not type(None)]
+        if len(members) > 1:
+            members = [a for a in members if isinstance(value, list)
+                       == (a is tuple or typing.get_origin(a) is tuple)]
+        (inner,) = members
         return _value_from_json(inner, value, where)
-    if typing.get_origin(tp) is tuple:
+    if dict in (tp, origin):
+        if not isinstance(value, dict):
+            raise SpecError(f"{where}: expected a JSON object, "
+                            f"got {type(value).__name__}")
+        if tp is dict:
+            return value
+        for k in value:
+            if not (k.isascii() and k.isdigit()):
+                raise SpecError(f"{where}: key {k!r} is not a decimal integer")
+        return {int(k): _value_from_json(args[1], v, f"{where}.{k}")
+                for k, v in value.items()}
+    if origin is tuple:
         if not isinstance(value, list):
             raise SpecError(f"{where}: expected a JSON array, "
                             f"got {type(value).__name__}")
-        return tuple(_value_from_json(args[0], v, f"{where}[{i}]")
-                     for i, v in enumerate(value))
+        if args[-1] is Ellipsis:
+            args = args[:1] * len(value)
+        elif len(value) != len(args):
+            raise SpecError(f"{where}: expected {len(args)} items, "
+                            f"got {len(value)}")
+        return tuple(_value_from_json(a, v, f"{where}[{i}]")
+                     for i, (a, v) in enumerate(zip(args, value)))
     if tp is tuple:
         return matrix_tuple(
             _value_from_json(tuple[tuple[float, ...], ...], value, where))
@@ -1050,7 +1083,7 @@ def _value_from_json(tp, value, where: str):
 
 
 def _object_from_json(cls, d, where: str):
-    """Build a spec dataclass from a JSON object, one field at a time."""
+    """Build a record dataclass from a JSON object, one field at a time."""
     types, required, optional = _schema(cls)
     _check_keys(d, required, optional, where)
     return cls(**{name: _value_from_json(tp, d[name], f"{where}.{name}")

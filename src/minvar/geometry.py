@@ -31,6 +31,7 @@ from .jets import Jet1, Jet2
 
 __all__ = [
     "RANK_TOL",
+    "SPHERE_TOL",
     "Immersion",
     "PointEval",
     "MetricEval",
@@ -51,6 +52,7 @@ __all__ = [
 # inequality gives det g ≤ Π g_ii, so det g / Π g_ii ∈ (0, 1] measures
 # conditioning independently of the metric's overall scale.
 RANK_TOL = 1e-12
+SPHERE_TOL = 1e-12     # how far a sphere residual lets a point leave S^n
 
 
 @dataclass(frozen=True)
@@ -221,7 +223,7 @@ def metric_below_floor(jacobian: np.ndarray, floor: float) -> np.ndarray:
     return (det <= 0.0) | (det <= floor * np.prod(diag, axis=-1))
 
 
-def metric(pe: PointEval, rank_tol: float = RANK_TOL) -> MetricEval:
+def metric(pe: PointEval) -> MetricEval:
     """First fundamental form g = JᵀJ with inverse and determinant."""
     g = np.einsum("...ki,...kj->...ij", pe.jacobian, pe.jacobian)
     det = np.linalg.det(g)
@@ -229,11 +231,11 @@ def metric(pe: PointEval, rank_tol: float = RANK_TOL) -> MetricEval:
         return MetricEval(g=g, g_inv=g, det_g=det)
     diag = np.einsum("...ii->...i", g)
     ratio = det / np.prod(diag, axis=-1)
-    if np.any(det <= 0.0) or np.any(ratio <= rank_tol):
+    if np.any(det <= 0.0) or np.any(ratio <= RANK_TOL):
         worst = float(np.min(ratio))
         raise DegenerateMetric(
             f"rank-deficient metric: det/Hadamard ratio {worst:.3e} "
-            f"<= {rank_tol:.1e}")
+            f"<= {RANK_TOL:.1e}")
     return MetricEval(g=g, g_inv=np.linalg.inv(g), det_g=det)
 
 
@@ -327,27 +329,26 @@ def mean_curvature(imm: Immersion, p) -> MeanCurvatureEval:
 
 
 def sphere_minimality_residual(imm: Immersion, p,
-                               intrinsic_dim: int | None = None,
-                               sphere_tol: float = 1e-12) -> np.ndarray:
+                               intrinsic_dim: int | None = None
+                               ) -> np.ndarray:
     """‖n·F + Δ_g F‖ for immersions into the unit sphere (0 ⟺ minimal there)."""
     n = imm.param_dim if intrinsic_dim is None else intrinsic_dim
-    return sphere_residual_from_pointeval(imm.eval(p), n,
-                                          sphere_tol=sphere_tol)
+    return sphere_residual_from_pointeval(imm.eval(p), n)
 
 
 def sphere_residual_from_pointeval(pe: PointEval, n: int,
-                                   H: np.ndarray | None = None,
-                                   sphere_tol: float = 1e-12) -> np.ndarray:
+                                   H: np.ndarray | None = None
+                                   ) -> np.ndarray:
     """‖n·F + Δ_g F‖ from a PointEval; raises NotSpherical off the sphere.
 
     ``H``, if given, is Δ_g F already assembled from ``pe``.
     """
     radius = np.linalg.norm(pe.position, axis=-1)
     off = float(np.max(np.abs(radius - 1.0)))
-    if off > sphere_tol:
+    if off > SPHERE_TOL:
         raise NotSpherical(
             f"image point leaves the unit sphere by {off:.3e} "
-            f"(tolerance {sphere_tol:.1e})")
+            f"(tolerance {SPHERE_TOL:.1e})")
     if H is None:
         H = laplace_from_pointeval(pe)
     return np.linalg.norm(n * pe.position + H, axis=-1)

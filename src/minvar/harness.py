@@ -15,7 +15,7 @@ for the wall-time stamp.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -41,8 +41,11 @@ from .families import (
     SphericalSlice,
     _base_immersion,
     _base_to_json,
-    _check_keys,
-    _value_from_json,
+    _check_rays,
+    _finite_float,
+    _object_from_json,
+    _object_to_json,
+    _value_to_json,
     build_immersion,
     is_negative_control,
     lands_on_unit_sphere,
@@ -87,7 +90,7 @@ class SamplePlan:
 
     count: int = 200
     seed: int = 0
-    box: tuple | None = None        # per-parameter (lo, hi); None = domain
+    box: tuple[tuple[float, ...], ...] | None = None  # (lo, hi) per parameter
     max_rejects: int = 200
 
     def __post_init__(self):
@@ -101,7 +104,8 @@ class SamplePlan:
             raise SpecError(f"max_rejects must be a positive integer, "
                             f"got {self.max_rejects!r}")
         if self.box is not None:
-            box = tuple(tuple(float(x) for x in pair) for pair in self.box)
+            box = tuple(tuple(_finite_float(x, "sampling interval")
+                              for x in pair) for pair in self.box)
             for pair in box:
                 if len(pair) != 2:
                     raise SpecError(f"sampling interval must be a (lo, hi) "
@@ -112,18 +116,13 @@ class SamplePlan:
             object.__setattr__(self, "box", box)
 
     def to_json(self) -> dict:
-        return {"count": self.count, "seed": self.seed,
-                "box": None if self.box is None else
-                [list(pair) for pair in self.box],
-                "max_rejects": self.max_rejects}
+        # unlike a family spec, the plan echo writes an absent box as null
+        return {f.name: _value_to_json(getattr(self, f.name))
+                for f in fields(self)}
 
     @staticmethod
     def from_json(d: dict) -> "SamplePlan":
-        _check_keys(d, set(), {"count", "seed", "box", "max_rejects"}, "plan")
-        box = _value_from_json(tuple[tuple[float, ...], ...] | None,
-                               d.get("box"), "plan.box")
-        return SamplePlan(count=d.get("count", 200), seed=d.get("seed", 0),
-                          box=box, max_rejects=d.get("max_rejects", 200))
+        return _object_from_json(SamplePlan, d, "plan")
 
 
 @dataclass(frozen=True)
@@ -135,9 +134,9 @@ class TolerancePolicy:
     tol_negative: float = 1e-2
 
     def __post_init__(self):
-        for name in ("tol_H", "tol_identity", "tol_negative"):
-            if not getattr(self, name) > 0.0:
-                raise SpecError(f"{name} must be positive")
+        for f in fields(self):
+            if not getattr(self, f.name) > 0.0:
+                raise SpecError(f"{f.name} must be positive")
         if self.tol_negative < 1e3 * self.tol_H:
             raise SpecError(
                 f"tol_negative ({self.tol_negative:g}) must exceed tol_H "
@@ -145,16 +144,11 @@ class TolerancePolicy:
                 f"loudly, not marginally")
 
     def to_json(self) -> dict:
-        return {"tol_H": self.tol_H, "tol_identity": self.tol_identity,
-                "tol_negative": self.tol_negative}
+        return _object_to_json(self)
 
     @staticmethod
     def from_json(d: dict) -> "TolerancePolicy":
-        _check_keys(d, set(), {"tol_H", "tol_identity", "tol_negative"},
-                    "tolerances")
-        return TolerancePolicy(**{
-            k: _value_from_json(float, v, f"tolerances.{k}")
-            for k, v in d.items()})
+        return _object_from_json(TolerancePolicy, d, "tolerances")
 
 
 @dataclass(frozen=True)
@@ -176,25 +170,23 @@ class CheckResult:
         return self.verdict == self.expected
 
     def to_json(self) -> dict:
-        return {"name": self.name, "max_residual": self.max_residual,
-                "mean_residual": self.mean_residual,
-                "min_residual": self.min_residual,
-                "points_evaluated": self.points_evaluated,
-                "points_excluded": self.points_excluded,
-                "tolerance": self.tolerance, "expected": self.expected,
-                "verdict": self.verdict}
+        return _object_to_json(self)
 
     @staticmethod
     def from_json(d: dict) -> "CheckResult":
-        _check_keys(d, {"name", "max_residual", "mean_residual",
-                        "min_residual", "points_evaluated",
-                        "points_excluded", "tolerance", "expected",
-                        "verdict"}, set(), "check")
-        return CheckResult(**d)
+        return _object_from_json(CheckResult, d, "check")
+
+
+class _Report:
+    """A versioned report document: version and kind, then the fields."""
+
+    def to_json(self) -> dict:
+        return {"version": REPORT_VERSION, "kind": self.kind,
+                **_object_to_json(self)}
 
 
 @dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(_Report):
     """Verdicts of one family's campaign, with config echoes."""
 
     family: dict
@@ -202,23 +194,17 @@ class VerificationReport:
     tolerances: dict
     checks: tuple[CheckResult, ...]
     engine_version: str
-    wall_time: float = field(compare=False, default=0.0)
+    wall_time: float = field(compare=False)
+
+    kind = "verification-report"
 
     @property
     def all_expected(self) -> bool:
         return all(c.as_expected for c in self.checks)
 
-    def to_json(self) -> dict:
-        return {"version": REPORT_VERSION, "kind": "verification-report",
-                "family": self.family, "plan": self.plan,
-                "tolerances": self.tolerances,
-                "checks": [c.to_json() for c in self.checks],
-                "engine_version": self.engine_version,
-                "wall_time": self.wall_time}
-
 
 @dataclass(frozen=True)
-class TakahashiReport:
+class TakahashiReport(_Report):
     """Three-way sphere/join/cone equivalence verdicts for one base."""
 
     base: dict
@@ -228,48 +214,31 @@ class TakahashiReport:
     checks: tuple[CheckResult, ...]
     agreement: bool
     engine_version: str
-    wall_time: float = field(compare=False, default=0.0)
+    wall_time: float = field(compare=False)
+
+    kind = "takahashi-report"
 
     @property
     def all_expected(self) -> bool:
         return self.agreement and all(c.as_expected for c in self.checks)
 
-    def to_json(self) -> dict:
-        return {"version": REPORT_VERSION, "kind": "takahashi-report",
-                "base": self.base, "rays": self.rays, "plan": self.plan,
-                "tolerances": self.tolerances,
-                "checks": [c.to_json() for c in self.checks],
-                "agreement": self.agreement,
-                "engine_version": self.engine_version,
-                "wall_time": self.wall_time}
+
+_REPORT_KINDS = {cls.kind: cls for cls in (VerificationReport,
+                                           TakahashiReport)}
 
 
 def report_from_json(d: dict):
     """Parse either report kind back into its dataclass (strict keys)."""
     if not isinstance(d, dict):
         raise SpecError("report must be a JSON object")
-    if d.get("version") != REPORT_VERSION:
-        raise SpecError(f"unsupported report version {d.get('version')!r}")
-    kind = d.get("kind")
-    checks = tuple(CheckResult.from_json(c) for c in d.get("checks", ()))
-    if kind == "verification-report":
-        _check_keys(d, {"version", "kind", "family", "plan", "tolerances",
-                        "checks", "engine_version", "wall_time"}, set(),
-                    "report")
-        return VerificationReport(
-            family=d["family"], plan=d["plan"], tolerances=d["tolerances"],
-            checks=checks, engine_version=d["engine_version"],
-            wall_time=d["wall_time"])
-    if kind == "takahashi-report":
-        _check_keys(d, {"version", "kind", "base", "rays", "plan",
-                        "tolerances", "checks", "agreement",
-                        "engine_version", "wall_time"}, set(), "report")
-        return TakahashiReport(
-            base=d["base"], rays=d["rays"], plan=d["plan"],
-            tolerances=d["tolerances"], checks=checks,
-            agreement=d["agreement"], engine_version=d["engine_version"],
-            wall_time=d["wall_time"])
-    raise SpecError(f"unknown report kind {kind!r}")
+    version, kind = d.get("version"), d.get("kind")
+    if type(version) is not int or version != REPORT_VERSION:
+        raise SpecError(f"unsupported report version {version!r}")
+    cls = _REPORT_KINDS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise SpecError(f"unknown report kind {kind!r}")
+    body = {k: v for k, v in d.items() if k not in ("version", "kind")}
+    return _object_from_json(cls, body, "report")
 
 
 # ---------------------------------------------------------------------------
@@ -521,8 +490,7 @@ def takahashi_equivalence(base, rays: int,
     if not lands_on_unit_sphere(base):
         raise NotSpherical(
             f"{type(base).__name__} does not land on the unit sphere")
-    if not isinstance(rays, int) or rays < 1:
-        raise SpecError(f"ray count must be a positive integer, got {rays!r}")
+    _check_rays(rays)
 
     expected = ("FAIL-EXPECTED"
                 if not isinstance(base, SphereChart)

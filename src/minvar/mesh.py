@@ -52,8 +52,10 @@ def resolve_projection(projection, ambient_dim: int) -> tuple[int, int, int]:
                 f"got {ambient_dim}")
         return (0, 1, ambient_dim - 1)
     try:
+        if isinstance(projection, str):
+            raise TypeError
         idx = tuple(int(i) for i in projection)
-    except TypeError:
+    except (TypeError, ValueError):
         raise SpecError(f"projection must be 'last-axis' or three "
                         f"coordinate indices, got {projection!r}") from None
     if len(idx) != 3:

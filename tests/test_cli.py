@@ -8,6 +8,8 @@ deterministic for a fixed config.
 
 import csv
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -80,7 +82,7 @@ class TestParseConfig:
         config = parse_config(
             {"version": 1, "rays": 2,
              "base": {"kind": "SphereChart", **CHART}}, "takahashi")
-        assert type(config.family).__name__ == "SphereChart"
+        assert type(config.base).__name__ == "SphereChart"
         with pytest.raises(SpecError, match="rays"):
             parse_config({"version": 1, "rays": 0, "base": LATITUDE},
                          "takahashi")
@@ -296,3 +298,152 @@ class TestTakahashiCommand:
         cfg = write_config(tmp_path, base={"kind": "Cylinder", "radius": 1.0},
                            rays=2)
         assert main(["takahashi", cfg]) == 2
+
+
+LAWSON = {"kind": "LawsonSurface", "lambda1": 1.0, "lambda2": 2.0}
+
+
+@pytest.mark.parametrize("command,doc,message", [
+    ("verify", {"family": LATITUDE, "checks": ["minimality"],
+                "plan": {"count": True}},
+     "config.plan.count: expected int, got bool"),
+    ("verify", {"family": LATITUDE, "checks": ["minimality"],
+                "tolerances": {"tol_H": "1e-8"}},
+     "config.tolerances.tol_H: expected float, got str"),
+    ("verify", {"family": LATITUDE, "checks": ["minimality"], "rays": True},
+     "config.rays: expected int, got bool"),
+    ("verify", {"family": LATITUDE, "checks": ["minimality"],
+                "version": True},
+     "config.version: expected int, got bool"),
+    ("verify", {"family": LATITUDE, "checks": ["minimality"],
+                "output": {"report": 1}},
+     "config.output.report: expected str, got int"),
+    ("mesh", {"family": LAWSON, "fixed": {"a": 1}},
+     "config.fixed: key 'a' is not a decimal integer"),
+    ("mesh", {"family": LAWSON, "fixed": {"0": "x"}},
+     "config.fixed.0: expected float, got str"),
+    ("mesh", {"family": LAWSON, "resolution": True},
+     "config.resolution: expected int, got bool"),
+    ("mesh", {"family": LAWSON, "resolution": [3.7, 4]},
+     "config.resolution[0]: expected int, got float"),
+    ("mesh", {"family": LAWSON, "axes": [0.9, 1.2]},
+     "config.axes[0]: expected int, got float"),
+    ("mesh", {"family": LAWSON, "axes": [0, 1, 2]},
+     "config.axes: expected 2 items, got 3"),
+    ("mesh", {"family": LAWSON, "projection": [0, 1.5, 2]},
+     "config.projection[1]: expected int, got float"),
+    ("mesh", {"family": LAWSON, "projection": "012"},
+     "projection must be 'last-axis' or three coordinate indices"),
+    ("mesh", {"family": LAWSON, "box": [[0, 1], [0, "a"]]},
+     "config.box[1][1]: expected float, got str"),
+    ("mesh", {"family": LAWSON, "output": {"mesh": 1}},
+     "config.output.mesh: expected str, got int"),
+    ("takahashi", {"base": LATITUDE, "rays": 2.0},
+     "config.rays: expected int, got float"),
+])
+def test_malformed_values_exit_two_without_output(tmp_path, capsys, command,
+                                                  doc, message):
+    primary = "mesh" if command == "mesh" else "report"
+    out = tmp_path / "out"
+    doc = {"version": 1, "output": {primary: str(out)}, **doc}
+    assert main([command, write_config(tmp_path, **doc)]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert not out.exists() and not captured.out
+
+
+def test_identities_report_bytes_pinned(tmp_path):
+    rep = tmp_path / "identities.json"
+    cfg = write_config(tmp_path, family=HELICOID, plan={"count": 2, "seed": 3},
+                       checks=["helicoid-algebra"],
+                       output={"report": str(rep)})
+    assert main(["identities", cfg]) == 0
+    assert rep.read_text() == PINNED_IDENTITIES
+
+
+PINNED_IDENTITIES = """\
+{
+  "checks": [
+    {
+      "expected": "PASS",
+      "max_residual": 2.442712594626914e-16,
+      "mean_residual": 2.1780177812492992e-16,
+      "min_residual": 1.9133229678716842e-16,
+      "name": "det_defect",
+      "points_evaluated": 2,
+      "points_excluded": 0,
+      "tolerance": 1e-09,
+      "verdict": "PASS"
+    },
+    {
+      "expected": "PASS",
+      "max_residual": 4.440892098500626e-16,
+      "mean_residual": 3.3306690738754696e-16,
+      "min_residual": 2.220446049250313e-16,
+      "name": "inverse_defect",
+      "points_evaluated": 2,
+      "points_excluded": 0,
+      "tolerance": 1e-09,
+      "verdict": "PASS"
+    }
+  ],
+  "family": {
+    "blocks": [
+      {
+        "chart_x": {
+          "chart_kind": "stereographic",
+          "dim": 1
+        },
+        "chart_y": {
+          "chart_kind": "stereographic",
+          "dim": 1
+        }
+      }
+    ],
+    "kind": "GenHelicoidA",
+    "pitch": {
+      "lambda0": 0.8,
+      "lambdas": [
+        1.2
+      ]
+    }
+  },
+  "kind": "identities-report",
+  "plan": {
+    "box": null,
+    "count": 2,
+    "max_rejects": 200,
+    "seed": 3
+  },
+  "tolerances": {
+    "tol_H": 1e-08,
+    "tol_identity": 1e-09,
+    "tol_negative": 0.01
+  },
+  "version": 1
+}
+"""
+
+
+class TestReadme:
+    README = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+
+    def test_verify_config_example_parses(self):
+        block = re.search(r"A verify config:\s*```json\n(.*?)```", self.README,
+                          re.S).group(1)
+        config = parse_config(json.loads(block), "verify")
+        assert type(config.family).__name__ == "GenHelicoidA"
+        assert config.checks == ("minimality", "screw")
+
+    @pytest.mark.parametrize("command,doc", [
+        ("verify", {"version": 1, "checks": ["minimality"],
+                    "family": {"kind": "LRaysCone", "rays": 2.0,
+                               "base": LATITUDE}}),
+        ("verify", {"version": 1, "checks": ["minimality"],
+                    "family": LATITUDE, "plan": {"count": True}}),
+    ])
+    def test_error_examples_are_what_the_codec_raises(self, command, doc):
+        with pytest.raises(SpecError) as raised:
+            parse_config(doc, command)
+        assert f"`{raised.value}`" in " ".join(self.README.split())

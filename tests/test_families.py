@@ -642,6 +642,30 @@ def test_spec_json_strictness():
             spec_from_json(doc)
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda: Cylinder(radius=NAN), "radius must be finite, got nan"),
+    (lambda: Cylinder(radius="wide"), "radius must be a number, got 'wide'"),
+    (lambda: LawsonSurface(INF, 1.0), "lambda1 must be finite, got inf"),
+    (lambda: LawsonSurface(1.0, -INF), "lambda2 must be finite, got -inf"),
+    (lambda: BDJ(PitchVector(NAN, (1.0,))), "lambda0 must be finite"),
+    (lambda: PitchVector(0.5, (1.0, INF)), "lambdas must be finite"),
+    (lambda: GenHelicoidB(rays=1, block=standard_block(1),
+                          angular_pitch=NAN, axial_pitch=0.0),
+     "angular_pitch must be finite"),
+    (lambda: GenHelicoidB(rays=1, block=standard_block(1),
+                          angular_pitch=1.0, axial_pitch=INF),
+     "axial_pitch must be finite"),
+    (lambda: ChoeHoppe(sphere_dim=1, pitch=NAN), "pitch must be finite"),
+    (lambda: LatitudeCircle(NAN), "height must be finite"),
+])
+def test_non_finite_fields_refused(make, message):
+    with pytest.raises(SpecError, match=re.escape(message)):
+        make()
+
+
 def test_spec_validation_errors():
     with pytest.raises(SpecError):
         PitchVector(lambda0=1.0, lambdas=())

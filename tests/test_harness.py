@@ -9,9 +9,11 @@ which is 1/sqrt(3) at h = 0.5.  Positive instances must sit at roundoff.
 
 import json
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from minvar import harness
 from minvar.errors import (NonFiniteResidual, NotSpherical, SamplingExhausted,
@@ -516,6 +518,110 @@ class TestReportSerialization:
                             points_evaluated=5, points_excluded=0,
                             tolerance=1e-8, expected="PASS", verdict="FAIL")
         assert not check.as_expected
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+PLANS = st.builds(
+    SamplePlan, count=st.integers(1, 10 ** 6), seed=st.integers(0, 2 ** 64 - 1),
+    box=st.none() | st.lists(
+        st.tuples(FINITE, FINITE).filter(lambda p: p[0] < p[1])
+        .map(tuple), max_size=4).map(tuple),
+    max_rejects=st.integers(1, 10 ** 6))
+TOLERANCES = st.tuples(
+    st.floats(1e-300, 1e-3), st.floats(1e-300, 1.0), st.floats(1.0, 1e300)
+).map(lambda t: TolerancePolicy(*t))
+CHECKS = st.builds(
+    CheckResult, name=st.text(), max_residual=FINITE, mean_residual=FINITE,
+    min_residual=FINITE, points_evaluated=st.integers(0, 10 ** 9),
+    points_excluded=st.integers(0, 10 ** 9), tolerance=FINITE,
+    expected=st.sampled_from(["PASS", "FAIL-EXPECTED"]),
+    verdict=st.sampled_from(["PASS", "FAIL", "FAIL-EXPECTED"]))
+
+
+@pytest.mark.parametrize("cls,records", [
+    (SamplePlan, PLANS), (TolerancePolicy, TOLERANCES), (CheckResult, CHECKS),
+], ids=["plan", "tolerances", "check"])
+def test_record_json_round_trip(cls, records):
+    @settings(max_examples=200, deadline=None)
+    @given(record=records)
+    def round_trip(record):
+        text = json.dumps(record.to_json(), allow_nan=False)
+        assert cls.from_json(json.loads(text)) == record
+    round_trip()
+
+
+@pytest.mark.parametrize("box", [((-np.inf, 1.0),), ((0.0, np.nan),),
+                                 ((0.0, 1.0), (0.0, "wide"))])
+def test_plan_refuses_non_finite_box(box):
+    with pytest.raises(SpecError, match="sampling interval must be"):
+        SamplePlan(box=box)
+
+
+# The report format, byte for byte: a change to it must show up here.
+PINNED_VERIFICATION = (
+    '{"version": 1, "kind": "verification-report", "family": {"kind": '
+    '"Cylinder", "radius": 2.0}, "plan": {"count": 2, "seed": 3, "box": '
+    'null, "max_rejects": 200}, "tolerances": {"tol_H": 1e-08, '
+    '"tol_identity": 1e-09, "tol_negative": 0.01}, "checks": [{"name": '
+    '"minimality", "max_residual": 0.08333333333333336, "mean_residual": '
+    '0.08333333333333334, "min_residual": 0.08333333333333333, '
+    '"points_evaluated": 2, "points_excluded": 0, "tolerance": 1e-08, '
+    '"expected": "FAIL-EXPECTED", "verdict": "FAIL-EXPECTED"}, {"name": '
+    '"tangential-residual", "max_residual": 4.625929269271487e-18, '
+    '"mean_residual": 2.3129646346357434e-18, "min_residual": 0.0, '
+    '"points_evaluated": 2, "points_excluded": 0, "tolerance": 1e-08, '
+    '"expected": "PASS", "verdict": "PASS"}], "engine_version": "0.1.0", '
+    '"wall_time": 0.25}')
+PINNED_TAKAHASHI = (
+    '{"version": 1, "kind": "takahashi-report", "base": {"kind": '
+    '"LatitudeCircle", "height": 0.5}, "rays": 2, "plan": {"count": 2, '
+    '"seed": 3, "box": null, "max_rejects": 200}, "tolerances": {"tol_H": '
+    '1e-08, "tol_identity": 1e-09, "tol_negative": 0.01}, "checks": '
+    '[{"name": "sphere-base", "max_residual": 0.5773502691896258, '
+    '"mean_residual": 0.5773502691896257, "min_residual": '
+    '0.5773502691896257, "points_evaluated": 2, "points_excluded": 0, '
+    '"tolerance": 1e-08, "expected": "FAIL-EXPECTED", "verdict": '
+    '"FAIL-EXPECTED"}, {"name": "sphere-join", "max_residual": '
+    '0.5773502691896258, "mean_residual": 0.5773502691896257, '
+    '"min_residual": 0.5773502691896257, "points_evaluated": 2, '
+    '"points_excluded": 0, "tolerance": 1e-08, "expected": "FAIL-EXPECTED", '
+    '"verdict": "FAIL-EXPECTED"}, {"name": "cone-rays", "max_residual": '
+    '0.3660304529404577, "mean_residual": 0.34642141757787037, '
+    '"min_residual": 0.326812382215283, "points_evaluated": 2, '
+    '"points_excluded": 0, "tolerance": 1e-08, "expected": "FAIL-EXPECTED", '
+    '"verdict": "FAIL-EXPECTED"}], "agreement": true, "engine_version": '
+    '"0.1.0", "wall_time": 0.25}')
+
+
+@pytest.mark.parametrize("run,text", [
+    (lambda plan: verify_minimality(Cylinder(2.0), plan), PINNED_VERIFICATION),
+    (lambda plan: takahashi_equivalence(LatitudeCircle(0.5), 2, plan),
+     PINNED_TAKAHASHI),
+], ids=["verification", "takahashi"])
+def test_report_bytes_pinned(run, text):
+    report = replace(run(SamplePlan(count=2, seed=3)), wall_time=0.25)
+    assert json.dumps(report.to_json()) == text
+    assert report_from_json(json.loads(text)) == report
+
+
+def test_report_values_are_type_checked():
+    doc = verify_minimality(LatitudeCircle(0.0), SamplePlan(count=3)).to_json()
+    malformed = [
+        ({"checks": 5}, "report.checks: expected a JSON array, got int"),
+        ({"checks": [dict(doc["checks"][0], max_residual="abc")]},
+         "report.checks[0].max_residual: expected float, got str"),
+        ({"checks": [dict(doc["checks"][0], points_evaluated=3.0)]},
+         "report.checks[0].points_evaluated: expected int, got float"),
+        ({"family": [1]}, "report.family: expected a JSON object, got list"),
+        ({"wall_time": None}, "report.wall_time: expected float, got NoneType"),
+        ({"version": True}, "unsupported report version True"),
+    ]
+    for change, message in malformed:
+        with pytest.raises(SpecError, match=re.escape(message)):
+            report_from_json({**doc, **change})
+    del doc["wall_time"]
+    with pytest.raises(SpecError, match=re.escape("missing field(s)")):
+        report_from_json(doc)
 
 
 class TestDefaultCampaign:
