@@ -31,7 +31,6 @@ from .geometry import (
     MetricEval,
     PointEval,
     metric,
-    metric_derivative,
 )
 
 __all__ = [
@@ -92,7 +91,7 @@ class SphereChart:
     branch: int = 1
 
     def __post_init__(self):
-        if not isinstance(self.dim, int) or self.dim < 0:
+        if type(self.dim) is not int or self.dim < 0:
             raise SpecError(f"chart dimension must be a non-negative integer, "
                             f"got {self.dim!r}")
         if self.kind not in CHART_KINDS:
@@ -271,8 +270,7 @@ class CliffordFrame:
     d2C: np.ndarray    # (..., K, n, n)
     w: np.ndarray      # (..., n),       w_j = ∂_j C · JC
     m: np.ndarray      # (...,),         m = D · JC
-    metric: MetricEval
-    dg: np.ndarray     # (..., n, n, n), [k, i, j] = ∂_k g_ij
+    metric: MetricEval  # g, g⁻¹, det g and ∂g of C
     dw: np.ndarray     # (..., n, n),    [k, i] = ∂_k w_i
     dm: np.ndarray     # (..., n)
     split: int         # parameter count of the first factor chart
@@ -306,5 +304,5 @@ def clifford_frame(block: CliffordBlock, p) -> CliffordFrame:
     return CliffordFrame(C=C, D=D, JC=jc, JD=apply_complex_structure(D),
                          dC=dC, dD=dD, d2C=pe_c.second, w=w,
                          m=np.einsum("...a,...a->...", D, jc),
-                         metric=metric(pe_c), dg=metric_derivative(pe_c),
-                         dw=dw, dm=dm, split=block.chart_x.param_dim)
+                         metric=metric(pe_c), dw=dw, dm=dm,
+                         split=block.chart_x.param_dim)

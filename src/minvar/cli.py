@@ -40,8 +40,11 @@ from .families import (
     spec_to_json,
 )
 from .harness import (
+    REPORT_VERSION,
+    IdentitiesReport,
     SamplePlan,
     TolerancePolicy,
+    _check_report_version,
     _summarize,
     report_from_json,
     sample_points,
@@ -190,6 +193,7 @@ def _print_checks(label: str, checks) -> None:
 def load_reports(doc: dict) -> list:
     """Reports from a written document (single report or a report list)."""
     if isinstance(doc, dict) and doc.get("kind") == "report-list":
+        _check_report_version(doc, "report-list")
         reports = _value_from_json(tuple[dict, ...], doc.get("reports"),
                                    "report-list.reports")
         return [report_from_json(r) for r in reports]
@@ -199,7 +203,7 @@ def load_reports(doc: dict) -> list:
 def _reports_doc(reports: list) -> dict:
     if len(reports) == 1:
         return reports[0].to_json()
-    return {"version": CONFIG_VERSION, "kind": "report-list",
+    return {"version": REPORT_VERSION, "kind": "report-list",
             "reports": [r.to_json() for r in reports]}
 
 
@@ -284,14 +288,12 @@ def cmd_identities(config: IdentitiesConfig) -> int:
         for j, name in enumerate(columns)
     ]
     _print_checks(label, checks)
-    if config.output.report:
-        doc = {"version": CONFIG_VERSION, "kind": "identities-report",
-               "family": spec_to_json(config.family),
-               "plan": config.plan.to_json(),
-               "tolerances": config.tolerances.to_json(),
-               "checks": [c.to_json() for c in checks]}
-        _write_json(doc, config.output.report)
-    return 0 if all(c.as_expected for c in checks) else 1
+    report = IdentitiesReport(family=spec_to_json(config.family),
+                              plan=config.plan.to_json(),
+                              tolerances=config.tolerances.to_json(),
+                              checks=tuple(checks))
+    _write_json(report.to_json(), config.output.report)
+    return 0 if report.all_expected else 1
 
 
 def cmd_mesh(config: MeshConfig) -> int:

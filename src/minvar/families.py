@@ -373,7 +373,7 @@ class ChoeHoppe(_Family):
     chart_q: SphereChart | None = None
 
     def __post_init__(self):
-        if not isinstance(self.sphere_dim, int) or self.sphere_dim < 1:
+        if type(self.sphere_dim) is not int or self.sphere_dim < 1:
             raise SpecError("sphere_dim must be an integer >= 1")
         _finite_fields(self, "pitch")
         for label, chart in (("chart_p", self.chart_p),
@@ -514,7 +514,7 @@ class HarveyLawsonCone(_Family):
     chart_y: SphereChart | None = None
 
     def __post_init__(self):
-        if not isinstance(self.sphere_dim, int) or self.sphere_dim < 0:
+        if type(self.sphere_dim) is not int or self.sphere_dim < 0:
             raise SpecError("sphere_dim must be an integer >= 0")
         for label, chart in (("chart_x", self.chart_x),
                              ("chart_y", self.chart_y)):
@@ -685,7 +685,7 @@ def _finite_fields(spec, *names: str) -> None:
 
 
 def _check_rays(rays) -> None:
-    if not isinstance(rays, int) or rays < 1:
+    if type(rays) is not int or rays < 1:
         raise SpecError(f"rays must be an integer >= 1, got {rays!r}")
 
 

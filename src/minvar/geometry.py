@@ -11,10 +11,11 @@ finite-difference oracle.  Everything downstream is assembled from
     Δ_g F     = g^{ij}(∂ᵢ∂ⱼF − Γ^k_{ij} ∂ₖF)   (contraction form)
               = (1/√g) ∂ᵢ(√g g^{ij} ∂ⱼF)       (divergence form, cross-check)
 
-The mean curvature vector is H = Δ_g F; it is normal to the immersion, which
-the tangential-residual field quantifies.  For maps into the unit sphere,
-minimality is equivalent to Δ_g F = −n·F (sphere_minimality_residual, or
-sphere_residual_from_pointeval on an existing ``PointEval``).
+``metric`` assembles g, g⁻¹, det g and ∂g once; every operator below reads
+that ``MetricEval``.  The divergence form is g^{ij}∂ᵢ∂ⱼF + Σⱼ(Δ_g u_j)∂ⱼF.
+The mean curvature vector H = Δ_g F is normal to the immersion, which
+``mean_curvature``'s tangential residual quantifies.  For maps into the unit
+sphere, minimality is Δ_g F = −n·F (``sphere_residual_from_pointeval``).
 
 All operations accept batched points (leading axes broadcast through).
 """
@@ -39,12 +40,9 @@ __all__ = [
     "metric",
     "metric_below_floor",
     "metric_derivative",
-    "laplace_beltrami",
     "laplace_from_pointeval",
-    "coordinate_laplacian",
-    "coordinate_laplacian_from_pointeval",
+    "coordinate_laplacians",
     "mean_curvature",
-    "sphere_minimality_residual",
     "sphere_residual_from_pointeval",
 ]
 
@@ -66,11 +64,12 @@ class PointEval:
 
 @dataclass(frozen=True)
 class MetricEval:
-    """First fundamental form with inverse and determinant."""
+    """First fundamental form with inverse, determinant and derivative."""
 
     g: np.ndarray      # (..., n, n)
     g_inv: np.ndarray  # (..., n, n)
     det_g: np.ndarray  # (...,)
+    dg: np.ndarray     # (..., n, n, n), [k, i, j] = ∂ₖ g_ij
 
 
 @dataclass(frozen=True)
@@ -211,32 +210,33 @@ class Immersion:
         return mask
 
 
+def _gram(jacobian: np.ndarray):
+    """(g = JᵀJ, det g, Π g_ii), the last being Hadamard's bound on det g."""
+    g = np.einsum("...ki,...kj->...ij", jacobian, jacobian)
+    return g, np.linalg.det(g), np.prod(np.einsum("...ii->...i", g), axis=-1)
+
+
 def metric_below_floor(jacobian: np.ndarray, floor: float) -> np.ndarray:
     """Mask of points whose metric g = JᵀJ is close to rank-deficient.
 
     Flags det g ≤ floor · Π g_ii (the scale-free Hadamard ratio that
     RANK_TOL also bounds) and any non-positive determinant.
     """
-    g = np.einsum("...ki,...kj->...ij", jacobian, jacobian)
-    det = np.linalg.det(g)
-    diag = np.einsum("...ii->...i", g)
-    return (det <= 0.0) | (det <= floor * np.prod(diag, axis=-1))
+    _, det, hadamard = _gram(jacobian)
+    return (det <= 0.0) | (det <= floor * hadamard)
 
 
 def metric(pe: PointEval) -> MetricEval:
-    """First fundamental form g = JᵀJ with inverse and determinant."""
-    g = np.einsum("...ki,...kj->...ij", pe.jacobian, pe.jacobian)
-    det = np.linalg.det(g)
-    if g.shape[-1] == 0:
-        return MetricEval(g=g, g_inv=g, det_g=det)
-    diag = np.einsum("...ii->...i", g)
-    ratio = det / np.prod(diag, axis=-1)
+    """First fundamental form g = JᵀJ with inverse, determinant and ∂g."""
+    g, det, hadamard = _gram(pe.jacobian)
+    ratio = det / hadamard
     if np.any(det <= 0.0) or np.any(ratio <= RANK_TOL):
         worst = float(np.min(ratio))
         raise DegenerateMetric(
             f"rank-deficient metric: det/Hadamard ratio {worst:.3e} "
             f"<= {RANK_TOL:.1e}")
-    return MetricEval(g=g, g_inv=np.linalg.inv(g), det_g=det)
+    return MetricEval(g=g, g_inv=np.linalg.inv(g), det_g=det,
+                      dg=metric_derivative(pe))
 
 
 def metric_derivative(pe: PointEval) -> np.ndarray:
@@ -263,12 +263,22 @@ def _divergence_parts(gi: np.ndarray, dg: np.ndarray):
     return dlogs, -(gk @ dg @ gk)
 
 
+def coordinate_laplacians(met: MetricEval) -> np.ndarray:
+    """Δ_g u_j of every parameter coordinate, shape (..., n).
+
+    For φ = u_j the divergence form collapses to
+    Δ_g u_j = Σᵢ [∂ᵢ(log √g) g^{ij} + ∂ᵢ g^{ij}].
+    """
+    dlogs, dginv = _divergence_parts(met.g_inv, met.dg)
+    return np.einsum("...i,...ij->...j", dlogs, met.g_inv) \
+        + np.einsum("...iij->...j", dginv)
+
+
 def laplace_from_pointeval(pe: PointEval, form: str = "contraction",
                            met: MetricEval | None = None) -> np.ndarray:
     """Δ_g F from a PointEval; ``form`` picks the independent assembly route."""
     met = met or metric(pe)
-    gi = met.g_inv
-    dg = metric_derivative(pe)
+    gi, dg = met.g_inv, met.dg
     trace2 = np.einsum("...ij,...aij->...a", gi, pe.second)
     if form == "contraction":
         # c_k = g^{ij} Γ_{kij} = g^{ij}∂ᵢg_{jk} − ½ g^{ij}∂ₖg_{ij}
@@ -277,45 +287,17 @@ def laplace_from_pointeval(pe: PointEval, form: str = "contraction",
         corr = np.einsum("...lk,...k,...al->...a", gi, c, pe.jacobian)
         return trace2 - corr
     if form == "divergence":
-        dlogs, dginv = _divergence_parts(gi, dg)
-        v = np.einsum("...i,...ij->...j", dlogs, gi) \
-            + np.einsum("...iij->...j", dginv)
-        return trace2 + np.einsum("...j,...aj->...a", v, pe.jacobian)
+        return trace2 + np.einsum("...j,...aj->...a",
+                                  coordinate_laplacians(met), pe.jacobian)
     raise ValueError(f"unknown Laplace-Beltrami form: {form!r}")
 
 
-def laplace_beltrami(imm: Immersion, p, form: str = "contraction") -> np.ndarray:
-    """Mean curvature vector field Δ_g F at p (shape (..., K))."""
-    return laplace_from_pointeval(imm.eval(p), form=form)
-
-
-def coordinate_laplacian(imm: Immersion, p, index: int) -> np.ndarray:
-    """Δ_g of the parameter coordinate u_index, via the divergence form."""
-    return coordinate_laplacian_from_pointeval(imm.eval(p), index)
-
-
-def coordinate_laplacian_from_pointeval(pe: PointEval, index: int,
-                                        met: MetricEval | None = None
-                                        ) -> np.ndarray:
-    """Δ_g u_index from a PointEval, via the divergence form.
-
-    For φ = u_c the divergence form collapses to
-    Δφ = Σᵢ [∂ᵢ(log √g) g^{ic} + ∂ᵢ g^{ic}].  ``met``, if given, is the
-    metric already assembled from ``pe``.
-    """
-    gi = (met or metric(pe)).g_inv
-    dlogs, dginv = _divergence_parts(gi, metric_derivative(pe))
-    return np.einsum("...i,...i->...", dlogs, gi[..., :, index]) \
-        + np.einsum("...ii->...", dginv[..., :, :, index])
-
-
-def mean_curvature(imm: Immersion, p) -> MeanCurvatureEval:
+def mean_curvature(pe: PointEval) -> MeanCurvatureEval:
     """H = Δ_g F plus its norm and the norm of its tangential projection.
 
     The tangential part solves the normal equations g·c = Jᵀ H (the Gram
     matrix of the Jacobian columns is g itself) and measures ‖J·c‖.
     """
-    pe = imm.eval(p)
     met = metric(pe)
     H = laplace_from_pointeval(pe, met=met)
     rhs = np.einsum("...an,...a->...n", pe.jacobian, H)
@@ -326,14 +308,6 @@ def mean_curvature(imm: Immersion, p) -> MeanCurvatureEval:
         H_norm=np.linalg.norm(H, axis=-1),
         tangential_residual=np.linalg.norm(tangential, axis=-1),
     )
-
-
-def sphere_minimality_residual(imm: Immersion, p,
-                               intrinsic_dim: int | None = None
-                               ) -> np.ndarray:
-    """‖n·F + Δ_g F‖ for immersions into the unit sphere (0 ⟺ minimal there)."""
-    n = imm.param_dim if intrinsic_dim is None else intrinsic_dim
-    return sphere_residual_from_pointeval(imm.eval(p), n)
 
 
 def sphere_residual_from_pointeval(pe: PointEval, n: int,

@@ -42,6 +42,7 @@ from .families import (
     _base_immersion,
     _base_to_json,
     _check_rays,
+    _finite_fields,
     _finite_float,
     _object_from_json,
     _object_to_json,
@@ -60,7 +61,7 @@ from .geometry import (
     Immersion,
     PointEval,
     laplace_from_pointeval,
-    metric,
+    mean_curvature,
     sphere_residual_from_pointeval,
 )
 
@@ -70,6 +71,7 @@ __all__ = [
     "CheckResult",
     "VerificationReport",
     "TakahashiReport",
+    "IdentitiesReport",
     "sample_points",
     "verify_minimality",
     "verify_screw_invariance",
@@ -94,13 +96,13 @@ class SamplePlan:
     max_rejects: int = 200
 
     def __post_init__(self):
-        if not isinstance(self.count, int) or self.count < 1:
+        if type(self.count) is not int or self.count < 1:
             raise SpecError(f"plan count must be a positive integer, "
                             f"got {self.count!r}")
-        if not isinstance(self.seed, int) or not 0 <= self.seed < 2 ** 64:
+        if type(self.seed) is not int or not 0 <= self.seed < 2 ** 64:
             raise SpecError(f"seed must be a 64-bit unsigned integer, "
                             f"got {self.seed!r}")
-        if not isinstance(self.max_rejects, int) or self.max_rejects < 1:
+        if type(self.max_rejects) is not int or self.max_rejects < 1:
             raise SpecError(f"max_rejects must be a positive integer, "
                             f"got {self.max_rejects!r}")
         if self.box is not None:
@@ -134,6 +136,7 @@ class TolerancePolicy:
     tol_negative: float = 1e-2
 
     def __post_init__(self):
+        _finite_fields(self, *(f.name for f in fields(self)))
         for f in fields(self):
             if not getattr(self, f.name) > 0.0:
                 raise SpecError(f"{f.name} must be positive")
@@ -184,6 +187,10 @@ class _Report:
         return {"version": REPORT_VERSION, "kind": self.kind,
                 **_object_to_json(self)}
 
+    @property
+    def all_expected(self) -> bool:
+        return all(c.as_expected for c in self.checks)
+
 
 @dataclass(frozen=True)
 class VerificationReport(_Report):
@@ -197,10 +204,6 @@ class VerificationReport(_Report):
     wall_time: float = field(compare=False)
 
     kind = "verification-report"
-
-    @property
-    def all_expected(self) -> bool:
-        return all(c.as_expected for c in self.checks)
 
 
 @dataclass(frozen=True)
@@ -220,20 +223,39 @@ class TakahashiReport(_Report):
 
     @property
     def all_expected(self) -> bool:
-        return self.agreement and all(c.as_expected for c in self.checks)
+        return self.agreement and super().all_expected
+
+
+@dataclass(frozen=True)
+class IdentitiesReport(_Report):
+    """Verdicts of one identities run: one check per CSV column."""
+
+    family: dict
+    plan: dict
+    tolerances: dict
+    checks: tuple[CheckResult, ...]
+
+    kind = "identities-report"
 
 
 _REPORT_KINDS = {cls.kind: cls for cls in (VerificationReport,
-                                           TakahashiReport)}
+                                           TakahashiReport,
+                                           IdentitiesReport)}
+
+
+def _check_report_version(d: dict, what: str = "report") -> None:
+    """SpecError unless ``d`` carries the integer ``REPORT_VERSION``."""
+    version = d.get("version")
+    if type(version) is not int or version != REPORT_VERSION:
+        raise SpecError(f"unsupported {what} version {version!r}")
 
 
 def report_from_json(d: dict):
-    """Parse either report kind back into its dataclass (strict keys)."""
+    """Parse any report kind back into its dataclass (strict keys)."""
     if not isinstance(d, dict):
         raise SpecError("report must be a JSON object")
-    version, kind = d.get("version"), d.get("kind")
-    if type(version) is not int or version != REPORT_VERSION:
-        raise SpecError(f"unsupported report version {version!r}")
+    _check_report_version(d)
+    kind = d.get("kind")
     cls = _REPORT_KINDS.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise SpecError(f"unknown report kind {kind!r}")
@@ -346,22 +368,16 @@ def _minimality_residuals(spec, pe: PointEval):
     1 + the squared Frobenius norm of the Jacobian, so one tolerance
     serves every cone radius.
     """
-    met = metric(pe)
-    H = laplace_from_pointeval(pe, met=met)
+    mc = mean_curvature(pe)
     jac_sq = np.einsum("...an,...an->...", pe.jacobian, pe.jacobian)
     scale = 1.0 + jac_sq
 
     if spec.spherical:
         minimality = sphere_residual_from_pointeval(
-            pe, pe.jacobian.shape[-1], H=H) / scale
+            pe, pe.jacobian.shape[-1], H=mc.H) / scale
     else:
-        minimality = np.linalg.norm(H, axis=-1) / scale
-
-    rhs = np.einsum("...an,...a->...n", pe.jacobian, H)
-    coeff = np.linalg.solve(met.g, rhs[..., None])[..., 0]
-    tangential = np.linalg.norm(
-        np.einsum("...an,...n->...a", pe.jacobian, coeff), axis=-1) / scale
-    return minimality, tangential
+        minimality = mc.H_norm / scale
+    return minimality, mc.tangential_residual / scale
 
 
 def _summarize(name: str, residuals: np.ndarray, tolerance: float,

@@ -39,9 +39,8 @@ from .charts import (
 from .errors import DimensionMismatch, SpecError
 from .families import GenHelicoidA, _block_spans, build_immersion
 from .geometry import (
-    MetricEval,
     _divergence_parts,
-    coordinate_laplacian_from_pointeval,
+    coordinate_laplacians,
     laplace_from_pointeval,
     metric,
 )
@@ -92,7 +91,7 @@ def _divergence_terms(fr: CliffordFrame) -> np.ndarray:
     """
     gi = fr.metric.g_inv
     sqrtg = np.sqrt(fr.metric.det_g)[..., None]
-    dlogs, dginv = _divergence_parts(gi, fr.dg)
+    dlogs, dginv = _divergence_parts(gi, fr.metric.dg)
     dsqrtg = sqrtg * dlogs      # ∂_k √g = √g ∂_k log √g
     return (dsqrtg * _mv(gi, fr.w)
             + sqrtg * np.einsum("...iij,...j->...i", dginv, fr.w)
@@ -201,16 +200,18 @@ class _HelicoidEval:
     """Everything the helicoid checks read at one batch of points.
 
     P = λ₀² + Σ_s λ_s² r_s² m_s² is the reduced squared angular speed;
-    ``metric`` is the assembled helicoid metric, ``theta_laplacian`` Δ_G Θ
-    and ``laplacian`` the divergence-form Δ_G F.  Arrays are read-only,
-    because the record is shared between calls.
+    ``g`` and ``det_g`` are the assembled helicoid metric and its
+    determinant, ``theta_laplacian`` Δ_G Θ and ``laplacian`` the
+    divergence-form Δ_G F.  Arrays are read-only, because the record is
+    shared between calls.
     """
 
     blocks: tuple[_BlockData, ...]
     theta: np.ndarray
     radii: np.ndarray
     P: np.ndarray
-    metric: MetricEval
+    g: np.ndarray
+    det_g: np.ndarray
     theta_laplacian: np.ndarray
     laplacian: np.ndarray
 
@@ -270,8 +271,8 @@ def _helicoid_eval(spec: GenHelicoidA, params) -> _HelicoidEval:
                                 det_g=fr.metric.det_g,
                                 div_terms=_divergence_terms(fr))
                      for fr in frames),
-        theta=params[..., n_u], radii=radii, P=P, metric=met,
-        theta_laplacian=coordinate_laplacian_from_pointeval(pe, n_u, met),
+        theta=params[..., n_u], radii=radii, P=P, g=met.g, det_g=met.det_g,
+        theta_laplacian=coordinate_laplacians(met)[..., n_u],
         laplacian=laplace_from_pointeval(pe, form="divergence", met=met))
     _read_only(record)
     _last_eval = (key, record)
@@ -317,11 +318,11 @@ def helicoid_algebra(spec: GenHelicoidA, params) -> HelicoidAlgebra:
     whenever two blocks carry nonzero w.
     """
     rec = _helicoid_eval(spec, params)
-    radii, P, met = rec.radii, rec.P, rec.metric
+    radii, P = rec.radii, rec.P
     lam0 = spec.pitch.lambda0
     lams = spec.pitch.lambdas
     L = len(spec.blocks)
-    n = met.g.shape[-1]
+    n = rec.g.shape[-1]
 
     R = lam0 ** 2 + sum(lams[s] ** 2 * radii[..., s] ** 2 for s in range(L))
     det_factored = P
@@ -340,7 +341,7 @@ def helicoid_algebra(spec: GenHelicoidA, params) -> HelicoidAlgebra:
     theta_idx = spans[-1][1]
     dvec = np.concatenate(d, axis=-1)
     Pc = P[..., None]
-    ginv = np.zeros(met.g.shape)
+    ginv = np.zeros(rec.g.shape)
     for s, (lo, hi) in enumerate(spans):
         ginv[..., lo:hi, lo:hi] = (rec.blocks[s].g_inv
                                    / (radii[..., s] ** 2)[..., None, None])
@@ -352,11 +353,11 @@ def helicoid_algebra(spec: GenHelicoidA, params) -> HelicoidAlgebra:
     radial = np.arange(theta_idx + 1, n)
     ginv[..., radial, radial] = 1.0
 
-    det_defect = np.abs(met.det_g - det_factored) / np.maximum(
-        np.abs(met.det_g), np.abs(det_factored))
-    inverse_defect = np.max(np.abs(met.g @ ginv - np.eye(n)), axis=(-2, -1))
+    det_defect = np.abs(rec.det_g - det_factored) / np.maximum(
+        np.abs(rec.det_g), np.abs(det_factored))
+    inverse_defect = np.max(np.abs(rec.g @ ginv - np.eye(n)), axis=(-2, -1))
 
-    return HelicoidAlgebra(R=R, P=P, det_direct=met.det_g,
+    return HelicoidAlgebra(R=R, P=P, det_direct=rec.det_g,
                            det_factored=det_factored, d=d,
                            sqrtG_factored=sqrt_factored,
                            det_defect=det_defect,
@@ -491,7 +492,7 @@ def proof_terms(spec: GenHelicoidA, t: int, params) -> ProofTerms:
     scale = reduce(np.maximum, (_norm(x) for x in (S1, S2, S3, S4, S5, S6)))
 
     amb_lo = sum(b.ambient_dim for b in spec.blocks[:ti])
-    block_lap = (np.sqrt(rec.metric.det_g)[..., None]
+    block_lap = (np.sqrt(rec.det_g)[..., None]
                  * rec.laplacian[..., amb_lo:amb_lo
                                  + spec.blocks[ti].ambient_dim])
 

@@ -31,7 +31,7 @@ from minvar.geometry import (
     PointEval,
     laplace_from_pointeval,
     mean_curvature,
-    sphere_minimality_residual,
+    sphere_residual_from_pointeval,
 )
 from minvar.harness import (
     SamplePlan,
@@ -237,7 +237,8 @@ def test_c7_symmetry_and_special_instances():
 
     lawson = build_immersion(LawsonSurface(1.0, 2.0))
     pts, _ = sample_points(lawson, SamplePlan(count=500, seed=78))
-    lawson_worst = float(np.max(sphere_minimality_residual(lawson, pts)))
+    lawson_worst = float(np.max(sphere_residual_from_pointeval(
+        lawson.eval(pts), lawson.param_dim)))
 
     harvey = build_immersion(HarveyLawsonCone(sphere_dim=2))
     pts, _ = sample_points(harvey, SamplePlan(count=500, seed=79))
@@ -291,7 +292,7 @@ def test_c8_engine_self_consistency():
 
     cyl = build_immersion(Cylinder(1.0))
     cyl_pts, _ = sample_points(cyl, SamplePlan(count=200, seed=90))
-    h_norm = mean_curvature(cyl, cyl_pts).H_norm
+    h_norm = mean_curvature(cyl.eval(cyl_pts)).H_norm
     curvature_gap = float(np.max(np.abs(h_norm - 1.0)))
 
     controls_ok = True

@@ -115,6 +115,8 @@ def test_point_chart_branches_and_validation():
     with pytest.raises(SpecError):
         SphereChart(dim=-1, kind="stereographic")
     with pytest.raises(SpecError):
+        SphereChart(dim=True, kind="stereographic")
+    with pytest.raises(SpecError):
         SphereChart(dim=1, kind="harmonic")
     with pytest.raises(SpecError, match="only point charts"):
         SphereChart(dim=1, branch=-1)
@@ -298,7 +300,7 @@ def test_second_order_frame_fields_match_finite_differences(name):
     block = FRAME_BLOCKS[name]
     pts = block_points(block, 8, seed=13)
     fr = clifford_frame(block, pts)
-    for jet, fd in zip((fr.dg, fr.dw, fr.dm),
+    for jet, fd in zip((fr.metric.dg, fr.dw, fr.dm),
                        _fd_frame_derivatives(block, pts)):
         assert jet.shape == fd.shape
         gap = np.max(np.abs(fd - jet) / np.maximum(1.0, np.abs(jet)))

@@ -7,6 +7,7 @@ deterministic for a fixed config.
 """
 
 import csv
+import dataclasses
 import json
 import re
 from pathlib import Path
@@ -14,10 +15,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import minvar
 from minvar import harness
 from minvar.cli import _write_json, load_reports, main, parse_config
 from minvar.errors import SpecError
-from minvar.harness import TakahashiReport, VerificationReport
+from minvar.harness import (
+    IdentitiesReport,
+    TakahashiReport,
+    VerificationReport,
+)
 
 CHART = {"chart_kind": "stereographic", "dim": 1}
 BLOCK = {"chart_x": CHART, "chart_y": CHART}
@@ -361,6 +367,27 @@ def test_identities_report_bytes_pinned(tmp_path):
     assert rep.read_text() == PINNED_IDENTITIES
 
 
+def test_identities_report_round_trips(tmp_path):
+    rep = tmp_path / "identities.json"
+    cfg = write_config(tmp_path, family=HELICOID, plan={"count": 3, "seed": 5},
+                       checks=["helicoid-algebra", "theta-harmonicity"],
+                       output={"report": str(rep)})
+    assert main(["identities", cfg]) == 0
+    doc = json.loads(rep.read_text())
+    [report] = load_reports(doc)
+    assert isinstance(report, IdentitiesReport) and report.all_expected
+    assert [c.name for c in report.checks] == [
+        "det_defect", "inverse_defect", "theta_laplacian", "block_divergence"]
+    assert report.to_json() == doc
+
+
+@pytest.mark.parametrize("version", [99, True, None])
+def test_report_list_version_is_checked(version):
+    with pytest.raises(SpecError, match="unsupported report-list version"):
+        load_reports({"kind": "report-list", "version": version,
+                      "reports": []})
+
+
 PINNED_IDENTITIES = """\
 {
   "checks": [
@@ -447,3 +474,19 @@ class TestReadme:
         with pytest.raises(SpecError) as raised:
             parse_config(doc, command)
         assert f"`{raised.value}`" in " ".join(self.README.split())
+
+    def test_lower_level_names_exist(self):
+        # a deleted or renamed public name must not linger in the README
+        paragraph = re.search(r"Lower-level pieces.*?\n\n", self.README,
+                              re.S).group(0)
+        names = re.findall(r"`([A-Za-z_][\w.]*)`", paragraph)
+        assert "metric" in names
+        for name in names:
+            head, *rest = name.split(".")
+            assert head in minvar.__all__, name
+            obj = getattr(minvar, head)
+            for part in rest:
+                fields = ({f.name for f in dataclasses.fields(obj)}
+                          if dataclasses.is_dataclass(obj) else set())
+                assert part in fields or hasattr(obj, part), name
+                obj = getattr(obj, part, None)

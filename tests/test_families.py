@@ -45,7 +45,7 @@ from minvar.families import (
     standard_block,
     standard_chart,
 )
-from minvar.geometry import mean_curvature, sphere_minimality_residual
+from minvar.geometry import mean_curvature, sphere_residual_from_pointeval
 
 
 def assert_close(actual, expected, tol):
@@ -293,7 +293,7 @@ def test_families_are_minimal_smoke(spec):
     imm = build_immersion(spec)
     pts = sample_box(imm, 50, seed=10)
     assert len(pts) >= 25
-    mc = mean_curvature(imm, pts)
+    mc = mean_curvature(imm.eval(pts))
     met_scale = 1.0 + np.linalg.norm(imm.eval(pts).jacobian, axis=(-2, -1))**2
     assert float(np.max(mc.H_norm / met_scale)) <= 1e-10
 
@@ -307,20 +307,20 @@ def test_families_are_minimal_smoke(spec):
 def test_spherical_families_are_sphere_minimal(spec, n):
     imm = build_immersion(spec)
     pts = sample_box(imm, 80, seed=11)
-    res = sphere_minimality_residual(imm, pts, intrinsic_dim=n)
+    res = sphere_residual_from_pointeval(imm.eval(pts), n)
     assert float(np.max(res)) <= 1e-9
 
 
 def test_negative_controls():
     lat = build_immersion(LatitudeCircle(height=0.5))
     pts = sample_box(lat, 30, seed=12)
-    res = sphere_minimality_residual(lat, pts)
+    res = sphere_residual_from_pointeval(lat.eval(pts), lat.param_dim)
     assert float(np.min(res)) >= 0.5
     assert is_negative_control(LatitudeCircle(height=0.5))
     assert not is_negative_control(LatitudeCircle(height=0.0))
 
     cyl = build_immersion(Cylinder(radius=1.0))
-    mc = mean_curvature(cyl, sample_box(cyl, 30, seed=13))
+    mc = mean_curvature(cyl.eval(sample_box(cyl, 30, seed=13)))
     assert_close(mc.H_norm, np.ones(30), 1e-12)
     assert is_negative_control(Cylinder(radius=1.0))
     assert not is_negative_control(helicoid_a(1, 1))
@@ -688,6 +688,12 @@ def test_spec_validation_errors():
     with pytest.raises(SpecError):
         ChoeHoppe(sphere_dim=0, pitch=1.0)
     with pytest.raises(SpecError):
+        ChoeHoppe(sphere_dim=True, pitch=1.0)
+    with pytest.raises(SpecError):
+        HarveyLawsonCone(sphere_dim=True)
+    with pytest.raises(SpecError):
+        LRaysCone(rays=True, base=SphereChart(dim=1))
+    with pytest.raises(SpecError):
         ChoeHoppe(sphere_dim=2, pitch=1.0, chart_p=standard_chart(0))
     with pytest.raises(SpecError):
         LRaysCone(rays=0, base=SphereChart(dim=1))
@@ -705,5 +711,5 @@ def test_spec_validation_errors():
 def test_rays_cone_over_chart_base_is_minimal():
     imm = build_immersion(LRaysCone(rays=2, base=SphereChart(dim=2)))
     pts = sample_box(imm, 50, seed=15)
-    mc = mean_curvature(imm, pts)
+    mc = mean_curvature(imm.eval(pts))
     assert float(np.max(mc.H_norm)) <= 1e-11

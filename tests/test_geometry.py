@@ -10,14 +10,13 @@ from minvar.errors import DegenerateMetric, DimensionMismatch, NotSpherical
 from minvar.geometry import (
     Immersion,
     PointEval,
-    coordinate_laplacian,
-    coordinate_laplacian_from_pointeval,
-    laplace_beltrami,
+    _divergence_parts,
+    coordinate_laplacians,
     laplace_from_pointeval,
     mean_curvature,
     metric,
     metric_derivative,
-    sphere_minimality_residual,
+    sphere_residual_from_pointeval,
 )
 from minvar.jets import StepPolicy, fd_jet
 
@@ -143,21 +142,22 @@ def test_flat_sheet_laplacian_vanishes():
                      components=lambda cols: [cols[0], cols[1], 0.0],
                      domain=((-1.0, 1.0), (-1.0, 1.0)), name="flat")
     pts = rng_points(flat, 30, seed=3)
-    assert_close(laplace_beltrami(flat, pts), np.zeros((30, 3)), 1e-15)
+    assert_close(laplace_from_pointeval(flat.eval(pts)), np.zeros((30, 3)),
+                 1e-15)
 
 
 def test_sphere_laplacian_is_minus_two_position():
     imm = sphere_chart()
     pts = rng_points(imm, 60, seed=4)
-    lap = laplace_beltrami(imm, pts)
     pe = imm.eval(pts)
+    lap = laplace_from_pointeval(pe)
     assert_close(lap, -2.0 * pe.position, 1e-10)
 
 
 def test_helicoid_and_catenoid_are_minimal():
     for imm in (helicoid(), helicoid(0.35), catenoid()):
         pts = rng_points(imm, 80, seed=5)
-        mc = mean_curvature(imm, pts)
+        mc = mean_curvature(imm.eval(pts))
         assert float(np.max(mc.H_norm)) <= 1e-12
 
 
@@ -165,7 +165,7 @@ def test_cylinder_mean_curvature_vector():
     for radius in (1.0, 2.0, 0.5):
         imm = cylinder(radius)
         pts = rng_points(imm, 30, seed=6)
-        mc = mean_curvature(imm, pts)
+        mc = mean_curvature(imm.eval(pts))
         u = pts[:, 0]
         expected = -np.stack([np.cos(u), np.sin(u), np.zeros_like(u)],
                              axis=-1) / radius
@@ -176,14 +176,14 @@ def test_cylinder_mean_curvature_vector():
 def test_clifford_torus_satisfies_eigenmap_equation():
     imm = clifford_torus()
     pts = rng_points(imm, 50, seed=7)
-    lap = laplace_beltrami(imm, pts)
+    lap = laplace_from_pointeval(imm.eval(pts))
     assert_close(lap, -2.0 * imm.position(pts), 1e-12)
 
 
 def test_mean_curvature_is_normal():
     imm = warped_sheet()
     pts = rng_points(imm, 100, seed=8)
-    mc = mean_curvature(imm, pts)
+    mc = mean_curvature(imm.eval(pts))
     bound = 1e-9 * (1.0 + mc.H_norm)
     assert np.all(mc.tangential_residual <= bound)
 
@@ -197,11 +197,28 @@ def test_contraction_and_divergence_forms_agree():
     scale = 1.0 + np.linalg.norm(a, axis=-1, keepdims=True)
     assert float(np.max(np.abs(a - b) / scale)) <= 1e-10
 
+    # every campaign family on sampled points, normalized as the
+    # minimality residual is: by 1 + the squared Frobenius norm of J
+    from minvar.families import build_immersion
+    from minvar.harness import SamplePlan, default_campaign, sample_points
+
+    for label, spec in default_campaign():
+        imm = build_immersion(spec)
+        for seed in range(3):
+            pts, _ = sample_points(imm, SamplePlan(count=60, seed=seed))
+            pe = imm.eval(pts)
+            met = metric(pe)
+            a = laplace_from_pointeval(pe, form="contraction", met=met)
+            b = laplace_from_pointeval(pe, form="divergence", met=met)
+            scale = 1.0 + np.sum(pe.jacobian ** 2, axis=(-2, -1))
+            gap = float(np.max(np.linalg.norm(a - b, axis=-1) / scale))
+            assert gap <= 1e-8, (label, seed, gap)
+
 
 def test_unknown_form_rejected():
     imm = helicoid()
     with pytest.raises(ValueError):
-        laplace_beltrami(imm, np.array([1.0, 0.0]), form="weak")
+        laplace_from_pointeval(imm.eval(np.array([1.0, 0.0])), form="weak")
 
 
 def test_fd_pointeval_reproduces_jet_curvature():
@@ -238,8 +255,8 @@ def test_mean_curvature_parametrization_invariant():
                      domain=imm.domain, name="warped-reparam")
     q = rng_points(imm2, 40, seed=11) * 0.5
     p = q @ A.T + b
-    H1 = mean_curvature(imm, p).H
-    H2 = mean_curvature(imm2, q).H
+    H1 = mean_curvature(imm.eval(p)).H
+    H2 = mean_curvature(imm2.eval(q)).H
     scale = 1.0 + np.linalg.norm(H1, axis=-1, keepdims=True)
     assert float(np.max(np.abs(H1 - H2) / scale)) <= 1e-8
 
@@ -258,8 +275,8 @@ def test_mean_curvature_rotation_covariant():
     imm2 = Immersion(param_dim=2, ambient_dim=4, components=comps2,
                      domain=imm.domain, name="warped-rotated")
     pts = rng_points(imm, 40, seed=13)
-    H1 = mean_curvature(imm, pts).H
-    H2 = mean_curvature(imm2, pts).H
+    H1 = mean_curvature(imm.eval(pts)).H
+    H2 = mean_curvature(imm2.eval(pts)).H
     assert float(np.max(np.abs(H2 - H1 @ R.T))) <= 1e-10
 
 
@@ -309,10 +326,10 @@ def test_sphere_residual_equator_vs_latitude():
                          domain=((-np.pi, np.pi),), name=f"circle-{height}")
 
     pts = np.linspace(-3.0, 3.0, 17)[:, None]
-    res_eq = sphere_minimality_residual(circle(0.0), pts)
+    res_eq = sphere_residual_from_pointeval(circle(0.0).eval(pts), 1)
     assert float(np.max(res_eq)) <= 1e-12
 
-    res_lat = sphere_minimality_residual(circle(0.5), pts)
+    res_lat = sphere_residual_from_pointeval(circle(0.5).eval(pts), 1)
     # closed form sqrt((rho - 1/rho)^2 + h^2) = 1/sqrt(3) at h = 1/2
     assert_close(res_lat, np.full(17, 1.0 / np.sqrt(3.0)), 1e-12)
     assert float(np.min(res_lat)) >= 0.5
@@ -322,41 +339,48 @@ def test_sphere_residual_rejects_off_sphere_input():
     imm = cylinder(1.0)
     pts = np.array([[0.3, 0.2]])
     with pytest.raises(NotSpherical):
-        sphere_minimality_residual(imm, pts)
+        sphere_residual_from_pointeval(imm.eval(pts), 2)
 
 
 def test_coordinate_laplacian_hand_values():
-    imm = helicoid()
-    p = np.array([0.8, 0.4])
+    lap = coordinate_laplacians(metric(helicoid().eval(np.array([0.8, 0.4]))))
     # g = diag(1, s^2 + 1): Delta s = s / (s^2 + 1), Delta theta = 0
-    assert_close(coordinate_laplacian(imm, p, 0), 0.8 / 1.64, 1e-12)
-    assert_close(coordinate_laplacian(imm, p, 1), 0.0, 1e-13)
+    assert_close(lap[0], 0.8 / 1.64, 1e-12)
+    assert_close(lap[1], 0.0, 1e-13)
 
-    sph = sphere_chart()
-    q = np.array([1.1, -0.3])
+    lap = coordinate_laplacians(metric(sphere_chart().eval(
+        np.array([1.1, -0.3]))))
     # g = diag(1, sin^2 phi): Delta phi = cot phi, Delta theta = 0
-    assert_close(coordinate_laplacian(sph, q, 0), 1.0 / np.tan(1.1), 1e-12)
-    assert_close(coordinate_laplacian(sph, q, 1), 0.0, 1e-13)
+    assert_close(lap[0], 1.0 / np.tan(1.1), 1e-12)
+    assert_close(lap[1], 0.0, 1e-13)
 
 
-def test_coordinate_laplacian_from_pointeval_reuses_a_metric():
-    imm = warped_sheet()
-    pts = rng_points(imm, 6, seed=4)
-    pe = imm.eval(pts)
-    for index in range(2):
-        want = coordinate_laplacian(imm, pts, index)
-        for met in (None, metric(pe)):
-            got = coordinate_laplacian_from_pointeval(pe, index, met)
-            assert got.tobytes() == want.tobytes()
+def _single_index_laplacian(met, index):
+    # the per-index spelling of Delta u_index before coordinate_laplacians
+    dlogs, dginv = _divergence_parts(met.g_inv, met.dg)
+    return np.einsum("...i,...i->...", dlogs, met.g_inv[..., :, index]) \
+        + np.einsum("...ii->...", dginv[..., :, :, index])
+
+
+def test_coordinate_laplacians_equal_the_single_index_spelling():
+    imm = dict(ORACLE_IMMERSIONS)["helicoid-a-L2-N2"]
+    batch = rng_points(imm, 12, seed=4)
+    for p in (batch, batch[5], batch.reshape(3, 4, -1)):
+        met = metric(imm.eval(p))
+        lap = coordinate_laplacians(met)
+        assert lap.shape == p.shape
+        for index in range(imm.param_dim):
+            want = _single_index_laplacian(met, index)
+            assert lap[..., index].tobytes() == want.tobytes()
 
 
 def test_batched_laplacian_matches_pointwise():
     imm = warped_sheet()
     pts = rng_points(imm, 12, seed=15).reshape(3, 4, 2)
-    lap = laplace_beltrami(imm, pts)
+    lap = laplace_from_pointeval(imm.eval(pts))
     for i in range(3):
         for j in range(4):
-            single = laplace_beltrami(imm, pts[i, j])
+            single = laplace_from_pointeval(imm.eval(pts[i, j]))
             np.testing.assert_array_equal(lap[i, j], single)
 
 

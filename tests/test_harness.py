@@ -98,6 +98,7 @@ class TestSamplePlan:
         {"seed": -1}, {"seed": 2 ** 64}, {"seed": 1.0},
         {"max_rejects": 0},
         {"box": ((0.0, 0.0),)}, {"box": ((1.0, 0.5),)},
+        {"count": True}, {"seed": True}, {"max_rejects": True},
     ])
     def test_rejects_bad_fields(self, kwargs):
         with pytest.raises(SpecError):
@@ -141,6 +142,8 @@ class TestTolerancePolicy:
 
     @pytest.mark.parametrize("kwargs", [
         {"tol_H": 0.0}, {"tol_identity": -1e-9}, {"tol_negative": 0.0},
+        {"tol_identity": np.inf, "tol_negative": np.inf},
+        {"tol_negative": np.inf},
     ])
     def test_rejects_nonpositive(self, kwargs):
         with pytest.raises(SpecError):
@@ -474,8 +477,9 @@ class TestTakahashiEquivalence:
             takahashi_equivalence(Cylinder(1.0), 2)
 
     def test_bad_ray_count(self):
-        with pytest.raises(SpecError):
-            takahashi_equivalence(LatitudeCircle(0.0), 0)
+        for rays in (0, True):
+            with pytest.raises(SpecError):
+                takahashi_equivalence(LatitudeCircle(0.0), rays)
 
 
 class TestReportSerialization:
