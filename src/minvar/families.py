@@ -24,17 +24,19 @@ an ``Immersion`` whose position map matches the family's defining formula:
   height ≠ 0, resp. ‖H‖ = 1/radius).
 
 Each family class holds everything that defines it, beside its fields:
-``dimensions()`` gives (n, K), ``build()`` the immersion, ``screw()`` the
-sweep data or None, ``scaling_indices()`` the cone parameters, and the
-flags ``spherical`` (the image lies in the unit sphere) and ``control``
-(a negative control).  ``_Family`` supplies the defaults: no sweep, no
-cone parameters, Euclidean, not a control.  The JSON codec walks the
-dataclass fields and parses each value by its type annotation, so a
-malformed value raises a ``SpecError`` that names its JSON path.
+``build()`` gives the immersion, and with it (n, K); ``screw()`` the sweep
+data or None and ``scaling_indices()`` the cone parameters, both computed
+from the fields; the flags ``spherical`` (the image lies in the unit
+sphere) and ``control`` (a negative control).  ``_Family`` supplies the
+defaults: no sweep, no cone parameters, Euclidean, not a control.  The
+JSON codec walks the dataclass fields and parses each value by its type
+annotation, so a malformed value raises a ``SpecError`` that names its
+JSON path.
 
 Rotating a complex block by e^{iφ} in real coordinates is
 v ↦ cos(φ)·v + sin(φ)·J v with J(a; b) = (−b; a); ``screw_action`` applies
-that blockwise plus the axial translation λ₀t.
+that blockwise plus the axial translation λ₀t, reading the block layout
+from the image width.
 """
 
 from __future__ import annotations
@@ -132,9 +134,6 @@ class CliffordTorus(_Family):
 
     spherical = True
 
-    def dimensions(self) -> tuple[int, int]:
-        return self.block.param_dim, self.block.ambient_dim
-
     def build(self) -> Immersion:
         return replace(self.block.immersion(),
                        name=f"clifford-torus-N{self.block.sphere_dim}")
@@ -144,11 +143,8 @@ class CliffordTorus(_Family):
 class CliffordCone(_Family):
     block: CliffordBlock
 
-    def dimensions(self) -> tuple[int, int]:
-        return self.block.param_dim + 1, self.block.ambient_dim
-
     def scaling_indices(self) -> tuple[int, ...]:
-        return (self.dimensions()[0] - 1,)
+        return (self.block.param_dim,)
 
     def build(self) -> Immersion:
         cone = LRaysCone(rays=1, base=CliffordTorus(block=self.block))
@@ -165,13 +161,9 @@ class LRaysCone(_Family):
         _check_rays(self.rays)
         _check_spherical_base(self.base)
 
-    def dimensions(self) -> tuple[int, int]:
-        base = _base_dimensions(self.base)
-        return base[0] + self.rays, base[1] * self.rays
-
     def scaling_indices(self) -> tuple[int, ...]:
-        n, _ = self.dimensions()
-        return tuple(range(n - self.rays, n))
+        nb = _base_immersion(self.base).param_dim
+        return tuple(range(nb, nb + self.rays))
 
     def build(self) -> Immersion:
         base = _base_immersion(self.base)
@@ -200,13 +192,9 @@ class LRaysCliffordCone(_Family):
     def __post_init__(self):
         _check_rays(self.rays)
 
-    def dimensions(self) -> tuple[int, int]:
-        return (self.block.param_dim + self.rays,
-                self.block.ambient_dim * self.rays)
-
     def scaling_indices(self) -> tuple[int, ...]:
-        n, _ = self.dimensions()
-        return tuple(range(n - self.rays, n))
+        nb = self.block.param_dim
+        return tuple(range(nb, nb + self.rays))
 
     def build(self) -> Immersion:
         cone = LRaysCone(rays=self.rays, base=CliffordTorus(block=self.block))
@@ -224,10 +212,6 @@ class SphericalJoin(_Family):
 
     def __post_init__(self):
         _check_spherical_base(self.base)
-
-    def dimensions(self) -> tuple[int, int]:
-        base = _base_dimensions(self.base)
-        return base[0] + self.xs.param_dim, base[1] * (self.xs.dim + 1)
 
     def build(self) -> Immersion:
         base = _base_immersion(self.base)
@@ -269,25 +253,25 @@ class GenHelicoidA(_Family):
             raise SpecError(f"blocks must share one sphere dimension, "
                             f"got {sorted(dims)}")
 
-    def dimensions(self) -> tuple[int, int]:
-        nu = sum(b.param_dim for b in self.blocks)
-        return (nu + 1 + len(self.blocks),
-                sum(b.ambient_dim for b in self.blocks) + 1)
+    @property
+    def _theta_index(self) -> int:
+        """Θ follows the blocks' chart parameters; the radii follow Θ."""
+        return sum(b.param_dim for b in self.blocks)
 
     def screw(self) -> ScrewData:
-        return _block_screw(self.pitch, self.blocks, axial=True)
+        return ScrewData(pitch=self.pitch, theta_index=self._theta_index)
 
     def scaling_indices(self) -> tuple[int, ...]:
         if self.pitch.lambda0 != 0.0:
             return ()
-        n, _ = self.dimensions()
-        return tuple(range(n - len(self.blocks), n))
+        first = self._theta_index + 1
+        return tuple(range(first, first + len(self.blocks)))
 
     def build(self) -> Immersion:
         blocks = self.blocks
         L = len(blocks)
         spans = _block_spans(blocks)
-        theta_index = spans[-1][1]
+        theta_index = self._theta_index
         lam0 = self.pitch.lambda0
         lams = self.pitch.lambdas
 
@@ -304,12 +288,11 @@ class GenHelicoidA(_Family):
 
         domain = tuple(bx for b in blocks for bx in b.domain_box()) \
             + (THETA_BOX,) + (RADIAL_BOX,) * L
-        imm = Immersion(
+        return Immersion(
             param_dim=theta_index + 1 + L,
             ambient_dim=sum(b.ambient_dim for b in blocks) + 1,
-            components=comps, domain=domain,
+            components=comps, domain=domain, metric_floor=METRIC_RATIO_FLOOR,
             name=f"helicoid-a-L{L}-N{blocks[0].sphere_dim}")
-        return _with_degeneracy_guard(imm)
 
 
 @dataclass(frozen=True)
@@ -323,23 +306,17 @@ class GenHelicoidB(_Family):
         _check_rays(self.rays)
         _finite_fields(self, "angular_pitch", "axial_pitch")
 
-    def dimensions(self) -> tuple[int, int]:
-        return (self.block.param_dim + 1 + self.rays,
-                self.block.ambient_dim * self.rays + 1)
-
     def screw(self) -> ScrewData:
         return ScrewData(
             pitch=PitchVector(lambda0=self.axial_pitch,
                               lambdas=(self.angular_pitch,) * self.rays),
-            theta_index=self.block.param_dim,
-            block_dims=(self.block.ambient_dim,) * self.rays,
-            axial_coordinate=True)
+            theta_index=self.block.param_dim)
 
     def scaling_indices(self) -> tuple[int, ...]:
         if self.axial_pitch != 0.0:
             return ()
-        n, _ = self.dimensions()
-        return tuple(range(n - self.rays, n))
+        first = self.block.param_dim + 1
+        return tuple(range(first, first + self.rays))
 
     def build(self) -> Immersion:
         block = self.block
@@ -357,12 +334,11 @@ class GenHelicoidB(_Family):
             out.append(lam0 * cols[nu])
             return out
 
-        imm = Immersion(
+        return Immersion(
             param_dim=nu + 1 + L, ambient_dim=block.ambient_dim * L + 1,
-            components=comps,
+            components=comps, metric_floor=METRIC_RATIO_FLOOR,
             domain=block.domain_box() + (THETA_BOX,) + (RADIAL_BOX,) * L,
             name=f"helicoid-b-L{L}-N{block.sphere_dim}")
-        return _with_degeneracy_guard(imm)
 
 
 @dataclass(frozen=True)
@@ -382,20 +358,15 @@ class ChoeHoppe(_Family):
                 raise SpecError(f"{label} must parametrize "
                                 f"S^{self.sphere_dim - 1}, got S^{chart.dim}")
 
-    def dimensions(self) -> tuple[int, int]:
-        return 2 * self.sphere_dim, 2 * self.sphere_dim + 1
-
     def screw(self) -> ScrewData:
-        n, _ = self.dimensions()
+        # Θ follows the two S^{N-1} charts, N - 1 parameters each
         return ScrewData(
             pitch=PitchVector(lambda0=self.pitch,
                               lambdas=(1.0,) * self.sphere_dim),
-            theta_index=n - 2,
-            block_dims=(2,) * self.sphere_dim,
-            axial_coordinate=True)
+            theta_index=2 * self.sphere_dim - 2)
 
     def scaling_indices(self) -> tuple[int, ...]:
-        return () if self.pitch != 0.0 else (self.dimensions()[0] - 1,)
+        return () if self.pitch != 0.0 else (2 * self.sphere_dim - 1,)
 
     def build(self) -> Immersion:
         N = self.sphere_dim
@@ -418,12 +389,11 @@ class ChoeHoppe(_Family):
             out.append(lam * th)
             return out
 
-        imm = Immersion(
+        return Immersion(
             param_dim=np_ + nq + 2, ambient_dim=2 * N + 1, components=comps,
             domain=chart_p.domain_box() + chart_q.domain_box()
             + (THETA_BOX, RADIAL_BOX),
-            name=f"choe-hoppe-N{N}")
-        return _with_degeneracy_guard(imm)
+            name=f"choe-hoppe-N{N}", metric_floor=METRIC_RATIO_FLOOR)
 
 
 @dataclass(frozen=True)
@@ -433,18 +403,13 @@ class BDJ(_Family):
     def __post_init__(self):
         _check_pitch(self.pitch)
 
-    def dimensions(self) -> tuple[int, int]:
-        return self.pitch.blocks + 1, 2 * self.pitch.blocks + 1
-
     def screw(self) -> ScrewData:
-        return ScrewData(
-            pitch=self.pitch, theta_index=0,
-            block_dims=(2,) * self.pitch.blocks, axial_coordinate=True)
+        return ScrewData(pitch=self.pitch, theta_index=0)
 
     def scaling_indices(self) -> tuple[int, ...]:
         if self.pitch.lambda0 != 0.0:
             return ()
-        return tuple(range(1, self.dimensions()[0]))
+        return tuple(range(1, self.pitch.blocks + 1))
 
     def build(self) -> Immersion:
         L = self.pitch.blocks
@@ -460,11 +425,10 @@ class BDJ(_Family):
             out.append(lam0 * th)
             return out
 
-        imm = Immersion(
+        return Immersion(
             param_dim=L + 1, ambient_dim=2 * L + 1, components=comps,
             domain=(THETA_BOX,) + (RADIAL_BOX,) * L,
-            name=f"ruled-helicoid-L{L}")
-        return _with_degeneracy_guard(imm)
+            name=f"ruled-helicoid-L{L}", metric_floor=METRIC_RATIO_FLOOR)
 
 
 @dataclass(frozen=True)
@@ -479,14 +443,11 @@ class LawsonSurface(_Family):
         if self.lambda1 == 0.0 and self.lambda2 == 0.0:
             raise SpecError("rotation rates must not both vanish")
 
-    def dimensions(self) -> tuple[int, int]:
-        return 2, 4
-
     def screw(self) -> ScrewData:
         return ScrewData(
             pitch=PitchVector(lambda0=0.0,
                               lambdas=(self.lambda1, self.lambda2)),
-            theta_index=1, block_dims=(2, 2), axial_coordinate=False)
+            theta_index=1)
 
     def build(self) -> Immersion:
         l1, l2 = self.lambda1, self.lambda2
@@ -500,11 +461,11 @@ class LawsonSurface(_Family):
 
         # keep sin t and cos t away from 0 so neither rotation circle collapses
         margin = 0.15
-        imm = Immersion(
+        return Immersion(
             param_dim=2, ambient_dim=4, components=comps,
             domain=((margin, np.pi / 2 - margin), THETA_BOX),
-            name=f"ruled-sphere-surface-{l1:g}-{l2:g}")
-        return _with_degeneracy_guard(imm)
+            name=f"ruled-sphere-surface-{l1:g}-{l2:g}",
+            metric_floor=METRIC_RATIO_FLOOR)
 
 
 @dataclass(frozen=True)
@@ -522,13 +483,9 @@ class HarveyLawsonCone(_Family):
                 raise SpecError(f"{label} must parametrize "
                                 f"S^{self.sphere_dim}, got S^{chart.dim}")
 
-    def dimensions(self) -> tuple[int, int]:
-        chart = self.chart_x or standard_chart(self.sphere_dim)
-        return 2 * chart.param_dim + 2, 4 * self.sphere_dim + 4
-
     def scaling_indices(self) -> tuple[int, ...]:
-        n, _ = self.dimensions()
-        return (n - 2, n - 1)
+        # r₁ and r₂ follow the two S^N charts, N parameters each
+        return (2 * self.sphere_dim, 2 * self.sphere_dim + 1)
 
     def build(self) -> Immersion:
         chart_x = self.chart_x or standard_chart(self.sphere_dim)
@@ -566,13 +523,8 @@ class SphericalSlice(_Family):
             raise SpecError(f"slice chart must parametrize S^{L - 1}, "
                             f"got S^{self.chart.dim}")
 
-    def dimensions(self) -> tuple[int, int]:
-        n, K = self.inner.dimensions()
-        return n - 1, K - 1
-
     def screw(self) -> ScrewData:
-        pitch = PitchVector(lambda0=0.0, lambdas=self.inner.pitch.lambdas)
-        return _block_screw(pitch, self.inner.blocks, axial=False)
+        return self.inner.screw()
 
     def build(self) -> Immersion:
         blocks = self.inner.blocks
@@ -580,7 +532,7 @@ class SphericalSlice(_Family):
         chart = self.chart or standard_chart(L - 1)
         lams = self.inner.pitch.lambdas
         spans = _block_spans(blocks)
-        theta_index = spans[-1][1]
+        theta_index = self.inner._theta_index
         nx = chart.param_dim
 
         def comps(cols):
@@ -593,14 +545,13 @@ class SphericalSlice(_Family):
                 out += [x[t] * v for v in _rotated_block(c, lams[t] * th)]
             return out
 
-        imm = Immersion(
+        return Immersion(
             param_dim=theta_index + 1 + nx,
             ambient_dim=sum(b.ambient_dim for b in blocks),
-            components=comps,
+            components=comps, metric_floor=METRIC_RATIO_FLOOR,
             domain=tuple(bx for b in blocks for bx in b.domain_box())
             + (THETA_BOX,) + chart.domain_box(),
             name=f"sphere-slice-L{L}-N{blocks[0].sphere_dim}")
-        return _with_degeneracy_guard(imm)
 
 
 @dataclass(frozen=True)
@@ -617,9 +568,6 @@ class LatitudeCircle(_Family):
     @property
     def control(self) -> bool:
         return self.height != 0.0
-
-    def dimensions(self) -> tuple[int, int]:
-        return 1, 3
 
     def build(self) -> Immersion:
         rho = float(np.sqrt(1.0 - self.height**2))
@@ -643,9 +591,6 @@ class Cylinder(_Family):
         _finite_fields(self, "radius")
         if self.radius <= 0.0:
             raise SpecError("cylinder radius must be positive")
-
-    def dimensions(self) -> tuple[int, int]:
-        return 2, 3
 
     def build(self) -> Immersion:
         R = self.radius
@@ -770,75 +715,51 @@ def _sliced_exclusions(base: Immersion, stop: int) -> tuple:
     return tuple((name, lift(pred)) for name, pred in guards)
 
 
-def _with_degeneracy_guard(imm: Immersion,
-                           floor: float = METRIC_RATIO_FLOOR) -> Immersion:
-    return replace(imm, metric_floor=floor)
-
-
 def spec_dimensions(spec: FamilySpec) -> tuple[int, int]:
     """(intrinsic dim n, ambient dim K) of the built immersion."""
-    return spec.dimensions()
-
-
-def _base_dimensions(base: BaseSpec) -> tuple[int, int]:
-    if isinstance(base, SphereChart):
-        return base.param_dim, base.dim + 1
-    return base.dimensions()
+    imm = build_immersion(spec)
+    return imm.param_dim, imm.ambient_dim
 
 
 def build_immersion(spec: FamilySpec) -> Immersion:
     """Construct the family's immersion; raises SpecError on bad specs."""
     if not isinstance(spec, _Family):
         raise SpecError(f"unknown family spec {type(spec).__name__}")
-    imm = spec.build()
-    n, K = spec.dimensions()
-    if (imm.param_dim, imm.ambient_dim) != (n, K):
-        raise SpecError(
-            f"{imm.name}: built dimensions ({imm.param_dim}, "
-            f"{imm.ambient_dim}) disagree with declared ({n}, {K})")
-    imm.metadata["spec"] = spec
-    return imm
+    return spec.build()
 
 
 # --- screw motion -----------------------------------------------------------
 
-def screw_action(pitch: PitchVector, t, points,
-                 block_dims: tuple[int, ...] | None = None,
-                 axial_coordinate: bool = True) -> np.ndarray:
+def screw_action(pitch: PitchVector, t, points) -> np.ndarray:
     """Rotate each block by e^{i λ_s t} and translate the axis by λ₀t.
 
     ``t`` is a scalar or an array of angles that broadcasts against the
-    leading (batch) axes of ``points``.  ``block_dims`` gives the (even)
-    real size of each block; by default the non-axial coordinates split
-    evenly among the pitch's blocks.
+    leading (batch) axes of ``points``.  The width of ``points`` fixes the
+    layout: if it is odd, the last coordinate is the axis; the rest split
+    evenly into ``pitch.blocks`` complex blocks (a; b) ≅ a + ib, or raise
+    ``DimensionMismatch``.
     """
     q = np.asarray(points, dtype=np.float64)
     t = np.asarray(t, dtype=np.float64)
     L = pitch.blocks
-    width = q.shape[-1] - (1 if axial_coordinate else 0)
-    if block_dims is None:
-        if width % L:
-            raise DimensionMismatch(
-                f"cannot split {width} coordinates into {L} equal blocks")
-        block_dims = (width // L,) * L
-    if len(block_dims) != L or sum(block_dims) != width:
+    axial = q.shape[-1] % 2
+    width = q.shape[-1] - axial
+    size, rest = divmod(width, L)
+    if rest or size % 2:
         raise DimensionMismatch(
-            f"block sizes {block_dims} do not tile {width} coordinates "
-            f"for {L} blocks")
+            f"cannot split {width} coordinates into {L} complex blocks "
+            f"of one size")
+    half = size // 2
     out = np.array(q, copy=True)
-    start = 0
-    for s, size in enumerate(block_dims):
-        if size % 2:
-            raise DimensionMismatch(f"block size {size} is odd")
-        half = size // 2
+    for s in range(L):
+        start = s * size
         a = q[..., start:start + half]
         b = q[..., start + half:start + size]
         ang = pitch.lambdas[s] * t[..., None]
         ca, sa = np.cos(ang), np.sin(ang)
         out[..., start:start + half] = ca * a - sa * b
         out[..., start + half:start + size] = ca * b + sa * a
-        start += size
-    if axial_coordinate:
+    if axial:
         out[..., -1] = q[..., -1] + pitch.lambda0 * t
     return out
 
@@ -849,16 +770,6 @@ class ScrewData:
 
     pitch: PitchVector
     theta_index: int
-    block_dims: tuple[int, ...]
-    axial_coordinate: bool
-
-
-def _block_screw(pitch: PitchVector, blocks, axial: bool) -> ScrewData:
-    """Screw data of Clifford blocks laid end to end, Θ after their charts."""
-    return ScrewData(
-        pitch=pitch, theta_index=sum(b.param_dim for b in blocks),
-        block_dims=tuple(b.ambient_dim for b in blocks),
-        axial_coordinate=axial)
 
 
 def screw_data(spec: FamilySpec) -> ScrewData | None:

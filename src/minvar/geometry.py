@@ -22,7 +22,7 @@ All operations accept batched points (leading axes broadcast through).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -105,7 +105,6 @@ class Immersion:
     exclusions: tuple[tuple[str, Callable[[np.ndarray], np.ndarray]], ...] = ()
     name: str = ""
     metric_floor: float | None = None
-    metadata: dict = field(default_factory=dict, compare=False)
 
     def _check_point_shape(self, p: np.ndarray) -> None:
         if p.ndim == 0 or p.shape[-1] != self.param_dim:

@@ -450,9 +450,7 @@ def verify_screw_invariance(spec, plan: SamplePlan = SamplePlan(),
 
     shifted = np.array(points, copy=True)
     shifted[:, data.theta_index] += angles
-    moved = screw_action(data.pitch, angles, imm.position(points),
-                         block_dims=data.block_dims,
-                         axial_coordinate=data.axial_coordinate)
+    moved = screw_action(data.pitch, angles, imm.position(points))
     residuals = np.max(np.abs(imm.position(shifted) - moved), axis=-1)
 
     checks = [_summarize("screw-invariance", residuals, SCREW_TOL, "PASS",

@@ -54,7 +54,7 @@ def resolve_projection(projection, ambient_dim: int) -> tuple[int, int, int]:
     try:
         if isinstance(projection, str):
             raise TypeError
-        idx = tuple(int(i) for i in projection)
+        idx = tuple(_integer(i, "projection index") for i in projection)
     except (TypeError, ValueError):
         raise SpecError(f"projection must be 'last-axis' or three "
                         f"coordinate indices, got {projection!r}") from None
@@ -69,11 +69,18 @@ def resolve_projection(projection, ambient_dim: int) -> tuple[int, int, int]:
     return idx
 
 
+def _integer(value, what: str) -> int:
+    """``value`` if it is an int, not a bool: sizes and indices never round."""
+    if type(value) is not int:
+        raise SpecError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def _check_resolution(resolution) -> tuple[int, int]:
     if isinstance(resolution, int):
         resolution = (resolution, resolution)
     try:
-        nu, nv = (int(n) for n in resolution)
+        nu, nv = (_integer(n, "resolution") for n in resolution)
     except (TypeError, ValueError):
         raise SpecError(f"resolution must be an integer or a pair, "
                         f"got {resolution!r}") from None
@@ -96,7 +103,7 @@ def tessellate(source, resolution=(64, 64), axes=(0, 1), fixed=None,
     imm = source if isinstance(source, Immersion) else build_immersion(source)
     nu, nv = _check_resolution(resolution)
     try:
-        ax_u, ax_v = (int(a) for a in axes)
+        ax_u, ax_v = (_integer(a, "grid axis") for a in axes)
     except (TypeError, ValueError):
         raise SpecError(f"axes must be two parameter indices, "
                         f"got {axes!r}") from None
@@ -114,7 +121,7 @@ def tessellate(source, resolution=(64, 64), axes=(0, 1), fixed=None,
                         f"({imm.param_dim}, 2)")
     base = dom.mean(axis=1)
     for k, val in dict(fixed or {}).items():
-        k = int(k)
+        k = _integer(k, "fixed parameter index")
         if not 0 <= k < imm.param_dim:
             raise SpecError(f"fixed parameter index {k} out of range")
         if k in (ax_u, ax_v):

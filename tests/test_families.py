@@ -2,6 +2,8 @@
 
 import json
 import re
+import typing
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -30,7 +32,6 @@ from minvar.families import (
     PitchVector,
     SphericalJoin,
     SphericalSlice,
-    _with_degeneracy_guard,
     build_immersion,
     choe_hoppe_graph_function,
     choe_hoppe_graph_residual,
@@ -97,7 +98,6 @@ def test_declared_dimensions_match_built(spec, n, K):
     imm = build_immersion(spec)
     assert (imm.param_dim, imm.ambient_dim) == (n, K)
     assert len(imm.domain) == n
-    assert imm.metadata["spec"] == spec
 
 
 def test_helicoid_a_frozen_point():
@@ -168,17 +168,26 @@ def test_sphere_containment(spec):
     assert_close(norms, np.ones_like(norms), 1e-12)
 
 
-@pytest.mark.parametrize("spec", [
+SCREW_SPECS = [
     helicoid_a(1, 1),
     helicoid_a(2, 0),
+    helicoid_a(3, 0),
     helicoid_a(2, 2, PitchVector(0.0, (1.0, -0.5))),
     GenHelicoidB(rays=2, block=standard_block(1), angular_pitch=0.8,
                  axial_pitch=0.3),
+    GenHelicoidB(rays=3, block=standard_block(1), angular_pitch=-1.2,
+                 axial_pitch=0.5),
+    ChoeHoppe(sphere_dim=1, pitch=0.6),
     ChoeHoppe(sphere_dim=2, pitch=0.6),
+    ChoeHoppe(sphere_dim=3, pitch=0.6),
     BDJ(pitch=PitchVector(lambda0=1.0, lambdas=(1.0, 2.0, 3.0))),
     LawsonSurface(lambda1=1.0, lambda2=2.0),
     SphericalSlice(inner=helicoid_a(2, 1, PitchVector(0.0, (1.0, 2.0)))),
-])
+    SphericalSlice(inner=helicoid_a(3, 1, PitchVector(0.0, (1.0, 2.0, -0.5)))),
+]
+
+
+@pytest.mark.parametrize("spec", SCREW_SPECS)
 def test_screw_invariance(spec):
     imm = build_immersion(spec)
     data = screw_data(spec)
@@ -190,24 +199,33 @@ def test_screw_invariance(spec):
     shifted[:, data.theta_index] += ts
     lhs = imm.position(shifted)
     rhs = np.stack([
-        screw_action(data.pitch, float(ts[i]), imm.position(pts[i]),
-                     block_dims=data.block_dims,
-                     axial_coordinate=data.axial_coordinate)
+        screw_action(data.pitch, float(ts[i]), imm.position(pts[i]))
         for i in range(len(ts))])
     assert float(np.max(np.abs(lhs - rhs))) <= 1e-12
 
 
-@pytest.mark.parametrize("spec", [
+SCALING_SPECS = [
     CliffordCone(block=standard_block(1)),
     LRaysCone(rays=2, base=SphereChart(dim=2)),
+    LRaysCone(rays=2, base=LawsonSurface(lambda1=1.0, lambda2=2.0)),
     LRaysCliffordCone(rays=3, block=standard_block(1)),
+    HarveyLawsonCone(sphere_dim=0),
     HarveyLawsonCone(sphere_dim=2),
+    HarveyLawsonCone(sphere_dim=2,
+                     chart_x=SphereChart(dim=2, kind="trigonometric"),
+                     chart_y=SphereChart(dim=2, kind="trigonometric")),
     helicoid_a(2, 1, PitchVector(0.0, (1.0, 2.0))),
     GenHelicoidB(rays=2, block=standard_block(1), angular_pitch=1.0,
                  axial_pitch=0.0),
+    GenHelicoidB(rays=3, block=standard_block(1), angular_pitch=1.0,
+                 axial_pitch=0.0),
+    ChoeHoppe(sphere_dim=1, pitch=0.0),
     ChoeHoppe(sphere_dim=2, pitch=0.0),
     BDJ(pitch=PitchVector(lambda0=0.0, lambdas=(1.0, 2.0))),
-])
+]
+
+
+@pytest.mark.parametrize("spec", SCALING_SPECS)
 def test_cone_scaling(spec):
     imm = build_immersion(spec)
     idx = scaling_indices(spec)
@@ -217,6 +235,22 @@ def test_cone_scaling(spec):
         scaled = pts.copy()
         scaled[:, list(idx)] *= s
         assert_close(imm.position(scaled), s * imm.position(pts), 1e-12)
+
+
+def _overriders(method: str) -> set:
+    return {cls for cls in typing.get_args(families.FamilySpec)
+            if getattr(cls, method) is not getattr(families._Family, method)}
+
+
+def test_every_family_is_covered():
+    # the dimension table is the only statement of (n, K) besides build(),
+    # and every screw and scaling formula has an input above
+    family_classes = set(typing.get_args(families.FamilySpec))
+    assert {type(spec) for spec, _, _ in SPEC_DIMENSION_TABLE} \
+        == family_classes
+    assert {type(spec) for spec in SCREW_SPECS} == _overriders("screw")
+    assert {type(spec) for spec in SCALING_SPECS} \
+        == _overriders("scaling_indices")
 
 
 def test_helicoid_with_axial_pitch_is_not_a_cone():
@@ -257,9 +291,10 @@ def test_screw_action_validation():
     with pytest.raises(DimensionMismatch):
         screw_action(pitch, 1.0, np.zeros(6))  # 5 non-axial coords, L=2
     with pytest.raises(DimensionMismatch):
-        screw_action(pitch, 1.0, np.zeros(7), block_dims=(4, 4))
+        screw_action(pitch, 1.0, np.zeros(7))  # 6 coords: blocks of size 3
     with pytest.raises(DimensionMismatch):
-        screw_action(pitch, 1.0, np.zeros(7), block_dims=(3, 3))
+        screw_action(PitchVector(lambda0=0.0, lambdas=(1.0, 2.0, 3.0)), 1.0,
+                     np.zeros(9))  # 8 coords do not split into 3 blocks
 
 
 def test_gen_helicoid_b_zero_pitch_is_rays_cone():
@@ -354,7 +389,7 @@ SLICE_BASE = SphericalSlice(inner=GenHelicoidA(
 ], ids=["lawson", "slice"])
 def test_lifted_guards_test_the_base_metric(monkeypatch, lifted, base_spec,
                                             floor):
-    base = _with_degeneracy_guard(build_immersion(base_spec), floor=floor)
+    base = replace(build_immersion(base_spec), metric_floor=floor)
     monkeypatch.setattr(families, "_base_immersion", lambda spec: base)
     imm = build_immersion(lifted(base_spec))
     assert imm.metric_floor is None

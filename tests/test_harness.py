@@ -31,7 +31,6 @@ from minvar.families import (
     LRaysCliffordCone,
     PitchVector,
     SphericalSlice,
-    _with_degeneracy_guard,
     build_immersion,
     standard_block,
     standard_chart,
@@ -267,7 +266,7 @@ class TestOneEvaluationPerDraw:
     def test_forced_rejects_reuse_the_guard_eval(self, monkeypatch, label,
                                                  floor):
         spec = dict(default_campaign())[label]
-        imm = _with_degeneracy_guard(build_immersion(spec), floor=floor)
+        imm = replace(build_immersion(spec), metric_floor=floor)
         plan = SamplePlan(count=100, seed=11)
         rows = count_eval_rows(monkeypatch)
         points, rejected, pe = harness._sample_evaluated(imm, plan)

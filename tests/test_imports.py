@@ -1,0 +1,70 @@
+"""Every module-level import in the package is used.
+
+Deleting code tends to strand the imports it needed; this walks each
+module's syntax tree instead of running a linter.  ``__init__.py`` only
+re-exports, and ``from __future__`` imports bind nothing, so both are
+skipped.  A name counts as used if the module reads it anywhere, in a
+string annotation, or lists it in ``__all__``.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "minvar"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def _imported_names(tree: ast.Module) -> dict[str, int]:
+    """Name bound by each module-level import, with its line number."""
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                name = alias.asname or alias.name.partition(".")[0]
+                bound[name] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    return bound
+
+
+def _annotations(tree: ast.Module):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg | ast.AnnAssign) and node.annotation:
+            yield node.annotation
+        elif isinstance(node, ast.FunctionDef) and node.returns:
+            yield node.returns
+
+
+def _exported(tree: ast.Module) -> set[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            return {elt.value for elt in node.value.elts}
+    return set()
+
+
+def _used_names(tree: ast.Module) -> set[str]:
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for annotation in _annotations(tree):
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                used |= {n.id for n in ast.walk(ast.parse(node.value))
+                         if isinstance(n, ast.Name)}
+    return used | _exported(tree)
+
+
+def test_the_package_has_modules():
+    assert len(MODULES) >= 5
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_level_imports_are_used(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    used = _used_names(tree)
+    unused = {name: line for name, line in _imported_names(tree).items()
+              if name not in used}
+    assert not unused, f"{path.name}: unused imports {unused}"

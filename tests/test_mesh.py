@@ -186,6 +186,12 @@ class TestTessellate:
     @pytest.mark.parametrize("kwargs", [
         {"resolution": (1, 4)}, {"resolution": 0},
         {"resolution": "fine"},
+        # non-integers are refused, never truncated
+        {"resolution": (2.7, 3.9)}, {"resolution": 3.0},
+        {"resolution": True}, {"resolution": (True, 3)},
+        {"axes": (0.9, 1.6)}, {"axes": (False, True)},
+        {"projection": (0.5, 1.2, 2.9)}, {"projection": (0, True, 2)},
+        {"fixed": {2.0: 1.0}}, {"fixed": {True: 1.0}},
         {"axes": (0, 0)}, {"axes": (0,)},
         {"fixed": {0: 1.0}},            # axis 0 is a grid axis
         {"fixed": {7: 1.0}},
