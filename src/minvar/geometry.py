@@ -180,19 +180,17 @@ class Immersion:
             mask |= np.asarray(predicate(p), dtype=bool)
         return mask
 
-    def screen(self, p) -> tuple[np.ndarray, PointEval | None]:
+    def screen(self, p) -> tuple[np.ndarray, PointEval]:
         """(exclusion mask, PointEval of every point of ``p``).
 
         The mask ORs the predicates and, if set, the metric floor, which
-        is tested on one second-order ``eval`` of the batch; that PointEval
-        is returned so a caller can keep its accepted rows.  Without a
-        floor nothing is evaluated and the PointEval is None.
+        is tested on the batch's one second-order ``eval``; that PointEval
+        is returned so a caller can keep its accepted rows.
         """
         mask = self._predicates(p)
-        if self.metric_floor is None:
-            return mask, None
         pe = self.eval(p)
-        mask |= metric_below_floor(pe.jacobian, self.metric_floor)
+        if self.metric_floor is not None:
+            mask |= metric_below_floor(pe.jacobian, self.metric_floor)
         return mask, pe
 
     def excluded(self, p) -> np.ndarray:
@@ -309,12 +307,11 @@ def mean_curvature(pe: PointEval) -> MeanCurvatureEval:
     )
 
 
-def sphere_residual_from_pointeval(pe: PointEval, n: int,
-                                   H: np.ndarray | None = None
-                                   ) -> np.ndarray:
-    """‖n·F + Δ_g F‖ from a PointEval; raises NotSpherical off the sphere.
+def sphere_residual_from_pointeval(pe: PointEval, *,
+                                   H: np.ndarray) -> np.ndarray:
+    """‖n·F + H‖ for H = Δ_g F of ``pe``; raises NotSpherical off the sphere.
 
-    ``H``, if given, is Δ_g F already assembled from ``pe``.
+    n is the parameter count, the last axis of the Jacobian.
     """
     radius = np.linalg.norm(pe.position, axis=-1)
     off = float(np.max(np.abs(radius - 1.0)))
@@ -322,6 +319,5 @@ def sphere_residual_from_pointeval(pe: PointEval, n: int,
         raise NotSpherical(
             f"image point leaves the unit sphere by {off:.3e} "
             f"(tolerance {SPHERE_TOL:.1e})")
-    if H is None:
-        H = laplace_from_pointeval(pe)
+    n = pe.jacobian.shape[-1]
     return np.linalg.norm(n * pe.position + H, axis=-1)

@@ -4,12 +4,11 @@ A campaign samples non-excluded parameter points deterministically,
 evaluates a residual per point, and condenses the result into verdict
 records.  Positive families must PASS; registered negative controls
 must FAIL by a wide margin (FAIL-EXPECTED), so a trivially-agreeing
-engine cannot slip through.  Each sampled point is evaluated once: for
-an immersion with a metric floor, the ``PointEval`` the guard computed
-for the accepted draws feeds the residual stage; any other immersion is
-evaluated after sampling.  Reports serialize to versioned JSON and
-are deterministic for a fixed (spec, plan, tolerance) triple, except
-for the wall-time stamp.
+engine cannot slip through.  Each draw is evaluated once: the
+``PointEval`` that screening computed for the accepted draws feeds the
+residual stage, and every residual reads ``mean_curvature``.  Reports
+serialize to versioned JSON and are deterministic for a fixed (spec,
+plan, tolerance) triple, except for the wall-time stamp.
 """
 
 from __future__ import annotations
@@ -60,7 +59,6 @@ from .families import (
 from .geometry import (
     Immersion,
     PointEval,
-    laplace_from_pointeval,
     mean_curvature,
     sphere_residual_from_pointeval,
 )
@@ -279,7 +277,7 @@ def sample_points(imm: Immersion, plan: SamplePlan):
     rows stay pending.  Every stream is consumed exactly as a
     point-by-point loop would consume it, so points and reject counts
     match that loop bit for bit.  The campaigns run the same loop and keep
-    the accepted rows of the floor's ``PointEval``.
+    the accepted rows of each round's ``PointEval``.
     """
     points, rejected, _ = _sample(imm, plan)
     return points, rejected
@@ -288,8 +286,7 @@ def sample_points(imm: Immersion, plan: SamplePlan):
 def _sample(imm: Immersion, plan: SamplePlan):
     """The rejection loop of ``sample_points``; returns (points, rejected, pe).
 
-    ``pe`` is the PointEval of ``points`` that the metric floor's test
-    computed, or None for an immersion without a floor.
+    ``pe`` is the PointEval of ``points`` that screening computed.
     """
     box = np.asarray(plan.box if plan.box is not None else imm.domain,
                      dtype=float)
@@ -310,8 +307,7 @@ def _sample(imm: Immersion, plan: SamplePlan):
         bad, pe = imm.screen(draws)
         ok = ~bad
         points[pending[ok]] = draws[ok]
-        if pe is not None:
-            pieces.append((pending[ok], pe, ok))
+        pieces.append((pending[ok], pe, ok))
         pending = pending[bad]
         rejected += len(pending)
         if not len(pending):
@@ -327,10 +323,8 @@ def _sample(imm: Immersion, plan: SamplePlan):
     return points, rejected, _in_point_order(pieces, plan.count)
 
 
-def _in_point_order(pieces: list, count: int) -> PointEval | None:
+def _in_point_order(pieces: list, count: int) -> PointEval:
     """One PointEval of all points from each round's accepted rows."""
-    if not pieces:
-        return None
     if len(pieces) == 1:
         return pieces[0][1]             # round 1 accepted every point
 
@@ -341,12 +335,6 @@ def _in_point_order(pieces: list, count: int) -> PointEval | None:
         return out
     return PointEval(position=gather("position"),
                      jacobian=gather("jacobian"), second=gather("second"))
-
-
-def _sample_evaluated(imm: Immersion, plan: SamplePlan):
-    """(points, rejected, PointEval of points), each point evaluated once."""
-    points, rejected, pe = _sample(imm, plan)
-    return points, rejected, imm.eval(points) if pe is None else pe
 
 
 def _aux_stream(plan: SamplePlan, label: int) -> np.random.Generator:
@@ -360,24 +348,29 @@ def _aux_stream(plan: SamplePlan, label: int) -> np.random.Generator:
 # ---------------------------------------------------------------------------
 
 
+def _residuals(pe: PointEval, spherical: bool):
+    """(minimality, tangential) raw residual arrays from ``mean_curvature``.
+
+    An immersion into the unit sphere is judged by the sphere target
+    ‖n F + H‖, a Euclidean one by ‖H‖ alone.
+    """
+    mc = mean_curvature(pe)
+    if spherical:
+        minimality = sphere_residual_from_pointeval(pe, H=mc.H)
+    else:
+        minimality = mc.H_norm
+    return minimality, mc.tangential_residual
+
+
 def _minimality_residuals(spec, pe: PointEval):
     """(normalized minimality, normalized tangential) residual arrays.
 
-    Families living on the unit sphere are judged by the sphere target
-    Delta F + n F, Euclidean ones by Delta F alone.  Both are divided by
-    1 + the squared Frobenius norm of the Jacobian, so one tolerance
-    serves every cone radius.
+    Both ``_residuals`` are divided by 1 + the squared Frobenius norm of
+    the Jacobian, so one tolerance serves every cone radius.
     """
-    mc = mean_curvature(pe)
-    jac_sq = np.einsum("...an,...an->...", pe.jacobian, pe.jacobian)
-    scale = 1.0 + jac_sq
-
-    if spec.spherical:
-        minimality = sphere_residual_from_pointeval(
-            pe, pe.jacobian.shape[-1], H=mc.H) / scale
-    else:
-        minimality = mc.H_norm / scale
-    return minimality, mc.tangential_residual / scale
+    scale = 1.0 + np.einsum("...an,...an->...", pe.jacobian, pe.jacobian)
+    minimality, tangential = _residuals(pe, spec.spherical)
+    return minimality / scale, tangential / scale
 
 
 def _summarize(name: str, residuals: np.ndarray, tolerance: float,
@@ -423,7 +416,7 @@ def verify_minimality(spec, plan: SamplePlan = SamplePlan(),
     """
     started = time.perf_counter()
     imm = build_immersion(spec)
-    _, rejected, pe = _sample_evaluated(imm, plan)
+    _, rejected, pe = _sample(imm, plan)
     minimality, tangential = _minimality_residuals(spec, pe)
     expected = "FAIL-EXPECTED" if is_negative_control(spec) else "PASS"
     checks = [
@@ -469,7 +462,7 @@ def verify_cone_scaling(spec, plan: SamplePlan = SamplePlan(),
             f"{type(spec).__name__} is not a cone here (no scaling "
             f"parameters; a nonzero axial rate breaks homogeneity)")
     imm = build_immersion(spec)
-    points, rejected, pe = _sample_evaluated(imm, plan)
+    points, rejected, pe = _sample(imm, plan)
     factors = _aux_stream(plan, 2).uniform(0.1, 10.0, plan.count)
 
     scaled = np.array(points, copy=True)
@@ -494,9 +487,9 @@ def takahashi_equivalence(base, rays: int,
     """Sphere-minimality of a base, of its multi-ray join, and of its cone.
 
     The three verdicts stand or fall together; ``agreement`` records
-    whether they in fact did.  All three routes use raw residuals (the
-    sphere defect for the base and the join, the curvature norm for the
-    cone) so a non-minimal base registers loudly on each.  A plan's
+    whether they in fact did.  All three routes use the raw ``_residuals``
+    (the sphere defect for the base and the join, the curvature norm for
+    the cone) so a non-minimal base registers loudly on each.  A plan's
     explicit box, if any, applies to the base chart; the join and cone
     sample their own domains.
     """
@@ -510,33 +503,24 @@ def takahashi_equivalence(base, rays: int,
                 if not isinstance(base, SphereChart)
                 and is_negative_control(base) else "PASS")
 
-    base_imm = _base_immersion(base)
-    _, base_rej, base_pe = _sample_evaluated(base_imm, plan)
-    base_res = sphere_residual_from_pointeval(base_pe, base_imm.param_dim)
-
     inner_plan = replace(plan, box=None)
-    join_spec = SphericalJoin(xs=standard_chart(rays - 1), base=base)
-    join_imm = build_immersion(join_spec)
-    _, join_rej, join_pe = _sample_evaluated(join_imm, inner_plan)
-    join_res = sphere_residual_from_pointeval(join_pe, join_imm.param_dim)
-
-    cone_spec = LRaysCone(rays=rays, base=base)
-    cone_imm = build_immersion(cone_spec)
-    _, cone_rej, cone_pe = _sample_evaluated(cone_imm, inner_plan)
-    cone_res = np.linalg.norm(laplace_from_pointeval(cone_pe), axis=-1)
-
-    checks = (
-        _summarize("sphere-base", base_res, tol.tol_H, expected, base_rej,
-                   tol.tol_negative),
-        _summarize("sphere-join", join_res, tol.tol_H, expected, join_rej,
-                   tol.tol_negative),
-        _summarize("cone-rays", cone_res, tol.tol_H, expected, cone_rej,
-                   tol.tol_negative),
+    join = SphericalJoin(xs=standard_chart(rays - 1), base=base)
+    routes = (
+        ("sphere-base", _base_immersion(base), plan, True),
+        ("sphere-join", build_immersion(join), inner_plan, True),
+        ("cone-rays", build_immersion(LRaysCone(rays=rays, base=base)),
+         inner_plan, False),
     )
+    checks = []
+    for name, imm, route_plan, spherical in routes:
+        _, rejected, pe = _sample(imm, route_plan)
+        residuals, _ = _residuals(pe, spherical)
+        checks.append(_summarize(name, residuals, tol.tol_H, expected,
+                                 rejected, tol.tol_negative))
     agreement = len({c.verdict for c in checks}) == 1
     return TakahashiReport(
         base=_base_to_json(base), rays=rays, plan=plan.to_json(),
-        tolerances=tol.to_json(), checks=checks, agreement=agreement,
+        tolerances=tol.to_json(), checks=tuple(checks), agreement=agreement,
         engine_version=__version__,
         wall_time=time.perf_counter() - started)
 

@@ -45,7 +45,7 @@ class MeshData:
 
 def resolve_projection(projection, ambient_dim: int) -> tuple[int, int, int]:
     """Normalize a projection request to three valid coordinate indices."""
-    if projection == "last-axis":
+    if isinstance(projection, str) and projection == "last-axis":
         if ambient_dim < 3:
             raise DimensionMismatch(
                 f"last-axis projection needs ambient dimension >= 3, "

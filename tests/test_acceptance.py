@@ -237,8 +237,9 @@ def test_c7_symmetry_and_special_instances():
 
     lawson = build_immersion(LawsonSurface(1.0, 2.0))
     pts, _ = sample_points(lawson, SamplePlan(count=500, seed=78))
+    lawson_pe = lawson.eval(pts)
     lawson_worst = float(np.max(sphere_residual_from_pointeval(
-        lawson.eval(pts), lawson.param_dim)))
+        lawson_pe, H=laplace_from_pointeval(lawson_pe))))
 
     harvey = build_immersion(HarveyLawsonCone(sphere_dim=2))
     pts, _ = sample_points(harvey, SamplePlan(count=500, seed=79))

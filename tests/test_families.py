@@ -342,14 +342,17 @@ def test_families_are_minimal_smoke(spec):
 def test_spherical_families_are_sphere_minimal(spec, n):
     imm = build_immersion(spec)
     pts = sample_box(imm, 80, seed=11)
-    res = sphere_residual_from_pointeval(imm.eval(pts), n)
+    pe = imm.eval(pts)
+    assert pe.jacobian.shape[-1] == n
+    res = sphere_residual_from_pointeval(pe, H=mean_curvature(pe).H)
     assert float(np.max(res)) <= 1e-9
 
 
 def test_negative_controls():
     lat = build_immersion(LatitudeCircle(height=0.5))
     pts = sample_box(lat, 30, seed=12)
-    res = sphere_residual_from_pointeval(lat.eval(pts), lat.param_dim)
+    pe = lat.eval(pts)
+    res = sphere_residual_from_pointeval(pe, H=mean_curvature(pe).H)
     assert float(np.min(res)) >= 0.5
     assert is_negative_control(LatitudeCircle(height=0.5))
     assert not is_negative_control(LatitudeCircle(height=0.0))

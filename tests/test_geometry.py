@@ -325,21 +325,27 @@ def test_sphere_residual_equator_vs_latitude():
         return Immersion(param_dim=1, ambient_dim=3, components=comps,
                          domain=((-np.pi, np.pi),), name=f"circle-{height}")
 
+    def residual(imm):
+        pe = imm.eval(pts)
+        return sphere_residual_from_pointeval(pe, H=mean_curvature(pe).H)
+
     pts = np.linspace(-3.0, 3.0, 17)[:, None]
-    res_eq = sphere_residual_from_pointeval(circle(0.0).eval(pts), 1)
+    res_eq = residual(circle(0.0))
     assert float(np.max(res_eq)) <= 1e-12
 
-    res_lat = sphere_residual_from_pointeval(circle(0.5).eval(pts), 1)
+    res_lat = residual(circle(0.5))
     # closed form sqrt((rho - 1/rho)^2 + h^2) = 1/sqrt(3) at h = 1/2
     assert_close(res_lat, np.full(17, 1.0 / np.sqrt(3.0)), 1e-12)
     assert float(np.min(res_lat)) >= 0.5
 
 
 def test_sphere_residual_rejects_off_sphere_input():
-    imm = cylinder(1.0)
-    pts = np.array([[0.3, 0.2]])
+    pe = cylinder(1.0).eval(np.array([[0.3, 0.2]]))
     with pytest.raises(NotSpherical):
-        sphere_residual_from_pointeval(imm.eval(pts), 2)
+        sphere_residual_from_pointeval(pe, H=laplace_from_pointeval(pe))
+    # n is read from the Jacobian; an old positional n must not pass as H
+    with pytest.raises(TypeError):
+        sphere_residual_from_pointeval(pe, 2)
 
 
 def test_coordinate_laplacian_hand_values():

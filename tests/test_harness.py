@@ -253,23 +253,33 @@ def count_eval_rows(monkeypatch):
 
 class TestOneEvaluationPerDraw:
     def test_verify_minimality_evaluates_once(self, monkeypatch):
-        # the metric floor's PointEval of the draws is the residuals' too
-        rows = count_eval_rows(monkeypatch)
-        spec = dict(default_campaign())["helicoid-blocks"]
-        report = verify_minimality(spec, SamplePlan(count=60))
-        assert report.all_expected
-        assert report.checks[0].points_excluded == 0
-        assert rows == [60]
+        # the screen's PointEval of the draws is the residuals' too, with
+        # a metric floor (helicoid-blocks) or without one (clifford-torus)
+        for label in ("helicoid-blocks", "clifford-torus"):
+            rows = count_eval_rows(monkeypatch)
+            spec = dict(default_campaign())[label]
+            report = verify_minimality(spec, SamplePlan(count=60))
+            monkeypatch.undo()
+            assert report.all_expected
+            assert report.checks[0].points_excluded == 0
+            assert rows == [60]
 
-    @pytest.mark.parametrize("floor", [0.2, 0.4])
-    @pytest.mark.parametrize("label", ["helicoid-blocks", "helicoid-slice"])
+    @pytest.mark.parametrize("label,floor", [
+        ("helicoid-blocks", 0.2), ("helicoid-blocks", 0.4),
+        ("helicoid-slice", 0.2), ("helicoid-slice", 0.4),
+        ("square-patch", None)])
     def test_forced_rejects_reuse_the_guard_eval(self, monkeypatch, label,
                                                  floor):
-        spec = dict(default_campaign())[label]
-        imm = replace(build_immersion(spec), metric_floor=floor)
+        spec = None
+        if floor is None:
+            # rejects come from a predicate; there is no metric floor
+            imm = square_patch(threshold=0.25)
+        else:
+            spec = dict(default_campaign())[label]
+            imm = replace(build_immersion(spec), metric_floor=floor)
         plan = SamplePlan(count=100, seed=11)
         rows = count_eval_rows(monkeypatch)
-        points, rejected, pe = harness._sample_evaluated(imm, plan)
+        points, rejected, pe = harness._sample(imm, plan)
         assert rejected > 0
         assert sum(rows) == plan.count + rejected
         monkeypatch.undo()
@@ -280,10 +290,11 @@ class TestOneEvaluationPerDraw:
         ref = imm.eval(points)
         for name in ("position", "jacobian", "second"):
             assert getattr(pe, name).tobytes() == getattr(ref, name).tobytes()
-        got = harness._minimality_residuals(spec, pe)
-        want = harness._minimality_residuals(spec, ref)
-        for g, w in zip(got, want):
-            assert g.tobytes() == w.tobytes()
+        if spec is not None:
+            got = harness._minimality_residuals(spec, pe)
+            want = harness._minimality_residuals(spec, ref)
+            for g, w in zip(got, want):
+                assert g.tobytes() == w.tobytes()
 
 
 class TestVerifyMinimality:

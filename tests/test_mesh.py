@@ -84,6 +84,8 @@ class TestResolveProjection:
             resolve_projection((0, 1), 5)
         with pytest.raises(SpecError):
             resolve_projection(7, 5)
+        with pytest.raises(SpecError):
+            resolve_projection(np.array([0, 1, 2]), 5)
 
 
 class TestTessellate:
