@@ -24,6 +24,7 @@ import io
 import json
 import sys
 from dataclasses import dataclass, field, replace
+from functools import cache
 
 import numpy as np
 
@@ -329,6 +330,7 @@ _COMMANDS = {
 }
 
 
+@cache       # built once per process; parsing leaves the parser unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="minvar",

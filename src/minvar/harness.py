@@ -2,7 +2,10 @@
 
 A campaign samples non-excluded parameter points deterministically,
 evaluates a residual per point, and condenses the result into verdict
-records.  Positive families must PASS; registered negative controls
+records.  A sample's uniform draws are addressed by (seed, point, draw
+index): ``streams.uniform_rows`` computes a whole round of them at once,
+bit-identical to numpy's ``SeedSequence(seed, spawn_key=(point,))`` PCG64
+streams, so no per-point ``Generator`` is built.  Positive families must PASS; registered negative controls
 must FAIL by a wide margin (FAIL-EXPECTED), so a trivially-agreeing
 engine cannot slip through.  Each draw is evaluated once: the
 ``PointEval`` that screening computed for the accepted draws feeds the
@@ -62,6 +65,7 @@ from .geometry import (
     mean_curvature,
     sphere_residual_from_pointeval,
 )
+from .streams import uniform_rows
 
 __all__ = [
     "SamplePlan",
@@ -96,6 +100,10 @@ class SamplePlan:
     def __post_init__(self):
         if type(self.count) is not int or self.count < 1:
             raise SpecError(f"plan count must be a positive integer, "
+                            f"got {self.count!r}")
+        if self.count >= 2 ** 32:
+            # a point index is one 32-bit word of its stream's spawn key
+            raise SpecError(f"plan count must be below 2**32, "
                             f"got {self.count!r}")
         if type(self.seed) is not int or not 0 <= self.seed < 2 ** 64:
             raise SpecError(f"seed must be a 64-bit unsigned integer, "
@@ -269,15 +277,18 @@ def report_from_json(d: dict):
 def sample_points(imm: Immersion, plan: SamplePlan):
     """Draw plan.count non-excluded points; returns (points, rejected).
 
-    Each point gets its own RNG stream keyed by (seed, index), so serial
-    and parallel evaluation orders produce identical samples.  Sampling
-    runs in rounds: each round draws the next candidate of every pending
-    point from that point's stream and screens the stacked batch once
-    (``imm.screen``: the predicates and the metric floor); only rejected
-    rows stay pending.  Every stream is consumed exactly as a
-    point-by-point loop would consume it, so points and reject counts
-    match that loop bit for bit.  The campaigns run the same loop and keep
-    the accepted rows of each round's ``PointEval``.
+    Each point has its own stream, numpy's PCG64 seeded by
+    ``SeedSequence(seed, spawn_key=(index,))``, so serial and parallel
+    evaluation orders produce identical samples.  A draw is addressed by
+    (seed, index, draw index) and computed directly, without a
+    ``Generator`` per point.  Sampling runs in rounds: round r draws the
+    next candidate of every pending point, draws r n to (r + 1) n of its
+    stream for n parameters, in one ``uniform_rows`` call, and screens the
+    stacked batch once (``imm.screen``: the predicates and the metric
+    floor); only rejected rows stay pending.  Points and reject counts
+    match a point-by-point loop over numpy's generators bit for bit.  The
+    campaigns run the same loop and keep the accepted rows of each round's
+    ``PointEval``.  ``plan.count`` is below 2^32, one spawn-key word.
     """
     points, rejected, _ = _sample(imm, plan)
     return points, rejected
@@ -293,16 +304,14 @@ def _sample(imm: Immersion, plan: SamplePlan):
     if box.shape != (imm.param_dim, 2):
         raise SpecError(f"sampling box has shape {box.shape}, expected "
                         f"({imm.param_dim}, 2)")
-    rngs = [np.random.default_rng(
-                np.random.SeedSequence(plan.seed, spawn_key=(i,)))
-            for i in range(plan.count)]
-    points = np.empty((plan.count, imm.param_dim))
+    n = imm.param_dim
+    points = np.empty((plan.count, n))
     pending = np.arange(plan.count)
     pieces = []                 # (point indices, round's PointEval, rows)
     rejected = 0
-    for _ in range(plan.max_rejects):
+    for r in range(plan.max_rejects):
         # the operations of Generator.uniform, applied to the whole batch
-        u = np.array([rngs[i].random(imm.param_dim) for i in pending])
+        u = uniform_rows(plan.seed, pending, r * n, n)
         draws = box[:, 0] + (box[:, 1] - box[:, 0]) * u
         bad, pe = imm.screen(draws)
         ok = ~bad

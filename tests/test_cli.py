@@ -184,6 +184,25 @@ class TestVerifyCommand:
         assert report.plan["count"] == 10 and report.plan["seed"] == 99
         assert report.checks[0].points_evaluated == 10
 
+    def test_override_does_not_outlive_its_call(self, tmp_path):
+        # the parser is built once per process; a flag of one call must
+        # not become the default of the next
+        out = tmp_path / "report.json"
+        cfg = write_config(tmp_path, family=LATITUDE,
+                           plan={"count": 10, "seed": 3},
+                           checks=["minimality"],
+                           output={"report": str(out)})
+        assert main(["verify", cfg, "--seed", "7"]) == 0
+        assert load_reports(json.loads(out.read_text()))[0].plan["seed"] == 7
+        assert main(["verify", cfg]) == 0
+        assert load_reports(json.loads(out.read_text()))[0].plan["seed"] == 3
+
+    def test_point_count_beyond_stream_keys_exits_two(self, tmp_path,
+                                                      capsys):
+        cfg = write_config(tmp_path, family=LATITUDE, checks=["minimality"])
+        assert main(["verify", cfg, "--points", str(2 ** 32)]) == 2
+        assert "plan count must be below 2**32" in capsys.readouterr().err
+
 
 class TestIdentitiesCommand:
     def test_lemma_csv_has_five_residual_columns(self, tmp_path):
@@ -346,6 +365,9 @@ LAWSON = {"kind": "LawsonSurface", "lambda1": 1.0, "lambda2": 2.0}
      "config.output.mesh: expected str, got int"),
     ("takahashi", {"base": LATITUDE, "rays": 2.0},
      "config.rays: expected int, got float"),
+    ("verify", {"family": LATITUDE, "checks": ["minimality"],
+                "plan": {"count": 2 ** 32}},
+     "plan count must be below 2**32, got 4294967296"),
 ])
 def test_malformed_values_exit_two_without_output(tmp_path, capsys, command,
                                                   doc, message):

@@ -36,6 +36,7 @@ from minvar.families import (
     standard_chart,
 )
 from minvar.geometry import Immersion
+from minvar.streams import uniform_rows
 from minvar.harness import (
     CheckResult,
     SamplePlan,
@@ -98,6 +99,7 @@ class TestSamplePlan:
         {"max_rejects": 0},
         {"box": ((0.0, 0.0),)}, {"box": ((1.0, 0.5),)},
         {"count": True}, {"seed": True}, {"max_rejects": True},
+        {"count": 2 ** 32},
     ])
     def test_rejects_bad_fields(self, kwargs):
         with pytest.raises(SpecError):
@@ -237,6 +239,48 @@ class TestSamplePoints:
             sample_points(imm, plan)
         assert str(got.value) == str(want.value)
         assert not str(got.value).startswith("point 0:")
+
+
+def numpy_rows(seed, keys, first, n):
+    """Reference: draws first .. first + n of numpy's per-key streams."""
+    return np.array([np.random.default_rng(
+        np.random.SeedSequence(seed, spawn_key=(k,))).random(first + n)[first:]
+        for k in keys]).reshape(len(keys), n)
+
+
+class TestUniformRows:
+    """``streams.uniform_rows`` against numpy's own generators, bit for bit."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 63,
+                                      2 ** 64 - 1])
+    def test_rounds_match_numpy_streams(self, seed):
+        keys = np.array([0, 59, 2 ** 32 - 1])
+        for n in (1, 3, 16):
+            for r in range(5):
+                got = uniform_rows(seed, keys, r * n, n)
+                want = numpy_rows(seed, keys, r * n, n)
+                assert got.shape == (3, n)
+                assert np.array_equal(got.view(np.uint64),
+                                      want.view(np.uint64))
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 64 - 1), key=st.integers(0, 2 ** 32 - 1),
+           first=st.integers(0, 3200), n=st.integers(1, 20))
+    def test_any_draw_matches_numpy_stream(self, seed, key, first, n):
+        got = uniform_rows(seed, [key], first, n)
+        want = numpy_rows(seed, [key], first, n)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_sampling_builds_no_generator(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("sampling built a numpy Generator")
+        want, _ = sample_points(square_patch(threshold=0.25),
+                                SamplePlan(count=30, seed=9))
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        monkeypatch.setattr(np.random, "SeedSequence", refuse)
+        got, rejected = sample_points(square_patch(threshold=0.25),
+                                      SamplePlan(count=30, seed=9))
+        assert rejected > 0 and got.tobytes() == want.tobytes()
 
 
 def count_eval_rows(monkeypatch):
