@@ -22,7 +22,8 @@ All operations accept batched points (leading axes broadcast through).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -55,11 +56,17 @@ SPHERE_TOL = 1e-12     # how far a sphere residual lets a point leave S^n
 
 @dataclass(frozen=True)
 class PointEval:
-    """Position, Jacobian and second-derivative tensor at parameter points."""
+    """Position, Jacobian and second-derivative tensor at parameter points.
+
+    ``gram`` is (g = JᵀJ, det g, Π g_ii) of ``jacobian`` when
+    ``Immersion.screen`` formed it for its metric-floor test, else None;
+    ``metric`` reads it instead of forming g again.
+    """
 
     position: np.ndarray  # (..., K)
     jacobian: np.ndarray  # (..., K, n)
     second: np.ndarray    # (..., K, n, n), symmetric in the trailing pair
+    gram: tuple | None = None
 
 
 @dataclass(frozen=True)
@@ -70,6 +77,20 @@ class MetricEval:
     g_inv: np.ndarray  # (..., n, n)
     det_g: np.ndarray  # (...,)
     dg: np.ndarray     # (..., n, n, n), [k, i, j] = ∂ₖ g_ij
+
+    @cached_property
+    def coordinate_laplacians(self) -> np.ndarray:
+        """Δ_g u_j of every parameter coordinate, shape (..., n).
+
+        For φ = u_j the divergence form collapses to
+        Δ_g u_j = Σᵢ [∂ᵢ(log √g) g^{ij} + ∂ᵢ g^{ij}].  Formed on first
+        use and shared by every reader of this record, so it is read-only.
+        """
+        dlogs, dginv = _divergence_parts(self.g_inv, self.dg)
+        lap = np.einsum("...i,...ij->...j", dlogs, self.g_inv) \
+            + np.einsum("...iij->...j", dginv)
+        lap.flags.writeable = False
+        return lap
 
 
 @dataclass(frozen=True)
@@ -185,12 +206,15 @@ class Immersion:
 
         The mask ORs the predicates and, if set, the metric floor, which
         is tested on the batch's one second-order ``eval``; that PointEval
-        is returned so a caller can keep its accepted rows.
+        is returned so a caller can keep its accepted rows.  It carries
+        the floor test's ``gram``, so ``metric`` does not form g again.
         """
         mask = self._predicates(p)
         pe = self.eval(p)
         if self.metric_floor is not None:
-            mask |= metric_below_floor(pe.jacobian, self.metric_floor)
+            gram = _gram(pe.jacobian)
+            mask |= _below_floor(gram, self.metric_floor)
+            pe = replace(pe, gram=gram)
         return mask, pe
 
     def excluded(self, p) -> np.ndarray:
@@ -213,19 +237,26 @@ def _gram(jacobian: np.ndarray):
     return g, np.linalg.det(g), np.prod(np.einsum("...ii->...i", g), axis=-1)
 
 
+def _below_floor(gram: tuple, floor: float) -> np.ndarray:
+    _, det, hadamard = gram
+    return (det <= 0.0) | (det <= floor * hadamard)
+
+
 def metric_below_floor(jacobian: np.ndarray, floor: float) -> np.ndarray:
     """Mask of points whose metric g = JᵀJ is close to rank-deficient.
 
     Flags det g ≤ floor · Π g_ii (the scale-free Hadamard ratio that
     RANK_TOL also bounds) and any non-positive determinant.
     """
-    _, det, hadamard = _gram(jacobian)
-    return (det <= 0.0) | (det <= floor * hadamard)
+    return _below_floor(_gram(jacobian), floor)
 
 
 def metric(pe: PointEval) -> MetricEval:
-    """First fundamental form g = JᵀJ with inverse, determinant and ∂g."""
-    g, det, hadamard = _gram(pe.jacobian)
+    """First fundamental form g = JᵀJ with inverse, determinant and ∂g.
+
+    g and det g come from ``pe.gram`` when ``screen`` carried them.
+    """
+    g, det, hadamard = _gram(pe.jacobian) if pe.gram is None else pe.gram
     ratio = det / hadamard
     if np.any(det <= 0.0) or np.any(ratio <= RANK_TOL):
         worst = float(np.min(ratio))
@@ -261,14 +292,12 @@ def _divergence_parts(gi: np.ndarray, dg: np.ndarray):
 
 
 def coordinate_laplacians(met: MetricEval) -> np.ndarray:
-    """Δ_g u_j of every parameter coordinate, shape (..., n).
+    """Δ_g u_j of every parameter coordinate, shape (..., n), read-only.
 
-    For φ = u_j the divergence form collapses to
-    Δ_g u_j = Σᵢ [∂ᵢ(log √g) g^{ij} + ∂ᵢ g^{ij}].
+    ``met.coordinate_laplacians``: the divergence form of Δ_g u_j, formed
+    once per ``MetricEval``.
     """
-    dlogs, dginv = _divergence_parts(met.g_inv, met.dg)
-    return np.einsum("...i,...ij->...j", dlogs, met.g_inv) \
-        + np.einsum("...iij->...j", dginv)
+    return met.coordinate_laplacians
 
 
 def laplace_from_pointeval(pe: PointEval, form: str = "contraction",

@@ -3,13 +3,15 @@
 A campaign samples non-excluded parameter points deterministically,
 evaluates a residual per point, and condenses the result into verdict
 records.  A sample's uniform draws are addressed by (seed, point, draw
-index): ``streams.uniform_rows`` computes a whole round of them at once,
-bit-identical to numpy's ``SeedSequence(seed, spawn_key=(point,))`` PCG64
-streams, so no per-point ``Generator`` is built.  Positive families must PASS; registered negative controls
-must FAIL by a wide margin (FAIL-EXPECTED), so a trivially-agreeing
-engine cannot slip through.  Each draw is evaluated once: the
-``PointEval`` that screening computed for the accepted draws feeds the
-residual stage, and every residual reads ``mean_curvature``.  Reports
+index): ``streams`` seeds every point's stream once and computes a whole
+round of draws at once, bit-identical to numpy's
+``SeedSequence(seed, spawn_key=(point,))`` PCG64 streams, so no per-point
+``Generator`` is built.  Positive families must PASS; registered negative
+controls must FAIL by a wide margin (FAIL-EXPECTED), so a
+trivially-agreeing engine cannot slip through.  Each draw is evaluated
+once: the ``PointEval`` that screening computed for the accepted draws,
+with the Gram matrix of its metric-floor test, feeds the residual stage,
+and every residual reads ``mean_curvature``.  Reports
 serialize to versioned JSON and are deterministic for a fixed (spec,
 plan, tolerance) triple, except for the wall-time stamp.
 """
@@ -65,7 +67,7 @@ from .geometry import (
     mean_curvature,
     sphere_residual_from_pointeval,
 )
-from .streams import uniform_rows
+from .streams import rows_from_words, seed_words
 
 __all__ = [
     "SamplePlan",
@@ -283,9 +285,10 @@ def sample_points(imm: Immersion, plan: SamplePlan):
     (seed, index, draw index) and computed directly, without a
     ``Generator`` per point.  Sampling runs in rounds: round r draws the
     next candidate of every pending point, draws r n to (r + 1) n of its
-    stream for n parameters, in one ``uniform_rows`` call, and screens the
-    stacked batch once (``imm.screen``: the predicates and the metric
-    floor); only rejected rows stay pending.  Points and reject counts
+    stream for n parameters, in one ``rows_from_words`` call on the seed
+    words formed once per sample, and screens the stacked batch once
+    (``imm.screen``: the predicates and the metric floor); only rejected
+    rows stay pending.  Points and reject counts
     match a point-by-point loop over numpy's generators bit for bit.  The
     campaigns run the same loop and keep the accepted rows of each round's
     ``PointEval``.  ``plan.count`` is below 2^32, one spawn-key word.
@@ -297,7 +300,8 @@ def sample_points(imm: Immersion, plan: SamplePlan):
 def _sample(imm: Immersion, plan: SamplePlan):
     """The rejection loop of ``sample_points``; returns (points, rejected, pe).
 
-    ``pe`` is the PointEval of ``points`` that screening computed.
+    ``pe`` is the PointEval of ``points`` that screening computed, with
+    the floor test's ``gram`` when the immersion has a metric floor.
     """
     box = np.asarray(plan.box if plan.box is not None else imm.domain,
                      dtype=float)
@@ -307,17 +311,18 @@ def _sample(imm: Immersion, plan: SamplePlan):
     n = imm.param_dim
     points = np.empty((plan.count, n))
     pending = np.arange(plan.count)
+    words = seed_words(plan.seed, pending)      # seeded once, not per round
     pieces = []                 # (point indices, round's PointEval, rows)
     rejected = 0
     for r in range(plan.max_rejects):
         # the operations of Generator.uniform, applied to the whole batch
-        u = uniform_rows(plan.seed, pending, r * n, n)
+        u = rows_from_words(words, r * n, n)
         draws = box[:, 0] + (box[:, 1] - box[:, 0]) * u
         bad, pe = imm.screen(draws)
         ok = ~bad
         points[pending[ok]] = draws[ok]
         pieces.append((pending[ok], pe, ok))
-        pending = pending[bad]
+        pending, words = pending[bad], words[:, :, bad]
         rejected += len(pending)
         if not len(pending):
             break
@@ -333,17 +338,24 @@ def _sample(imm: Immersion, plan: SamplePlan):
 
 
 def _in_point_order(pieces: list, count: int) -> PointEval:
-    """One PointEval of all points from each round's accepted rows."""
+    """One PointEval of all points from each round's accepted rows.
+
+    The screen's ``gram``, if any, is gathered with the other rows.
+    """
     if len(pieces) == 1:
         return pieces[0][1]             # round 1 accepted every point
 
-    def gather(name):
-        out = np.empty((count,) + getattr(pieces[0][1], name).shape[1:])
-        for indices, pe, rows in pieces:
-            out[indices] = getattr(pe, name)[rows]
+    def gather(parts):                  # one array per round
+        out = np.empty((count,) + parts[0].shape[1:])
+        for (indices, _, rows), part in zip(pieces, parts):
+            out[indices] = part[rows]
         return out
-    return PointEval(position=gather("position"),
-                     jacobian=gather("jacobian"), second=gather("second"))
+    pes = [pe for _, pe, _ in pieces]
+    gram = None if pes[0].gram is None else \
+        tuple(map(gather, zip(*(pe.gram for pe in pes))))
+    return PointEval(*(gather([getattr(pe, name) for pe in pes])
+                       for name in ("position", "jacobian", "second")),
+                     gram=gram)
 
 
 def _aux_stream(plan: SamplePlan, label: int) -> np.random.Generator:

@@ -19,15 +19,27 @@ Hessians are symmetrized on write, so the symmetry invariant holds exactly.
 
 Supports follow the forward-mode sparsity propagation of Griewank & Walther
 (*Evaluating Derivatives*, 2nd ed., ch. 7): unary maps and scalar operations
-keep their operand's support; a binary operation on equal supports runs the
-dense formulas above, and on unequal supports it first widens both operands
-to the union (zero-filled, plans memoized per support pair).  ``variables``
-seeds every jet on the full support, so ``jet_eval`` and ``fd_jet`` return
-dense (..., n) and (..., n, n) derivatives; ``Immersion.eval`` seeds
-one-variable jets and scatters each output into dense arrays once.  A
-derivative entry outside a support is a structural zero that the dense
-formulas would have computed as ±0.0 from zero operands, so sparse and dense
-seeding agree exactly up to the sign of zero entries.
+keep their operand's support, and a binary operation on equal supports runs
+the dense formulas above.  On unequal supports each operand's terms are
+computed on its own support and written straight into the union-sized
+result, with layouts memoized per support pair:
+
+* a sum or difference scatters each operand onto the union; a position
+  neither operand covers holds −0.0;
+* a product on disjoint supports S, T is the block matrix
+  [[b H_a, g_a ⊗ g_b], [g_b ⊗ g_a, a H_b]] with gradient [b g_a, a g_b];
+  when every variable of one support precedes every variable of the
+  other, as in the helicoid layout, the blocks are plain slices;
+* a product on nested or overlapping supports (and ``atan2``) widens the
+  operands onto the union with −0.0 and runs the dense formulas.
+
+``variables`` seeds every jet on the full support, so ``jet_eval`` and
+``fd_jet`` return dense (..., n) and (..., n, n) derivatives;
+``Immersion.eval`` seeds one-variable jets and scatters each output into
+dense arrays once.  A derivative entry outside a support is a structural
+zero that the dense formulas would have computed as ±0.0 from zero
+operands, so sparse and dense seeding agree exactly up to the sign of zero
+entries.
 
 A value+gradient jet, ``Jet1``, is a ``Jet2`` with ``hess`` None.  Every
 operation propagates that: it runs the same gradient formulas and skips the
@@ -39,7 +51,8 @@ only a Jacobian, such as the metric-floor mask ``Immersion.excluded``, seed
 ``linear_map(mat, comps)`` applies a constant matrix to a list of jets and
 plain values, as chart rotations and block unitaries do: one numpy product
 and sum per jet slot and matrix column instead of two jet operations per
-entry, bit-identical to the sequential sum of jet products.
+entry, bit-identical to the sequential sum of jet products, signed zeros
+included.
 
 The primitives ``sin``/``cos``/``exp``/``log``/``sqrt``/``atan``/``atan2``
 accept jets or plain numbers/arrays and dispatch accordingly; a map written
@@ -52,6 +65,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -82,48 +96,129 @@ def _sym(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + np.swapaxes(m, -1, -2))
 
 
-@lru_cache(maxsize=4096)
-def _union_plan(s: tuple, t: tuple):
-    """(union support, widening of s, widening of t) for unequal supports.
+class _Union(NamedTuple):
+    """Where two unequal supports s and t sit in their sorted union."""
 
-    A widening is None when the operand's support already is the union,
-    else (gradient positions, flat Hessian positions) inside the union.
+    support: tuple      # the union
+    disjoint: bool
+    grad: tuple         # gradient indices of s and of t
+    hess: tuple         # Hessian block indices s×s, t×t, s×t and t×s
+
+
+@lru_cache(maxsize=4096)
+def _union_plan(s: tuple, t: tuple) -> _Union:
+    """The layout of s and t in their union, memoized per support pair.
+
+    An operand's variables are a slice of the union when both supports
+    are contiguous runs of it, as in the helicoid layout (chart
+    parameters, then Θ, then the radii), else intp positions.
     """
     union = tuple(sorted(set(s) | set(t)))
-    m = len(union)
     where = {v: k for k, v in enumerate(union)}
+    ps, pt = ([where[v] for v in support] for support in (s, t))
+    if all(p[-1] - p[0] + 1 == len(p) for p in (ps, pt)):
+        ps, pt = (slice(p[0], p[-1] + 1) for p in (ps, pt))
+        rs, rt = ps, pt
+    else:
+        ps, pt = (np.array(p, dtype=np.intp) for p in (ps, pt))
+        rs, rt = ps[:, None], pt[:, None]
+    return _Union(support=union, disjoint=len(union) == len(s) + len(t),
+                  grad=((..., ps), (..., pt)),
+                  hess=((..., rs, ps), (..., rt, pt),
+                        (..., rs, pt), (..., rt, ps)))
 
-    def widening(support):
-        if support == union:
-            return None
-        pos = np.array([where[v] for v in support], dtype=np.intp)
-        return pos, (pos[:, None] * m + pos).ravel()
-    return union, widening(s), widening(t)
+
+def _batch(*shapes) -> tuple:
+    """The broadcast of batch shapes; the common case is one shape."""
+    if all(shape == shapes[0] for shape in shapes):
+        return shapes[0]
+    return np.broadcast_shapes(*shapes)
 
 
-def _widen(grad: np.ndarray, hess, m: int, widening):
-    """grad and hess (or None) zero-filled onto an m-variable union."""
-    if widening is None:
-        return grad, hess
-    pos, flat = widening
+def _scatter(a, b, index_a, index_b, shape, op) -> np.ndarray:
+    """op(a, b) of two union-indexed slots, each on its own positions.
+
+    Every position starts as −0.0, the additive identity (x + −0.0 = x
+    and −0.0 − x = −x exactly), so a position only a covers holds a, one
+    only b covers holds op(−0.0, b), shared ones op(a, b), and positions
+    neither covers −0.0: the bytes of widening both operands with −0.0
+    and applying op.
+    """
+    out = np.full(shape, -0.0)
+    out[index_a] = a
+    out[index_b] = op(out[index_b], b)
+    return out
+
+
+def _widen(grad: np.ndarray, hess, m: int, grad_index, hess_index):
+    """grad and hess (or None) filled with −0.0 onto an m-variable union."""
     batch = grad.shape[:-1]
-    wide = np.zeros(batch + (m,))
-    wide[..., pos] = grad
+    wide = np.full(batch + (m,), -0.0)
+    wide[grad_index] = grad
     if hess is None:
         return wide, None
-    wide_h = np.zeros(batch + (m * m,))
-    wide_h[..., flat] = hess.reshape(batch + (-1,))
-    return wide, wide_h.reshape(batch + (m, m))
+    wide_h = np.full(batch + (m, m), -0.0)
+    wide_h[hess_index] = hess
+    return wide, wide_h
 
 
-def _aligned(a: "Jet2", b: "Jet2"):
+def _aligned(a: "Jet2", b: "Jet2", plan: _Union | None = None):
     """(support, a.grad, a.hess, b.grad, b.hess) on a common support."""
     if a.support is b.support or a.support == b.support:
         return a.support, a.grad, a.hess, b.grad, b.hess
-    union, wa, wb = _union_plan(a.support, b.support)
-    m = len(union)
-    return ((union,) + _widen(a.grad, a.hess, m, wa)
-            + _widen(b.grad, b.hess, m, wb))
+    if plan is None:
+        plan = _union_plan(a.support, b.support)
+    m = len(plan.support)
+    a_wide, b_wide = ((j.grad, j.hess) if j.support == plan.support
+                      else _widen(j.grad, j.hess, m, plan.grad[k],
+                                  plan.hess[k])
+                      for k, j in enumerate((a, b)))
+    return (plan.support,) + a_wide + b_wide
+
+
+def _sum(a: "Jet2", b: "Jet2", op) -> "Jet2":
+    """a + b or a − b (op is np.add or np.subtract) of two jets.
+
+    Unequal supports scatter each operand onto the union (``_scatter``).
+    """
+    value = op(a.value, b.value)
+    if a.support is b.support or a.support == b.support:
+        if a.hess is None:
+            return Jet1(value, op(a.grad, b.grad), a.support)
+        return Jet2(value, op(a.grad, b.grad), op(a.hess, b.hess), a.support)
+    plan = _union_plan(a.support, b.support)
+    m = len(plan.support)
+    batch = _batch(a.grad.shape[:-1], b.grad.shape[:-1])
+    grad = _scatter(a.grad, b.grad, *plan.grad, batch + (m,), op)
+    if a.hess is None:
+        return Jet1(value, grad, plan.support)
+    hess = _scatter(a.hess, b.hess, *plan.hess[:2], batch + (m, m), op)
+    return Jet2(value, grad, hess, plan.support)
+
+
+def _disjoint_product(a: "Jet2", b: "Jet2", plan: _Union) -> "Jet2":
+    """a·b on disjoint supports, each term written on its own block.
+
+    The gradient is [b g_a, a g_b] and the Hessian the block matrix
+    [[b H_a, g_a ⊗ g_b], [g_b ⊗ g_a, a H_b]]: the dense Leibniz rule's
+    nonzero entries, without its zero operands.
+    """
+    av, bv = a.value, b.value
+    m = len(plan.support)
+    batch = _batch(av.shape, bv.shape, a.grad.shape[:-1], b.grad.shape[:-1])
+    grad = np.empty(batch + (m,))
+    grad[plan.grad[0]] = bv[..., None] * a.grad
+    grad[plan.grad[1]] = av[..., None] * b.grad
+    if a.hess is None:
+        return Jet1(av * bv, grad, plan.support)
+    ss, tt, st, ts = plan.hess
+    hess = np.empty(batch + (m, m))
+    hess[ss] = bv[..., None, None] * a.hess
+    hess[tt] = av[..., None, None] * b.hess
+    outer = a.grad[..., :, None] * b.grad[..., None, :]
+    hess[st] = outer
+    hess[ts] = np.swapaxes(outer, -1, -2)
+    return Jet2(av * bv, grad, hess, plan.support)
 
 
 class Jet2:
@@ -164,10 +259,7 @@ class Jet2:
 
     def __add__(self, other) -> "Jet2":
         if isinstance(other, Jet2):
-            sup, ag, ah, bg, bh = _aligned(self, other)
-            if ah is None:
-                return Jet1(self.value + other.value, ag + bg, sup)
-            return Jet2(self.value + other.value, ag + bg, ah + bh, sup)
+            return _sum(self, other, np.add)
         if isinstance(other, _Scalar):
             if self.hess is None:
                 return Jet1(self.value + other, self.grad, self.support)
@@ -178,10 +270,7 @@ class Jet2:
 
     def __sub__(self, other) -> "Jet2":
         if isinstance(other, Jet2):
-            sup, ag, ah, bg, bh = _aligned(self, other)
-            if ah is None:
-                return Jet1(self.value - other.value, ag - bg, sup)
-            return Jet2(self.value - other.value, ag - bg, ah - bh, sup)
+            return _sum(self, other, np.subtract)
         if isinstance(other, _Scalar):
             if self.hess is None:
                 return Jet1(self.value - other, self.grad, self.support)
@@ -200,7 +289,14 @@ class Jet2:
 
     def __mul__(self, other) -> "Jet2":
         if isinstance(other, Jet2):
-            sup, ag, ah, bg, bh = _aligned(self, other)
+            plan = None
+            if self.support is not other.support \
+                    and self.support != other.support:
+                plan = _union_plan(self.support, other.support)
+                if plan.disjoint:
+                    return _disjoint_product(self, other, plan)
+            # equal, nested or overlapping supports: the dense rule
+            sup, ag, ah, bg, bh = _aligned(self, other, plan)
             av, bv = self.value, other.value
             grad = av[..., None] * bg + bv[..., None] * ag
             if ah is None:
@@ -249,7 +345,8 @@ class Jet2:
         if kf < 0.0 and np.any(v == 0.0):
             raise DomainError("negative power of zero")
         return _chain(self, v ** kf, kf * v ** (kf - 1.0),
-                      kf * (kf - 1.0) * v ** (kf - 2.0))
+                      None if self.hess is None
+                      else kf * (kf - 1.0) * v ** (kf - 2.0))
 
 
 class Jet1(Jet2):
@@ -274,8 +371,12 @@ class Jet1(Jet2):
             if support is None else support
 
 
-def _chain(x: Jet2, f0: np.ndarray, f1: np.ndarray, f2: np.ndarray) -> Jet2:
-    """Lift h(x) through x's jet given h, h', h'' at x.value."""
+def _chain(x: Jet2, f0: np.ndarray, f1: np.ndarray, f2) -> Jet2:
+    """Lift h(x) through x's jet given h, h', h'' at x.value.
+
+    A value+gradient operand reads no h'', so the primitives pass None
+    for it instead of computing it.
+    """
     grad = f1[..., None] * x.grad
     if x.hess is None:
         return Jet1(f0, grad, x.support)
@@ -289,7 +390,8 @@ def _reciprocal(x: Jet2) -> Jet2:
     if np.any(v == 0.0):
         raise DomainError("division by zero")
     inv = 1.0 / v
-    return _chain(x, inv, -inv * inv, 2.0 * inv * inv * inv)
+    return _chain(x, inv, -inv * inv,
+                  None if x.hess is None else 2.0 * inv * inv * inv)
 
 
 def constant_like(c, like: Jet2) -> Jet2:
@@ -313,11 +415,12 @@ def linear_map(mat, comps) -> list:
 
     ``comps`` mixes jets of one order with plain numbers or arrays.  Each
     column scales its operand for every row in one numpy product, which is
-    zero-filled onto the union support, as pairwise widening does, and
-    summed in column order.  These are the elementwise products and sums
-    of ``sum(mat[a, k] * comps[k] for k ...)``, so the outputs are
-    bit-identical to it: a value starts from 0 + its first term and a
-    derivative from the first jet's term.
+    filled with −0.0 onto the union support and summed in column order.
+    A jet sum scatters each operand onto the union and leaves −0.0 where
+    neither covers, and −0.0 is the additive identity, so these are the
+    elementwise products and sums of ``sum(mat[a, k] * comps[k] for k
+    ...)`` and the outputs are bit-identical to it: a value starts from
+    0 + its first term and a derivative from the first jet's term.
     """
     mat = np.asarray(mat, dtype=np.float64)
     rows = mat.shape[0]
@@ -340,7 +443,8 @@ def linear_map(mat, comps) -> list:
         g = col * c.grad
         h = None if c.hess is None else col[..., None] * c.hess
         if c.support != support:
-            g, h = _widen(g, h, m, _union_plan(c.support, support)[1])
+            plan = _union_plan(c.support, support)
+            g, h = _widen(g, h, m, plan.grad[0], plan.hess[0])
         if grad is None:
             grad, hess = g, h
         else:
@@ -357,14 +461,14 @@ def linear_map(mat, comps) -> list:
 def sin(x):
     if isinstance(x, Jet2):
         s, c = np.sin(x.value), np.cos(x.value)
-        return _chain(x, s, c, -s)
+        return _chain(x, s, c, None if x.hess is None else -s)
     return np.sin(x)
 
 
 def cos(x):
     if isinstance(x, Jet2):
         s, c = np.sin(x.value), np.cos(x.value)
-        return _chain(x, c, -s, -c)
+        return _chain(x, c, -s, None if x.hess is None else -c)
     return np.cos(x)
 
 
@@ -380,7 +484,8 @@ def log(x):
         v = x.value
         if np.any(v <= 0.0):
             raise DomainError("log of a non-positive value")
-        return _chain(x, np.log(v), 1.0 / v, -1.0 / (v * v))
+        return _chain(x, np.log(v), 1.0 / v,
+                      None if x.hess is None else -1.0 / (v * v))
     if np.any(np.asarray(x) <= 0.0):
         raise DomainError("log of a non-positive value")
     return np.log(x)
@@ -392,7 +497,8 @@ def sqrt(x):
         if np.any(v <= 0.0):
             raise DomainError("sqrt requires values bounded away from zero")
         r = np.sqrt(v)
-        return _chain(x, r, 0.5 / r, -0.25 / (r * v))
+        return _chain(x, r, 0.5 / r,
+                      None if x.hess is None else -0.25 / (r * v))
     if np.any(np.asarray(x) < 0.0):
         raise DomainError("sqrt of a negative value")
     return np.sqrt(x)
@@ -402,7 +508,8 @@ def atan(x):
     if isinstance(x, Jet2):
         v = x.value
         d = 1.0 / (1.0 + v * v)
-        return _chain(x, np.arctan(v), d, -2.0 * v * d * d)
+        return _chain(x, np.arctan(v), d,
+                      None if x.hess is None else -2.0 * v * d * d)
     return np.arctan(x)
 
 

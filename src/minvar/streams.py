@@ -24,7 +24,9 @@ The kernel is numpy on uint64 arrays, vectorized over keys and draws:
 * Output.  XSL-RR: ``hi ^ lo`` rotated right by ``hi >> 58``; the double is
   the top 53 bits times 2^-53, as ``Generator.random`` computes it.
 
-Keys must be below 2^32, so that a key is one spawn-key word.
+``seed_words`` and ``rows_from_words`` are the two halves of
+``uniform_rows``, so a caller that draws several rounds seeds each key
+once.  Keys must be below 2^32, so that a key is one spawn-key word.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from functools import lru_cache
 
 import numpy as np
 
-__all__ = ["uniform_rows"]
+__all__ = ["uniform_rows", "seed_words", "rows_from_words"]
 
 _MASK32 = 0xFFFFFFFF
 _MASK64 = (1 << 64) - 1
@@ -103,8 +105,8 @@ def _seed_pool(seed: int) -> np.ndarray:
     return col
 
 
-def _pcg_seeds(seed: int, keys: np.ndarray):
-    """(hi, lo) uint64 arrays of shape (2, k, 1): X and inc of each key."""
+def _pcg_seeds(seed: int, keys: np.ndarray) -> np.ndarray:
+    """uint64 words of shape (2, 2, k, 1): the (hi, lo) halves of X and inc."""
     pool = _mix(_seed_pool(seed), _hashmix(keys, _KEY_HASH))
     w = _hashmix(pool[_STATE_POOL], _STATE_HASH)
     # generate_state(4, uint64) words, little-endian pairs of uint32 words
@@ -114,8 +116,7 @@ def _pcg_seeds(seed: int, keys: np.ndarray):
     inc_lo = v3 << _ONE | _ONE
     x_lo = inc_lo + v1
     x_hi = inc_hi + v0 + (x_lo < v1)
-    return (np.stack([x_hi, inc_hi])[..., None],
-            np.stack([x_lo, inc_lo])[..., None])
+    return np.array([[x_hi, inc_hi], [x_lo, inc_lo]])[..., None]
 
 
 @lru_cache(maxsize=256)
@@ -157,9 +158,22 @@ def uniform_rows(seed: int, keys, first: int, n: int) -> np.ndarray:
     .random(first + n)[first:]`` bit for bit.  ``seed`` is below 2^64 and
     every key below 2^32.
     """
-    keys = np.asarray(keys, dtype=np.uint64)
+    return rows_from_words(seed_words(seed, keys), first, n)
+
+
+def seed_words(seed: int, keys) -> np.ndarray:
+    """Each key's seeded stream state, for ``rows_from_words``.
+
+    The keys sit on axis 2, so ``words[:, :, rows]`` are the words of the
+    keys ``keys[rows]``; a caller drawing several rounds seeds once.
+    """
+    return _pcg_seeds(seed, np.asarray(keys, dtype=np.uint64))
+
+
+def rows_from_words(words: np.ndarray, first: int, n: int) -> np.ndarray:
+    """``uniform_rows`` of the keys whose ``seed_words`` are ``words``."""
     # [A X, B inc] in one pass, then their sum mod 2^128
-    hi, lo = _mul128(*_jump_consts(first, n), *_pcg_seeds(seed, keys))
+    hi, lo = _mul128(*_jump_consts(first, n), *words)
     s_lo = lo[0] + lo[1]
     s_hi = hi[0] + hi[1] + (s_lo < lo[0])
     v = s_hi ^ s_lo

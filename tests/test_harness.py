@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from minvar import harness
+from minvar import geometry, harness, streams
 from minvar.errors import (NonFiniteResidual, NotSpherical, SamplingExhausted,
                            SpecError)
 from minvar.families import (
@@ -282,6 +282,24 @@ class TestUniformRows:
                                       SamplePlan(count=30, seed=9))
         assert rejected > 0 and got.tobytes() == want.tobytes()
 
+    def test_streams_are_seeded_once_per_sample(self, monkeypatch):
+        # later rounds draw from the first round's seed words
+        calls = []
+        original = streams._pcg_seeds
+
+        def counting(seed, keys):
+            calls.append(len(keys))
+            return original(seed, keys)
+        monkeypatch.setattr(streams, "_pcg_seeds", counting)
+        plan = SamplePlan(count=60, seed=3)
+        imm = square_patch(threshold=0.4)
+        points, rejected = sample_points(imm, plan)
+        assert calls == [60] and rejected > 0
+        monkeypatch.undo()
+        want_points, want_rejected = serial_sample_points(imm, plan)
+        assert points.tobytes() == want_points.tobytes()
+        assert rejected == want_rejected
+
 
 def count_eval_rows(monkeypatch):
     """Record the number of points of every Immersion.eval call."""
@@ -334,6 +352,12 @@ class TestOneEvaluationPerDraw:
         ref = imm.eval(points)
         for name in ("position", "jacobian", "second"):
             assert getattr(pe, name).tobytes() == getattr(ref, name).tobytes()
+        if floor is None:
+            assert pe.gram is None
+        else:
+            # the floor test's Gram rides along, gathered in point order
+            for got, want in zip(pe.gram, geometry._gram(pe.jacobian)):
+                assert got.tobytes() == want.tobytes()
         if spec is not None:
             got = harness._minimality_residuals(spec, pe)
             want = harness._minimality_residuals(spec, ref)

@@ -409,6 +409,89 @@ def test_random_compositions_over_variable_subsets_match_dense(
     assert set(out.support) <= set(leaves)
 
 
+# ---- unequal supports against widened dense formulas ------------------------
+
+
+def _support_pair(rng, kind):
+    """Two unequal sorted supports over variables 0..7, meeting as ``kind``."""
+    variables = rng.permutation(8)
+    k1, k2 = (int(k) for k in rng.integers(1, 4, size=2))
+    if kind == "disjoint-before":       # every s variable precedes every t
+        s, t = range(k1), range(k1, k1 + k2)
+    elif kind == "disjoint-after":
+        s, t = range(k2, k2 + k1), range(k2)
+    elif kind == "interleaved":         # disjoint, in no block order
+        s, t = (0, 2, 4)[:k1], (1, 3, 5)[:k2]
+    elif kind == "nested":              # t inside s, either way round
+        s, t = variables[:k1 + k2], variables[:k2]
+        if rng.integers(2):
+            s, t = t, s
+    else:                               # overlapping: shared and own terms
+        s, t = variables[:k1 + 1], variables[k1:k1 + k2 + 1]
+    return tuple(sorted(int(v) for v in s)), tuple(sorted(int(v) for v in t))
+
+
+def _widened_reference(a, b, op):
+    """op on both operands zero-filled onto the union, by the dense rules."""
+    union = tuple(sorted(set(a.support) | set(b.support)))
+    m = len(union)
+
+    def widen(j):
+        pos = [union.index(v) for v in j.support]
+        grad = np.zeros(j.grad.shape[:-1] + (m,))
+        grad[..., pos] = j.grad
+        if j.hess is None:
+            return grad, None
+        hess = np.zeros(j.hess.shape[:-2] + (m, m))
+        hess[(...,) + np.ix_(pos, pos)] = j.hess
+        return grad, hess
+    (ag, ah), (bg, bh) = widen(a), widen(b)
+    av, bv = a.value, b.value
+    if op == "mul":
+        grad = av[..., None] * bg + bv[..., None] * ag
+        outer = ag[..., :, None] * bg[..., None, :]
+        hess = None if ah is None else (
+            av[..., None, None] * bh + bv[..., None, None] * ah
+            + (outer + np.swapaxes(outer, -1, -2)))
+        return union, av * bv, grad, hess
+    sign = 1.0 if op == "add" else -1.0
+    return (union, av + sign * bv, ag + sign * bg,
+            None if ah is None else ah + sign * bh)
+
+
+@given(kind=st.sampled_from(["disjoint-before", "disjoint-after",
+                             "interleaved", "nested", "overlapping"]),
+       op=st.sampled_from(["mul", "add", "sub"]),
+       order=st.sampled_from([1, 2]),
+       batch=st.sampled_from([(), (5,), (3, 4)]), broadcast=st.booleans(),
+       seed=st.integers(0, 2 ** 16))
+@settings(max_examples=300, deadline=None)
+def test_unequal_support_products_and_sums_match_widened_formulas(
+        kind, op, order, batch, broadcast, seed):
+    rng = np.random.default_rng(seed)
+    s, t = _support_pair(rng, kind)
+    assert s != t
+    # a symmetric Hessian per operand, as every jet carries one
+    a = _operand(rng, "jet", batch, s, order)
+    b = _operand(rng, "jet", () if broadcast else batch, t, order)
+    if order == 2:
+        a.hess = a.hess + np.swapaxes(a.hess, -1, -2)
+        b.hess = b.hess + np.swapaxes(b.hess, -1, -2)
+    out = {"mul": a * b, "add": a + b, "sub": a - b}[op]
+    union, value, grad, hess = _widened_reference(a, b, op)
+    assert type(out) is type(a)
+    assert out.support == union
+    assert out.grad.shape == batch + (len(union),)
+    assert np.array_equal(out.value, value)
+    assert np.array_equal(out.grad, grad)
+    if order == 1:
+        assert out.hess is None
+        return
+    assert out.hess.shape == batch + (len(union),) * 2
+    assert np.array_equal(out.hess, hess)
+    assert np.array_equal(out.hess, np.swapaxes(out.hess, -1, -2))
+
+
 def test_jet2_without_hessian_raises():
     # a None Hessian used to become array(nan) and poison every product
     with pytest.raises(DimensionMismatch, match="Jet1"):
