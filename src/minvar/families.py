@@ -93,7 +93,6 @@ RADIAL_BOX = (0.3, 1.7)
 THETA_BOX = (-np.pi, np.pi)
 AXIS_BOX = (-2.0, 2.0)
 BRANCH_TOL = 1e-2
-METRIC_RATIO_FLOOR = 1e-10
 
 
 @dataclass(frozen=True)
@@ -177,10 +176,11 @@ class LRaysCone(_Family):
                 out += [r * fa for fa in f]
             return out
 
+        # g = diag(|r|² g_P, I), as ∂P·P = 0 for the unit vector P, so
+        # the guard's Hadamard ratio is the base's
         return Immersion(
             param_dim=nb + L, ambient_dim=base.ambient_dim * L,
             components=comps, domain=base.domain + (RADIAL_BOX,) * L,
-            exclusions=_sliced_exclusions(base, nb),
             name=f"rays-cone-L{L}-over-{base.name}")
 
 
@@ -227,10 +227,11 @@ class SphericalJoin(_Family):
                 out += [x[t] * fa for fa in f]
             return out
 
+        # g = diag(g_P, g_x) for |x| = |P| = 1, so the guard's Hadamard
+        # ratio is the base's times the sphere chart's, which is 1
         return Immersion(
             param_dim=nb + nx, ambient_dim=base.ambient_dim * L,
             components=comps, domain=base.domain + self.xs.domain_box(),
-            exclusions=_sliced_exclusions(base, nb),
             name=f"spherical-join-L{L}-over-{base.name}")
 
 
@@ -291,7 +292,7 @@ class GenHelicoidA(_Family):
         return Immersion(
             param_dim=theta_index + 1 + L,
             ambient_dim=sum(b.ambient_dim for b in blocks) + 1,
-            components=comps, domain=domain, metric_floor=METRIC_RATIO_FLOOR,
+            components=comps, domain=domain,
             name=f"helicoid-a-L{L}-N{blocks[0].sphere_dim}")
 
 
@@ -336,7 +337,7 @@ class GenHelicoidB(_Family):
 
         return Immersion(
             param_dim=nu + 1 + L, ambient_dim=block.ambient_dim * L + 1,
-            components=comps, metric_floor=METRIC_RATIO_FLOOR,
+            components=comps,
             domain=block.domain_box() + (THETA_BOX,) + (RADIAL_BOX,) * L,
             name=f"helicoid-b-L{L}-N{block.sphere_dim}")
 
@@ -393,7 +394,7 @@ class ChoeHoppe(_Family):
             param_dim=np_ + nq + 2, ambient_dim=2 * N + 1, components=comps,
             domain=chart_p.domain_box() + chart_q.domain_box()
             + (THETA_BOX, RADIAL_BOX),
-            name=f"choe-hoppe-N{N}", metric_floor=METRIC_RATIO_FLOOR)
+            name=f"choe-hoppe-N{N}")
 
 
 @dataclass(frozen=True)
@@ -428,7 +429,7 @@ class BDJ(_Family):
         return Immersion(
             param_dim=L + 1, ambient_dim=2 * L + 1, components=comps,
             domain=(THETA_BOX,) + (RADIAL_BOX,) * L,
-            name=f"ruled-helicoid-L{L}", metric_floor=METRIC_RATIO_FLOOR)
+            name=f"ruled-helicoid-L{L}")
 
 
 @dataclass(frozen=True)
@@ -464,8 +465,7 @@ class LawsonSurface(_Family):
         return Immersion(
             param_dim=2, ambient_dim=4, components=comps,
             domain=((margin, np.pi / 2 - margin), THETA_BOX),
-            name=f"ruled-sphere-surface-{l1:g}-{l2:g}",
-            metric_floor=METRIC_RATIO_FLOOR)
+            name=f"ruled-sphere-surface-{l1:g}-{l2:g}")
 
 
 @dataclass(frozen=True)
@@ -548,7 +548,7 @@ class SphericalSlice(_Family):
         return Immersion(
             param_dim=theta_index + 1 + nx,
             ambient_dim=sum(b.ambient_dim for b in blocks),
-            components=comps, metric_floor=METRIC_RATIO_FLOOR,
+            components=comps,
             domain=tuple(bx for b in blocks for bx in b.domain_box())
             + (THETA_BOX,) + chart.domain_box(),
             name=f"sphere-slice-L{L}-N{blocks[0].sphere_dim}")
@@ -696,23 +696,6 @@ def _base_immersion(base: BaseSpec) -> Immersion:
     if isinstance(base, SphereChart):
         return base.immersion()
     return build_immersion(base)
-
-
-def _sliced_exclusions(base: Immersion, stop: int) -> tuple:
-    """Base guards lifted to a longer parameter vector (base params first).
-
-    The base's metric floor becomes a lifted predicate, not the lifted
-    immersion's own floor: it guards the base's metric on the base's
-    parameters.
-    """
-    guards = base.exclusions
-    if base.metric_floor is not None:
-        floor_only = replace(base, exclusions=())
-        guards += (("metric-degenerate", floor_only.excluded),)
-
-    def lift(pred):
-        return lambda p: pred(np.asarray(p)[..., :stop])
-    return tuple((name, lift(pred)) for name, pred in guards)
 
 
 def spec_dimensions(spec: FamilySpec) -> tuple[int, int]:

@@ -33,24 +33,26 @@ from .jets import Jet1, Jet2
 
 __all__ = [
     "RANK_TOL",
+    "METRIC_RATIO_FLOOR",
     "SPHERE_TOL",
     "Immersion",
     "PointEval",
     "MetricEval",
     "MeanCurvatureEval",
     "metric",
-    "metric_below_floor",
     "metric_derivative",
     "laplace_from_pointeval",
-    "coordinate_laplacians",
     "mean_curvature",
     "sphere_residual_from_pointeval",
 ]
 
 # Scale-invariant rank threshold: for a positive-definite g, Hadamard's
 # inequality gives det g ≤ Π g_ii, so det g / Π g_ii ∈ (0, 1] measures
-# conditioning independently of the metric's overall scale.
+# conditioning independently of the metric's overall scale.  ``metric``
+# raises below RANK_TOL; the guards of ``Immersion`` exclude a draw below
+# the larger METRIC_RATIO_FLOOR, so an accepted draw never reaches it.
 RANK_TOL = 1e-12
+METRIC_RATIO_FLOOR = 1e-10
 SPHERE_TOL = 1e-12     # how far a sphere residual lets a point leave S^n
 
 
@@ -59,8 +61,9 @@ class PointEval:
     """Position, Jacobian and second-derivative tensor at parameter points.
 
     ``gram`` is (g = JᵀJ, det g, Π g_ii) of ``jacobian`` when
-    ``Immersion.screen`` formed it for its metric-floor test, else None;
-    ``metric`` reads it instead of forming g again.
+    ``Immersion.screen`` formed it for its metric-floor test, else None
+    (a plain ``eval`` forms none); ``metric`` reads it instead of forming
+    g again.
     """
 
     position: np.ndarray  # (..., K)
@@ -110,13 +113,12 @@ class Immersion:
     arrays or jets) and must return a sequence of ``ambient_dim`` scalar-like
     outputs built from the jet primitives.  ``exclusions`` are named
     predicates mapping a point batch (..., n) to a boolean exclusion mask.
-    ``metric_floor``, if set, also excludes points whose induced metric is
-    near rank-deficient (``metric_below_floor``).  It is data, not a
-    predicate, because its test needs a jet pass.  ``screen`` runs a
-    second-order ``eval`` and returns that ``PointEval``, so sampling and
-    the residuals share one evaluation per draw; ``excluded``, for callers
-    that want only the mask, runs a first-order pass that gives the same
-    Jacobian bit for bit.
+    Every immersion's guard also excludes points whose induced metric is
+    near rank-deficient: det g / Π g_ii at or below METRIC_RATIO_FLOOR
+    (``_below_floor``).  ``screen`` runs a second-order ``eval`` and
+    returns that ``PointEval``, so sampling and the residuals share one
+    evaluation per draw; ``excluded``, for callers that want only the
+    mask, runs a first-order pass that gives the same Jacobian bit for bit.
     """
 
     param_dim: int
@@ -125,7 +127,6 @@ class Immersion:
     domain: tuple[tuple[float, float], ...]
     exclusions: tuple[tuple[str, Callable[[np.ndarray], np.ndarray]], ...] = ()
     name: str = ""
-    metric_floor: float | None = None
 
     def _check_point_shape(self, p: np.ndarray) -> None:
         if p.ndim == 0 or p.shape[-1] != self.param_dim:
@@ -204,18 +205,16 @@ class Immersion:
     def screen(self, p) -> tuple[np.ndarray, PointEval]:
         """(exclusion mask, PointEval of every point of ``p``).
 
-        The mask ORs the predicates and, if set, the metric floor, which
-        is tested on the batch's one second-order ``eval``; that PointEval
-        is returned so a caller can keep its accepted rows.  It carries
-        the floor test's ``gram``, so ``metric`` does not form g again.
+        The mask ORs the predicates and the metric floor, which is tested
+        on the batch's one second-order ``eval``; that PointEval is
+        returned so a caller can keep its accepted rows.  It carries the
+        floor test's ``gram``, so ``metric`` does not form g again.
         """
         mask = self._predicates(p)
         pe = self.eval(p)
-        if self.metric_floor is not None:
-            gram = _gram(pe.jacobian)
-            mask |= _below_floor(gram, self.metric_floor)
-            pe = replace(pe, gram=gram)
-        return mask, pe
+        gram = _gram(pe.jacobian)
+        mask |= _below_floor(gram)
+        return mask, replace(pe, gram=gram)
 
     def excluded(self, p) -> np.ndarray:
         """Boolean mask of points rejected by any degeneracy guard.
@@ -225,9 +224,7 @@ class Immersion:
         bit for bit.
         """
         mask = self._predicates(p)
-        if self.metric_floor is not None:
-            mask |= metric_below_floor(self._jets(p, second=False)[1],
-                                       self.metric_floor)
+        mask |= _below_floor(_gram(self._jets(p, second=False)[1]))
         return mask
 
 
@@ -237,18 +234,14 @@ def _gram(jacobian: np.ndarray):
     return g, np.linalg.det(g), np.prod(np.einsum("...ii->...i", g), axis=-1)
 
 
-def _below_floor(gram: tuple, floor: float) -> np.ndarray:
-    _, det, hadamard = gram
-    return (det <= 0.0) | (det <= floor * hadamard)
-
-
-def metric_below_floor(jacobian: np.ndarray, floor: float) -> np.ndarray:
+def _below_floor(gram: tuple) -> np.ndarray:
     """Mask of points whose metric g = JᵀJ is close to rank-deficient.
 
-    Flags det g ≤ floor · Π g_ii (the scale-free Hadamard ratio that
-    RANK_TOL also bounds) and any non-positive determinant.
+    Flags det g ≤ METRIC_RATIO_FLOOR · Π g_ii (the scale-free Hadamard
+    ratio that RANK_TOL also bounds) and any non-positive determinant.
     """
-    return _below_floor(_gram(jacobian), floor)
+    _, det, hadamard = gram
+    return (det <= 0.0) | (det <= METRIC_RATIO_FLOOR * hadamard)
 
 
 def metric(pe: PointEval) -> MetricEval:
@@ -291,15 +284,6 @@ def _divergence_parts(gi: np.ndarray, dg: np.ndarray):
     return dlogs, -(gk @ dg @ gk)
 
 
-def coordinate_laplacians(met: MetricEval) -> np.ndarray:
-    """Δ_g u_j of every parameter coordinate, shape (..., n), read-only.
-
-    ``met.coordinate_laplacians``: the divergence form of Δ_g u_j, formed
-    once per ``MetricEval``.
-    """
-    return met.coordinate_laplacians
-
-
 def laplace_from_pointeval(pe: PointEval, form: str = "contraction",
                            met: MetricEval | None = None) -> np.ndarray:
     """Δ_g F from a PointEval; ``form`` picks the independent assembly route."""
@@ -314,7 +298,7 @@ def laplace_from_pointeval(pe: PointEval, form: str = "contraction",
         return trace2 - corr
     if form == "divergence":
         return trace2 + np.einsum("...j,...aj->...a",
-                                  coordinate_laplacians(met), pe.jacobian)
+                                  met.coordinate_laplacians, pe.jacobian)
     raise ValueError(f"unknown Laplace-Beltrami form: {form!r}")
 
 

@@ -10,10 +10,10 @@ round of draws at once, bit-identical to numpy's
 controls must FAIL by a wide margin (FAIL-EXPECTED), so a
 trivially-agreeing engine cannot slip through.  Each draw is evaluated
 once: the ``PointEval`` that screening computed for the accepted draws,
-with the Gram matrix of its metric-floor test, feeds the residual stage,
-and every residual reads ``mean_curvature``.  Reports
-serialize to versioned JSON and are deterministic for a fixed (spec,
-plan, tolerance) triple, except for the wall-time stamp.
+with the Gram matrix of the metric-floor test that guards every immersion,
+feeds the residual stage, and every residual reads ``mean_curvature``.
+Reports serialize to versioned JSON and are deterministic for a fixed
+(spec, plan, tolerance) triple, except for the wall-time stamp.
 """
 
 from __future__ import annotations
@@ -287,8 +287,8 @@ def sample_points(imm: Immersion, plan: SamplePlan):
     next candidate of every pending point, draws r n to (r + 1) n of its
     stream for n parameters, in one ``rows_from_words`` call on the seed
     words formed once per sample, and screens the stacked batch once
-    (``imm.screen``: the predicates and the metric floor); only rejected
-    rows stay pending.  Points and reject counts
+    (``imm.screen``: the predicates and the metric floor that guards every
+    immersion); only rejected rows stay pending.  Points and reject counts
     match a point-by-point loop over numpy's generators bit for bit.  The
     campaigns run the same loop and keep the accepted rows of each round's
     ``PointEval``.  ``plan.count`` is below 2^32, one spawn-key word.
@@ -301,7 +301,7 @@ def _sample(imm: Immersion, plan: SamplePlan):
     """The rejection loop of ``sample_points``; returns (points, rejected, pe).
 
     ``pe`` is the PointEval of ``points`` that screening computed, with
-    the floor test's ``gram`` when the immersion has a metric floor.
+    the floor test's ``gram``.
     """
     box = np.asarray(plan.box if plan.box is not None else imm.domain,
                      dtype=float)
@@ -340,7 +340,7 @@ def _sample(imm: Immersion, plan: SamplePlan):
 def _in_point_order(pieces: list, count: int) -> PointEval:
     """One PointEval of all points from each round's accepted rows.
 
-    The screen's ``gram``, if any, is gathered with the other rows.
+    The screen's ``gram`` is gathered with the other rows.
     """
     if len(pieces) == 1:
         return pieces[0][1]             # round 1 accepted every point
@@ -351,11 +351,9 @@ def _in_point_order(pieces: list, count: int) -> PointEval:
             out[indices] = part[rows]
         return out
     pes = [pe for _, pe, _ in pieces]
-    gram = None if pes[0].gram is None else \
-        tuple(map(gather, zip(*(pe.gram for pe in pes))))
     return PointEval(*(gather([getattr(pe, name) for pe in pes])
                        for name in ("position", "jacobian", "second")),
-                     gram=gram)
+                     gram=tuple(map(gather, zip(*(pe.gram for pe in pes)))))
 
 
 def _aux_stream(plan: SamplePlan, label: int) -> np.random.Generator:

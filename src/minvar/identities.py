@@ -40,7 +40,6 @@ from .errors import DimensionMismatch, SpecError
 from .families import GenHelicoidA, _block_spans, build_immersion
 from .geometry import (
     _divergence_parts,
-    coordinate_laplacians,
     laplace_from_pointeval,
     metric,
 )
@@ -272,7 +271,7 @@ def _helicoid_eval(spec: GenHelicoidA, params) -> _HelicoidEval:
                                 div_terms=_divergence_terms(fr))
                      for fr in frames),
         theta=params[..., n_u], radii=radii, P=P, g=met.g, det_g=met.det_g,
-        theta_laplacian=coordinate_laplacians(met)[..., n_u],
+        theta_laplacian=met.coordinate_laplacians[..., n_u],
         laplacian=laplace_from_pointeval(pe, form="divergence", met=met))
     _read_only(record)
     _last_eval = (key, record)

@@ -8,8 +8,11 @@ written at the origin and no face references them.  Finiteness is tested
 first, on plain positions, and the guards run on the finite vertices
 only, so a singular vertex (where a jet pass would raise a DomainError) is
 detached like any other.  The mask comes from ``Immersion.excluded``, a
-first-order pass.  Output is a plain v/f OBJ stream with shortest
-round-trip decimals, so identical inputs produce byte-identical files.
+first-order pass that always differentiates the map for the metric floor,
+so a component map must be written in the jet primitives: one that calls
+numpy functions such as ``np.sin`` on its parameters raises.  Output is
+a plain v/f OBJ stream with shortest round-trip decimals, so identical
+inputs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, SpecError
-from .families import build_immersion
+from .families import _finite_float, build_immersion
 from .geometry import Immersion
 
 __all__ = ["MeshData", "resolve_projection", "tessellate", "obj_text",
@@ -115,6 +118,8 @@ def tessellate(source, resolution=(64, 64), axes=(0, 1), fixed=None,
                 f"grid axis {a} out of range for {imm.param_dim} parameters")
     proj = resolve_projection(projection, imm.ambient_dim)
 
+    if box is not None:
+        box = [[_finite_float(x, "box bound") for x in pair] for pair in box]
     dom = np.asarray(imm.domain if box is None else box, dtype=float)
     if dom.shape != (imm.param_dim, 2):
         raise SpecError(f"parameter box has shape {dom.shape}, expected "
@@ -127,7 +132,7 @@ def tessellate(source, resolution=(64, 64), axes=(0, 1), fixed=None,
         if k in (ax_u, ax_v):
             raise SpecError(f"parameter {k} is a grid axis and cannot "
                             f"be fixed")
-        base[k] = float(val)
+        base[k] = _finite_float(val, "fixed parameter value")
 
     params = np.broadcast_to(base, (nu, nv, imm.param_dim)).copy()
     params[..., ax_u] = np.linspace(dom[ax_u, 0], dom[ax_u, 1], nu)[:, None]

@@ -3,13 +3,12 @@
 import json
 import re
 import typing
-from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from minvar import families
+from minvar import families, geometry
 from minvar.charts import CliffordBlock, SphereChart, matrix_tuple
 from minvar.errors import (
     BranchLocusError,
@@ -392,10 +391,13 @@ SLICE_BASE = SphericalSlice(inner=GenHelicoidA(
 ], ids=["lawson", "slice"])
 def test_lifted_guards_test_the_base_metric(monkeypatch, lifted, base_spec,
                                             floor):
-    base = replace(build_immersion(base_spec), metric_floor=floor)
-    monkeypatch.setattr(families, "_base_immersion", lambda spec: base)
+    # the lifted metric is block diagonal with the base's metric (scaled by
+    # |r|^2 on the rays cone) beside a diagonal or conformal block, so the
+    # lifted immersion's own floor rejects exactly the base's rejects
+    monkeypatch.setattr(geometry, "METRIC_RATIO_FLOOR", floor)
+    base = build_immersion(base_spec)
     imm = build_immersion(lifted(base_spec))
-    assert imm.metric_floor is None
+    assert imm.exclusions == ()
     pts = sample_box(imm, 200, seed=8, keep=False)
     want = base.excluded(pts[:, :base.param_dim])
     assert want.any()
@@ -518,6 +520,41 @@ def _commuting_unitary(seed, half):
         (half, half))
     q = np.linalg.qr(z)[0]
     return matrix_tuple(np.block([[q.real, -q.imag], [q.imag, q.real]]))
+
+
+_TURN = _commuting_unitary(5, 2)
+
+
+@pytest.mark.parametrize("imm", [
+    build_immersion(spec) for spec in (
+        CliffordTorus(block=standard_block(1)),
+        CliffordTorus(block=standard_block(2, "trigonometric")),
+        CliffordTorus(block=standard_block(1, unitary=_TURN)),
+        CliffordCone(block=standard_block(2)),
+        CliffordCone(block=standard_block(1, "trigonometric", unitary=_TURN)),
+        LRaysCliffordCone(rays=2, block=standard_block(1)),
+        LRaysCone(rays=2, base=LawsonSurface(1.0, 2.0)),
+        SphericalJoin(xs=standard_chart(2), base=LawsonSurface(1.0, 2.0)),
+        HarveyLawsonCone(sphere_dim=2),
+        HarveyLawsonCone(sphere_dim=2,
+                         chart_x=standard_chart(2, "trigonometric"),
+                         chart_y=standard_chart(2, "trigonometric")),
+        LatitudeCircle(0.5),
+        Cylinder(1.3))]
+    + [SphereChart(dim=2, kind="trigonometric",
+                   rotation=_orthogonal(6, 3)).immersion()],
+    ids=lambda imm: imm.name)
+def test_metric_floor_never_binds_on_orthogonal_coordinates(imm):
+    # these families carried no metric floor before every immersion got
+    # one; their coordinates are orthogonal or conformal, so the Hadamard
+    # ratio det g / prod g_ii is 1 up to rounding and the floor excludes
+    # no draw
+    pts = sample_box(imm, 400, seed=21, keep=False)
+    mask, pe = imm.screen(pts)
+    _, det, hadamard = pe.gram
+    assert np.min(det / hadamard) > 0.999
+    assert not mask.any()
+    assert not imm.excluded(pts).any()
 
 
 SEEDS = st.none() | st.integers(0, 2 ** 32 - 1)

@@ -315,8 +315,9 @@ def count_eval_rows(monkeypatch):
 
 class TestOneEvaluationPerDraw:
     def test_verify_minimality_evaluates_once(self, monkeypatch):
-        # the screen's PointEval of the draws is the residuals' too, with
-        # a metric floor (helicoid-blocks) or without one (clifford-torus)
+        # the screen's PointEval of the draws is the residuals' too, on a
+        # family whose metric ratio varies (helicoid-blocks) and on one
+        # whose ratio is 1 (clifford-torus)
         for label in ("helicoid-blocks", "clifford-torus"):
             rows = count_eval_rows(monkeypatch)
             spec = dict(default_campaign())[label]
@@ -334,17 +335,18 @@ class TestOneEvaluationPerDraw:
                                                  floor):
         spec = None
         if floor is None:
-            # rejects come from a predicate; there is no metric floor
+            # rejects come from a predicate; the metric floor never binds
             imm = square_patch(threshold=0.25)
         else:
             spec = dict(default_campaign())[label]
-            imm = replace(build_immersion(spec), metric_floor=floor)
+            imm = build_immersion(spec)
+            monkeypatch.setattr(geometry, "METRIC_RATIO_FLOOR", floor)
         plan = SamplePlan(count=100, seed=11)
-        rows = count_eval_rows(monkeypatch)
-        points, rejected, pe = harness._sample(imm, plan)
+        with pytest.MonkeyPatch.context() as counting:
+            rows = count_eval_rows(counting)
+            points, rejected, pe = harness._sample(imm, plan)
         assert rejected > 0
         assert sum(rows) == plan.count + rejected
-        monkeypatch.undo()
 
         want_points, want_rejected = serial_sample_points(imm, plan)
         assert points.tobytes() == want_points.tobytes()
@@ -352,12 +354,9 @@ class TestOneEvaluationPerDraw:
         ref = imm.eval(points)
         for name in ("position", "jacobian", "second"):
             assert getattr(pe, name).tobytes() == getattr(ref, name).tobytes()
-        if floor is None:
-            assert pe.gram is None
-        else:
-            # the floor test's Gram rides along, gathered in point order
-            for got, want in zip(pe.gram, geometry._gram(pe.jacobian)):
-                assert got.tobytes() == want.tobytes()
+        # the floor test's Gram rides along, gathered in point order
+        for got, want in zip(pe.gram, geometry._gram(pe.jacobian)):
+            assert got.tobytes() == want.tobytes()
         if spec is not None:
             got = harness._minimality_residuals(spec, pe)
             want = harness._minimality_residuals(spec, ref)

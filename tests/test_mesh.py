@@ -13,6 +13,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from minvar import jets
 from minvar.errors import DimensionMismatch, SpecError
 from minvar.families import ChoeHoppe, GenHelicoidA, PitchVector, \
     build_immersion, standard_block
@@ -23,15 +24,14 @@ from minvar.mesh import MeshData, obj_text, resolve_projection, tessellate, \
 HELICOID = ChoeHoppe(sphere_dim=1, pitch=0.5)
 
 
-def patch(threshold=None, components=None, metric_floor=None):
+def patch(threshold=None, components=None):
     exclusions = ()
     if threshold is not None:
         exclusions = (("low-u", lambda p: p[..., 0] < threshold),)
     comps = components or (lambda cols: [cols[0], cols[1], cols[0] + cols[1]])
     return Immersion(param_dim=2, ambient_dim=3, components=comps,
                      domain=((0.0, 1.0), (0.0, 1.0)),
-                     exclusions=exclusions, name="patch",
-                     metric_floor=metric_floor)
+                     exclusions=exclusions, name="patch")
 
 
 def reference_obj_text(imm, nu, nv, vertices):
@@ -41,7 +41,9 @@ def reference_obj_text(imm, nu, nv, vertices):
     flat = np.stack([u.ravel(), v.ravel()], axis=-1)
     with np.errstate(all="ignore"):
         finite = np.all(np.isfinite(imm.position(flat)), axis=-1)
-    masked = imm.excluded(flat) | ~finite
+    # the guards differentiate the map, so they see finite vertices only
+    masked = ~finite
+    masked[finite] = imm.excluded(flat[finite])
     faces = []
     for i in range(nu - 1):
         row, nxt = i * nv, (i + 1) * nv
@@ -167,19 +169,12 @@ class TestTessellate:
         assert not np.isin(mesh.faces, masked).any()
         assert mesh.faces.shape == (2 * 2 * 4, 3)
 
-    def test_nonfinite_vertices_are_detached(self):
+    def test_singular_vertices_under_a_metric_floor_are_detached(self):
+        # u = 0 maps to inf; the metric floor's jet pass would divide by
+        # zero there, but the guard runs on finite vertices only, so that
+        # row is detached instead
         comps = lambda cols: [1.0 / cols[0], cols[1], cols[0]]
         mesh = tessellate(patch(components=comps), resolution=(3, 3))
-        assert np.array_equal(mesh.vertices[:3], np.zeros((3, 3)))
-        assert np.isfinite(mesh.vertices).all()
-        assert not np.isin(mesh.faces, [0, 1, 2]).any()
-
-    def test_singular_vertices_under_a_metric_floor_are_detached(self):
-        # the floor's jet pass would divide by zero at u = 0; the guard
-        # runs on finite vertices only, so that row is detached instead
-        comps = lambda cols: [1.0 / cols[0], cols[1], cols[0]]
-        mesh = tessellate(patch(components=comps, metric_floor=1e-10),
-                          resolution=(3, 3))
         assert np.array_equal(mesh.vertices[:3], np.zeros((3, 3)))
         assert np.isfinite(mesh.vertices).all()
         assert not np.isin(mesh.faces, [0, 1, 2]).any()
@@ -198,10 +193,23 @@ class TestTessellate:
         {"fixed": {0: 1.0}},            # axis 0 is a grid axis
         {"fixed": {7: 1.0}},
         {"box": ((0.0, 1.0),)},
+        # non-finite bounds would mask every vertex, not raise
+        {"box": ((0.0, 1.0), (0.0, float("nan")))},
+        {"box": ((float("-inf"), 1.0), (0.0, 1.0))},
+        {"box": ((0.0, 1.0), ("a", 1.0))},
     ])
     def test_rejects_bad_grid_requests(self, kwargs):
         with pytest.raises(SpecError):
             tessellate(patch(), **kwargs)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), "a", None])
+    def test_rejects_bad_fixed_values(self, value):
+        # a non-finite pinned value would mask every vertex, and a
+        # non-number must not escape as a bare ValueError or TypeError
+        spec = GenHelicoidA(pitch=PitchVector(0.8, (1.2,)),
+                            blocks=(standard_block(1),))
+        with pytest.raises(SpecError, match="fixed parameter value"):
+            tessellate(spec, resolution=(3, 3), fixed={2: value})
 
     def test_rejects_bad_axis_index(self):
         with pytest.raises(DimensionMismatch):
@@ -230,7 +238,7 @@ class TestObjOutput:
         # scattered exclusions plus a non-finite column mask interior
         # vertices; a non-square grid catches swapped strides, and more
         # than 4096 vertices and faces span several render blocks
-        comps = lambda cols: [np.sin(3 * cols[0]) / (cols[1] - 0.5),
+        comps = lambda cols: [jets.sin(3 * cols[0]) / (cols[1] - 0.5),
                               -cols[1], cols[0] * cols[1] - 0.3]
         imm = Immersion(
             param_dim=2, ambient_dim=3, components=comps,
