@@ -169,6 +169,13 @@ class TestTessellate:
         assert not np.isin(mesh.faces, masked).any()
         assert mesh.faces.shape == (2 * 2 * 4, 3)
 
+    def test_nonfinite_vertices_are_detached(self):
+        comps = lambda cols: [1.0 / cols[0], cols[1], cols[0]]
+        mesh = tessellate(patch(components=comps), resolution=(3, 3))
+        assert np.array_equal(mesh.vertices[:3], np.zeros((3, 3)))
+        assert np.isfinite(mesh.vertices).all()
+        assert not np.isin(mesh.faces, [0, 1, 2]).any()
+
     def test_singular_vertices_under_a_metric_floor_are_detached(self):
         # u = 0 maps to inf; the metric floor's jet pass would divide by
         # zero there, but the guard runs on finite vertices only, so that
