@@ -39,6 +39,7 @@ __all__ = [
     "CliffordFrame",
     "apply_complex_structure",
     "clifford_frame",
+    "rotate_block",
     "matrix_tuple",
 ]
 
@@ -77,6 +78,11 @@ def apply_complex_structure(vec: np.ndarray) -> np.ndarray:
     return np.concatenate([-vec[..., half:], vec[..., :half]], axis=-1)
 
 
+def rotate_block(vec: np.ndarray, angle) -> np.ndarray:
+    """e^{i·angle} on a complex block: cos(angle)·v + sin(angle)·Jv."""
+    return np.cos(angle) * vec + np.sin(angle) * apply_complex_structure(vec)
+
+
 def _jet_values(x):
     return x.value if isinstance(x, jets.Jet2) else np.asarray(x, dtype=float)
 
@@ -89,6 +95,10 @@ class SphereChart:
     kind: str = "stereographic"
     rotation: tuple | None = None
     branch: int = 1
+
+    # as the base of a cone or a join, a chart is a spherical family
+    spherical = True
+    control = False
 
     def __post_init__(self):
         if type(self.dim) is not int or self.dim < 0:
@@ -160,7 +170,7 @@ class SphereChart:
             out = jets.linear_map(rot, out)
         return out
 
-    def immersion(self) -> Immersion:
+    def build(self) -> Immersion:
         """The chart as an immersion into ℝ^{dim+1} (image in S^dim)."""
         return Immersion(param_dim=self.param_dim, ambient_dim=self.dim + 1,
                          components=lambda cols: self.embed(cols),
@@ -185,11 +195,9 @@ class CliffordBlock:
             mat = np.asarray(self.unitary, dtype=np.float64)
             size = self.ambient_dim
             _check_orthogonal(mat, size, "block unitary")
-            half = size // 2
-            j = np.zeros((size, size))
-            j[:half, half:] = -np.eye(half)
-            j[half:, :half] = np.eye(half)
-            defect = float(np.max(np.abs(mat @ j - j @ mat)))
+            # J applied to U's rows is −U J, to its columns J U
+            defect = float(np.max(np.abs(apply_complex_structure(mat)
+                                         + apply_complex_structure(mat.T).T)))
             if not defect <= ORTHO_TOL:
                 raise SpecError(f"block unitary must commute with the complex "
                                 f"structure (defect {defect:.3e})")

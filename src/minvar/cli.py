@@ -238,18 +238,18 @@ def cmd_verify(config: VerifyConfig) -> int:
 
 def _lemma_rows(config: IdentitiesConfig):
     block = config.family.block
-    points, _ = sample_points(block.immersion(), config.plan)
+    points, rejected = sample_points(block.immersion(), config.plan)
     res = lemma_magic_residuals(block, points)
     rows = np.stack([np.maximum(res.res_a1, res.res_a2), res.res_b,
                      res.res_c, res.res_d, res.res_e], axis=-1)
     columns = ["res_a", "res_b", "res_c", "res_d", "res_e"]
     tols = [config.tolerances.tol_identity] * 5
-    return columns, tols, rows
+    return columns, tols, rows, rejected
 
 
 def _helicoid_rows(config: IdentitiesConfig):
     spec = config.family
-    points, _ = sample_points(build_immersion(spec), config.plan)
+    points, rejected = sample_points(build_immersion(spec), config.plan)
     columns, tols, parts = [], [], []
     tol = config.tolerances
     if "helicoid-algebra" in config.checks:
@@ -272,19 +272,19 @@ def _helicoid_rows(config: IdentitiesConfig):
         columns += ["sum_cancellation", "operator_defect"]
         tols += [tol.tol_H, 10.0 * tol.tol_H]
         parts += [worst_sum, worst_op]
-    return columns, tols, np.stack(parts, axis=-1)
+    return columns, tols, np.stack(parts, axis=-1), rejected
 
 
 def cmd_identities(config: IdentitiesConfig) -> int:
     if set(config.checks) == {"lemma"}:
-        columns, tols, rows = _lemma_rows(config)
+        columns, tols, rows, rejected = _lemma_rows(config)
     else:
-        columns, tols, rows = _helicoid_rows(config)
+        columns, tols, rows, rejected = _helicoid_rows(config)
     _write_csv(columns, rows, config.output.csv)
 
     label = type(config.family).__name__
     checks = [
-        _summarize(name, rows[:, j], tols[j], "PASS", 0,
+        _summarize(name, rows[:, j], tols[j], "PASS", rejected,
                    config.tolerances.tol_negative)
         for j, name in enumerate(columns)
     ]

@@ -34,9 +34,10 @@ annotation, so a malformed value raises a ``SpecError`` that names its
 JSON path.
 
 Rotating a complex block by e^{iφ} in real coordinates is
-v ↦ cos(φ)·v + sin(φ)·J v with J(a; b) = (−b; a); ``screw_action`` applies
-that blockwise plus the axial translation λ₀t, reading the block layout
-from the image width.
+v ↦ cos(φ)·v + sin(φ)·J v with J(a; b) = (−b; a) (``charts.rotate_block``);
+``screw_action`` applies that blockwise plus the axial translation λ₀t,
+reading the block layout from the image width.  ``_section`` builds each
+unit-sphere section from its cone.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from typing import Union
 import numpy as np
 
 from . import jets
-from .charts import CliffordBlock, SphereChart, matrix_tuple
+from .charts import CliffordBlock, SphereChart, matrix_tuple, rotate_block
 from .errors import BranchLocusError, DimensionMismatch, SpecError
 from .geometry import Immersion
 from .jets import jet_eval
@@ -161,20 +162,15 @@ class LRaysCone(_Family):
         _check_spherical_base(self.base)
 
     def scaling_indices(self) -> tuple[int, ...]:
-        nb = _base_immersion(self.base).param_dim
+        nb = self.base.build().param_dim
         return tuple(range(nb, nb + self.rays))
 
     def build(self) -> Immersion:
-        base = _base_immersion(self.base)
+        base = self.base.build()
         nb, L = base.param_dim, self.rays
 
         def comps(cols):
-            f = base.components(cols[:nb])
-            out = []
-            for t in range(L):
-                r = cols[nb + t]
-                out += [r * fa for fa in f]
-            return out
+            return _weighted(cols[nb:], [base.components(cols[:nb])] * L)
 
         # g = diag(|r|² g_P, I), as ∂P·P = 0 for the unit vector P, so
         # the guard's Hadamard ratio is the base's
@@ -214,25 +210,11 @@ class SphericalJoin(_Family):
         _check_spherical_base(self.base)
 
     def build(self) -> Immersion:
-        base = _base_immersion(self.base)
-        nb = base.param_dim
-        L = self.xs.dim + 1
-        nx = self.xs.param_dim
-
-        def comps(cols):
-            f = base.components(cols[:nb])
-            x = self.xs.embed(cols[nb:nb + nx])
-            out = []
-            for t in range(L):
-                out += [x[t] * fa for fa in f]
-            return out
-
+        cone = LRaysCone(rays=self.xs.dim + 1, base=self.base).build()
         # g = diag(g_P, g_x) for |x| = |P| = 1, so the guard's Hadamard
         # ratio is the base's times the sphere chart's, which is 1
-        return Immersion(
-            param_dim=nb + nx, ambient_dim=base.ambient_dim * L,
-            components=comps, domain=base.domain + self.xs.domain_box(),
-            name=f"spherical-join-L{L}-over-{base.name}")
+        return _section(cone, self.xs, cone.ambient_dim,
+                        cone.name.replace("rays-cone", "spherical-join", 1))
 
 
 @dataclass(frozen=True)
@@ -278,14 +260,9 @@ class GenHelicoidA(_Family):
 
         def comps(cols):
             th = cols[theta_index]
-            out = []
-            for t, b in enumerate(blocks):
-                lo, hi = spans[t]
-                c = b.embed(cols[lo:hi])
-                r = cols[theta_index + 1 + t]
-                out += [r * x for x in _rotated_block(c, lams[t] * th)]
-            out.append(lam0 * th)
-            return out
+            rotated = (_rotated_block(b.embed(cols[lo:hi]), lam * th)
+                       for b, (lo, hi), lam in zip(blocks, spans, lams))
+            return _weighted(cols[theta_index + 1:], rotated) + [lam0 * th]
 
         domain = tuple(bx for b in blocks for bx in b.domain_box()) \
             + (THETA_BOX,) + (RADIAL_BOX,) * L
@@ -326,14 +303,8 @@ class GenHelicoidB(_Family):
         lam, lam0 = self.angular_pitch, self.axial_pitch
 
         def comps(cols):
-            c = block.embed(cols[:nu])
-            rotated = _rotated_block(c, lam * cols[nu])
-            out = []
-            for t in range(L):
-                r = cols[nu + 1 + t]
-                out += [r * x for x in rotated]
-            out.append(lam0 * cols[nu])
-            return out
+            rotated = _rotated_block(block.embed(cols[:nu]), lam * cols[nu])
+            return _weighted(cols[nu + 1:], [rotated] * L) + [lam0 * cols[nu]]
 
         return Immersion(
             param_dim=nu + 1 + L, ambient_dim=block.ambient_dim * L + 1,
@@ -495,10 +466,7 @@ class HarveyLawsonCone(_Family):
         def comps(cols):
             x = chart_x.embed(cols[:nx])
             y = chart_y.embed(cols[nx:nx + ny])
-            r1, r2 = cols[nx + ny], cols[nx + ny + 1]
-            out = [r1 * xi for xi in x] + [r1 * yi for yi in y]
-            out += [r2 * xi for xi in x] + [r2 * yi for yi in y]
-            return out
+            return _weighted(cols[nx + ny:], [x + y] * 2)
 
         return Immersion(
             param_dim=nx + ny + 2, ambient_dim=4 * self.sphere_dim + 4,
@@ -527,31 +495,11 @@ class SphericalSlice(_Family):
         return self.inner.screw()
 
     def build(self) -> Immersion:
-        blocks = self.inner.blocks
-        L = len(blocks)
-        chart = self.chart or standard_chart(L - 1)
-        lams = self.inner.pitch.lambdas
-        spans = _block_spans(blocks)
-        theta_index = self.inner._theta_index
-        nx = chart.param_dim
-
-        def comps(cols):
-            th = cols[theta_index]
-            x = chart.embed(cols[theta_index + 1:theta_index + 1 + nx])
-            out = []
-            for t, b in enumerate(blocks):
-                lo, hi = spans[t]
-                c = b.embed(cols[lo:hi])
-                out += [x[t] * v for v in _rotated_block(c, lams[t] * th)]
-            return out
-
-        return Immersion(
-            param_dim=theta_index + 1 + nx,
-            ambient_dim=sum(b.ambient_dim for b in blocks),
-            components=comps,
-            domain=tuple(bx for b in blocks for bx in b.domain_box())
-            + (THETA_BOX,) + chart.domain_box(),
-            name=f"sphere-slice-L{L}-N{blocks[0].sphere_dim}")
+        L, N = len(self.inner.blocks), self.inner.blocks[0].sphere_dim
+        cone = self.inner.build()
+        # the section drops the cone's last coordinate, its zero axis
+        return _section(cone, self.chart or standard_chart(L - 1),
+                        cone.ambient_dim - 1, f"sphere-slice-L{L}-N{N}")
 
 
 @dataclass(frozen=True)
@@ -623,6 +571,19 @@ def _finite_float(value, name: str) -> float:
     return x
 
 
+def _finite_box(box, name: str) -> tuple[tuple[float, float], ...]:
+    """``box`` as finite (lo, hi) float pairs; SpecError for any other shape."""
+    try:
+        pairs = [tuple(pair) for pair in box]
+    except TypeError:
+        pairs = None
+    if pairs is None or any(len(pair) != 2 for pair in pairs):
+        raise SpecError(f"{name} must be a (lo, hi) pair per parameter, "
+                        f"got {box!r}")
+    return tuple((_finite_float(lo, name), _finite_float(hi, name))
+                 for lo, hi in pairs)
+
+
 def _finite_fields(spec, *names: str) -> None:
     """Store the named fields of a frozen spec as finite floats."""
     for name in names:
@@ -648,9 +609,7 @@ def _check_spherical_base(base) -> None:
 
 def lands_on_unit_sphere(spec: BaseSpec) -> bool:
     """Whether the built image lies in the unit sphere (by construction)."""
-    if isinstance(spec, SphereChart):
-        return True
-    return isinstance(spec, _Family) and spec.spherical
+    return isinstance(spec, (_Family, SphereChart)) and spec.spherical
 
 
 def is_negative_control(spec: FamilySpec) -> bool:
@@ -674,28 +633,41 @@ def standard_block(sphere_dim: int, kind: str = "stereographic",
         unitary=unitary)
 
 
-def _apply_j_list(comps: list) -> list:
-    half = len(comps) // 2
-    return [-c for c in comps[half:]] + list(comps[:half])
-
-
 def _rotated_block(comps: list, angle) -> list:
     """cos(angle)·v + sin(angle)·Jv for a component list of one block."""
-    jcomps = _apply_j_list(comps)
+    half = len(comps) // 2
+    jcomps = [-c for c in comps[half:]] + list(comps[:half])
     ca, sa = jets.cos(angle), jets.sin(angle)
     return [ca * c + sa * j for c, j in zip(comps, jcomps)]
+
+
+def _weighted(weights, blocks) -> list:
+    """w_t times every component of block t, the blocks laid end to end."""
+    return [w * v for w, block in zip(weights, blocks) for v in block]
+
+
+def _section(cone: Immersion, chart: SphereChart, ambient_dim: int,
+             name: str) -> Immersion:
+    """The cone with its last dim+1 parameters, the radii, set to ``chart``.
+
+    Each product r_t·v becomes x_t·v; the leading ``ambient_dim``
+    coordinates are kept.
+    """
+    nb = cone.param_dim - (chart.dim + 1)
+
+    def comps(cols):
+        x = chart.embed(cols[nb:])
+        return cone.components([*cols[:nb], *x])[:ambient_dim]
+
+    return Immersion(param_dim=nb + chart.param_dim, ambient_dim=ambient_dim,
+                     components=comps,
+                     domain=cone.domain[:nb] + chart.domain_box(), name=name)
 
 
 def _block_spans(blocks) -> list[tuple[int, int]]:
     """(start, stop) of each block's chart parameters, laid end to end."""
     stops = np.cumsum([b.param_dim for b in blocks], dtype=int).tolist()
     return [(hi - b.param_dim, hi) for b, hi in zip(blocks, stops)]
-
-
-def _base_immersion(base: BaseSpec) -> Immersion:
-    if isinstance(base, SphereChart):
-        return base.immersion()
-    return build_immersion(base)
 
 
 def spec_dimensions(spec: FamilySpec) -> tuple[int, int]:
@@ -732,16 +704,11 @@ def screw_action(pitch: PitchVector, t, points) -> np.ndarray:
         raise DimensionMismatch(
             f"cannot split {width} coordinates into {L} complex blocks "
             f"of one size")
-    half = size // 2
     out = np.array(q, copy=True)
     for s in range(L):
-        start = s * size
-        a = q[..., start:start + half]
-        b = q[..., start + half:start + size]
-        ang = pitch.lambdas[s] * t[..., None]
-        ca, sa = np.cos(ang), np.sin(ang)
-        out[..., start:start + half] = ca * a - sa * b
-        out[..., start + half:start + size] = ca * b + sa * a
+        block = slice(s * size, (s + 1) * size)
+        out[..., block] = rotate_block(q[..., block],
+                                       pitch.lambdas[s] * t[..., None])
     if axial:
         out[..., -1] = q[..., -1] + pitch.lambda0 * t
     return out

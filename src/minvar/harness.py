@@ -24,7 +24,6 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import __version__
-from .charts import SphereChart
 from .errors import (NonFiniteResidual, NotSpherical, SamplingExhausted,
                      SpecError)
 from .families import (
@@ -43,16 +42,14 @@ from .families import (
     PitchVector,
     SphericalJoin,
     SphericalSlice,
-    _base_immersion,
     _base_to_json,
     _check_rays,
+    _finite_box,
     _finite_fields,
-    _finite_float,
     _object_from_json,
     _object_to_json,
     _value_to_json,
     build_immersion,
-    is_negative_control,
     lands_on_unit_sphere,
     scaling_indices,
     screw_action,
@@ -114,13 +111,8 @@ class SamplePlan:
             raise SpecError(f"max_rejects must be a positive integer, "
                             f"got {self.max_rejects!r}")
         if self.box is not None:
-            box = tuple(tuple(_finite_float(x, "sampling interval")
-                              for x in pair) for pair in self.box)
-            for pair in box:
-                if len(pair) != 2:
-                    raise SpecError(f"sampling interval must be a (lo, hi) "
-                                    f"pair, got {pair}")
-                lo, hi = pair
+            box = _finite_box(self.box, "sampling interval")
+            for lo, hi in box:
                 if not lo < hi:
                     raise SpecError(f"empty sampling interval ({lo}, {hi})")
             object.__setattr__(self, "box", box)
@@ -437,7 +429,7 @@ def verify_minimality(spec, plan: SamplePlan = SamplePlan(),
     imm = build_immersion(spec)
     _, rejected, pe = _sample(imm, plan)
     minimality, tangential = _minimality_residuals(spec, pe)
-    expected = "FAIL-EXPECTED" if is_negative_control(spec) else "PASS"
+    expected = "FAIL-EXPECTED" if spec.control else "PASS"
     checks = [
         _summarize("minimality", minimality, tol.tol_H, expected, rejected,
                    tol.tol_negative),
@@ -518,14 +510,12 @@ def takahashi_equivalence(base, rays: int,
             f"{type(base).__name__} does not land on the unit sphere")
     _check_rays(rays)
 
-    expected = ("FAIL-EXPECTED"
-                if not isinstance(base, SphereChart)
-                and is_negative_control(base) else "PASS")
+    expected = "FAIL-EXPECTED" if base.control else "PASS"
 
     inner_plan = replace(plan, box=None)
     join = SphericalJoin(xs=standard_chart(rays - 1), base=base)
     routes = (
-        ("sphere-base", _base_immersion(base), plan, True),
+        ("sphere-base", base.build(), plan, True),
         ("sphere-join", build_immersion(join), inner_plan, True),
         ("cone-rays", build_immersion(LRaysCone(rays=rays, base=base)),
          inner_plan, False),

@@ -33,8 +33,8 @@ import numpy as np
 from .charts import (
     CliffordBlock,
     CliffordFrame,
-    apply_complex_structure,
     clifford_frame,
+    rotate_block,
 )
 from .errors import DimensionMismatch, SpecError
 from .families import GenHelicoidA, _block_spans, build_immersion
@@ -476,16 +476,14 @@ def proof_terms(spec: GenHelicoidA, t: int, params) -> ProofTerms:
     c = (pd * r ** (pd - 1) * Q * np.sqrt(P) * sqrtg)[..., None]
 
     phase = (lam * theta)[..., None]
+    rot_c = rotate_block(fr.C, phase)
 
-    def rot(v):
-        return np.cos(phase) * v + np.sin(phase) * apply_complex_structure(v)
-
-    S1 = -c * rot(fr.C) - 2.0 * k * m * rot(fr.JD + m * fr.C)
-    S2 = -k * (1.0 - m ** 2) * rot(fr.C)
-    S3 = k * rot(fr.C + m * fr.JD)
+    S1 = -c * rot_c - 2.0 * k * m * rotate_block(fr.JD + m * fr.C, phase)
+    S2 = -k * (1.0 - m ** 2) * rot_c
+    S3 = k * rotate_block(fr.C + m * fr.JD, phase)
     S4 = S3.copy()
-    S5 = -k * rot(fr.C)
-    S6 = c * rot(fr.C) + k * m ** 2 * rot(fr.C)
+    S5 = -k * rot_c
+    S6 = c * rot_c + k * m ** 2 * rot_c
 
     total = S1 + S2 + S3 + S4 + S5 + S6
     scale = reduce(np.maximum, (_norm(x) for x in (S1, S2, S3, S4, S5, S6)))

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, SpecError
-from .families import _finite_float, build_immersion
+from .families import _finite_box, _finite_float, build_immersion
 from .geometry import Immersion
 
 __all__ = ["MeshData", "resolve_projection", "tessellate", "obj_text",
@@ -118,14 +118,18 @@ def tessellate(source, resolution=(64, 64), axes=(0, 1), fixed=None,
                 f"grid axis {a} out of range for {imm.param_dim} parameters")
     proj = resolve_projection(projection, imm.ambient_dim)
 
-    if box is not None:
-        box = [[_finite_float(x, "box bound") for x in pair] for pair in box]
-    dom = np.asarray(imm.domain if box is None else box, dtype=float)
+    dom = np.asarray(imm.domain if box is None
+                     else _finite_box(box, "box interval"), dtype=float)
     if dom.shape != (imm.param_dim, 2):
         raise SpecError(f"parameter box has shape {dom.shape}, expected "
                         f"({imm.param_dim}, 2)")
     base = dom.mean(axis=1)
-    for k, val in dict(fixed or {}).items():
+    try:
+        fixed = dict(fixed or {})
+    except (TypeError, ValueError):
+        raise SpecError(f"fixed must map parameter indices to values, "
+                        f"got {fixed!r}") from None
+    for k, val in fixed.items():
         k = _integer(k, "fixed parameter index")
         if not 0 <= k < imm.param_dim:
             raise SpecError(f"fixed parameter index {k} out of range")

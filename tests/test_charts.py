@@ -41,19 +41,19 @@ def block_points(block, count, seed):
 
 def test_stereographic_frozen_values():
     one = SphereChart(dim=1, kind="stereographic")
-    assert_close(one.immersion().position(np.array([0.5])), [0.8, 0.6], 1e-15)
+    assert_close(one.build().position(np.array([0.5])), [0.8, 0.6], 1e-15)
     two = SphereChart(dim=2, kind="stereographic")
-    assert_close(two.immersion().position(np.array([0.3, -0.4])),
+    assert_close(two.build().position(np.array([0.3, -0.4])),
                  [0.48, -0.64, 0.6], 1e-15)
 
 
 def test_trigonometric_frozen_values():
     two = SphereChart(dim=2, kind="trigonometric")
-    got = two.immersion().position(np.array([1.1, 0.7]))
+    got = two.build().position(np.array([1.1, 0.7]))
     assert_close(got, [np.cos(1.1), np.sin(1.1) * np.cos(0.7),
                        np.sin(1.1) * np.sin(0.7)], 1e-15)
     one = SphereChart(dim=1, kind="trigonometric")
-    assert_close(one.immersion().position(np.array([0.0])), [1.0, 0.0], 1e-15)
+    assert_close(one.build().position(np.array([0.0])), [1.0, 0.0], 1e-15)
 
 
 @pytest.mark.parametrize("kind", ["stereographic", "trigonometric"])
@@ -61,7 +61,7 @@ def test_trigonometric_frozen_values():
 def test_images_lie_on_unit_sphere(kind, dim):
     chart = SphereChart(dim=dim, kind=kind)
     pts = chart_points(chart, 200, seed=dim)
-    pos = chart.immersion().position(pts)
+    pos = chart.build().position(pts)
     assert_close(np.linalg.norm(pos, axis=-1), np.ones(200), 1e-14)
 
 
@@ -70,7 +70,7 @@ def test_chart_immersions_are_nondegenerate_on_their_boxes():
         for dim in (1, 2, 3):
             chart = SphereChart(dim=dim, kind=kind)
             pts = chart_points(chart, 50, seed=10 + dim)
-            met = metric(chart.immersion().eval(pts))
+            met = metric(chart.build().eval(pts))
             assert np.all(met.det_g > 0.0)
 
 
@@ -89,8 +89,8 @@ def test_chart_rotation_applied_and_validated():
     plain = SphereChart(dim=1, kind="trigonometric")
     turned = SphereChart(dim=1, kind="trigonometric", rotation=rot)
     pts = chart_points(plain, 20, seed=3)
-    expected = plain.immersion().position(pts) @ np.asarray(rot).T
-    assert_close(turned.immersion().position(pts), expected, 1e-14)
+    expected = plain.build().position(pts) @ np.asarray(rot).T
+    assert_close(turned.build().position(pts), expected, 1e-14)
 
     with pytest.raises(SpecError):
         SphereChart(dim=1, rotation=matrix_tuple([[1.0, 0.1], [0.0, 1.0]]))
@@ -160,8 +160,8 @@ def test_block_frame_identities(kx, ky, dim):
     assert_close(fr.m, -xy, 1e-13)
     assert_close(np.einsum("...a,...a->...", fr.JD, fr.C), xy, 1e-13)
     # metric is block diagonal: half the product of the chart metrics
-    gx = metric(block.chart_x.immersion().eval(pts[:, :dim])).g
-    gy = metric(block.chart_y.immersion().eval(pts[:, dim:])).g
+    gx = metric(block.chart_x.build().eval(pts[:, :dim])).g
+    gy = metric(block.chart_y.build().eval(pts[:, dim:])).g
     assert_close(fr.metric.g[..., :dim, :dim], 0.5 * gx, 1e-13)
     assert_close(fr.metric.g[..., dim:, dim:], 0.5 * gy, 1e-13)
     assert_close(fr.metric.g[..., :dim, dim:],

@@ -16,9 +16,10 @@ import numpy as np
 import pytest
 
 import minvar
-from minvar import harness
+from minvar import geometry, harness
 from minvar.cli import _write_json, load_reports, main, parse_config
 from minvar.errors import SpecError
+from minvar.families import build_immersion, spec_from_json
 from minvar.harness import (
     IdentitiesReport,
     TakahashiReport,
@@ -387,6 +388,26 @@ def test_identities_report_bytes_pinned(tmp_path):
                        output={"report": str(rep)})
     assert main(["identities", cfg]) == 0
     assert rep.read_text() == PINNED_IDENTITIES
+
+
+def test_identities_report_counts_rejected_draws(tmp_path, monkeypatch):
+    # a raised metric floor makes the sampler reject draws of the README's
+    # helicoid; every check of the report must count them
+    sphere = dict(CHART, dim=2)
+    family = dict(HELICOID, pitch={"lambda0": 0.8, "lambdas": [1.2, 0.7]},
+                  blocks=[{"chart_x": sphere, "chart_y": sphere}] * 2)
+    monkeypatch.setattr(geometry, "METRIC_RATIO_FLOOR", 0.3)
+    plan = harness.SamplePlan(count=20, seed=1)
+    _, rejected = harness.sample_points(
+        build_immersion(spec_from_json(family)), plan)
+    assert rejected > 0
+    rep = tmp_path / "identities.json"
+    cfg = write_config(tmp_path, family=family, plan=plan.to_json(),
+                       checks=["helicoid-algebra", "theta-harmonicity"],
+                       output={"report": str(rep)})
+    assert main(["identities", cfg]) == 0
+    checks = json.loads(rep.read_text())["checks"]
+    assert [c["points_excluded"] for c in checks] == [rejected] * 4
 
 
 def test_identities_report_round_trips(tmp_path):

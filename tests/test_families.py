@@ -542,7 +542,7 @@ _TURN = _commuting_unitary(5, 2)
         LatitudeCircle(0.5),
         Cylinder(1.3))]
     + [SphereChart(dim=2, kind="trigonometric",
-                   rotation=_orthogonal(6, 3)).immersion()],
+                   rotation=_orthogonal(6, 3)).build()],
     ids=lambda imm: imm.name)
 def test_metric_floor_never_binds_on_orthogonal_coordinates(imm):
     # these families carried no metric floor before every immersion got

@@ -30,6 +30,7 @@ from minvar.families import (
     LawsonSurface,
     LRaysCliffordCone,
     PitchVector,
+    SphericalJoin,
     SphericalSlice,
     build_immersion,
     standard_block,
@@ -100,6 +101,7 @@ class TestSamplePlan:
         {"box": ((0.0, 0.0),)}, {"box": ((1.0, 0.5),)},
         {"count": True}, {"seed": True}, {"max_rejects": True},
         {"count": 2 ** 32},
+        {"box": 5}, {"box": (5, 6)}, {"box": ((0.2, 1.0), (0.0,))},
     ])
     def test_rejects_bad_fields(self, kwargs):
         with pytest.raises(SpecError):
@@ -673,12 +675,55 @@ PINNED_TAKAHASHI = (
     '"verdict": "FAIL-EXPECTED"}], "agreement": true, "engine_version": '
     '"0.1.0", "wall_time": 0.25}')
 
+# the sphere sections are built from their cones; these pin their bytes
+PINNED_SLICE = (
+    '{"version": 1, "kind": "verification-report", "family": {"kind": '
+    '"SphericalSlice", "inner": {"kind": "GenHelicoidA", "pitch": {"lambda0": '
+    '0.0, "lambdas": [1.0, 1.3]}, "blocks": [{"chart_x": {"dim": 1, '
+    '"chart_kind": "stereographic"}, "chart_y": {"dim": 1, "chart_kind": '
+    '"stereographic"}}, {"chart_x": {"dim": 1, "chart_kind": '
+    '"stereographic"}, "chart_y": {"dim": 1, "chart_kind": '
+    '"stereographic"}}]}}, "plan": {"count": 2, "seed": 3, "box": null, '
+    '"max_rejects": 200}, "tolerances": {"tol_H": 1e-08, "tol_identity": '
+    '1e-09, "tol_negative": 0.01}, "checks": [{"name": "minimality", '
+    '"max_residual": 1.0707735213540931e-12, "mean_residual": '
+    '5.356318864617616e-13, "min_residual": 4.902515694300237e-16, '
+    '"points_evaluated": 2, "points_excluded": 0, "tolerance": 1e-08, '
+    '"expected": "PASS", "verdict": "PASS"}, {"name": "tangential-residual", '
+    '"max_residual": 1.0262214978824888e-12, "mean_residual": '
+    '5.133219193862735e-13, "min_residual": 4.2234089005821366e-16, '
+    '"points_evaluated": 2, "points_excluded": 0, "tolerance": 1e-08, '
+    '"expected": "PASS", "verdict": "PASS"}], "engine_version": "0.1.0", '
+    '"wall_time": 0.25}')
+PINNED_JOIN = (
+    '{"version": 1, "kind": "verification-report", "family": {"kind": '
+    '"SphericalJoin", "xs": {"dim": 1, "chart_kind": "stereographic"}, '
+    '"base": {"kind": "CliffordTorus", "block": {"chart_x": {"dim": 1, '
+    '"chart_kind": "stereographic"}, "chart_y": {"dim": 1, "chart_kind": '
+    '"stereographic"}}}}, "plan": {"count": 2, "seed": 3, "box": null, '
+    '"max_rejects": 200}, "tolerances": {"tol_H": 1e-08, "tol_identity": '
+    '1e-09, "tol_negative": 0.01}, "checks": [{"name": "minimality", '
+    '"max_residual": 1.8681953597737946e-16, "mean_residual": '
+    '1.716453580805607e-16, "min_residual": 1.5647118018374192e-16, '
+    '"points_evaluated": 2, "points_excluded": 0, "tolerance": 1e-08, '
+    '"expected": "PASS", "verdict": "PASS"}, {"name": "tangential-residual", '
+    '"max_residual": 7.041307053454521e-17, "mean_residual": '
+    '5.2728075595954804e-17, "min_residual": 3.5043080657364404e-17, '
+    '"points_evaluated": 2, "points_excluded": 0, "tolerance": 1e-08, '
+    '"expected": "PASS", "verdict": "PASS"}], "engine_version": "0.1.0", '
+    '"wall_time": 0.25}')
+
 
 @pytest.mark.parametrize("run,text", [
     (lambda plan: verify_minimality(Cylinder(2.0), plan), PINNED_VERIFICATION),
     (lambda plan: takahashi_equivalence(LatitudeCircle(0.5), 2, plan),
      PINNED_TAKAHASHI),
-], ids=["verification", "takahashi"])
+    (lambda plan: verify_minimality(
+        dict(default_campaign())["helicoid-slice"], plan), PINNED_SLICE),
+    (lambda plan: verify_minimality(SphericalJoin(
+        xs=standard_chart(1), base=CliffordTorus(standard_block(1))), plan),
+     PINNED_JOIN),
+], ids=["verification", "takahashi", "helicoid-slice", "torus-join"])
 def test_report_bytes_pinned(run, text):
     report = replace(run(SamplePlan(count=2, seed=3)), wall_time=0.25)
     assert json.dumps(report.to_json()) == text

@@ -1,10 +1,12 @@
-"""Every module-level import in the package is used.
+"""Every module-level import and private helper in the package is used.
 
-Deleting code tends to strand the imports it needed; this walks each
-module's syntax tree instead of running a linter.  ``__init__.py`` only
-re-exports, and ``from __future__`` imports bind nothing, so both are
-skipped.  A name counts as used if the module reads it anywhere, in a
-string annotation, or lists it in ``__all__``.
+Deleting code tends to strand the imports and helpers it needed; this
+walks each module's syntax tree instead of running a linter.  For the
+imports, ``__init__.py`` only re-exports, and ``from __future__`` imports
+bind nothing, so both are skipped; a name counts as used if the module
+reads it anywhere, in a string annotation, or lists it in ``__all__``.
+A private function or class counts as used if any other top-level
+statement of the package names it.
 """
 
 import ast
@@ -68,3 +70,31 @@ def test_module_level_imports_are_used(path):
     unused = {name: line for name, line in _imported_names(tree).items()
               if name not in used}
     assert not unused, f"{path.name}: unused imports {unused}"
+
+
+def _references(node: ast.AST) -> set[str]:
+    """Names a syntax subtree reads, as plain names or as attributes."""
+    refs = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            refs.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            refs.add(n.attr)
+        elif isinstance(n, ast.ImportFrom):
+            refs |= {alias.name for alias in n.names}
+    return refs
+
+
+def test_private_helpers_are_referenced():
+    # a module-level private function or class that no other statement of
+    # the package names is dead code stranded by an earlier deletion
+    statements = [node for path in sorted(PACKAGE.glob("*.py"))
+                  for node in ast.parse(path.read_text(encoding="utf-8")).body]
+    refs = [(node, _references(node)) for node in statements]
+    stranded = [
+        node.name for node in statements
+        if isinstance(node, ast.FunctionDef | ast.ClassDef)
+        and node.name.startswith("_")
+        and not any(node.name in names for other, names in refs
+                    if other is not node)]
+    assert not stranded, f"private helpers nothing references: {stranded}"

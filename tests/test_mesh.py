@@ -204,6 +204,9 @@ class TestTessellate:
         {"box": ((0.0, 1.0), (0.0, float("nan")))},
         {"box": ((float("-inf"), 1.0), (0.0, 1.0))},
         {"box": ((0.0, 1.0), ("a", 1.0))},
+        # malformed shapes, not only bad numbers
+        {"box": 5}, {"box": (5, 6)}, {"box": ((0.2, 1.0), (0.0,))},
+        {"fixed": 5},
     ])
     def test_rejects_bad_grid_requests(self, kwargs):
         with pytest.raises(SpecError):
