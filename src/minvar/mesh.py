@@ -10,9 +10,14 @@ only, so a singular vertex (where a jet pass would raise a DomainError) is
 detached like any other.  The mask comes from ``Immersion.excluded``, a
 first-order pass that always differentiates the map for the metric floor,
 so a component map must be written in the jet primitives: one that calls
-numpy functions such as ``np.sin`` on its parameters raises.  Output is
-a plain v/f OBJ stream with shortest round-trip decimals, so identical
-inputs produce byte-identical files.
+numpy functions such as ``np.sin`` on its parameters raises.
+
+Output is a plain v/f OBJ stream, so identical inputs produce
+byte-identical files.  Its decimals come from a numpy kernel that runs
+Ryu's shortest round-trip algorithm (U. Adams, "Ryu: fast float-to-string
+conversion", PLDI 2018) on uint64 lanes and lays out the digits as
+``repr`` does, byte for byte; ``MeshData`` admits finite vertices and
+in-range integral faces only, so the kernel sees finite doubles.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ import numpy as np
 from .errors import DimensionMismatch, SpecError
 from .families import _finite_box, _finite_float, build_immersion
 from .geometry import Immersion
+from .streams import _mul64
 
 __all__ = ["MeshData", "resolve_projection", "tessellate", "obj_text",
            "write_obj"]
@@ -34,16 +40,46 @@ _RENDER_ROWS = 4096
 
 @dataclass(frozen=True)
 class MeshData:
-    """Projected triangle mesh; faces index vertices from zero."""
+    """Projected triangle mesh; faces index vertices from zero.
+
+    Vertices are finite and faces are integral indices of a vertex; an
+    empty sequence is no rows.
+    """
 
     vertices: np.ndarray   # (V, 3)
     faces: np.ndarray      # (F, 3)
 
     def __post_init__(self):
+        vertices = _rows(self.vertices, "vertices")
+        if not np.isfinite(vertices).all():
+            raise SpecError("mesh vertices must be finite")
+        faces = _rows(self.faces, "faces")
+        if not (faces == np.trunc(faces)).all():
+            raise SpecError("mesh faces must be integer vertex indices")
+        if faces.size and not (0 <= faces.min()
+                               and faces.max() < len(vertices)):
+            raise SpecError(f"mesh faces must index the {len(vertices)} "
+                            f"vertices from zero")
         object.__setattr__(self, "vertices",
-                           np.asarray(self.vertices, dtype=np.float64))
-        object.__setattr__(self, "faces",
-                           np.asarray(self.faces, dtype=np.int64))
+                           vertices.astype(np.float64, copy=False))
+        object.__setattr__(self, "faces", faces.astype(np.int64, copy=False))
+
+
+def _rows(values, what: str) -> np.ndarray:
+    """``values`` as an (N, 3) array of numbers; ``[]`` is no rows."""
+    try:
+        rows = np.asarray(values)
+    except ValueError:                   # ragged rows
+        rows = None
+    if rows is not None and rows.shape == (0,):
+        rows = rows.reshape(0, 3)
+    if rows is None or rows.ndim != 2 or rows.shape[1] != 3:
+        shape = "ragged rows" if rows is None else f"shape {rows.shape}"
+        raise DimensionMismatch(f"mesh {what} must have shape (N, 3), "
+                                f"got {shape}")
+    if rows.dtype.kind not in "fiu":
+        raise SpecError(f"mesh {what} must be numbers, got {rows.dtype}")
+    return rows
 
 
 def resolve_projection(projection, ambient_dim: int) -> tuple[int, int, int]:
@@ -161,20 +197,245 @@ def tessellate(source, resolution=(64, 64), axes=(0, 1), fixed=None,
                     faces=corners[:, [0, 1, 2, 0, 2, 3]].reshape(-1, 3))
 
 
+# Shortest round-trip decimals, Ryu's d2d on uint64 lanes.  Ryu writes a
+# positive double as mv 2^e2, with mv = 4 m2 for the significand m2 (its
+# hidden bit included) and e2 = max(biased, 1) - 1077; the digits are mv
+# times a 5^k multiplier, shifted right.  Every constant depends on the
+# biased exponent alone, so one gather by it serves both signs of e2.
+_MASK64 = (1 << 64) - 1
+_POW10 = np.array([10 ** k for k in range(20)], dtype=np.uint64)
+
+
+def _pow5bits(e: int) -> int:
+    """Bit length of 5^e (1 for e = 0), as Ryu computes it."""
+    return ((e * 1217359) >> 19) + 1
+
+
+def _ryu_constants() -> list[np.ndarray]:
+    """Per biased exponent: Ryu's multiplier, shift and trailing-zero tests.
+
+    The columns are the multiplier's (lo, hi) words, its shift less 64,
+    the mask of the low bits of 4 m2 that must be zero for an exact
+    product (every bit when it never is), 5^q for the exact-multiple
+    tests of e2 >= 0 (0 when q > 21) and the decimal exponent of the
+    digits.
+    """
+    rows = []
+    for biased in range(2047):
+        e2 = max(biased, 1) - 1077
+        if e2 >= 0:
+            # the inverse table entry, floor(2^(bits + 124) / 5^q) + 1
+            q = ((e2 * 78913) >> 18) - (e2 > 3)
+            mul = (1 << _pow5bits(q) + 124) // 5 ** q + 1
+            shift = _pow5bits(q) + 124 + q - e2
+            mask, pow5, e10 = _MASK64, 5 ** q if q <= 21 else 0, q
+        else:
+            # the forward table entry, 5^i scaled to 125 bits
+            q = ((-e2 * 732923) >> 20) - (-e2 > 1)
+            i = -e2 - q
+            mul = 5 ** i << 125 >> _pow5bits(i)
+            shift = q - _pow5bits(i) + 125
+            mask = (1 << q) - 1 if q < 63 else _MASK64
+            pow5, e10 = 0, q + e2
+        rows.append((mul & _MASK64, mul >> 64, shift - 64, mask, pow5, e10))
+    *words, e10 = zip(*rows)
+    return [np.array(w, dtype=np.uint64) for w in words] + \
+        [np.array(e10, dtype=np.intp)]
+
+
+_MUL_LO, _MUL_HI, _SHIFT, _ZERO_MASK, _POW5, _E10 = _ryu_constants()
+
+
+def _shift_right(mid, hi, shift):
+    """The 64 bits of (hi, mid) from bit ``shift`` up."""
+    return hi << 64 - shift | mid >> shift
+
+
+def _shortest(mag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ryu's (digits, exponent) of positive finite doubles' bit patterns.
+
+    ``digits * 10**exponent`` is the shortest decimal that reads back as
+    the double, the closest one when several do, and a tie goes to even
+    digits: the decimal that ``repr`` writes.
+    """
+    biased = (mag >> 52).astype(np.intp)
+    frac = mag & (1 << 52) - 1
+    m2 = np.where(biased == 0, frac, frac | 1 << 52)
+    accept = (m2 & 1) == 0               # an even m2 keeps its interval ends
+    mm_shift = (frac != 0) | (biased <= 1)   # else the lower gap is half
+    mv = m2 << 2
+    mul_lo, mul_hi, shift = _MUL_LO[biased], _MUL_HI[biased], _SHIFT[biased]
+    # (lo, mid, hi) = mv times the multiplier; vr, vp and vm are that
+    # product, plus twice the multiplier, less one or two multipliers
+    # (the interval's centre and ends), each shifted right
+    carry, lo = _mul64(mv, mul_lo)
+    hi, mid = _mul64(mv, mul_hi)
+    mid += carry
+    hi += mid < carry
+    vr = _shift_right(mid, hi, shift)
+    two_lo, two_hi = mul_lo << 1, mul_hi << 1 | mul_lo >> 63
+    lo_p = lo + two_lo
+    mid_p = mid + two_hi + (lo_p < lo)
+    vp = _shift_right(mid_p, hi + (mid_p < mid), shift)
+    lo_m = lo - np.where(mm_shift, two_lo, mul_lo)
+    mid_m = mid - np.where(mm_shift, two_hi, mul_hi) - (lo_m > lo)
+    vm = _shift_right(mid_m, hi - (mid_m > mid), shift)
+
+    # whether vr and vm are exact, i.e. the digits cut off are all zero;
+    # Ryu's corrections for e2 < 0 and q <= 1 are left out: x is an
+    # integer there (2^52 <= x < 2^54) with fewer digits than the
+    # interval's ends, so whether an end is excluded never matters
+    vr_zeros = (mv & _ZERO_MASK[biased]) == 0
+    vm_zeros = np.zeros(len(mv), dtype=bool)
+    rare = np.flatnonzero(_POW5[biased])       # 0 <= e2 and q <= 21
+    if rare.size:
+        pow5 = _POW5[biased[rare]]
+        r_mv, r_accept = mv[rare], accept[rare]
+        fives = r_mv % 5 == 0
+        vr_zeros[rare] = fives & (r_mv % pow5 == 0)
+        vm_zeros[rare] = ~fives & r_accept & (
+            (r_mv - 1 - mm_shift[rare]) % pow5 == 0)
+        vp[rare] -= ~fives & ~r_accept & ((r_mv + 2) % pow5 == 0)
+
+    # drop digits while the interval (vm, vp] still holds a shorter
+    # decimal, looping only over the lanes that can drop one more
+    cut = np.empty(len(mv), dtype=np.intp)
+    live, top, bottom = np.arange(len(mv)), vp, vm
+    dropped = 0
+    while live.size:
+        top, bottom = top // 10, bottom // 10
+        more = top > bottom
+        if not more.all():
+            cut[live[~more]] = dropped
+            live, top, bottom = live[more], top[more], bottom[more]
+        dropped += 1
+    # the last digit cut from vr, and whether the ones before it were zero
+    below = _POW10[np.maximum(cut - 1, 0)]
+    lead = vr // below
+    vr_zeros &= vr == lead * below
+    vr = np.where(cut > 0, lead // 10, vr)
+    last = (lead - vr * 10) * (cut > 0)
+    scale = _POW10[cut]
+    bottom = vm // scale
+    vm_zeros &= vm == bottom * scale
+    vm = bottom
+    # an exact vm may drop its trailing zeros too
+    live = np.flatnonzero(vm_zeros)
+    while live.size:
+        live = live[vm[live] % 10 == 0]
+        vr_zeros[live] &= last[live] == 0
+        last[live] = vr[live] % 10
+        vr[live] //= 10
+        vm[live] //= 10
+        cut[live] += 1
+    last[vr_zeros & (last == 5) & (vr & 1 == 0)] = 4     # round half to even
+    # vr == vm is inside the interval only when vm is exact, which
+    # implies accept; otherwise vr steps up
+    digits = vr + (((vr == vm) & ~vm_zeros) | (last >= 5))
+    return digits, _E10[biased] + cut
+
+
+def _digit_count(values: np.ndarray) -> np.ndarray:
+    """Decimal digits of each uint64, one for zero."""
+    return np.maximum(np.searchsorted(_POW10, values, side="right"), 1)
+
+
+def _digits(values: np.ndarray, lengths: np.ndarray,
+            width: int) -> np.ndarray:
+    """ASCII decimals of uint64 ``values``, as (width, lanes) columns.
+
+    Each lane's last ``lengths`` digits fill the bottom of its column,
+    leading zeros included, and the places above them hold NUL bytes.
+    """
+    text = np.empty((width, len(values)), dtype=np.uint8)
+    place = width
+    while place:
+        # eight digits at a time in uint32, which divides faster
+        if place > 8:
+            head = values // 100_000_000
+            chunk = (values - head * 100_000_000).astype(np.uint32)
+            values = head
+        else:
+            chunk = values.astype(np.uint32)
+        for _ in range(min(place, 8)):
+            place -= 1
+            head = chunk // 10
+            text[place] = chunk - head * 10
+            chunk = head
+    text += ord("0")
+    text *= np.arange(width)[:, None] >= width - lengths
+    return text
+
+
+def _float_fields(x: np.ndarray) -> list[np.ndarray]:
+    """``repr`` of each double as NUL-padded (width, lanes) columns.
+
+    The fields are the sign, the integer part, the point, the fraction
+    and, when a lane needs it, 'e', the exponent's sign and its digits.
+    As ``repr`` does, a decimal point position below -3 or above 16 takes
+    the exponent form, which has no point for a single digit and at least
+    two exponent digits, and an integral value ends in '.0'.
+    """
+    bits = x.view(np.uint64)
+    mag = bits & _MASK64 >> 1
+    zero = mag == 0
+    digits, exp10 = _shortest(np.where(zero, 1 << 62, mag))
+    digits[zero] = 0                    # 1 << 62 is 2.0: one digit, point 1
+    count = _digit_count(digits)
+    point = count + exp10               # x = 0.d1d2... times 10**point
+    sci = (point < -3) | (point > 16)
+    after = np.where(sci, count - 1, count - point)   # digits past the point
+    scale = _POW10[np.clip(after, 0, 19)]
+    whole = digits // scale
+    fraction = digits - whole * scale
+    whole *= _POW10[np.clip(-after, 0, 16)]
+    whole_len = np.where(sci, 1, np.maximum(point, 1))
+    fraction_len = np.where(sci, after, np.maximum(after, 1))
+    fields = [(bits >> 63)[None] * ord("-"),
+              _digits(whole, whole_len, int(whole_len.max())),
+              (fraction_len > 0)[None] * ord("."),
+              _digits(fraction, fraction_len, int(fraction_len.max()))]
+    if sci.any():
+        power = point - 1
+        size = np.abs(power).astype(np.uint64)
+        fields += [sci[None] * ord("e"),
+                   np.where(sci, np.where(power < 0, ord("-"), ord("+")),
+                            0)[None],
+                   _digits(size, sci * np.maximum(_digit_count(size), 2), 3)]
+    return fields
+
+
+def _lines(letter: str, rows: int, fields: list[np.ndarray]) -> str:
+    """OBJ lines: the letter, then three lanes per row, each after a space.
+
+    ``fields`` are (width, lanes) uint8 columns in order; NUL bytes drop.
+    """
+    width = 1 + sum(len(f) for f in fields)
+    text = np.zeros((rows, 3 * width + 2), dtype=np.uint8)
+    text[:, 0], text[:, -1] = ord(letter), ord("\n")
+    lanes = text[:, 1:-1].reshape(rows, 3, width)
+    lanes[..., 0] = ord(" ")
+    at = 1
+    for field in fields:
+        lanes[..., at:at + len(field)] = field.T.reshape(rows, 3, -1)
+        at += len(field)
+    return text.tobytes().translate(None, b"\0").decode("ascii")
+
+
 def obj_text(mesh: MeshData) -> str:
     """Render v/f records; floats as shortest round-trip decimals."""
-    # rows are converted a block at a time: one tolist() of a large mesh
-    # would hold far more memory in Python objects than the text itself;
-    # each block is one %-format, and %r of a float is its shortest repr
+    # a block of rows at a time, each decoded as it is made, so that the
+    # kernel's arrays stay small and no bytes copy of the whole text lives
+    # beside the string
     blocks = []
     for start in range(0, len(mesh.vertices), _RENDER_ROWS):
         rows = mesh.vertices[start:start + _RENDER_ROWS]
-        blocks.append(("v %r %r %r\n" * len(rows))
-                      % tuple(rows.ravel().tolist()))
+        blocks.append(_lines("v", len(rows), _float_fields(rows.ravel())))
     for start in range(0, len(mesh.faces), _RENDER_ROWS):
-        rows = mesh.faces[start:start + _RENDER_ROWS] + 1
-        blocks.append(("f %d %d %d\n" * len(rows))
-                      % tuple(rows.ravel().tolist()))
+        index = (mesh.faces[start:start + _RENDER_ROWS].ravel()
+                 + 1).astype(np.uint64)
+        blocks.append(_lines("f", len(index) // 3, [_digits(
+            index, _digit_count(index), len(str(index.max())))]))
     return "".join(blocks) or "\n"        # an empty mesh is one newline
 
 

@@ -19,8 +19,9 @@ The kernel is numpy on uint64 arrays, vectorized over keys and draws:
   draw d is ``M^(d+2) X + (1 + M + ... + M^(d+1)) inc`` mod 2^128: two
   multiply-adds by per-draw constants (F. B. Brown, "Random number
   generation with arbitrary strides", Trans. Am. Nucl. Soc. 71, 1994).
-  128-bit words are (hi, lo) pairs of uint64; the 64x64 low product is
-  built from 32-bit partial products.
+  128-bit words are (hi, lo) pairs of uint64; ``_mul64``, the full 64x64
+  product built from 32-bit partial products, is also the one that
+  ``mesh`` uses for its decimal kernel.
 * Output.  XSL-RR: ``hi ^ lo`` rotated right by ``hi >> 58``; the double is
   the top 53 bits times 2^-53, as ``Generator.random`` computes it.
 
@@ -140,15 +141,19 @@ def _jump_consts(first: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     return hi, lo
 
 
-def _mul128(a_hi, a_lo, b_hi, b_lo):
-    """(hi, lo) of a b mod 2^128; the 64x64 low product from 32-bit parts."""
-    a0, a1 = a_lo & _U32, a_lo >> _S32
-    b0, b1 = b_lo & _U32, b_lo >> _S32
+def _mul64(a, b):
+    """(hi, lo) of the full 128-bit product a b, built from 32-bit parts."""
+    a0, a1 = a & _U32, a >> _S32
+    b0, b1 = b & _U32, b >> _S32
     p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
     mid = (p00 >> _S32) + (p01 & _U32) + (p10 & _U32)
-    hi = (a1 * b1 + (p01 >> _S32) + (p10 >> _S32) + (mid >> _S32)
-          + a_hi * b_lo + a_lo * b_hi)
-    return hi, a_lo * b_lo
+    return a1 * b1 + (p01 >> _S32) + (p10 >> _S32) + (mid >> _S32), a * b
+
+
+def _mul128(a_hi, a_lo, b_hi, b_lo):
+    """(hi, lo) of a b mod 2^128."""
+    hi, lo = _mul64(a_lo, b_lo)
+    return hi + a_hi * b_lo + a_lo * b_hi, lo
 
 
 def uniform_rows(seed: int, keys, first: int, n: int) -> np.ndarray:

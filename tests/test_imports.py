@@ -6,10 +6,13 @@ imports, ``__init__.py`` only re-exports, and ``from __future__`` imports
 bind nothing, so both are skipped; a name counts as used if the module
 reads it anywhere, in a string annotation, or lists it in ``__all__``.
 A private function or class counts as used if any other top-level
-statement of the package names it.
+statement of the package names it.  Every absolute import names the
+standard library, numpy or the package itself: numpy is the only
+runtime dependency.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -98,3 +101,25 @@ def test_private_helpers_are_referenced():
         and not any(node.name in names for other, names in refs
                     if other is not node)]
     assert not stranded, f"private helpers nothing references: {stranded}"
+
+
+def _absolute_imports(tree: ast.Module):
+    """Top-level package of every absolute import, with its line number."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name.partition(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.partition(".")[0], node.lineno
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    # anything the package imports beyond the standard library and numpy
+    # would be an undeclared runtime dependency
+    allowed = set(sys.stdlib_module_names) | {"numpy", "minvar"}
+    foreign = [f"{path.name}:{line} {name}"
+               for path in sorted(PACKAGE.glob("*.py"))
+               for name, line in _absolute_imports(
+                   ast.parse(path.read_text(encoding="utf-8")))
+               if name not in allowed]
+    assert not foreign, f"imports outside stdlib and numpy: {foreign}"

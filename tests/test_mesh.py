@@ -7,19 +7,21 @@ has (nu-1)(nv-1) quads, twice as many triangles, and every interior
 edge shared by exactly two of them.
 """
 
+import hashlib
 import io
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from minvar import jets
 from minvar.errors import DimensionMismatch, SpecError
-from minvar.families import ChoeHoppe, GenHelicoidA, PitchVector, \
-    build_immersion, standard_block
+from minvar.families import ChoeHoppe, GenHelicoidA, LawsonSurface, \
+    PitchVector, build_immersion, standard_block
 from minvar.geometry import Immersion
-from minvar.mesh import MeshData, obj_text, resolve_projection, tessellate, \
-    write_obj
+from minvar.mesh import MeshData, _digit_count, _digits, obj_text, \
+    resolve_projection, tessellate, write_obj
 
 HELICOID = ChoeHoppe(sphere_dim=1, pitch=0.5)
 
@@ -297,3 +299,131 @@ class TestObjOutput:
         mesh = MeshData(vertices=np.eye(3), faces=[[0, 1, 2]])
         assert obj_text(mesh) == (
             "v 1.0 0.0 0.0\nv 0.0 1.0 0.0\nv 0.0 0.0 1.0\nf 1 2 3\n")
+
+
+def vertex_text(values):
+    """obj_text of the vertices ``values`` (padded to whole rows) alone."""
+    flat = np.asarray(values, dtype=np.float64).ravel()
+    flat = np.concatenate([flat, np.zeros(-len(flat) % 3)])
+    mesh = MeshData(vertices=flat.reshape(-1, 3), faces=[])
+    return obj_text(mesh), mesh.vertices
+
+
+class TestMeshData:
+    @pytest.mark.parametrize("vertices", [np.zeros((3, 2)), np.zeros((3, 4)),
+                                          np.zeros(9), [[0.0, 1.0], [2.0]]])
+    def test_rejects_vertex_shapes(self, vertices):
+        with pytest.raises(DimensionMismatch, match="vertices"):
+            MeshData(vertices=vertices, faces=[])
+
+    def test_rejects_flat_faces(self):
+        with pytest.raises(DimensionMismatch, match="faces"):
+            MeshData(vertices=np.eye(3), faces=[0, 1, 2])
+
+    @pytest.mark.parametrize("faces", [[[0, 1, 5]], [[0, 1, 3]]])
+    def test_rejects_faces_past_the_last_vertex(self, faces):
+        with pytest.raises(SpecError, match="index the 3 vertices"):
+            MeshData(vertices=np.eye(3), faces=faces)
+
+    def test_rejects_negative_faces(self):
+        # once written 1-based this was the invalid record "f 1 2 0"
+        with pytest.raises(SpecError, match="index the 3 vertices"):
+            MeshData(vertices=np.eye(3), faces=[[0, 1, -1]])
+
+    @pytest.mark.parametrize("bad", [1.7, float("nan"), float("inf")])
+    def test_rejects_non_integral_faces(self, bad):
+        # 1.7 was once truncated to "f 1 2 2"
+        with pytest.raises(SpecError, match="faces"):
+            MeshData(vertices=np.eye(3), faces=[[0.0, 1.0, bad]])
+
+    def test_accepts_integral_float_faces(self):
+        mesh = MeshData(vertices=np.eye(3), faces=[[0.0, 1.0, 2.0]])
+        assert mesh.faces.dtype == np.int64
+        assert obj_text(mesh).endswith("f 1 2 3\n")
+
+    @pytest.mark.parametrize("bad", [float("inf"), float("-inf"),
+                                     float("nan")])
+    def test_rejects_nonfinite_vertices(self, bad):
+        # these were once written as "v inf -inf nan"
+        with pytest.raises(SpecError, match="finite"):
+            MeshData(vertices=[[0.0, bad, 1.0]], faces=[])
+
+    @pytest.mark.parametrize("vertices, faces", [
+        ([["a", "b", "c"]], []), ([[True, False, True]], []),
+        (np.eye(3), [[True, False, True]]), (np.eye(3), [["0", "1", "2"]])])
+    def test_rejects_non_numbers(self, vertices, faces):
+        with pytest.raises(SpecError, match="numbers"):
+            MeshData(vertices=vertices, faces=faces)
+
+    @pytest.mark.parametrize("empty", [[], np.zeros((0, 3))])
+    def test_empty_mesh_renders_one_newline(self, empty):
+        mesh = MeshData(vertices=empty, faces=empty)
+        assert mesh.vertices.shape == mesh.faces.shape == (0, 3)
+        assert obj_text(mesh) == "\n"
+
+
+def _neighbours(values):
+    """``values`` and the finite doubles on either side of each."""
+    values = np.asarray(values, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        near = np.concatenate([values, np.nextafter(values, -np.inf),
+                               np.nextafter(values, np.inf)])
+    return near[np.isfinite(near)]
+
+
+class TestDecimalKernel:
+    """The numpy kernel writes each double exactly as ``repr`` does."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(0, 2 ** 64 - 1), min_size=3, max_size=3))
+    def test_matches_repr_on_any_finite_bit_pattern(self, words):
+        x, y, z = np.array(words, dtype=np.uint64).view(np.float64).tolist()
+        assume(np.isfinite([x, y, z]).all())
+        assert vertex_text([x, y, z])[0] == "v %r %r %r\n" % (x, y, z)
+
+    def test_powers_of_two_and_ten_and_their_neighbours(self):
+        powers = [2.0 ** k for k in range(-1074, 1024)]
+        powers += [float(f"1e{k}") for k in range(-323, 309)]
+        values = _neighbours(powers)
+        values = np.concatenate([values, -values])
+        text, vertices = vertex_text(values)
+        assert text == reference_records(vertices, [])
+
+    def test_named_edge_values(self):
+        edge = [5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+                1.7976931348623157e308, 9007199254740993.0, 1e22, 1e23,
+                9999999999999998.0, 1e16, 1e-5, 0.0, -0.0]
+        values = _neighbours(edge)
+        text, vertices = vertex_text(np.concatenate([values, -values]))
+        assert text == reference_records(vertices, [])
+        assert vertex_text(edge[:3])[0] == (
+            "v 5e-324 2.225073858507201e-308 2.2250738585072014e-308\n")
+
+    def test_exponents_with_exact_products(self):
+        # biased exponents 986 to 1153 (about 7e-12 to 3e39) are where the
+        # kernel tracks whether its products are exact, which decides
+        # ties and trailing zeros; a seeded sweep of mantissas over each
+        rng = np.random.default_rng(20)
+        biased = np.arange(986, 1154, dtype=np.uint64).repeat(2000)
+        mantissa = rng.integers(0, 1 << 52, len(biased), dtype=np.uint64)
+        values = (biased << np.uint64(52) | mantissa).view(np.float64)
+        text, vertices = vertex_text(values)
+        assert text == reference_records(vertices, [])
+
+    @pytest.mark.parametrize("value", [0, 9, 10, 99_999, 100_000, 2 ** 53,
+                                       2 ** 63 - 1])
+    def test_integer_digit_writer(self, value):
+        values = np.array([value], dtype=np.uint64)
+        for width in (len(str(value)), 19, 20):
+            columns = _digits(values, _digit_count(values), width)
+            assert columns.shape == (width, 1)
+            text = columns[:, 0].tobytes()
+            assert text == b"\0" * (width - len(str(value))) + \
+                str(value).encode("ascii")
+
+    def test_benchmark_mesh_digest_is_pinned(self):
+        # the Lawson surface that the benchmark exports, at 64 x 64; the
+        # digest was taken from the repr-formatted renderer
+        text = obj_text(tessellate(LawsonSurface(1.0, 2.0), resolution=64))
+        assert hashlib.sha256(text.encode("ascii")).hexdigest() == (
+            "c145851c1781601f7eb27832794393c0af68221e0f07c5f41efcfd7eaed8fd60")
