@@ -13,23 +13,31 @@ A ``CliffordBlock`` pairs two charts of the same dimension into the
 minimal torus map C = (X(u); Y(v))/√2 ⊂ S^{2N+1} together with its dual
 field D = (X; −Y)/√2.  The ambient ℝ^{2N+2} carries the complex structure
 J(a; b) = (−b; a); an optional real orthogonal matrix commuting with J may
-rotate the block.  Chart formulas are written in the jet primitives, so a
-block evaluates under plain numpy or jets alike.
+rotate the block.
+
+Each chart kind has one formula and the block one, written on a vector
+with a trailing component axis (see ``jets``): the chart's parameter
+range arrives as one component-axis jet seeded on it (or one (..., d)
+array for positions), the chart returns its dim+1 coordinates as one
+vector, and the block joins X/√2 and ±Y/√2 into C and D and applies its
+unitary column by column.  ``clifford_frame`` and ``Immersion.eval`` read
+the same vectors.  A caller that passes a plain list of scalars or jets
+gets a list back; it is stacked on the way in and split on the way out.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from . import jets
-from .errors import ChartDomainError, SpecError
+from .errors import ChartDomainError, DimensionMismatch, DomainError, SpecError
 from .geometry import (
     Immersion,
     MetricEval,
     PointEval,
+    _scatter_vector,
     metric,
 )
 
@@ -139,36 +147,54 @@ class SphereChart:
         guarded = ((ANGLE_MARGIN, np.pi - ANGLE_MARGIN),) * (self.dim - 1)
         return guarded + ((-np.pi, np.pi),)
 
-    def embed(self, cols: Sequence) -> list:
-        """Map chart parameters (scalars or jets) to dim+1 sphere coordinates."""
-        if len(cols) != self.param_dim:
+    def embed(self, cols):
+        """Sphere coordinates of the chart parameters ``cols``.
+
+        ``Columns`` (what an ``Immersion`` hands its component map) give
+        one component-axis jet or (..., dim+1) array, from the range
+        seeded as one jet; so does a vector of parameters, a jet or array
+        whose last axis holds them.  Any other sequence of scalars or
+        jets, a list say, is stacked on the way in and returned as a list
+        of dim+1 scalars.
+        """
+        listed = not isinstance(cols, (jets.Columns, jets.Jet2, np.ndarray))
+        u = jets.stack(cols) if listed else \
+            cols.joint() if isinstance(cols, jets.Columns) else cols
+        shape = _jet_values(u).shape
+        if shape[-1:] != (self.param_dim,):
             raise SpecError(f"chart expects {self.param_dim} parameters, "
-                            f"got {len(cols)}")
+                            f"got shape {shape}")
         if self.kind == "point":
-            out = [float(self.branch)]
+            out = np.full(_jet_values(u).shape[:-1] + (1,),
+                          float(self.branch))
         elif self.kind == "stereographic":
-            s = cols[0] * cols[0]
-            for c in cols[1:]:
-                s = s + c * c
-            denom = 1.0 + s
-            out = [2.0 * c / denom for c in cols] + [(1.0 - s) / denom]
+            s = jets.component_sum(u * u)
+            # one reciprocal of 1 + |u|² serves every coordinate
+            out = jets.concat([2.0 * u, 1.0 - s]) / (1.0 + s)
         else:
-            for phi in cols[:-1]:
-                bad = np.abs(np.sin(_jet_values(phi))) < SIN_GUARD
-                if np.any(bad):
-                    raise ChartDomainError(
-                        "trigonometric chart degenerates where an interior "
-                        "sine vanishes")
-            out = []
-            prefix = 1.0
-            for phi in cols:
-                out.append(prefix * jets.cos(phi))
-                prefix = prefix * jets.sin(phi)
-            out.append(prefix)
+            interior = _jet_values(u)[..., :-1]
+            if (np.abs(np.sin(interior)) < SIN_GUARD).any():
+                raise ChartDomainError(
+                    "trigonometric chart degenerates where an interior "
+                    "sine vanishes")
+            # X_k = P_{k-1} cos φ_k and X_{dim+1} = P_{dim-1} sin φ_dim,
+            # with prefix products P_k = sin φ_1 ⋯ sin φ_k (P_0 = 1)
+            # formed left to right
+            d = self.dim
+            sin = jets.sin(u)
+            factors = jets.concat([jets.cos(u), jets.take(sin, d - 1, d)])
+            out = factors
+            if d > 1:
+                prefix = [jets.take(sin, 0, 1)]
+                for k in range(1, d - 1):
+                    prefix.append(prefix[-1] * jets.take(sin, k, k + 1))
+                out = jets.concat([jets.take(factors, 0, 1),
+                                   jets.concat(prefix + prefix[-1:])
+                                   * jets.take(factors, 1, d + 1)])
         rot = self.rotation_matrix
         if rot is not None:
             out = jets.linear_map(rot, out)
-        return out
+        return jets.unstack(out) if listed else out
 
     def build(self) -> Immersion:
         """The chart as an immersion into ℝ^{dim+1} (image in S^dim)."""
@@ -223,28 +249,39 @@ class CliffordBlock:
     def domain_box(self) -> tuple[tuple[float, float], ...]:
         return self.chart_x.domain_box() + self.chart_y.domain_box()
 
-    def _fields(self, cols: Sequence, signs: tuple) -> list:
-        """(X; ±Y)/√2, one component list per sign, from one chart pass."""
-        nx = self.chart_x.param_dim
+    def _fields(self, cols, signs: tuple) -> list:
+        """(X; ±Y)/√2, one vector per sign, from one pass of each chart.
+
+        Every field reuses X/√2; −Y/√2 is the negation of Y/√2, which
+        has the bits of (−1/√2)·Y.  Columns give component-axis jets or
+        arrays, other sequences lists of scalars (``SphereChart.embed``).
+        """
         if len(cols) != self.param_dim:
             raise SpecError(f"block expects {self.param_dim} parameters, "
                             f"got {len(cols)}")
-        x = self.chart_x.embed(cols[:nx])
-        y = self.chart_y.embed(cols[nx:])
+        listed = not isinstance(cols, jets.Columns)
+        nx = self.chart_x.param_dim
+        u, v = cols[:nx], cols[nx:]
+        if listed:
+            u, v = jets.stack(u), jets.stack(v)
         inv = 1.0 / np.sqrt(2.0)
-        u = self.unitary_matrix
+        x = inv * self.chart_x.embed(u)
+        y = inv * self.chart_y.embed(v)
+        unitary = self.unitary_matrix
         out = []
         for sign in signs:
-            f = [inv * xi for xi in x] + [sign * inv * yi for yi in y]
-            out.append(f if u is None else jets.linear_map(u, f))
+            f = jets.concat([x, y if sign > 0 else -y])
+            if unitary is not None:
+                f = jets.linear_map(unitary, f)
+            out.append(jets.unstack(f) if listed else f)
         return out
 
-    def embed(self, cols: Sequence) -> list:
-        """Component list of C at chart parameters (scalars or jets)."""
+    def embed(self, cols):
+        """C at chart parameters: a vector for ``Columns``, else a list."""
         return self._fields(cols, (1.0,))[0]
 
-    def embed_pair(self, cols: Sequence) -> tuple[list, list]:
-        """Component lists (C, D) at chart parameters (scalars or jets)."""
+    def embed_pair(self, cols) -> tuple:
+        """(C, D) at chart parameters, each embedded chart shared."""
         c, d = self._fields(cols, (1.0, -1.0))
         return c, d
 
@@ -287,20 +324,32 @@ class CliffordFrame:
 def clifford_frame(block: CliffordBlock, p) -> CliffordFrame:
     """Second-order frame of the torus map at chart points p (..., n).
 
-    C and D come from one jet evaluation of ``embed_pair``, so each chart
-    is embedded once; their values and derivatives equal those of
-    ``block.immersion().eval(p)`` and ``block.dual_immersion().eval(p)``.
+    C and D come from one ``embed_pair`` on second-order ``Columns``, so
+    each chart is embedded once, and are scattered into one dense
+    (..., 2K) position, Jacobian and Hessian array as
+    ``Immersion.eval`` scatters an output; their values and derivatives
+    are those of ``block.immersion().eval(p)`` and
+    ``block.dual_immersion().eval(p)`` byte for byte.  Non-finite points
+    raise ``DomainError``.
     """
-    K = block.ambient_dim
-    pair = Immersion(param_dim=block.param_dim, ambient_dim=2 * K,
-                     components=lambda cols: [
-                         x for f in block.embed_pair(cols) for x in f],
-                     domain=block.domain_box(),
-                     name=f"clifford-pair-S{block.sphere_dim}")
-    pe = pair.eval(p)
-    C, D = pe.position[..., :K], pe.position[..., K:]
-    dC, dD = pe.jacobian[..., :K, :], pe.jacobian[..., K:, :]
-    pe_c = PointEval(position=C, jacobian=dC, second=pe.second[..., :K, :, :])
+    p = np.asarray(p, dtype=np.float64)
+    n, K = block.param_dim, block.ambient_dim
+    if p.ndim == 0 or p.shape[-1] != n:
+        raise DimensionMismatch(f"clifford frame: expected points with {n} "
+                                f"coordinates, got shape {p.shape}")
+    if not np.all(np.isfinite(p)):
+        raise DomainError("clifford frame: non-finite chart point")
+    batch = p.shape[:-1]
+    position = np.empty(batch + (2 * K,))
+    jacobian = np.zeros(batch + (2 * K, n))
+    second = np.zeros(batch + (2 * K, n, n))
+    c_jet, d_jet = block.embed_pair(jets.Columns(p, 2))
+    _scatter_vector(c_jet, position[..., :K], jacobian[..., :K, :],
+                    second[..., :K, :, :])
+    _scatter_vector(d_jet, position[..., K:], jacobian[..., K:, :], None)
+    C, D = position[..., :K], position[..., K:]
+    dC, dD = jacobian[..., :K, :], jacobian[..., K:, :]
+    pe_c = PointEval(position=C, jacobian=dC, second=second[..., :K, :, :])
     jc = apply_complex_structure(C)
     jdc = np.swapaxes(apply_complex_structure(np.swapaxes(dC, -1, -2)),
                       -1, -2)

@@ -170,7 +170,8 @@ class LRaysCone(_Family):
         nb, L = base.param_dim, self.rays
 
         def comps(cols):
-            return _weighted(cols[nb:], [base.components(cols[:nb])] * L)
+            point = jets.unstack(base.components(cols[:nb]))
+            return _weighted(cols[nb:], [point] * L)
 
         # g = diag(|r|² g_P, I), as ∂P·P = 0 for the unit vector P, so
         # the guard's Hadamard ratio is the base's
@@ -348,8 +349,8 @@ class ChoeHoppe(_Family):
         lam = self.pitch
 
         def comps(cols):
-            p_dir = chart_p.embed(cols[:np_])
-            q_dir = chart_q.embed(cols[np_:np_ + nq])
+            p_dir = jets.unstack(chart_p.embed(cols[:np_]))
+            q_dir = jets.unstack(chart_q.embed(cols[np_:np_ + nq]))
             th = cols[np_ + nq]
             s = cols[np_ + nq + 1]
             ca, sa = jets.cos(th), jets.sin(th)
@@ -464,8 +465,8 @@ class HarveyLawsonCone(_Family):
         nx, ny = chart_x.param_dim, chart_y.param_dim
 
         def comps(cols):
-            x = chart_x.embed(cols[:nx])
-            y = chart_y.embed(cols[nx:nx + ny])
+            x = jets.unstack(chart_x.embed(cols[:nx]))
+            y = jets.unstack(chart_y.embed(cols[nx:nx + ny]))
             return _weighted(cols[nx + ny:], [x + y] * 2)
 
         return Immersion(
@@ -633,8 +634,9 @@ def standard_block(sphere_dim: int, kind: str = "stereographic",
         unitary=unitary)
 
 
-def _rotated_block(comps: list, angle) -> list:
-    """cos(angle)·v + sin(angle)·Jv for a component list of one block."""
+def _rotated_block(comps, angle) -> list:
+    """cos(angle)·v + sin(angle)·Jv for the components of one block."""
+    comps = jets.unstack(comps)
     half = len(comps) // 2
     jcomps = [-c for c in comps[half:]] + list(comps[:half])
     ca, sa = jets.cos(angle), jets.sin(angle)
@@ -656,7 +658,7 @@ def _section(cone: Immersion, chart: SphereChart, ambient_dim: int,
     nb = cone.param_dim - (chart.dim + 1)
 
     def comps(cols):
-        x = chart.embed(cols[nb:])
+        x = jets.unstack(chart.embed(cols[nb:]))
         return cone.components([*cols[:nb], *x])[:ambient_dim]
 
     return Immersion(param_dim=nb + chart.param_dim, ambient_dim=ambient_dim,

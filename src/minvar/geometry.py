@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DegenerateMetric, DimensionMismatch, NotSpherical
-from .jets import Jet1, Jet2
+from .jets import Columns, Jet2
 
 __all__ = [
     "RANK_TOL",
@@ -109,11 +109,13 @@ class MeanCurvatureEval:
 class Immersion:
     """A component map over an open box with degeneracy guards.
 
-    ``components`` receives one scalar-like object per parameter (plain
-    arrays or jets) and must return a sequence of ``ambient_dim`` scalar-like
-    outputs built from the jet primitives.  ``exclusions`` are named
-    predicates mapping a point batch (..., n) to a boolean exclusion mask.
-    Every immersion's guard also excludes points whose induced metric is
+    ``components`` receives the parameter columns (``jets.Columns``, or
+    any sequence of plain arrays or jets) and returns a sequence of
+    ``ambient_dim`` scalar-like outputs built from the jet primitives, or,
+    given ``Columns``, one component-axis jet or (..., ambient_dim) array
+    (``SphereChart.embed``, ``CliffordBlock.embed``).  ``exclusions`` are
+    named predicates mapping a point batch (..., n) to a boolean exclusion
+    mask.  Every immersion's guard also excludes points whose induced metric is
     near rank-deficient: det g / Π g_ii at or below METRIC_RATIO_FLOOR
     (``_below_floor``).  ``screen`` runs a second-order ``eval`` and
     returns that ``PointEval``, so sampling and the residuals share one
@@ -138,41 +140,52 @@ class Immersion:
         """Fast position-only evaluation, shape (..., n) → (..., K)."""
         p = np.asarray(p, dtype=np.float64)
         self._check_point_shape(p)
-        cols = [p[..., i] for i in range(self.param_dim)]
-        outs = self.components(cols)
+        outs = self._outputs(Columns(p, 0))
         batch = p.shape[:-1]
+        if isinstance(outs, np.ndarray):
+            return np.array(np.broadcast_to(outs, batch + outs.shape[-1:]))
         stacked = [np.broadcast_to(np.asarray(o, dtype=np.float64), batch)
                    for o in outs]
         return np.stack(stacked, axis=-1)
 
+    def _outputs(self, cols: Columns):
+        """``components(cols)``, checked against ``ambient_dim``."""
+        outs = self.components(cols)
+        if isinstance(outs, Jet2):
+            count = outs.value.shape[-1]
+        elif isinstance(outs, np.ndarray):
+            count = outs.shape[-1]
+        else:
+            count = len(outs)
+        if count != self.ambient_dim:
+            raise DimensionMismatch(
+                f"{self.name or 'immersion'}: component map returned "
+                f"{count} coordinates, declared {self.ambient_dim}")
+        return outs
+
     def _jets(self, p, second: bool):
         """(position, jacobian, second or None) from one jet pass over p.
 
-        Each parameter is seeded as a one-variable jet, so a component
-        carries derivatives only on its support, the parameters it depends
-        on; each output is scattered into the dense (..., K, n) and
-        (..., K, n, n) arrays once.  Without ``second`` the seeds are
-        value+gradient ``Jet1`` jets and no Hessian is formed.
+        ``components`` receives ``Columns``: a one-variable seed per
+        column it reads alone and one component-axis seed per range it
+        reads whole, so a component carries derivatives only on its
+        support, the parameters it depends on.  The outputs are
+        scattered into the dense (..., K, n) and (..., K, n, n) arrays
+        once, a component-axis output in one ``_scatter_vector``.
+        Without ``second`` the seeds are value+gradient ``Jet1`` jets and
+        no Hessian is formed.
         """
         p = np.asarray(p, dtype=np.float64)
         self._check_point_shape(p)
-        n = self.param_dim
+        n, K = self.param_dim, self.ambient_dim
         batch = p.shape[:-1]
-        one = np.broadcast_to(1.0, batch + (1,))
-        if second:
-            zero = np.broadcast_to(0.0, batch + (1, 1))
-            seeds = [Jet2(p[..., i], one, zero, (i,)) for i in range(n)]
-        else:
-            seeds = [Jet1(p[..., i], one, (i,)) for i in range(n)]
-        outs = self.components(seeds)
-        if len(outs) != self.ambient_dim:
-            raise DimensionMismatch(
-                f"{self.name or 'immersion'}: component map returned "
-                f"{len(outs)} coordinates, declared {self.ambient_dim}")
-        K = self.ambient_dim
+        outs = self._outputs(Columns(p, 2 if second else 1))
         position = np.empty(batch + (K,))
         jacobian = np.zeros(batch + (K, n))
         hessians = np.zeros(batch + (K, n, n)) if second else None
+        if isinstance(outs, (Jet2, np.ndarray)):
+            _scatter_vector(outs, position, jacobian, hessians)
+            return position, jacobian, hessians
         for k, o in enumerate(outs):
             if isinstance(o, Jet2):
                 idx = np.asarray(o.support, dtype=np.intp)
@@ -228,6 +241,32 @@ class Immersion:
         return mask
 
 
+def _scatter_vector(out, position: np.ndarray, jacobian: np.ndarray,
+                    hessians: np.ndarray | None) -> None:
+    """Write one component-axis output into dense arrays.
+
+    ``out`` is a jet with value (..., K) or a plain (..., K) array; its
+    derivatives go to the columns of its support, and the other columns
+    keep what the caller filled in (zeros).  ``hessians`` None skips the
+    Hessian.
+    """
+    if not isinstance(out, Jet2):
+        position[...] = out
+        return
+    position[...] = out.value
+    support = out.support
+    if not support:
+        return
+    if support[-1] - support[0] + 1 == len(support):
+        cols = rows = slice(support[0], support[-1] + 1)
+    else:
+        cols = np.asarray(support, dtype=np.intp)
+        rows = cols[:, None]
+    jacobian[..., cols] = out.grad
+    if hessians is not None:
+        hessians[..., rows, cols] = out.hess
+
+
 def _gram(jacobian: np.ndarray):
     """(g = JᵀJ, det g, Π g_ii), the last being Hadamard's bound on det g."""
     g = np.einsum("...ki,...kj->...ij", jacobian, jacobian)
@@ -250,7 +289,9 @@ def metric(pe: PointEval) -> MetricEval:
     g and det g come from ``pe.gram`` when ``screen`` carried them.
     """
     g, det, hadamard = _gram(pe.jacobian) if pe.gram is None else pe.gram
-    ratio = det / hadamard
+    # a vanishing Jacobian column makes Π g_ii = 0: report the ratio as 0
+    ratio = np.divide(det, hadamard, out=np.zeros(np.shape(det)),
+                      where=hadamard != 0.0)
     if np.any(det <= 0.0) or np.any(ratio <= RANK_TOL):
         worst = float(np.min(ratio))
         raise DegenerateMetric(

@@ -8,7 +8,10 @@ rotating block.  Every function in this module evaluates one of these
 statements at a batch of parameter points of shape (..., n) and reports
 defect norms of shape (...), normalized by the largest participating
 term so a pass is meaningful at any scale.  A single point of shape
-(n,) is a batch of one and gives shape-() values.
+(n,) is a batch of one and gives shape-() values.  A point with a NaN or
+infinite coordinate raises ``DomainError`` instead of giving NaN defects:
+``clifford_frame`` and the helicoid record, which every check reads,
+refuse it.
 
 All frame data comes from ``charts.clifford_frame``, one jet evaluation
 per block and batch.  The three helicoid checks (``helicoid_algebra``,
@@ -36,7 +39,7 @@ from .charts import (
     clifford_frame,
     rotate_block,
 )
-from .errors import DimensionMismatch, SpecError
+from .errors import DimensionMismatch, DomainError, SpecError
 from .families import GenHelicoidA, _block_spans, build_immersion
 from .geometry import (
     _divergence_parts,
@@ -251,6 +254,8 @@ def _helicoid_eval(spec: GenHelicoidA, params) -> _HelicoidEval:
     if params.ndim == 0 or params.shape[-1] != n_u + 1 + L:
         raise DimensionMismatch(f"expected points with {n_u + 1 + L} "
                                 f"parameters, got shape {params.shape}")
+    if not np.all(np.isfinite(params)):
+        raise DomainError("helicoid identities: non-finite parameter point")
     key = (spec, params.shape, params.tobytes())
     last = _last_eval
     if last is not None and last[0] == key:
@@ -442,6 +447,8 @@ class ProofTerms:
 def proof_terms(spec: GenHelicoidA, t: int, params) -> ProofTerms:
     """Evaluate the six cancellation terms for block t (1-based).
 
+    ``t`` must be an integer (not a bool) in 1..L.
+
     Each term is assembled from frame values only: with m = D·JC,
     E[v] = cos(λ_t Θ) v + sin(λ_t Θ) Jv, k = λ_t² r^{2N+1} Q √g/√P and
     c = 2N r^{2N-1} Q √P √g,
@@ -452,6 +459,8 @@ def proof_terms(spec: GenHelicoidA, t: int, params) -> ProofTerms:
 
     Q is the square root of the other blocks' r^{4N} det g product.
     """
+    if isinstance(t, bool) or not isinstance(t, (int, np.integer)):
+        raise DimensionMismatch(f"block index must be an integer, got {t!r}")
     rec = _helicoid_eval(spec, params)
     theta, radii, P = rec.theta, rec.radii, rec.P
     L = len(spec.blocks)

@@ -35,11 +35,11 @@ result, with layouts memoized per support pair:
 
 ``variables`` seeds every jet on the full support, so ``jet_eval`` and
 ``fd_jet`` return dense (..., n) and (..., n, n) derivatives;
-``Immersion.eval`` seeds one-variable jets and scatters each output into
-dense arrays once.  A derivative entry outside a support is a structural
-zero that the dense formulas would have computed as ±0.0 from zero
-operands, so sparse and dense seeding agree exactly up to the sign of zero
-entries.
+``Immersion.eval`` hands its component map ``Columns``, which seed on
+demand, and scatters each output into dense arrays once.  A derivative
+entry outside a support is a structural zero that the dense formulas would
+have computed as ±0.0 from zero operands, so sparse and dense seeding agree
+exactly up to the sign of zero entries.
 
 A value+gradient jet, ``Jet1``, is a ``Jet2`` with ``hess`` None.  Every
 operation propagates that: it runs the same gradient formulas and skips the
@@ -48,11 +48,31 @@ gradients for the cost of the first-order terms alone.  Callers that need
 only a Jacobian, such as the metric-floor mask ``Immersion.excluded``, seed
 ``Jet1`` variables.
 
-``linear_map(mat, comps)`` applies a constant matrix to a list of jets and
-plain values, as chart rotations and block unitaries do: one numpy product
-and sum per jet slot and matrix column instead of two jet operations per
-entry, bit-identical to the sequential sum of jet products, signed zeros
-included.
+**The component axis.**  A jet whose value has a trailing axis of m
+components is a vector of m scalar fields on one support::
+
+    value : (..., m)      grad : (..., m, s)     hess : (..., m, s, s)
+
+It is the batch axis nearest the slots, so every operation above acts on
+it componentwise; a sphere chart or a Clifford block is one such jet
+instead of m.  ``Columns(p, order)[lo:hi].joint()`` seeds a parameter
+range as one vector (the identity as gradient on the support lo..hi−1, a
+zero Hessian), while ``Columns(p, order)[i]`` is still a one-variable seed.
+The rule where the two meet: a scalar jet that meets a vector is lifted
+explicitly (``lift``: value[..., None], grad[..., None, :],
+hess[..., None, :, :]), never left to numpy's broadcasting, which pairs a
+batch whose length equals m with the component axis silently and wrongly.
+``take``, ``concat`` and ``unstack`` slice, join and split vectors (joined
+jets lie on the union of their supports, with +0.0 where a part carries no
+derivative); ``component_sum`` adds the components left to right into
+one component, and
+``linear_map(mat, v)`` applies a constant matrix column by column, as
+chart rotations and block unitaries do.  Both keep the order of the
+sequential scalar sums, so a vector has the bits of its scalar jets up to
+the sign of zero entries.  Plain (..., m) arrays take the same helpers, for
+position-only evaluation.  Numpy arrays and scalars defer to a jet's
+reflected operators (``__array_ufunc__`` is None), so an array times a jet
+is the jet's scalar product.
 
 The primitives ``sin``/``cos``/``exp``/``log``/``sqrt``/``atan``/``atan2``
 accept jets or plain numbers/arrays and dispatch accordingly; a map written
@@ -63,6 +83,7 @@ numpy (positions only), as jets (exact derivatives), or through ``fd_jet``
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -77,6 +98,13 @@ __all__ = [
     "StepPolicy",
     "variables",
     "constant_like",
+    "Columns",
+    "lift",
+    "take",
+    "unstack",
+    "concat",
+    "stack",
+    "component_sum",
     "linear_map",
     "jet_eval",
     "fd_jet",
@@ -231,6 +259,10 @@ class Jet2:
     """
 
     __slots__ = ("value", "grad", "hess", "support")
+
+    # numpy defers to the reflected operators, so an array or numpy scalar
+    # times a jet is the jet's scalar product, not an object array
+    __array_ufunc__ = None
 
     def __init__(self, value, grad, hess, support: tuple | None = None):
         if hess is None:
@@ -410,49 +442,221 @@ def constant_like(c, like: Jet2) -> Jet2:
     return Jet2(value, grad, hess, like.support)
 
 
-def linear_map(mat, comps) -> list:
-    """Row sums Σ_k mat[a, k] comps[k], one output per row a of ``mat``.
+# ---- component-axis vectors ------------------------------------------------
 
-    ``comps`` mixes jets of one order with plain numbers or arrays.  Each
-    column scales its operand for every row in one numpy product, which is
-    filled with −0.0 onto the union support and summed in column order.
-    A jet sum scatters each operand onto the union and leaves −0.0 where
-    neither covers, and −0.0 is the additive identity, so these are the
-    elementwise products and sums of ``sum(mat[a, k] * comps[k] for k
-    ...)`` and the outputs are bit-identical to it: a value starts from
-    0 + its first term and a derivative from the first jet's term.
+
+def _slots(v):
+    """(value, grad, hess) of a vector; grad and hess are None for an array."""
+    if isinstance(v, Jet2):
+        return v.value, v.grad, v.hess
+    return np.asarray(v, dtype=np.float64), None, None
+
+
+def _vector(like: Jet2, value, grad, hess) -> Jet2:
+    """A jet of ``like``'s order and support from its three slots."""
+    if like.hess is None:
+        return Jet1(value, grad, like.support)
+    return Jet2(value, grad, hess, like.support)
+
+
+def lift(x):
+    """A scalar jet or array as a vector of one component.
+
+    value[..., None], grad[..., None, :] and hess[..., None, :, :]: a
+    scalar that meets a vector is lifted explicitly, because numpy would
+    broadcast a batch whose length equals the component count silently
+    and wrongly.
     """
-    mat = np.asarray(mat, dtype=np.float64)
-    rows = mat.shape[0]
-    values = [c.value if isinstance(c, Jet2)
-              else np.asarray(c, dtype=np.float64) for c in comps]
-    col_shape = (rows,) + (1,) * max(v.ndim for v in values)
-    value = 0
-    for k, v in enumerate(values):
-        value = value + mat[:, k].reshape(col_shape) * v
-    jet_terms = [(k, c) for k, c in enumerate(comps) if isinstance(c, Jet2)]
-    if not jet_terms:
-        return list(value)
-    supports = {c.support for _, c in jet_terms}
-    support = supports.pop() if len(supports) == 1 \
-        else tuple(sorted(set().union(*supports)))
-    m = len(support)
-    grad = hess = None
-    for k, c in jet_terms:
-        col = mat[:, k].reshape((rows,) + (1,) * c.grad.ndim)
-        g = col * c.grad
-        h = None if c.hess is None else col[..., None] * c.hess
-        if c.support != support:
-            plan = _union_plan(c.support, support)
-            g, h = _widen(g, h, m, plan.grad[0], plan.hess[0])
-        if grad is None:
-            grad, hess = g, h
-        else:
-            grad = grad + g
-            hess = None if h is None else hess + h
+    if not isinstance(x, Jet2):
+        return np.asarray(x, dtype=np.float64)[..., None]
+    return _vector(x, x.value[..., None], x.grad[..., None, :],
+                   None if x.hess is None else x.hess[..., None, :, :])
+
+
+def take(v, lo: int, hi: int):
+    """Components lo..hi−1 of a vector, as a vector of views."""
+    if not isinstance(v, Jet2):
+        return v[..., lo:hi]
+    return _vector(v, v.value[..., lo:hi], v.grad[..., lo:hi, :],
+                   None if v.hess is None else v.hess[..., lo:hi, :, :])
+
+
+def unstack(v) -> list:
+    """The scalar components of a vector, as views; a list passes through."""
+    if isinstance(v, Jet2):
+        return [_vector(v, v.value[..., k], v.grad[..., k, :],
+                        None if v.hess is None else v.hess[..., k, :, :])
+                for k in range(v.value.shape[-1])]
+    if isinstance(v, np.ndarray):
+        return [v[..., k] for k in range(v.shape[-1])]
+    return list(v)
+
+
+def concat(parts):
+    """Vectors (jets or arrays) joined along the component axis.
+
+    Jets are laid onto the union of their supports, and a derivative a
+    part does not carry (a plain array, or a variable outside its
+    support) is a structural +0.0, as in ``Immersion.eval``'s dense
+    arrays.  The result is an array when no part is a jet.
+    """
+    first = parts[0]
+    if isinstance(first, Jet2) and all(
+            isinstance(x, Jet2) and x.support == first.support
+            and x.value.shape[:-1] == first.value.shape[:-1]
+            for x in parts[1:]):
+        # one support and one batch: the slots join as they are
+        return _vector(first, np.concatenate([x.value for x in parts], -1),
+                       np.concatenate([x.grad for x in parts], -2),
+                       None if first.hess is None else
+                       np.concatenate([x.hess for x in parts], -3))
+    slots = [_slots(x) for x in parts]
+    batch = _batch(*(value.shape[:-1] for value, _, _ in slots))
+    value = np.concatenate([v if v.shape[:-1] == batch
+                            else np.broadcast_to(v, batch + v.shape[-1:])
+                            for v, _, _ in slots], axis=-1)
+    jet_parts = [x for x in parts if isinstance(x, Jet2)]
+    if not jet_parts:
+        return value
+    support = tuple(sorted(set().union(*(x.support for x in jet_parts))))
+    m, rows = len(support), value.shape[-1]
+    grad = np.zeros(batch + (rows, m))
+    hess = None if jet_parts[0].hess is None \
+        else np.zeros(batch + (rows, m, m))
+    row = 0
+    for (v, g, h), x in zip(slots, parts):
+        end = row + v.shape[-1]
+        if g is not None and x.support:
+            if x.support == support:
+                cols, block = slice(None), (slice(None), slice(None))
+            else:
+                plan = _union_plan(x.support, support)
+                cols, block = plan.grad[0][1], plan.hess[0][1:]
+            grad[(..., slice(row, end), cols)] = g
+            if hess is not None:
+                hess[(..., slice(row, end)) + block] = h
+        row = end
     if hess is None:
-        return [Jet1(value[a], grad[a], support) for a in range(rows)]
-    return [Jet2(value[a], grad[a], hess[a], support) for a in range(rows)]
+        return Jet1(value, grad, support)
+    return Jet2(value, grad, hess, support)
+
+
+def stack(comps):
+    """Scalar components (jets, arrays or numbers) as one vector."""
+    if not comps:
+        return np.empty((0,))
+    return concat([lift(c) for c in comps])
+
+
+def component_sum(v):
+    """Σ_k v[..., k] as a vector of one component, added left to right."""
+    total = take(v, 0, 1)
+    for k in range(1, _slots(v)[0].shape[-1]):
+        total = total + take(v, k, k + 1)
+    return total
+
+
+def linear_map(mat, v):
+    """Σ_k mat[:, k] v[..., k]: a constant matrix applied to a vector.
+
+    The columns are taken in order, each in one numpy product per slot,
+    as chart rotations and block unitaries need: a value starts from
+    0 + its first term and a derivative from its first term, so every
+    output component has the bits of the sequential sum of scalar jet
+    products ``sum(mat[a, k] * v_k for k ...)`` over the components v_k
+    of ``v``, signed zeros included.  No einsum or matmul: BLAS and fused
+    multiply-adds regroup the sums.
+    """
+    cols = np.asarray(mat, dtype=np.float64).T[:, :, None, None]
+    value, grad, hess = _slots(v)
+    out = [0, None, None]
+    for k, col in enumerate(cols):
+        out[0] = out[0] + value[..., k, None] * col[:, 0, 0]
+        if grad is None:
+            continue
+        g = grad[..., k, None, :] * col[:, :, 0]
+        out[1] = g if out[1] is None else out[1] + g
+        if hess is not None:
+            h = hess[..., k, None, :, :] * col
+            out[2] = h if out[2] is None else out[2] + h
+    if grad is None:
+        return out[0]
+    return _vector(v, *out)
+
+
+@lru_cache(maxsize=256)
+def _seed_slots(batch: tuple, d: int) -> tuple:
+    """Identity gradient (..., d, d) and zero Hessian (..., d, d, d).
+
+    Read-only broadcast views of a d-variable seed, memoized per batch
+    shape and d: at a batch of one, building them took about a fifth of
+    a dim-1 chart's time.
+    """
+    return (np.broadcast_to(np.eye(d), batch + (d, d)),
+            np.broadcast_to(0.0, batch + (d, d, d)))
+
+
+class Columns(Sequence):
+    """The parameter columns a component map receives, seeded on demand.
+
+    ``Columns(p, order)`` holds a point batch p (..., n); order 0 gives
+    plain arrays, 1 value+gradient and 2 second-order seeds.  ``cols[i]``
+    is one column: p[..., i], or a seed on the single variable i, made
+    once per batch.  ``cols[lo:hi]`` is the Columns of that range, and
+    its ``joint()`` is the whole range as one vector: the array
+    p[..., lo:hi], or one component-axis jet seeded on it, with value
+    (..., d), the identity as grad (..., d, d) on the support lo..hi−1
+    and a zero Hessian (..., d, d, d).
+    """
+
+    __slots__ = ("p", "order", "_lo", "_hi", "_seeds")
+
+    def __init__(self, p, order: int):
+        self.p = np.asarray(p, dtype=np.float64)
+        if self.p.ndim == 0:
+            raise DimensionMismatch("columns need a trailing coordinate axis")
+        self.order = order
+        self._lo, self._hi = 0, self.p.shape[-1]
+        # the seeds made so far, shared with every range of the batch
+        self._seeds = [None] * self._hi
+
+    def __len__(self) -> int:
+        return self._hi - self._lo
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            start, stop, step = i.indices(self._hi - self._lo)
+            if step != 1:
+                return [self[k] for k in range(start, stop, step)]
+            part = object.__new__(Columns)
+            part.p, part.order, part._seeds = self.p, self.order, self._seeds
+            part._lo, part._hi = self._lo + start, self._lo + max(start, stop)
+            return part
+        k = (self._lo if i >= 0 else self._hi) + i
+        if not self._lo <= k < self._hi:
+            raise IndexError(f"column {i} outside a range of {len(self)}")
+        seed = self._seeds[k]
+        if seed is None:
+            seed = self._seeds[k] = self._range(k, k + 1, scalar=True)
+        return seed
+
+    def __iter__(self):
+        return (self[i] for i in range(self._hi - self._lo))
+
+    def joint(self):
+        """This range as one component-axis jet or (..., d) array."""
+        return self._range(self._lo, self._hi, scalar=False)
+
+    def _range(self, lo: int, hi: int, scalar: bool):
+        value = self.p[..., lo if scalar else slice(lo, hi)]
+        if self.order == 0:
+            return value
+        grad, hess = _seed_slots(self.p.shape[:-1], hi - lo)
+        if scalar:
+            grad, hess = grad[..., 0, :], hess[..., 0, :, :]
+        if self.order == 1:
+            return Jet1(value, grad, tuple(range(lo, hi)))
+        return Jet2(value, grad, hess, tuple(range(lo, hi)))
 
 
 # ---- primitives (dual dispatch: Jet2 or plain arrays) ----------------------

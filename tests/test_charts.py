@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from minvar import jets
 from minvar.charts import (
     CliffordBlock,
     SphereChart,
@@ -314,3 +315,194 @@ def test_matrix_tuple_round_trip():
     assert_close(np.asarray(t), a, 0.0)
     with pytest.raises(SpecError):
         matrix_tuple(np.zeros(3))
+
+
+# ---- component-axis charts and blocks against the scalar formulas ----------
+#
+# The independent route: the chart and block formulas written once per
+# coordinate on scalar jets, one seed per parameter, with rotations and
+# unitaries as sequential sums.  The component-axis evaluation must give
+# the same values and derivatives, np.array_equal (signed zeros aside).
+
+
+def _scalar_chart(chart, cols):
+    if chart.kind == "point":
+        out = [float(chart.branch)]
+    elif chart.kind == "stereographic":
+        s = cols[0] * cols[0]
+        for c in cols[1:]:
+            s = s + c * c
+        denom = 1.0 + s
+        out = [2.0 * c / denom for c in cols] + [(1.0 - s) / denom]
+    else:
+        out, prefix = [], 1.0
+        for phi in cols:
+            out.append(prefix * jets.cos(phi))
+            prefix = prefix * jets.sin(phi)
+        out.append(prefix)
+    return _sequential_map(chart.rotation_matrix, out)
+
+
+def _sequential_map(mat, comps):
+    if mat is None:
+        return comps
+    return [sum(mat[a, k] * comps[k] for k in range(len(comps)))
+            for a in range(mat.shape[0])]
+
+
+def _scalar_block(block, cols, sign):
+    nx = block.chart_x.param_dim
+    x = _scalar_chart(block.chart_x, cols[:nx])
+    y = _scalar_chart(block.chart_y, cols[nx:])
+    inv = 1.0 / np.sqrt(2.0)
+    f = [inv * xi for xi in x] + [sign * inv * yi for yi in y]
+    return _sequential_map(block.unitary_matrix, f)
+
+
+def _scalar_dense(outs, p, second):
+    """Scalar outputs on one-variable seeds, scattered into dense arrays."""
+    batch, n = p.shape[:-1], p.shape[-1]
+    position = np.empty(batch + (len(outs),))
+    jacobian = np.zeros(batch + (len(outs), n))
+    hessians = np.zeros(batch + (len(outs), n, n))
+    for k, o in enumerate(outs):
+        if not isinstance(o, jets.Jet2):
+            position[..., k] = o
+            continue
+        idx = np.asarray(o.support, dtype=np.intp)
+        position[..., k] = o.value
+        jacobian[..., k, idx] = o.grad
+        if second:
+            hessians[..., k, idx[:, None], idx] = o.hess
+    return position, jacobian, hessians
+
+
+def _scalar_seeds(p, second):
+    batch = p.shape[:-1]
+    one = np.broadcast_to(1.0, batch + (1,))
+    if not second:
+        return [jets.Jet1(p[..., i], one, (i,)) for i in range(p.shape[-1])]
+    zero = np.broadcast_to(0.0, batch + (1, 1))
+    return [jets.Jet2(p[..., i], one, zero, (i,))
+            for i in range(p.shape[-1])]
+
+
+def _turn(dim, angle):
+    # a rotation of R^{dim+1} mixing every coordinate
+    rng = np.random.default_rng(dim)
+    q, _ = np.linalg.qr(rng.standard_normal((dim + 1, dim + 1)))
+    c, s = np.cos(angle), np.sin(angle)
+    plane = np.eye(dim + 1)
+    plane[:2, :2] = [[c, -s], [s, c]]
+    return matrix_tuple(q @ plane)
+
+
+VECTOR_CHARTS = {
+    f"{kind[:5]}-S{dim}-{'rot' if turn else 'std'}":
+        SphereChart(dim=dim, kind=kind,
+                    rotation=_turn(dim, 0.4) if turn else None)
+    for kind in ("stereographic", "trigonometric")
+    for dim in (1, 2, 3) for turn in (False, True)}
+VECTOR_CHARTS["point-minus"] = SphereChart(dim=0, kind="point", branch=-1)
+
+VECTOR_BLOCKS = {
+    f"{kind[:5]}-{other[:5]}-N{dim}-{'unitary' if unitary else 'plain'}":
+        CliffordBlock(SphereChart(dim=dim, kind=kind),
+                      SphereChart(dim=dim, kind=other), unitary=(
+                          _commuting_unitary(dim + 1, 0.7)
+                          if unitary else None))
+    for kind, other in (("stereographic", "stereographic"),
+                        ("trigonometric", "trigonometric"),
+                        ("trigonometric", "stereographic"))
+    for dim in (1, 2, 3) for unitary in (False, True)}
+VECTOR_BLOCKS["point-N0-unitary"] = CliffordBlock(
+    SphereChart(dim=0, kind="point"),
+    SphereChart(dim=0, kind="point", branch=-1),
+    unitary=_commuting_unitary(1, 0.7))
+VECTOR_BLOCKS["rotated-charts-N2"] = CliffordBlock(
+    SphereChart(dim=2, rotation=_turn(2, 0.9)),
+    SphereChart(dim=2, kind="trigonometric", rotation=_turn(2, 1.3)))
+
+
+def _batches(points, components):
+    """(), (1,), (3, 5) and a batch as long as the component count."""
+    return [points[0], points[:1], points[:15].reshape(3, 5, -1),
+            points[:components]]
+
+
+def _assert_equal_arrays(got, want):
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        assert np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("name", sorted(VECTOR_CHARTS))
+def test_component_axis_chart_equals_scalar_formulas(name):
+    chart = VECTOR_CHARTS[name]
+    imm = chart.build()
+    pts = chart_points(chart, 20, seed=31)
+    for p in _batches(pts, chart.dim + 1):
+        for second in (True, False):
+            seeds = _scalar_seeds(p, second)
+            want = _scalar_dense(_scalar_chart(chart, seeds), p, second)
+            got = imm._jets(p, second)
+            _assert_equal_arrays(got[:2], want[:2])
+            if second:
+                _assert_equal_arrays(got[2:], want[2:])
+            else:
+                assert got[2] is None
+        plain = _scalar_chart(chart, [p[..., i]
+                                      for i in range(chart.param_dim)])
+        want = np.stack([np.broadcast_to(np.asarray(x, dtype=float),
+                                         p.shape[:-1]) for x in plain],
+                        axis=-1)
+        assert np.array_equal(imm.position(p), want)
+
+
+@pytest.mark.parametrize("name", sorted(VECTOR_BLOCKS))
+def test_component_axis_block_equals_scalar_formulas(name):
+    block = VECTOR_BLOCKS[name]
+    pts = block_points(block, 20, seed=32)
+    for p in _batches(pts, block.ambient_dim):
+        for imm, sign in ((block.immersion(), 1.0),
+                          (block.dual_immersion(), -1.0)):
+            for second in (True, False):
+                want = _scalar_dense(
+                    _scalar_block(block, _scalar_seeds(p, second), sign),
+                    p, second)
+                got = imm._jets(p, second)
+                _assert_equal_arrays(got[:2], want[:2])
+                if second:
+                    _assert_equal_arrays(got[2:], want[2:])
+        fr = clifford_frame(block, p)
+        want_c = _scalar_dense(_scalar_block(block, _scalar_seeds(p, True),
+                                             1.0), p, True)
+        want_d = _scalar_dense(_scalar_block(block, _scalar_seeds(p, True),
+                                             -1.0), p, True)
+        _assert_equal_arrays((fr.C, fr.dC, fr.d2C), want_c)
+        _assert_equal_arrays((fr.D, fr.dD), want_d[:2])
+
+
+@pytest.mark.parametrize("name", ["stere-S2-rot", "trigo-S3-std",
+                                  "point-minus"])
+def test_chart_lists_in_lists_out(name):
+    # a plain list of scalars (or dense jets) is stacked on the way in and
+    # split on the way out, with the component-axis bits
+    chart = VECTOR_CHARTS[name]
+    p = chart_points(chart, 4, seed=33)
+    cols = [p[..., i] for i in range(chart.param_dim)]
+    out = chart.embed(cols)
+    assert isinstance(out, list) and len(out) == chart.dim + 1
+    position = chart.build().position(p)
+    for k, x in enumerate(out):
+        assert np.array_equal(np.broadcast_to(x, p.shape[:-1]),
+                              position[..., k])
+    assert np.array_equal(chart.embed(p), position)
+    dense = chart.embed(jets.variables(p))
+    assert all(isinstance(x, jets.Jet2) for x in dense) or not chart.dim
+    pe = chart.build().eval(p)
+    for k, x in enumerate(dense):
+        if isinstance(x, jets.Jet2):
+            assert np.array_equal(x.value, pe.position[..., k])
+            assert np.array_equal(x.grad, pe.jacobian[..., k, :])
+            assert np.array_equal(x.hess, pe.second[..., k, :, :])

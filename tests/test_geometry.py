@@ -1,5 +1,7 @@
 """Metric, Laplace-Beltrami, and mean-curvature oracles on classical surfaces."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -526,3 +528,23 @@ def test_metric_derivative_matches_einsum_reference(batch):
     assert dg.shape == ref.shape == batch + (n, n, n)
     eps = np.finfo(np.float64).eps
     assert np.max(np.abs(dg - ref)) <= 64 * eps * (1.0 + np.max(np.abs(ref)))
+
+
+def test_vanishing_jacobian_column_reports_ratio_zero_without_warning():
+    # at radius 0 a helicoid's chart columns vanish, so Π g_ii = 0; the
+    # ratio used to read nan with an "invalid value" warning
+    from minvar.families import GenHelicoidA, PitchVector, standard_block
+    from minvar.identities import helicoid_algebra
+
+    spec = GenHelicoidA(pitch=PitchVector(0.8, (1.2,)),
+                        blocks=(standard_block(1),))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateMetric,
+                           match=r"ratio 0\.000e\+00 <= 1\.0e-12"):
+            helicoid_algebra(spec, np.array([0.3, -0.4, 0.5, 0.0]))
+        jac = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
+        pe = PointEval(position=np.zeros(3), jacobian=jac,
+                       second=np.zeros((3, 2, 2)))
+        with pytest.raises(DegenerateMetric, match=r"ratio 0\.000e\+00"):
+            metric(pe)

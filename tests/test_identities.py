@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 from minvar import identities
 from minvar.charts import CliffordBlock, apply_complex_structure, clifford_frame
-from minvar.errors import DimensionMismatch, SpecError
+from minvar.errors import DimensionMismatch, DomainError, SpecError
 from minvar.families import (
     GenHelicoidA,
     GenHelicoidB,
@@ -552,3 +552,50 @@ def test_non_helicoid_a_spec_raises_spec_error():
                  lambda: proof_terms(spec, 1, p)):
         with pytest.raises(SpecError, match="GenHelicoidB"):
             call()
+
+
+# ---------------------------------------------------------------------------
+# Refused inputs: non-finite points and non-integer block indices
+# ---------------------------------------------------------------------------
+
+
+N2_BLOCK = standard_block(2)
+ONE_BLOCK = GenHelicoidA(pitch=PitchVector(0.8, (1.2,)),
+                         blocks=(standard_block(1),))
+NON_FINITE_CALLS = {
+    "clifford_frame": lambda p: clifford_frame(N2_BLOCK, p),
+    "lemma_magic_residuals": lambda p: lemma_magic_residuals(N2_BLOCK, p),
+    "pairing_derivative_defect":
+        lambda p: pairing_derivative_defect(N2_BLOCK, p),
+    "helicoid_algebra": lambda p: helicoid_algebra(ONE_BLOCK, p),
+    "theta_harmonicity": lambda p: theta_harmonicity(ONE_BLOCK, p),
+    "proof_terms": lambda p: proof_terms(ONE_BLOCK, 1, p),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", sorted(NON_FINITE_CALLS))
+def test_non_finite_points_raise(cold, name, bad):
+    # each used to return a silent NaN (the helicoid checks in det_defect,
+    # inverse_defect and theta_laplacian)
+    call = NON_FINITE_CALLS[name]
+    good = (np.array([0.1, 0.2, 0.3, 0.4]) if name in
+            ("clifford_frame", "lemma_magic_residuals",
+             "pairing_derivative_defect")
+            else np.array([0.3, -0.4, 0.5, 1.1]))
+    call(good)
+    for where in (0, len(good) - 1):
+        p = good.copy()
+        p[where] = bad
+        with pytest.raises(DomainError, match="non-finite"):
+            call(p)
+        with pytest.raises(DomainError):
+            call(np.stack([good, p]))
+
+
+@pytest.mark.parametrize("t", [True, False, 1.0, "1", None])
+def test_proof_terms_refuses_non_integer_block_index(cold, t):
+    p = np.array([0.3, -0.4, 0.5, 1.1])
+    with pytest.raises(DimensionMismatch, match="integer"):
+        proof_terms(ONE_BLOCK, t, p)
+    assert proof_terms(ONE_BLOCK, np.int64(1), p).sum_norm.shape == ()

@@ -523,6 +523,17 @@ def _operand(rng, kind, batch, support, order):
     return Jet2(value, grad, _signed_entries(rng, batch + (m, m)), support)
 
 
+def _components(v):
+    """The components of a vector on its whole support, sliced directly."""
+    if not isinstance(v, Jet2):
+        return [v[..., k] for k in range(v.shape[-1])]
+    if v.hess is None:
+        return [jets.Jet1(v.value[..., k], v.grad[..., k, :], v.support)
+                for k in range(v.value.shape[-1])]
+    return [Jet2(v.value[..., k], v.grad[..., k, :], v.hess[..., k, :, :],
+                 v.support) for k in range(v.value.shape[-1])]
+
+
 def _same_bytes(a, b):
     a, b = np.asarray(a), np.asarray(b)
     return a.dtype == b.dtype and a.shape == b.shape \
@@ -542,26 +553,28 @@ coefficient = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
 @settings(max_examples=120, deadline=None)
 def test_linear_map_equals_sequential_sum_byte_for_byte(
         kinds, rows, order, batch, coeffs, seed):
-    # the reference sum breaks on an array before the first jet: ndarray +
-    # jet makes an object array; rotations never order operands that way
-    if "jet" in kinds:
-        assume("array" not in kinds[:kinds.index("jet")])
+    # a vector stacked from jets on mixed supports, floats and arrays;
+    # each output must be the sequential sum of scalar jet products over
+    # the vector's own components, signed zeros included
     rng = np.random.default_rng(seed)
     comps = []
     for kind in kinds:
         support = tuple(sorted(rng.choice(5, size=rng.integers(1, 4),
                                           replace=False).tolist()))
         comps.append(_operand(rng, kind, batch, support, order))
+    vector = jets.stack(comps)
     mat = np.array(coeffs[:rows * len(comps)]).reshape(rows, len(comps))
-    got = jets.linear_map(mat, comps)
-    ref = [sum(mat[a, k] * comps[k] for k in range(len(comps)))
+    got = jets.unstack(jets.linear_map(mat, vector))
+    parts = _components(vector)
+    ref = [sum(mat[a, k] * parts[k] for k in range(len(comps)))
            for a in range(rows)]
     assert len(got) == rows
     for out, want in zip(got, ref):
-        assert type(out) is type(want)
         if not isinstance(want, Jet2):
+            assert not isinstance(out, Jet2)
             assert _same_bytes(out, want)
             continue
+        assert type(out) is type(want)
         assert out.support == want.support
         assert _same_bytes(out.value, want.value)
         assert _same_bytes(out.grad, want.grad)
@@ -569,3 +582,103 @@ def test_linear_map_equals_sequential_sum_byte_for_byte(
             assert out.hess is None
         else:
             assert _same_bytes(out.hess, want.hess)
+
+
+# ---- component-axis vectors and parameter columns ---------------------------
+
+
+def _vector_jet(values, support=(0, 1)):
+    """A vector whose slots all repeat ``values`` on the component axis."""
+    values = np.asarray(values, dtype=float)
+    m = len(support)
+    grad = values[:, None] * np.ones(m)
+    hess = values[:, None, None] * np.ones((m, m))
+    return Jet2(values, grad, hess, support)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_component_sums_run_left_to_right(order):
+    # (1e16 + 1) + 1 rounds to 1e16 twice; any other grouping gives 1e16 + 2
+    values = [1e16, 1.0, 1.0]
+    v = _vector_jet(values)
+    if order == 1:
+        v = jets.Jet1(v.value, v.grad, v.support)
+    total = jets.component_sum(v)
+    assert total.value.tolist() == [1e16]
+    assert np.all(total.grad == 1e16)
+    if order == 2:
+        assert np.all(total.hess == 1e16)
+    assert jets.component_sum(np.array(values)).tolist() == [1e16]
+    ones = np.ones((1, 3))
+    mapped = jets.linear_map(ones, v)
+    assert mapped.value.tolist() == [1e16]
+    assert np.all(mapped.grad == 1e16)
+    assert jets.linear_map(ones, np.array(values)).tolist() == [1e16]
+
+
+def test_lift_take_unstack_keep_the_component_axis():
+    v = _vector_jet([1.0, 2.0, 3.0])
+    parts = jets.unstack(v)
+    assert [p.value.shape for p in parts] == [(), (), ()]
+    assert [float(p.value) for p in parts] == [1.0, 2.0, 3.0]
+    lifted = jets.lift(parts[1])
+    assert lifted.value.shape == (1,) and lifted.grad.shape == (1, 2)
+    assert lifted.hess.shape == (1, 2, 2)
+    middle = jets.take(v, 1, 3)
+    assert middle.value.tolist() == [2.0, 3.0] and middle.support == (0, 1)
+    assert jets.unstack([1.0, 2.0]) == [1.0, 2.0]
+    assert jets.lift(np.array([4.0, 5.0])).shape == (2, 1)
+
+
+def test_concat_lays_parts_onto_the_union_with_zero_fill():
+    x = Jet2(np.array([1.0, 2.0]), np.array([[3.0], [4.0]]),
+             np.array([[[5.0]], [[6.0]]]), (2,))
+    y = jets.Jet2(np.array([7.0]), np.array([[8.0, 9.0]]),
+                  np.array([[[1.0, 2.0], [2.0, 3.0]]]), (0, 4))
+    out = jets.concat([x, np.array([0.5]), y])
+    assert out.support == (0, 2, 4)
+    assert out.value.tolist() == [1.0, 2.0, 0.5, 7.0]
+    assert out.grad.tolist() == [[0.0, 3.0, 0.0], [0.0, 4.0, 0.0],
+                                 [0.0, 0.0, 0.0], [8.0, 0.0, 9.0]]
+    assert out.hess[0].tolist() == [[0.0, 0.0, 0.0], [0.0, 5.0, 0.0],
+                                    [0.0, 0.0, 0.0]]
+    assert out.hess[3].tolist() == [[1.0, 0.0, 2.0], [0.0, 0.0, 0.0],
+                                    [2.0, 0.0, 3.0]]
+    assert not np.any(np.signbit(out.grad))
+    assert jets.concat([np.array([1.0]), np.array([2.0, 3.0])]).tolist() \
+        == [1.0, 2.0, 3.0]
+
+
+@pytest.mark.parametrize("batch", [(), (1,), (3, 5), (4,)])
+def test_columns_seed_ranges_as_one_jet(batch):
+    rng = np.random.default_rng(3)
+    p = rng.standard_normal(batch + (4,))
+    cols = jets.Columns(p, 2)
+    assert len(cols) == 4
+    one = cols[2]
+    assert one is cols[2] and one.support == (2,)
+    assert np.array_equal(one.value, p[..., 2])
+    assert one.grad.shape == batch + (1,) and np.all(one.grad == 1.0)
+    part = cols[1:4]
+    assert len(part) == 3 and part[0] is cols[1]
+    u0, u1, u2 = part
+    assert u2 is cols[3]
+    seed = part.joint()
+    assert type(seed) is Jet2 and seed.support == (1, 2, 3)
+    assert np.array_equal(seed.value, p[..., 1:4])
+    assert np.array_equal(seed.grad, np.broadcast_to(np.eye(3),
+                                                     batch + (3, 3)))
+    assert seed.hess.shape == batch + (3, 3, 3) and not np.any(seed.hess)
+    first = jets.Columns(p, 1)[0:2].joint()
+    assert type(first) is jets.Jet1 and first.hess is None
+    plain = jets.Columns(p, 0)
+    assert np.array_equal(plain[1:3].joint(), p[..., 1:3])
+    assert np.array_equal(plain[-1], p[..., 3])
+    stacked = jets.stack([1.0, np.array(2.0), one])
+    assert stacked.support == (2,)
+    assert np.array_equal(stacked.value[..., 2], one.value)
+    assert np.array_equal(stacked.grad[..., 2, :],
+                          np.broadcast_to(1.0, batch + (1,)))
+    assert np.array_equal(jets.stack([1.0, np.array(2.0)]), [1.0, 2.0])
+    with pytest.raises(DimensionMismatch):
+        jets.Columns(np.float64(1.0), 2)
