@@ -22,7 +22,7 @@ array for positions), the chart returns its dim+1 coordinates as one
 vector, and the block joins X/√2 and ±Y/√2 into C and D and applies its
 unitary column by column.  ``clifford_frame`` and ``Immersion.eval`` read
 the same vectors.  A caller that passes a plain list of scalars or jets
-gets a list back; it is stacked on the way in and split on the way out.
+gets a list back through ``jets.listable``, which runs the same formula.
 """
 
 from __future__ import annotations
@@ -147,6 +147,7 @@ class SphereChart:
         guarded = ((ANGLE_MARGIN, np.pi - ANGLE_MARGIN),) * (self.dim - 1)
         return guarded + ((-np.pi, np.pi),)
 
+    @jets.listable
     def embed(self, cols):
         """Sphere coordinates of the chart parameters ``cols``.
 
@@ -154,12 +155,9 @@ class SphereChart:
         one component-axis jet or (..., dim+1) array, from the range
         seeded as one jet; so does a vector of parameters, a jet or array
         whose last axis holds them.  Any other sequence of scalars or
-        jets, a list say, is stacked on the way in and returned as a list
-        of dim+1 scalars.
+        jets, a list say, gives a list of dim+1 scalars (``jets.listable``).
         """
-        listed = not isinstance(cols, (jets.Columns, jets.Jet2, np.ndarray))
-        u = jets.stack(cols) if listed else \
-            cols.joint() if isinstance(cols, jets.Columns) else cols
+        u = cols.joint() if isinstance(cols, jets.Columns) else cols
         shape = _jet_values(u).shape
         if shape[-1:] != (self.param_dim,):
             raise SpecError(f"chart expects {self.param_dim} parameters, "
@@ -194,12 +192,12 @@ class SphereChart:
         rot = self.rotation_matrix
         if rot is not None:
             out = jets.linear_map(rot, out)
-        return jets.unstack(out) if listed else out
+        return out
 
     def build(self) -> Immersion:
         """The chart as an immersion into ℝ^{dim+1} (image in S^dim)."""
         return Immersion(param_dim=self.param_dim, ambient_dim=self.dim + 1,
-                         components=lambda cols: self.embed(cols),
+                         components=self.embed,
                          domain=self.domain_box(),
                          name=f"sphere-chart-{self.kind}-S{self.dim}")
 
@@ -253,35 +251,37 @@ class CliffordBlock:
         """(X; ±Y)/√2, one vector per sign, from one pass of each chart.
 
         Every field reuses X/√2; −Y/√2 is the negation of Y/√2, which
-        has the bits of (−1/√2)·Y.  Columns give component-axis jets or
-        arrays, other sequences lists of scalars (``SphereChart.embed``).
+        has the bits of (−1/√2)·Y.  ``cols`` are ``Columns``; a plain
+        list reaches this through ``jets.listable``.
         """
         if len(cols) != self.param_dim:
             raise SpecError(f"block expects {self.param_dim} parameters, "
                             f"got {len(cols)}")
-        listed = not isinstance(cols, jets.Columns)
         nx = self.chart_x.param_dim
-        u, v = cols[:nx], cols[nx:]
-        if listed:
-            u, v = jets.stack(u), jets.stack(v)
         inv = 1.0 / np.sqrt(2.0)
-        x = inv * self.chart_x.embed(u)
-        y = inv * self.chart_y.embed(v)
+        x = inv * self.chart_x.embed(cols[:nx])
+        y = inv * self.chart_y.embed(cols[nx:])
         unitary = self.unitary_matrix
         out = []
         for sign in signs:
             f = jets.concat([x, y if sign > 0 else -y])
             if unitary is not None:
                 f = jets.linear_map(unitary, f)
-            out.append(jets.unstack(f) if listed else f)
+            out.append(f)
         return out
 
+    @jets.listable
     def embed(self, cols):
         """C at chart parameters: a vector for ``Columns``, else a list."""
         return self._fields(cols, (1.0,))[0]
 
+    @jets.listable
+    def _dual(self, cols):
+        """D at chart parameters: a vector for ``Columns``, else a list."""
+        return self._fields(cols, (-1.0,))[0]
+
     def embed_pair(self, cols) -> tuple:
-        """(C, D) at chart parameters, each embedded chart shared."""
+        """(C, D) at chart ``Columns``, each embedded chart shared."""
         c, d = self._fields(cols, (1.0, -1.0))
         return c, d
 
@@ -293,7 +293,7 @@ class CliffordBlock:
 
     def dual_immersion(self) -> Immersion:
         return Immersion(param_dim=self.param_dim, ambient_dim=self.ambient_dim,
-                         components=lambda cols: self._fields(cols, (-1.0,))[0],
+                         components=self._dual,
                          domain=self.domain_box(),
                          name=f"clifford-dual-S{self.sphere_dim}")
 
@@ -344,9 +344,8 @@ def clifford_frame(block: CliffordBlock, p) -> CliffordFrame:
     jacobian = np.zeros(batch + (2 * K, n))
     second = np.zeros(batch + (2 * K, n, n))
     c_jet, d_jet = block.embed_pair(jets.Columns(p, 2))
-    _scatter_vector(c_jet, position[..., :K], jacobian[..., :K, :],
-                    second[..., :K, :, :])
-    _scatter_vector(d_jet, position[..., K:], jacobian[..., K:, :], None)
+    _scatter_vector(c_jet, slice(0, K), position, jacobian, second)
+    _scatter_vector(d_jet, slice(K, 2 * K), position, jacobian, None)
     C, D = position[..., :K], position[..., K:]
     dC, dD = jacobian[..., :K, :], jacobian[..., K:, :]
     pe_c = PointEval(position=C, jacobian=dC, second=second[..., :K, :, :])

@@ -34,10 +34,15 @@ annotation, so a malformed value raises a ``SpecError`` that names its
 JSON path.
 
 Rotating a complex block by e^{iφ} in real coordinates is
-v ↦ cos(φ)·v + sin(φ)·J v with J(a; b) = (−b; a) (``charts.rotate_block``);
+v ↦ cos(φ)·v + sin(φ)·J v with J(a; b) = (−b; a): ``_rotated_block`` on a
+block's component-axis vector, ``charts.rotate_block`` on arrays.
 ``screw_action`` applies that blockwise plus the axial translation λ₀t,
-reading the block layout from the image width.  ``_section`` builds each
-unit-sphere section from its cone.
+reading the block layout from the image width.  The component maps
+return parts (``jets.place``): each block r_t·e^{iλ_tΘ}C_t is one
+vector, weighted by its radius lifted to one component, and a scalar
+list reaches them through ``jets.listable``.  ``_section`` builds each
+unit-sphere section from its cone by handing the cone's blocks the
+chart's components as radii.
 """
 
 from __future__ import annotations
@@ -166,19 +171,31 @@ class LRaysCone(_Family):
         return tuple(range(nb, nb + self.rays))
 
     def build(self) -> Immersion:
+        return self._with_parts()[0]
+
+    def _with_parts(self):
+        """(the cone, its map (cols, radii) ↦ parts with the radii handed in).
+
+        The parts are r_t·P, ray by ray, the base's parts in order; a
+        scalar part of the base is lifted, so each product is a vector.
+        """
         base = self.base.build()
         nb, L = base.param_dim, self.rays
 
-        def comps(cols):
-            point = jets.unstack(base.components(cols[:nb]))
-            return _weighted(cols[nb:], [point] * L)
+        def parts(cols, radii):
+            placed, _ = jets.place(base.components(cols[:nb]), cols.batch)
+            point = [part if isinstance(rows, slice) else jets.lift(part)
+                     for part, rows in placed]
+            return [r * v for r in radii for v in point]
 
         # g = diag(|r|² g_P, I), as ∂P·P = 0 for the unit vector P, so
         # the guard's Hadamard ratio is the base's
         return Immersion(
             param_dim=nb + L, ambient_dim=base.ambient_dim * L,
-            components=comps, domain=base.domain + (RADIAL_BOX,) * L,
-            name=f"rays-cone-L{L}-over-{base.name}")
+            components=jets.listable(
+                lambda cols: parts(cols, _radii(cols, nb, L))),
+            domain=base.domain + (RADIAL_BOX,) * L,
+            name=f"rays-cone-L{L}-over-{base.name}"), parts
 
 
 @dataclass(frozen=True)
@@ -211,10 +228,11 @@ class SphericalJoin(_Family):
         _check_spherical_base(self.base)
 
     def build(self) -> Immersion:
-        cone = LRaysCone(rays=self.xs.dim + 1, base=self.base).build()
+        cone, parts = LRaysCone(rays=self.xs.dim + 1,
+                                base=self.base)._with_parts()
         # g = diag(g_P, g_x) for |x| = |P| = 1, so the guard's Hadamard
         # ratio is the base's times the sphere chart's, which is 1
-        return _section(cone, self.xs, cone.ambient_dim,
+        return _section(cone, parts, self.xs, cone.ambient_dim,
                         cone.name.replace("rays-cone", "spherical-join", 1))
 
 
@@ -252,6 +270,14 @@ class GenHelicoidA(_Family):
         return tuple(range(first, first + len(self.blocks)))
 
     def build(self) -> Immersion:
+        return self._with_parts()[0]
+
+    def _with_parts(self):
+        """(the helicoid, its blocks' map (cols, radii) ↦ parts).
+
+        The parts are the blocks r_t·e^{iλ_tΘ}C_t with the radii handed
+        in; the axial coordinate λ₀Θ is not among them.
+        """
         blocks = self.blocks
         L = len(blocks)
         spans = _block_spans(blocks)
@@ -259,19 +285,22 @@ class GenHelicoidA(_Family):
         lam0 = self.pitch.lambda0
         lams = self.pitch.lambdas
 
-        def comps(cols):
+        def parts(cols, radii):
             th = cols[theta_index]
-            rotated = (_rotated_block(b.embed(cols[lo:hi]), lam * th)
-                       for b, (lo, hi), lam in zip(blocks, spans, lams))
-            return _weighted(cols[theta_index + 1:], rotated) + [lam0 * th]
+            return [r * _rotated_block(b.embed(cols[lo:hi]), lam * th)
+                    for r, b, (lo, hi), lam in zip(radii, blocks, spans, lams)]
+
+        def comps(cols):
+            return parts(cols, _radii(cols, theta_index + 1, L)) \
+                + [lam0 * cols[theta_index]]
 
         domain = tuple(bx for b in blocks for bx in b.domain_box()) \
             + (THETA_BOX,) + (RADIAL_BOX,) * L
         return Immersion(
             param_dim=theta_index + 1 + L,
             ambient_dim=sum(b.ambient_dim for b in blocks) + 1,
-            components=comps, domain=domain,
-            name=f"helicoid-a-L{L}-N{blocks[0].sphere_dim}")
+            components=jets.listable(comps), domain=domain,
+            name=f"helicoid-a-L{L}-N{blocks[0].sphere_dim}"), parts
 
 
 @dataclass(frozen=True)
@@ -305,11 +334,12 @@ class GenHelicoidB(_Family):
 
         def comps(cols):
             rotated = _rotated_block(block.embed(cols[:nu]), lam * cols[nu])
-            return _weighted(cols[nu + 1:], [rotated] * L) + [lam0 * cols[nu]]
+            return [r * rotated for r in _radii(cols, nu + 1, L)] \
+                + [lam0 * cols[nu]]
 
         return Immersion(
             param_dim=nu + 1 + L, ambient_dim=block.ambient_dim * L + 1,
-            components=comps,
+            components=jets.listable(comps),
             domain=block.domain_box() + (THETA_BOX,) + (RADIAL_BOX,) * L,
             name=f"helicoid-b-L{L}-N{block.sphere_dim}")
 
@@ -349,21 +379,18 @@ class ChoeHoppe(_Family):
         lam = self.pitch
 
         def comps(cols):
-            p_dir = jets.unstack(chart_p.embed(cols[:np_]))
-            q_dir = jets.unstack(chart_q.embed(cols[np_:np_ + nq]))
             th = cols[np_ + nq]
-            s = cols[np_ + nq + 1]
-            ca, sa = jets.cos(th), jets.sin(th)
-            out = []
-            for k in range(N):
-                p, q = s * p_dir[k], s * q_dir[k]
-                out.append(ca * p - sa * q)
-                out.append(ca * q + sa * p)
-            out.append(lam * th)
-            return out
+            s = jets.lift(cols[np_ + nq + 1])
+            p = s * chart_p.embed(cols[:np_])
+            q = s * chart_q.embed(cols[np_:np_ + nq])
+            ca, sa = jets.lift(jets.cos(th)), jets.lift(jets.sin(th))
+            # (p_k + i q_k)·e^{iΘ}, its real and imaginary parts interleaved
+            return [jets.interleave(ca * p - sa * q, ca * q + sa * p),
+                    lam * th]
 
         return Immersion(
-            param_dim=np_ + nq + 2, ambient_dim=2 * N + 1, components=comps,
+            param_dim=np_ + nq + 2, ambient_dim=2 * N + 1,
+            components=jets.listable(comps),
             domain=chart_p.domain_box() + chart_q.domain_box()
             + (THETA_BOX, RADIAL_BOX),
             name=f"choe-hoppe-N{N}")
@@ -465,13 +492,13 @@ class HarveyLawsonCone(_Family):
         nx, ny = chart_x.param_dim, chart_y.param_dim
 
         def comps(cols):
-            x = jets.unstack(chart_x.embed(cols[:nx]))
-            y = jets.unstack(chart_y.embed(cols[nx:nx + ny]))
-            return _weighted(cols[nx + ny:], [x + y] * 2)
+            x = chart_x.embed(cols[:nx])
+            y = chart_y.embed(cols[nx:nx + ny])
+            return [r * v for r in _radii(cols, nx + ny, 2) for v in (x, y)]
 
         return Immersion(
             param_dim=nx + ny + 2, ambient_dim=4 * self.sphere_dim + 4,
-            components=comps,
+            components=jets.listable(comps),
             domain=chart_x.domain_box() + chart_y.domain_box()
             + (RADIAL_BOX, RADIAL_BOX),
             name=f"twisted-normal-cone-N{self.sphere_dim}")
@@ -497,9 +524,9 @@ class SphericalSlice(_Family):
 
     def build(self) -> Immersion:
         L, N = len(self.inner.blocks), self.inner.blocks[0].sphere_dim
-        cone = self.inner.build()
-        # the section drops the cone's last coordinate, its zero axis
-        return _section(cone, self.chart or standard_chart(L - 1),
+        cone, parts = self.inner._with_parts()
+        # the section keeps the cone's blocks and drops its zero axis
+        return _section(cone, parts, self.chart or standard_chart(L - 1),
                         cone.ambient_dim - 1, f"sphere-slice-L{L}-N{N}")
 
 
@@ -634,35 +661,40 @@ def standard_block(sphere_dim: int, kind: str = "stereographic",
         unitary=unitary)
 
 
-def _rotated_block(comps, angle) -> list:
-    """cos(angle)·v + sin(angle)·Jv for the components of one block."""
-    comps = jets.unstack(comps)
-    half = len(comps) // 2
-    jcomps = [-c for c in comps[half:]] + list(comps[:half])
-    ca, sa = jets.cos(angle), jets.sin(angle)
-    return [ca * c + sa * j for c, j in zip(comps, jcomps)]
+def _rotated_block(v, angle):
+    """e^{i·angle} on a block vector v: lift(cos)·v + lift(sin)·Jv.
+
+    J(a; b) = (−b; a) swaps the halves of v's components.
+    """
+    m = (v.value if isinstance(v, jets.Jet2) else v).shape[-1]
+    half = m // 2
+    jv = jets.concat([-jets.take(v, half, m), jets.take(v, 0, half)])
+    return jets.lift(jets.cos(angle)) * v + jets.lift(jets.sin(angle)) * jv
 
 
-def _weighted(weights, blocks) -> list:
-    """w_t times every component of block t, the blocks laid end to end."""
-    return [w * v for w, block in zip(weights, blocks) for v in block]
+def _radii(cols, lo: int, count: int) -> list:
+    """The radius columns lo..lo+count−1, each lifted to one component."""
+    return [jets.lift(cols[i]) for i in range(lo, lo + count)]
 
 
-def _section(cone: Immersion, chart: SphereChart, ambient_dim: int,
+def _section(cone: Immersion, parts, chart: SphereChart, ambient_dim: int,
              name: str) -> Immersion:
     """The cone with its last dim+1 parameters, the radii, set to ``chart``.
 
-    Each product r_t·v becomes x_t·v; the leading ``ambient_dim``
-    coordinates are kept.
+    ``parts(cols, radii)`` is the cone's map with its radii handed in:
+    the section hands it x_t, the components of the chart's point, so
+    each product r_t·v becomes x_t·v.  The parts give the leading
+    ``ambient_dim`` coordinates.
     """
     nb = cone.param_dim - (chart.dim + 1)
+    dim = chart.dim
 
     def comps(cols):
-        x = jets.unstack(chart.embed(cols[nb:]))
-        return cone.components([*cols[:nb], *x])[:ambient_dim]
+        x = chart.embed(cols[nb:])
+        return parts(cols, [jets.take(x, t, t + 1) for t in range(dim + 1)])
 
     return Immersion(param_dim=nb + chart.param_dim, ambient_dim=ambient_dim,
-                     components=comps,
+                     components=jets.listable(comps),
                      domain=cone.domain[:nb] + chart.domain_box(), name=name)
 
 

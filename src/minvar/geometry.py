@@ -23,13 +23,13 @@ All operations accept batched points (leading axes broadcast through).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import DegenerateMetric, DimensionMismatch, NotSpherical
-from .jets import Columns, Jet2
+from .jets import Columns, Jet2, place
 
 __all__ = [
     "RANK_TOL",
@@ -54,6 +54,11 @@ __all__ = [
 RANK_TOL = 1e-12
 METRIC_RATIO_FLOOR = 1e-10
 SPHERE_TOL = 1e-12     # how far a sphere residual lets a point leave S^n
+# From this many points on, ``_scatter_vector`` writes a support of
+# several runs run by run: on a 6-row part of a (..., 19, 16, 16) Hessian
+# with two or three runs, fancy indexing wins below 4 to 16 points and the
+# run writes win above (5.5 against 1.2 ms at 1000 points, 2 cores).
+RUN_WRITE_POINTS = 16
 
 
 @dataclass(frozen=True)
@@ -109,11 +114,14 @@ class MeanCurvatureEval:
 class Immersion:
     """A component map over an open box with degeneracy guards.
 
-    ``components`` receives the parameter columns (``jets.Columns``, or
-    any sequence of plain arrays or jets) and returns a sequence of
-    ``ambient_dim`` scalar-like outputs built from the jet primitives, or,
-    given ``Columns``, one component-axis jet or (..., ambient_dim) array
-    (``SphereChart.embed``, ``CliffordBlock.embed``).  ``exclusions`` are
+    ``components`` receives the parameter columns (``jets.Columns``) and
+    returns its parts, built from the jet primitives: a list of scalars
+    and component-axis vectors (jets, or arrays for positions) with
+    ``ambient_dim`` rows in all, or one vector (``SphereChart.embed``,
+    ``CliffordBlock.embed``); see ``jets.place``.  A map wrapped by
+    ``jets.listable`` also takes a plain list of scalars and then returns
+    one scalar per coordinate, as ``fd_jet`` and dense seeding need; a map
+    written in scalars takes either as it is.  ``exclusions`` are
     named predicates mapping a point batch (..., n) to a boolean exclusion
     mask.  Every immersion's guard also excludes points whose induced metric is
     near rank-deficient: det g / Π g_ii at or below METRIC_RATIO_FLOOR
@@ -140,61 +148,47 @@ class Immersion:
         """Fast position-only evaluation, shape (..., n) → (..., K)."""
         p = np.asarray(p, dtype=np.float64)
         self._check_point_shape(p)
-        outs = self._outputs(Columns(p, 0))
-        batch = p.shape[:-1]
-        if isinstance(outs, np.ndarray):
-            return np.array(np.broadcast_to(outs, batch + outs.shape[-1:]))
-        stacked = [np.broadcast_to(np.asarray(o, dtype=np.float64), batch)
-                   for o in outs]
-        return np.stack(stacked, axis=-1)
+        cols = Columns(p, 0)
+        position = np.empty(cols.batch + (self.ambient_dim,))
+        for part, rows in self._outputs(cols):
+            position[..., rows] = part
+        return position
 
-    def _outputs(self, cols: Columns):
-        """``components(cols)``, checked against ``ambient_dim``."""
-        outs = self.components(cols)
-        if isinstance(outs, Jet2):
-            count = outs.value.shape[-1]
-        elif isinstance(outs, np.ndarray):
-            count = outs.shape[-1]
-        else:
-            count = len(outs)
+    def _outputs(self, cols: Columns) -> list:
+        """``components(cols)`` as (part, rows) pairs (``jets.place``).
+
+        Raises DimensionMismatch unless the rows add up to ``ambient_dim``.
+        """
+        placed, count = place(self.components(cols), cols.batch)
         if count != self.ambient_dim:
             raise DimensionMismatch(
                 f"{self.name or 'immersion'}: component map returned "
                 f"{count} coordinates, declared {self.ambient_dim}")
-        return outs
+        return placed
 
     def _jets(self, p, second: bool):
         """(position, jacobian, second or None) from one jet pass over p.
 
         ``components`` receives ``Columns``: a one-variable seed per
         column it reads alone and one component-axis seed per range it
-        reads whole, so a component carries derivatives only on its
-        support, the parameters it depends on.  The outputs are
-        scattered into the dense (..., K, n) and (..., K, n, n) arrays
-        once, a component-axis output in one ``_scatter_vector``.
+        reads whole, so a part carries derivatives only on its support,
+        the parameters it depends on.  Each part is written straight
+        into its rows of the dense (..., K, n) and (..., K, n, n) arrays
+        by ``_scatter_vector``; the parts are never joined first.
         Without ``second`` the seeds are value+gradient ``Jet1`` jets and
         no Hessian is formed.
         """
         p = np.asarray(p, dtype=np.float64)
         self._check_point_shape(p)
         n, K = self.param_dim, self.ambient_dim
-        batch = p.shape[:-1]
-        outs = self._outputs(Columns(p, 2 if second else 1))
+        cols = Columns(p, 2 if second else 1)
+        batch = cols.batch
+        placed = self._outputs(cols)
         position = np.empty(batch + (K,))
         jacobian = np.zeros(batch + (K, n))
         hessians = np.zeros(batch + (K, n, n)) if second else None
-        if isinstance(outs, (Jet2, np.ndarray)):
-            _scatter_vector(outs, position, jacobian, hessians)
-            return position, jacobian, hessians
-        for k, o in enumerate(outs):
-            if isinstance(o, Jet2):
-                idx = np.asarray(o.support, dtype=np.intp)
-                position[..., k] = o.value
-                jacobian[..., k, idx] = o.grad
-                if second:
-                    hessians[..., k, idx[:, None], idx] = o.hess
-            else:
-                position[..., k] = o
+        for part, rows in placed:
+            _scatter_vector(part, rows, position, jacobian, hessians)
         return position, jacobian, hessians
 
     def eval(self, p) -> PointEval:
@@ -241,30 +235,54 @@ class Immersion:
         return mask
 
 
-def _scatter_vector(out, position: np.ndarray, jacobian: np.ndarray,
+def _scatter_vector(out, rows, position: np.ndarray, jacobian: np.ndarray,
                     hessians: np.ndarray | None) -> None:
-    """Write one component-axis output into dense arrays.
+    """Write one output part into its ``rows`` of dense arrays.
 
-    ``out`` is a jet with value (..., K) or a plain (..., K) array; its
-    derivatives go to the columns of its support, and the other columns
-    keep what the caller filled in (zeros).  ``hessians`` None skips the
-    Hessian.
+    ``out`` is a jet or a plain array (or number): a vector with ``rows``
+    a slice of its component count, or a scalar with ``rows`` one index.
+    Its derivatives go to the columns of its support, and the other
+    entries keep what the caller filled in (zeros).  ``hessians`` None
+    skips the Hessian.  A support of several contiguous runs is written
+    run by run (the Hessian run pair by run pair) from RUN_WRITE_POINTS
+    points on, and by fancy indexing below, where the run writes' fixed
+    cost outweighs the strided copy they save.
     """
     if not isinstance(out, Jet2):
-        position[...] = out
+        position[..., rows] = out
         return
-    position[...] = out.value
-    support = out.support
-    if not support:
+    position[..., rows] = out.value
+    runs = _runs(out.support)
+    if len(runs) > 1 and \
+            position.size < RUN_WRITE_POINTS * position.shape[-1]:
+        cols = np.asarray(out.support, dtype=np.intp)
+        jacobian[..., rows, cols] = out.grad
+        if hessians is not None:
+            hessians[..., rows, cols[:, None], cols] = out.hess
         return
-    if support[-1] - support[0] + 1 == len(support):
-        cols = rows = slice(support[0], support[-1] + 1)
-    else:
-        cols = np.asarray(support, dtype=np.intp)
-        rows = cols[:, None]
-    jacobian[..., cols] = out.grad
+    for slots, cols in runs:
+        jacobian[..., rows, cols] = out.grad[..., slots]
     if hessians is not None:
-        hessians[..., rows, cols] = out.hess
+        for slots_i, cols_i in runs:
+            for slots_j, cols_j in runs:
+                hessians[..., rows, cols_i, cols_j] = \
+                    out.hess[..., slots_i, slots_j]
+
+
+@lru_cache(maxsize=1024)
+def _runs(support: tuple) -> tuple:
+    """((slots, columns), ...): the contiguous runs of a sorted support.
+
+    ``slots`` indexes the run in a jet's derivative axes, ``columns`` in
+    the dense ones.
+    """
+    runs, start = [], 0
+    for k in range(1, len(support) + 1):
+        if k == len(support) or support[k] != support[k - 1] + 1:
+            runs.append((slice(start, k),
+                         slice(support[start], support[k - 1] + 1)))
+            start = k
+    return tuple(runs)
 
 
 def _gram(jacobian: np.ndarray):

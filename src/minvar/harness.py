@@ -279,21 +279,24 @@ def sample_points(imm: Immersion, plan: SamplePlan):
     next candidate of every pending point, draws r n to (r + 1) n of its
     stream for n parameters, in one ``rows_from_words`` call on the seed
     words formed once per sample, and screens the stacked batch once
-    (``imm.screen``: the predicates and the metric floor that guards every
-    immersion); only rejected rows stay pending.  Points and reject counts
-    match a point-by-point loop over numpy's generators bit for bit.  The
-    campaigns run the same loop and keep the accepted rows of each round's
-    ``PointEval``.  ``plan.count`` is below 2^32, one spawn-key word.
+    (``imm.excluded``: the predicates and the metric floor that guards
+    every immersion, from first-order work); only rejected rows stay
+    pending.  Points and reject counts match a point-by-point loop over
+    numpy's generators bit for bit.  The campaigns run the same loop
+    through ``imm.screen``, whose mask is the same, and keep the accepted
+    rows of each round's ``PointEval``.  ``plan.count`` is below 2^32,
+    one spawn-key word.
     """
-    points, rejected, _ = _sample(imm, plan)
+    points, rejected, _ = _sample(imm, plan, evaluate=False)
     return points, rejected
 
 
-def _sample(imm: Immersion, plan: SamplePlan):
+def _sample(imm: Immersion, plan: SamplePlan, evaluate: bool = True):
     """The rejection loop of ``sample_points``; returns (points, rejected, pe).
 
     ``pe`` is the PointEval of ``points`` that screening computed, with
-    the floor test's ``gram``.
+    the floor test's ``gram``; without ``evaluate`` the rounds screen
+    with ``imm.excluded`` and ``pe`` is None.
     """
     box = np.asarray(plan.box if plan.box is not None else imm.domain,
                      dtype=float)
@@ -310,7 +313,10 @@ def _sample(imm: Immersion, plan: SamplePlan):
         # the operations of Generator.uniform, applied to the whole batch
         u = rows_from_words(words, r * n, n)
         draws = box[:, 0] + (box[:, 1] - box[:, 0]) * u
-        bad, pe = imm.screen(draws)
+        if evaluate:
+            bad, pe = imm.screen(draws)
+        else:
+            bad, pe = imm.excluded(draws), None
         ok = ~bad
         points[pending[ok]] = draws[ok]
         pieces.append((pending[ok], pe, ok))
@@ -326,7 +332,8 @@ def _sample(imm: Immersion, plan: SamplePlan):
         raise SamplingExhausted(
             f"{rejected} of {rejected + plan.count} draws excluded; the "
             f"domain box is dominated by the exclusion set")
-    return points, rejected, _in_point_order(pieces, plan.count)
+    return points, rejected, \
+        _in_point_order(pieces, plan.count) if evaluate else None
 
 
 def _in_point_order(pieces: list, count: int) -> PointEval:

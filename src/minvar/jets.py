@@ -74,6 +74,17 @@ position-only evaluation.  Numpy arrays and scalars defer to a jet's
 reflected operators (``__array_ufunc__`` is None), so an array times a jet
 is the jet's scalar product.
 
+**Parts.**  A component map returns a list of parts, each a scalar (jet,
+array or number) or a component-axis vector that carries the whole batch;
+a lone vector stands for a list of one.  ``place`` lays the parts out
+row after row, and ``Immersion`` writes each part straight into its rows,
+without joining them first.  ``interleave`` pairs two vectors row by row
+where a layout alternates their components.  A map written on ``Columns``
+is made callable on a plain list of scalars by one adapter,
+``listable``: it runs the same formula on ``Columns.of`` the list and
+splits each vector part into its components, so ``fd_jet`` and dense
+seeding get one scalar per coordinate.
+
 The primitives ``sin``/``cos``/``exp``/``log``/``sqrt``/``atan``/``atan2``
 accept jets or plain numbers/arrays and dispatch accordingly; a map written
 once in these primitives can therefore be evaluated three ways: as fast plain
@@ -85,7 +96,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 from typing import NamedTuple
 
 import numpy as np
@@ -99,11 +110,14 @@ __all__ = [
     "variables",
     "constant_like",
     "Columns",
+    "place",
+    "listable",
     "lift",
     "take",
     "unstack",
     "concat",
     "stack",
+    "interleave",
     "component_sum",
     "linear_map",
     "jet_eval",
@@ -548,6 +562,23 @@ def stack(comps):
     return concat([lift(c) for c in comps])
 
 
+def interleave(a, b):
+    """The components a_1, b_1, a_2, b_2, … of two vectors of one shape.
+
+    Jets must share their support, as the two halves of the complex
+    pairs (x_k, y_k) of an interleaved layout do.
+    """
+    def weave(x, y, tail):          # ``tail`` axes follow the component axis
+        axis = x.ndim - tail
+        return np.stack([x, y], axis=axis).reshape(
+            x.shape[:axis - 1] + (-1,) + x.shape[axis:])
+    (av, ag, ah), (bv, bg, bh) = _slots(a), _slots(b)
+    if ag is None:
+        return weave(av, bv, 0)
+    return _vector(a, weave(av, bv, 0), weave(ag, bg, 1),
+                   None if ah is None else weave(ah, bh, 2))
+
+
 def component_sum(v):
     """Σ_k v[..., k] as a vector of one component, added left to right."""
     total = take(v, 0, 1)
@@ -606,19 +637,38 @@ class Columns(Sequence):
     its ``joint()`` is the whole range as one vector: the array
     p[..., lo:hi], or one component-axis jet seeded on it, with value
     (..., d), the identity as grad (..., d, d) on the support lo..hi−1
-    and a zero Hessian (..., d, d, d).
+    and a zero Hessian (..., d, d, d).  ``batch`` is p's leading shape,
+    the one a vector part of the map's output carries (``place``).
+    ``Columns.of`` wraps a plain sequence of scalars instead.
     """
 
-    __slots__ = ("p", "order", "_lo", "_hi", "_seeds")
+    __slots__ = ("p", "order", "batch", "_lo", "_hi", "_seeds")
 
     def __init__(self, p, order: int):
         self.p = np.asarray(p, dtype=np.float64)
         if self.p.ndim == 0:
             raise DimensionMismatch("columns need a trailing coordinate axis")
         self.order = order
+        self.batch = self.p.shape[:-1]
         self._lo, self._hi = 0, self.p.shape[-1]
         # the seeds made so far, shared with every range of the batch
         self._seeds = [None] * self._hi
+
+    @staticmethod
+    def of(scalars) -> "Columns":
+        """Columns over a plain sequence of scalars, numbers, arrays or jets.
+
+        ``cols[i]`` is the i-th entry as it is, and ``joint()`` stacks a
+        range into one vector; ``batch`` is the broadcast of the entries'
+        shapes.  This is how ``listable`` runs a vector formula on a list.
+        """
+        cols = object.__new__(Columns)
+        cols._seeds = list(scalars)
+        cols._lo, cols._hi = 0, len(cols._seeds)
+        cols.p = cols.order = None
+        cols.batch = np.broadcast_shapes(
+            *(np.shape(_slots(x)[0]) for x in cols._seeds))
+        return cols
 
     def __len__(self) -> int:
         return self._hi - self._lo
@@ -630,6 +680,7 @@ class Columns(Sequence):
                 return [self[k] for k in range(start, stop, step)]
             part = object.__new__(Columns)
             part.p, part.order, part._seeds = self.p, self.order, self._seeds
+            part.batch = self.batch
             part._lo, part._hi = self._lo + start, self._lo + max(start, stop)
             return part
         k = (self._lo if i >= 0 else self._hi) + i
@@ -645,18 +696,69 @@ class Columns(Sequence):
 
     def joint(self):
         """This range as one component-axis jet or (..., d) array."""
+        if self.p is None:              # ``Columns.of``: stack the entries
+            entries = self._seeds[self._lo:self._hi]
+            return stack(entries) if entries else np.empty(self.batch + (0,))
         return self._range(self._lo, self._hi, scalar=False)
 
     def _range(self, lo: int, hi: int, scalar: bool):
         value = self.p[..., lo if scalar else slice(lo, hi)]
         if self.order == 0:
             return value
-        grad, hess = _seed_slots(self.p.shape[:-1], hi - lo)
+        grad, hess = _seed_slots(self.batch, hi - lo)
         if scalar:
             grad, hess = grad[..., 0, :], hess[..., 0, :, :]
         if self.order == 1:
             return Jet1(value, grad, tuple(range(lo, hi)))
         return Jet2(value, grad, hess, tuple(range(lo, hi)))
+
+
+def place(outs, batch: tuple) -> tuple[list, int]:
+    """([(part, rows), ...], component count) of a component map's output.
+
+    The output is a list of parts, or one vector standing for a list of
+    one.  A part whose value has an axis beyond ``batch`` is a
+    component-axis vector and fills the rows slice(k, k + m); any other
+    part (a scalar jet, array or number) fills the one row k.  A vector
+    part carries the whole batch, as every vector made from ``Columns``
+    does.
+    """
+    if isinstance(outs, (Jet2, np.ndarray)):
+        outs = (outs,)
+    placed, k = [], 0
+    for part in outs:
+        value = part.value if isinstance(part, Jet2) else part
+        if np.ndim(value) > len(batch):
+            m = np.shape(value)[-1]
+            placed.append((part, slice(k, k + m)))
+            k += m
+        else:
+            placed.append((part, k))
+            k += 1
+    return placed, k
+
+
+def listable(fn):
+    """The component map ``fn``, callable on a plain list of scalars too.
+
+    ``fn(cols)`` (or ``fn(self, cols)``) is written once, on ``Columns``,
+    and returns parts (``place``).  Given ``Columns``, a jet or an
+    array, the adapter calls it as it is; given any other sequence, a
+    list of arrays or of dense jets say, it runs ``fn`` on
+    ``Columns.of`` that list and splits every vector part into its
+    components, so the caller gets one scalar per coordinate.
+    """
+    @wraps(fn)
+    def adapted(*args):
+        *head, cols = args
+        if isinstance(cols, (Columns, Jet2, np.ndarray)):
+            return fn(*args)
+        cols = Columns.of(cols)
+        placed, _ = place(fn(*head, cols), cols.batch)
+        return [c for part, rows in placed
+                for c in (unstack(part) if isinstance(rows, slice)
+                          else (part,))]
+    return adapted
 
 
 # ---- primitives (dual dispatch: Jet2 or plain arrays) ----------------------

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from minvar import families, geometry
+from minvar import families, geometry, jets
 from minvar.charts import CliffordBlock, SphereChart, matrix_tuple
 from minvar.errors import (
     BranchLocusError,
@@ -788,3 +788,243 @@ def test_rays_cone_over_chart_base_is_minimal():
     pts = sample_box(imm, 50, seed=15)
     mc = mean_curvature(imm.eval(pts))
     assert float(np.max(mc.H_norm)) <= 1e-11
+
+
+# ---- each family's vector form against its scalar formulas ------------------
+#
+# The independent route: every family written as in its scalar form, one
+# scalar jet per coordinate.  Chart and block vectors are split into their
+# components, each block is rotated and weighted component by component, a
+# section hands the cone the chart's components as radii, and the outputs
+# are scattered one by one.  The families' vector parts must give the same
+# values and derivatives, np.array_equal (signed zeros aside).
+
+
+def _scalar_rotated(comps, angle):
+    half = len(comps) // 2
+    jcomps = [-c for c in comps[half:]] + list(comps[:half])
+    ca, sa = jets.cos(angle), jets.sin(angle)
+    return [ca * c + sa * j for c, j in zip(comps, jcomps)]
+
+
+def _scalar_weighted(weights, blocks):
+    return [w * v for w, block in zip(weights, blocks) for v in block]
+
+
+def _scalar_map(spec):
+    """f(cols, radii=None) -> one scalar per coordinate; ``radii`` replaces
+    a cone's radius columns."""
+    if isinstance(spec, SphereChart):
+        return lambda cols, radii=None: jets.unstack(spec.embed(cols))
+    if isinstance(spec, CliffordTorus):
+        return lambda cols, radii=None: jets.unstack(spec.block.embed(cols))
+    if isinstance(spec, (CliffordCone, LRaysCliffordCone)):
+        return _scalar_map(LRaysCone(rays=getattr(spec, "rays", 1),
+                                     base=CliffordTorus(spec.block)))
+    if isinstance(spec, LRaysCone):
+        base, L = _scalar_map(spec.base), spec.rays
+        nb = spec.base.build().param_dim
+
+        def cone(cols, radii=None):
+            if radii is None:
+                radii = [cols[nb + t] for t in range(L)]
+            return _scalar_weighted(radii, [base(cols[:nb])] * L)
+        return cone
+    if isinstance(spec, SphericalJoin):
+        cone = _scalar_map(LRaysCone(rays=spec.xs.dim + 1, base=spec.base))
+        nb = spec.base.build().param_dim
+        return lambda cols, radii=None: cone(
+            cols, jets.unstack(spec.xs.embed(cols[nb:])))
+    if isinstance(spec, GenHelicoidA):
+        stops = np.cumsum([b.param_dim for b in spec.blocks]).tolist()
+        th_index, L = stops[-1], len(spec.blocks)
+
+        def helicoid(cols, radii=None):
+            th = cols[th_index]
+            rotated = [_scalar_rotated(jets.unstack(
+                b.embed(cols[hi - b.param_dim:hi])), lam * th)
+                for b, hi, lam in zip(spec.blocks, stops, spec.pitch.lambdas)]
+            if radii is None:
+                radii = [cols[th_index + 1 + t] for t in range(L)]
+            return _scalar_weighted(radii, rotated) \
+                + [spec.pitch.lambda0 * th]
+        return helicoid
+    if isinstance(spec, SphericalSlice):
+        inner, L = _scalar_map(spec.inner), len(spec.inner.blocks)
+        nb = sum(b.param_dim for b in spec.inner.blocks) + 1
+        chart = spec.chart or standard_chart(L - 1)
+        return lambda cols, radii=None: inner(
+            cols, jets.unstack(chart.embed(cols[nb:])))[:-1]
+    if isinstance(spec, GenHelicoidB):
+        nu, L = spec.block.param_dim, spec.rays
+
+        def shared(cols, radii=None):
+            rotated = _scalar_rotated(jets.unstack(spec.block.embed(
+                cols[:nu])), spec.angular_pitch * cols[nu])
+            return _scalar_weighted([cols[nu + 1 + t] for t in range(L)],
+                                    [rotated] * L) \
+                + [spec.axial_pitch * cols[nu]]
+        return shared
+    if isinstance(spec, ChoeHoppe):
+        N = spec.sphere_dim
+        chart_p = spec.chart_p or standard_chart(N - 1)
+        chart_q = spec.chart_q or standard_chart(N - 1)
+        np_, nq = chart_p.param_dim, chart_q.param_dim
+
+        def interleaved(cols, radii=None):
+            p_dir = jets.unstack(chart_p.embed(cols[:np_]))
+            q_dir = jets.unstack(chart_q.embed(cols[np_:np_ + nq]))
+            th, s = cols[np_ + nq], cols[np_ + nq + 1]
+            ca, sa = jets.cos(th), jets.sin(th)
+            out = []
+            for k in range(N):
+                p, q = s * p_dir[k], s * q_dir[k]
+                out += [ca * p - sa * q, ca * q + sa * p]
+            return out + [spec.pitch * th]
+        return interleaved
+    if isinstance(spec, HarveyLawsonCone):
+        chart_x = spec.chart_x or standard_chart(spec.sphere_dim)
+        chart_y = spec.chart_y or standard_chart(spec.sphere_dim)
+        nx, ny = chart_x.param_dim, chart_y.param_dim
+
+        def paired(cols, radii=None):
+            x = jets.unstack(chart_x.embed(cols[:nx]))
+            y = jets.unstack(chart_y.embed(cols[nx:nx + ny]))
+            return _scalar_weighted([cols[nx + ny], cols[nx + ny + 1]],
+                                    [x + y] * 2)
+        return paired
+    # BDJ, LawsonSurface and the controls are written in scalars already
+    components = spec.build().components
+    return lambda cols, radii=None: components(cols)
+
+
+def _scalar_dense(outs, p, order):
+    """Scalar outputs scattered one by one into dense arrays."""
+    batch, n = p.shape[:-1], p.shape[-1]
+    position = np.empty(batch + (len(outs),))
+    jacobian = np.zeros(batch + (len(outs), n))
+    hessians = np.zeros(batch + (len(outs), n, n)) if order == 2 else None
+    for k, o in enumerate(outs):
+        if not isinstance(o, jets.Jet2):
+            position[..., k] = o
+            continue
+        idx = np.asarray(o.support, dtype=np.intp)
+        position[..., k] = o.value
+        jacobian[..., k, idx] = o.grad
+        if order == 2:
+            hessians[..., k, idx[:, None], idx] = o.hess
+    return position, jacobian, hessians
+
+
+def _unitary(half, angle):
+    c, s = np.cos(angle) * np.eye(half), np.sin(angle) * np.eye(half)
+    return matrix_tuple(np.block([[c, -s], [s, c]]))
+
+
+def _turned_chart(dim, kind, angle):
+    rot = np.eye(dim + 1)
+    rot[np.ix_([0, dim], [0, dim])] = [[np.cos(angle), -np.sin(angle)],
+                                       [np.sin(angle), np.cos(angle)]]
+    return SphereChart(dim=dim, kind=kind, rotation=matrix_tuple(rot))
+
+
+def _vector_cases():
+    from minvar.harness import default_campaign
+
+    cases = dict(default_campaign())
+    for L in (1, 2, 3):
+        pitch = PitchVector(0.8, tuple(1.2 - 0.3 * t for t in range(L)))
+        for N in (0, 1, 2):
+            for kind in (("point",) if N == 0
+                         else ("stereographic", "trigonometric")):
+                block = standard_block(N, kind, branches=(1, -1))
+                cases[f"A-L{L}-N{N}-{kind}"] = GenHelicoidA(
+                    pitch=pitch, blocks=(block,) * L)
+                cases[f"B-L{L}-N{N}-{kind}"] = GenHelicoidB(
+                    rays=L, block=block, angular_pitch=1.1, axial_pitch=0.6)
+    turned = CliffordBlock(_turned_chart(2, "stereographic", 0.5),
+                           _turned_chart(2, "trigonometric", 1.1),
+                           unitary=_unitary(3, 0.7))
+    cases["A-L2-turned-unitary"] = GenHelicoidA(
+        pitch=PitchVector(0.3, (1.2, 0.7)),
+        blocks=(turned, standard_block(2, unitary=_unitary(3, -0.4))))
+    cases["B-L2-turned-unitary"] = GenHelicoidB(
+        rays=2, block=turned, angular_pitch=0.9, axial_pitch=0.0)
+    cases["slice-L3-turned"] = SphericalSlice(inner=GenHelicoidA(
+        pitch=PitchVector(0.0, (1.0, 1.3, 0.4)),
+        blocks=(turned, standard_block(2), standard_block(2, "trigonometric"))))
+    cases["join-torus"] = SphericalJoin(
+        xs=standard_chart(1), base=CliffordTorus(standard_block(1)))
+    cases["join-lawson"] = SphericalJoin(
+        xs=standard_chart(2), base=LawsonSurface(1.0, 2.0))
+    cases["cone-latitude"] = LRaysCone(rays=2, base=LatitudeCircle(0.0))
+    cases["cone-point-chart"] = LRaysCone(rays=3, base=standard_chart(0))
+    cases["harvey-lawson-0"] = HarveyLawsonCone(0)
+    cases["harvey-lawson-2"] = HarveyLawsonCone(2)
+    for N in (1, 2, 3):
+        cases[f"choe-hoppe-N{N}"] = ChoeHoppe(sphere_dim=N, pitch=0.7)
+    cases["choe-hoppe-trig"] = ChoeHoppe(
+        sphere_dim=3, pitch=0.0, chart_p=SphereChart(2, "trigonometric"),
+        chart_q=_turned_chart(2, "stereographic", 0.8))
+    return cases
+
+
+VECTOR_CASES = _vector_cases()
+
+
+def _vector_batches(imm, points):
+    """(), (1,), (3, 5), one batch as long as each vector part, and (4, 6),
+    where a support of several runs is written run by run."""
+    assert 4 * 6 >= geometry.RUN_WRITE_POINTS
+    parts, _ = jets.place(imm.components(jets.Columns(points[0], 0)), ())
+    widths = {rows.stop - rows.start for _, rows in parts
+              if isinstance(rows, slice)}
+    return [points[0], points[:1], points[:15].reshape(3, 5, -1)] \
+        + [points[:m] for m in sorted(widths)] \
+        + [points[:24].reshape(4, 6, -1)]
+
+
+@pytest.mark.parametrize("name", sorted(VECTOR_CASES))
+def test_vector_parts_equal_scalar_formulas(name):
+    spec = VECTOR_CASES[name]
+    imm = build_immersion(spec)
+    scalar = _scalar_map(spec)
+    for p in _vector_batches(imm, sample_box(imm, 24, seed=41, keep=False)):
+        for order in (2, 1):
+            want = _scalar_dense(scalar(jets.Columns(p, order)), p, order)
+            got = imm._jets(p, second=order == 2)
+            for g, w in zip(got, want):
+                if w is None:
+                    assert g is None
+                    continue
+                assert g.shape == w.shape
+                assert np.array_equal(g, w)
+        want = _scalar_dense(scalar(jets.Columns(p, 0)), p, 0)[0]
+        got = imm.position(p)
+        assert got.shape == want.shape and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("name", sorted(VECTOR_CASES))
+def test_component_lists_give_one_scalar_per_coordinate(name):
+    imm = build_immersion(VECTOR_CASES[name])
+    p = sample_box(imm, 6, seed=42, keep=False)
+    batch = p.shape[:-1]
+    # arrays give position()'s values, dense jets eval()'s (a jet divides
+    # through a reciprocal, so the two may differ in the last bit)
+    plain = imm.components([p[..., i] for i in range(imm.param_dim)])
+    dense = imm.components(jets.variables(p))
+    assert isinstance(plain, list) and len(plain) == imm.ambient_dim
+    assert isinstance(dense, list) and len(dense) == imm.ambient_dim
+    position = imm.position(p)
+    pe = imm.eval(p)
+    for k, (x, j) in enumerate(zip(plain, dense)):
+        assert np.shape(x) in ((), batch)
+        assert np.array_equal(np.broadcast_to(x, batch), position[..., k])
+        if isinstance(j, jets.Jet2):
+            assert j.value.shape == batch
+            assert np.array_equal(j.value, pe.position[..., k])
+            assert np.array_equal(j.grad, pe.jacobian[..., k, :])
+            assert np.array_equal(j.hess, pe.second[..., k, :, :])
+        else:
+            assert np.array_equal(np.broadcast_to(j, batch),
+                                  pe.position[..., k])

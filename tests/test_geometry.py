@@ -1,5 +1,6 @@
 """Metric, Laplace-Beltrami, and mean-curvature oracles on classical surfaces."""
 
+import hashlib
 import warnings
 
 import numpy as np
@@ -506,6 +507,41 @@ def test_first_order_guard_equals_second_order_eval(monkeypatch, label,
             mask = imm.excluded(p)
             assert mask.shape == p.shape[:-1]
             assert np.array_equal(mask, imm.screen(p)[0])
+
+
+# sha256 of position, Jacobian and second derivatives (each plus 0.0, so
+# the sign of a zero does not count) of each default_campaign() family at
+# rng_points(imm, 40, seed=2020); a change in any bit of the engine's
+# output shows here as a deliberate diff
+POINTEVAL_DIGESTS = {
+    "clifford-torus": "573aad5b6ebf96cea67b7681c7f2909e04436e6a37dd127edb74fe3a2d355c51",
+    "clifford-cone": "6d75015a6a6fc1f27a63e65b98bf931bcd4c10a96931d54a1d9ad5eaf82ba39f",
+    "rays-clifford-cone": "5f0bbff602225f56c3610983a36fec2425ff58de3c5deae44d178e800e4303ab",
+    "helicoid-blocks": "7aa0c27060c0887c35f4c169a48c7f47c63ac5af30023811c104459e92159f07",
+    "helicoid-shared-torus": "07ed24f0a313691d5a55a4c76c0a532a21e147d32e9db907154e7a59e79702d8",
+    "interleaved-helicoid": "d3b8fbbe1e40ccc701005fc79c8a33f7bfdb008a61f861a601b529f9d6b83c0b",
+    "planes-helicoid": "4446b35b41aad086e8c66b984936e31a4359eb0ea1fc8898ea241cc73c65b709",
+    "lawson-surface": "d0b4dbf0b9b7fb7721ed6514b6901d0dd21755c57c21442171cf5d8c62c415c9",
+    "paired-sphere-cone": "c1f8046f1a189703eca91387e7a03d0a7dfeae82a675ca5c813ab40a41177a91",
+    "helicoid-slice": "0181caabd14e6ddbeefc5282aa46f87a8b98b4b6f8f55c9f9cd7586f4623d70b",
+    "control-latitude": "9c43001d84324c68b63d16378045d7c9ce0aa835c2476dd072fae81d33bf47d6",
+    "control-cylinder": "76500e67ec329aece58455b06edd5f0b97cf07eaaab0d598f9442cbb22423060",
+}
+
+
+def test_pointeval_digests_pinned():
+    from minvar import families
+    from minvar.harness import default_campaign
+
+    got = {}
+    for label, spec in default_campaign():
+        imm = families.build_immersion(spec)
+        pe = imm.eval(rng_points(imm, 40, seed=2020))
+        digest = hashlib.sha256()
+        for array in (pe.position, pe.jacobian, pe.second):
+            digest.update((array + 0.0).tobytes())
+        got[label] = digest.hexdigest()
+    assert got == POINTEVAL_DIGESTS
 
 
 def _einsum_metric_derivative(pe):

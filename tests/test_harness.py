@@ -231,6 +231,29 @@ class TestSamplePoints:
         if label is None:
             assert got_rejected > 0
 
+    @pytest.mark.parametrize("label", [None, "helicoid-blocks",
+                                       "helicoid-slice", "lawson-surface",
+                                       "interleaved-helicoid"])
+    def test_points_only_sampling_runs_no_second_order_eval(self, monkeypatch,
+                                                            label):
+        # sample_points screens with the first-order guard, whose points
+        # and reject count are those of the campaigns' second-order screen
+        if label is None:
+            imm = square_patch(threshold=0.25)
+        else:
+            imm = build_immersion(dict(default_campaign())[label])
+        plan = SamplePlan(count=100, seed=6)
+        want, want_rejected, _ = harness._sample(imm, plan)
+
+        def refuse(self, p):
+            raise AssertionError("sample_points ran a second-order eval")
+        monkeypatch.setattr(Immersion, "eval", refuse)
+        got, got_rejected = sample_points(imm, plan)
+        assert got.tobytes() == want.tobytes()
+        assert got_rejected == want_rejected
+        if label is None:
+            assert got_rejected > 0
+
     def test_exhaustion_names_the_serial_reference_point(self):
         # 0.6**3 of the points exhaust; the first one is not point 0
         plan = SamplePlan(count=40, seed=2, max_rejects=3)
