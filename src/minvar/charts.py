@@ -86,9 +86,17 @@ def apply_complex_structure(vec: np.ndarray) -> np.ndarray:
     return np.concatenate([-vec[..., half:], vec[..., :half]], axis=-1)
 
 
-def rotate_block(vec: np.ndarray, angle) -> np.ndarray:
-    """e^{i·angle} on a complex block: cos(angle)·v + sin(angle)·Jv."""
-    return np.cos(angle) * vec + np.sin(angle) * apply_complex_structure(vec)
+def rotate_block(vec, angle):
+    """e^{i·angle} on a complex block: lift(cos)·v + lift(sin)·Jv.
+
+    ``vec`` holds the block on its last axis, a component-axis jet or an
+    array; ``angle`` is a scalar jet, array or number over its batch.
+    J(a; b) = (−b; a) swaps the halves of the components.
+    """
+    m = _jet_values(vec).shape[-1]
+    half = m // 2
+    jv = jets.concat([-jets.take(vec, half, m), jets.take(vec, 0, half)])
+    return jets.lift(jets.cos(angle)) * vec + jets.lift(jets.sin(angle)) * jv
 
 
 def _jet_values(x):
@@ -147,7 +155,6 @@ class SphereChart:
         guarded = ((ANGLE_MARGIN, np.pi - ANGLE_MARGIN),) * (self.dim - 1)
         return guarded + ((-np.pi, np.pi),)
 
-    @jets.listable
     def embed(self, cols):
         """Sphere coordinates of the chart parameters ``cols``.
 
@@ -157,6 +164,8 @@ class SphereChart:
         whose last axis holds them.  Any other sequence of scalars or
         jets, a list say, gives a list of dim+1 scalars (``jets.listable``).
         """
+        if not isinstance(cols, (jets.Columns, jets.Jet2, np.ndarray)):
+            return jets.listable(self.embed)(cols)
         u = cols.joint() if isinstance(cols, jets.Columns) else cols
         shape = _jet_values(u).shape
         if shape[-1:] != (self.param_dim,):
@@ -252,7 +261,8 @@ class CliffordBlock:
 
         Every field reuses X/√2; −Y/√2 is the negation of Y/√2, which
         has the bits of (−1/√2)·Y.  ``cols`` are ``Columns``; a plain
-        list reaches this through ``jets.listable``.
+        list reaches this through ``jets.listable`` (``embed``, or the
+        ``Immersion`` that holds the map).
         """
         if len(cols) != self.param_dim:
             raise SpecError(f"block expects {self.param_dim} parameters, "
@@ -275,11 +285,6 @@ class CliffordBlock:
         """C at chart parameters: a vector for ``Columns``, else a list."""
         return self._fields(cols, (1.0,))[0]
 
-    @jets.listable
-    def _dual(self, cols):
-        """D at chart parameters: a vector for ``Columns``, else a list."""
-        return self._fields(cols, (-1.0,))[0]
-
     def embed_pair(self, cols) -> tuple:
         """(C, D) at chart ``Columns``, each embedded chart shared."""
         c, d = self._fields(cols, (1.0, -1.0))
@@ -293,7 +298,7 @@ class CliffordBlock:
 
     def dual_immersion(self) -> Immersion:
         return Immersion(param_dim=self.param_dim, ambient_dim=self.ambient_dim,
-                         components=self._dual,
+                         components=lambda cols: self._fields(cols, (-1.0,))[0],
                          domain=self.domain_box(),
                          name=f"clifford-dual-S{self.sphere_dim}")
 

@@ -34,15 +34,15 @@ annotation, so a malformed value raises a ``SpecError`` that names its
 JSON path.
 
 Rotating a complex block by e^{iφ} in real coordinates is
-v ↦ cos(φ)·v + sin(φ)·J v with J(a; b) = (−b; a): ``_rotated_block`` on a
-block's component-axis vector, ``charts.rotate_block`` on arrays.
-``screw_action`` applies that blockwise plus the axial translation λ₀t,
-reading the block layout from the image width.  The component maps
-return parts (``jets.place``): each block r_t·e^{iλ_tΘ}C_t is one
-vector, weighted by its radius lifted to one component, and a scalar
-list reaches them through ``jets.listable``.  ``_section`` builds each
-unit-sphere section from its cone by handing the cone's blocks the
-chart's components as radii.
+v ↦ cos(φ)·v + sin(φ)·J v with J(a; b) = (−b; a) (``charts.rotate_block``,
+on a block's component-axis jet or on arrays).  ``screw_action`` applies
+that blockwise plus the axial translation λ₀t, reading the block layout
+from the image width.  The component maps return parts (``jets.place``):
+each block r_t·e^{iλ_tΘ}C_t is one vector, weighted by its radius lifted
+to one component, and a scalar list reaches them through the
+``jets.listable`` adapter that ``Immersion`` applies.  ``_section``
+builds each unit-sphere section from its cone by handing the cone's
+blocks the chart's components as radii.
 """
 
 from __future__ import annotations
@@ -192,8 +192,7 @@ class LRaysCone(_Family):
         # the guard's Hadamard ratio is the base's
         return Immersion(
             param_dim=nb + L, ambient_dim=base.ambient_dim * L,
-            components=jets.listable(
-                lambda cols: parts(cols, _radii(cols, nb, L))),
+            components=lambda cols: parts(cols, _radii(cols, nb, L)),
             domain=base.domain + (RADIAL_BOX,) * L,
             name=f"rays-cone-L{L}-over-{base.name}"), parts
 
@@ -287,7 +286,7 @@ class GenHelicoidA(_Family):
 
         def parts(cols, radii):
             th = cols[theta_index]
-            return [r * _rotated_block(b.embed(cols[lo:hi]), lam * th)
+            return [r * rotate_block(b.embed(cols[lo:hi]), lam * th)
                     for r, b, (lo, hi), lam in zip(radii, blocks, spans, lams)]
 
         def comps(cols):
@@ -299,7 +298,7 @@ class GenHelicoidA(_Family):
         return Immersion(
             param_dim=theta_index + 1 + L,
             ambient_dim=sum(b.ambient_dim for b in blocks) + 1,
-            components=jets.listable(comps), domain=domain,
+            components=comps, domain=domain,
             name=f"helicoid-a-L{L}-N{blocks[0].sphere_dim}"), parts
 
 
@@ -333,13 +332,13 @@ class GenHelicoidB(_Family):
         lam, lam0 = self.angular_pitch, self.axial_pitch
 
         def comps(cols):
-            rotated = _rotated_block(block.embed(cols[:nu]), lam * cols[nu])
+            rotated = rotate_block(block.embed(cols[:nu]), lam * cols[nu])
             return [r * rotated for r in _radii(cols, nu + 1, L)] \
                 + [lam0 * cols[nu]]
 
         return Immersion(
             param_dim=nu + 1 + L, ambient_dim=block.ambient_dim * L + 1,
-            components=jets.listable(comps),
+            components=comps,
             domain=block.domain_box() + (THETA_BOX,) + (RADIAL_BOX,) * L,
             name=f"helicoid-b-L{L}-N{block.sphere_dim}")
 
@@ -390,7 +389,7 @@ class ChoeHoppe(_Family):
 
         return Immersion(
             param_dim=np_ + nq + 2, ambient_dim=2 * N + 1,
-            components=jets.listable(comps),
+            components=comps,
             domain=chart_p.domain_box() + chart_q.domain_box()
             + (THETA_BOX, RADIAL_BOX),
             name=f"choe-hoppe-N{N}")
@@ -498,7 +497,7 @@ class HarveyLawsonCone(_Family):
 
         return Immersion(
             param_dim=nx + ny + 2, ambient_dim=4 * self.sphere_dim + 4,
-            components=jets.listable(comps),
+            components=comps,
             domain=chart_x.domain_box() + chart_y.domain_box()
             + (RADIAL_BOX, RADIAL_BOX),
             name=f"twisted-normal-cone-N{self.sphere_dim}")
@@ -661,17 +660,6 @@ def standard_block(sphere_dim: int, kind: str = "stereographic",
         unitary=unitary)
 
 
-def _rotated_block(v, angle):
-    """e^{i·angle} on a block vector v: lift(cos)·v + lift(sin)·Jv.
-
-    J(a; b) = (−b; a) swaps the halves of v's components.
-    """
-    m = (v.value if isinstance(v, jets.Jet2) else v).shape[-1]
-    half = m // 2
-    jv = jets.concat([-jets.take(v, half, m), jets.take(v, 0, half)])
-    return jets.lift(jets.cos(angle)) * v + jets.lift(jets.sin(angle)) * jv
-
-
 def _radii(cols, lo: int, count: int) -> list:
     """The radius columns lo..lo+count−1, each lifted to one component."""
     return [jets.lift(cols[i]) for i in range(lo, lo + count)]
@@ -694,7 +682,7 @@ def _section(cone: Immersion, parts, chart: SphereChart, ambient_dim: int,
         return parts(cols, [jets.take(x, t, t + 1) for t in range(dim + 1)])
 
     return Immersion(param_dim=nb + chart.param_dim, ambient_dim=ambient_dim,
-                     components=jets.listable(comps),
+                     components=comps,
                      domain=cone.domain[:nb] + chart.domain_box(), name=name)
 
 
@@ -741,8 +729,7 @@ def screw_action(pitch: PitchVector, t, points) -> np.ndarray:
     out = np.array(q, copy=True)
     for s in range(L):
         block = slice(s * size, (s + 1) * size)
-        out[..., block] = rotate_block(q[..., block],
-                                       pitch.lambdas[s] * t[..., None])
+        out[..., block] = rotate_block(q[..., block], pitch.lambdas[s] * t)
     if axial:
         out[..., -1] = q[..., -1] + pitch.lambda0 * t
     return out

@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DegenerateMetric, DimensionMismatch, NotSpherical
-from .jets import Columns, Jet2, place
+from .jets import Columns, Jet2, listable, place
 
 __all__ = [
     "RANK_TOL",
@@ -54,11 +54,6 @@ __all__ = [
 RANK_TOL = 1e-12
 METRIC_RATIO_FLOOR = 1e-10
 SPHERE_TOL = 1e-12     # how far a sphere residual lets a point leave S^n
-# From this many points on, ``_scatter_vector`` writes a support of
-# several runs run by run: on a 6-row part of a (..., 19, 16, 16) Hessian
-# with two or three runs, fancy indexing wins below 4 to 16 points and the
-# run writes win above (5.5 against 1.2 ms at 1000 points, 2 cores).
-RUN_WRITE_POINTS = 16
 
 
 @dataclass(frozen=True)
@@ -118,10 +113,10 @@ class Immersion:
     returns its parts, built from the jet primitives: a list of scalars
     and component-axis vectors (jets, or arrays for positions) with
     ``ambient_dim`` rows in all, or one vector (``SphereChart.embed``,
-    ``CliffordBlock.embed``); see ``jets.place``.  A map wrapped by
-    ``jets.listable`` also takes a plain list of scalars and then returns
-    one scalar per coordinate, as ``fd_jet`` and dense seeding need; a map
-    written in scalars takes either as it is.  ``exclusions`` are
+    ``CliffordBlock.embed``); see ``jets.place``.  The map is stored
+    wrapped by ``jets.listable``, so ``components`` also takes a plain
+    list of scalars (or an array of columns) and then returns one scalar
+    per coordinate, as ``fd_jet`` and dense seeding need.  ``exclusions`` are
     named predicates mapping a point batch (..., n) to a boolean exclusion
     mask.  Every immersion's guard also excludes points whose induced metric is
     near rank-deficient: det g / Π g_ii at or below METRIC_RATIO_FLOOR
@@ -137,6 +132,9 @@ class Immersion:
     domain: tuple[tuple[float, float], ...]
     exclusions: tuple[tuple[str, Callable[[np.ndarray], np.ndarray]], ...] = ()
     name: str = ""
+
+    def __post_init__(self):
+        object.__setattr__(self, "components", listable(self.components))
 
     def _check_point_shape(self, p: np.ndarray) -> None:
         if p.ndim == 0 or p.shape[-1] != self.param_dim:
@@ -243,23 +241,15 @@ def _scatter_vector(out, rows, position: np.ndarray, jacobian: np.ndarray,
     a slice of its component count, or a scalar with ``rows`` one index.
     Its derivatives go to the columns of its support, and the other
     entries keep what the caller filled in (zeros).  ``hessians`` None
-    skips the Hessian.  A support of several contiguous runs is written
-    run by run (the Hessian run pair by run pair) from RUN_WRITE_POINTS
-    points on, and by fancy indexing below, where the run writes' fixed
-    cost outweighs the strided copy they save.
+    skips the Hessian.  The support is written run by run, the Hessian
+    run pair by run pair, as slices: a strided copy per run, where fancy
+    indexing would gather every entry.
     """
     if not isinstance(out, Jet2):
         position[..., rows] = out
         return
     position[..., rows] = out.value
     runs = _runs(out.support)
-    if len(runs) > 1 and \
-            position.size < RUN_WRITE_POINTS * position.shape[-1]:
-        cols = np.asarray(out.support, dtype=np.intp)
-        jacobian[..., rows, cols] = out.grad
-        if hessians is not None:
-            hessians[..., rows, cols[:, None], cols] = out.hess
-        return
     for slots, cols in runs:
         jacobian[..., rows, cols] = out.grad[..., slots]
     if hessians is not None:

@@ -484,7 +484,7 @@ def proof_terms(spec: GenHelicoidA, t: int, params) -> ProofTerms:
     k = (lam ** 2 * r ** (pd + 1) * Q * sqrtg / np.sqrt(P))[..., None]
     c = (pd * r ** (pd - 1) * Q * np.sqrt(P) * sqrtg)[..., None]
 
-    phase = (lam * theta)[..., None]
+    phase = lam * theta
     rot_c = rotate_block(fr.C, phase)
 
     S1 = -c * rot_c - 2.0 * k * m * rotate_block(fr.JD + m * fr.C, phase)

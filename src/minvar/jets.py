@@ -83,7 +83,8 @@ where a layout alternates their components.  A map written on ``Columns``
 is made callable on a plain list of scalars by one adapter,
 ``listable``: it runs the same formula on ``Columns.of`` the list and
 splits each vector part into its components, so ``fd_jet`` and dense
-seeding get one scalar per coordinate.
+seeding get one scalar per coordinate.  ``Immersion`` applies it to
+every component map it is given.
 
 The primitives ``sin``/``cos``/``exp``/``log``/``sqrt``/``atan``/``atan2``
 accept jets or plain numbers/arrays and dispatch accordingly; a map written
@@ -742,22 +743,28 @@ def listable(fn):
     """The component map ``fn``, callable on a plain list of scalars too.
 
     ``fn(cols)`` (or ``fn(self, cols)``) is written once, on ``Columns``,
-    and returns parts (``place``).  Given ``Columns``, a jet or an
-    array, the adapter calls it as it is; given any other sequence, a
-    list of arrays or of dense jets say, it runs ``fn`` on
-    ``Columns.of`` that list and splits every vector part into its
-    components, so the caller gets one scalar per coordinate.
+    and returns parts (``place``).  Given ``Columns`` or a jet, the
+    adapter calls it as it is; given any other sequence, a list of arrays
+    or of dense jets say, or an array read along its first axis, it runs
+    ``fn`` on ``Columns.of`` that sequence and splits every vector part
+    into its components, so the caller gets one scalar per coordinate.
+    ``Immersion`` adapts every component map this way; adapting an
+    adapted map returns it unchanged.
     """
+    if getattr(fn, "listable", False):
+        return fn
+
     @wraps(fn)
     def adapted(*args):
         *head, cols = args
-        if isinstance(cols, (Columns, Jet2, np.ndarray)):
+        if isinstance(cols, (Columns, Jet2)):
             return fn(*args)
         cols = Columns.of(cols)
         placed, _ = place(fn(*head, cols), cols.batch)
         return [c for part, rows in placed
                 for c in (unstack(part) if isinstance(rows, slice)
                           else (part,))]
+    adapted.listable = True
     return adapted
 
 

@@ -973,15 +973,12 @@ VECTOR_CASES = _vector_cases()
 
 
 def _vector_batches(imm, points):
-    """(), (1,), (3, 5), one batch as long as each vector part, and (4, 6),
-    where a support of several runs is written run by run."""
-    assert 4 * 6 >= geometry.RUN_WRITE_POINTS
+    """(), (1,), (3, 5) and one batch as long as each vector part."""
     parts, _ = jets.place(imm.components(jets.Columns(points[0], 0)), ())
     widths = {rows.stop - rows.start for _, rows in parts
               if isinstance(rows, slice)}
     return [points[0], points[:1], points[:15].reshape(3, 5, -1)] \
-        + [points[:m] for m in sorted(widths)] \
-        + [points[:24].reshape(4, 6, -1)]
+        + [points[:m] for m in sorted(widths)]
 
 
 @pytest.mark.parametrize("name", sorted(VECTOR_CASES))
@@ -1028,3 +1025,13 @@ def test_component_lists_give_one_scalar_per_coordinate(name):
         else:
             assert np.array_equal(np.broadcast_to(j, batch),
                                   pe.position[..., k])
+    # an array is read along its first axis, one column per row: the
+    # columns of a batch as p.T, one point as np.array(point)
+    for cols, points in ((p.T, p), (np.array(p[0]), p[0])):
+        got = imm.components(cols)
+        assert isinstance(got, list) and len(got) == imm.ambient_dim
+        want = imm.position(points)
+        for k, x in enumerate(got):
+            assert np.shape(x) in ((), points.shape[:-1])
+            assert np.array_equal(np.broadcast_to(x, points.shape[:-1]),
+                                  want[..., k])
