@@ -21,8 +21,7 @@ range arrives as one component-axis jet seeded on it (or one (..., d)
 array for positions), the chart returns its dim+1 coordinates as one
 vector, and the block joins X/√2 and ±Y/√2 into C and D and applies its
 unitary column by column.  ``clifford_frame`` and ``Immersion.eval`` read
-the same vectors.  A caller that passes a plain list of scalars or jets
-gets a list back through ``jets.listable``, which runs the same formula.
+the same vectors.  The maps take ``jets.Columns`` only.
 """
 
 from __future__ import annotations
@@ -156,28 +155,22 @@ class SphereChart:
         return guarded + ((-np.pi, np.pi),)
 
     def embed(self, cols):
-        """Sphere coordinates of the chart parameters ``cols``.
+        """Sphere coordinates at the chart parameters ``cols`` (``Columns``).
 
-        ``Columns`` (what an ``Immersion`` hands its component map) give
-        one component-axis jet or (..., dim+1) array, from the range
-        seeded as one jet; so does a vector of parameters, a jet or array
-        whose last axis holds them.  Any other sequence of scalars or
-        jets, a list say, gives a list of dim+1 scalars (``jets.listable``).
+        The range is seeded as one jet, so the result is one
+        component-axis jet, or a (..., dim+1) array for positions.
         """
-        if not isinstance(cols, (jets.Columns, jets.Jet2, np.ndarray)):
-            return jets.listable(self.embed)(cols)
-        u = cols.joint() if isinstance(cols, jets.Columns) else cols
-        shape = _jet_values(u).shape
-        if shape[-1:] != (self.param_dim,):
+        if len(cols) != self.param_dim:
             raise SpecError(f"chart expects {self.param_dim} parameters, "
-                            f"got shape {shape}")
+                            f"got {len(cols)}")
+        u = cols.joint()
         if self.kind == "point":
-            out = np.full(_jet_values(u).shape[:-1] + (1,),
-                          float(self.branch))
+            out = np.full(cols.batch + (1,), float(self.branch))
         elif self.kind == "stereographic":
             s = jets.component_sum(u * u)
-            # one reciprocal of 1 + |u|² serves every coordinate
-            out = jets.concat([2.0 * u, 1.0 - s]) / (1.0 + s)
+            # one reciprocal of 1 + |u|² serves every coordinate, for
+            # jets and arrays alike, so positions have eval's bits
+            out = jets.concat([2.0 * u, 1.0 - s]) * jets.reciprocal(1.0 + s)
         else:
             interior = _jet_values(u)[..., :-1]
             if (np.abs(np.sin(interior)) < SIN_GUARD).any():
@@ -260,9 +253,7 @@ class CliffordBlock:
         """(X; ±Y)/√2, one vector per sign, from one pass of each chart.
 
         Every field reuses X/√2; −Y/√2 is the negation of Y/√2, which
-        has the bits of (−1/√2)·Y.  ``cols`` are ``Columns``; a plain
-        list reaches this through ``jets.listable`` (``embed``, or the
-        ``Immersion`` that holds the map).
+        has the bits of (−1/√2)·Y.  ``cols`` are ``Columns``.
         """
         if len(cols) != self.param_dim:
             raise SpecError(f"block expects {self.param_dim} parameters, "
@@ -280,9 +271,8 @@ class CliffordBlock:
             out.append(f)
         return out
 
-    @jets.listable
     def embed(self, cols):
-        """C at chart parameters: a vector for ``Columns``, else a list."""
+        """C at chart ``Columns``, as one vector."""
         return self._fields(cols, (1.0,))[0]
 
     def embed_pair(self, cols) -> tuple:

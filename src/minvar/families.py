@@ -39,8 +39,7 @@ on a block's component-axis jet or on arrays).  ``screw_action`` applies
 that blockwise plus the axial translation λ₀t, reading the block layout
 from the image width.  The component maps return parts (``jets.place``):
 each block r_t·e^{iλ_tΘ}C_t is one vector, weighted by its radius lifted
-to one component, and a scalar list reaches them through the
-``jets.listable`` adapter that ``Immersion`` applies.  ``_section``
+to one component, and the maps take ``jets.Columns`` only.  ``_section``
 builds each unit-sphere section from its cone by handing the cone's
 blocks the chart's components as radii.
 """

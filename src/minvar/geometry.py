@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DegenerateMetric, DimensionMismatch, NotSpherical
-from .jets import Columns, Jet2, listable, place
+from .jets import Columns, Jet2, place
 
 __all__ = [
     "RANK_TOL",
@@ -113,10 +113,9 @@ class Immersion:
     returns its parts, built from the jet primitives: a list of scalars
     and component-axis vectors (jets, or arrays for positions) with
     ``ambient_dim`` rows in all, or one vector (``SphereChart.embed``,
-    ``CliffordBlock.embed``); see ``jets.place``.  The map is stored
-    wrapped by ``jets.listable``, so ``components`` also takes a plain
-    list of scalars (or an array of columns) and then returns one scalar
-    per coordinate, as ``fd_jet`` and dense seeding need.  ``exclusions`` are
+    ``CliffordBlock.embed``); see ``jets.place``.  ``Columns`` are the
+    map's only input; a finite-difference oracle differentiates
+    ``position``, which gives ``eval``'s position bits.  ``exclusions`` are
     named predicates mapping a point batch (..., n) to a boolean exclusion
     mask.  Every immersion's guard also excludes points whose induced metric is
     near rank-deficient: det g / Π g_ii at or below METRIC_RATIO_FLOOR
@@ -128,13 +127,10 @@ class Immersion:
 
     param_dim: int
     ambient_dim: int
-    components: Callable[[Sequence], Sequence]
+    components: Callable[[Columns], Sequence]
     domain: tuple[tuple[float, float], ...]
     exclusions: tuple[tuple[str, Callable[[np.ndarray], np.ndarray]], ...] = ()
     name: str = ""
-
-    def __post_init__(self):
-        object.__setattr__(self, "components", listable(self.components))
 
     def _check_point_shape(self, p: np.ndarray) -> None:
         if p.ndim == 0 or p.shape[-1] != self.param_dim:
@@ -192,8 +188,9 @@ class Immersion:
     def eval(self, p) -> PointEval:
         """Exact first/second derivatives via jets, batched over leading axes.
 
-        The result equals running ``components`` on the dense seeds
-        ``variables(p)`` up to the sign of zero entries.
+        The result equals running ``components`` on ``Columns`` whose
+        every seed carries the full support 0..n−1, up to the sign of
+        zero entries.
         """
         position, jacobian, second = self._jets(p, second=True)
         return PointEval(position=position, jacobian=jacobian, second=second)

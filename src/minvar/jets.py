@@ -62,11 +62,10 @@ The rule where the two meet: a scalar jet that meets a vector is lifted
 explicitly (``lift``: value[..., None], grad[..., None, :],
 hess[..., None, :, :]), never left to numpy's broadcasting, which pairs a
 batch whose length equals m with the component axis silently and wrongly.
-``take``, ``concat`` and ``unstack`` slice, join and split vectors (joined
-jets lie on the union of their supports, with +0.0 where a part carries no
-derivative); ``component_sum`` adds the components left to right into
-one component, and
-``linear_map(mat, v)`` applies a constant matrix column by column, as
+``take`` and ``concat`` slice and join vectors (joined jets lie on the
+union of their supports, with +0.0 where a part carries no derivative);
+``component_sum`` adds the components left to right into one component,
+and ``linear_map(mat, v)`` applies a constant matrix column by column, as
 chart rotations and block unitaries do.  Both keep the order of the
 sequential scalar sums, so a vector has the bits of its scalar jets up to
 the sign of zero entries.  Plain (..., m) arrays take the same helpers, for
@@ -79,25 +78,26 @@ array or number) or a component-axis vector that carries the whole batch;
 a lone vector stands for a list of one.  ``place`` lays the parts out
 row after row, and ``Immersion`` writes each part straight into its rows,
 without joining them first.  ``interleave`` pairs two vectors row by row
-where a layout alternates their components.  A map written on ``Columns``
-is made callable on a plain list of scalars by one adapter,
-``listable``: it runs the same formula on ``Columns.of`` the list and
-splits each vector part into its components, so ``fd_jet`` and dense
-seeding get one scalar per coordinate.  ``Immersion`` applies it to
-every component map it is given.
+where a layout alternates their components.  A component map takes
+``Columns`` only: the batch of points (..., n) it is evaluated at, seeded
+to the order the caller asks for.
 
-The primitives ``sin``/``cos``/``exp``/``log``/``sqrt``/``atan``/``atan2``
-accept jets or plain numbers/arrays and dispatch accordingly; a map written
-once in these primitives can therefore be evaluated three ways: as fast plain
-numpy (positions only), as jets (exact derivatives), or through ``fd_jet``
-(central differences with Richardson extrapolation, the independent oracle).
+The primitives ``sin``/``cos``/``exp``/``log``/``sqrt``/``reciprocal``/
+``atan``/``atan2`` accept jets or plain numbers/arrays and dispatch
+accordingly; a map written once in these primitives can therefore be
+evaluated two ways, as fast plain numpy (positions only) or as jets (exact
+derivatives).  A jet divides through its reciprocal, so a map that
+multiplies by ``reciprocal(d)`` instead of dividing by d gets the same
+value bits both ways.  ``fd_jet`` (central differences with Richardson
+extrapolation) is the independent oracle: run over a position-only
+evaluation, ``Immersion.position`` say, it reads values alone.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import lru_cache, wraps
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -112,12 +112,9 @@ __all__ = [
     "constant_like",
     "Columns",
     "place",
-    "listable",
     "lift",
     "take",
-    "unstack",
     "concat",
-    "stack",
     "interleave",
     "component_sum",
     "linear_map",
@@ -128,6 +125,7 @@ __all__ = [
     "exp",
     "log",
     "sqrt",
+    "reciprocal",
     "atan",
     "atan2",
 ]
@@ -496,17 +494,6 @@ def take(v, lo: int, hi: int):
                    None if v.hess is None else v.hess[..., lo:hi, :, :])
 
 
-def unstack(v) -> list:
-    """The scalar components of a vector, as views; a list passes through."""
-    if isinstance(v, Jet2):
-        return [_vector(v, v.value[..., k], v.grad[..., k, :],
-                        None if v.hess is None else v.hess[..., k, :, :])
-                for k in range(v.value.shape[-1])]
-    if isinstance(v, np.ndarray):
-        return [v[..., k] for k in range(v.shape[-1])]
-    return list(v)
-
-
 def concat(parts):
     """Vectors (jets or arrays) joined along the component axis.
 
@@ -554,13 +541,6 @@ def concat(parts):
     if hess is None:
         return Jet1(value, grad, support)
     return Jet2(value, grad, hess, support)
-
-
-def stack(comps):
-    """Scalar components (jets, arrays or numbers) as one vector."""
-    if not comps:
-        return np.empty((0,))
-    return concat([lift(c) for c in comps])
 
 
 def interleave(a, b):
@@ -640,7 +620,8 @@ class Columns(Sequence):
     (..., d), the identity as grad (..., d, d) on the support lo..hi−1
     and a zero Hessian (..., d, d, d).  ``batch`` is p's leading shape,
     the one a vector part of the map's output carries (``place``).
-    ``Columns.of`` wraps a plain sequence of scalars instead.
+    A slice keeps the type, so a subclass that seeds differently (its own
+    ``_range``) holds for every range taken from it.
     """
 
     __slots__ = ("p", "order", "batch", "_lo", "_hi", "_seeds")
@@ -655,22 +636,6 @@ class Columns(Sequence):
         # the seeds made so far, shared with every range of the batch
         self._seeds = [None] * self._hi
 
-    @staticmethod
-    def of(scalars) -> "Columns":
-        """Columns over a plain sequence of scalars, numbers, arrays or jets.
-
-        ``cols[i]`` is the i-th entry as it is, and ``joint()`` stacks a
-        range into one vector; ``batch`` is the broadcast of the entries'
-        shapes.  This is how ``listable`` runs a vector formula on a list.
-        """
-        cols = object.__new__(Columns)
-        cols._seeds = list(scalars)
-        cols._lo, cols._hi = 0, len(cols._seeds)
-        cols.p = cols.order = None
-        cols.batch = np.broadcast_shapes(
-            *(np.shape(_slots(x)[0]) for x in cols._seeds))
-        return cols
-
     def __len__(self) -> int:
         return self._hi - self._lo
 
@@ -678,8 +643,9 @@ class Columns(Sequence):
         if isinstance(i, slice):
             start, stop, step = i.indices(self._hi - self._lo)
             if step != 1:
-                return [self[k] for k in range(start, stop, step)]
-            part = object.__new__(Columns)
+                raise DimensionMismatch("columns slice into contiguous "
+                                        f"ranges only, got step {step}")
+            part = object.__new__(type(self))
             part.p, part.order, part._seeds = self.p, self.order, self._seeds
             part.batch = self.batch
             part._lo, part._hi = self._lo + start, self._lo + max(start, stop)
@@ -697,9 +663,6 @@ class Columns(Sequence):
 
     def joint(self):
         """This range as one component-axis jet or (..., d) array."""
-        if self.p is None:              # ``Columns.of``: stack the entries
-            entries = self._seeds[self._lo:self._hi]
-            return stack(entries) if entries else np.empty(self.batch + (0,))
         return self._range(self._lo, self._hi, scalar=False)
 
     def _range(self, lo: int, hi: int, scalar: bool):
@@ -737,35 +700,6 @@ def place(outs, batch: tuple) -> tuple[list, int]:
             placed.append((part, k))
             k += 1
     return placed, k
-
-
-def listable(fn):
-    """The component map ``fn``, callable on a plain list of scalars too.
-
-    ``fn(cols)`` (or ``fn(self, cols)``) is written once, on ``Columns``,
-    and returns parts (``place``).  Given ``Columns`` or a jet, the
-    adapter calls it as it is; given any other sequence, a list of arrays
-    or of dense jets say, or an array read along its first axis, it runs
-    ``fn`` on ``Columns.of`` that sequence and splits every vector part
-    into its components, so the caller gets one scalar per coordinate.
-    ``Immersion`` adapts every component map this way; adapting an
-    adapted map returns it unchanged.
-    """
-    if getattr(fn, "listable", False):
-        return fn
-
-    @wraps(fn)
-    def adapted(*args):
-        *head, cols = args
-        if isinstance(cols, (Columns, Jet2)):
-            return fn(*args)
-        cols = Columns.of(cols)
-        placed, _ = place(fn(*head, cols), cols.batch)
-        return [c for part, rows in placed
-                for c in (unstack(part) if isinstance(rows, slice)
-                          else (part,))]
-    adapted.listable = True
-    return adapted
 
 
 # ---- primitives (dual dispatch: Jet2 or plain arrays) ----------------------
@@ -815,6 +749,18 @@ def sqrt(x):
     if np.any(np.asarray(x) < 0.0):
         raise DomainError("sqrt of a negative value")
     return np.sqrt(x)
+
+
+def reciprocal(x):
+    """1/x: a jet through its reciprocal rule, an array by one division.
+
+    Both ways compute the same value 1.0 / x, so a map that multiplies by
+    ``reciprocal(d)`` gives ``position`` the bits of ``eval``, where
+    ``x / d`` would not: a jet divides through its reciprocal.
+    """
+    if isinstance(x, Jet2):
+        return _reciprocal(x)
+    return 1.0 / x
 
 
 def atan(x):

@@ -800,6 +800,18 @@ def test_rays_cone_over_chart_base_is_minimal():
 # values and derivatives, np.array_equal (signed zeros aside).
 
 
+def _split(v):
+    """The scalar components of a vector, each built from its slots."""
+    if not isinstance(v, jets.Jet2):
+        return [v[..., k] for k in range(v.shape[-1])]
+    if v.hess is None:
+        return [jets.Jet1(v.value[..., k], v.grad[..., k, :], v.support)
+                for k in range(v.value.shape[-1])]
+    return [jets.Jet2(v.value[..., k], v.grad[..., k, :],
+                      v.hess[..., k, :, :], v.support)
+            for k in range(v.value.shape[-1])]
+
+
 def _scalar_rotated(comps, angle):
     half = len(comps) // 2
     jcomps = [-c for c in comps[half:]] + list(comps[:half])
@@ -815,9 +827,9 @@ def _scalar_map(spec):
     """f(cols, radii=None) -> one scalar per coordinate; ``radii`` replaces
     a cone's radius columns."""
     if isinstance(spec, SphereChart):
-        return lambda cols, radii=None: jets.unstack(spec.embed(cols))
+        return lambda cols, radii=None: _split(spec.embed(cols))
     if isinstance(spec, CliffordTorus):
-        return lambda cols, radii=None: jets.unstack(spec.block.embed(cols))
+        return lambda cols, radii=None: _split(spec.block.embed(cols))
     if isinstance(spec, (CliffordCone, LRaysCliffordCone)):
         return _scalar_map(LRaysCone(rays=getattr(spec, "rays", 1),
                                      base=CliffordTorus(spec.block)))
@@ -834,14 +846,14 @@ def _scalar_map(spec):
         cone = _scalar_map(LRaysCone(rays=spec.xs.dim + 1, base=spec.base))
         nb = spec.base.build().param_dim
         return lambda cols, radii=None: cone(
-            cols, jets.unstack(spec.xs.embed(cols[nb:])))
+            cols, _split(spec.xs.embed(cols[nb:])))
     if isinstance(spec, GenHelicoidA):
         stops = np.cumsum([b.param_dim for b in spec.blocks]).tolist()
         th_index, L = stops[-1], len(spec.blocks)
 
         def helicoid(cols, radii=None):
             th = cols[th_index]
-            rotated = [_scalar_rotated(jets.unstack(
+            rotated = [_scalar_rotated(_split(
                 b.embed(cols[hi - b.param_dim:hi])), lam * th)
                 for b, hi, lam in zip(spec.blocks, stops, spec.pitch.lambdas)]
             if radii is None:
@@ -854,12 +866,12 @@ def _scalar_map(spec):
         nb = sum(b.param_dim for b in spec.inner.blocks) + 1
         chart = spec.chart or standard_chart(L - 1)
         return lambda cols, radii=None: inner(
-            cols, jets.unstack(chart.embed(cols[nb:])))[:-1]
+            cols, _split(chart.embed(cols[nb:])))[:-1]
     if isinstance(spec, GenHelicoidB):
         nu, L = spec.block.param_dim, spec.rays
 
         def shared(cols, radii=None):
-            rotated = _scalar_rotated(jets.unstack(spec.block.embed(
+            rotated = _scalar_rotated(_split(spec.block.embed(
                 cols[:nu])), spec.angular_pitch * cols[nu])
             return _scalar_weighted([cols[nu + 1 + t] for t in range(L)],
                                     [rotated] * L) \
@@ -872,8 +884,8 @@ def _scalar_map(spec):
         np_, nq = chart_p.param_dim, chart_q.param_dim
 
         def interleaved(cols, radii=None):
-            p_dir = jets.unstack(chart_p.embed(cols[:np_]))
-            q_dir = jets.unstack(chart_q.embed(cols[np_:np_ + nq]))
+            p_dir = _split(chart_p.embed(cols[:np_]))
+            q_dir = _split(chart_q.embed(cols[np_:np_ + nq]))
             th, s = cols[np_ + nq], cols[np_ + nq + 1]
             ca, sa = jets.cos(th), jets.sin(th)
             out = []
@@ -888,8 +900,8 @@ def _scalar_map(spec):
         nx, ny = chart_x.param_dim, chart_y.param_dim
 
         def paired(cols, radii=None):
-            x = jets.unstack(chart_x.embed(cols[:nx]))
-            y = jets.unstack(chart_y.embed(cols[nx:nx + ny]))
+            x = _split(chart_x.embed(cols[:nx]))
+            y = _split(chart_y.embed(cols[nx:nx + ny]))
             return _scalar_weighted([cols[nx + ny], cols[nx + ny + 1]],
                                     [x + y] * 2)
         return paired
@@ -1003,35 +1015,20 @@ def test_vector_parts_equal_scalar_formulas(name):
 
 @pytest.mark.parametrize("name", sorted(VECTOR_CASES))
 def test_component_lists_give_one_scalar_per_coordinate(name):
+    # the parts a component map lists on plain columns give each
+    # coordinate one scalar with the bits of eval()'s position, and so
+    # does position(): a division in a map is a product with
+    # jets.reciprocal, which a jet and an array compute alike (the
+    # default_campaign() families are among the cases)
     imm = build_immersion(VECTOR_CASES[name])
-    p = sample_box(imm, 6, seed=42, keep=False)
-    batch = p.shape[:-1]
-    # arrays give position()'s values, dense jets eval()'s (a jet divides
-    # through a reciprocal, so the two may differ in the last bit)
-    plain = imm.components([p[..., i] for i in range(imm.param_dim)])
-    dense = imm.components(jets.variables(p))
-    assert isinstance(plain, list) and len(plain) == imm.ambient_dim
-    assert isinstance(dense, list) and len(dense) == imm.ambient_dim
-    position = imm.position(p)
-    pe = imm.eval(p)
-    for k, (x, j) in enumerate(zip(plain, dense)):
-        assert np.shape(x) in ((), batch)
-        assert np.array_equal(np.broadcast_to(x, batch), position[..., k])
-        if isinstance(j, jets.Jet2):
-            assert j.value.shape == batch
-            assert np.array_equal(j.value, pe.position[..., k])
-            assert np.array_equal(j.grad, pe.jacobian[..., k, :])
-            assert np.array_equal(j.hess, pe.second[..., k, :, :])
-        else:
-            assert np.array_equal(np.broadcast_to(j, batch),
-                                  pe.position[..., k])
-    # an array is read along its first axis, one column per row: the
-    # columns of a batch as p.T, one point as np.array(point)
-    for cols, points in ((p.T, p), (np.array(p[0]), p[0])):
-        got = imm.components(cols)
-        assert isinstance(got, list) and len(got) == imm.ambient_dim
-        want = imm.position(points)
-        for k, x in enumerate(got):
-            assert np.shape(x) in ((), points.shape[:-1])
-            assert np.array_equal(np.broadcast_to(x, points.shape[:-1]),
-                                  want[..., k])
+    points = sample_box(imm, 40, seed=2020, keep=False)
+    for p in (points, points[0], points[:15].reshape(3, 5, -1)):
+        batch = p.shape[:-1]
+        want = imm.eval(p).position
+        placed, count = jets.place(imm.components(jets.Columns(p, 0)),
+                                   batch)
+        assert count == imm.ambient_dim
+        for part, rows in placed:
+            got = np.broadcast_to(part, want[..., rows].shape)
+            assert got.tobytes() == want[..., rows].tobytes()
+        assert imm.position(p).tobytes() == want.tobytes()

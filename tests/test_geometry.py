@@ -226,8 +226,9 @@ def test_fd_pointeval_reproduces_jet_curvature():
     pts = rng_points(imm, 10, seed=10)
     policy = StepPolicy(base_step=1e-4, richardson_levels=2)
 
+    # differences of positions alone: independent of the jet rules
     def component(a):
-        return lambda u, v: np.asarray(imm.components([u, v])[a], float)
+        return lambda *cols: imm.position(np.stack(cols, axis=-1))[..., a]
 
     fd_parts = [fd_jet(component(a), pts, policy) for a in range(4)]
     pe_fd = PointEval(
@@ -418,22 +419,48 @@ def test_exclusion_masks_union():
 # ---- sparse-support evaluation against dense seeding ------------------------
 
 
+class DenseColumns(jets.Columns):
+    """Second-order columns whose every seed carries the full support.
+
+    A column or range is seeded on all n parameters (its rows of the
+    identity as gradient, a zero Hessian), as ``variables`` seeds, so the
+    same component formulas run the dense Leibniz rules alone, without
+    sparse supports.  Slices keep the type (``Columns.__getitem__``).
+    """
+
+    __slots__ = ()
+
+    def _range(self, lo, hi, scalar):
+        rows = lo if scalar else slice(lo, hi)
+        n = self.p.shape[-1]
+        grad = np.eye(n)[rows]
+        grad = np.broadcast_to(grad, self.batch + grad.shape)
+        hess = np.broadcast_to(0.0, grad.shape + (n,))
+        return jets.Jet2(self.p[..., rows], grad, hess, tuple(range(n)))
+
+
 def dense_eval(imm, p):
-    """The components run on dense seeds ``variables(p)``, stacked."""
-    p = np.asarray(p, dtype=np.float64)
-    batch, n = p.shape[:-1], imm.param_dim
-    vals, grads, hesss = [], [], []
-    for o in imm.components(jets.variables(p)):
-        if isinstance(o, jets.Jet2):
-            vals.append(np.broadcast_to(o.value, batch))
-            grads.append(np.broadcast_to(o.grad, batch + (n,)))
-            hesss.append(np.broadcast_to(o.hess, batch + (n, n)))
+    """The components run on ``DenseColumns``, written into dense arrays.
+
+    Every jet part lies on the full support, so its slots fill its rows
+    whole: no support bookkeeping, no ``_scatter_vector``.
+    """
+    cols = DenseColumns(p, 2)
+    batch, n, K = cols.batch, imm.param_dim, imm.ambient_dim
+    placed, count = jets.place(imm.components(cols), batch)
+    assert count == K
+    position = np.empty(batch + (K,))
+    jacobian = np.zeros(batch + (K, n))
+    second = np.zeros(batch + (K, n, n))
+    for part, rows in placed:
+        if isinstance(part, jets.Jet2):
+            assert part.support == tuple(range(n))
+            position[..., rows] = part.value
+            jacobian[..., rows, :] = part.grad
+            second[..., rows, :, :] = part.hess
         else:
-            vals.append(np.broadcast_to(np.asarray(o, float), batch))
-            grads.append(np.zeros(batch + (n,)))
-            hesss.append(np.zeros(batch + (n, n)))
-    return (np.stack(vals, axis=-1), np.stack(grads, axis=-2),
-            np.stack(hesss, axis=-3))
+            position[..., rows] = part
+    return position, jacobian, second
 
 
 def _oracle_immersions():
@@ -474,8 +501,28 @@ def _oracle_immersions():
 ORACLE_IMMERSIONS = _oracle_immersions()
 
 
-@pytest.mark.parametrize("label,imm", ORACLE_IMMERSIONS,
-                         ids=[label for label, _ in ORACLE_IMMERSIONS])
+def _dense_oracle_immersions():
+    """ORACLE_IMMERSIONS, then the vector-form cases of the family and
+    chart tests: every layout of parts (scalars, vectors, interleaved
+    pairs, sections) meets the dense seeds."""
+    from minvar.families import build_immersion
+    from test_charts import VECTOR_CHARTS
+    from test_families import VECTOR_CASES
+
+    labels = {label for label, _ in ORACLE_IMMERSIONS}
+    return ORACLE_IMMERSIONS \
+        + [(name, build_immersion(spec))
+           for name, spec in sorted(VECTOR_CASES.items())
+           if name not in labels] \
+        + [(f"chart-{name}", chart.build())
+           for name, chart in sorted(VECTOR_CHARTS.items())]
+
+
+DENSE_ORACLE_IMMERSIONS = _dense_oracle_immersions()
+
+
+@pytest.mark.parametrize("label,imm", DENSE_ORACLE_IMMERSIONS,
+                         ids=[label for label, _ in DENSE_ORACLE_IMMERSIONS])
 def test_sparse_eval_equals_dense_seeding(label, imm):
     batch = rng_points(imm, 40, seed=17)
     for p in (batch, batch[7]):

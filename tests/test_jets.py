@@ -562,9 +562,9 @@ def test_linear_map_equals_sequential_sum_byte_for_byte(
         support = tuple(sorted(rng.choice(5, size=rng.integers(1, 4),
                                           replace=False).tolist()))
         comps.append(_operand(rng, kind, batch, support, order))
-    vector = jets.stack(comps)
+    vector = jets.concat([jets.lift(c) for c in comps])
     mat = np.array(coeffs[:rows * len(comps)]).reshape(rows, len(comps))
-    got = jets.unstack(jets.linear_map(mat, vector))
+    got = _components(jets.linear_map(mat, vector))
     parts = _components(vector)
     ref = [sum(mat[a, k] * parts[k] for k in range(len(comps)))
            for a in range(rows)]
@@ -616,9 +616,9 @@ def test_component_sums_run_left_to_right(order):
     assert jets.linear_map(ones, np.array(values)).tolist() == [1e16]
 
 
-def test_lift_take_unstack_keep_the_component_axis():
+def test_lift_and_take_keep_the_component_axis():
     v = _vector_jet([1.0, 2.0, 3.0])
-    parts = jets.unstack(v)
+    parts = _components(v)
     assert [p.value.shape for p in parts] == [(), (), ()]
     assert [float(p.value) for p in parts] == [1.0, 2.0, 3.0]
     lifted = jets.lift(parts[1])
@@ -626,7 +626,6 @@ def test_lift_take_unstack_keep_the_component_axis():
     assert lifted.hess.shape == (1, 2, 2)
     middle = jets.take(v, 1, 3)
     assert middle.value.tolist() == [2.0, 3.0] and middle.support == (0, 1)
-    assert jets.unstack([1.0, 2.0]) == [1.0, 2.0]
     assert jets.lift(np.array([4.0, 5.0])).shape == (2, 1)
 
 
@@ -674,11 +673,30 @@ def test_columns_seed_ranges_as_one_jet(batch):
     plain = jets.Columns(p, 0)
     assert np.array_equal(plain[1:3].joint(), p[..., 1:3])
     assert np.array_equal(plain[-1], p[..., 3])
-    stacked = jets.stack([1.0, np.array(2.0), one])
-    assert stacked.support == (2,)
-    assert np.array_equal(stacked.value[..., 2], one.value)
-    assert np.array_equal(stacked.grad[..., 2, :],
-                          np.broadcast_to(1.0, batch + (1,)))
-    assert np.array_equal(jets.stack([1.0, np.array(2.0)]), [1.0, 2.0])
     with pytest.raises(DimensionMismatch):
         jets.Columns(np.float64(1.0), 2)
+
+
+class _TaggedColumns(jets.Columns):
+    """Columns that mark every seed they make, to trace where one came from."""
+
+    __slots__ = ()
+
+    def _range(self, lo, hi, scalar):
+        return ("tagged", lo, hi, scalar)
+
+
+def test_columns_slices_keep_their_type_and_refuse_steps():
+    p = np.arange(10.0).reshape(2, 5)
+    cols = _TaggedColumns(p, 2)
+    part = cols[1:4]
+    assert type(part) is _TaggedColumns and part.batch == (2,)
+    assert part.joint() == ("tagged", 1, 4, False)
+    assert part[1:][0] == ("tagged", 2, 3, True)
+    assert type(part[1:][:1]) is _TaggedColumns
+    assert cols[-1] == ("tagged", 4, 5, True)
+    for columns in (cols, jets.Columns(p, 0)):
+        with pytest.raises(DimensionMismatch, match="step 2"):
+            columns[::2]
+        with pytest.raises(DimensionMismatch, match="step -1"):
+            columns[3:0:-1]
