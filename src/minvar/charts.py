@@ -36,6 +36,7 @@ from .geometry import (
     Immersion,
     MetricEval,
     PointEval,
+    _blocks,
     _scatter_vector,
     metric,
 )
@@ -321,11 +322,11 @@ def clifford_frame(block: CliffordBlock, p) -> CliffordFrame:
 
     C and D come from one ``embed_pair`` on second-order ``Columns``, so
     each chart is embedded once, and are scattered into one dense
-    (..., 2K) position, Jacobian and Hessian array as
-    ``Immersion.eval`` scatters an output; their values and derivatives
-    are those of ``block.immersion().eval(p)`` and
-    ``block.dual_immersion().eval(p)`` byte for byte.  Non-finite points
-    raise ``DomainError``.
+    (..., 2K) position and Jacobian array as ``Immersion.eval`` scatters
+    an output; C's Hessian is the one ``Block`` of its ``PointEval``, as
+    ``Immersion.eval`` keeps it.  Their values and derivatives are those
+    of ``block.immersion().eval(p)`` and ``block.dual_immersion().eval(p)``
+    byte for byte.  Non-finite points raise ``DomainError``.
     """
     p = np.asarray(p, dtype=np.float64)
     n, K = block.param_dim, block.ambient_dim
@@ -337,13 +338,13 @@ def clifford_frame(block: CliffordBlock, p) -> CliffordFrame:
     batch = p.shape[:-1]
     position = np.empty(batch + (2 * K,))
     jacobian = np.zeros(batch + (2 * K, n))
-    second = np.zeros(batch + (2 * K, n, n))
     c_jet, d_jet = block.embed_pair(jets.Columns(p, 2))
-    _scatter_vector(c_jet, slice(0, K), position, jacobian, second)
-    _scatter_vector(d_jet, slice(K, 2 * K), position, jacobian, None)
+    _scatter_vector(c_jet, slice(0, K), position, jacobian)
+    _scatter_vector(d_jet, slice(K, 2 * K), position, jacobian)
     C, D = position[..., :K], position[..., K:]
     dC, dD = jacobian[..., :K, :], jacobian[..., K:, :]
-    pe_c = PointEval(position=C, jacobian=dC, second=second[..., :K, :, :])
+    pe_c = PointEval(position=C, jacobian=dC,
+                     blocks=_blocks([(c_jet, slice(0, K))]))
     jc = apply_complex_structure(C)
     jdc = np.swapaxes(apply_complex_structure(np.swapaxes(dC, -1, -2)),
                       -1, -2)

@@ -11,7 +11,15 @@ finite-difference oracle.  Everything downstream is assembled from
     Δ_g F     = g^{ij}(∂ᵢ∂ⱼF − Γ^k_{ij} ∂ₖF)   (contraction form)
               = (1/√g) ∂ᵢ(√g g^{ij} ∂ⱼF)       (divergence form, cross-check)
 
-``metric`` assembles g, g⁻¹, det g and ∂g once; every operator below reads
+A ``PointEval`` keeps the position and the Jacobian dense and the second
+derivatives as ``Block``s: rows of F with their Hessians on the parameters
+those rows depend on.  The contraction form runs block by block, with g⁻¹
+and ∂g restricted to each block's support, so it never forms a dense
+(..., K, n, n) or (..., n, n, n) array.  ``PointEval.second`` and
+``MetricEval.dg`` are the dense tensors, formed on first read; the
+divergence form, the identities and the cross-checks read them.
+
+``metric`` assembles g, g⁻¹ and det g once; every operator below reads
 that ``MetricEval``.  The divergence form is g^{ij}∂ᵢ∂ⱼF + Σⱼ(Δ_g u_j)∂ⱼF.
 The mean curvature vector H = Δ_g F is normal to the immersion, which
 ``mean_curvature``'s tangential residual quantifies.  For maps into the unit
@@ -22,9 +30,9 @@ All operations accept batched points (leading axes broadcast through).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import InitVar, dataclass, replace
 from functools import cached_property, lru_cache
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -36,6 +44,7 @@ __all__ = [
     "METRIC_RATIO_FLOOR",
     "SPHERE_TOL",
     "Immersion",
+    "Block",
     "PointEval",
     "MetricEval",
     "MeanCurvatureEval",
@@ -56,38 +65,90 @@ METRIC_RATIO_FLOOR = 1e-10
 SPHERE_TOL = 1e-12     # how far a sphere residual lets a point leave S^n
 
 
+class Block(NamedTuple):
+    """Second derivatives of a run of rows of F on the rows' support.
+
+    ``rows`` is a slice of the K rows, ``support`` the sorted parameters
+    those rows depend on, and ``hess`` (..., r, s, s) their Hessians on
+    the support: [a, i, j] = ∂ᵢ∂ⱼF^{rows.start + a} with i, j read as
+    ``support[i]``, ``support[j]``.  The Jacobian of the rows is zero off
+    the support.
+    """
+
+    rows: slice
+    support: tuple
+    hess: np.ndarray
+
+    @classmethod
+    def full(cls, second: np.ndarray) -> "Block":
+        """The block of a dense (..., K, n, n) tensor: every row and column."""
+        return cls(slice(0, second.shape[-3]), tuple(range(second.shape[-1])),
+                   second)
+
+
 @dataclass(frozen=True)
 class PointEval:
-    """Position, Jacobian and second-derivative tensor at parameter points.
+    """Position, Jacobian and second derivatives at parameter points.
 
-    ``gram`` is (g = JᵀJ, det g, Π g_ii) of ``jacobian`` when
-    ``Immersion.screen`` formed it for its metric-floor test, else None
-    (a plain ``eval`` forms none); ``metric`` reads it instead of forming
-    g again.
+    ``blocks`` hold the second derivatives (``Block``); rows no block
+    covers have none.  ``second`` is the dense tensor, formed on first
+    read, with zeros off the blocks; a single block over every row and
+    column is returned as is.  ``gram`` is (g = JᵀJ, det g, Π g_ii) of
+    ``jacobian`` when ``Immersion.screen`` formed it for its metric-floor
+    test, else None (a plain ``eval`` forms none); ``metric`` reads it
+    instead of forming g again.
     """
 
     position: np.ndarray  # (..., K)
     jacobian: np.ndarray  # (..., K, n)
-    second: np.ndarray    # (..., K, n, n), symmetric in the trailing pair
+    blocks: tuple         # (Block, ...)
     gram: tuple | None = None
+
+    @cached_property
+    def second(self) -> np.ndarray:
+        """(..., K, n, n) second derivatives, symmetric in the last pair."""
+        K, n = self.jacobian.shape[-2:]
+        if len(self.blocks) == 1:
+            rows, support, hess = self.blocks[0]
+            if rows == slice(0, K) and support == tuple(range(n)):
+                return hess
+        second = np.zeros(self.jacobian.shape + (n,))
+        for rows, support, hess in self.blocks:
+            runs = _runs(support)
+            for slots_i, cols_i in runs:
+                for slots_j, cols_j in runs:
+                    second[..., rows, cols_i, cols_j] = \
+                        hess[..., slots_i, slots_j]
+        return second
 
 
 @dataclass(frozen=True)
 class MetricEval:
-    """First fundamental form with inverse, determinant and derivative."""
+    """First fundamental form with inverse and determinant at ``pe``.
+
+    ``dg`` (∂g, from ``pe``) and ``coordinate_laplacians`` are formed on
+    first use and shared by every reader of this record.
+    """
 
     g: np.ndarray      # (..., n, n)
     g_inv: np.ndarray  # (..., n, n)
     det_g: np.ndarray  # (...,)
-    dg: np.ndarray     # (..., n, n, n), [k, i, j] = ∂ₖ g_ij
+    pe: InitVar[PointEval]
+
+    def __post_init__(self, pe: PointEval) -> None:
+        object.__setattr__(self, "_pe", pe)
+
+    @cached_property
+    def dg(self) -> np.ndarray:
+        """(..., n, n, n), [k, i, j] = ∂ₖ g_ij (``metric_derivative``)."""
+        return metric_derivative(self._pe)
 
     @cached_property
     def coordinate_laplacians(self) -> np.ndarray:
         """Δ_g u_j of every parameter coordinate, shape (..., n).
 
         For φ = u_j the divergence form collapses to
-        Δ_g u_j = Σᵢ [∂ᵢ(log √g) g^{ij} + ∂ᵢ g^{ij}].  Formed on first
-        use and shared by every reader of this record, so it is read-only.
+        Δ_g u_j = Σᵢ [∂ᵢ(log √g) g^{ij} + ∂ᵢ g^{ij}].  Read-only.
         """
         dlogs, dginv = _divergence_parts(self.g_inv, self.dg)
         lap = np.einsum("...i,...ij->...j", dlogs, self.g_inv) \
@@ -161,16 +222,17 @@ class Immersion:
         return placed
 
     def _jets(self, p, second: bool):
-        """(position, jacobian, second or None) from one jet pass over p.
+        """(position, jacobian, blocks or None) from one jet pass over p.
 
         ``components`` receives ``Columns``: a one-variable seed per
         column it reads alone and one component-axis seed per range it
         reads whole, so a part carries derivatives only on its support,
-        the parameters it depends on.  Each part is written straight
-        into its rows of the dense (..., K, n) and (..., K, n, n) arrays
-        by ``_scatter_vector``; the parts are never joined first.
-        Without ``second`` the seeds are value+gradient ``Jet1`` jets and
-        no Hessian is formed.
+        the parameters it depends on.  Each part's value and gradient are
+        written straight into its rows of the dense (..., K) and
+        (..., K, n) arrays by ``_scatter_vector``; its Hessian stays on
+        its support, in the ``Block``s of ``_blocks``.  Without
+        ``second`` the seeds are value+gradient ``Jet1`` jets and no
+        Hessian is formed.
         """
         p = np.asarray(p, dtype=np.float64)
         self._check_point_shape(p)
@@ -180,20 +242,19 @@ class Immersion:
         placed = self._outputs(cols)
         position = np.empty(batch + (K,))
         jacobian = np.zeros(batch + (K, n))
-        hessians = np.zeros(batch + (K, n, n)) if second else None
         for part, rows in placed:
-            _scatter_vector(part, rows, position, jacobian, hessians)
-        return position, jacobian, hessians
+            _scatter_vector(part, rows, position, jacobian)
+        return position, jacobian, _blocks(placed) if second else None
 
     def eval(self, p) -> PointEval:
         """Exact first/second derivatives via jets, batched over leading axes.
 
-        The result equals running ``components`` on ``Columns`` whose
-        every seed carries the full support 0..n−1, up to the sign of
-        zero entries.
+        The result, its ``second`` densified, equals running
+        ``components`` on ``Columns`` whose every seed carries the full
+        support 0..n−1, up to the sign of zero entries.
         """
-        position, jacobian, second = self._jets(p, second=True)
-        return PointEval(position=position, jacobian=jacobian, second=second)
+        position, jacobian, blocks = self._jets(p, second=True)
+        return PointEval(position=position, jacobian=jacobian, blocks=blocks)
 
     def _predicates(self, p) -> np.ndarray:
         """OR of the named exclusion predicates over a point batch."""
@@ -230,30 +291,49 @@ class Immersion:
         return mask
 
 
-def _scatter_vector(out, rows, position: np.ndarray, jacobian: np.ndarray,
-                    hessians: np.ndarray | None) -> None:
-    """Write one output part into its ``rows`` of dense arrays.
+def _scatter_vector(out, rows, position: np.ndarray,
+                    jacobian: np.ndarray) -> None:
+    """Write one output part's value and gradient into its ``rows``.
 
     ``out`` is a jet or a plain array (or number): a vector with ``rows``
     a slice of its component count, or a scalar with ``rows`` one index.
-    Its derivatives go to the columns of its support, and the other
-    entries keep what the caller filled in (zeros).  ``hessians`` None
-    skips the Hessian.  The support is written run by run, the Hessian
-    run pair by run pair, as slices: a strided copy per run, where fancy
+    Its gradient goes to the columns of its support, and the other
+    entries keep what the caller filled in (zeros).  The support is
+    written run by run, as slices: a strided copy per run, where fancy
     indexing would gather every entry.
     """
     if not isinstance(out, Jet2):
         position[..., rows] = out
         return
     position[..., rows] = out.value
-    runs = _runs(out.support)
-    for slots, cols in runs:
+    for slots, cols in _runs(out.support):
         jacobian[..., rows, cols] = out.grad[..., slots]
-    if hessians is not None:
-        for slots_i, cols_i in runs:
-            for slots_j, cols_j in runs:
-                hessians[..., rows, cols_i, cols_j] = \
-                    out.hess[..., slots_i, slots_j]
+
+
+def _blocks(placed: list) -> tuple:
+    """The second-order jet parts' Hessians as ``Block``s, in row order.
+
+    Adjacent parts on one support merge into one block, so four scalar
+    coordinates of one chart make one (..., 4, s, s) block.  A part that
+    is no jet has no second derivatives and no block.
+    """
+    runs = []                           # [start, stop, support, hessians]
+    for part, rows in placed:
+        if not isinstance(part, Jet2):
+            continue
+        hess = part.hess
+        if isinstance(rows, slice):
+            start, stop = rows.start, rows.stop
+        else:
+            start, stop, hess = rows, rows + 1, hess[..., None, :, :]
+        if runs and runs[-1][1] == start and runs[-1][2] == part.support:
+            runs[-1][1] = stop
+            runs[-1][3].append(hess)
+        else:
+            runs.append([start, stop, part.support, [hess]])
+    return tuple(Block(slice(start, stop), support,
+                       hs[0] if len(hs) == 1 else np.concatenate(hs, axis=-3))
+                 for start, stop, support, hs in runs)
 
 
 @lru_cache(maxsize=1024)
@@ -289,9 +369,10 @@ def _below_floor(gram: tuple) -> np.ndarray:
 
 
 def metric(pe: PointEval) -> MetricEval:
-    """First fundamental form g = JᵀJ with inverse, determinant and ∂g.
+    """First fundamental form g = JᵀJ with inverse and determinant.
 
-    g and det g come from ``pe.gram`` when ``screen`` carried them.
+    g and det g come from ``pe.gram`` when ``screen`` carried them; ∂g is
+    formed on first read of ``MetricEval.dg``.
     """
     g, det, hadamard = _gram(pe.jacobian) if pe.gram is None else pe.gram
     # a vanishing Jacobian column makes Π g_ii = 0: report the ratio as 0
@@ -302,22 +383,30 @@ def metric(pe: PointEval) -> MetricEval:
         raise DegenerateMetric(
             f"rank-deficient metric: det/Hadamard ratio {worst:.3e} "
             f"<= {RANK_TOL:.1e}")
-    return MetricEval(g=g, g_inv=np.linalg.inv(g), det_g=det,
-                      dg=metric_derivative(pe))
+    return MetricEval(g=g, g_inv=np.linalg.inv(g), det_g=det, pe=pe)
 
 
 def metric_derivative(pe: PointEval) -> np.ndarray:
     """∂ₖ g_ij assembled from first and second derivatives of F.
 
-    Returns shape (..., n, n, n) indexed [k, i, j] = ∂ₖ(∂ᵢF·∂ⱼF).
+    Returns shape (..., n, n, n) indexed [k, i, j] = ∂ₖ(∂ᵢF·∂ⱼF), from
+    the dense ``pe.second``.
     """
-    second = pe.second
-    n = second.shape[-1]
-    # one batched matmul: (..., n·n, K) @ (..., K, n) -> (..., n·n, n)
-    flat = np.swapaxes(second.reshape(second.shape[:-2] + (n * n,)), -1, -2)
-    t = np.matmul(flat, pe.jacobian)
-    t = t.reshape(t.shape[:-2] + (n, n, n))
-    return t + np.swapaxes(t, -1, -2)
+    return _gram_derivative(pe.second, pe.jacobian)
+
+
+def _gram_derivative(second: np.ndarray, jacobian: np.ndarray) -> np.ndarray:
+    """Σ_a ∂ₖ∂ᵢF^a ∂ⱼF^a + ∂ᵢF^a ∂ₖ∂ⱼF^a over rows a, shape (..., s, s, s).
+
+    ``second`` is (..., r, s, s) and ``jacobian`` (..., r, s), on any s
+    parameters that carry all the rows' derivatives.
+    """
+    s = second.shape[-1]
+    # one batched matmul: (..., s·s, r) @ (..., r, s) -> (..., s·s, s)
+    flat = second.reshape(second.shape[:-2] + (s * s,)).swapaxes(-1, -2)
+    t = flat @ jacobian
+    t = t.reshape(t.shape[:-2] + (s, s, s))
+    return t + t.swapaxes(-1, -2)
 
 
 def _divergence_parts(gi: np.ndarray, dg: np.ndarray):
@@ -332,20 +421,48 @@ def _divergence_parts(gi: np.ndarray, dg: np.ndarray):
 
 def laplace_from_pointeval(pe: PointEval, form: str = "contraction",
                            met: MetricEval | None = None) -> np.ndarray:
-    """Δ_g F from a PointEval; ``form`` picks the independent assembly route."""
+    """Δ_g F from a PointEval; ``form`` picks the independent assembly route.
+
+    The contraction form runs block by block on ``pe.blocks``; the
+    divergence form reads the dense ``pe.second`` and ``met.dg``.
+    """
+    if form not in ("contraction", "divergence"):
+        raise ValueError(f"unknown Laplace-Beltrami form: {form!r}")
     met = met or metric(pe)
-    gi, dg = met.g_inv, met.dg
-    trace2 = np.einsum("...ij,...aij->...a", gi, pe.second)
-    if form == "contraction":
-        # c_k = g^{ij} Γ_{kij} = g^{ij}∂ᵢg_{jk} − ½ g^{ij}∂ₖg_{ij}
-        c = np.einsum("...ij,...ijk->...k", gi, dg) \
-            - 0.5 * np.einsum("...ij,...kij->...k", gi, dg)
-        corr = np.einsum("...lk,...k,...al->...a", gi, c, pe.jacobian)
-        return trace2 - corr
+    gi = met.g_inv
     if form == "divergence":
+        trace2 = np.einsum("...ij,...aij->...a", gi, pe.second)
         return trace2 + np.einsum("...j,...aj->...a",
                                   met.coordinate_laplacians, pe.jacobian)
-    raise ValueError(f"unknown Laplace-Beltrami form: {form!r}")
+    # per block on support S: g^{ij}∂ᵢ∂ⱼF of its rows, and its share of
+    # c_k = g^{ij} Γ_{kij} = g^{ij}∂ᵢg_{jk} − ½ g^{ij}∂ₖg_{ij}, whose ∂g
+    # terms from these rows lie on S³
+    trace2 = np.zeros(pe.position.shape)
+    c = np.zeros(gi.shape[:-1])
+    for rows, support, hess in pe.blocks:
+        square, cols = _support_index(support)
+        gs = np.ascontiguousarray(gi[square])   # einsum crawls on views
+        trace2[..., rows] = np.einsum("...ij,...aij->...a", gs, hess)
+        dg = _gram_derivative(hess, pe.jacobian[..., rows, cols])
+        cs = np.einsum("...ij,...ijk->...k", gs, dg) \
+            - 0.5 * np.einsum("...ij,...kij->...k", gs, dg)
+        for slots, run in _runs(support):
+            c[..., run] += cs[..., slots]
+    corr = np.einsum("...lk,...k,...al->...a", gi, c, pe.jacobian)
+    return trace2 - corr
+
+
+@lru_cache(maxsize=1024)
+def _support_index(support: tuple) -> tuple:
+    """(index of the S×S block of an (..., n, n) array, of an n axis).
+
+    Slices when the support S is contiguous, else integer arrays.
+    """
+    runs = _runs(support)
+    if len(runs) == 1:
+        return (Ellipsis, runs[0][1], runs[0][1]), runs[0][1]
+    cols = np.array(support, dtype=np.intp)
+    return (Ellipsis, cols[:, None], cols), cols
 
 
 def mean_curvature(pe: PointEval) -> MeanCurvatureEval:

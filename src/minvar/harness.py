@@ -59,6 +59,7 @@ from .families import (
     standard_chart,
 )
 from .geometry import (
+    Block,
     Immersion,
     PointEval,
     mean_curvature,
@@ -339,7 +340,8 @@ def _sample(imm: Immersion, plan: SamplePlan, evaluate: bool = True):
 def _in_point_order(pieces: list, count: int) -> PointEval:
     """One PointEval of all points from each round's accepted rows.
 
-    The screen's ``gram`` is gathered with the other rows.
+    Each block's Hessians and the screen's ``gram`` are gathered with the
+    other rows; every round has the same blocks.
     """
     if len(pieces) == 1:
         return pieces[0][1]             # round 1 accepted every point
@@ -350,8 +352,12 @@ def _in_point_order(pieces: list, count: int) -> PointEval:
             out[indices] = part[rows]
         return out
     pes = [pe for _, pe, _ in pieces]
-    return PointEval(*(gather([getattr(pe, name) for pe in pes])
-                       for name in ("position", "jacobian", "second")),
+    blocks = tuple(
+        Block(rows, support, gather([pe.blocks[b].hess for pe in pes]))
+        for b, (rows, support, _) in enumerate(pes[0].blocks))
+    return PointEval(position=gather([pe.position for pe in pes]),
+                     jacobian=gather([pe.jacobian for pe in pes]),
+                     blocks=blocks,
                      gram=tuple(map(gather, zip(*(pe.gram for pe in pes)))))
 
 

@@ -36,7 +36,8 @@ result, with layouts memoized per support pair:
 ``variables`` seeds every jet on the full support, so ``jet_eval`` and
 ``fd_jet`` return dense (..., n) and (..., n, n) derivatives;
 ``Immersion.eval`` hands its component map ``Columns``, which seed on
-demand, and scatters each output into dense arrays once.  A derivative
+demand, writes each output's value and gradient into dense arrays and
+keeps its Hessian on its support (``geometry.Block``).  A derivative
 entry outside a support is a structural zero that the dense formulas would
 have computed as ±0.0 from zero operands, so sparse and dense seeding agree
 exactly up to the sign of zero entries.

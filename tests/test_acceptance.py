@@ -28,6 +28,7 @@ from minvar.families import (
     standard_block,
 )
 from minvar.geometry import (
+    Block,
     PointEval,
     laplace_from_pointeval,
     mean_curvature,
@@ -266,7 +267,7 @@ def _fd_pointeval(imm, pts, policy):
     return PointEval(
         position=np.stack([j.value for j in parts], axis=-1),
         jacobian=np.stack([j.grad for j in parts], axis=-2),
-        second=np.stack([j.hess for j in parts], axis=-3))
+        blocks=(Block.full(np.stack([j.hess for j in parts], axis=-3)),))
 
 
 def test_c8_engine_self_consistency():

@@ -9,6 +9,7 @@ import pytest
 from minvar import geometry, jets
 from minvar.errors import DegenerateMetric, DimensionMismatch, NotSpherical
 from minvar.geometry import (
+    Block,
     Immersion,
     PointEval,
     _divergence_parts,
@@ -212,7 +213,9 @@ def test_contraction_and_divergence_forms_agree():
             b = laplace_from_pointeval(pe, form="divergence", met=met)
             scale = 1.0 + np.sum(pe.jacobian ** 2, axis=(-2, -1))
             gap = float(np.max(np.linalg.norm(a - b, axis=-1) / scale))
-            assert gap <= 1e-8, (label, seed, gap)
+            # helicoid-slice samples points with κ(J) in the thousands
+            bound = 3.6e-10 if label == "helicoid-slice" else 1.4e-15
+            assert gap <= bound, (label, seed, gap)
 
 
 def test_unknown_form_rejected():
@@ -234,7 +237,7 @@ def test_fd_pointeval_reproduces_jet_curvature():
     pe_fd = PointEval(
         position=np.stack([j.value for j in fd_parts], axis=-1),
         jacobian=np.stack([j.grad for j in fd_parts], axis=-2),
-        second=np.stack([j.hess for j in fd_parts], axis=-3),
+        blocks=(Block.full(np.stack([j.hess for j in fd_parts], axis=-3)),),
     )
     lap_fd = laplace_from_pointeval(pe_fd)
     lap = laplace_from_pointeval(imm.eval(pts))
@@ -535,6 +538,77 @@ def test_sparse_eval_equals_dense_seeding(label, imm):
             + (imm.param_dim,) * 2
 
 
+def _dense_contraction(pe, absolute=False):
+    """The contraction form as dense einsums over ``pe.second`` and
+    ``metric_derivative``; with ``absolute``, the same sums over the
+    operands' absolute values, the scale of their rounding error."""
+    op = np.abs if absolute else (lambda a: a)
+    sign = 1.0 if absolute else -1.0
+    gi, dg = op(metric(pe).g_inv), op(metric_derivative(pe))
+    trace2 = np.einsum("...ij,...aij->...a", gi, op(pe.second))
+    c = np.einsum("...ij,...ijk->...k", gi, dg) \
+        + sign * 0.5 * np.einsum("...ij,...kij->...k", gi, dg)
+    return trace2 + sign * np.einsum("...lk,...k,...al->...a", gi, c,
+                                     op(pe.jacobian))
+
+
+# every dense-oracle case with a metric (a point chart has none)
+CONTRACTION_CASES = [(label, imm) for label, imm in DENSE_ORACLE_IMMERSIONS
+                     if imm.param_dim]
+
+
+@pytest.mark.parametrize("label,imm", CONTRACTION_CASES,
+                         ids=[label for label, _ in CONTRACTION_CASES])
+def test_blockwise_contraction_equals_dense_reference(label, imm):
+    # the block-by-block sums regroup the dense ones, so the two differ
+    # by rounding alone: at most a few ulps of the summands' magnitudes
+    from minvar.harness import SamplePlan, sample_points
+
+    pts, _ = sample_points(imm, SamplePlan(count=24, seed=29))
+    for p in (pts, pts[:6].reshape(2, 3, -1), pts[0]):
+        pe = imm.eval(p)
+        got = laplace_from_pointeval(pe)
+        want = _dense_contraction(pe)
+        scale = 1.0 + np.linalg.norm(_dense_contraction(pe, absolute=True),
+                                     axis=-1)
+        assert got.shape == want.shape
+        gap = np.linalg.norm(got - want, axis=-1) / scale
+        assert float(np.max(gap)) <= 1e-13, (label, p.shape)
+
+
+def test_eval_merges_adjacent_parts_on_one_support():
+    from minvar import families
+    from minvar.harness import default_campaign
+
+    campaign = dict(default_campaign())
+    layouts = {
+        # four scalar coordinates of one chart: one block
+        "lawson-surface": [(slice(0, 4), (0, 1))],
+        # two pairs and an axial scalar on three supports: three blocks
+        "planes-helicoid": [(slice(0, 2), (0, 1)), (slice(2, 4), (0, 2)),
+                            (slice(4, 5), (0,))],
+        "helicoid-blocks": [(slice(0, 4), (0, 1, 4, 5)),
+                            (slice(4, 8), (2, 3, 4, 6)), (slice(8, 9), (4,))],
+        "control-latitude": [(slice(0, 2), (0,))],      # row 2 is constant
+    }
+    for label, layout in layouts.items():
+        imm = families.build_immersion(campaign[label])
+        p = rng_points(imm, 5, seed=3)
+        pe = imm.eval(p)
+        assert [(b.rows, b.support) for b in pe.blocks] == layout, label
+        for rows, support, hess in pe.blocks:
+            r = rows.stop - rows.start
+            assert hess.shape == (5, r, len(support), len(support))
+    # a single block over every row and column is the dense tensor itself
+    torus = families.build_immersion(campaign["clifford-torus"])
+    pe = torus.eval(rng_points(torus, 5, seed=3))
+    assert len(pe.blocks) == 1 and pe.second is pe.blocks[0].hess
+    second = np.zeros((3, 4, 2, 2))
+    pe = PointEval(position=np.zeros((3, 4)), jacobian=np.zeros((3, 4, 2)),
+                   blocks=(Block.full(second),))
+    assert pe.second is second
+
+
 @pytest.mark.parametrize("label,imm", ORACLE_IMMERSIONS,
                          ids=[label for label, _ in ORACLE_IMMERSIONS])
 def test_first_order_guard_equals_second_order_eval(monkeypatch, label,
@@ -603,9 +677,10 @@ def test_metric_derivative_matches_einsum_reference(batch):
     # any mix-up of the k, i, j axes shows
     rng = np.random.default_rng(23)
     K, n = 19, 16
+    second = rng.standard_normal(batch + (K, n, n))
     pe = PointEval(position=rng.standard_normal(batch + (K,)),
                    jacobian=rng.standard_normal(batch + (K, n)),
-                   second=rng.standard_normal(batch + (K, n, n)))
+                   blocks=(Block.full(second),))
     dg = metric_derivative(pe)
     ref = _einsum_metric_derivative(pe)
     assert dg.shape == ref.shape == batch + (n, n, n)
@@ -628,6 +703,6 @@ def test_vanishing_jacobian_column_reports_ratio_zero_without_warning():
             helicoid_algebra(spec, np.array([0.3, -0.4, 0.5, 0.0]))
         jac = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
         pe = PointEval(position=np.zeros(3), jacobian=jac,
-                       second=np.zeros((3, 2, 2)))
+                       blocks=(Block.full(np.zeros((3, 2, 2))),))
         with pytest.raises(DegenerateMetric, match=r"ratio 0\.000e\+00"):
             metric(pe)

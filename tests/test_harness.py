@@ -379,6 +379,12 @@ class TestOneEvaluationPerDraw:
         ref = imm.eval(points)
         for name in ("position", "jacobian", "second"):
             assert getattr(pe, name).tobytes() == getattr(ref, name).tobytes()
+        # each block's Hessians are gathered row by row, as eval lays them
+        assert len(pe.blocks) == len(ref.blocks)
+        for got, want in zip(pe.blocks, ref.blocks):
+            assert (got.rows, got.support) == (want.rows, want.support)
+            assert got.hess.shape == want.hess.shape
+            assert got.hess.tobytes() == want.hess.tobytes()
         # the floor test's Gram rides along, gathered in point order
         for got, want in zip(pe.gram, geometry._gram(pe.jacobian)):
             assert got.tobytes() == want.tobytes()
@@ -387,6 +393,28 @@ class TestOneEvaluationPerDraw:
             want = harness._minimality_residuals(spec, ref)
             for g, w in zip(got, want):
                 assert g.tobytes() == w.tobytes()
+
+
+def test_verify_path_keeps_hessians_on_their_supports(monkeypatch):
+    # GenHelicoidA L3 N2 (n = 16, K = 19) at 1000 points: a dense
+    # (..., K, n, n) second is 38.9 MB and a dense (..., n, n, n) ∂g
+    # 32.8 MB, so either one on the verify path breaks the 30 MB bound
+    import tracemalloc
+
+    def dense(*_):
+        raise AssertionError("dense second derivatives on the verify path")
+    monkeypatch.setattr(geometry, "metric_derivative", dense)
+    monkeypatch.setattr(geometry.PointEval, "second", property(dense))
+    spec = GenHelicoidA(pitch=PitchVector(0.8, (1.2, 0.9, 0.6)),
+                        blocks=(standard_block(2),) * 3)
+    tracemalloc.start()
+    try:
+        report = verify_minimality(spec, SamplePlan(count=1000, seed=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.all_expected
+    assert peak < 30e6, f"tracemalloc peak {peak / 1e6:.1f} MB"
 
 
 class TestVerifyMinimality:
@@ -688,8 +716,8 @@ PINNED_TAKAHASHI = (
     '0.5773502691896257, "points_evaluated": 2, "points_excluded": 0, '
     '"tolerance": 1e-08, "expected": "FAIL-EXPECTED", "verdict": '
     '"FAIL-EXPECTED"}, {"name": "sphere-join", "max_residual": '
-    '0.5773502691896258, "mean_residual": 0.5773502691896257, '
-    '"min_residual": 0.5773502691896257, "points_evaluated": 2, '
+    '0.577350269189626, "mean_residual": 0.577350269189626, '
+    '"min_residual": 0.5773502691896258, "points_evaluated": 2, '
     '"points_excluded": 0, "tolerance": 1e-08, "expected": "FAIL-EXPECTED", '
     '"verdict": "FAIL-EXPECTED"}, {"name": "cone-rays", "max_residual": '
     '0.3660304529404577, "mean_residual": 0.34642141757787037, '
@@ -709,12 +737,12 @@ PINNED_SLICE = (
     '"stereographic"}}]}}, "plan": {"count": 2, "seed": 3, "box": null, '
     '"max_rejects": 200}, "tolerances": {"tol_H": 1e-08, "tol_identity": '
     '1e-09, "tol_negative": 0.01}, "checks": [{"name": "minimality", '
-    '"max_residual": 1.0707735213540931e-12, "mean_residual": '
-    '5.356318864617616e-13, "min_residual": 4.902515694300237e-16, '
+    '"max_residual": 1.0706731641672214e-12, "mean_residual": '
+    '5.355621174590472e-13, "min_residual": 4.510707508730806e-16, '
     '"points_evaluated": 2, "points_excluded": 0, "tolerance": 1e-08, '
     '"expected": "PASS", "verdict": "PASS"}, {"name": "tangential-residual", '
-    '"max_residual": 1.0262214978824888e-12, "mean_residual": '
-    '5.133219193862735e-13, "min_residual": 4.2234089005821366e-16, '
+    '"max_residual": 1.0254046847627708e-12, "mean_residual": '
+    '5.128929508961336e-13, "min_residual": 3.812170294964092e-16, '
     '"points_evaluated": 2, "points_excluded": 0, "tolerance": 1e-08, '
     '"expected": "PASS", "verdict": "PASS"}], "engine_version": "0.1.0", '
     '"wall_time": 0.25}')
