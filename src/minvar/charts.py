@@ -20,8 +20,10 @@ with a trailing component axis (see ``jets``): the chart's parameter
 range arrives as one component-axis jet seeded on it (or one (..., d)
 array for positions), the chart returns its dim+1 coordinates as one
 vector, and the block joins X/√2 and ±Y/√2 into C and D and applies its
-unitary column by column.  ``clifford_frame`` and ``Immersion.eval`` read
-the same vectors.  The maps take ``jets.Columns`` only.
+unitary column by column.  ``embed_pair`` gives C and a first-order D
+from one pass of each chart; ``pair_frame`` builds the frame from them,
+and ``Immersion.eval`` reads the same C.  The maps take ``jets.Columns``
+only.
 """
 
 from __future__ import annotations
@@ -32,14 +34,7 @@ import numpy as np
 
 from . import jets
 from .errors import ChartDomainError, DimensionMismatch, DomainError, SpecError
-from .geometry import (
-    Immersion,
-    MetricEval,
-    PointEval,
-    _blocks,
-    _scatter_vector,
-    metric,
-)
+from .geometry import Block, Immersion, MetricEval, PointEval, metric
 
 __all__ = [
     "SphereChart",
@@ -47,6 +42,7 @@ __all__ = [
     "CliffordFrame",
     "apply_complex_structure",
     "clifford_frame",
+    "pair_frame",
     "rotate_block",
     "matrix_tuple",
 ]
@@ -97,6 +93,19 @@ def rotate_block(vec, angle):
     half = m // 2
     jv = jets.concat([-jets.take(vec, half, m), jets.take(vec, 0, half)])
     return jets.lift(jets.cos(angle)) * vec + jets.lift(jets.sin(angle)) * jv
+
+
+def _first_order(x):
+    """A jet's value and gradient as a ``Jet1``; an array as it is."""
+    if isinstance(x, jets.Jet2):
+        return jets.Jet1(x.value, x.grad, x.support)
+    return x
+
+
+def _join(x, y, unitary):
+    """(x; y) as one vector, then the block unitary if there is one."""
+    f = jets.concat([x, y])
+    return f if unitary is None else jets.linear_map(unitary, f)
 
 
 def _jet_values(x):
@@ -250,36 +259,39 @@ class CliffordBlock:
     def domain_box(self) -> tuple[tuple[float, float], ...]:
         return self.chart_x.domain_box() + self.chart_y.domain_box()
 
-    def _fields(self, cols, signs: tuple) -> list:
-        """(X; ±Y)/√2, one vector per sign, from one pass of each chart.
-
-        Every field reuses X/√2; −Y/√2 is the negation of Y/√2, which
-        has the bits of (−1/√2)·Y.  ``cols`` are ``Columns``.
-        """
+    def _charts(self, cols) -> tuple:
+        """(X/√2, Y/√2) at chart ``Columns``, one pass of each chart."""
         if len(cols) != self.param_dim:
             raise SpecError(f"block expects {self.param_dim} parameters, "
                             f"got {len(cols)}")
         nx = self.chart_x.param_dim
         inv = 1.0 / np.sqrt(2.0)
-        x = inv * self.chart_x.embed(cols[:nx])
-        y = inv * self.chart_y.embed(cols[nx:])
-        unitary = self.unitary_matrix
-        out = []
-        for sign in signs:
-            f = jets.concat([x, y if sign > 0 else -y])
-            if unitary is not None:
-                f = jets.linear_map(unitary, f)
-            out.append(f)
-        return out
+        return (inv * self.chart_x.embed(cols[:nx]),
+                inv * self.chart_y.embed(cols[nx:]))
 
     def embed(self, cols):
         """C at chart ``Columns``, as one vector."""
-        return self._fields(cols, (1.0,))[0]
+        x, y = self._charts(cols)
+        return _join(x, y, self.unitary_matrix)
 
     def embed_pair(self, cols) -> tuple:
-        """(C, D) at chart ``Columns``, each embedded chart shared."""
-        c, d = self._fields(cols, (1.0, -1.0))
-        return c, d
+        """(C, D) at chart ``Columns`` from one pass of each chart.
+
+        C has the order of ``cols``; D is first order (value and
+        gradient), as ``CliffordFrame`` reads no d²D, so its join and
+        unitary carry no Hessian.  Both have ``embed``'s and
+        ``dual_immersion``'s bits: −Y/√2 is the negation of Y/√2, which
+        has the bits of (−1/√2)·Y.
+        """
+        x, y = self._charts(cols)
+        unitary = self.unitary_matrix
+        return (_join(x, y, unitary),
+                _join(_first_order(x), -_first_order(y), unitary))
+
+    def _dual(self, cols):
+        """D = (X; −Y)/√2 at chart ``Columns``, at their order."""
+        x, y = self._charts(cols)
+        return _join(x, -y, self.unitary_matrix)
 
     def immersion(self) -> Immersion:
         return Immersion(param_dim=self.param_dim, ambient_dim=self.ambient_dim,
@@ -289,7 +301,7 @@ class CliffordBlock:
 
     def dual_immersion(self) -> Immersion:
         return Immersion(param_dim=self.param_dim, ambient_dim=self.ambient_dim,
-                         components=lambda cols: self._fields(cols, (-1.0,))[0],
+                         components=self._dual,
                          domain=self.domain_box(),
                          name=f"clifford-dual-S{self.sphere_dim}")
 
@@ -321,40 +333,47 @@ def clifford_frame(block: CliffordBlock, p) -> CliffordFrame:
     """Second-order frame of the torus map at chart points p (..., n).
 
     C and D come from one ``embed_pair`` on second-order ``Columns``, so
-    each chart is embedded once, and are scattered into one dense
-    (..., 2K) position and Jacobian array as ``Immersion.eval`` scatters
-    an output; C's Hessian is the one ``Block`` of its ``PointEval``, as
-    ``Immersion.eval`` keeps it.  Their values and derivatives are those
-    of ``block.immersion().eval(p)`` and ``block.dual_immersion().eval(p)``
-    byte for byte.  Non-finite points raise ``DomainError``.
+    each chart is embedded once (``pair_frame``).  Their values and
+    derivatives are those of ``block.immersion().eval(p)`` and
+    ``block.dual_immersion().eval(p)`` byte for byte.  Non-finite points
+    raise ``DomainError``.
     """
     p = np.asarray(p, dtype=np.float64)
-    n, K = block.param_dim, block.ambient_dim
+    n = block.param_dim
     if p.ndim == 0 or p.shape[-1] != n:
         raise DimensionMismatch(f"clifford frame: expected points with {n} "
                                 f"coordinates, got shape {p.shape}")
     if not np.all(np.isfinite(p)):
         raise DomainError("clifford frame: non-finite chart point")
-    batch = p.shape[:-1]
-    position = np.empty(batch + (2 * K,))
-    jacobian = np.zeros(batch + (2 * K, n))
-    c_jet, d_jet = block.embed_pair(jets.Columns(p, 2))
-    _scatter_vector(c_jet, slice(0, K), position, jacobian)
-    _scatter_vector(d_jet, slice(K, 2 * K), position, jacobian)
-    C, D = position[..., :K], position[..., K:]
-    dC, dD = jacobian[..., :K, :], jacobian[..., K:, :]
-    pe_c = PointEval(position=C, jacobian=dC,
-                     blocks=_blocks([(c_jet, slice(0, K))]))
+    return pair_frame(block, *block.embed_pair(jets.Columns(p, 2)))
+
+
+def pair_frame(block: CliffordBlock, c, d) -> CliffordFrame:
+    """The frame of ``block`` from its ``embed_pair`` (C, D).
+
+    C is second order and D first order, on the block's contiguous chart
+    range wherever it sits among the caller's columns, so C, dC and d²C
+    are the jet's own slots in chart order; C's ``PointEval`` is its one
+    ``Block``.  An N = 0 block has no parameters and hands back arrays,
+    whose derivatives are empty.
+    """
+    if isinstance(c, jets.Jet2):
+        C, dC, d2C, D, dD = c.value, c.grad, c.hess, d.value, d.grad
+    else:
+        C, D = c, d
+        dC = dD = np.zeros(C.shape + (0,))
+        d2C = np.zeros(C.shape + (0, 0))
     jc = apply_complex_structure(C)
     jdc = np.swapaxes(apply_complex_structure(np.swapaxes(dC, -1, -2)),
                       -1, -2)
     w = np.einsum("...aj,...a->...j", dC, jc)
-    dw = np.einsum("...aik,...a->...ki", pe_c.second, jc) \
+    dw = np.einsum("...aik,...a->...ki", d2C, jc) \
         + np.einsum("...ai,...ak->...ki", dC, jdc)
     dm = np.einsum("...ai,...a->...i", dD, jc) \
         + np.einsum("...ai,...a->...i", jdc, D)
+    pe_c = PointEval(position=C, jacobian=dC, blocks=(Block.full(d2C),))
     return CliffordFrame(C=C, D=D, JC=jc, JD=apply_complex_structure(D),
-                         dC=dC, dD=dD, d2C=pe_c.second, w=w,
+                         dC=dC, dD=dD, d2C=d2C, w=w,
                          m=np.einsum("...a,...a->...", D, jc),
                          metric=metric(pe_c), dw=dw, dm=dm,
                          split=block.chart_x.param_dim)

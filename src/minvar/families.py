@@ -271,34 +271,51 @@ class GenHelicoidA(_Family):
         return self._with_parts()[0]
 
     def _with_parts(self):
-        """(the helicoid, its blocks' map (cols, radii) ↦ parts).
+        """(the helicoid, its blocks' map (cols, radii) ↦ ``sweep`` parts).
 
-        The parts are the blocks r_t·e^{iλ_tΘ}C_t with the radii handed
-        in; the axial coordinate λ₀Θ is not among them.
+        Both embed each block on its chart range and hand the vectors to
+        ``sweep``; the helicoid's map is ``components``.
         """
         blocks = self.blocks
         L = len(blocks)
         spans = _block_spans(blocks)
-        theta_index = self._theta_index
-        lam0 = self.pitch.lambda0
-        lams = self.pitch.lambdas
+
+        def embed(cols):
+            return [b.embed(cols[lo:hi]) for b, (lo, hi) in zip(blocks, spans)]
 
         def parts(cols, radii):
-            th = cols[theta_index]
-            return [r * rotate_block(b.embed(cols[lo:hi]), lam * th)
-                    for r, b, (lo, hi), lam in zip(radii, blocks, spans, lams)]
-
-        def comps(cols):
-            return parts(cols, _radii(cols, theta_index + 1, L)) \
-                + [lam0 * cols[theta_index]]
+            return self.sweep(cols, embed(cols), radii)
 
         domain = tuple(bx for b in blocks for bx in b.domain_box()) \
             + (THETA_BOX,) + (RADIAL_BOX,) * L
         return Immersion(
-            param_dim=theta_index + 1 + L,
+            param_dim=self._theta_index + 1 + L,
             ambient_dim=sum(b.ambient_dim for b in blocks) + 1,
-            components=comps, domain=domain,
+            components=lambda cols: self.components(cols, embed(cols)),
+            domain=domain,
             name=f"helicoid-a-L{L}-N{blocks[0].sphere_dim}"), parts
+
+    def sweep(self, cols, vectors, radii) -> list:
+        """The blocks r_t·e^{iλ_tΘ}C_t from their vectors C_t at ``cols``.
+
+        ``vectors`` are the blocks' C_t, embedded on their chart ranges of
+        ``cols``; the radii are handed in.  The axial coordinate λ₀Θ is
+        not among the parts.
+        """
+        th = cols[self._theta_index]
+        return [r * rotate_block(c, lam * th)
+                for r, c, lam in zip(radii, vectors, self.pitch.lambdas)]
+
+    def components(self, cols, vectors) -> list:
+        """The helicoid's parts from its blocks' vectors C_t at ``cols``.
+
+        ``sweep`` with the radius columns, then λ₀Θ: the immersion's map
+        when the vectors are ``CliffordBlock.embed``'s.
+        """
+        theta_index = self._theta_index
+        return self.sweep(cols, vectors, _radii(cols, theta_index + 1,
+                                                len(self.blocks))) \
+            + [self.pitch.lambda0 * cols[theta_index]]
 
 
 @dataclass(frozen=True)
@@ -452,10 +469,10 @@ class LawsonSurface(_Family):
 
         def comps(cols):
             t, th = cols
-            return [jets.cos(t) * jets.cos(l1 * th),
-                    jets.cos(t) * jets.sin(l1 * th),
-                    jets.sin(t) * jets.cos(l2 * th),
-                    jets.sin(t) * jets.sin(l2 * th)]
+            cos_t, sin_t = jets.cos(t), jets.sin(t)
+            a1, a2 = l1 * th, l2 * th
+            return [cos_t * jets.cos(a1), cos_t * jets.sin(a1),
+                    sin_t * jets.cos(a2), sin_t * jets.sin(a2)]
 
         # keep sin t and cos t away from 0 so neither rotation circle collapses
         margin = 0.15
@@ -687,8 +704,11 @@ def _section(cone: Immersion, parts, chart: SphereChart, ambient_dim: int,
 
 def _block_spans(blocks) -> list[tuple[int, int]]:
     """(start, stop) of each block's chart parameters, laid end to end."""
-    stops = np.cumsum([b.param_dim for b in blocks], dtype=int).tolist()
-    return [(hi - b.param_dim, hi) for b, hi in zip(blocks, stops)]
+    spans, lo = [], 0
+    for b in blocks:
+        spans.append((lo, lo + b.param_dim))
+        lo = spans[-1][1]
+    return spans
 
 
 def spec_dimensions(spec: FamilySpec) -> tuple[int, int]:

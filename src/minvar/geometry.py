@@ -205,16 +205,17 @@ class Immersion:
         self._check_point_shape(p)
         cols = Columns(p, 0)
         position = np.empty(cols.batch + (self.ambient_dim,))
-        for part, rows in self._outputs(cols):
+        for part, rows in self._place(self.components(cols), cols.batch):
             position[..., rows] = part
         return position
 
-    def _outputs(self, cols: Columns) -> list:
-        """``components(cols)`` as (part, rows) pairs (``jets.place``).
+    def _place(self, outs, batch: tuple) -> list:
+        """A component map's output ``outs`` as (part, rows) pairs.
 
-        Raises DimensionMismatch unless the rows add up to ``ambient_dim``.
+        Raises DimensionMismatch unless the rows add up to ``ambient_dim``
+        (``jets.place``).
         """
-        placed, count = place(self.components(cols), cols.batch)
+        placed, count = place(outs, batch)
         if count != self.ambient_dim:
             raise DimensionMismatch(
                 f"{self.name or 'immersion'}: component map returned "
@@ -227,24 +228,29 @@ class Immersion:
         ``components`` receives ``Columns``: a one-variable seed per
         column it reads alone and one component-axis seed per range it
         reads whole, so a part carries derivatives only on its support,
-        the parameters it depends on.  Each part's value and gradient are
-        written straight into its rows of the dense (..., K) and
-        (..., K, n) arrays by ``_scatter_vector``; its Hessian stays on
-        its support, in the ``Block``s of ``_blocks``.  Without
-        ``second`` the seeds are value+gradient ``Jet1`` jets and no
-        Hessian is formed.
+        the parameters it depends on.  Without ``second`` the seeds are
+        value+gradient ``Jet1`` jets and no Hessian is formed.
         """
         p = np.asarray(p, dtype=np.float64)
         self._check_point_shape(p)
-        n, K = self.param_dim, self.ambient_dim
         cols = Columns(p, 2 if second else 1)
-        batch = cols.batch
-        placed = self._outputs(cols)
-        position = np.empty(batch + (K,))
-        jacobian = np.zeros(batch + (K, n))
+        return self.assemble(self.components(cols), cols)
+
+    def assemble(self, outs, cols: Columns):
+        """(position, jacobian, blocks or None) of map output at ``cols``.
+
+        ``outs`` is what ``components(cols)`` returns, or parts built the
+        same way from shared jets.  Each part's value and gradient are
+        written straight into its rows of the dense (..., K) and
+        (..., K, n) arrays by ``_scatter_vector``; at second order its
+        Hessian stays on its support, in the ``Block``s of ``_blocks``.
+        """
+        placed = self._place(outs, cols.batch)
+        position = np.empty(cols.batch + (self.ambient_dim,))
+        jacobian = np.zeros(cols.batch + (self.ambient_dim, self.param_dim))
         for part, rows in placed:
             _scatter_vector(part, rows, position, jacobian)
-        return position, jacobian, _blocks(placed) if second else None
+        return position, jacobian, _blocks(placed) if cols.order == 2 else None
 
     def eval(self, p) -> PointEval:
         """Exact first/second derivatives via jets, batched over leading axes.
@@ -253,8 +259,7 @@ class Immersion:
         ``components`` on ``Columns`` whose every seed carries the full
         support 0..n−1, up to the sign of zero entries.
         """
-        position, jacobian, blocks = self._jets(p, second=True)
-        return PointEval(position=position, jacobian=jacobian, blocks=blocks)
+        return PointEval(*self._jets(p, second=True))
 
     def _predicates(self, p) -> np.ndarray:
         """OR of the named exclusion predicates over a point batch."""

@@ -11,7 +11,9 @@ controls must FAIL by a wide margin (FAIL-EXPECTED), so a
 trivially-agreeing engine cannot slip through.  Each draw is evaluated
 once: the ``PointEval`` that screening computed for the accepted draws,
 with the Gram matrix of the metric-floor test that guards every immersion,
-feeds the residual stage, and every residual reads ``mean_curvature``.
+feeds the residual stage, and every residual reads H = Δ_g F
+(``laplace_from_pointeval``; ``mean_curvature`` where the tangential
+residual is judged too).
 Reports serialize to versioned JSON and are deterministic for a fixed
 (spec, plan, tolerance) triple, except for the wall-time stamp.
 """
@@ -62,6 +64,7 @@ from .geometry import (
     Block,
     Immersion,
     PointEval,
+    laplace_from_pointeval,
     mean_curvature,
     sphere_residual_from_pointeval,
 )
@@ -372,29 +375,29 @@ def _aux_stream(plan: SamplePlan, label: int) -> np.random.Generator:
 # ---------------------------------------------------------------------------
 
 
-def _residuals(pe: PointEval, spherical: bool):
-    """(minimality, tangential) raw residual arrays from ``mean_curvature``.
+def _minimality(pe: PointEval, H: np.ndarray, spherical: bool) -> np.ndarray:
+    """The raw minimality residual of H = Δ_g F at ``pe``.
 
     An immersion into the unit sphere is judged by the sphere target
-    ‖n F + H‖, a Euclidean one by ‖H‖ alone.
+    ‖n F + H‖, a Euclidean one by ‖H‖ alone, as ``mean_curvature``'s
+    ``H_norm`` computes it.
     """
-    mc = mean_curvature(pe)
     if spherical:
-        minimality = sphere_residual_from_pointeval(pe, H=mc.H)
-    else:
-        minimality = mc.H_norm
-    return minimality, mc.tangential_residual
+        return sphere_residual_from_pointeval(pe, H=H)
+    return np.linalg.norm(H, axis=-1)
 
 
 def _minimality_residuals(spec, pe: PointEval):
     """(normalized minimality, normalized tangential) residual arrays.
 
-    Both ``_residuals`` are divided by 1 + the squared Frobenius norm of
-    the Jacobian, so one tolerance serves every cone radius.
+    ``_minimality`` and ``mean_curvature``'s tangential residual, each
+    divided by 1 + the squared Frobenius norm of the Jacobian, so one
+    tolerance serves every cone radius.
     """
     scale = 1.0 + np.einsum("...an,...an->...", pe.jacobian, pe.jacobian)
-    minimality, tangential = _residuals(pe, spec.spherical)
-    return minimality / scale, tangential / scale
+    mc = mean_curvature(pe)
+    return (_minimality(pe, mc.H, spec.spherical) / scale,
+            mc.tangential_residual / scale)
 
 
 def _summarize(name: str, residuals: np.ndarray, tolerance: float,
@@ -511,11 +514,12 @@ def takahashi_equivalence(base, rays: int,
     """Sphere-minimality of a base, of its multi-ray join, and of its cone.
 
     The three verdicts stand or fall together; ``agreement`` records
-    whether they in fact did.  All three routes use the raw ``_residuals``
-    (the sphere defect for the base and the join, the curvature norm for
-    the cone) so a non-minimal base registers loudly on each.  A plan's
-    explicit box, if any, applies to the base chart; the join and cone
-    sample their own domains.
+    whether they in fact did.  All three routes use the raw
+    ``_minimality`` (the sphere defect for the base and the join, the
+    curvature norm for the cone) so a non-minimal base registers loudly on
+    each; they read H = Δ_g F alone and solve for no tangential part.  A
+    plan's explicit box, if any, applies to the base chart; the join and
+    cone sample their own domains.
     """
     started = time.perf_counter()
     if not lands_on_unit_sphere(base):
@@ -536,7 +540,7 @@ def takahashi_equivalence(base, rays: int,
     checks = []
     for name, imm, route_plan, spherical in routes:
         _, rejected, pe = _sample(imm, route_plan)
-        residuals, _ = _residuals(pe, spherical)
+        residuals = _minimality(pe, laplace_from_pointeval(pe), spherical)
         checks.append(_summarize(name, residuals, tol.tol_H, expected,
                                  rejected, tol.tol_negative))
     agreement = len({c.verdict for c in checks}) == 1

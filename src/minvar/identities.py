@@ -13,17 +13,20 @@ infinite coordinate raises ``DomainError`` instead of giving NaN defects:
 ``clifford_frame`` and the helicoid record, which every check reads,
 refuse it.
 
-All frame data comes from ``charts.clifford_frame``, one jet evaluation
-per block and batch.  The three helicoid checks (``helicoid_algebra``,
-``theta_harmonicity`` and ``proof_terms`` for each block) read one shared
-record of a batch: per block C, JD, m, w, ∂m, g⁻¹, det g and the
-divergence summands, and for the whole helicoid its metric, Δ_G Θ and the
-divergence-form Δ_G F.  It is built from one frame pass per block and one
-helicoid ``Immersion.eval``, keeps no second-derivative arrays, and its
-arrays are read-only.  Only the last batch's record is memoized, keyed by
-the spec and the points' shape and bytes, so running every helicoid check
-on one batch costs one evaluation, while a different batch in between
-evicts it.
+All frame data comes from ``CliffordBlock.embed_pair``, one pass of each
+chart per block and batch, through ``charts.pair_frame``.  The three
+helicoid checks (``helicoid_algebra``, ``theta_harmonicity`` and
+``proof_terms`` for each block) read one shared record of a batch: per
+block C, JD, m, w, ∂m, g⁻¹, det g and the divergence summands, and for the
+whole helicoid its metric, Δ_G Θ and the divergence-form Δ_G F.  Each
+block's C feeds both its frame and the helicoid's parts
+(``_shared_pass``): 2L chart embeddings per batch and no
+``Immersion.eval``, while the two proof routes share nothing downstream
+of C.  The record keeps no second-derivative arrays, and its arrays are
+read-only.  Only the last batch's record is memoized, keyed by the spec
+and the points' shape and bytes, so running every helicoid check on one
+batch costs one evaluation, while a different batch in between evicts
+it.
 """
 
 from __future__ import annotations
@@ -37,15 +40,18 @@ from .charts import (
     CliffordBlock,
     CliffordFrame,
     clifford_frame,
+    pair_frame,
     rotate_block,
 )
 from .errors import DimensionMismatch, DomainError, SpecError
 from .families import GenHelicoidA, _block_spans, build_immersion
 from .geometry import (
+    PointEval,
     _divergence_parts,
     laplace_from_pointeval,
     metric,
 )
+from .jets import Columns
 
 __all__ = [
     "LemmaResiduals",
@@ -77,7 +83,9 @@ def _sum_defect(terms: np.ndarray) -> np.ndarray:
 
 
 def _norm(v: np.ndarray) -> np.ndarray:
-    return np.linalg.norm(v, axis=-1)
+    """‖v‖ over the last axis: ``np.linalg.norm``'s own operations on a
+    real axis, without its wrapper's overhead."""
+    return np.sqrt(np.add.reduce(v * v, axis=-1))
 
 
 def _mv(a: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -234,13 +242,28 @@ def _read_only(obj) -> None:
 _last_eval: tuple | None = None
 
 
+def _shared_pass(spec: GenHelicoidA, params, spans) -> tuple:
+    """(block frames, helicoid ``PointEval``) from one jet pass per block.
+
+    Each block's ``embed_pair`` on its range of one second-order
+    ``Columns`` gives its frame and its C; the helicoid's parts are built
+    from those C's and assembled as ``Immersion.eval`` assembles them, so
+    both have the bits of ``clifford_frame`` and ``Immersion.eval``.
+    """
+    cols = Columns(params, 2)
+    pairs = [b.embed_pair(cols[lo:hi]) for b, (lo, hi) in zip(spec.blocks,
+                                                               spans)]
+    frames = [pair_frame(b, c, d) for b, (c, d) in zip(spec.blocks, pairs)]
+    outs = spec.components(cols, [c for c, _ in pairs])
+    return frames, PointEval(*build_immersion(spec).assemble(outs, cols))
+
+
 def _helicoid_eval(spec: GenHelicoidA, params) -> _HelicoidEval:
     """The shared record at helicoid points (..., n), memoized for one batch.
 
-    One ``clifford_frame`` per block and one helicoid ``Immersion.eval``
-    feed every helicoid check.  Only the last batch is kept, so a caller
-    running all checks on one batch pays for the jet work once, and
-    nothing older than the last call stays alive.
+    One ``_shared_pass`` feeds every helicoid check.  Only the last batch
+    is kept, so a caller running all checks on one batch pays for the jet
+    work once, and nothing older than the last call stays alive.
     """
     global _last_eval
     if not isinstance(spec, GenHelicoidA):
@@ -261,13 +284,11 @@ def _helicoid_eval(spec: GenHelicoidA, params) -> _HelicoidEval:
     if last is not None and last[0] == key:
         return last[1]
 
-    frames = [clifford_frame(b, params[..., lo:hi])
-              for b, (lo, hi) in zip(spec.blocks, spans)]
+    frames, pe = _shared_pass(spec, params, spans)
     radii = params[..., n_u + 1:]
     lams = spec.pitch.lambdas
     P = spec.pitch.lambda0 ** 2 + sum(lams[s] ** 2 * radii[..., s] ** 2
                                       * frames[s].m ** 2 for s in range(L))
-    pe = build_immersion(spec).eval(params)
     met = metric(pe)
     record = _HelicoidEval(
         blocks=tuple(_BlockData(C=fr.C, JD=fr.JD, m=fr.m, w=fr.w, dm=fr.dm,

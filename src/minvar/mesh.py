@@ -54,7 +54,7 @@ class MeshData:
         if not np.isfinite(vertices).all():
             raise SpecError("mesh vertices must be finite")
         faces = _rows(self.faces, "faces")
-        if not (faces == np.trunc(faces)).all():
+        if faces.dtype.kind == "f" and not (faces == np.trunc(faces)).all():
             raise SpecError("mesh faces must be integer vertex indices")
         if faces.size and not (0 <= faces.min()
                                and faces.max() < len(vertices)):
@@ -179,22 +179,36 @@ def tessellate(source, resolution=(64, 64), axes=(0, 1), fixed=None,
     params[..., ax_v] = np.linspace(dom[ax_v, 0], dom[ax_v, 1], nv)[None, :]
     flat = params.reshape(-1, imm.param_dim)
 
-    with np.errstate(all="ignore"):
-        position = imm.position(flat)
-    # the guards see finite vertices only: a jet pass raises at a singular
-    # point that plain numpy maps to inf or nan
-    finite = np.all(np.isfinite(position), axis=-1)
-    masked = ~finite
-    masked[finite] = imm.excluded(flat[finite])
-    vertices = np.where(masked[:, None], 0.0, position[:, list(proj)])
+    # positions and the guard a block of vertices at a time, so the jet
+    # pass's arrays stay small; a point's mask does not depend on its batch
+    vertices = np.empty((len(flat), 3))
+    masked = np.empty(len(flat), dtype=bool)
+    for start in range(0, len(flat), _RENDER_ROWS):
+        rows = slice(start, start + _RENDER_ROWS)
+        with np.errstate(all="ignore"):
+            position = imm.position(flat[rows])
+        # the guards see finite vertices only: a jet pass raises at a
+        # singular point that plain numpy maps to inf or nan
+        finite = np.all(np.isfinite(position), axis=-1)
+        mask = ~finite
+        mask[finite] = imm.excluded(flat[rows][finite])
+        masked[rows] = mask
+        vertices[rows] = np.where(mask[:, None], 0.0, position[:, list(proj)])
 
-    # corners (a, b, c, d) = (i, j), (i+1, j), (i+1, j+1), (i, j+1) of each
-    # quad in row-major order; a kept quad emits (a, b, c) then (a, c, d)
-    quads = np.arange(nu * nv).reshape(nu, nv)[:-1, :-1].reshape(-1, 1)
-    corners = quads + np.array([0, nv, nv + 1, 1])
-    corners = corners[~masked[corners].any(axis=1)]
-    return MeshData(vertices=vertices,
-                    faces=corners[:, [0, 1, 2, 0, 2, 3]].reshape(-1, 3))
+    # the quad at grid (i, j), number q = i (nv − 1) + j in row-major
+    # order, has corners a = i nv + j = q + i, a + nv, a + nv + 1 and
+    # a + 1; a quad whose corners are all kept emits (a, a + nv, a + nv + 1)
+    # then (a, a + nv + 1, a + 1)
+    kept = ~masked.reshape(nu, nv)
+    q = np.flatnonzero(kept[:-1, :-1] & kept[1:, :-1] & kept[1:, 1:]
+                       & kept[:-1, 1:])
+    a = q + q // (nv - 1)
+    faces = np.empty((len(a), 6), dtype=np.int64)
+    faces[:, 0] = faces[:, 3] = a
+    faces[:, 1] = a + nv
+    faces[:, 2] = faces[:, 4] = a + nv + 1
+    faces[:, 5] = a + 1
+    return MeshData(vertices=vertices, faces=faces.reshape(-1, 3))
 
 
 # Shortest round-trip decimals, Ryu's d2d on uint64 lanes.  Ryu writes a
@@ -422,28 +436,38 @@ def _lines(letter: str, rows: int, fields: list[np.ndarray]) -> str:
     return text.tobytes().translate(None, b"\0").decode("ascii")
 
 
-def obj_text(mesh: MeshData) -> str:
-    """Render v/f records; floats as shortest round-trip decimals."""
-    # a block of rows at a time, each decoded as it is made, so that the
-    # kernel's arrays stay small and no bytes copy of the whole text lives
-    # beside the string
-    blocks = []
+def _obj_blocks(mesh: MeshData):
+    """The OBJ text a block of at most ``_RENDER_ROWS`` rows at a time.
+
+    Each block is decoded as it is made, so that the kernel's arrays stay
+    small; an empty mesh is one newline.
+    """
+    if not len(mesh.vertices):
+        yield "\n"
     for start in range(0, len(mesh.vertices), _RENDER_ROWS):
         rows = mesh.vertices[start:start + _RENDER_ROWS]
-        blocks.append(_lines("v", len(rows), _float_fields(rows.ravel())))
+        yield _lines("v", len(rows), _float_fields(rows.ravel()))
     for start in range(0, len(mesh.faces), _RENDER_ROWS):
         index = (mesh.faces[start:start + _RENDER_ROWS].ravel()
                  + 1).astype(np.uint64)
-        blocks.append(_lines("f", len(index) // 3, [_digits(
-            index, _digit_count(index), len(str(index.max())))]))
-    return "".join(blocks) or "\n"        # an empty mesh is one newline
+        yield _lines("f", len(index) // 3, [_digits(
+            index, _digit_count(index), len(str(index.max())))])
+
+
+def obj_text(mesh: MeshData) -> str:
+    """Render v/f records; floats as shortest round-trip decimals."""
+    return "".join(_obj_blocks(mesh))
 
 
 def write_obj(mesh: MeshData, target) -> None:
-    """Write the OBJ stream to a path or file-like object."""
-    text = obj_text(mesh)
-    if hasattr(target, "write"):
-        target.write(text)
+    """Write the OBJ stream to a path or file-like object.
+
+    The text goes out a block at a time (``obj_text``'s blocks), so no
+    copy of the whole text is held.
+    """
+    if not hasattr(target, "write"):
+        with io.open(target, "w", encoding="ascii", newline="\n") as fh:
+            write_obj(mesh, fh)
         return
-    with io.open(target, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(text)
+    for block in _obj_blocks(mesh):
+        target.write(block)

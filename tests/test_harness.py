@@ -602,6 +602,22 @@ class TestTakahashiEquivalence:
                                        SamplePlan(count=20, seed=1))
         assert single.all_expected
 
+    def test_routes_solve_no_tangential_part(self, monkeypatch):
+        # the verdicts read H alone; mean_curvature would also solve for
+        # the tangential part, which no route judges
+        want = takahashi_equivalence(CliffordTorus(standard_block(1)), 2,
+                                     SamplePlan(count=12, seed=4))
+
+        def refuse(pe):
+            raise AssertionError("mean_curvature called")
+
+        monkeypatch.setattr(harness, "mean_curvature", refuse)
+        got = takahashi_equivalence(CliffordTorus(standard_block(1)), 2,
+                                    SamplePlan(count=12, seed=4))
+        assert [c.name for c in got.checks] == \
+            ["sphere-base", "sphere-join", "cone-rays"]
+        assert replace(got, wall_time=0.0) == replace(want, wall_time=0.0)
+
     def test_non_spherical_base_rejected(self):
         with pytest.raises(NotSpherical):
             takahashi_equivalence(Cylinder(1.0), 2)

@@ -19,12 +19,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from minvar import identities
-from minvar.charts import CliffordBlock, apply_complex_structure, clifford_frame
+from minvar.charts import (
+    CliffordBlock,
+    SphereChart,
+    apply_complex_structure,
+    clifford_frame,
+)
 from minvar.errors import DimensionMismatch, DomainError, SpecError
 from minvar.families import (
     GenHelicoidA,
     GenHelicoidB,
     PitchVector,
+    _block_spans,
     build_immersion,
     standard_block,
 )
@@ -450,20 +456,15 @@ def cold(monkeypatch):
 
 @pytest.fixture
 def counted(monkeypatch, cold):
-    """Counts of helicoid ``Immersion.eval`` and ``clifford_frame`` calls."""
-    counts = {"eval": 0, "frame": 0}
-    original_eval, original_frame = Immersion.eval, identities.clifford_frame
+    """Counts of ``embed_pair`` passes: one per block and evaluated batch."""
+    counts = {"pairs": 0}
+    original = CliffordBlock.embed_pair
 
-    def eval_(self, p):
-        counts["eval"] += self.name.startswith("helicoid")
-        return original_eval(self, p)
+    def embed_pair(self, cols):
+        counts["pairs"] += 1
+        return original(self, cols)
 
-    def frame(block, p):
-        counts["frame"] += 1
-        return original_frame(block, p)
-
-    monkeypatch.setattr(Immersion, "eval", eval_)
-    monkeypatch.setattr(identities, "clifford_frame", frame)
+    monkeypatch.setattr(CliffordBlock, "embed_pair", embed_pair)
     return counts
 
 
@@ -472,7 +473,7 @@ def test_all_checks_on_one_batch_evaluate_once(counted, rays):
     spec = GenHelicoidA(pitch=PitchVector(0.8, (1.2, 0.7, 1.0)[:rays]),
                         blocks=(standard_block(1),) * rays)
     _all_checks(spec, sample_helicoid_params(spec, 4, seed=rays))
-    assert counted == {"eval": 1, "frame": rays}
+    assert counted == {"pairs": rays}
 
 
 def test_only_the_last_batch_is_kept(counted):
@@ -480,12 +481,74 @@ def test_only_the_last_batch_is_kept(counted):
     b = sample_helicoid_params(TWO_BLOCKS, 3, seed=2)
     for p in (a, b, a):
         helicoid_algebra(TWO_BLOCKS, p)
-    assert counted == {"eval": 3, "frame": 6}
+    assert counted == {"pairs": 6}
     # equal points by value (a copy, another spec object) still hit
     theta_harmonicity(dataclasses.replace(TWO_BLOCKS), a.copy())
-    assert counted == {"eval": 3, "frame": 6}
+    assert counted == {"pairs": 6}
     helicoid_algebra(TWO_BLOCKS, a[:2])
-    assert counted["eval"] == 4
+    assert counted == {"pairs": 8}
+
+
+@pytest.mark.parametrize("rays", [1, 2, 3])
+def test_one_chart_pass_per_block_and_no_helicoid_eval(monkeypatch, cold,
+                                                        rays):
+    # the frames and the helicoid record share each block's C: 2L chart
+    # embeddings per batch and no Immersion.eval
+    counts = {"embed": 0, "eval": 0}
+    embed, eval_ = SphereChart.embed, Immersion.eval
+
+    def counted_embed(self, cols):
+        counts["embed"] += 1
+        return embed(self, cols)
+
+    def counted_eval(self, p):
+        counts["eval"] += 1
+        return eval_(self, p)
+
+    spec = GenHelicoidA(pitch=PitchVector(0.8, (1.2, 0.7, 1.0)[:rays]),
+                        blocks=(standard_block(2),) * rays)
+    p = sample_helicoid_params(spec, 3, seed=rays)
+    monkeypatch.setattr(SphereChart, "embed", counted_embed)
+    monkeypatch.setattr(Immersion, "eval", counted_eval)
+    _all_checks(spec, p)
+    assert counts == {"embed": 2 * rays, "eval": 0}
+
+
+def _pe_bytes(pe):
+    return [(x.shape, x.tobytes())
+            for x in (pe.position, pe.jacobian, pe.second)]
+
+
+def _frame_bytes(fr):
+    return _bytes(fr) + _bytes((fr.metric.dg,))
+
+
+SHARED_BLOCKS = {
+    "stereographic": lambda n, t: standard_block(n),
+    "trigonometric": lambda n, t: standard_block(n, "trigonometric"),
+    "rotated": lambda n, t: standard_block(
+        n, unitary=rotation_commuting_with_j(n + 1, 0.4 + 0.3 * t)),
+}
+
+
+@pytest.mark.parametrize("rays", [1, 2, 3])
+@pytest.mark.parametrize("sphere_dim,kind", [
+    (n, kind) for n in (0, 1, 2) for kind in sorted(SHARED_BLOCKS)
+    if n or kind == "stereographic"])     # S^0 has point charts only
+def test_shared_pass_equals_eval_and_frames(rays, sphere_dim, kind):
+    spec = GenHelicoidA(
+        pitch=PitchVector(0.7, (1.2, 0.6, 0.9)[:rays]),
+        blocks=tuple(SHARED_BLOCKS[kind](sphere_dim, t)
+                     for t in range(rays)))
+    pts = sample_helicoid_params(spec, 15, seed=10 * rays + sphere_dim)
+    spans = _block_spans(spec.blocks)
+    for batch in [(), (1,), (3, 5)]:
+        p = pts[:int(np.prod(batch, dtype=int))].reshape(batch + (-1,))
+        frames, pe = identities._shared_pass(spec, p, spans)
+        assert _pe_bytes(pe) == _pe_bytes(build_immersion(spec).eval(p))
+        for fr, b, (lo, hi) in zip(frames, spec.blocks, spans):
+            assert _frame_bytes(fr) == _frame_bytes(
+                clifford_frame(b, p[..., lo:hi]))
 
 
 def test_every_call_order_equals_cold_calls(monkeypatch):

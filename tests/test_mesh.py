@@ -9,6 +9,7 @@ edge shared by exactly two of them.
 
 import hashlib
 import io
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -294,6 +295,24 @@ class TestObjOutput:
         buffer = io.StringIO()
         write_obj(mesh, buffer)
         assert out.read_text() == buffer.getvalue() == obj_text(mesh)
+
+    def test_export_runs_in_bounded_memory(self, tmp_path):
+        # positions, guards and text go a block of rows at a time, so no
+        # whole-grid jet pass or whole copy of the text is held
+        tracemalloc.start()
+        try:
+            write_obj(tessellate(LawsonSurface(1.0, 2.0), resolution=256),
+                      tmp_path / "lawson.obj")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6
+        assert (tmp_path / "lawson.obj").stat().st_size > 0
+
+    def test_empty_mesh_writes_one_newline(self):
+        buffer = io.StringIO()
+        write_obj(MeshData(vertices=[], faces=[]), buffer)
+        assert buffer.getvalue() == "\n"
 
     def test_minimal_mesh(self):
         mesh = MeshData(vertices=np.eye(3), faces=[[0, 1, 2]])
