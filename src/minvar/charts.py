@@ -20,10 +20,15 @@ with a trailing component axis (see ``jets``): the chart's parameter
 range arrives as one component-axis jet seeded on it (or one (..., d)
 array for positions), the chart returns its dim+1 coordinates as one
 vector, and the block joins X/√2 and ±Y/√2 into C and D and applies its
-unitary column by column.  ``embed_pair`` gives C and a first-order D
-from one pass of each chart; ``pair_frame`` builds the frame from them,
-and ``Immersion.eval`` reads the same C.  The maps take ``jets.Columns``
-only.
+unitary column by column.  Like charts run as one: ``embed_charts``
+groups the charts a map embeds by spec and evaluates each group once,
+on the members' parameter ranges stacked on a new leading batch axis
+(``jets.Columns.stack``), then splits the result back, each member with
+the bits of its own ``embed``.  ``block_charts`` sends every chart of a
+map's blocks through it, so L standard blocks embed their 2L charts in
+one pass.  ``embed_pair`` gives C and a first-order D from that pass;
+``pair_frame`` builds the frame from them, and ``Immersion.eval`` reads
+the same C.  The maps take ``jets.Columns`` only.
 """
 
 from __future__ import annotations
@@ -39,6 +44,8 @@ from .geometry import Block, Immersion, MetricEval, PointEval, metric
 __all__ = [
     "SphereChart",
     "CliffordBlock",
+    "embed_charts",
+    "block_charts",
     "CliffordFrame",
     "apply_complex_structure",
     "clifford_frame",
@@ -214,6 +221,54 @@ class SphereChart:
                          name=f"sphere-chart-{self.kind}-S{self.dim}")
 
 
+def embed_charts(charts, parts, scale: float = 1.0) -> list:
+    """Each chart embedded at its ``Columns`` range, times ``scale``.
+
+    Charts of one spec are one group, embedded in one call on their
+    ranges stacked (``Columns.stack``), scaled once and split back in
+    input order, so each member has the bits of its own
+    ``scale * chart.embed(part)`` and a group of k charts costs one pass
+    of the formula instead of k.  Charts are grouped by equality, and by
+    the signs of their rotations' zero entries, which equality does not
+    see but the images' zero entries can.
+    """
+    groups = {}
+    for k, (chart, cols) in enumerate(zip(charts, parts)):
+        if len(cols) != chart.param_dim:
+            raise SpecError(f"chart expects {chart.param_dim} parameters, "
+                            f"got {len(cols)}")
+        key = chart if chart.rotation is None \
+            else (chart, np.signbit(chart.rotation_matrix).tobytes())
+        groups.setdefault(key, (chart, []))[1].append(k)
+    out = [None] * len(parts)
+    for chart, members in groups.values():
+        stack = jets.Columns.stack([parts[k] for k in members])
+        image = chart.embed(stack)
+        if scale != 1.0:
+            image = scale * image
+        for k, x in zip(members, stack.split(image)):
+            out[k] = x
+    return out
+
+
+def block_charts(blocks, parts) -> list:
+    """(X/√2, Y/√2) of each block at its chart ``Columns``, in order.
+
+    Every chart of every block goes through one ``embed_charts`` call,
+    so the 2L like charts of L standard blocks are one pass.
+    """
+    charts, ranges = [], []
+    for b, cols in zip(blocks, parts):
+        if len(cols) != b.param_dim:
+            raise SpecError(f"block expects {b.param_dim} parameters, "
+                            f"got {len(cols)}")
+        nx = b.chart_x.param_dim
+        charts += (b.chart_x, b.chart_y)
+        ranges += (cols[:nx], cols[nx:])
+    halves = embed_charts(charts, ranges, 1.0 / np.sqrt(2.0))
+    return list(zip(halves[::2], halves[1::2]))
+
+
 @dataclass(frozen=True)
 class CliffordBlock:
     """Minimal torus map C = (X; Y)/√2 from two S^N charts, plus dual D."""
@@ -260,33 +315,32 @@ class CliffordBlock:
         return self.chart_x.domain_box() + self.chart_y.domain_box()
 
     def _charts(self, cols) -> tuple:
-        """(X/√2, Y/√2) at chart ``Columns``, one pass of each chart."""
-        if len(cols) != self.param_dim:
-            raise SpecError(f"block expects {self.param_dim} parameters, "
-                            f"got {len(cols)}")
-        nx = self.chart_x.param_dim
-        inv = 1.0 / np.sqrt(2.0)
-        return (inv * self.chart_x.embed(cols[:nx]),
-                inv * self.chart_y.embed(cols[nx:]))
+        """(X/√2, Y/√2) at chart ``Columns``, from ``block_charts``."""
+        return block_charts((self,), (cols,))[0]
 
-    def embed(self, cols):
-        """C at chart ``Columns``, as one vector."""
-        x, y = self._charts(cols)
+    def join(self, x, y):
+        """C from the halves (X/√2, Y/√2), as one vector."""
         return _join(x, y, self.unitary_matrix)
 
-    def embed_pair(self, cols) -> tuple:
-        """(C, D) at chart ``Columns`` from one pass of each chart.
+    def join_pair(self, x, y) -> tuple:
+        """(C, D) from the halves (X/√2, Y/√2).
 
-        C has the order of ``cols``; D is first order (value and
-        gradient), as ``CliffordFrame`` reads no d²D, so its join and
-        unitary carry no Hessian.  Both have ``embed``'s and
-        ``dual_immersion``'s bits: −Y/√2 is the negation of Y/√2, which
-        has the bits of (−1/√2)·Y.
+        C has the halves' order; D is first order (value and gradient),
+        as ``CliffordFrame`` reads no d²D, so its join and unitary carry
+        no Hessian.  Both have ``embed``'s and ``dual_immersion``'s bits:
+        −Y/√2 is the negation of Y/√2, which has the bits of (−1/√2)·Y.
         """
-        x, y = self._charts(cols)
         unitary = self.unitary_matrix
         return (_join(x, y, unitary),
                 _join(_first_order(x), -_first_order(y), unitary))
+
+    def embed(self, cols):
+        """C at chart ``Columns``, as one vector."""
+        return self.join(*self._charts(cols))
+
+    def embed_pair(self, cols) -> tuple:
+        """(C, D) at chart ``Columns`` (``join_pair``)."""
+        return self.join_pair(*self._charts(cols))
 
     def _dual(self, cols):
         """D = (X; −Y)/√2 at chart ``Columns``, at their order."""
@@ -333,10 +387,10 @@ def clifford_frame(block: CliffordBlock, p) -> CliffordFrame:
     """Second-order frame of the torus map at chart points p (..., n).
 
     C and D come from one ``embed_pair`` on second-order ``Columns``, so
-    each chart is embedded once (``pair_frame``).  Their values and
-    derivatives are those of ``block.immersion().eval(p)`` and
-    ``block.dual_immersion().eval(p)`` byte for byte.  Non-finite points
-    raise ``DomainError``.
+    the block's charts are embedded in one grouped pass (``pair_frame``).
+    Their values and derivatives are those of ``block.immersion().eval(p)``
+    and ``block.dual_immersion().eval(p)`` byte for byte.  Non-finite
+    points raise ``DomainError``.
     """
     p = np.asarray(p, dtype=np.float64)
     n = block.param_dim

@@ -57,7 +57,14 @@ from typing import Union
 import numpy as np
 
 from . import jets
-from .charts import CliffordBlock, SphereChart, matrix_tuple, rotate_block
+from .charts import (
+    CliffordBlock,
+    SphereChart,
+    block_charts,
+    embed_charts,
+    matrix_tuple,
+    rotate_block,
+)
 from .errors import BranchLocusError, DimensionMismatch, SpecError
 from .geometry import Immersion
 from .jets import jet_eval
@@ -281,7 +288,8 @@ class GenHelicoidA(_Family):
         spans = _block_spans(blocks)
 
         def embed(cols):
-            return [b.embed(cols[lo:hi]) for b, (lo, hi) in zip(blocks, spans)]
+            halves = block_charts(blocks, [cols[lo:hi] for lo, hi in spans])
+            return [b.join(x, y) for b, (x, y) in zip(blocks, halves)]
 
         def parts(cols, radii):
             return self.sweep(cols, embed(cols), radii)
@@ -396,8 +404,8 @@ class ChoeHoppe(_Family):
         def comps(cols):
             th = cols[np_ + nq]
             s = jets.lift(cols[np_ + nq + 1])
-            p = s * chart_p.embed(cols[:np_])
-            q = s * chart_q.embed(cols[np_:np_ + nq])
+            p, q = (s * v for v in embed_charts(
+                (chart_p, chart_q), (cols[:np_], cols[np_:np_ + nq])))
             ca, sa = jets.lift(jets.cos(th)), jets.lift(jets.sin(th))
             # (p_k + i q_k)·e^{iΘ}, its real and imaginary parts interleaved
             return [jets.interleave(ca * p - sa * q, ca * q + sa * p),
@@ -507,8 +515,8 @@ class HarveyLawsonCone(_Family):
         nx, ny = chart_x.param_dim, chart_y.param_dim
 
         def comps(cols):
-            x = chart_x.embed(cols[:nx])
-            y = chart_y.embed(cols[nx:nx + ny])
+            x, y = embed_charts((chart_x, chart_y),
+                                (cols[:nx], cols[nx:nx + ny]))
             return [r * v for r in _radii(cols, nx + ny, 2) for v in (x, y)]
 
         return Immersion(

@@ -13,20 +13,21 @@ infinite coordinate raises ``DomainError`` instead of giving NaN defects:
 ``clifford_frame`` and the helicoid record, which every check reads,
 refuse it.
 
-All frame data comes from ``CliffordBlock.embed_pair``, one pass of each
-chart per block and batch, through ``charts.pair_frame``.  The three
-helicoid checks (``helicoid_algebra``, ``theta_harmonicity`` and
-``proof_terms`` for each block) read one shared record of a batch: per
-block C, JD, m, w, ∂m, g⁻¹, det g and the divergence summands, and for the
-whole helicoid its metric, Δ_G Θ and the divergence-form Δ_G F.  Each
-block's C feeds both its frame and the helicoid's parts
-(``_shared_pass``): 2L chart embeddings per batch and no
-``Immersion.eval``, while the two proof routes share nothing downstream
-of C.  The record keeps no second-derivative arrays, and its arrays are
-read-only.  Only the last batch's record is memoized, keyed by the spec
-and the points' shape and bytes, so running every helicoid check on one
-batch costs one evaluation, while a different batch in between evicts
-it.
+All frame data comes from ``CliffordBlock.join_pair`` on the halves
+``charts.block_charts`` embeds, one pass per chart spec and batch,
+through ``charts.pair_frame``.  The three helicoid checks
+(``helicoid_algebra``, ``theta_harmonicity`` and ``proof_terms`` for
+each block) read one shared record of a batch: per block C, JD, m, w,
+∂m, g⁻¹, det g and the divergence summands, and for the whole helicoid
+its metric, Δ_G Θ and the divergence-form Δ_G F.  Each block's C feeds
+both its frame and the helicoid's parts (``_shared_pass``): one chart
+embedding per distinct chart spec and batch (one for L standard blocks,
+which have 2L like charts) and no ``Immersion.eval``, while the two
+proof routes share nothing downstream of C.  The record keeps no
+second-derivative arrays, and its arrays are read-only.  Only the last
+batch's record is memoized, keyed by the spec and the points' shape and
+bytes, so running every helicoid check on one batch costs one
+evaluation, while a different batch in between evicts it.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ import numpy as np
 from .charts import (
     CliffordBlock,
     CliffordFrame,
+    block_charts,
     clifford_frame,
     pair_frame,
     rotate_block,
@@ -243,16 +245,18 @@ _last_eval: tuple | None = None
 
 
 def _shared_pass(spec: GenHelicoidA, params, spans) -> tuple:
-    """(block frames, helicoid ``PointEval``) from one jet pass per block.
+    """(block frames, helicoid ``PointEval``) from one jet pass per chart spec.
 
-    Each block's ``embed_pair`` on its range of one second-order
-    ``Columns`` gives its frame and its C; the helicoid's parts are built
-    from those C's and assembled as ``Immersion.eval`` assembles them, so
-    both have the bits of ``clifford_frame`` and ``Immersion.eval``.
+    ``block_charts`` embeds the charts of every block on their ranges of
+    one second-order ``Columns``, like charts in one call; each block's
+    ``join_pair`` of its halves gives its frame and its C.  The helicoid's
+    parts are built from those C's and assembled as ``Immersion.eval``
+    assembles them, so both have the bits of ``clifford_frame`` and
+    ``Immersion.eval``.
     """
     cols = Columns(params, 2)
-    pairs = [b.embed_pair(cols[lo:hi]) for b, (lo, hi) in zip(spec.blocks,
-                                                               spans)]
+    halves = block_charts(spec.blocks, [cols[lo:hi] for lo, hi in spans])
+    pairs = [b.join_pair(x, y) for b, (x, y) in zip(spec.blocks, halves)]
     frames = [pair_frame(b, c, d) for b, (c, d) in zip(spec.blocks, pairs)]
     outs = spec.components(cols, [c for c, _ in pairs])
     return frames, PointEval(*build_immersion(spec).assemble(outs, cols))

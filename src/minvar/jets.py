@@ -59,6 +59,10 @@ it componentwise; a sphere chart or a Clifford block is one such jet
 instead of m.  ``Columns(p, order)[lo:hi].joint()`` seeds a parameter
 range as one vector (the identity as gradient on the support lo..hi−1, a
 zero Hessian), while ``Columns(p, order)[i]`` is still a one-variable seed.
+``Columns.stack`` puts k ranges of one width on a new leading batch axis,
+so one formula runs for all of them, and ``split`` hands member k the
+slices [k] of the result, its support relabelled from the stack's
+columns 0..d−1 onto the member's own columns lo_k..lo_k+d−1.
 The rule where the two meet: a scalar jet that meets a vector is lifted
 explicitly (``lift``: value[..., None], grad[..., None, :],
 hess[..., None, :, :]), never left to numpy's broadcasting, which pairs a
@@ -623,9 +627,22 @@ class Columns(Sequence):
     the one a vector part of the map's output carries (``place``).
     A slice keeps the type, so a subclass that seeds differently (its own
     ``_range``) holds for every range taken from it.
+
+    ``Columns.stack(ranges)`` puts k ranges of one width d, order and
+    batch on a new leading batch axis: its p is their values stacked,
+    (k, ..., d), with columns 0..d−1 of its own, and it has the first
+    range's type, so a stack is seeded once, as that subclass seeds.
+    ``stack.split(out)`` hands a formula's output on the stack back to
+    the members: out[k] for arrays, and for jets the views value[k],
+    grad[k] and hess[k] on a relabelled support (``_relabel``), where
+    the stack's column j is member k's column lo_k + j.  Every operation
+    acts on the batch elementwise, so each member has the bits of the
+    formula run on its own range.  A subclass whose seeds already lie on
+    one support of the whole batch keeps that support (its own
+    ``_relabel``).
     """
 
-    __slots__ = ("p", "order", "batch", "_lo", "_hi", "_seeds")
+    __slots__ = ("p", "order", "batch", "_lo", "_hi", "_seeds", "_members")
 
     def __init__(self, p, order: int):
         self.p = np.asarray(p, dtype=np.float64)
@@ -636,6 +653,39 @@ class Columns(Sequence):
         self._lo, self._hi = 0, self.p.shape[-1]
         # the seeds made so far, shared with every range of the batch
         self._seeds = [None] * self._hi
+        # the stacked ranges, None unless made by ``stack``
+        self._members = None
+
+    @staticmethod
+    def stack(ranges) -> "Columns":
+        """The ranges on a new leading batch axis, as one ``Columns``."""
+        first = ranges[0]
+        width = len(first)
+        if any(len(r) != width or r.order != first.order
+               or r.batch != first.batch for r in ranges):
+            raise DimensionMismatch("stacked column ranges need one width, "
+                                    "order and batch")
+        part = object.__new__(type(first))
+        part.p = np.concatenate([r.p[None, ..., r._lo:r._hi] for r in ranges])
+        part.order, part.batch = first.order, part.p.shape[:-1]
+        part._lo, part._hi = 0, width
+        part._seeds, part._members = [None] * width, tuple(ranges)
+        return part
+
+    def split(self, out) -> list:
+        """A stack's output ``out`` as one output per member, in order."""
+        if not isinstance(out, Jet2):
+            return list(out)
+        return [Jet1(out.value[k], out.grad[k], self._relabel(out.support, k))
+                if out.hess is None else
+                Jet2(out.value[k], out.grad[k], out.hess[k],
+                     self._relabel(out.support, k))
+                for k in range(len(self._members))]
+
+    def _relabel(self, support: tuple, k: int) -> tuple:
+        """Member k's labels of the stack's ``support``: j ↦ lo_k + j."""
+        lo = self._members[k]._lo
+        return tuple(lo + j for j in support)
 
     def __len__(self) -> int:
         return self._hi - self._lo
@@ -648,7 +698,7 @@ class Columns(Sequence):
                                         f"ranges only, got step {step}")
             part = object.__new__(type(self))
             part.p, part.order, part._seeds = self.p, self.order, self._seeds
-            part.batch = self.batch
+            part.batch, part._members = self.batch, self._members
             part._lo, part._hi = self._lo + start, self._lo + max(start, stop)
             return part
         k = (self._lo if i >= 0 else self._hi) + i

@@ -9,6 +9,7 @@ from minvar.charts import (
     SphereChart,
     apply_complex_structure,
     clifford_frame,
+    embed_charts,
     matrix_tuple,
 )
 from minvar.errors import ChartDomainError, SpecError
@@ -485,3 +486,82 @@ def test_component_axis_block_equals_scalar_formulas(name):
                                              -1.0), p, True)
         _assert_equal_arrays((fr.C, fr.dC, fr.d2C), want_c)
         _assert_equal_arrays((fr.D, fr.dD), want_d[:2])
+
+
+# ---- charts grouped by spec ------------------------------------------------
+
+# the identity with −0.0 where the first row meets X₂ and X₃: equal to the
+# identity as a spec, yet its images' zero entries can take other signs
+_SIGNED = matrix_tuple([[1.0, -0.0, -0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+GROUPED_CHARTS = (
+    SphereChart(dim=2),
+    SphereChart(dim=2, kind="trigonometric"),
+    SphereChart(dim=0, kind="point", branch=-1),
+    SphereChart(dim=2, rotation=_turn(2, 0.9)),
+    SphereChart(dim=2),
+    SphereChart(dim=0, kind="point"),
+    SphereChart(dim=2, kind="trigonometric"),
+    SphereChart(dim=1, kind="trigonometric"),
+    SphereChart(dim=2, rotation=_turn(2, 0.9)),
+    SphereChart(dim=0, kind="point", branch=-1),
+    SphereChart(dim=2, kind="trigonometric", rotation=_SIGNED),
+    SphereChart(dim=1),
+    SphereChart(dim=2, kind="trigonometric",
+                rotation=matrix_tuple(np.eye(3))),
+    SphereChart(dim=2),
+)
+
+
+def _slot_bytes(x):
+    """Type, support and every slot's shape and bytes (signed zeros too)."""
+    if not isinstance(x, jets.Jet2):
+        return [type(x), x.shape, x.tobytes()]
+    return [type(x), x.support] + [
+        None if a is None else (a.shape, a.tobytes())
+        for a in (x.value, x.grad, x.hess)]
+
+
+@pytest.mark.parametrize("scale", [1.0, 1.0 / np.sqrt(2.0)])
+@pytest.mark.parametrize("order", [0, 1, 2])
+@pytest.mark.parametrize("batch", [(), (1,), (3, 5)])
+def test_grouped_charts_equal_their_own_embeddings(batch, order, scale):
+    assert GROUPED_CHARTS[10] == GROUPED_CHARTS[12]
+    count = int(np.prod(batch, dtype=int))
+    pts = np.concatenate([chart_points(chart, count, seed=40 + k)
+                          for k, chart in enumerate(GROUPED_CHARTS)], -1)
+    p = pts.reshape(batch + pts.shape[-1:])
+    spans = np.cumsum([0] + [c.param_dim for c in GROUPED_CHARTS])
+    cols = jets.Columns(p, order)
+    got = embed_charts(GROUPED_CHARTS,
+                       [cols[lo:hi] for lo, hi in zip(spans, spans[1:])],
+                       scale)
+    assert len(got) == len(GROUPED_CHARTS)
+    for chart, lo, hi, x in zip(GROUPED_CHARTS, spans, spans[1:], got):
+        want = chart.embed(jets.Columns(p, order)[lo:hi])
+        if scale != 1.0:
+            want = scale * want
+        assert _slot_bytes(x) == _slot_bytes(want)
+        if isinstance(x, jets.Jet2):
+            assert x.support == tuple(range(lo, hi))
+
+
+def test_a_degenerate_member_fails_its_whole_group():
+    trig = SphereChart(dim=2, kind="trigonometric")
+    cols = jets.Columns(np.array([1.0, 0.4, 1e-12, 0.4, 0.3]), 2)
+    with pytest.raises(ChartDomainError):
+        embed_charts((trig, SphereChart(dim=1), trig),
+                     (cols[0:2], cols[4:5], cols[2:4]))
+    # as the block refuses it, whichever of its charts degenerates
+    block = CliffordBlock(trig, trig)
+    for p in ([1.0, 0.4, 1e-12, 0.4], [1e-12, 0.4, 1.0, 0.4]):
+        with pytest.raises(ChartDomainError):
+            block.embed(jets.Columns(np.array(p), 2))
+
+
+def test_grouped_charts_check_each_arity():
+    cols = jets.Columns(np.zeros(5), 2)
+    with pytest.raises(SpecError, match="chart expects 2"):
+        embed_charts((SphereChart(dim=2), SphereChart(dim=2)),
+                     (cols[0:2], cols[2:5]))
+    with pytest.raises(SpecError, match="block expects 4"):
+        CliffordBlock(SphereChart(dim=2), SphereChart(dim=2)).embed(cols)

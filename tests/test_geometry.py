@@ -428,18 +428,29 @@ class DenseColumns(jets.Columns):
     A column or range is seeded on all n parameters (its rows of the
     identity as gradient, a zero Hessian), as ``variables`` seeds, so the
     same component formulas run the dense Leibniz rules alone, without
-    sparse supports.  Slices keep the type (``Columns.__getitem__``).
+    sparse supports.  Slices and stacks keep the type
+    (``Columns.__getitem__``, ``Columns.stack``): a stack's seed is its
+    members' dense seeds stacked, and its split keeps their support.
     """
 
     __slots__ = ()
 
     def _range(self, lo, hi, scalar):
+        if self._members is not None:
+            seeds = [m._range(m._lo + lo, m._lo + hi, scalar)
+                     for m in self._members]
+            return jets.Jet2(*(np.stack([getattr(s, slot) for s in seeds])
+                               for slot in ("value", "grad", "hess")),
+                             seeds[0].support)
         rows = lo if scalar else slice(lo, hi)
         n = self.p.shape[-1]
         grad = np.eye(n)[rows]
         grad = np.broadcast_to(grad, self.batch + grad.shape)
         hess = np.broadcast_to(0.0, grad.shape + (n,))
         return jets.Jet2(self.p[..., rows], grad, hess, tuple(range(n)))
+
+    def _relabel(self, support, k):
+        return support
 
 
 def dense_eval(imm, p):
@@ -536,6 +547,20 @@ def test_sparse_eval_equals_dense_seeding(label, imm):
         assert np.array_equal(pe.second, second)
         assert pe.second.shape == p.shape[:-1] + (imm.ambient_dim,) \
             + (imm.param_dim,) * 2
+
+
+@pytest.mark.parametrize("label,imm", DENSE_ORACLE_IMMERSIONS,
+                         ids=[label for label, _ in DENSE_ORACLE_IMMERSIONS])
+def test_dense_seeding_forms_no_union(monkeypatch, label, imm):
+    # the oracle stays dense: every jet it meets lies on all n parameters,
+    # stacked chart groups included, so no support union is ever laid out
+    def union_plan(s, t):
+        raise AssertionError(f"dense seeding met supports {s} and {t}")
+
+    monkeypatch.setattr(jets, "_union_plan", union_plan)
+    batch = rng_points(imm, 40, seed=17)
+    for p in (batch, batch[7]):
+        dense_eval(imm, p)
 
 
 def _dense_contraction(pe, absolute=False):

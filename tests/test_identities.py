@@ -27,8 +27,10 @@ from minvar.charts import (
 )
 from minvar.errors import DimensionMismatch, DomainError, SpecError
 from minvar.families import (
+    ChoeHoppe,
     GenHelicoidA,
     GenHelicoidB,
+    HarveyLawsonCone,
     PitchVector,
     _block_spans,
     build_immersion,
@@ -456,44 +458,7 @@ def cold(monkeypatch):
 
 @pytest.fixture
 def counted(monkeypatch, cold):
-    """Counts of ``embed_pair`` passes: one per block and evaluated batch."""
-    counts = {"pairs": 0}
-    original = CliffordBlock.embed_pair
-
-    def embed_pair(self, cols):
-        counts["pairs"] += 1
-        return original(self, cols)
-
-    monkeypatch.setattr(CliffordBlock, "embed_pair", embed_pair)
-    return counts
-
-
-@pytest.mark.parametrize("rays", [1, 2, 3])
-def test_all_checks_on_one_batch_evaluate_once(counted, rays):
-    spec = GenHelicoidA(pitch=PitchVector(0.8, (1.2, 0.7, 1.0)[:rays]),
-                        blocks=(standard_block(1),) * rays)
-    _all_checks(spec, sample_helicoid_params(spec, 4, seed=rays))
-    assert counted == {"pairs": rays}
-
-
-def test_only_the_last_batch_is_kept(counted):
-    a = sample_helicoid_params(TWO_BLOCKS, 3, seed=1)
-    b = sample_helicoid_params(TWO_BLOCKS, 3, seed=2)
-    for p in (a, b, a):
-        helicoid_algebra(TWO_BLOCKS, p)
-    assert counted == {"pairs": 6}
-    # equal points by value (a copy, another spec object) still hit
-    theta_harmonicity(dataclasses.replace(TWO_BLOCKS), a.copy())
-    assert counted == {"pairs": 6}
-    helicoid_algebra(TWO_BLOCKS, a[:2])
-    assert counted == {"pairs": 8}
-
-
-@pytest.mark.parametrize("rays", [1, 2, 3])
-def test_one_chart_pass_per_block_and_no_helicoid_eval(monkeypatch, cold,
-                                                        rays):
-    # the frames and the helicoid record share each block's C: 2L chart
-    # embeddings per batch and no Immersion.eval
+    """Counts of ``SphereChart.embed`` and ``Immersion.eval`` calls."""
     counts = {"embed": 0, "eval": 0}
     embed, eval_ = SphereChart.embed, Immersion.eval
 
@@ -505,13 +470,85 @@ def test_one_chart_pass_per_block_and_no_helicoid_eval(monkeypatch, cold,
         counts["eval"] += 1
         return eval_(self, p)
 
+    monkeypatch.setattr(SphereChart, "embed", counted_embed)
+    monkeypatch.setattr(Immersion, "eval", counted_eval)
+    return counts
+
+
+@pytest.mark.parametrize("rays", [1, 2, 3])
+def test_all_checks_on_one_batch_evaluate_once(counted, rays):
+    spec = GenHelicoidA(pitch=PitchVector(0.8, (1.2, 0.7, 1.0)[:rays]),
+                        blocks=(standard_block(1),) * rays)
+    p = sample_helicoid_params(spec, 4, seed=rays)
+    counted.update(embed=0, eval=0)     # sampling evaluates too
+    _all_checks(spec, p)
+    assert counted == {"embed": 1, "eval": 0}
+
+
+def test_only_the_last_batch_is_kept(counted):
+    # TWO_BLOCKS has two chart specs: two embeddings per evaluated batch
+    a = sample_helicoid_params(TWO_BLOCKS, 3, seed=1)
+    b = sample_helicoid_params(TWO_BLOCKS, 3, seed=2)
+    counted.update(embed=0, eval=0)
+    for p in (a, b, a):
+        helicoid_algebra(TWO_BLOCKS, p)
+    assert counted == {"embed": 6, "eval": 0}
+    # equal points by value (a copy, another spec object) still hit
+    theta_harmonicity(dataclasses.replace(TWO_BLOCKS), a.copy())
+    assert counted == {"embed": 6, "eval": 0}
+    helicoid_algebra(TWO_BLOCKS, a[:2])
+    assert counted == {"embed": 8, "eval": 0}
+
+
+@pytest.mark.parametrize("rays", [1, 2, 3])
+def test_one_chart_pass_per_spec_and_no_helicoid_eval(counted, rays):
+    # the frames and the helicoid record share each block's C, and the
+    # 2L like charts of the blocks are embedded in one call: one chart
+    # embedding per batch (2L at the parent of this layout) and no
+    # Immersion.eval
     spec = GenHelicoidA(pitch=PitchVector(0.8, (1.2, 0.7, 1.0)[:rays]),
                         blocks=(standard_block(2),) * rays)
     p = sample_helicoid_params(spec, 3, seed=rays)
-    monkeypatch.setattr(SphereChart, "embed", counted_embed)
-    monkeypatch.setattr(Immersion, "eval", counted_eval)
+    counted.update(embed=0, eval=0)
     _all_checks(spec, p)
-    assert counts == {"embed": 2 * rays, "eval": 0}
+    assert counted == {"embed": 1, "eval": 0}
+
+
+EMBEDS_PER_EVAL = {
+    "helicoid-a-L3": (GenHelicoidA(
+        pitch=PitchVector(0.8, (1.2, 0.7, 1.0)),
+        blocks=(standard_block(2),) * 3), 1),
+    "helicoid-a-two-specs": (TWO_BLOCKS, 2),
+    # unitaries that differ do not split charts that are equal
+    "helicoid-a-turned-unitaries": (GenHelicoidA(
+        pitch=PitchVector(0.5, (1.1, 0.6)),
+        blocks=(standard_block(1, unitary=rotation_commuting_with_j(2, 0.4)),
+                standard_block(1, unitary=rotation_commuting_with_j(2, 1.1)))),
+        1),
+    "helicoid-a-point-branches": (GenHelicoidA(
+        pitch=PitchVector(0.5, (1.1, 0.6)),
+        blocks=(standard_block(0, branches=(1, -1)),
+                standard_block(0, branches=(-1, -1)))), 2),
+    "helicoid-b-L3": (GenHelicoidB(rays=3, block=standard_block(2),
+                                   angular_pitch=1.1, axial_pitch=0.6), 1),
+    "choe-hoppe": (ChoeHoppe(sphere_dim=3, pitch=0.5), 1),
+    "harvey-lawson": (HarveyLawsonCone(sphere_dim=2), 1),
+    "harvey-lawson-two-specs": (HarveyLawsonCone(
+        sphere_dim=2, chart_x=SphereChart(dim=2, kind="trigonometric")), 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EMBEDS_PER_EVAL))
+def test_eval_embeds_each_chart_spec_once(counted, name):
+    # GenHelicoidA L = 3 took 6 chart embeddings per eval, GenHelicoidB 2,
+    # Choe-Hoppe and Harvey-Lawson 2 before charts were grouped by spec
+    spec, embeds = EMBEDS_PER_EVAL[name]
+    imm = build_immersion(spec)
+    p = _points(spec, 5, seed=3)
+    for call in (imm.eval, imm.position, imm.excluded):
+        counted["embed"] = 0
+        call(p)
+        assert counted["embed"] == embeds, call.__name__
 
 
 def _pe_bytes(pe):

@@ -700,3 +700,50 @@ def test_columns_slices_keep_their_type_and_refuse_steps():
             columns[::2]
         with pytest.raises(DimensionMismatch, match="step -1"):
             columns[3:0:-1]
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+@pytest.mark.parametrize("batch", [(), (1,), (3, 5)])
+def test_column_stacks_split_onto_their_members(batch, order):
+    rng = np.random.default_rng(8)
+    p = rng.standard_normal(batch + (7,))
+    cols = jets.Columns(p, order)
+    ranges = (cols[4:6], cols[0:2], cols[1:3])
+    stack = jets.Columns.stack(ranges)
+    assert type(stack) is jets.Columns and len(stack) == 2
+    assert stack.batch == (3,) + batch and stack.order == order
+    seed = stack.joint()
+    # a formula on the stack, split: each member is the formula on its
+    # own range, its support relabelled onto the range's columns
+    out = stack.split(jets.sin(seed) * seed)
+    assert len(out) == 3
+    for member, x in zip(ranges, out):
+        want = jets.sin(member.joint()) * member.joint()
+        assert type(x) is type(want)
+        if order == 0:
+            assert x.tobytes() == want.tobytes()
+            continue
+        assert x.support == want.support == tuple(range(member._lo,
+                                                        member._hi))
+        for a, b in ((x.value, want.value), (x.grad, want.grad),
+                     (x.hess, want.hess)):
+            assert (a is None and b is None) or a.tobytes() == b.tobytes()
+    if order:
+        # a range of a stack keeps its members: column 1 of the third
+        # member is column 2 of the batch
+        assert stack.split(stack[1])[2].support == (2,)
+
+
+def test_column_stacks_keep_their_type_and_check_their_ranges():
+    p = np.arange(12.0).reshape(2, 6)
+    stack = jets.Columns.stack((_TaggedColumns(p, 2)[0:2],
+                                _TaggedColumns(p, 2)[3:5]))
+    assert type(stack) is _TaggedColumns
+    assert stack.joint() == ("tagged", 0, 2, False)
+    assert np.array_equal(stack.p, [p[:, 0:2], p[:, 3:5]])
+    cols = jets.Columns(p, 2)
+    for ranges in ((cols[0:2], cols[2:5]),
+                   (cols[0:2], jets.Columns(p, 1)[2:4]),
+                   (cols[0:2], jets.Columns(p[0], 2)[2:4])):
+        with pytest.raises(DimensionMismatch, match="one width"):
+            jets.Columns.stack(ranges)
