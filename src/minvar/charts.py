@@ -20,7 +20,8 @@ with a trailing component axis (see ``jets``): the chart's parameter
 range arrives as one component-axis jet seeded on it (or one (..., d)
 array for positions), the chart returns its dim+1 coordinates as one
 vector, and the block joins X/√2 and ±Y/√2 into C and D and applies its
-unitary column by column.  Like charts run as one: ``embed_charts``
+unitary to both in one packed pass over its columns
+(``jets.linear_maps``).  Like charts run as one: ``embed_charts``
 groups the charts a map embeds by spec and evaluates each group once,
 on the members' parameter ranges stacked on a new leading batch axis
 (``jets.Columns.stack``), then splits the result back, each member with
@@ -34,6 +35,7 @@ the same C.  The maps take ``jets.Columns`` only.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -71,6 +73,19 @@ def matrix_tuple(a) -> tuple:
     return tuple(tuple(float(x) for x in row) for row in a)
 
 
+def _matrix(rows: tuple | None) -> np.ndarray | None:
+    """A nested-tuple matrix as a read-only array (None stays None).
+
+    The spec classes cache it per instance (``cached_property``, which
+    equality and hashing do not see), and it is shared, so it is frozen.
+    """
+    if rows is None:
+        return None
+    mat = np.asarray(rows, dtype=np.float64)
+    mat.flags.writeable = False
+    return mat
+
+
 def _check_orthogonal(mat: np.ndarray, size: int, label: str) -> None:
     if mat.shape != (size, size):
         raise SpecError(f"{label} must be {size}x{size}, got {mat.shape}")
@@ -97,6 +112,9 @@ def rotate_block(vec, angle):
     J(a; b) = (−b; a) swaps the halves of the components.
     """
     m = _jet_values(vec).shape[-1]
+    if m % 2:
+        raise SpecError(f"a complex block needs an even component count, "
+                        f"got {m}")
     half = m // 2
     jv = jets.concat([-jets.take(vec, half, m), jets.take(vec, 0, half)])
     return jets.lift(jets.cos(angle)) * vec + jets.lift(jets.sin(angle)) * jv
@@ -150,18 +168,17 @@ class SphereChart:
             raise SpecError(f"only point charts take a branch, got "
                             f"{self.branch!r} on a {self.kind} chart")
         if self.rotation is not None:
-            _check_orthogonal(np.asarray(self.rotation, dtype=np.float64),
-                              self.dim + 1, "chart rotation")
+            _check_orthogonal(self.rotation_matrix, self.dim + 1,
+                              "chart rotation")
 
     @property
     def param_dim(self) -> int:
         return 0 if self.kind == "point" else self.dim
 
-    @property
+    @cached_property
     def rotation_matrix(self) -> np.ndarray | None:
-        if self.rotation is None:
-            return None
-        return np.asarray(self.rotation, dtype=np.float64)
+        """``rotation`` as a read-only array, converted once per chart."""
+        return _matrix(self.rotation)
 
     def domain_box(self) -> tuple[tuple[float, float], ...]:
         if self.kind == "point":
@@ -283,7 +300,7 @@ class CliffordBlock:
                 f"block charts must parametrize spheres of equal dimension, "
                 f"got {self.chart_x.dim} and {self.chart_y.dim}")
         if self.unitary is not None:
-            mat = np.asarray(self.unitary, dtype=np.float64)
+            mat = self.unitary_matrix
             size = self.ambient_dim
             _check_orthogonal(mat, size, "block unitary")
             # J applied to U's rows is −U J, to its columns J U
@@ -305,11 +322,10 @@ class CliffordBlock:
     def ambient_dim(self) -> int:
         return 2 * self.chart_x.dim + 2
 
-    @property
+    @cached_property
     def unitary_matrix(self) -> np.ndarray | None:
-        if self.unitary is None:
-            return None
-        return np.asarray(self.unitary, dtype=np.float64)
+        """``unitary`` as a read-only array, converted once per block."""
+        return _matrix(self.unitary)
 
     def domain_box(self) -> tuple[tuple[float, float], ...]:
         return self.chart_x.domain_box() + self.chart_y.domain_box()
@@ -327,12 +343,16 @@ class CliffordBlock:
 
         C has the halves' order; D is first order (value and gradient),
         as ``CliffordFrame`` reads no d²D, so its join and unitary carry
-        no Hessian.  Both have ``embed``'s and ``dual_immersion``'s bits:
-        −Y/√2 is the negation of Y/√2, which has the bits of (−1/√2)·Y.
+        no Hessian.  The unitary maps both in one pass
+        (``jets.linear_maps``).  Both have ``embed``'s and
+        ``dual_immersion``'s bits: −Y/√2 is the negation of Y/√2, which
+        has the bits of (−1/√2)·Y.
         """
+        pair = (jets.concat([x, y]),
+                jets.concat([_first_order(x), -_first_order(y)]))
         unitary = self.unitary_matrix
-        return (_join(x, y, unitary),
-                _join(_first_order(x), -_first_order(y), unitary))
+        return pair if unitary is None \
+            else tuple(jets.linear_maps(unitary, pair))
 
     def embed(self, cols):
         """C at chart ``Columns``, as one vector."""

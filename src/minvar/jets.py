@@ -68,12 +68,16 @@ explicitly (``lift``: value[..., None], grad[..., None, :],
 hess[..., None, :, :]), never left to numpy's broadcasting, which pairs a
 batch whose length equals m with the component axis silently and wrongly.
 ``take`` and ``concat`` slice and join vectors (joined jets lie on the
-union of their supports, with +0.0 where a part carries no derivative);
-``component_sum`` adds the components left to right into one component,
-and ``linear_map(mat, v)`` applies a constant matrix column by column, as
-chart rotations and block unitaries do.  Both keep the order of the
-sequential scalar sums, so a vector has the bits of its scalar jets up to
-the sign of zero entries.  Plain (..., m) arrays take the same helpers, for
+union of their supports, with +0.0 where a part carries no derivative,
+in a layout memoized per tuple of part supports); ``component_sum`` adds
+the components left to right into one component, and
+``linear_map(mat, v)`` applies a constant matrix, as chart rotations and
+block unitaries do: it packs the vector's slots on one trailing axis
+and adds the matrix columns in order, one product and one in-place sum
+per column for every slot at once (``linear_maps`` maps several vectors
+in that one pass).  Both keep the order of the sequential scalar sums,
+so a vector has the bits of its scalar jets up to the sign of zero
+entries.  Plain (..., m) arrays take the same helpers, for
 position-only evaluation.  Numpy arrays and scalars defer to a jet's
 reflected operators (``__array_ufunc__`` is None), so an array times a jet
 is the jet's scalar product.
@@ -123,6 +127,7 @@ __all__ = [
     "interleave",
     "component_sum",
     "linear_map",
+    "linear_maps",
     "jet_eval",
     "fd_jet",
     "sin",
@@ -176,7 +181,7 @@ def _union_plan(s: tuple, t: tuple) -> _Union:
 
 def _batch(*shapes) -> tuple:
     """The broadcast of batch shapes; the common case is one shape."""
-    if all(shape == shapes[0] for shape in shapes):
+    if shapes.count(shapes[0]) == len(shapes):
         return shapes[0]
     return np.broadcast_shapes(*shapes)
 
@@ -499,6 +504,38 @@ def take(v, lo: int, hi: int):
                    None if v.hess is None else v.hess[..., lo:hi, :, :])
 
 
+@lru_cache(maxsize=1024)
+def _concat_plan(layout: tuple) -> tuple:
+    """(union support, writes, first jet) of parts laid out as ``layout``.
+
+    ``layout`` gives each part's (support, width), the support None for
+    a plain array; the first jet part (None without one) sets the order.
+    A write (k, grad index, hess index) puts part k's slots on its rows
+    and on its variables' positions in the union: slices when those
+    positions are a contiguous run of it, as for the two halves of a
+    Clifford block, else intp positions.  Memoized per layout, so a join
+    costs one zero fill per derivative slot and one write per part and
+    slot.
+    """
+    support = tuple(sorted(set().union(*(s for s, _ in layout if s))))
+    where = {v: j for j, v in enumerate(support)}
+    writes, row = [], 0
+    first = next((k for k, (part, _) in enumerate(layout)
+                  if part is not None), None)
+    for k, (part, width) in enumerate(layout):
+        rows, row = slice(row, row + width), row + width
+        if not part:
+            continue
+        cols = [where[v] for v in part]
+        if cols[-1] - cols[0] + 1 == len(cols):
+            cols = block = slice(cols[0], cols[-1] + 1)
+        else:
+            block = np.array(cols, dtype=np.intp)
+            cols = block[:, None]
+        writes.append((k, (..., rows, block), (..., rows, cols, block)))
+    return support, tuple(writes), first
+
+
 def concat(parts):
     """Vectors (jets or arrays) joined along the component axis.
 
@@ -517,32 +554,27 @@ def concat(parts):
                        np.concatenate([x.grad for x in parts], -2),
                        None if first.hess is None else
                        np.concatenate([x.hess for x in parts], -3))
-    slots = [_slots(x) for x in parts]
-    batch = _batch(*(value.shape[:-1] for value, _, _ in slots))
+    values, layout = [], []
+    for x in parts:
+        jet = isinstance(x, Jet2)
+        v = x.value if jet else np.asarray(x, dtype=np.float64)
+        values.append(v)
+        layout.append((x.support if jet else None, v.shape[-1]))
+    batch = _batch(*(v.shape[:-1] for v in values))
     value = np.concatenate([v if v.shape[:-1] == batch
                             else np.broadcast_to(v, batch + v.shape[-1:])
-                            for v, _, _ in slots], axis=-1)
-    jet_parts = [x for x in parts if isinstance(x, Jet2)]
-    if not jet_parts:
+                            for v in values], axis=-1)
+    support, writes, first = _concat_plan(tuple(layout))
+    if first is None:
         return value
-    support = tuple(sorted(set().union(*(x.support for x in jet_parts))))
     m, rows = len(support), value.shape[-1]
     grad = np.zeros(batch + (rows, m))
-    hess = None if jet_parts[0].hess is None \
+    hess = None if parts[first].hess is None \
         else np.zeros(batch + (rows, m, m))
-    row = 0
-    for (v, g, h), x in zip(slots, parts):
-        end = row + v.shape[-1]
-        if g is not None and x.support:
-            if x.support == support:
-                cols, block = slice(None), (slice(None), slice(None))
-            else:
-                plan = _union_plan(x.support, support)
-                cols, block = plan.grad[0][1], plan.hess[0][1:]
-            grad[(..., slice(row, end), cols)] = g
-            if hess is not None:
-                hess[(..., slice(row, end)) + block] = h
-        row = end
+    for k, grad_index, hess_index in writes:
+        grad[grad_index] = parts[k].grad
+        if hess is not None:
+            hess[hess_index] = parts[k].hess
     if hess is None:
         return Jet1(value, grad, support)
     return Jet2(value, grad, hess, support)
@@ -576,29 +608,62 @@ def component_sum(v):
 def linear_map(mat, v):
     """Σ_k mat[:, k] v[..., k]: a constant matrix applied to a vector.
 
-    The columns are taken in order, each in one numpy product per slot,
-    as chart rotations and block unitaries need: a value starts from
-    0 + its first term and a derivative from its first term, so every
-    output component has the bits of the sequential sum of scalar jet
-    products ``sum(mat[a, k] * v_k for k ...)`` over the components v_k
-    of ``v``, signed zeros included.  No einsum or matmul: BLAS and fused
-    multiply-adds regroup the sums.
+    Every output component has the bits of the sequential sum of scalar
+    jet products ``sum(mat[a, k] * v_k for k ...)`` over the components
+    v_k of ``v``, signed zeros included (``linear_maps``).
     """
-    cols = np.asarray(mat, dtype=np.float64).T[:, :, None, None]
-    value, grad, hess = _slots(v)
-    out = [0, None, None]
-    for k, col in enumerate(cols):
-        out[0] = out[0] + value[..., k, None] * col[:, 0, 0]
-        if grad is None:
-            continue
-        g = grad[..., k, None, :] * col[:, :, 0]
-        out[1] = g if out[1] is None else out[1] + g
+    return linear_maps(mat, (v,))[0]
+
+
+def linear_maps(mat, vectors) -> list:
+    """``linear_map`` of each vector, in one pass over the matrix columns.
+
+    The vectors share their batch shape and component count.  Their
+    slots are packed side by side on one trailing axis (each vector's
+    value, gradient and flattened Hessian in turn), and the columns are
+    added in order, one product and one in-place sum per column, so each
+    output has the bits of the sequential sum of scalar jet products.
+    That sum starts from the int 0, which changes only a −0.0 value to
+    +0.0, so each value slot gets + 0.0 at the end.  No einsum, matmul
+    or ``np.add.reduce``: BLAS, fused multiply-adds and pairwise
+    reduction regroup the sums.  The slots come back as C-ordered
+    arrays, because einsum's bits depend on the layout of its operands.
+    """
+    mat = np.asarray(mat, dtype=np.float64)
+    slots, layout, width = [], [], 0
+    for v in vectors:
+        value, grad, hess = _slots(v)
+        m = value.shape[-1] if value.ndim else 0
+        if mat.ndim != 2 or mat.shape[1] != m or not m:
+            raise DimensionMismatch(f"linear map: a matrix of shape "
+                                    f"{mat.shape} cannot act on {m} "
+                                    f"components")
+        s = 0 if grad is None else grad.shape[-1]
+        layout.append((v, width, s))
+        slots.append(value[..., None])
+        width += 1
+        if grad is not None:
+            slots.append(grad)
+            width += s
         if hess is not None:
-            h = hess[..., k, None, :, :] * col
-            out[2] = h if out[2] is None else out[2] + h
-    if grad is None:
-        return out[0]
-    return _vector(v, *out)
+            slots.append(hess.reshape(hess.shape[:-2] + (s * s,)))
+            width += s * s
+    packed = np.concatenate(slots, axis=-1)[..., None, :]
+    cols = mat.T[:, :, None]
+    out = packed[..., 0, :, :] * cols[0]
+    for k in range(1, mat.shape[1]):
+        out += packed[..., k, :, :] * cols[k]
+    mapped = []
+    for v, lo, s in layout:
+        value = out[..., lo] + 0.0
+        if isinstance(v, Jet2):
+            hess = None if v.hess is None else \
+                out[..., lo + 1 + s:lo + 1 + s + s * s].reshape(
+                    out.shape[:-1] + (s, s)).copy()
+            value = _vector(v, value, out[..., lo + 1:lo + 1 + s].copy(),
+                            hess)
+        mapped.append(value)
+    return mapped
 
 
 @lru_cache(maxsize=256)

@@ -1,5 +1,7 @@
 """Sphere-chart embeddings and Clifford-block frame identities."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from minvar.charts import (
     clifford_frame,
     embed_charts,
     matrix_tuple,
+    rotate_block,
 )
 from minvar.errors import ChartDomainError, SpecError
 from minvar.geometry import metric
@@ -137,6 +140,36 @@ def test_complex_structure_squares_to_minus_identity():
     assert_close(apply_complex_structure(apply_complex_structure(v)), -v, 1e-15)
     with pytest.raises(SpecError):
         apply_complex_structure(np.zeros(5))
+
+
+def test_rotate_block_needs_an_even_component_count():
+    with pytest.raises(SpecError, match="even component count, got 3"):
+        rotate_block(np.array([1.0, 2.0, 3.0]), 0.3)
+    v = jets.Columns(np.array([0.1, 0.2, 0.3]), 2)[0:3].joint()
+    with pytest.raises(SpecError, match="even component count"):
+        rotate_block(v, 0.3)
+    assert_close(rotate_block(np.array([1.0, 2.0]), np.pi / 2), [-2.0, 1.0],
+                 1e-15)
+
+
+def test_spec_matrices_are_converted_once():
+    # the cached arrays are frozen and invisible to equality and hashing
+    turn = _commuting_unitary(2, 0.7)
+    block = CliffordBlock(SphereChart(dim=1), SphereChart(dim=1),
+                          unitary=turn)
+    chart = SphereChart(dim=3, rotation=turn)
+    assert block.unitary_matrix is block.unitary_matrix
+    assert chart.rotation_matrix is chart.rotation_matrix
+    for mat in (block.unitary_matrix, chart.rotation_matrix):
+        assert np.array_equal(mat, np.array(turn)) and mat.dtype == float
+        with pytest.raises(ValueError):
+            mat[0, 0] = 2.0
+    twin = CliffordBlock(SphereChart(dim=1), SphereChart(dim=1),
+                         unitary=turn)
+    assert twin == block and hash(twin) == hash(block)
+    assert CliffordBlock(SphereChart(dim=1), SphereChart(dim=1)) \
+        .unitary_matrix is None
+    assert SphereChart(dim=2).rotation_matrix is None
 
 
 @pytest.mark.parametrize("kx,ky", [("trigonometric", "trigonometric"),
@@ -565,3 +598,69 @@ def test_grouped_charts_check_each_arity():
                      (cols[0:2], cols[2:5]))
     with pytest.raises(SpecError, match="block expects 4"):
         CliffordBlock(SphereChart(dim=2), SphereChart(dim=2)).embed(cols)
+
+
+# ---- rotated blocks, pinned -------------------------------------------------
+
+
+def _quadrant_unitary(half, angle):
+    # cos a·I + sin a·J; a cosine or sine below zero times the identity's
+    # zeros leaves −0.0 entries in the matrix
+    c, s = np.cos(angle) * np.eye(half), np.sin(angle) * np.eye(half)
+    return matrix_tuple(np.block([[c, -s], [s, c]]))
+
+
+def _rotated_block_digest(dim, kind):
+    """sha256 of the raw bytes, signed zeros included, of every frame
+    field, ∂g and lemma residual over unitaries and batches."""
+    from dataclasses import fields
+
+    from minvar.families import standard_block
+    from minvar.identities import lemma_magic_residuals
+
+    digest = hashlib.sha256()
+    for angle in (None, 0.4, 2.0, 3.6, 5.2):
+        block = standard_block(dim, kind, branches=(1, -1), unitary=(
+            None if angle is None else _quadrant_unitary(dim + 1, angle)))
+        pts = block_points(block, 15, seed=31 + dim)
+        for p in (pts[0], pts[:1], pts.reshape(3, 5, -1)):
+            fr = clifford_frame(block, p)
+            res = lemma_magic_residuals(block, p)
+            arrays = [getattr(fr, f.name) for f in fields(fr)
+                      if f.name not in ("metric", "split")]
+            arrays += [fr.metric.g, fr.metric.g_inv, fr.metric.det_g,
+                       fr.metric.dg]
+            arrays += [getattr(res, f.name) for f in fields(res)]
+            for a in arrays:
+                a = np.asarray(a)
+                digest.update(repr(a.shape).encode() + a.tobytes())
+    return digest.hexdigest()
+
+
+ROTATED_BLOCK_DIGESTS = {
+    "N0-point":
+        "6a092d417295c39466c9d4461a669ed947510b08cd0080989912454e62e1ca34",
+    "N1-stereographic":
+        "eb24d1d7acf8155c16e2fb698f41f26dde07dbbdbf4c5449e08ee20d8c2512db",
+    "N1-trigonometric":
+        "0d768c4d2ad52de9dfe307923e20bdc961d9eeddca65d0115e17b7f761ef7737",
+    "N2-stereographic":
+        "0e1c7e914952b04910fd5376dcf4feee5394ccc900f8a05d30625c41413129b5",
+    "N2-trigonometric":
+        "68d762968dcf067af4933847b73871c9e4c19a10445a36f3bf1661f8cfafba5b",
+    "N3-stereographic":
+        "2f11ef772a761301c85aa47fb9ac89845fae810f9468e0a4d9cc90eff68ce5b8",
+    "N3-trigonometric":
+        "a843a03928dd1cfa855d704858792dc723f7a10395ef613fe8e1912d0f1e381b",
+}
+
+
+@pytest.mark.parametrize("dim, kind", [(0, "point")] + [
+    (dim, kind) for dim in (1, 2, 3)
+    for kind in ("stereographic", "trigonometric")])
+def test_rotated_block_bytes_pinned(dim, kind):
+    # no unitary, then cos a·I + sin a·J with a in each quadrant, at
+    # batches (), (1,) and (3, 5): C, D, their derivatives, the metric
+    # and the lemma residuals keep every bit, the sign of zeros included
+    assert _rotated_block_digest(dim, kind) \
+        == ROTATED_BLOCK_DIGESTS[f"N{dim}-{kind}"]

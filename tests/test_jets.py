@@ -544,11 +544,13 @@ coefficient = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
                         st.floats(-3.0, 3.0))
 
 
+# up to 10 components: past numpy's 8-term pairwise block, so a map
+# that regrouped its sums pairwise would show
 @given(kinds=st.lists(st.sampled_from(["jet", "jet", "float", "array"]),
-                      min_size=1, max_size=5),
+                      min_size=1, max_size=10),
        rows=st.integers(1, 5), order=st.sampled_from([1, 2]),
        batch=st.sampled_from([(), (5,), (3, 4)]),
-       coeffs=st.lists(coefficient, min_size=25, max_size=25),
+       coeffs=st.lists(coefficient, min_size=50, max_size=50),
        seed=st.integers(0, 2 ** 16))
 @settings(max_examples=120, deadline=None)
 def test_linear_map_equals_sequential_sum_byte_for_byte(
@@ -584,6 +586,133 @@ def test_linear_map_equals_sequential_sum_byte_for_byte(
             assert _same_bytes(out.hess, want.hess)
 
 
+def _slot_bytes(x):
+    if not isinstance(x, Jet2):
+        return [type(x), x.shape, x.tobytes()]
+    return [type(x), x.support] + [
+        None if a is None else (a.shape, a.tobytes())
+        for a in (x.value, x.grad, x.hess)]
+
+
+@pytest.mark.parametrize("batch", [(), (1,), (3, 4)])
+def test_linear_maps_equal_one_map_per_vector(batch):
+    # several vectors in one pass: each keeps the bits of its own map
+    rng = np.random.default_rng(11)
+    mat = _signed_entries(rng, (3, 4))
+    second = Jet2(*(_signed_entries(rng, batch + shape)
+                    for shape in ((4,), (4, 2), (4, 2, 2))), (1, 3))
+    first = jets.Jet1(_signed_entries(rng, batch + (4,)),
+                      _signed_entries(rng, batch + (4, 3)), (0, 2, 5))
+    plain = _signed_entries(rng, batch + (4,))
+    vectors = (second, plain, first, second)
+    mapped = jets.linear_maps(mat, vectors)
+    assert len(mapped) == 4
+    for v, got in zip(vectors, mapped):
+        assert _slot_bytes(got) == _slot_bytes(jets.linear_map(mat, v))
+        if isinstance(got, Jet2):
+            slots = [got.value, got.grad] + [got.hess] * (got.hess is not None)
+            assert all(a.flags.c_contiguous for a in slots)
+
+
+def test_linear_map_checks_its_matrix():
+    v = _vector_jet([1.0, 2.0, 3.0])
+    for mat in (np.eye(2), np.ones((3, 4)), np.ones(3), np.ones((1, 3, 3)),
+                np.ones((3, 0))):
+        for vector in (v, v.value):
+            with pytest.raises(DimensionMismatch, match="linear map"):
+                jets.linear_map(mat, vector)
+    with pytest.raises(DimensionMismatch, match="linear map"):
+        jets.linear_map(np.ones((1, 1)), np.float64(2.0))
+    with pytest.raises(DimensionMismatch, match="linear map"):
+        jets.linear_maps(np.eye(3), (v, np.ones(2)))
+    assert jets.linear_map(np.ones((2, 3)), v.value).tolist() == [6.0, 6.0]
+
+
+# ---- concat against widening onto the union ---------------------------------
+
+
+def _part_supports(rng, kind, count):
+    """``count`` supports within 0..7 that are disjoint, nested or
+    interleaved, or adjacent runs as the halves of a Clifford block."""
+    if kind == "adjacent":
+        cuts = np.sort(rng.choice(np.arange(1, 8), count, replace=False))
+        starts = np.concatenate([[0], cuts[:-1]])
+        return [tuple(range(lo, hi)) for lo, hi in zip(starts, cuts)]
+    if kind == "disjoint":
+        pool = rng.permutation(8)[:rng.integers(count, 9)]
+        cuts = np.sort(rng.choice(np.arange(1, len(pool)), count - 1,
+                                  replace=False))
+        return [tuple(sorted(part.tolist())) for part in np.split(pool, cuts)]
+    if kind == "nested":
+        supports = [tuple(sorted(rng.choice(8, rng.integers(1, 9),
+                                            replace=False).tolist()))]
+        for _ in range(count - 1):
+            last = supports[-1]
+            supports.append(tuple(sorted(rng.choice(
+                last, rng.integers(1, len(last) + 1), replace=False)
+                .tolist())))
+        return [supports[k] for k in rng.permutation(count)]
+    shift = int(rng.integers(0, 2))        # interleaved
+    return [tuple(range((k + shift) % count, 8, count)) for k in range(count)]
+
+
+def _widened_concat(parts, batch):
+    """The reference join: every part widened onto the union with +0.0."""
+    jets_ = [x for x in parts if isinstance(x, Jet2)]
+    union = sorted(set().union(*(x.support for x in jets_)))
+    m, second = len(union), jets_[0].hess is not None
+    values, grads, hesses = [], [], []
+    for x in parts:
+        value = x.value if isinstance(x, Jet2) else x
+        width = value.shape[-1]
+        values.append(np.broadcast_to(value, batch + (width,)))
+        grad = np.zeros(batch + (width, m))
+        hess = np.zeros(batch + (width, m, m))
+        if isinstance(x, Jet2):
+            for i, a in enumerate(x.support):
+                grad[..., union.index(a)] = x.grad[..., i]
+                for j, b in enumerate(x.support):
+                    if second:
+                        hess[..., union.index(a), union.index(b)] = \
+                            x.hess[..., i, j]
+        grads.append(grad)
+        hesses.append(hess)
+    value = np.concatenate(values, -1)
+    grad = np.concatenate(grads, -2)
+    if not second:
+        return jets.Jet1(value, grad, tuple(union))
+    return Jet2(value, grad, np.concatenate(hesses, -3), tuple(union))
+
+
+@given(kind=st.sampled_from(["adjacent", "disjoint", "nested", "interleaved"]),
+       kinds=st.lists(st.sampled_from(["jet", "jet", "float", "array"]),
+                      min_size=1, max_size=5).filter(lambda k: "jet" in k),
+       order=st.sampled_from([1, 2]),
+       batch=st.sampled_from([(), (1,), (3, 4)]),
+       seed=st.integers(0, 2 ** 16))
+@settings(max_examples=200, deadline=None)
+def test_concat_equals_widening_each_part_onto_the_union(
+        kind, kinds, order, batch, seed):
+    rng = np.random.default_rng(seed)
+    supports = iter(_part_supports(rng, kind, kinds.count("jet")))
+    parts = []
+    for part in kinds:
+        width = int(rng.integers(1, 4))
+        if part == "float":
+            parts.append(jets.lift(float(rng.choice([0.0, -0.0, 1.5]))))
+        elif part == "array":
+            parts.append(_signed_entries(rng, batch + (width,)))
+        else:
+            support = next(supports)
+            s = len(support)
+            slots = [_signed_entries(rng, batch + (width,) + (s,) * k)
+                     for k in range(order + 1)]
+            parts.append(Jet2(*slots, support) if order == 2
+                         else jets.Jet1(*slots, support))
+    got = jets.concat(parts)
+    assert _slot_bytes(got) == _slot_bytes(_widened_concat(parts, batch))
+
+
 # ---- component-axis vectors and parameter columns ---------------------------
 
 
@@ -614,6 +743,21 @@ def test_component_sums_run_left_to_right(order):
     assert mapped.value.tolist() == [1e16]
     assert np.all(mapped.grad == 1e16)
     assert jets.linear_map(ones, np.array(values)).tolist() == [1e16]
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_ten_term_linear_map_runs_left_to_right(order):
+    # nine ones after 1e16 each round away; a pairwise sum of the ten
+    # terms (numpy's reduction past 8 terms) adds them up to 1e16 + 8
+    v = _vector_jet([1e16] + [1.0] * 9)
+    if order < 2:
+        v = v.value if order == 0 else jets.Jet1(v.value, v.grad, v.support)
+    mapped = jets.linear_map(np.ones((1, 10)), v)
+    slots = [mapped] if order == 0 else [mapped.value, mapped.grad]
+    if order == 2:
+        slots.append(mapped.hess)
+    for slot in slots:
+        assert np.all(slot == 1e16)
 
 
 def test_lift_and_take_keep_the_component_axis():
