@@ -13,7 +13,10 @@ A ``CliffordBlock`` pairs two charts of the same dimension into the
 minimal torus map C = (X(u); Y(v))/√2 ⊂ S^{2N+1} together with its dual
 field D = (X; −Y)/√2.  The ambient ℝ^{2N+2} carries the complex structure
 J(a; b) = (−b; a); an optional real orthogonal matrix commuting with J may
-rotate the block.
+rotate the block.  ``apply_complex_structure`` applies J to an array or,
+slot by slot, to a component-axis jet, whose derivatives J maps as it
+maps the values: ``rotate_block`` rotates a block by e^{iθ} with it, and
+``pair_frame`` reads JC and J∂C from one J of C.
 
 Each chart kind has one formula and the block one, written on a vector
 with a trailing component axis (see ``jets``): the chart's parameter
@@ -94,14 +97,30 @@ def _check_orthogonal(mat: np.ndarray, size: int, label: str) -> None:
         raise SpecError(f"{label} is not orthogonal (defect {defect:.3e})")
 
 
-def apply_complex_structure(vec: np.ndarray) -> np.ndarray:
-    """J(a; b) = (−b; a) acting on the last axis, which must be even."""
-    vec = np.asarray(vec)
-    m = vec.shape[-1]
+def _swap_halves(slot: np.ndarray, axis: int) -> np.ndarray:
+    """(−b; a) of a slot whose ``axis`` holds the components (a; b)."""
+    m = slot.shape[axis]
     if m % 2:
-        raise SpecError(f"J needs an even ambient dimension, got {m}")
-    half = m // 2
-    return np.concatenate([-vec[..., half:], vec[..., :half]], axis=-1)
+        raise SpecError(f"a complex block needs an even component count, "
+                        f"got {m}")
+    rest = (slice(None),) * (-1 - axis)
+    return np.concatenate([-slot[(..., slice(m // 2, None)) + rest],
+                           slot[(..., slice(None, m // 2)) + rest]], axis=axis)
+
+
+def apply_complex_structure(vec):
+    """J(a; b) = (−b; a) on the component axis, which must be even.
+
+    ``vec`` is an array, its last axis the components, or a
+    component-axis jet.  J is constant and linear, so on a jet it acts
+    slot by slot, on the component axis of the value, the gradient and
+    the Hessian alike, and keeps the jet's support and order.
+    """
+    if not isinstance(vec, jets.Jet2):
+        return _swap_halves(np.asarray(vec), -1)
+    return jets._jet(_swap_halves(vec.value, -1), _swap_halves(vec.grad, -2),
+                     None if vec.hess is None else _swap_halves(vec.hess, -3),
+                     vec.support)
 
 
 def rotate_block(vec, angle):
@@ -109,14 +128,8 @@ def rotate_block(vec, angle):
 
     ``vec`` holds the block on its last axis, a component-axis jet or an
     array; ``angle`` is a scalar jet, array or number over its batch.
-    J(a; b) = (−b; a) swaps the halves of the components.
     """
-    m = _jet_values(vec).shape[-1]
-    if m % 2:
-        raise SpecError(f"a complex block needs an even component count, "
-                        f"got {m}")
-    half = m // 2
-    jv = jets.concat([-jets.take(vec, half, m), jets.take(vec, 0, half)])
+    jv = apply_complex_structure(vec)
     return jets.lift(jets.cos(angle)) * vec + jets.lift(jets.sin(angle)) * jv
 
 
@@ -433,13 +446,13 @@ def pair_frame(block: CliffordBlock, c, d) -> CliffordFrame:
     """
     if isinstance(c, jets.Jet2):
         C, dC, d2C, D, dD = c.value, c.grad, c.hess, d.value, d.grad
+        j = apply_complex_structure(_first_order(c))
+        jc, jdc = j.value, j.grad
     else:
         C, D = c, d
-        dC = dD = np.zeros(C.shape + (0,))
+        dC = dD = jdc = np.zeros(C.shape + (0,))
         d2C = np.zeros(C.shape + (0, 0))
-    jc = apply_complex_structure(C)
-    jdc = np.swapaxes(apply_complex_structure(np.swapaxes(dC, -1, -2)),
-                      -1, -2)
+        jc = apply_complex_structure(C)
     w = np.einsum("...aj,...a->...j", dC, jc)
     dw = np.einsum("...aik,...a->...ki", d2C, jc) \
         + np.einsum("...ai,...ak->...ki", dC, jdc)

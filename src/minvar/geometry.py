@@ -367,10 +367,12 @@ def _below_floor(gram: tuple) -> np.ndarray:
     """Mask of points whose metric g = JᵀJ is close to rank-deficient.
 
     Flags det g ≤ METRIC_RATIO_FLOOR · Π g_ii (the scale-free Hadamard
-    ratio that RANK_TOL also bounds) and any non-positive determinant.
+    ratio that RANK_TOL also bounds), any non-positive determinant, and a
+    NaN one: the mask is the complement of the passing comparisons, which
+    a NaN fails, so a Jacobian holding NaN or inf is excluded, not kept.
     """
     _, det, hadamard = gram
-    return (det <= 0.0) | (det <= METRIC_RATIO_FLOOR * hadamard)
+    return ~((det > 0.0) & (det > METRIC_RATIO_FLOOR * hadamard))
 
 
 def metric(pe: PointEval) -> MetricEval:
@@ -380,6 +382,10 @@ def metric(pe: PointEval) -> MetricEval:
     formed on first read of ``MetricEval.dg``.
     """
     g, det, hadamard = _gram(pe.jacobian) if pe.gram is None else pe.gram
+    if not np.all(np.isfinite(det)):
+        bad = np.extract(~np.isfinite(det), det)
+        raise DegenerateMetric(f"non-finite metric: det g = {bad[0]} at "
+                               f"{bad.size} point(s)")
     # a vanishing Jacobian column makes Π g_ii = 0: report the ratio as 0
     ratio = np.divide(det, hadamard, out=np.zeros(np.shape(det)),
                       where=hadamard != 0.0)

@@ -91,15 +91,18 @@ where a layout alternates their components.  A component map takes
 ``Columns`` only: the batch of points (..., n) it is evaluated at, seeded
 to the order the caller asks for.
 
-The primitives ``sin``/``cos``/``exp``/``log``/``sqrt``/``reciprocal``/
-``atan``/``atan2`` accept jets or plain numbers/arrays and dispatch
-accordingly; a map written once in these primitives can therefore be
-evaluated two ways, as fast plain numpy (positions only) or as jets (exact
-derivatives).  A jet divides through its reciprocal, so a map that
-multiplies by ``reciprocal(d)`` instead of dividing by d gets the same
-value bits both ways.  ``fd_jet`` (central differences with Richardson
-extrapolation) is the independent oracle: run over a position-only
-evaluation, ``Immersion.position`` say, it reads values alone.
+The primitives ``sin``/``cos``/``reciprocal``/``atan2`` accept jets or
+plain numbers/arrays and dispatch accordingly; with sums and products
+they are all the algebra the maps use.  A map written once in them can
+therefore be evaluated two ways, as fast plain numpy (positions only) or
+as jets (exact derivatives).  Jets have no ``/`` (nor ``**``): a map
+divides by multiplying with ``reciprocal(d)``, which computes 1.0 / d
+both ways, so ``position`` keeps the bits of ``eval`` (``x / d`` would
+divide an array directly but a jet through its reciprocal, and round
+differently).
+``fd_jet`` (central differences with Richardson extrapolation) is the
+independent oracle: run over a position-only evaluation,
+``Immersion.position`` say, it reads values alone.
 """
 
 from __future__ import annotations
@@ -118,7 +121,6 @@ __all__ = [
     "Jet1",
     "StepPolicy",
     "variables",
-    "constant_like",
     "Columns",
     "place",
     "lift",
@@ -132,11 +134,7 @@ __all__ = [
     "fd_jet",
     "sin",
     "cos",
-    "exp",
-    "log",
-    "sqrt",
     "reciprocal",
-    "atan",
     "atan2",
 ]
 
@@ -227,6 +225,18 @@ def _aligned(a: "Jet2", b: "Jet2", plan: _Union | None = None):
     return (plan.support,) + a_wide + b_wide
 
 
+def _jet(value, grad, hess, support) -> "Jet2":
+    """The jet of these slots: a ``Jet1`` when ``hess`` is None.
+
+    Every operation builds its result here (and so does
+    ``charts.apply_complex_structure``), so a result has its operands'
+    order without a test of its own.
+    """
+    if hess is None:
+        return Jet1(value, grad, support)
+    return Jet2(value, grad, hess, support)
+
+
 def _sum(a: "Jet2", b: "Jet2", op) -> "Jet2":
     """a + b or a − b (op is np.add or np.subtract) of two jets.
 
@@ -234,17 +244,15 @@ def _sum(a: "Jet2", b: "Jet2", op) -> "Jet2":
     """
     value = op(a.value, b.value)
     if a.support is b.support or a.support == b.support:
-        if a.hess is None:
-            return Jet1(value, op(a.grad, b.grad), a.support)
-        return Jet2(value, op(a.grad, b.grad), op(a.hess, b.hess), a.support)
+        return _jet(value, op(a.grad, b.grad),
+                    None if a.hess is None else op(a.hess, b.hess), a.support)
     plan = _union_plan(a.support, b.support)
     m = len(plan.support)
     batch = _batch(a.grad.shape[:-1], b.grad.shape[:-1])
     grad = _scatter(a.grad, b.grad, *plan.grad, batch + (m,), op)
-    if a.hess is None:
-        return Jet1(value, grad, plan.support)
-    hess = _scatter(a.hess, b.hess, *plan.hess[:2], batch + (m, m), op)
-    return Jet2(value, grad, hess, plan.support)
+    hess = None if a.hess is None else \
+        _scatter(a.hess, b.hess, *plan.hess[:2], batch + (m, m), op)
+    return _jet(value, grad, hess, plan.support)
 
 
 def _disjoint_product(a: "Jet2", b: "Jet2", plan: _Union) -> "Jet2":
@@ -260,16 +268,16 @@ def _disjoint_product(a: "Jet2", b: "Jet2", plan: _Union) -> "Jet2":
     grad = np.empty(batch + (m,))
     grad[plan.grad[0]] = bv[..., None] * a.grad
     grad[plan.grad[1]] = av[..., None] * b.grad
-    if a.hess is None:
-        return Jet1(av * bv, grad, plan.support)
-    ss, tt, st, ts = plan.hess
-    hess = np.empty(batch + (m, m))
-    hess[ss] = bv[..., None, None] * a.hess
-    hess[tt] = av[..., None, None] * b.hess
-    outer = a.grad[..., :, None] * b.grad[..., None, :]
-    hess[st] = outer
-    hess[ts] = np.swapaxes(outer, -1, -2)
-    return Jet2(av * bv, grad, hess, plan.support)
+    hess = None
+    if a.hess is not None:
+        ss, tt, st, ts = plan.hess
+        hess = np.empty(batch + (m, m))
+        hess[ss] = bv[..., None, None] * a.hess
+        hess[tt] = av[..., None, None] * b.hess
+        outer = a.grad[..., :, None] * b.grad[..., None, :]
+        hess[st] = outer
+        hess[ts] = np.swapaxes(outer, -1, -2)
+    return _jet(av * bv, grad, hess, plan.support)
 
 
 class Jet2:
@@ -308,17 +316,14 @@ class Jet2:
     # ---- linear structure -------------------------------------------------
 
     def __neg__(self) -> "Jet2":
-        if self.hess is None:
-            return Jet1(-self.value, -self.grad, self.support)
-        return Jet2(-self.value, -self.grad, -self.hess, self.support)
+        return _jet(-self.value, -self.grad,
+                    None if self.hess is None else -self.hess, self.support)
 
     def __add__(self, other) -> "Jet2":
         if isinstance(other, Jet2):
             return _sum(self, other, np.add)
         if isinstance(other, _Scalar):
-            if self.hess is None:
-                return Jet1(self.value + other, self.grad, self.support)
-            return Jet2(self.value + other, self.grad, self.hess, self.support)
+            return _jet(self.value + other, self.grad, self.hess, self.support)
         return NotImplemented
 
     __radd__ = __add__
@@ -327,16 +332,13 @@ class Jet2:
         if isinstance(other, Jet2):
             return _sum(self, other, np.subtract)
         if isinstance(other, _Scalar):
-            if self.hess is None:
-                return Jet1(self.value - other, self.grad, self.support)
-            return Jet2(self.value - other, self.grad, self.hess, self.support)
+            return _jet(self.value - other, self.grad, self.hess, self.support)
         return NotImplemented
 
     def __rsub__(self, other):
         if isinstance(other, _Scalar):
-            if self.hess is None:
-                return Jet1(other - self.value, -self.grad, self.support)
-            return Jet2(other - self.value, -self.grad, -self.hess,
+            return _jet(other - self.value, -self.grad,
+                        None if self.hess is None else -self.hess,
                         self.support)
         return NotImplemented
 
@@ -354,54 +356,24 @@ class Jet2:
             sup, ag, ah, bg, bh = _aligned(self, other, plan)
             av, bv = self.value, other.value
             grad = av[..., None] * bg + bv[..., None] * ag
-            if ah is None:
-                return Jet1(av * bv, grad, sup)
-            outer = ag[..., :, None] * bg[..., None, :]
-            # symmetrize the rank-one part first: addition is commutative but
-            # not associative, so this grouping keeps hess exactly symmetric
-            hess = (av[..., None, None] * bh
-                    + bv[..., None, None] * ah
-                    + (outer + np.swapaxes(outer, -1, -2)))
-            return Jet2(av * bv, grad, hess, sup)
+            hess = None
+            if ah is not None:
+                outer = ag[..., :, None] * bg[..., None, :]
+                # symmetrize the rank-one part first: addition is
+                # commutative but not associative, so this grouping keeps
+                # hess exactly symmetric
+                hess = (av[..., None, None] * bh
+                        + bv[..., None, None] * ah
+                        + (outer + np.swapaxes(outer, -1, -2)))
+            return _jet(av * bv, grad, hess, sup)
         if isinstance(other, _Scalar):
             c = np.asarray(other, dtype=np.float64)
-            if self.hess is None:
-                return Jet1(self.value * c, self.grad * c[..., None],
-                            self.support)
-            return Jet2(self.value * c, self.grad * c[..., None],
-                        self.hess * c[..., None, None], self.support)
+            return _jet(self.value * c, self.grad * c[..., None],
+                        None if self.hess is None
+                        else self.hess * c[..., None, None], self.support)
         return NotImplemented
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "Jet2":
-        if isinstance(other, Jet2):
-            return self * _reciprocal(other)
-        if isinstance(other, _Scalar):
-            return self * (1.0 / np.asarray(other, dtype=np.float64))
-        return NotImplemented
-
-    def __rtruediv__(self, other):
-        if isinstance(other, _Scalar):
-            return _reciprocal(self) * other
-        return NotImplemented
-
-    def __pow__(self, k) -> "Jet2":
-        if not isinstance(k, (int, float, np.integer, np.floating)):
-            return NotImplemented
-        kf = float(k)
-        if kf == 0.0:
-            return constant_like(np.ones_like(self.value), self)
-        if kf == 1.0:
-            return self
-        v = self.value
-        if kf != int(kf) and np.any(v <= 0.0):
-            raise DomainError("non-integer power of a non-positive value")
-        if kf < 0.0 and np.any(v == 0.0):
-            raise DomainError("negative power of zero")
-        return _chain(self, v ** kf, kf * v ** (kf - 1.0),
-                      None if self.hess is None
-                      else kf * (kf - 1.0) * v ** (kf - 2.0))
 
 
 class Jet1(Jet2):
@@ -409,11 +381,12 @@ class Jet1(Jet2):
 
     Every operation on it runs the gradient formulas of ``Jet2`` unchanged
     and skips the Hessian, so its values and gradients are bit-identical to
-    those of the full jet.  Results are ``Jet1`` again, so first-order
-    seeds keep a whole evaluation first order; the operands of one binary
-    operation must share one order.  Code that reads Hessians can tell the
-    orders apart by type (perfbench's Hessian byte count takes only
-    ``type(j) is Jet2``).
+    those of the full jet.  Results are ``Jet1`` again, because every
+    operation builds its result with ``_jet``, which picks the order from
+    the Hessian slot, so first-order seeds keep a whole evaluation first
+    order; the operands of one binary operation must share one order.
+    Code that reads Hessians can tell the orders apart by type
+    (perfbench's Hessian byte count takes only ``type(j) is Jet2``).
     """
 
     __slots__ = ()
@@ -432,24 +405,13 @@ def _chain(x: Jet2, f0: np.ndarray, f1: np.ndarray, f2) -> Jet2:
     A value+gradient operand reads no h'', so the primitives pass None
     for it instead of computing it.
     """
-    grad = f1[..., None] * x.grad
-    if x.hess is None:
-        return Jet1(f0, grad, x.support)
-    outer = x.grad[..., :, None] * x.grad[..., None, :]
-    hess = f1[..., None, None] * x.hess + f2[..., None, None] * outer
-    return Jet2(f0, grad, hess, x.support)
+    hess = None if x.hess is None else \
+        f1[..., None, None] * x.hess \
+        + f2[..., None, None] * (x.grad[..., :, None] * x.grad[..., None, :])
+    return _jet(f0, f1[..., None] * x.grad, hess, x.support)
 
 
-def _reciprocal(x: Jet2) -> Jet2:
-    v = x.value
-    if np.any(v == 0.0):
-        raise DomainError("division by zero")
-    inv = 1.0 / v
-    return _chain(x, inv, -inv * inv,
-                  None if x.hess is None else 2.0 * inv * inv * inv)
-
-
-def constant_like(c, like: Jet2) -> Jet2:
+def _constant_like(c, like: Jet2) -> Jet2:
     """A jet with value c and vanishing derivatives, shaped like ``like``.
 
     It keeps ``like``'s support and order, so it aligns with ``like``
@@ -459,10 +421,9 @@ def constant_like(c, like: Jet2) -> Jet2:
                             np.broadcast_shapes(np.shape(c), like.value.shape))
     zero = np.zeros((), dtype=np.float64)
     grad = np.broadcast_to(zero, value.shape + (like.nvars,))
-    if like.hess is None:
-        return Jet1(value, grad, like.support)
-    hess = np.broadcast_to(zero, value.shape + (like.nvars, like.nvars))
-    return Jet2(value, grad, hess, like.support)
+    hess = None if like.hess is None else \
+        np.broadcast_to(zero, value.shape + (like.nvars, like.nvars))
+    return _jet(value, grad, hess, like.support)
 
 
 # ---- component-axis vectors ------------------------------------------------
@@ -475,13 +436,6 @@ def _slots(v):
     return np.asarray(v, dtype=np.float64), None, None
 
 
-def _vector(like: Jet2, value, grad, hess) -> Jet2:
-    """A jet of ``like``'s order and support from its three slots."""
-    if like.hess is None:
-        return Jet1(value, grad, like.support)
-    return Jet2(value, grad, hess, like.support)
-
-
 def lift(x):
     """A scalar jet or array as a vector of one component.
 
@@ -492,16 +446,17 @@ def lift(x):
     """
     if not isinstance(x, Jet2):
         return np.asarray(x, dtype=np.float64)[..., None]
-    return _vector(x, x.value[..., None], x.grad[..., None, :],
-                   None if x.hess is None else x.hess[..., None, :, :])
+    return _jet(x.value[..., None], x.grad[..., None, :],
+                None if x.hess is None else x.hess[..., None, :, :], x.support)
 
 
 def take(v, lo: int, hi: int):
     """Components lo..hi−1 of a vector, as a vector of views."""
     if not isinstance(v, Jet2):
         return v[..., lo:hi]
-    return _vector(v, v.value[..., lo:hi], v.grad[..., lo:hi, :],
-                   None if v.hess is None else v.hess[..., lo:hi, :, :])
+    return _jet(v.value[..., lo:hi], v.grad[..., lo:hi, :],
+                None if v.hess is None else v.hess[..., lo:hi, :, :],
+                v.support)
 
 
 @lru_cache(maxsize=1024)
@@ -550,10 +505,10 @@ def concat(parts):
             and x.value.shape[:-1] == first.value.shape[:-1]
             for x in parts[1:]):
         # one support and one batch: the slots join as they are
-        return _vector(first, np.concatenate([x.value for x in parts], -1),
-                       np.concatenate([x.grad for x in parts], -2),
-                       None if first.hess is None else
-                       np.concatenate([x.hess for x in parts], -3))
+        return _jet(np.concatenate([x.value for x in parts], -1),
+                    np.concatenate([x.grad for x in parts], -2),
+                    None if first.hess is None else
+                    np.concatenate([x.hess for x in parts], -3), first.support)
     values, layout = [], []
     for x in parts:
         jet = isinstance(x, Jet2)
@@ -575,9 +530,7 @@ def concat(parts):
         grad[grad_index] = parts[k].grad
         if hess is not None:
             hess[hess_index] = parts[k].hess
-    if hess is None:
-        return Jet1(value, grad, support)
-    return Jet2(value, grad, hess, support)
+    return _jet(value, grad, hess, support)
 
 
 def interleave(a, b):
@@ -593,8 +546,8 @@ def interleave(a, b):
     (av, ag, ah), (bv, bg, bh) = _slots(a), _slots(b)
     if ag is None:
         return weave(av, bv, 0)
-    return _vector(a, weave(av, bv, 0), weave(ag, bg, 1),
-                   None if ah is None else weave(ah, bh, 2))
+    return _jet(weave(av, bv, 0), weave(ag, bg, 1),
+                None if ah is None else weave(ah, bh, 2), a.support)
 
 
 def component_sum(v):
@@ -660,8 +613,8 @@ def linear_maps(mat, vectors) -> list:
             hess = None if v.hess is None else \
                 out[..., lo + 1 + s:lo + 1 + s + s * s].reshape(
                     out.shape[:-1] + (s, s)).copy()
-            value = _vector(v, value, out[..., lo + 1:lo + 1 + s].copy(),
-                            hess)
+            value = _jet(value, out[..., lo + 1:lo + 1 + s].copy(), hess,
+                         v.support)
         mapped.append(value)
     return mapped
 
@@ -741,9 +694,8 @@ class Columns(Sequence):
         """A stack's output ``out`` as one output per member, in order."""
         if not isinstance(out, Jet2):
             return list(out)
-        return [Jet1(out.value[k], out.grad[k], self._relabel(out.support, k))
-                if out.hess is None else
-                Jet2(out.value[k], out.grad[k], out.hess[k],
+        return [_jet(out.value[k], out.grad[k],
+                     None if out.hess is None else out.hess[k],
                      self._relabel(out.support, k))
                 for k in range(len(self._members))]
 
@@ -788,9 +740,8 @@ class Columns(Sequence):
         grad, hess = _seed_slots(self.batch, hi - lo)
         if scalar:
             grad, hess = grad[..., 0, :], hess[..., 0, :, :]
-        if self.order == 1:
-            return Jet1(value, grad, tuple(range(lo, hi)))
-        return Jet2(value, grad, hess, tuple(range(lo, hi)))
+        return _jet(value, grad, hess if self.order == 2 else None,
+                    tuple(range(lo, hi)))
 
 
 def place(outs, batch: tuple) -> tuple[list, int]:
@@ -835,57 +786,21 @@ def cos(x):
     return np.cos(x)
 
 
-def exp(x):
-    if isinstance(x, Jet2):
-        e = np.exp(x.value)
-        return _chain(x, e, e, e)
-    return np.exp(x)
-
-
-def log(x):
-    if isinstance(x, Jet2):
-        v = x.value
-        if np.any(v <= 0.0):
-            raise DomainError("log of a non-positive value")
-        return _chain(x, np.log(v), 1.0 / v,
-                      None if x.hess is None else -1.0 / (v * v))
-    if np.any(np.asarray(x) <= 0.0):
-        raise DomainError("log of a non-positive value")
-    return np.log(x)
-
-
-def sqrt(x):
-    if isinstance(x, Jet2):
-        v = x.value
-        if np.any(v <= 0.0):
-            raise DomainError("sqrt requires values bounded away from zero")
-        r = np.sqrt(v)
-        return _chain(x, r, 0.5 / r,
-                      None if x.hess is None else -0.25 / (r * v))
-    if np.any(np.asarray(x) < 0.0):
-        raise DomainError("sqrt of a negative value")
-    return np.sqrt(x)
-
-
 def reciprocal(x):
     """1/x: a jet through its reciprocal rule, an array by one division.
 
     Both ways compute the same value 1.0 / x, so a map that multiplies by
-    ``reciprocal(d)`` gives ``position`` the bits of ``eval``, where
-    ``x / d`` would not: a jet divides through its reciprocal.
+    ``reciprocal(d)`` gives ``position`` the bits of ``eval``.  It is the
+    only way a map divides: jets have no ``/``.
     """
-    if isinstance(x, Jet2):
-        return _reciprocal(x)
-    return 1.0 / x
-
-
-def atan(x):
-    if isinstance(x, Jet2):
-        v = x.value
-        d = 1.0 / (1.0 + v * v)
-        return _chain(x, np.arctan(v), d,
-                      None if x.hess is None else -2.0 * v * d * d)
-    return np.arctan(x)
+    if not isinstance(x, Jet2):
+        return 1.0 / x
+    v = x.value
+    if np.any(v == 0.0):
+        raise DomainError("division by zero")
+    inv = 1.0 / v
+    return _chain(x, inv, -inv * inv,
+                  None if x.hess is None else 2.0 * inv * inv * inv)
 
 
 def atan2(y, x):
@@ -899,9 +814,9 @@ def atan2(y, x):
         return np.arctan2(y, x)
     ref = y if isinstance(y, Jet2) else x
     if not isinstance(y, Jet2):
-        y = constant_like(y, ref)
+        y = _constant_like(y, ref)
     if not isinstance(x, Jet2):
-        x = constant_like(x, ref)
+        x = _constant_like(x, ref)
     sup, xg, xh, yg, yh = _aligned(x, y)
     xv, yv = x.value, y.value
     s = xv * xv + yv * yv
@@ -909,15 +824,16 @@ def atan2(y, x):
         raise DomainError("atan2 at the origin")
     num = xv[..., None] * yg - yv[..., None] * xg
     grad = num / s[..., None]
-    if xh is None:
-        return Jet1(np.arctan2(yv, xv), grad, sup)
-    ds = 2.0 * (xv[..., None] * xg + yv[..., None] * yg)
-    cross = xg[..., :, None] * yg[..., None, :]
-    raw = (cross - np.swapaxes(cross, -1, -2)
-           + xv[..., None, None] * yh - yv[..., None, None] * xh) \
-        / s[..., None, None] \
-        - num[..., :, None] * ds[..., None, :] / (s * s)[..., None, None]
-    return Jet2(np.arctan2(yv, xv), grad, _sym(raw), sup)
+    hess = None
+    if xh is not None:
+        ds = 2.0 * (xv[..., None] * xg + yv[..., None] * yg)
+        cross = xg[..., :, None] * yg[..., None, :]
+        hess = _sym((cross - np.swapaxes(cross, -1, -2)
+                     + xv[..., None, None] * yh - yv[..., None, None] * xh)
+                    / s[..., None, None]
+                    - num[..., :, None] * ds[..., None, :]
+                    / (s * s)[..., None, None])
+    return _jet(np.arctan2(yv, xv), grad, hess, sup)
 
 
 # ---- seeding and evaluation -------------------------------------------------
@@ -932,16 +848,9 @@ def variables(p) -> list[Jet2]:
     if p.ndim == 0:
         raise DomainError("variables() needs a trailing coordinate axis")
     n = p.shape[-1]
-    batch = p.shape[:-1]
-    eye = np.eye(n)
-    zero = np.zeros((), dtype=np.float64)
-    full = tuple(range(n))
-    out = []
-    for i in range(n):
-        grad = np.broadcast_to(eye[i], batch + (n,))
-        hess = np.broadcast_to(zero, batch + (n, n))
-        out.append(Jet2(p[..., i], grad, hess, full))
-    return out
+    grad, hess = _seed_slots(p.shape[:-1], n)
+    return [Jet2(p[..., i], grad[..., i, :], hess[..., i, :, :],
+                 tuple(range(n))) for i in range(n)]
 
 
 def jet_eval(f, p) -> Jet2:
@@ -950,7 +859,7 @@ def jet_eval(f, p) -> Jet2:
     out = f(*seeds)
     if isinstance(out, Jet2):
         return out
-    return constant_like(out, seeds[0])
+    return _constant_like(out, seeds[0])
 
 
 @dataclass(frozen=True)
@@ -974,23 +883,15 @@ def _fd_once(ev, p: np.ndarray, h: np.ndarray, val: np.ndarray):
     batch = p.shape[:-1]
     grad = np.empty(batch + (n,))
     hess = np.empty(batch + (n, n))
-    shifted = {}
+    steps = h[..., :, None] * np.eye(n)     # [..., i, :] is h_i along e_i
     for i in range(n):
-        ei = np.zeros(n)
-        ei[i] = 1.0
-        step = h[..., i, None] * ei
-        fp, fm = ev(p + step), ev(p - step)
-        shifted[i] = (fp, fm)
+        fp, fm = ev(p + steps[..., i, :]), ev(p - steps[..., i, :])
         grad[..., i] = (fp - fm) / (2.0 * h[..., i])
         hess[..., i, i] = (fp - 2.0 * val + fm) / (h[..., i] ** 2)
     for i in range(n):
-        ei = np.zeros(n)
-        ei[i] = 1.0
+        si = steps[..., i, :]
         for j in range(i + 1, n):
-            ej = np.zeros(n)
-            ej[j] = 1.0
-            si = h[..., i, None] * ei
-            sj = h[..., j, None] * ej
+            sj = steps[..., j, :]
             quad = (ev(p + si + sj) - ev(p + si - sj)
                     - ev(p - si + sj) + ev(p - si - sj))
             hess[..., i, j] = hess[..., j, i] = \
@@ -1013,17 +914,13 @@ def fd_jet(f, p, policy: StepPolicy | None = None) -> Jet2:
     h0 = policy.base_step * np.maximum(1.0, np.abs(p))
     levels = int(policy.richardson_levels)
     rows = [_fd_once(ev, p, h0 / (2.0 ** k), val) for k in range(levels)]
-    # Richardson table over the halved-step ladder; each stage cancels the
-    # next even-order error term of the central-difference estimates.
+    # Richardson table over the halved-step ladder; each stage combines
+    # neighbouring rows and cancels the next even-order error term of the
+    # central-difference estimates.
     for m in range(1, levels):
         w = 4.0 ** m
-        rows = [
-            (
-                (w * rows[k][0] - rows[k - 1][0]) / (w - 1.0),
-                (w * rows[k][1] - rows[k - 1][1]) / (w - 1.0),
-            )
-            for k in range(m, levels)
-        ]
-        rows = [None] * m + rows
+        rows = [tuple((w * fine - coarse) / (w - 1.0)
+                      for coarse, fine in zip(a, b))
+                for a, b in zip(rows, rows[1:])]
     grad, hess = rows[-1]
     return Jet2(val, grad, _sym(hess))

@@ -142,6 +142,30 @@ def test_complex_structure_squares_to_minus_identity():
         apply_complex_structure(np.zeros(5))
 
 
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_complex_structure_acts_on_a_jet_slot_by_slot(order):
+    # J is constant and linear, so J of a component-axis jet is J of its
+    # value, gradient and Hessian on their component axes: the bytes of
+    # (−b; a) joined from the jet's halves, with its support and order
+    p = np.random.default_rng(6).standard_normal((3, 5))
+    cols = jets.Columns(p, order)[1:5]
+    v = jets.sin(cols.joint()) * jets.lift(cols[0])
+    jv = apply_complex_structure(v)
+    want = jets.concat([-jets.take(v, 2, 4), jets.take(v, 0, 2)])
+    assert type(jv) is type(want)
+    if order == 0:
+        assert jv.tobytes() == want.tobytes()
+        return
+    assert jv.support == want.support == (1, 2, 3, 4)
+    for got, ref in ((jv.value, want.value), (jv.grad, want.grad),
+                     (jv.hess, want.hess)):
+        assert (got is None and ref is None) or got.tobytes() == ref.tobytes()
+    twice = apply_complex_structure(jv)
+    assert np.array_equal(twice.grad, -v.grad)
+    with pytest.raises(SpecError, match="even component count, got 3"):
+        apply_complex_structure(jets.take(v, 0, 3))
+
+
 def test_rotate_block_needs_an_even_component_count():
     with pytest.raises(SpecError, match="even component count, got 3"):
         rotate_block(np.array([1.0, 2.0, 3.0]), 0.3)

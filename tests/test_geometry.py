@@ -34,13 +34,17 @@ def helicoid(pitch=1.0):
                      domain=((-2.0, 2.0), (-np.pi, np.pi)), name="helicoid")
 
 
-def catenoid():
+def enneper():
+    # (u − u³/3 + uv², v − v³/3 + vu², u² − v²): conformal, with metric
+    # (1 + u² + v²)² δ, and minimal, as a polynomial map in sums and products
     def comps(cols):
         u, v = cols
-        ch = 0.5 * (jets.exp(u) + jets.exp(-u))
-        return [ch * jets.cos(v), ch * jets.sin(v), u]
+        third = 1.0 / 3.0
+        return [u - third * (u * u * u) + u * (v * v),
+                v - third * (v * v * v) + v * (u * u),
+                u * u - v * v]
     return Immersion(param_dim=2, ambient_dim=3, components=comps,
-                     domain=((-1.5, 1.5), (-np.pi, np.pi)), name="catenoid")
+                     domain=((-1.5, 1.5), (-1.5, 1.5)), name="enneper")
 
 
 def cylinder(radius=1.0):
@@ -77,7 +81,7 @@ def warped_sheet():
     # generic non-minimal graph-like sheet, exercises every curvature path
     def comps(cols):
         u, v = cols
-        return [u, v, u**3 * v + jets.sin(u * v), v**2 - u]
+        return [u, v, u * u * u * v + jets.sin(u * v), v * v - u]
     return Immersion(param_dim=2, ambient_dim=4, components=comps,
                      domain=((-1.0, 1.0), (-1.0, 1.0)), name="warped")
 
@@ -155,11 +159,15 @@ def test_sphere_laplacian_is_minus_two_position():
     assert_close(lap, -2.0 * pe.position, 1e-10)
 
 
-def test_helicoid_and_catenoid_are_minimal():
-    for imm in (helicoid(), helicoid(0.35), catenoid()):
+def test_helicoid_and_enneper_are_minimal():
+    for imm in (helicoid(), helicoid(0.35), enneper()):
         pts = rng_points(imm, 80, seed=5)
         mc = mean_curvature(imm.eval(pts))
         assert float(np.max(mc.H_norm)) <= 1e-12
+    pts = rng_points(enneper(), 20, seed=4)
+    lam = (1.0 + np.sum(pts * pts, axis=-1)) ** 2
+    assert_close(metric(enneper().eval(pts)).g,
+                 lam[:, None, None] * np.eye(2), 1e-12)
 
 
 def test_cylinder_mean_curvature_vector():
@@ -731,3 +739,36 @@ def test_vanishing_jacobian_column_reports_ratio_zero_without_warning():
                        blocks=(Block.full(np.zeros((3, 2, 2))),))
         with pytest.raises(DegenerateMetric, match=r"ratio 0\.000e\+00"):
             metric(pe)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_nonfinite_jacobian_is_excluded_and_has_no_metric(bad):
+    # a NaN fails every comparison: a floor written as det ≤ floor would
+    # keep such a point, and metric would hand back a NaN inverse
+    jac = np.array([[[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]],
+                    [[1.0, 0.0], [0.0, 1.0], [bad, 0.0]]])
+    pe = PointEval(position=np.zeros((2, 3)), jacobian=jac,
+                   blocks=(Block.full(np.zeros((2, 3, 2, 2))),))
+    with np.errstate(invalid="ignore"):
+        floor = geometry._below_floor(geometry._gram(jac))
+        assert floor.tolist() == [False, True]
+        with pytest.raises(DegenerateMetric,
+                           match=r"non-finite metric: det g = nan at 1 point"):
+            metric(pe)
+
+
+def test_finite_position_with_a_nonfinite_jacobian_is_excluded():
+    # at u = 0 the third coordinate is 1e160 but its slope overflows
+    imm = Immersion(param_dim=2, ambient_dim=3,
+                    components=lambda cols: [
+                        cols[0], cols[1], jets.reciprocal(cols[0] + 1e-160)],
+                    domain=((0.0, 1.0), (0.0, 1.0)), name="steep")
+    p = np.array([[0.0, 0.3], [0.5, 0.3]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isfinite(imm.position(p)).all()
+        assert imm.excluded(p).tolist() == [True, False]
+        mask, pe = imm.screen(p)
+        assert mask.tolist() == [True, False]
+        with pytest.raises(DegenerateMetric, match="non-finite metric"):
+            metric(pe)
+        assert np.isfinite(metric(imm.eval(p[1:])).g_inv).all()

@@ -1,4 +1,5 @@
-"""Every module-level import and private helper in the package is used.
+"""Every module-level import and private helper in the package is used,
+and every name the package exports exists.
 
 Deleting code tends to strand the imports and helpers it needed; this
 walks each module's syntax tree instead of running a linter.  For the
@@ -8,10 +9,12 @@ reads it anywhere, in a string annotation, or lists it in ``__all__``.
 A private function or class counts as used if any other top-level
 statement of the package names it.  Every absolute import names the
 standard library, numpy or the package itself: numpy is the only
-runtime dependency.
+runtime dependency.  An ``__all__`` entry that names nothing is checked
+by star-importing the package and each module.
 """
 
 import ast
+import importlib
 import sys
 from pathlib import Path
 
@@ -123,3 +126,15 @@ def test_numpy_is_the_only_runtime_dependency():
                    ast.parse(path.read_text(encoding="utf-8")))
                if name not in allowed]
     assert not foreign, f"imports outside stdlib and numpy: {foreign}"
+
+
+@pytest.mark.parametrize(
+    "name", ["minvar"] + [f"minvar.{p.stem}" for p in MODULES])
+def test_every_export_resolves(name):
+    # a star import raises AttributeError on an ``__all__`` entry that
+    # names nothing: the stale export a deletion can leave behind
+    namespace = {}
+    exec(f"from {name} import *", namespace)
+    exported = getattr(importlib.import_module(name), "__all__", ())
+    assert len(set(exported)) == len(exported), f"{name}: duplicate exports"
+    assert set(exported) <= set(namespace)

@@ -36,21 +36,22 @@ def test_sin_cos_generic_point_closed_form():
     assert_close(out.hess, [[-su * cv, -cu * sv], [-cu * sv, -su * cv]], 1e-14)
 
 
-def test_exp_of_sin_plus_square_closed_form():
+def test_reciprocal_of_sin_plus_square_closed_form():
     u = 0.4
-    out = jet_eval(lambda a: jets.exp(jets.sin(a) + a * a), np.array([u]))
+    out = jet_eval(lambda a: jets.reciprocal(jets.sin(a) + a * a),
+                   np.array([u]))
     g = np.sin(u) + u * u
     dg = np.cos(u) + 2 * u
     ddg = -np.sin(u) + 2.0
-    f = np.exp(g)
-    assert_close(out.value, f, 1e-14)
-    assert_close(out.grad, [f * dg], 1e-13)
-    assert_close(out.hess, [[f * (dg * dg + ddg)]], 1e-13)
+    assert_close(out.value, 1.0 / g, 1e-14)
+    assert_close(out.grad, [-dg / g**2], 1e-13)
+    assert_close(out.hess, [[2.0 * dg * dg / g**3 - ddg / g**2]], 1e-13)
 
 
 def test_quotient_closed_form():
     u, v = 2.0, 0.5
-    out = jet_eval(lambda a, b: (a + 2.0 * b) / (a - b), np.array([u, v]))
+    out = jet_eval(lambda a, b: (a + 2.0 * b) * jets.reciprocal(a - b),
+                   np.array([u, v]))
     d = u - v
     assert_close(out.value, (u + 2 * v) / d, 1e-14)
     assert_close(out.grad, [-3 * v / d**2, 3 * u / d**2], 1e-13)
@@ -59,20 +60,6 @@ def test_quotient_closed_form():
         [(-3 * u - 3 * v) / d**3, 6 * u / d**3],
     ]
     assert_close(out.hess, expect_hess, 1e-13)
-
-
-def test_powers():
-    out = jet_eval(lambda u: u**3, np.array([2.0]))
-    assert (out.value, out.grad[0], out.hess[0, 0]) == (8.0, 12.0, 12.0)
-    out = jet_eval(lambda u: u**-2, np.array([2.0]))
-    assert_close([out.value, out.grad[0], out.hess[0, 0]],
-                 [0.25, -0.25, 0.375], 1e-15)
-    a = jet_eval(lambda u: u**0.5, np.array([1.7]))
-    b = jet_eval(jets.sqrt, np.array([1.7]))
-    assert_close(a.grad, b.grad, 1e-15)
-    assert_close(a.hess, b.hess, 1e-15)
-    zeroth = jet_eval(lambda u: u**0, np.array([2.0]))
-    assert zeroth.value == 1.0 and zeroth.grad[0] == 0.0
 
 
 def test_atan2_matches_fd_oracle():
@@ -86,8 +73,9 @@ def test_atan2_matches_fd_oracle():
 
 def test_atan2_matches_atan_in_right_half_plane():
     p = np.array([0.8, 0.55])
+    # atan(y/x), written as the maps write it: atan2(t, 1), 1/x a reciprocal
     a = jet_eval(lambda x, y: jets.atan2(y, x), p)
-    b = jet_eval(lambda x, y: jets.atan(y / x), p)
+    b = jet_eval(lambda x, y: jets.atan2(y * jets.reciprocal(x), 1.0), p)
     assert_close(a.value, b.value, 1e-14)
     assert_close(a.grad, b.grad, 1e-13)
     assert_close(a.hess, b.hess, 1e-13)
@@ -103,7 +91,7 @@ def test_atan2_constant_arguments():
 
 
 def test_hessian_exactly_symmetric():
-    f = lambda u, v, w: jets.atan2(u * v, w) * jets.exp(u - v * w)
+    f = lambda u, v, w: jets.atan2(u * v, w) * jets.sin(u - v * w)
     j = jet_eval(f, np.array([0.9, -0.4, 1.2]))
     assert np.array_equal(j.hess, j.hess.T)
 
@@ -145,16 +133,14 @@ def test_chain_rule_battery(u, v):
     def inner(x, y):
         return 1.0 + x * x + x * y
 
-    for h, dh, ddh in [
-        (np.sin, np.cos, lambda t: -np.sin(t)),
-        (np.exp, np.exp, np.exp),
-        (np.sqrt, lambda t: 0.5 / np.sqrt(t),
-         lambda t: -0.25 / np.sqrt(t) ** 3),
+    # f ≥ 1 − v²/4 > 0.4 on the box, so its reciprocal is well defined
+    for lift, dh, ddh in [
+        (jets.sin, np.cos, lambda t: -np.sin(t)),
+        (jets.cos, lambda t: -np.sin(t), lambda t: -np.cos(t)),
+        (jets.reciprocal, lambda t: -1.0 / t**2, lambda t: 2.0 / t**3),
     ]:
-        lift = {np.sin: jets.sin, np.exp: jets.exp, np.sqrt: jets.sqrt}[h]
-        shift = 4.0 if h is np.sqrt else 0.0  # keep sqrt argument positive
-        out = jet_eval(lambda x, y: lift(inner(x, y) + shift), pt)
-        t = fval + shift
+        out = jet_eval(lambda x, y: lift(inner(x, y)), pt)
+        t = fval
         grad = dh(t) * fgrad
         hess = ddh(t) * np.outer(fgrad, fgrad) + dh(t) * fhess
         scale = 1.0 + np.abs(grad).max() + np.abs(hess).max()
@@ -163,19 +149,13 @@ def test_chain_rule_battery(u, v):
 
 
 def test_fd_cubic_gradient_accuracy():
-    out = fd_jet(lambda u: u**3, np.array([2.0]),
+    out = fd_jet(lambda u: u * u * u, np.array([2.0]),
                  StepPolicy(base_step=1e-3, richardson_levels=2))
     assert abs(out.grad[0] - 12.0) <= 1e-8
 
 
-def test_fd_exp_at_zero():
-    out = fd_jet(jets.exp, np.array([0.0]), StepPolicy())
-    assert abs(out.grad[0] - 1.0) <= 1e-6
-    assert abs(out.hess[0, 0] - 1.0) <= 1e-6
-
-
 def test_richardson_extrapolation_improves_order():
-    f = lambda u: jets.exp(jets.sin(3.0 * u))
+    f = lambda u: jets.reciprocal(2.0 + jets.sin(3.0 * u))
     p = np.array([0.3])
     exact = jet_eval(f, p)
     coarse = fd_jet(f, p, StepPolicy(base_step=0.05, richardson_levels=1))
@@ -190,10 +170,10 @@ def _battery(seed_coef):
 
     def f(u, v):
         trig = jets.sin(a * u + b * v) * jets.cos(u - c * v)
-        soft = jets.sqrt(4.0 + u * u + v * v)
-        return trig + jets.exp(0.3 * c * u * v) / soft \
-            + jets.atan2(v + 3.0, u + 4.0) + jets.atan(0.5 * a * u) \
-            + jets.log(soft)
+        soft = jets.reciprocal(4.0 + u * u + v * v)
+        return trig + jets.cos(0.3 * c * u * v) * soft \
+            + jets.atan2(v + 3.0, u + 4.0) + jets.atan2(0.5 * a * u, 1.0) \
+            + soft * soft
 
     return f
 
@@ -249,21 +229,28 @@ def test_step_policy_validation():
 
 def test_domain_errors():
     p = np.array([0.5])
-    with pytest.raises(DomainError):
-        jet_eval(lambda u: jets.sqrt(u - 1.0), p)
-    with pytest.raises(DomainError):
-        jet_eval(lambda u: jets.log(-u), p)
-    with pytest.raises(DomainError):
-        jet_eval(lambda u: u / (u - 0.5), p)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="division by zero"):
+        jet_eval(lambda u: u * jets.reciprocal(u - 0.5), p)
+    with pytest.raises(DomainError, match="origin"):
         jet_eval(lambda u: jets.atan2(u - 0.5, 0.0), p)
-    with pytest.raises(DomainError):
-        jet_eval(lambda u: (-1.0 + u * 0.0) ** 0.5, p)
+
+
+def test_jets_do_not_divide():
+    # a jet would divide through its reciprocal and an array directly, so
+    # ``position`` and ``eval`` of a map written with / could round
+    # differently; jets define no / or **, and such a map fails at once
+    u = variables(np.array([1.3]))[0]
+    for quotient in (lambda: u / u, lambda: u / 2.0, lambda: 2.0 / u):
+        with pytest.raises(TypeError):
+            quotient()
+    with pytest.raises(TypeError):
+        u ** 2
 
 
 def test_scalar_mixing_identities():
     p = np.array([1.3])
-    j = jet_eval(lambda u: 2.0 * u + (1.0 - u) - u / 4.0 + 3.0 / u, p)
+    j = jet_eval(lambda u: 2.0 * u + (1.0 - u) - 0.25 * u
+                 + 3.0 * jets.reciprocal(u), p)
     # d/du [2u + 1 - u - u/4 + 3/u] = 0.75 - 3/u^2
     assert_close(j.grad, [0.75 - 3.0 / 1.69], 1e-14)
     assert_close(j.hess, [[6.0 / 1.3**3]], 1e-14)
@@ -323,9 +310,10 @@ PTS4 = np.random.default_rng(5).uniform(0.3, 1.2, size=(6, 4))
 def test_mixed_support_arithmetic_equals_dense(op):
     def f(a, b, c, d):
         left = a * jets.sin(c)          # support {0, 2}
-        right = jets.exp(b) - d         # support {1, 3}
+        right = jets.cos(b) - d         # support {1, 3}
         return {"add": left + right, "sub": left - right,
-                "mul": left * right, "div": left / right}[op]
+                "mul": left * right,
+                "div": left * jets.reciprocal(right)}[op]
     out = assert_sparse_equals_dense(f, PTS4)
     assert out.support == (0, 1, 2, 3)
     # a subset support widens one side only
@@ -349,11 +337,11 @@ def test_atan2_with_one_plain_argument_keeps_support():
 def test_constant_like_keeps_sparse_support():
     a, b, c, d = sparse_seeds(PTS4)
     x = b * d
-    k = jets.constant_like(2.5, x)
+    k = jets._constant_like(2.5, x)
     assert k.support == x.support
     assert np.all(k.grad == 0.0) and np.all(k.hess == 0.0)
     assert_sparse_equals_dense(
-        lambda a, b, c, d: jets.constant_like(2.5, b * d) * c + b * d, PTS4)
+        lambda a, b, c, d: jets._constant_like(2.5, b * d) * c + b * d, PTS4)
 
 
 def test_default_support_is_every_variable():
@@ -364,23 +352,22 @@ def test_default_support_is_every_variable():
 
 
 _UNARY = {
-    "sin": jets.sin, "cos": jets.cos, "atan": jets.atan,
-    "exp_sin": lambda x: jets.exp(jets.sin(x)),
-    "soft": lambda x: jets.sqrt(1.0 + x * x),
+    "sin": jets.sin, "cos": jets.cos,
+    "atan": lambda x: jets.atan2(x, 1.0),
+    "sin_sin": lambda x: jets.sin(jets.sin(x)),
     "half": lambda x: 0.5 * x - 0.25,
     # the bases stay bounded, so eight steps cannot overflow a Hessian
-    "pow": lambda x: (1.5 + jets.sin(x)) ** -1.5,
-    "cube": lambda x: jets.sin(x) ** 3,
-    "pow0": lambda x: x ** 0 - x,
-    "const": lambda x: jets.constant_like(0.7, x) * x,
+    "recip_sin": lambda x: jets.reciprocal(1.5 + jets.sin(x)),
+    "cube": lambda x: jets.sin(x) * jets.sin(x) * jets.sin(x),
+    "const": lambda x: jets._constant_like(0.7, x) * x,
     "flip": lambda x: 2.0 - x,
     "neg": lambda x: -x,
-    "recip": lambda x: 1.0 / (1.5 + x * x),
+    "recip": lambda x: 1.0 * jets.reciprocal(1.5 + x * x),
 }
 _BINARY = {
     "add": lambda x, y: x + y, "sub": lambda x, y: x - y,
     "mul": lambda x, y: x * y,
-    "div": lambda x, y: x / (1.5 + y * y),
+    "div": lambda x, y: x * jets.reciprocal(1.5 + y * y),
     "atan2": lambda x, y: jets.atan2(x, 1.5 + y * y),
 }
 step = st.one_of(

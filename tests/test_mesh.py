@@ -173,7 +173,7 @@ class TestTessellate:
         assert mesh.faces.shape == (2 * 2 * 4, 3)
 
     def test_nonfinite_vertices_are_detached(self):
-        comps = lambda cols: [1.0 / cols[0], cols[1], cols[0]]
+        comps = lambda cols: [jets.reciprocal(cols[0]), cols[1], cols[0]]
         mesh = tessellate(patch(components=comps), resolution=(3, 3))
         assert np.array_equal(mesh.vertices[:3], np.zeros((3, 3)))
         assert np.isfinite(mesh.vertices).all()
@@ -183,10 +183,25 @@ class TestTessellate:
         # u = 0 maps to inf; the metric floor's jet pass would divide by
         # zero there, but the guard runs on finite vertices only, so that
         # row is detached instead
-        comps = lambda cols: [1.0 / cols[0], cols[1], cols[0]]
+        comps = lambda cols: [jets.reciprocal(cols[0]), cols[1], cols[0]]
         mesh = tessellate(patch(components=comps), resolution=(3, 3))
         assert np.array_equal(mesh.vertices[:3], np.zeros((3, 3)))
         assert np.isfinite(mesh.vertices).all()
+        assert not np.isin(mesh.faces, [0, 1, 2]).any()
+        assert mesh.faces.shape == (2 * 2, 3)
+
+    def test_finite_vertices_with_a_nonfinite_jacobian_are_detached(self):
+        # at u = 0 the third coordinate is 1e160, finite, but its slope
+        # −1/(u + 1e-160)² overflows: the metric floor reads a NaN det g
+        # there and detaches the row instead of keeping it
+        comps = lambda cols: [cols[0], cols[1],
+                              jets.reciprocal(cols[0] + 1e-160)]
+        imm = patch(components=comps)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.isfinite(imm.position(np.zeros(2))).all()
+            assert not np.isfinite(imm.eval(np.zeros(2)).jacobian).all()
+            mesh = tessellate(imm, resolution=(3, 3), projection=(0, 1, 2))
+        assert np.array_equal(mesh.vertices[:3], np.zeros((3, 3)))
         assert not np.isin(mesh.faces, [0, 1, 2]).any()
         assert mesh.faces.shape == (2 * 2, 3)
 
@@ -251,7 +266,8 @@ class TestObjOutput:
         # scattered exclusions plus a non-finite column mask interior
         # vertices; a non-square grid catches swapped strides, and more
         # than 4096 vertices and faces span several render blocks
-        comps = lambda cols: [jets.sin(3 * cols[0]) / (cols[1] - 0.5),
+        comps = lambda cols: [jets.sin(3 * cols[0])
+                              * jets.reciprocal(cols[1] - 0.5),
                               -cols[1], cols[0] * cols[1] - 0.3]
         imm = Immersion(
             param_dim=2, ambient_dim=3, components=comps,
