@@ -22,7 +22,8 @@ Each chart kind has one formula and the block one, written on a vector
 with a trailing component axis (see ``jets``): the chart's parameter
 range arrives as one component-axis jet seeded on it (or one (..., d)
 array for positions), the chart returns its dim+1 coordinates as one
-vector, and the block joins X/√2 and ±Y/√2 into C and D and applies its
+vector, and the block's ``join`` turns the halves X/√2 and ±Y/√2 into C
+and into D, with its unitary if it has one; ``join_pair`` applies the
 unitary to both in one packed pass over its columns
 (``jets.linear_maps``).  Like charts run as one: ``embed_charts``
 groups the charts a map embeds by spec and evaluates each group once,
@@ -138,12 +139,6 @@ def _first_order(x):
     if isinstance(x, jets.Jet2):
         return jets.Jet1(x.value, x.grad, x.support)
     return x
-
-
-def _join(x, y, unitary):
-    """(x; y) as one vector, then the block unitary if there is one."""
-    f = jets.concat([x, y])
-    return f if unitary is None else jets.linear_map(unitary, f)
 
 
 def _jet_values(x):
@@ -348,8 +343,14 @@ class CliffordBlock:
         return block_charts((self,), (cols,))[0]
 
     def join(self, x, y):
-        """C from the halves (X/√2, Y/√2), as one vector."""
-        return _join(x, y, self.unitary_matrix)
+        """(x; y) as one vector, then the block unitary if there is one.
+
+        C from the halves (X/√2, Y/√2), and D (``_dual``) from
+        (X/√2, −Y/√2).
+        """
+        f = jets.concat([x, y])
+        unitary = self.unitary_matrix
+        return f if unitary is None else jets.linear_map(unitary, f)
 
     def join_pair(self, x, y) -> tuple:
         """(C, D) from the halves (X/√2, Y/√2).
@@ -378,7 +379,7 @@ class CliffordBlock:
     def _dual(self, cols):
         """D = (X; −Y)/√2 at chart ``Columns``, at their order."""
         x, y = self._charts(cols)
-        return _join(x, -y, self.unitary_matrix)
+        return self.join(x, -y)
 
     def immersion(self) -> Immersion:
         return Immersion(param_dim=self.param_dim, ambient_dim=self.ambient_dim,

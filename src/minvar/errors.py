@@ -6,6 +6,10 @@ whole family and map it to a configuration/domain failure.
 
 from __future__ import annotations
 
+__all__ = ["MinvarError", "DomainError", "DegenerateMetric", "NotSpherical",
+           "ChartDomainError", "BranchLocusError", "DimensionMismatch",
+           "SpecError", "SamplingExhausted", "NonFiniteResidual"]
+
 
 class MinvarError(Exception):
     """Base class for all engine errors."""

@@ -39,9 +39,11 @@ on a block's component-axis jet or on arrays).  ``screw_action`` applies
 that blockwise plus the axial translation λ₀t, reading the block layout
 from the image width.  The component maps return parts (``jets.place``):
 each block r_t·e^{iλ_tΘ}C_t is one vector, weighted by its radius lifted
-to one component, and the maps take ``jets.Columns`` only.  ``_section``
-builds each unit-sphere section from its cone by handing the cone's
-blocks the chart's components as radii.
+to one component, Choe–Hoppe lists its pairs (Re_k, Im_k) one component
+at a time, and the maps take ``jets.Columns`` only.  ``_section`` builds
+each unit-sphere section from its cone by handing the cone's blocks the
+chart's components as radii; ``GenHelicoidA._vectors`` embeds the
+helicoid's blocks for its map and for ``SphericalSlice``.
 """
 
 from __future__ import annotations
@@ -89,12 +91,14 @@ __all__ = [
     "build_immersion",
     "screw_action",
     "screw_data",
+    "ScrewData",
     "scaling_indices",
     "is_negative_control",
     "lands_on_unit_sphere",
     "spec_dimensions",
     "standard_chart",
     "standard_block",
+    "choe_hoppe_graph_function",
     "choe_hoppe_graph_residual",
     "spec_to_json",
     "spec_from_json",
@@ -182,17 +186,15 @@ class LRaysCone(_Family):
     def _with_parts(self):
         """(the cone, its map (cols, radii) ↦ parts with the radii handed in).
 
-        The parts are r_t·P, ray by ray, the base's parts in order; a
-        scalar part of the base is lifted, so each product is a vector.
+        The parts are r_t·P, ray by ray, the base's parts in order as
+        vectors (``jets.place``), so each product is a vector.
         """
         base = self.base.build()
         nb, L = base.param_dim, self.rays
 
         def parts(cols, radii):
             placed, _ = jets.place(base.components(cols[:nb]), cols.batch)
-            point = [part if isinstance(rows, slice) else jets.lift(part)
-                     for part, rows in placed]
-            return [r * v for r in radii for v in point]
+            return [r * v for r in radii for v, _ in placed]
 
         # g = diag(|r|² g_P, I), as ∂P·P = 0 for the unit vector P, so
         # the guard's Hadamard ratio is the base's
@@ -275,33 +277,25 @@ class GenHelicoidA(_Family):
         return tuple(range(first, first + len(self.blocks)))
 
     def build(self) -> Immersion:
-        return self._with_parts()[0]
-
-    def _with_parts(self):
-        """(the helicoid, its blocks' map (cols, radii) ↦ ``sweep`` parts).
-
-        Both embed each block on its chart range and hand the vectors to
-        ``sweep``; the helicoid's map is ``components``.
-        """
         blocks = self.blocks
         L = len(blocks)
-        spans = _block_spans(blocks)
-
-        def embed(cols):
-            halves = block_charts(blocks, [cols[lo:hi] for lo, hi in spans])
-            return [b.join(x, y) for b, (x, y) in zip(blocks, halves)]
-
-        def parts(cols, radii):
-            return self.sweep(cols, embed(cols), radii)
-
         domain = tuple(bx for b in blocks for bx in b.domain_box()) \
             + (THETA_BOX,) + (RADIAL_BOX,) * L
         return Immersion(
             param_dim=self._theta_index + 1 + L,
             ambient_dim=sum(b.ambient_dim for b in blocks) + 1,
-            components=lambda cols: self.components(cols, embed(cols)),
+            components=lambda cols: self.components(cols, self._vectors(cols)),
             domain=domain,
-            name=f"helicoid-a-L{L}-N{blocks[0].sphere_dim}"), parts
+            name=f"helicoid-a-L{L}-N{blocks[0].sphere_dim}")
+
+    def _vectors(self, cols) -> list:
+        """Each block's C_t on its chart range of ``cols``.
+
+        One ``block_charts`` pass, then ``CliffordBlock.join`` per block.
+        """
+        halves = block_charts(self.blocks, [cols[lo:hi] for lo, hi
+                                            in _block_spans(self.blocks)])
+        return [b.join(x, y) for b, (x, y) in zip(self.blocks, halves)]
 
     def sweep(self, cols, vectors, radii) -> list:
         """The blocks r_t·e^{iλ_tΘ}C_t from their vectors C_t at ``cols``.
@@ -407,9 +401,11 @@ class ChoeHoppe(_Family):
             p, q = (s * v for v in embed_charts(
                 (chart_p, chart_q), (cols[:np_], cols[np_:np_ + nq])))
             ca, sa = jets.lift(jets.cos(th)), jets.lift(jets.sin(th))
-            # (p_k + i q_k)·e^{iΘ}, its real and imaginary parts interleaved
-            return [jets.interleave(ca * p - sa * q, ca * q + sa * p),
-                    lam * th]
+            # (p_k + i q_k)·e^{iΘ}: its real and imaginary parts, pair by
+            # pair, as one-component parts on one support (one Block)
+            re, im = ca * p - sa * q, ca * q + sa * p
+            return [jets.take(v, k, k + 1) for k in range(N)
+                    for v in (re, im)] + [lam * th]
 
         return Immersion(
             param_dim=np_ + nq + 2, ambient_dim=2 * N + 1,
@@ -546,8 +542,13 @@ class SphericalSlice(_Family):
         return self.inner.screw()
 
     def build(self) -> Immersion:
-        L, N = len(self.inner.blocks), self.inner.blocks[0].sphere_dim
-        cone, parts = self.inner._with_parts()
+        inner = self.inner
+        L, N = len(inner.blocks), inner.blocks[0].sphere_dim
+        cone = inner.build()
+
+        def parts(cols, radii):
+            return inner.sweep(cols, inner._vectors(cols), radii)
+
         # the section keeps the cone's blocks and drops its zero axis
         return _section(cone, parts, self.chart or standard_chart(L - 1),
                         cone.ambient_dim - 1, f"sphere-slice-L{L}-N{N}")

@@ -63,6 +63,9 @@ __all__ = [
 RANK_TOL = 1e-12
 METRIC_RATIO_FLOOR = 1e-10
 SPHERE_TOL = 1e-12     # how far a sphere residual lets a point leave S^n
+# the guards exclude a point whose jets or metric overflow or turn NaN
+# (``_below_floor``), so they run without the warnings those raise
+_QUIET = dict(over="ignore", invalid="ignore", divide="ignore")
 
 
 class Block(NamedTuple):
@@ -175,8 +178,9 @@ class Immersion:
     and component-axis vectors (jets, or arrays for positions) with
     ``ambient_dim`` rows in all, or one vector (``SphereChart.embed``,
     ``CliffordBlock.embed``); see ``jets.place``.  ``Columns`` are the
-    map's only input; a finite-difference oracle differentiates
-    ``position``, which gives ``eval``'s position bits.  ``exclusions`` are
+    map's only input.  ``position``, ``excluded``, ``eval`` and ``screen``
+    each run one ``assemble`` pass, at order 0, 1, 2 and 2, so
+    ``position`` has ``eval``'s position bits.  ``exclusions`` are
     named predicates mapping a point batch (..., n) to a boolean exclusion
     mask.  Every immersion's guard also excludes points whose induced metric is
     near rank-deficient: det g / Π g_ii at or below METRIC_RATIO_FLOOR
@@ -193,61 +197,42 @@ class Immersion:
     exclusions: tuple[tuple[str, Callable[[np.ndarray], np.ndarray]], ...] = ()
     name: str = ""
 
-    def _check_point_shape(self, p: np.ndarray) -> None:
+    def _assembled(self, p, order: int) -> tuple:
+        """``assemble`` of ``components`` on ``Columns(p, order)``.
+
+        p's shape is checked first, before the map or any exclusion
+        predicate runs.
+        """
+        p = np.asarray(p, dtype=np.float64)
         if p.ndim == 0 or p.shape[-1] != self.param_dim:
             raise DimensionMismatch(
                 f"{self.name or 'immersion'}: expected points with "
                 f"{self.param_dim} coordinates, got shape {p.shape}")
+        cols = Columns(p, order)
+        return self.assemble(self.components(cols), cols)
 
     def position(self, p) -> np.ndarray:
         """Fast position-only evaluation, shape (..., n) → (..., K)."""
-        p = np.asarray(p, dtype=np.float64)
-        self._check_point_shape(p)
-        cols = Columns(p, 0)
-        position = np.empty(cols.batch + (self.ambient_dim,))
-        for part, rows in self._place(self.components(cols), cols.batch):
-            position[..., rows] = part
-        return position
+        return self._assembled(p, 0)[0]
 
-    def _place(self, outs, batch: tuple) -> list:
-        """A component map's output ``outs`` as (part, rows) pairs.
+    def assemble(self, outs, cols: Columns):
+        """(position, jacobian, blocks) of map output at ``cols``.
 
-        Raises DimensionMismatch unless the rows add up to ``ambient_dim``
-        (``jets.place``).
+        ``outs`` is what ``components(cols)`` returns, or parts built the
+        same way from shared jets, laid out as vectors by ``jets.place``.
+        Each part's value and gradient go straight into its rows of the
+        dense (..., K) and (..., K, n) arrays (``_scatter_vector``); its
+        Hessian stays on its support (``_blocks``).  The Jacobian is None
+        at order 0, and the blocks below order 2.
         """
-        placed, count = place(outs, batch)
+        placed, count = place(outs, cols.batch)
         if count != self.ambient_dim:
             raise DimensionMismatch(
                 f"{self.name or 'immersion'}: component map returned "
                 f"{count} coordinates, declared {self.ambient_dim}")
-        return placed
-
-    def _jets(self, p, second: bool):
-        """(position, jacobian, blocks or None) from one jet pass over p.
-
-        ``components`` receives ``Columns``: a one-variable seed per
-        column it reads alone and one component-axis seed per range it
-        reads whole, so a part carries derivatives only on its support,
-        the parameters it depends on.  Without ``second`` the seeds are
-        value+gradient ``Jet1`` jets and no Hessian is formed.
-        """
-        p = np.asarray(p, dtype=np.float64)
-        self._check_point_shape(p)
-        cols = Columns(p, 2 if second else 1)
-        return self.assemble(self.components(cols), cols)
-
-    def assemble(self, outs, cols: Columns):
-        """(position, jacobian, blocks or None) of map output at ``cols``.
-
-        ``outs`` is what ``components(cols)`` returns, or parts built the
-        same way from shared jets.  Each part's value and gradient are
-        written straight into its rows of the dense (..., K) and
-        (..., K, n) arrays by ``_scatter_vector``; at second order its
-        Hessian stays on its support, in the ``Block``s of ``_blocks``.
-        """
-        placed = self._place(outs, cols.batch)
         position = np.empty(cols.batch + (self.ambient_dim,))
-        jacobian = np.zeros(cols.batch + (self.ambient_dim, self.param_dim))
+        jacobian = None if cols.order == 0 else \
+            np.zeros(cols.batch + (self.ambient_dim, self.param_dim))
         for part, rows in placed:
             _scatter_vector(part, rows, position, jacobian)
         return position, jacobian, _blocks(placed) if cols.order == 2 else None
@@ -259,15 +244,15 @@ class Immersion:
         ``components`` on ``Columns`` whose every seed carries the full
         support 0..n−1, up to the sign of zero entries.
         """
-        return PointEval(*self._jets(p, second=True))
+        return PointEval(*self._assembled(p, 2))
 
-    def _predicates(self, p) -> np.ndarray:
-        """OR of the named exclusion predicates over a point batch."""
+    def _guard(self, p, gram: tuple) -> np.ndarray:
+        """OR of the named exclusion predicates and the metric floor."""
         p = np.asarray(p, dtype=np.float64)
-        self._check_point_shape(p)
         mask = np.zeros(p.shape[:-1], dtype=bool)
         for _, predicate in self.exclusions:
             mask |= np.asarray(predicate(p), dtype=bool)
+        mask |= _below_floor(gram)
         return mask
 
     def screen(self, p) -> tuple[np.ndarray, PointEval]:
@@ -276,36 +261,34 @@ class Immersion:
         The mask ORs the predicates and the metric floor, which is tested
         on the batch's one second-order ``eval``; that PointEval is
         returned so a caller can keep its accepted rows.  It carries the
-        floor test's ``gram``, so ``metric`` does not form g again.
+        floor test's ``gram``, so ``metric`` does not form g again.  Jets
+        that overflow are excluded without a warning (``_QUIET``).
         """
-        mask = self._predicates(p)
-        pe = self.eval(p)
-        gram = _gram(pe.jacobian)
-        mask |= _below_floor(gram)
-        return mask, replace(pe, gram=gram)
+        with np.errstate(**_QUIET):
+            pe = self.eval(p)
+            gram = _gram(pe.jacobian)
+            return self._guard(p, gram), replace(pe, gram=gram)
 
     def excluded(self, p) -> np.ndarray:
         """Boolean mask of points rejected by any degeneracy guard.
 
         The same mask as ``screen``, from first-order work only: the metric
         floor needs the Jacobian, which a value+gradient jet pass gives
-        bit for bit.
+        bit for bit.  Quiet as ``screen`` is.
         """
-        mask = self._predicates(p)
-        mask |= _below_floor(_gram(self._jets(p, second=False)[1]))
-        return mask
+        with np.errstate(**_QUIET):
+            return self._guard(p, _gram(self._assembled(p, 1)[1]))
 
 
-def _scatter_vector(out, rows, position: np.ndarray,
-                    jacobian: np.ndarray) -> None:
-    """Write one output part's value and gradient into its ``rows``.
+def _scatter_vector(out, rows: slice, position: np.ndarray,
+                    jacobian: np.ndarray | None) -> None:
+    """Write one placed part's value and gradient into its ``rows``.
 
-    ``out`` is a jet or a plain array (or number): a vector with ``rows``
-    a slice of its component count, or a scalar with ``rows`` one index.
-    Its gradient goes to the columns of its support, and the other
-    entries keep what the caller filled in (zeros).  The support is
-    written run by run, as slices: a strided copy per run, where fancy
-    indexing would gather every entry.
+    ``out`` is a vector, a jet or a plain array.  Its gradient goes to
+    the columns of its support, and the other entries keep what the
+    caller filled in (zeros).  The support is written run by run, as
+    slices: a strided copy per run, where fancy indexing would gather
+    every entry.
     """
     if not isinstance(out, Jet2):
         position[..., rows] = out
@@ -318,24 +301,19 @@ def _scatter_vector(out, rows, position: np.ndarray,
 def _blocks(placed: list) -> tuple:
     """The second-order jet parts' Hessians as ``Block``s, in row order.
 
-    Adjacent parts on one support merge into one block, so four scalar
-    coordinates of one chart make one (..., 4, s, s) block.  A part that
-    is no jet has no second derivatives and no block.
+    Adjacent parts on one support merge into one block, so four lifted
+    scalar coordinates of one chart make one (..., 4, s, s) block.  A
+    part that is no jet has no second derivatives and no block.
     """
     runs = []                           # [start, stop, support, hessians]
     for part, rows in placed:
         if not isinstance(part, Jet2):
             continue
-        hess = part.hess
-        if isinstance(rows, slice):
-            start, stop = rows.start, rows.stop
+        if runs and runs[-1][1] == rows.start and runs[-1][2] == part.support:
+            runs[-1][1] = rows.stop
+            runs[-1][3].append(part.hess)
         else:
-            start, stop, hess = rows, rows + 1, hess[..., None, :, :]
-        if runs and runs[-1][1] == start and runs[-1][2] == part.support:
-            runs[-1][1] = stop
-            runs[-1][3].append(hess)
-        else:
-            runs.append([start, stop, part.support, [hess]])
+            runs.append([rows.start, rows.stop, part.support, [part.hess]])
     return tuple(Block(slice(start, stop), support,
                        hs[0] if len(hs) == 1 else np.concatenate(hs, axis=-3))
                  for start, stop, support, hs in runs)

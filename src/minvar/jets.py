@@ -84,10 +84,11 @@ is the jet's scalar product.
 
 **Parts.**  A component map returns a list of parts, each a scalar (jet,
 array or number) or a component-axis vector that carries the whole batch;
-a lone vector stands for a list of one.  ``place`` lays the parts out
-row after row, and ``Immersion`` writes each part straight into its rows,
-without joining them first.  ``interleave`` pairs two vectors row by row
-where a layout alternates their components.  A component map takes
+a lone vector stands for a list of one.  ``place`` lifts each scalar to
+a vector of one component and lays the vectors out row after row, and
+``Immersion.assemble`` writes each straight into its rows, without
+joining them first.  A layout that alternates two vectors' components
+lists them one component at a time (``take``).  A component map takes
 ``Columns`` only: the batch of points (..., n) it is evaluated at, seeded
 to the order the caller asks for.
 
@@ -126,7 +127,6 @@ __all__ = [
     "lift",
     "take",
     "concat",
-    "interleave",
     "component_sum",
     "linear_map",
     "linear_maps",
@@ -533,23 +533,6 @@ def concat(parts):
     return _jet(value, grad, hess, support)
 
 
-def interleave(a, b):
-    """The components a_1, b_1, a_2, b_2, … of two vectors of one shape.
-
-    Jets must share their support, as the two halves of the complex
-    pairs (x_k, y_k) of an interleaved layout do.
-    """
-    def weave(x, y, tail):          # ``tail`` axes follow the component axis
-        axis = x.ndim - tail
-        return np.stack([x, y], axis=axis).reshape(
-            x.shape[:axis - 1] + (-1,) + x.shape[axis:])
-    (av, ag, ah), (bv, bg, bh) = _slots(a), _slots(b)
-    if ag is None:
-        return weave(av, bv, 0)
-    return _jet(weave(av, bv, 0), weave(ag, bg, 1),
-                None if ah is None else weave(ah, bh, 2), a.support)
-
-
 def component_sum(v):
     """Σ_k v[..., k] as a vector of one component, added left to right."""
     total = take(v, 0, 1)
@@ -745,14 +728,15 @@ class Columns(Sequence):
 
 
 def place(outs, batch: tuple) -> tuple[list, int]:
-    """([(part, rows), ...], component count) of a component map's output.
+    """([(vector, rows), ...], component count) of a component map's output.
 
     The output is a list of parts, or one vector standing for a list of
     one.  A part whose value has an axis beyond ``batch`` is a
-    component-axis vector and fills the rows slice(k, k + m); any other
-    part (a scalar jet, array or number) fills the one row k.  A vector
-    part carries the whole batch, as every vector made from ``Columns``
-    does.
+    component-axis vector of m components and fills the rows
+    slice(k, k + m); any other part (a scalar jet, array or number) is
+    ``lift``ed to a vector of one component and fills slice(k, k + 1).
+    A vector part carries the whole batch, as every vector made from
+    ``Columns`` does.
     """
     if isinstance(outs, (Jet2, np.ndarray)):
         outs = (outs,)
@@ -761,11 +745,10 @@ def place(outs, batch: tuple) -> tuple[list, int]:
         value = part.value if isinstance(part, Jet2) else part
         if np.ndim(value) > len(batch):
             m = np.shape(value)[-1]
-            placed.append((part, slice(k, k + m)))
-            k += m
         else:
-            placed.append((part, k))
-            k += 1
+            part, m = lift(part), 1
+        placed.append((part, slice(k, k + m)))
+        k += m
     return placed, k
 
 

@@ -651,7 +651,7 @@ def test_first_order_guard_equals_second_order_eval(monkeypatch, label,
     # mix of points on the non-conformal families.
     batch = rng_points(imm, 40, seed=17)
     for p in (batch, batch[7]):
-        position, jacobian, second = imm._jets(p, second=False)
+        position, jacobian, second = imm._assembled(p, 1)
         pe = imm.eval(p)
         assert second is None
         assert position.tobytes() == pe.position.tobytes()
@@ -772,3 +772,47 @@ def test_finite_position_with_a_nonfinite_jacobian_is_excluded():
         with pytest.raises(DegenerateMetric, match="non-finite metric"):
             metric(pe)
         assert np.isfinite(metric(imm.eval(p[1:])).g_inv).all()
+
+
+def test_guards_exclude_an_overflowing_point_without_warnings():
+    # the slope of 1/(u + 1e-160) overflows at u = 0: the guards exclude
+    # that point quietly, with warnings as errors, while eval still warns
+    from minvar.mesh import tessellate
+    imm = Immersion(param_dim=2, ambient_dim=3,
+                    components=lambda cols: [
+                        cols[0], cols[1], jets.reciprocal(cols[0] + 1e-160)],
+                    domain=((0.0, 1.0), (0.0, 1.0)), name="steep")
+    p = np.array([[0.0, 0.3], [0.5, 0.3]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert imm.excluded(p).tolist() == [True, False]
+        mask, pe = imm.screen(p)
+        assert mask.tolist() == [True, False]
+        assert pe.position.tobytes() == imm.position(p).tobytes()
+        mesh = tessellate(imm, resolution=(5, 5), projection=(0, 1, 2))
+        assert mesh.faces.shape == (24, 3)
+        with pytest.raises(RuntimeWarning, match="overflow"):
+            imm.eval(p)
+
+
+def test_every_evaluation_assembles_once(monkeypatch):
+    # position, excluded, eval and screen each run one assemble pass, the
+    # only place where a map's parts become arrays, at their order
+    from minvar.families import build_immersion
+    from minvar.harness import default_campaign
+    calls = []
+    assemble = Immersion.assemble
+
+    def counted(self, outs, cols):
+        calls.append(cols.order)
+        return assemble(self, outs, cols)
+
+    monkeypatch.setattr(Immersion, "assemble", counted)
+    orders = {"position": 0, "excluded": 1, "eval": 2, "screen": 2}
+    for name, spec in default_campaign():
+        imm = build_immersion(spec)
+        for p in (rng_points(imm, 3, seed=5), rng_points(imm, 1, seed=6)[0]):
+            for method, order in orders.items():
+                calls.clear()
+                getattr(imm, method)(p)
+                assert calls == [order], (name, method)

@@ -138,3 +138,17 @@ def test_every_export_resolves(name):
     exported = getattr(importlib.import_module(name), "__all__", ())
     assert len(set(exported)) == len(exported), f"{name}: duplicate exports"
     assert set(exported) <= set(namespace)
+
+
+def test_package_exports_are_exported_where_defined():
+    # a name the package re-exports belongs to the ``__all__`` of the
+    # module that defines it, so a star import of that module finds it too
+    import minvar
+    missing = []
+    for name in minvar.__all__:
+        if name == "__version__":
+            continue
+        home = importlib.import_module(getattr(minvar, name).__module__)
+        if name not in getattr(home, "__all__", ()):
+            missing.append(f"{home.__name__}.{name}")
+    assert not missing, f"exported names missing from __all__: {missing}"

@@ -878,3 +878,34 @@ def test_column_stacks_keep_their_type_and_check_their_ranges():
                    (cols[0:2], jets.Columns(p[0], 2)[2:4])):
         with pytest.raises(DimensionMismatch, match="one width"):
             jets.Columns.stack(ranges)
+
+
+def _slot_bytes(x):
+    """The bytes of an array, or of a jet's value, gradient and Hessian."""
+    if not isinstance(x, Jet2):
+        return (np.asarray(x).shape, np.asarray(x).tobytes())
+    return tuple((s.shape, s.tobytes()) for s in
+                 (x.value, x.grad, x.hess) if s is not None) + (x.support,)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+@pytest.mark.parametrize("shape", [(), (1,), (4,), (2, 3)])
+def test_place_lays_out_vectors_only(order, shape):
+    # numbers, scalar arrays, scalar jets and vectors: every placed part is
+    # a vector on a row slice, and each scalar is its lift, byte for byte
+    p = np.linspace(0.1, 0.9, int(np.prod(shape)) * 3).reshape(shape + (3,))
+    cols = jets.Columns(p, order)
+    u, v = cols[0], cols[1]
+    # (part, whether it is a scalar)
+    cases = [(2.5, True), (u * v, True), (p[..., 2], True),
+             (cols[1:3].joint(), False), (jets.sin(u), True), (0.0, True),
+             (jets.lift(v), False)]
+    placed, count = jets.place([part for part, _ in cases], cols.batch)
+    assert count == 8
+    row = 0
+    for (part, scalar), (got, rows) in zip(cases, placed):
+        want = jets.lift(part) if scalar else part
+        m = np.shape(want.value if isinstance(want, Jet2) else want)[-1]
+        assert rows == slice(row, row + m)
+        row += m
+        assert _slot_bytes(got) == _slot_bytes(want)
