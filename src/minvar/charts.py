@@ -130,8 +130,9 @@ def rotate_block(vec, angle):
     ``vec`` holds the block on its last axis, a component-axis jet or an
     array; ``angle`` is a scalar jet, array or number over its batch.
     """
+    sin, cos = jets.sincos(angle)
     jv = apply_complex_structure(vec)
-    return jets.lift(jets.cos(angle)) * vec + jets.lift(jets.sin(angle)) * jv
+    return jets.lift(cos) * vec + jets.lift(sin) * jv
 
 
 def _first_order(x):
@@ -223,8 +224,8 @@ class SphereChart:
             # with prefix products P_k = sin φ_1 ⋯ sin φ_k (P_0 = 1)
             # formed left to right
             d = self.dim
-            sin = jets.sin(u)
-            factors = jets.concat([jets.cos(u), jets.take(sin, d - 1, d)])
+            sin, cos = jets.sincos(u)
+            factors = jets.concat([cos, jets.take(sin, d - 1, d)])
             out = factors
             if d > 1:
                 prefix = [jets.take(sin, 0, 1)]

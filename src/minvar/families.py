@@ -400,7 +400,7 @@ class ChoeHoppe(_Family):
             s = jets.lift(cols[np_ + nq + 1])
             p, q = (s * v for v in embed_charts(
                 (chart_p, chart_q), (cols[:np_], cols[np_:np_ + nq])))
-            ca, sa = jets.lift(jets.cos(th)), jets.lift(jets.sin(th))
+            sa, ca = (jets.lift(x) for x in jets.sincos(th))
             # (p_k + i q_k)·e^{iΘ}: its real and imaginary parts, pair by
             # pair, as one-component parts on one support (one Block)
             re, im = ca * p - sa * q, ca * q + sa * p
@@ -439,8 +439,8 @@ class BDJ(_Family):
             out = []
             for t in range(L):
                 r = cols[1 + t]
-                out.append(r * jets.cos(lams[t] * th))
-                out.append(r * jets.sin(lams[t] * th))
+                sin, cos = jets.sincos(lams[t] * th)
+                out += [r * cos, r * sin]
             out.append(lam0 * th)
             return out
 
@@ -473,10 +473,10 @@ class LawsonSurface(_Family):
 
         def comps(cols):
             t, th = cols
-            cos_t, sin_t = jets.cos(t), jets.sin(t)
-            a1, a2 = l1 * th, l2 * th
-            return [cos_t * jets.cos(a1), cos_t * jets.sin(a1),
-                    sin_t * jets.cos(a2), sin_t * jets.sin(a2)]
+            sin_t, cos_t = jets.sincos(t)
+            sin_1, cos_1 = jets.sincos(l1 * th)
+            sin_2, cos_2 = jets.sincos(l2 * th)
+            return [cos_t * cos_1, cos_t * sin_1, sin_t * cos_2, sin_t * sin_2]
 
         # keep sin t and cos t away from 0 so neither rotation circle collapses
         margin = 0.15
@@ -575,7 +575,8 @@ class LatitudeCircle(_Family):
 
         def comps(cols):
             (u,) = cols
-            return [rho * jets.cos(u), rho * jets.sin(u), h]
+            sin, cos = jets.sincos(u)
+            return [rho * cos, rho * sin, h]
 
         return Immersion(param_dim=1, ambient_dim=3, components=comps,
                          domain=(THETA_BOX,), name=f"latitude-circle-h{h:g}")
@@ -597,7 +598,8 @@ class Cylinder(_Family):
 
         def comps(cols):
             u, z = cols
-            return [R * jets.cos(u), R * jets.sin(u), z]
+            sin, cos = jets.sincos(u)
+            return [R * cos, R * sin, z]
 
         return Immersion(param_dim=2, ambient_dim=3, components=comps,
                          domain=(THETA_BOX, AXIS_BOX),

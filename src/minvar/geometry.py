@@ -30,6 +30,7 @@ All operations accept batched points (leading axes broadcast through).
 
 from __future__ import annotations
 
+import math
 from dataclasses import InitVar, dataclass, replace
 from functools import cached_property, lru_cache
 from typing import Callable, NamedTuple, Sequence
@@ -66,6 +67,8 @@ SPHERE_TOL = 1e-12     # how far a sphere residual lets a point leave S^n
 # the guards exclude a point whose jets or metric overflow or turn NaN
 # (``_below_floor``), so they run without the warnings those raise
 _QUIET = dict(over="ignore", invalid="ignore", divide="ignore")
+# from this many points up, ``_gram`` sums over a batch-innermost layout
+_GRAM_BATCH_INNER = 100
 
 
 class Block(NamedTuple):
@@ -187,7 +190,8 @@ class Immersion:
     (``_below_floor``).  ``screen`` runs a second-order ``eval`` and
     returns that ``PointEval``, so sampling and the residuals share one
     evaluation per draw; ``excluded``, for callers that want only the
-    mask, runs a first-order pass that gives the same Jacobian bit for bit.
+    mask, runs a first-order pass that gives the same Jacobian bit for bit,
+    and ``mesh.tessellate`` takes that pass's positions with its mask.
     """
 
     param_dim: int
@@ -276,8 +280,17 @@ class Immersion:
         floor needs the Jacobian, which a value+gradient jet pass gives
         bit for bit.  Quiet as ``screen`` is.
         """
+        return self._guarded(p)[0]
+
+    def _guarded(self, p) -> tuple[np.ndarray, np.ndarray]:
+        """(``excluded``'s mask, positions) from one first-order pass.
+
+        A first-order jet's value is the plain evaluation's, so the
+        positions have ``position``'s bits; ``mesh.tessellate`` reads both.
+        """
         with np.errstate(**_QUIET):
-            return self._guard(p, _gram(self._assembled(p, 1)[1]))
+            position, jacobian, _ = self._assembled(p, 1)
+            return self._guard(p, _gram(jacobian)), position
 
 
 def _scatter_vector(out, rows: slice, position: np.ndarray,
@@ -336,8 +349,27 @@ def _runs(support: tuple) -> tuple:
 
 
 def _gram(jacobian: np.ndarray):
-    """(g = JᵀJ, det g, Π g_ii), the last being Hadamard's bound on det g."""
-    g = np.einsum("...ki,...kj->...ij", jacobian, jacobian)
+    """(g = JᵀJ, det g, Π g_ii), the last being Hadamard's bound on det g.
+
+    g comes back C-ordered.  From ``_GRAM_BATCH_INNER`` points up and on
+    n ≥ 2 parameters, the sum over the K rows runs on a contiguous
+    (K, n, batch) copy of J, so each of einsum's inner loops spans the
+    whole batch instead of 2–4 entries.  It adds the rows in the same
+    order and gives ``...ki,...kj->...ij``'s bits on a C-ordered J.  At
+    n = 1 that einsum reduces a contiguous run of K entries, which it
+    groups otherwise, so n = 1 keeps it, and so do small batches, where
+    the copies cost more than they save.
+    """
+    *batch, K, n = jacobian.shape
+    size = math.prod(batch)
+    if n < 2 or size < _GRAM_BATCH_INNER:
+        g = np.einsum("...ki,...kj->...ij", jacobian, jacobian)
+    else:
+        rows = np.ascontiguousarray(jacobian.reshape(size, K * n).T)
+        g = np.einsum("ki...,kj...->ij...", rows.reshape(K, n, size),
+                      rows.reshape(K, n, size))
+        g = np.ascontiguousarray(g.reshape(n * n, size).T)
+        g = g.reshape(tuple(batch) + (n, n))
     return g, np.linalg.det(g), np.prod(np.einsum("...ii->...i", g), axis=-1)
 
 

@@ -92,9 +92,10 @@ lists them one component at a time (``take``).  A component map takes
 ``Columns`` only: the batch of points (..., n) it is evaluated at, seeded
 to the order the caller asks for.
 
-The primitives ``sin``/``cos``/``reciprocal``/``atan2`` accept jets or
-plain numbers/arrays and dispatch accordingly; with sums and products
-they are all the algebra the maps use.  A map written once in them can
+The primitives ``sin``/``cos``/``sincos``/``reciprocal``/``atan2`` accept
+jets or plain numbers/arrays and dispatch accordingly (``sincos(x)`` is
+the pair (sin x, cos x) from one sine and one cosine of the value); with
+sums and products they are all the algebra the maps use.  A map written once in them can
 therefore be evaluated two ways, as fast plain numpy (positions only) or
 as jets (exact derivatives).  Jets have no ``/`` (nor ``**``): a map
 divides by multiplying with ``reciprocal(d)``, which computes 1.0 / d
@@ -134,6 +135,7 @@ __all__ = [
     "fd_jet",
     "sin",
     "cos",
+    "sincos",
     "reciprocal",
     "atan2",
 ]
@@ -767,6 +769,21 @@ def cos(x):
         s, c = np.sin(x.value), np.cos(x.value)
         return _chain(x, c, -s, None if x.hess is None else -c)
     return np.cos(x)
+
+
+def sincos(x) -> tuple:
+    """(sin x, cos x) from one ``np.sin`` and one ``np.cos`` of the value.
+
+    Each has the bits of ``sin(x)`` and ``cos(x)``, which evaluate both
+    to take their derivatives, so a map that needs both halves the
+    transcendental passes.
+    """
+    if isinstance(x, Jet2):
+        s, c = np.sin(x.value), np.cos(x.value)
+        second = x.hess is not None
+        return (_chain(x, s, c, -s if second else None),
+                _chain(x, c, -s, -c if second else None))
+    return np.sin(x), np.cos(x)
 
 
 def reciprocal(x):

@@ -4,13 +4,16 @@ A mesh samples two parameter axes on a regular grid (remaining
 parameters pinned to fixed values), projects the ambient image to three
 coordinates, and splits each grid quad into two triangles.  Vertices
 that land in an excluded set, or whose coordinates are not finite, are
-written at the origin and no face references them.  Finiteness is tested
-first, on plain positions, and the guards run on the finite vertices
-only, so a singular vertex (where a jet pass would raise a DomainError) is
-detached like any other.  The mask comes from ``Immersion.excluded``, a
-first-order pass that always differentiates the map for the metric floor,
-so a component map must be written in the jet primitives: one that calls
-numpy functions such as ``np.sin`` on its parameters raises.
+written at the origin and no face references them.  Each block of
+vertices costs one first-order jet pass, which gives both the positions
+and the guards' mask (``Immersion.excluded``'s): the pass always
+differentiates the map for the metric floor, so a component map must be
+written in the jet primitives, and one that calls numpy functions such as
+``np.sin`` on its parameters raises.  A block whose jet pass raises a
+DomainError (an exact zero denominator, or a chart singularity) falls back
+to positions first, as plain numpy, which maps a singular vertex to inf or
+nan, and the guards on its finite vertices only, so that vertex is
+detached like any other.
 
 Output is a plain v/f OBJ stream, so identical inputs produce
 byte-identical files.  Its decimals come from a numpy kernel that runs
@@ -22,12 +25,13 @@ in-range integral faces only, so the kernel sees finite doubles.
 
 from __future__ import annotations
 
+import functools
 import io
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, SpecError
+from .errors import DimensionMismatch, DomainError, SpecError
 from .families import _finite_box, _finite_float, build_immersion
 from .geometry import Immersion
 from .streams import _mul64
@@ -138,6 +142,11 @@ def tessellate(source, resolution=(64, 64), axes=(0, 1), fixed=None,
     to a value.  ``resolution`` counts vertices per axis (endpoints
     included).  ``projection`` is three ambient coordinate indices or the
     ``"last-axis"`` preset (coord 0, coord 1, final coordinate as height).
+
+    The grid runs ``_RENDER_ROWS`` vertices at a time, each block through
+    one first-order pass for its positions and mask; only a block whose
+    pass raises a DomainError takes the two-pass fallback
+    (``_positions_first``).
     """
     imm = source if isinstance(source, Immersion) else build_immersion(source)
     nu, nv = _check_resolution(resolution)
@@ -185,13 +194,11 @@ def tessellate(source, resolution=(64, 64), axes=(0, 1), fixed=None,
     masked = np.empty(len(flat), dtype=bool)
     for start in range(0, len(flat), _RENDER_ROWS):
         rows = slice(start, start + _RENDER_ROWS)
-        with np.errstate(all="ignore"):
-            position = imm.position(flat[rows])
-        # the guards see finite vertices only: a jet pass raises at a
-        # singular point that plain numpy maps to inf or nan
-        finite = np.all(np.isfinite(position), axis=-1)
-        mask = ~finite
-        mask[finite] = imm.excluded(flat[rows][finite])
+        try:
+            mask, position = imm._guarded(flat[rows])
+        except DomainError:
+            mask, position = _positions_first(imm, flat[rows])
+        mask |= ~np.all(np.isfinite(position), axis=-1)
         masked[rows] = mask
         vertices[rows] = np.where(mask[:, None], 0.0, position[:, list(proj)])
 
@@ -211,6 +218,21 @@ def tessellate(source, resolution=(64, 64), axes=(0, 1), fixed=None,
     return MeshData(vertices=vertices, faces=faces.reshape(-1, 3))
 
 
+def _positions_first(imm: Immersion, p: np.ndarray) -> tuple:
+    """(mask, positions) of a block whose jet pass raised a DomainError.
+
+    Plain numpy maps a singular point to inf or nan where a jet pass
+    raises, so the positions come first and the guards see the finite
+    vertices only; the caller masks the others.
+    """
+    with np.errstate(all="ignore"):
+        position = imm.position(p)
+    finite = np.all(np.isfinite(position), axis=-1)
+    mask = np.zeros(len(p), dtype=bool)
+    mask[finite] = imm.excluded(p[finite])
+    return mask, position
+
+
 # Shortest round-trip decimals, Ryu's d2d on uint64 lanes.  Ryu writes a
 # positive double as mv 2^e2, with mv = 4 m2 for the significand m2 (its
 # hidden bit included) and e2 = max(biased, 1) - 1077; the digits are mv
@@ -225,14 +247,17 @@ def _pow5bits(e: int) -> int:
     return ((e * 1217359) >> 19) + 1
 
 
-def _ryu_constants() -> list[np.ndarray]:
+@functools.cache
+def _ryu_constants() -> tuple[np.ndarray, ...]:
     """Per biased exponent: Ryu's multiplier, shift and trailing-zero tests.
 
     The columns are the multiplier's (lo, hi) words, its shift less 64,
     the mask of the low bits of 4 m2 that must be zero for an exact
     product (every bit when it never is), 5^q for the exact-multiple
     tests of e2 >= 0 (0 when q > 21) and the decimal exponent of the
-    digits.
+    digits.  Built on the first render and kept (2047 rows of Python
+    integer arithmetic, about 3 ms), so a process that writes no OBJ
+    never pays for it.
     """
     rows = []
     for biased in range(2047):
@@ -253,11 +278,8 @@ def _ryu_constants() -> list[np.ndarray]:
             pow5, e10 = 0, q + e2
         rows.append((mul & _MASK64, mul >> 64, shift - 64, mask, pow5, e10))
     *words, e10 = zip(*rows)
-    return [np.array(w, dtype=np.uint64) for w in words] + \
-        [np.array(e10, dtype=np.intp)]
-
-
-_MUL_LO, _MUL_HI, _SHIFT, _ZERO_MASK, _POW5, _E10 = _ryu_constants()
+    return tuple(np.array(w, dtype=np.uint64) for w in words) \
+        + (np.array(e10, dtype=np.intp),)
 
 
 def _shift_right(mid, hi, shift):
@@ -273,12 +295,13 @@ def _shortest(mag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     digits: the decimal that ``repr`` writes.
     """
     biased = (mag >> 52).astype(np.intp)
+    mul_lo, mul_hi, shift, zero_mask, pow5, e10 = (
+        column[biased] for column in _ryu_constants())
     frac = mag & (1 << 52) - 1
     m2 = np.where(biased == 0, frac, frac | 1 << 52)
     accept = (m2 & 1) == 0               # an even m2 keeps its interval ends
     mm_shift = (frac != 0) | (biased <= 1)   # else the lower gap is half
     mv = m2 << 2
-    mul_lo, mul_hi, shift = _MUL_LO[biased], _MUL_HI[biased], _SHIFT[biased]
     # (lo, mid, hi) = mv times the multiplier; vr, vp and vm are that
     # product, plus twice the multiplier, less one or two multipliers
     # (the interval's centre and ends), each shifted right
@@ -299,11 +322,11 @@ def _shortest(mag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # Ryu's corrections for e2 < 0 and q <= 1 are left out: x is an
     # integer there (2^52 <= x < 2^54) with fewer digits than the
     # interval's ends, so whether an end is excluded never matters
-    vr_zeros = (mv & _ZERO_MASK[biased]) == 0
+    vr_zeros = (mv & zero_mask) == 0
     vm_zeros = np.zeros(len(mv), dtype=bool)
-    rare = np.flatnonzero(_POW5[biased])       # 0 <= e2 and q <= 21
+    rare = np.flatnonzero(pow5)       # 0 <= e2 and q <= 21
     if rare.size:
-        pow5 = _POW5[biased[rare]]
+        pow5 = pow5[rare]
         r_mv, r_accept = mv[rare], accept[rare]
         fives = r_mv % 5 == 0
         vr_zeros[rare] = fives & (r_mv % pow5 == 0)
@@ -346,7 +369,7 @@ def _shortest(mag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # vr == vm is inside the interval only when vm is exact, which
     # implies accept; otherwise vr steps up
     digits = vr + (((vr == vm) & ~vm_zeros) | (last >= 5))
-    return digits, _E10[biased] + cut
+    return digits, e10 + cut
 
 
 def _digit_count(values: np.ndarray) -> np.ndarray:

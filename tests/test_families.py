@@ -984,21 +984,40 @@ def _vector_cases():
 VECTOR_CASES = _vector_cases()
 
 
-def _vector_batches(imm, points):
-    """(), (1,), (3, 5) and one batch as long as each vector part."""
-    parts, _ = jets.place(imm.components(jets.Columns(points[0], 0)), ())
-    widths = {rows.stop - rows.start for _, rows in parts
-              if isinstance(rows, slice)}
+def _vector_batches(spec, points, monkeypatch):
+    """(), (1,), (3, 5) and one batch as long as each vector the map builds.
+
+    The vectors are the chart images (``SphereChart.embed``, Choe–Hoppe's
+    p and q among them, scaled) and the block vectors
+    (``CliffordBlock.join``), whose component counts are recorded on one
+    position pass; a batch that long is the one numpy's broadcasting
+    would pair with the component axis.
+    """
+    counts = set()
+
+    def recorded(method):
+        def run(self, *args):
+            out = method(self, *args)
+            counts.add(np.shape(out)[-1])
+            return out
+        return run
+
+    with monkeypatch.context() as m:
+        m.setattr(SphereChart, "embed", recorded(SphereChart.embed))
+        m.setattr(CliffordBlock, "join", recorded(CliffordBlock.join))
+        # built here, so a chart's bound embed is the recorded one
+        build_immersion(spec).components(jets.Columns(points[0], 0))
     return [points[0], points[:1], points[:15].reshape(3, 5, -1)] \
-        + [points[:m] for m in sorted(widths)]
+        + [points[:m] for m in sorted(counts - {1})]
 
 
 @pytest.mark.parametrize("name", sorted(VECTOR_CASES))
-def test_vector_parts_equal_scalar_formulas(name):
+def test_vector_parts_equal_scalar_formulas(name, monkeypatch):
     spec = VECTOR_CASES[name]
     imm = build_immersion(spec)
     scalar = _scalar_map(spec)
-    for p in _vector_batches(imm, sample_box(imm, 24, seed=41, keep=False)):
+    points = sample_box(imm, 24, seed=41, keep=False)
+    for p in _vector_batches(spec, points, monkeypatch):
         for order in (2, 1):
             want = _scalar_dense(scalar(jets.Columns(p, order)), p, order)
             if order == 2:

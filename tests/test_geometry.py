@@ -816,3 +816,21 @@ def test_every_evaluation_assembles_once(monkeypatch):
                 calls.clear()
                 getattr(imm, method)(p)
                 assert calls == [order], (name, method)
+
+
+@pytest.mark.parametrize("batch", [(), (1,), (60,), (7, 5), (100,), (4096,)])
+@pytest.mark.parametrize("K, n", [(4, 2), (19, 16), (3, 1), (5, 3), (1, 2)])
+def test_gram_has_the_row_major_einsum_bits(batch, K, n):
+    # the batch-innermost sum of large batches adds the rows in einsum's
+    # order, so g, det g and Π g_ii keep their bits at every batch; n = 1
+    # keeps einsum
+    rng = np.random.default_rng(K * 100 + n)
+    jac = rng.standard_normal(batch + (K, n)) \
+        * np.exp(4.0 * rng.standard_normal(batch + (K, n)))
+    g, det, hadamard = geometry._gram(jac)
+    want = np.einsum("...ki,...kj->...ij", jac, jac)
+    assert g.shape == want.shape and g.flags.c_contiguous
+    assert g.tobytes() == want.tobytes()
+    assert det.tobytes() == np.linalg.det(want).tobytes()
+    assert hadamard.tobytes() == np.prod(
+        np.einsum("...ii->...i", want), axis=-1).tobytes()

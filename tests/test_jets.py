@@ -909,3 +909,17 @@ def test_place_lays_out_vectors_only(order, shape):
         assert rows == slice(row, row + m)
         row += m
         assert _slot_bytes(got) == _slot_bytes(want)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+@pytest.mark.parametrize("shape", [(), (5,)])
+def test_sincos_equals_sin_and_cos_byte_for_byte(order, shape):
+    # one sine and one cosine of the value serve both results, which keep
+    # the bits of sin and cos, on scalars and component-axis vectors
+    p = np.linspace(-2.0, 3.0, int(np.prod(shape)) * 3).reshape(shape + (3,))
+    cols = jets.Columns(p, order)
+    u, v = cols[0], cols[1:3].joint()
+    for x in (u, 1.7 * u * cols[2], v, v * v + 0.3, p[..., 0], 0.4):
+        sin, cos = jets.sincos(x)
+        assert _slot_bytes(sin) == _slot_bytes(jets.sin(x))
+        assert _slot_bytes(cos) == _slot_bytes(jets.cos(x))

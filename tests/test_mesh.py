@@ -10,6 +10,7 @@ edge shared by exactly two of them.
 import hashlib
 import io
 import tracemalloc
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -17,12 +18,13 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from minvar import jets
-from minvar.errors import DimensionMismatch, SpecError
+from minvar.errors import DimensionMismatch, DomainError, SpecError
 from minvar.families import ChoeHoppe, GenHelicoidA, LawsonSurface, \
     PitchVector, build_immersion, standard_block
 from minvar.geometry import Immersion
-from minvar.mesh import MeshData, _digit_count, _digits, obj_text, \
-    resolve_projection, tessellate, write_obj
+from minvar.harness import default_campaign
+from minvar.mesh import _RENDER_ROWS, MeshData, _digit_count, _digits, \
+    obj_text, resolve_projection, tessellate, write_obj
 
 HELICOID = ChoeHoppe(sphere_dim=1, pitch=0.5)
 
@@ -242,6 +244,97 @@ class TestTessellate:
     def test_rejects_bad_axis_index(self):
         with pytest.raises(DimensionMismatch):
             tessellate(patch(), axes=(0, 5))
+
+
+def _assemble_orders(monkeypatch):
+    """The (order, batch) of every ``Immersion.assemble`` call, in order."""
+    calls = []
+    assemble = Immersion.assemble
+
+    def counted(self, outs, cols):
+        calls.append((cols.order, cols.batch))
+        return assemble(self, outs, cols)
+
+    monkeypatch.setattr(Immersion, "assemble", counted)
+    return calls
+
+
+def _two_pass(monkeypatch, source, **kwargs):
+    """``tessellate`` with every block on the positions-first fallback."""
+    guarded = Immersion._guarded
+
+    def raising(self, p):
+        raise DomainError("forced")
+
+    with monkeypatch.context() as m:
+        # the fallback's guard is excluded's mask, from the real pass
+        m.setattr(Immersion, "excluded", lambda self, p: guarded(self, p)[0])
+        m.setattr(Immersion, "_guarded", raising)
+        return tessellate(source, **kwargs)
+
+
+def _pinhole():
+    """(1/(u² + v²)) over a grid past one render block, singular at 0.
+
+    The grid is 101 × 101 on [−1, 1]², so vertex (50, 50), index 5100, is
+    the origin: only the second of the three blocks meets it.
+    """
+    comps = lambda cols: [cols[0], cols[1], jets.reciprocal(
+        cols[0] * cols[0] + cols[1] * cols[1])]
+    return Immersion(param_dim=2, ambient_dim=3, components=comps,
+                     domain=((-1.0, 1.0), (-1.0, 1.0)), name="pinhole")
+
+
+class TestSinglePass:
+    @pytest.mark.parametrize("name, spec", [
+        (name, spec) for name, spec in default_campaign()
+        if build_immersion(spec).param_dim >= 2])
+    def test_equals_the_two_pass_route(self, monkeypatch, name, spec):
+        # positions from the guard's first-order pass have the bits of the
+        # order-0 pass, and the mask is the same on every vertex; 70² spans
+        # two render blocks
+        got = tessellate(spec, resolution=70)
+        want = _two_pass(monkeypatch, spec, resolution=70)
+        assert got.vertices.tobytes() == want.vertices.tobytes()
+        assert got.faces.tobytes() == want.faces.tobytes()
+
+    def test_nonfinite_positions_of_a_passing_jet_pass_are_detached(self):
+        # a plain-array part carries no derivative, so the metric floor
+        # passes where it is inf: the position's finiteness masks it
+        comps = lambda cols: [cols[0], cols[1], np.where(
+            cols.p[..., 0] > 0.6, np.inf, 0.0)]
+        mesh = tessellate(patch(components=comps), resolution=(5, 5))
+        assert np.array_equal(mesh.vertices[15:], np.zeros((10, 3)))
+        assert mesh.faces.shape == (2 * 2 * 4, 3)
+        assert mesh.faces.max() < 15
+
+    def test_one_first_order_pass_per_block(self, monkeypatch):
+        calls = _assemble_orders(monkeypatch)
+        mesh = tessellate(LawsonSurface(1.0, 2.0), resolution=100)
+        assert len(mesh.vertices) == 10_000 > 2 * _RENDER_ROWS
+        assert calls == [(1, (_RENDER_ROWS,)), (1, (_RENDER_ROWS,)),
+                         (1, (10_000 - 2 * _RENDER_ROWS,))]
+
+    def test_a_singular_block_falls_back_alone(self, monkeypatch):
+        grid = np.linspace(-1.0, 1.0, 101)
+        assert grid[50] == 0.0
+        calls = _assemble_orders(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mesh = tessellate(_pinhole(), resolution=101)
+        # the middle block's jet pass raises in the map at the origin,
+        # before it assembles, then runs positions first and the guard on
+        # its 4095 finite vertices
+        assert calls == [(1, (4096,)), (0, (4096,)), (1, (4095,)),
+                         (1, (10201 - 8192,))]
+        assert np.array_equal(mesh.vertices[5100], np.zeros(3))
+        assert not np.isin(mesh.faces, [5100]).any()
+        assert len(mesh.faces) == 2 * (100 * 100 - 4)
+        calls.clear()
+        want = _two_pass(monkeypatch, _pinhole(), resolution=101)
+        assert [order for order, _ in calls] == [0, 1] * 3
+        assert mesh.vertices.tobytes() == want.vertices.tobytes()
+        assert mesh.faces.tobytes() == want.faces.tobytes()
 
 
 class TestObjOutput:
