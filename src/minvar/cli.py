@@ -3,8 +3,9 @@
 Each subcommand decodes its versioned JSON config into its own dataclass
 with the typed codec of ``families`` (strict keys, typed values):
 
-* ``verify``     runs sampling campaigns (minimality, screw, cone-scaling,
-                 takahashi) against a family and writes a report.
+* ``verify``     runs the checks (minimality, screw, cone-scaling,
+                 takahashi) against a family from one sample of its plan
+                 and writes one report per check, in order.
 * ``identities`` evaluates the lemma/algebra/harmonicity/proof-term
                  residuals over the sample points in one batched call
                  per check and writes one CSV row per point.
@@ -13,7 +14,9 @@ with the typed codec of ``families`` (strict keys, typed values):
 
 Exit codes: 0 when every verdict matches its expectation, 1 when any
 verdict mismatches, 2 for configuration or domain errors (reported on
-standard error, before any evaluation where possible).
+standard error, before any evaluation where possible: a verify check that
+does not apply to its family is rejected when the config is parsed).
+A command prints and writes its reports once all of them exist.
 """
 
 from __future__ import annotations
@@ -44,15 +47,15 @@ from .harness import (
     REPORT_VERSION,
     IdentitiesReport,
     SamplePlan,
+    TakahashiReport,
     TolerancePolicy,
+    _check_applicable,
     _check_report_version,
     _summarize,
+    _verify,
     report_from_json,
     sample_points,
     takahashi_equivalence,
-    verify_cone_scaling,
-    verify_minimality,
-    verify_screw_invariance,
 )
 from .identities import (
     helicoid_algebra,
@@ -106,6 +109,7 @@ class VerifyConfig(_SampledConfig):
         super().__post_init__()
         _check_names(self.checks, VERIFY_CHECKS)
         _check_rays(self.rays)
+        _check_applicable(self.family, self.checks)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -184,13 +188,6 @@ def _write_csv(columns: list[str], rows: np.ndarray, path: str | None) -> None:
             writer.writerow([i, *(repr(float(x)) for x in row)])
 
 
-def _print_checks(label: str, checks) -> None:
-    for c in checks:
-        marker = "ok" if c.as_expected else "MISMATCH"
-        print(f"{label}:{c.name}: {c.verdict} [{marker}] "
-              f"max={c.max_residual:.3e} tol={c.tolerance:g}")
-
-
 def load_reports(doc: dict) -> list:
     """Reports from a written document (single report or a report list)."""
     if isinstance(doc, dict) and doc.get("kind") == "report-list":
@@ -201,11 +198,21 @@ def load_reports(doc: dict) -> list:
     return [report_from_json(doc)]
 
 
-def _reports_doc(reports: list) -> dict:
-    if len(reports) == 1:
-        return reports[0].to_json()
-    return {"version": REPORT_VERSION, "kind": "report-list",
-            "reports": [r.to_json() for r in reports]}
+def _conclude(spec, reports: list, path: str | None) -> int:
+    """Print each report's verdicts, write the reports, give the exit code."""
+    label = type(spec).__name__
+    for report in reports:
+        for c in report.checks:
+            marker = "ok" if c.as_expected else "MISMATCH"
+            print(f"{label}:{c.name}: {c.verdict} [{marker}] "
+                  f"max={c.max_residual:.3e} tol={c.tolerance:g}")
+        if isinstance(report, TakahashiReport):
+            print(f"{label}:agreement: {report.agreement}")
+    doc = reports[0].to_json() if len(reports) == 1 else {
+        "version": REPORT_VERSION, "kind": "report-list",
+        "reports": [r.to_json() for r in reports]}
+    _write_json(doc, path)
+    return 0 if all(r.all_expected for r in reports) else 1
 
 
 # ---------------------------------------------------------------------------
@@ -214,26 +221,9 @@ def _reports_doc(reports: list) -> dict:
 
 
 def cmd_verify(config: VerifyConfig) -> int:
-    runners = {
-        "minimality": lambda: verify_minimality(
-            config.family, config.plan, config.tolerances),
-        "screw": lambda: verify_screw_invariance(
-            config.family, config.plan, config.tolerances),
-        "cone-scaling": lambda: verify_cone_scaling(
-            config.family, config.plan, config.tolerances),
-        "takahashi": lambda: takahashi_equivalence(
-            config.family, config.rays, config.plan, config.tolerances),
-    }
-    label = type(config.family).__name__
-    reports = []
-    for name in config.checks:
-        report = runners[name]()
-        reports.append(report)
-        _print_checks(label, report.checks)
-        if name == "takahashi":
-            print(f"{label}:agreement: {report.agreement}")
-    _write_json(_reports_doc(reports), config.output.report)
-    return 0 if all(r.all_expected for r in reports) else 1
+    reports = _verify(config.family, config.checks, config.plan,
+                      config.tolerances, config.rays)
+    return _conclude(config.family, reports, config.output.report)
 
 
 def _lemma_rows(config: IdentitiesConfig):
@@ -282,19 +272,16 @@ def cmd_identities(config: IdentitiesConfig) -> int:
         columns, tols, rows, rejected = _helicoid_rows(config)
     _write_csv(columns, rows, config.output.csv)
 
-    label = type(config.family).__name__
     checks = [
         _summarize(name, rows[:, j], tols[j], "PASS", rejected,
                    config.tolerances.tol_negative)
         for j, name in enumerate(columns)
     ]
-    _print_checks(label, checks)
     report = IdentitiesReport(family=spec_to_json(config.family),
                               plan=config.plan.to_json(),
                               tolerances=config.tolerances.to_json(),
                               checks=tuple(checks))
-    _write_json(report.to_json(), config.output.report)
-    return 0 if report.all_expected else 1
+    return _conclude(config.family, [report], config.output.report)
 
 
 def cmd_mesh(config: MeshConfig) -> int:
@@ -314,11 +301,7 @@ def cmd_mesh(config: MeshConfig) -> int:
 def cmd_takahashi(config: TakahashiConfig) -> int:
     report = takahashi_equivalence(config.base, config.rays, config.plan,
                                    config.tolerances)
-    label = type(config.base).__name__
-    _print_checks(label, report.checks)
-    print(f"{label}:agreement: {report.agreement}")
-    _write_json(report.to_json(), config.output.report)
-    return 0 if report.all_expected else 1
+    return _conclude(config.base, [report], config.output.report)
 
 
 # command -> (config class, runner, the output that --out names)

@@ -2,18 +2,20 @@
 
 A campaign samples non-excluded parameter points deterministically,
 evaluates a residual per point, and condenses the result into verdict
-records.  A sample's uniform draws are addressed by (seed, point, draw
-index): ``streams`` seeds every point's stream once and computes a whole
-round of draws at once, bit-identical to numpy's
-``SeedSequence(seed, spawn_key=(point,))`` PCG64 streams, so no per-point
-``Generator`` is built.  Positive families must PASS; registered negative
-controls must FAIL by a wide margin (FAIL-EXPECTED), so a
-trivially-agreeing engine cannot slip through.  Each draw is evaluated
-once: the ``PointEval`` that screening computed for the accepted draws,
-with the Gram matrix of the metric-floor test that guards every immersion,
-feeds the residual stage, and every residual reads H = Δ_g F
-(``laplace_from_pointeval``; ``mean_curvature`` where the tangential
-residual is judged too).
+records.  The checks of one family share one campaign core, which
+samples the plan once; ``verify_minimality``, ``verify_screw_invariance``
+and ``verify_cone_scaling`` are its one-check calls.  A sample's uniform
+draws are addressed by (seed, point, draw index): ``streams`` seeds every
+point's stream once and computes a whole round of draws at once,
+bit-identical to numpy's ``SeedSequence(seed, spawn_key=(point,))`` PCG64
+streams, so no per-point ``Generator`` is built.  Positive families must
+PASS; registered negative controls must FAIL by a wide margin
+(FAIL-EXPECTED), so a trivially-agreeing engine cannot slip through.  Each
+draw is evaluated once: the ``PointEval`` that screening computed for the
+accepted draws, with the Gram matrix of the metric-floor test that guards
+every immersion, feeds the residual stage, and every residual reads
+H = Δ_g F (``laplace_from_pointeval``; ``mean_curvature`` where the
+tangential residual is judged too).
 Reports serialize to versioned JSON and are deterministic for a fixed
 (spec, plan, tolerance) triple, except for the wall-time stamp.
 """
@@ -286,13 +288,12 @@ def sample_points(imm: Immersion, plan: SamplePlan):
     (``imm.excluded``: the predicates and the metric floor that guards
     every immersion, from first-order work); only rejected rows stay
     pending.  Points and reject counts match a point-by-point loop over
-    numpy's generators bit for bit.  The campaigns run the same loop
-    through ``imm.screen``, whose mask is the same, and keep the accepted
-    rows of each round's ``PointEval``.  ``plan.count`` is below 2^32,
-    one spawn-key word.
+    numpy's generators bit for bit.  A campaign that reads H runs the same
+    loop through ``imm.screen``, whose mask is the same, and keeps the
+    accepted rows of each round's ``PointEval``.  ``plan.count`` is below
+    2^32, one spawn-key word.
     """
-    points, rejected, _ = _sample(imm, plan, evaluate=False)
-    return points, rejected
+    return _sample(imm, plan, evaluate=False)[:2]
 
 
 def _sample(imm: Immersion, plan: SamplePlan, evaluate: bool = True):
@@ -420,16 +421,84 @@ def _summarize(name: str, residuals: np.ndarray, tolerance: float,
                        expected=expected, verdict=verdict)
 
 
-def _finish(family_json, plan, tol, checks, started) -> VerificationReport:
-    return VerificationReport(
-        family=family_json, plan=plan.to_json(), tolerances=tol.to_json(),
-        checks=tuple(checks), engine_version=__version__,
-        wall_time=time.perf_counter() - started)
-
-
 # ---------------------------------------------------------------------------
 # Campaign runners
 # ---------------------------------------------------------------------------
+
+
+def _check_applicable(spec, checks) -> None:
+    """Raise for the first of ``checks`` that ``spec`` cannot run."""
+    for name in checks:
+        if name == "screw" and screw_data(spec) is None:
+            raise SpecError(f"{type(spec).__name__} has no sweep angle; "
+                            f"screw invariance does not apply")
+        if name == "cone-scaling" and not scaling_indices(spec):
+            raise SpecError(
+                f"{type(spec).__name__} is not a cone here (no scaling "
+                f"parameters; a nonzero axial rate breaks homogeneity)")
+        if name == "takahashi" and not lands_on_unit_sphere(spec):
+            raise NotSpherical(
+                f"{type(spec).__name__} does not land on the unit sphere")
+
+
+def _verify(spec, checks, plan: SamplePlan, tol: TolerancePolicy,
+            rays: int = 2) -> list:
+    """One report per check name, in order, from one sample of ``plan``.
+
+    The sample is second order, forming H once, when minimality or
+    cone-scaling reads H, else first order; its positions are the images
+    that screws and scalings move.  Takahashi samples its own ``rays``-ray
+    routes; each other report's wall time adds the shared sample's.
+    """
+    _check_applicable(spec, checks)
+    started = time.perf_counter()
+    if set(checks) - {"takahashi"}:
+        imm = build_immersion(spec)
+        reads_h = not {"minimality", "cone-scaling"}.isdisjoint(checks)
+        points, rejected, pe = _sample(imm, plan, evaluate=reads_h)
+        position = imm.position(points) if pe is None else pe.position
+        if reads_h:
+            minimality, tangential = _minimality_residuals(spec, pe)
+    shared = time.perf_counter() - started
+
+    def summarize(name, residuals, tolerance, expected="PASS"):
+        return _summarize(name, residuals, tolerance, expected, rejected,
+                          tol.tol_negative)
+
+    reports = []
+    for name in checks:
+        started = time.perf_counter() - shared
+        if name == "takahashi":
+            reports.append(takahashi_equivalence(spec, rays, plan, tol))
+            continue
+        if name == "minimality":
+            results = [
+                summarize("minimality", minimality, tol.tol_H,
+                          "FAIL-EXPECTED" if spec.control else "PASS"),
+                summarize("tangential-residual", tangential, tol.tol_H)]
+        elif name == "screw":
+            data = screw_data(spec)
+            angles = _aux_stream(plan, 1).uniform(-2 * np.pi, 2 * np.pi,
+                                                  plan.count)
+            shifted = np.array(points, copy=True)
+            shifted[:, data.theta_index] += angles
+            moved = screw_action(data.pitch, angles, position)
+            residuals = np.max(np.abs(imm.position(shifted) - moved), axis=-1)
+            results = [summarize("screw-invariance", residuals, SCREW_TOL)]
+        else:
+            factors = _aux_stream(plan, 2).uniform(0.1, 10.0, plan.count)
+            scaled = np.array(points, copy=True)
+            scaled[:, list(scaling_indices(spec))] *= factors[:, None]
+            defect = imm.position(scaled) - factors[:, None] * position
+            residuals = np.max(np.abs(defect), axis=-1)
+            results = [summarize("cone-scaling", residuals, SCALING_TOL),
+                       summarize("minimality", minimality, tol.tol_H)]
+        reports.append(VerificationReport(
+            family=spec_to_json(spec), plan=plan.to_json(),
+            tolerances=tol.to_json(), checks=tuple(results),
+            engine_version=__version__,
+            wall_time=time.perf_counter() - started))
+    return reports
 
 
 def verify_minimality(spec, plan: SamplePlan = SamplePlan(),
@@ -441,70 +510,21 @@ def verify_minimality(spec, plan: SamplePlan = SamplePlan(),
     at least tol_negative; their tangential residual must still pass,
     since the Laplacian of any immersion is normal to it.
     """
-    started = time.perf_counter()
-    imm = build_immersion(spec)
-    _, rejected, pe = _sample(imm, plan)
-    minimality, tangential = _minimality_residuals(spec, pe)
-    expected = "FAIL-EXPECTED" if spec.control else "PASS"
-    checks = [
-        _summarize("minimality", minimality, tol.tol_H, expected, rejected,
-                   tol.tol_negative),
-        _summarize("tangential-residual", tangential, tol.tol_H, "PASS",
-                   rejected, tol.tol_negative),
-    ]
-    return _finish(spec_to_json(spec), plan, tol, checks, started)
+    return _verify(spec, ("minimality",), plan, tol)[0]
 
 
 def verify_screw_invariance(spec, plan: SamplePlan = SamplePlan(),
                             tol: TolerancePolicy = TolerancePolicy()
                             ) -> VerificationReport:
     """Check that advancing the sweep angle equals the ambient screw motion."""
-    started = time.perf_counter()
-    data = screw_data(spec)
-    if data is None:
-        raise SpecError(f"{type(spec).__name__} has no sweep angle; screw "
-                        f"invariance does not apply")
-    imm = build_immersion(spec)
-    points, rejected = sample_points(imm, plan)
-    angles = _aux_stream(plan, 1).uniform(-2 * np.pi, 2 * np.pi, plan.count)
-
-    shifted = np.array(points, copy=True)
-    shifted[:, data.theta_index] += angles
-    moved = screw_action(data.pitch, angles, imm.position(points))
-    residuals = np.max(np.abs(imm.position(shifted) - moved), axis=-1)
-
-    checks = [_summarize("screw-invariance", residuals, SCREW_TOL, "PASS",
-                         rejected, tol.tol_negative)]
-    return _finish(spec_to_json(spec), plan, tol, checks, started)
+    return _verify(spec, ("screw",), plan, tol)[0]
 
 
 def verify_cone_scaling(spec, plan: SamplePlan = SamplePlan(),
                         tol: TolerancePolicy = TolerancePolicy()
                         ) -> VerificationReport:
     """Check positive homogeneity in the ray parameters, plus minimality."""
-    started = time.perf_counter()
-    indices = scaling_indices(spec)
-    if not indices:
-        raise SpecError(
-            f"{type(spec).__name__} is not a cone here (no scaling "
-            f"parameters; a nonzero axial rate breaks homogeneity)")
-    imm = build_immersion(spec)
-    points, rejected, pe = _sample(imm, plan)
-    factors = _aux_stream(plan, 2).uniform(0.1, 10.0, plan.count)
-
-    scaled = np.array(points, copy=True)
-    scaled[:, list(indices)] *= factors[:, None]
-    defect = imm.position(scaled) - factors[:, None] * imm.position(points)
-    residuals = np.max(np.abs(defect), axis=-1)
-
-    minimality, _ = _minimality_residuals(spec, pe)
-    checks = [
-        _summarize("cone-scaling", residuals, SCALING_TOL, "PASS", rejected,
-                   tol.tol_negative),
-        _summarize("minimality", minimality, tol.tol_H, "PASS", rejected,
-                   tol.tol_negative),
-    ]
-    return _finish(spec_to_json(spec), plan, tol, checks, started)
+    return _verify(spec, ("cone-scaling",), plan, tol)[0]
 
 
 def takahashi_equivalence(base, rays: int,
@@ -522,9 +542,7 @@ def takahashi_equivalence(base, rays: int,
     cone sample their own domains.
     """
     started = time.perf_counter()
-    if not lands_on_unit_sphere(base):
-        raise NotSpherical(
-            f"{type(base).__name__} does not land on the unit sphere")
+    _check_applicable(base, ("takahashi",))
     _check_rays(rays)
 
     expected = "FAIL-EXPECTED" if base.control else "PASS"

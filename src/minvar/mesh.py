@@ -10,10 +10,9 @@ and the guards' mask (``Immersion.excluded``'s): the pass always
 differentiates the map for the metric floor, so a component map must be
 written in the jet primitives, and one that calls numpy functions such as
 ``np.sin`` on its parameters raises.  A block whose jet pass raises a
-DomainError (an exact zero denominator, or a chart singularity) falls back
-to positions first, as plain numpy, which maps a singular vertex to inf or
-nan, and the guards on its finite vertices only, so that vertex is
-detached like any other.
+DomainError falls back to plain positions, then the guards on its finite
+vertices, so a vertex at an exact zero denominator (``reciprocal``,
+``atan2``) is detached; a chart singularity raises ``ChartDomainError``.
 
 Output is a plain v/f OBJ stream, so identical inputs produce
 byte-identical files.  Its decimals come from a numpy kernel that runs
@@ -144,9 +143,9 @@ def tessellate(source, resolution=(64, 64), axes=(0, 1), fixed=None,
     ``"last-axis"`` preset (coord 0, coord 1, final coordinate as height).
 
     The grid runs ``_RENDER_ROWS`` vertices at a time, each block through
-    one first-order pass for its positions and mask; only a block whose
-    pass raises a DomainError takes the two-pass fallback
-    (``_positions_first``).
+    one first-order pass for its positions and mask; a block whose pass
+    raises a DomainError takes the two-pass fallback (``_positions_first``),
+    and a grid that meets a chart singularity raises.
     """
     imm = source if isinstance(source, Immersion) else build_immersion(source)
     nu, nv = _check_resolution(resolution)

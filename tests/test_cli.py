@@ -18,7 +18,7 @@ import pytest
 import minvar
 from minvar import geometry, harness
 from minvar.cli import _write_json, load_reports, main, parse_config
-from minvar.errors import SpecError
+from minvar.errors import NotSpherical, SpecError
 from minvar.families import build_immersion, spec_from_json
 from minvar.harness import (
     IdentitiesReport,
@@ -431,6 +431,89 @@ def test_report_list_version_is_checked(version):
                       "reports": []})
 
 
+def test_verify_report_list_bytes_pinned(tmp_path, capsys):
+    # takahashi between sampled checks: the reports and the verdict lines
+    # come in the order asked
+    rep = tmp_path / "reports.json"
+    cfg = write_config(tmp_path, family=LAWSON, plan={"count": 2, "seed": 3},
+                       checks=["takahashi", "minimality", "screw"],
+                       output={"report": str(rep)})
+    assert main(["verify", cfg]) == 0
+    assert capsys.readouterr().out == PINNED_LAWSON_LINES
+    doc = json.loads(rep.read_text())
+    for report in doc["reports"]:
+        assert type(report["wall_time"]) is float
+        report["wall_time"] = 0.25
+    assert json.dumps(doc, indent=2, sort_keys=True) + "\n" == \
+        PINNED_LAWSON_REPORTS
+
+
+@pytest.mark.parametrize("family,checks,error,message", [
+    (TORUS, ["minimality", "screw"], SpecError,
+     "CliffordTorus has no sweep angle; screw invariance does not apply"),
+    (HELICOID, ["minimality", "cone-scaling"], SpecError,
+     "GenHelicoidA is not a cone here"),
+    ({"kind": "Cylinder", "radius": 1.0}, ["minimality", "takahashi"],
+     NotSpherical, "Cylinder does not land on the unit sphere"),
+])
+def test_inapplicable_checks_are_rejected_before_evaluation(
+        tmp_path, capsys, monkeypatch, family, checks, error, message):
+    doc = {"version": 1, "family": family, "checks": checks}
+    with pytest.raises(error, match=re.escape(message)):
+        parse_config(doc, "verify")
+
+    def sample(*_, **__):
+        raise AssertionError("sampled before the config was checked")
+    monkeypatch.setattr(harness, "_sample", sample)
+    rep = tmp_path / "report.json"
+    cfg = write_config(tmp_path, family=family, checks=checks,
+                       plan={"count": 5}, output={"report": str(rep)})
+    assert main(["verify", cfg]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert not captured.out and not rep.exists()
+
+
+def test_one_sample_and_one_residual_pass_per_verify_config(tmp_path,
+                                                            monkeypatch):
+    # a zero-axial helicoid takes all three sampled checks; H is formed
+    # once, and each report equals its runner's own campaign
+    family = dict(HELICOID, pitch={"lambda0": 0.0, "lambdas": [1.2]})
+    plan = harness.SamplePlan(count=20, seed=4)
+    calls = []
+    for name in ("_sample", "_minimality_residuals"):
+        def counted(*args, _name=name, _run=getattr(harness, name), **kw):
+            calls.append(_name)
+            return _run(*args, **kw)
+        monkeypatch.setattr(harness, name, counted)
+    rep = tmp_path / "reports.json"
+    cfg = write_config(tmp_path, family=family, plan=plan.to_json(),
+                       checks=["minimality", "screw", "cone-scaling"],
+                       output={"report": str(rep)})
+    assert main(["verify", cfg]) == 0
+    assert calls == ["_sample", "_minimality_residuals"]
+    monkeypatch.undo()
+    spec = spec_from_json(family)
+    assert load_reports(json.loads(rep.read_text())) == [
+        harness.verify_minimality(spec, plan),
+        harness.verify_screw_invariance(spec, plan),
+        harness.verify_cone_scaling(spec, plan)]
+
+
+def test_screw_alone_samples_at_first_order(tmp_path, monkeypatch):
+    evaluated = []
+    sample = harness._sample
+
+    def counted(imm, plan, evaluate=True):
+        evaluated.append(evaluate)
+        return sample(imm, plan, evaluate)
+    monkeypatch.setattr(harness, "_sample", counted)
+    cfg = write_config(tmp_path, family=HELICOID, plan={"count": 10},
+                       checks=["screw"])
+    assert main(["verify", cfg]) == 0
+    assert evaluated == [False]
+
+
 PINNED_IDENTITIES = """\
 {
   "checks": [
@@ -490,6 +573,165 @@ PINNED_IDENTITIES = """\
     "tol_identity": 1e-09,
     "tol_negative": 0.01
   },
+  "version": 1
+}
+"""
+
+PINNED_LAWSON_LINES = (
+    'LawsonSurface:sphere-base: PASS [ok] max=2.776e-16 tol=1e-08\n'
+    'LawsonSurface:sphere-join: PASS [ok] max=1.901e-15 tol=1e-08\n'
+    'LawsonSurface:cone-rays: PASS [ok] max=2.433e-16 tol=1e-08\n'
+    'LawsonSurface:agreement: True\n'
+    'LawsonSurface:minimality: PASS [ok] max=5.959e-17 tol=1e-08\n'
+    'LawsonSurface:tangential-residual: PASS [ok] max=3.444e-17 tol=1e-08\n'
+    'LawsonSurface:screw-invariance: PASS [ok] max=3.886e-16 tol=1e-12\n'
+)
+
+PINNED_LAWSON_REPORTS = """\
+{
+  "kind": "report-list",
+  "reports": [
+    {
+      "agreement": true,
+      "base": {
+        "kind": "LawsonSurface",
+        "lambda1": 1.0,
+        "lambda2": 2.0
+      },
+      "checks": [
+        {
+          "expected": "PASS",
+          "max_residual": 2.7755575615628914e-16,
+          "mean_residual": 1.952563825766824e-16,
+          "min_residual": 1.1295700899707568e-16,
+          "name": "sphere-base",
+          "points_evaluated": 2,
+          "points_excluded": 0,
+          "tolerance": 1e-08,
+          "verdict": "PASS"
+        },
+        {
+          "expected": "PASS",
+          "max_residual": 1.901421531342361e-15,
+          "mean_residual": 1.7885391047395578e-15,
+          "min_residual": 1.6756566781367546e-15,
+          "name": "sphere-join",
+          "points_evaluated": 2,
+          "points_excluded": 0,
+          "tolerance": 1e-08,
+          "verdict": "PASS"
+        },
+        {
+          "expected": "PASS",
+          "max_residual": 2.432574717070327e-16,
+          "mean_residual": 2.378422623253324e-16,
+          "min_residual": 2.324270529436321e-16,
+          "name": "cone-rays",
+          "points_evaluated": 2,
+          "points_excluded": 0,
+          "tolerance": 1e-08,
+          "verdict": "PASS"
+        }
+      ],
+      "engine_version": "0.1.0",
+      "kind": "takahashi-report",
+      "plan": {
+        "box": null,
+        "count": 2,
+        "max_rejects": 200,
+        "seed": 3
+      },
+      "rays": 2,
+      "tolerances": {
+        "tol_H": 1e-08,
+        "tol_identity": 1e-09,
+        "tol_negative": 0.01
+      },
+      "version": 1,
+      "wall_time": 0.25
+    },
+    {
+      "checks": [
+        {
+          "expected": "PASS",
+          "max_residual": 5.959422896636756e-17,
+          "mean_residual": 4.730896099675616e-17,
+          "min_residual": 3.502369302714477e-17,
+          "name": "minimality",
+          "points_evaluated": 2,
+          "points_excluded": 0,
+          "tolerance": 1e-08,
+          "verdict": "PASS"
+        },
+        {
+          "expected": "PASS",
+          "max_residual": 3.4437530463685586e-17,
+          "mean_residual": 2.178842185322891e-17,
+          "min_residual": 9.139313242772235e-18,
+          "name": "tangential-residual",
+          "points_evaluated": 2,
+          "points_excluded": 0,
+          "tolerance": 1e-08,
+          "verdict": "PASS"
+        }
+      ],
+      "engine_version": "0.1.0",
+      "family": {
+        "kind": "LawsonSurface",
+        "lambda1": 1.0,
+        "lambda2": 2.0
+      },
+      "kind": "verification-report",
+      "plan": {
+        "box": null,
+        "count": 2,
+        "max_rejects": 200,
+        "seed": 3
+      },
+      "tolerances": {
+        "tol_H": 1e-08,
+        "tol_identity": 1e-09,
+        "tol_negative": 0.01
+      },
+      "version": 1,
+      "wall_time": 0.25
+    },
+    {
+      "checks": [
+        {
+          "expected": "PASS",
+          "max_residual": 3.885780586188048e-16,
+          "mean_residual": 2.498001805406602e-16,
+          "min_residual": 1.1102230246251565e-16,
+          "name": "screw-invariance",
+          "points_evaluated": 2,
+          "points_excluded": 0,
+          "tolerance": 1e-12,
+          "verdict": "PASS"
+        }
+      ],
+      "engine_version": "0.1.0",
+      "family": {
+        "kind": "LawsonSurface",
+        "lambda1": 1.0,
+        "lambda2": 2.0
+      },
+      "kind": "verification-report",
+      "plan": {
+        "box": null,
+        "count": 2,
+        "max_rejects": 200,
+        "seed": 3
+      },
+      "tolerances": {
+        "tol_H": 1e-08,
+        "tol_identity": 1e-09,
+        "tol_negative": 0.01
+      },
+      "version": 1,
+      "wall_time": 0.25
+    }
+  ],
   "version": 1
 }
 """

@@ -797,6 +797,52 @@ def test_report_bytes_pinned(run, text):
     assert report_from_json(json.loads(text)) == report
 
 
+# the screw and scaling checks read the sampled positions; these pin them
+PINNED_SCREW = (
+    '{"version": 1, "kind": "verification-report", "family": {"kind": '
+    '"GenHelicoidB", "rays": 2, "block": {"chart_x": {"dim": 1, '
+    '"chart_kind": "stereographic"}, "chart_y": {"dim": 1, "chart_kind": '
+    '"stereographic"}}, "angular_pitch": 1.1, "axial_pitch": 0.6}, "plan": '
+    '{"count": 2, "seed": 3, "box": null, "max_rejects": 200}, '
+    '"tolerances": {"tol_H": 1e-08, "tol_identity": 1e-09, "tol_negative": '
+    '0.01}, "checks": [{"name": "screw-invariance", "max_residual": '
+    '3.608224830031759e-16, "mean_residual": 2.914335439641036e-16, '
+    '"min_residual": 2.220446049250313e-16, "points_evaluated": 2, '
+    '"points_excluded": 0, "tolerance": 1e-12, "expected": "PASS", '
+    '"verdict": "PASS"}], "engine_version": "0.1.0", "wall_time": 0.25}'
+)
+PINNED_CONE = (
+    '{"version": 1, "kind": "verification-report", "family": {"kind": '
+    '"LRaysCliffordCone", "rays": 2, "block": {"chart_x": {"dim": 1, '
+    '"chart_kind": "stereographic"}, "chart_y": {"dim": 1, "chart_kind": '
+    '"stereographic"}}}, "plan": {"count": 2, "seed": 3, "box": null, '
+    '"max_rejects": 200}, "tolerances": {"tol_H": 1e-08, "tol_identity": '
+    '1e-09, "tol_negative": 0.01}, "checks": [{"name": "cone-scaling", '
+    '"max_residual": 4.440892098500626e-16, "mean_residual": '
+    '2.7755575615628914e-16, "min_residual": 1.1102230246251565e-16, '
+    '"points_evaluated": 2, "points_excluded": 0, "tolerance": 1e-12, '
+    '"expected": "PASS", "verdict": "PASS"}, {"name": "minimality", '
+    '"max_residual": 4.5081108908609614e-17, "mean_residual": '
+    '2.851835487900098e-17, "min_residual": 1.1955600849392356e-17, '
+    '"points_evaluated": 2, "points_excluded": 0, "tolerance": 1e-08, '
+    '"expected": "PASS", "verdict": "PASS"}], "engine_version": "0.1.0", '
+    '"wall_time": 0.25}'
+)
+
+
+@pytest.mark.parametrize("run,text", [
+    (lambda plan: verify_screw_invariance(
+        dict(default_campaign())["helicoid-shared-torus"], plan),
+     PINNED_SCREW),
+    (lambda plan: verify_cone_scaling(
+        dict(default_campaign())["rays-clifford-cone"], plan), PINNED_CONE),
+], ids=["screw", "cone-scaling"])
+def test_sampled_check_report_bytes_pinned(run, text):
+    report = replace(run(SamplePlan(count=2, seed=3)), wall_time=0.25)
+    assert json.dumps(report.to_json()) == text
+    assert report_from_json(json.loads(text)) == report
+
+
 def test_report_values_are_type_checked():
     doc = verify_minimality(LatitudeCircle(0.0), SamplePlan(count=3)).to_json()
     malformed = [

@@ -574,6 +574,7 @@ def test_linear_map_equals_sequential_sum_byte_for_byte(
 
 
 def _slot_bytes(x):
+    """The type and bytes of an array, or of a jet's support and slots."""
     if not isinstance(x, Jet2):
         return [type(x), x.shape, x.tobytes()]
     return [type(x), x.support] + [
@@ -595,6 +596,7 @@ def test_linear_maps_equal_one_map_per_vector(batch):
     mapped = jets.linear_maps(mat, vectors)
     assert len(mapped) == 4
     for v, got in zip(vectors, mapped):
+        assert type(got) is type(v)           # a Jet1 stays a Jet1
         assert _slot_bytes(got) == _slot_bytes(jets.linear_map(mat, v))
         if isinstance(got, Jet2):
             slots = [got.value, got.grad] + [got.hess] * (got.hess is not None)
@@ -878,14 +880,6 @@ def test_column_stacks_keep_their_type_and_check_their_ranges():
                    (cols[0:2], jets.Columns(p[0], 2)[2:4])):
         with pytest.raises(DimensionMismatch, match="one width"):
             jets.Columns.stack(ranges)
-
-
-def _slot_bytes(x):
-    """The bytes of an array, or of a jet's value, gradient and Hessian."""
-    if not isinstance(x, Jet2):
-        return (np.asarray(x).shape, np.asarray(x).tobytes())
-    return tuple((s.shape, s.tobytes()) for s in
-                 (x.value, x.grad, x.hess) if s is not None) + (x.support,)
 
 
 @pytest.mark.parametrize("order", [0, 1, 2])

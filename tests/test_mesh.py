@@ -18,9 +18,11 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from minvar import jets
-from minvar.errors import DimensionMismatch, DomainError, SpecError
-from minvar.families import ChoeHoppe, GenHelicoidA, LawsonSurface, \
-    PitchVector, build_immersion, standard_block
+from minvar import mesh as mesh_module
+from minvar.errors import ChartDomainError, DimensionMismatch, DomainError, \
+    SpecError
+from minvar.families import ChoeHoppe, CliffordTorus, GenHelicoidA, \
+    LawsonSurface, PitchVector, build_immersion, standard_block
 from minvar.geometry import Immersion
 from minvar.harness import default_campaign
 from minvar.mesh import _RENDER_ROWS, MeshData, _digit_count, _digits, \
@@ -335,6 +337,23 @@ class TestSinglePass:
         assert [order for order, _ in calls] == [0, 1] * 3
         assert mesh.vertices.tobytes() == want.vertices.tobytes()
         assert mesh.faces.tobytes() == want.faces.tobytes()
+
+    def test_a_chart_singularity_raises(self, monkeypatch):
+        # the fallback's plain positions raise at a vanishing interior sine
+        # as the jet pass does, so the grid raises instead of detaching
+        spec = CliffordTorus(standard_block(2, "trigonometric"))
+        box = list(build_immersion(spec).domain)
+        box[0] = (-0.5, 0.5)                # the grid meets sin φ = 0
+        fallbacks = []
+        positions_first = mesh_module._positions_first
+
+        def counted(imm, p):
+            fallbacks.append(len(p))
+            return positions_first(imm, p)
+        monkeypatch.setattr(mesh_module, "_positions_first", counted)
+        with pytest.raises(ChartDomainError, match="interior sine"):
+            tessellate(spec, resolution=5, box=box)
+        assert fallbacks == [25]
 
 
 class TestObjOutput:
