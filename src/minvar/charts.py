@@ -6,7 +6,8 @@ A ``SphereChart`` parametrizes a patch of the unit sphere S^N ⊂ ℝ^{N+1}:
   one pole, nowhere degenerate;
 * ``trigonometric``: nested polar angles, X₁ = cos φ₁,
   X_k = sin φ₁ ⋯ sin φ_{k−1} cos φ_k, degenerate where an interior sine
-  vanishes (guarded);
+  vanishes: there (|sin φ_k| < ``SIN_GUARD``) a point's angles become
+  NaN, so its coordinates are non-finite and the guards exclude it;
 * ``point``: the two-point sphere S⁰, one branch ±1, no parameters.
 
 A ``CliffordBlock`` pairs two charts of the same dimension into the
@@ -44,7 +45,7 @@ from functools import cached_property
 import numpy as np
 
 from . import jets
-from .errors import ChartDomainError, DimensionMismatch, DomainError, SpecError
+from .errors import DimensionMismatch, DomainError, SpecError
 from .geometry import Block, Immersion, MetricEval, PointEval, metric
 
 __all__ = [
@@ -142,10 +143,6 @@ def _first_order(x):
     return x
 
 
-def _jet_values(x):
-    return x.value if isinstance(x, jets.Jet2) else np.asarray(x, dtype=float)
-
-
 @dataclass(frozen=True)
 class SphereChart:
     """A parametrized patch of S^dim, optionally rotated inside ℝ^{dim+1}."""
@@ -215,11 +212,16 @@ class SphereChart:
             # jets and arrays alike, so positions have eval's bits
             out = jets.concat([2.0 * u, 1.0 - s]) * jets.reciprocal(1.0 + s)
         else:
-            interior = _jet_values(u)[..., :-1]
-            if (np.abs(np.sin(interior)) < SIN_GUARD).any():
-                raise ChartDomainError(
-                    "trigonometric chart degenerates where an interior "
-                    "sine vanishes")
+            # a point where an interior sine vanishes has no chart: its
+            # angles become NaN, so its rows are non-finite and the guards
+            # exclude it, while the other points keep their bits
+            jet = isinstance(u, jets.Jet2)
+            angles = u.value if jet else u
+            singular = (np.abs(np.sin(angles[..., :-1])) < SIN_GUARD).any(-1)
+            if singular.any():
+                angles = np.where(singular[..., None], np.nan, angles)
+                u = jets._jet(angles, u.grad, u.hess, u.support) if jet \
+                    else angles
             # X_k = P_{k-1} cos φ_k and X_{dim+1} = P_{dim-1} sin φ_dim,
             # with prefix products P_k = sin φ_1 ⋯ sin φ_k (P_0 = 1)
             # formed left to right

@@ -7,8 +7,8 @@ whole family and map it to a configuration/domain failure.
 from __future__ import annotations
 
 __all__ = ["MinvarError", "DomainError", "DegenerateMetric", "NotSpherical",
-           "ChartDomainError", "BranchLocusError", "DimensionMismatch",
-           "SpecError", "SamplingExhausted", "NonFiniteResidual"]
+           "BranchLocusError", "DimensionMismatch", "SpecError",
+           "SamplingExhausted", "NonFiniteResidual"]
 
 
 class MinvarError(Exception):
@@ -25,10 +25,6 @@ class DegenerateMetric(MinvarError):
 
 class NotSpherical(MinvarError):
     """An operation requiring image points on the unit sphere got one off it."""
-
-
-class ChartDomainError(DomainError):
-    """A sphere chart was evaluated inside its degeneracy guard."""
 
 
 class BranchLocusError(DomainError):

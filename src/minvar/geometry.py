@@ -187,7 +187,10 @@ class Immersion:
     named predicates mapping a point batch (..., n) to a boolean exclusion
     mask.  Every immersion's guard also excludes points whose induced metric is
     near rank-deficient: det g / Π g_ii at or below METRIC_RATIO_FLOOR
-    (``_below_floor``).  ``screen`` runs a second-order ``eval`` and
+    (``_below_floor``), which also excludes a non-finite Jacobian: a
+    degenerate point (a chart singularity, an exact zero denominator of
+    ``reciprocal`` or ``atan2``) is a NaN or inf row, not a raise.
+    ``screen`` runs a second-order ``eval`` and
     returns that ``PointEval``, so sampling and the residuals share one
     evaluation per draw; ``excluded``, for callers that want only the
     mask, runs a first-order pass that gives the same Jacobian bit for bit,
@@ -389,9 +392,12 @@ def metric(pe: PointEval) -> MetricEval:
     """First fundamental form g = JᵀJ with inverse and determinant.
 
     g and det g come from ``pe.gram`` when ``screen`` carried them; ∂g is
-    formed on first read of ``MetricEval.dg``.
+    formed on first read of ``MetricEval.dg``.  A non-finite Jacobian (a
+    chart singularity, an exact pole) raises ``DegenerateMetric``, not a
+    numpy warning: g is formed quietly (``_QUIET``).
     """
-    g, det, hadamard = _gram(pe.jacobian) if pe.gram is None else pe.gram
+    with np.errstate(**_QUIET):
+        g, det, hadamard = _gram(pe.jacobian) if pe.gram is None else pe.gram
     if not np.all(np.isfinite(det)):
         bad = np.extract(~np.isfinite(det), det)
         raise DegenerateMetric(f"non-finite metric: det g = {bad[0]} at "

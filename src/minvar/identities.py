@@ -11,7 +11,8 @@ term so a pass is meaningful at any scale.  A single point of shape
 (n,) is a batch of one and gives shape-() values.  A point with a NaN or
 infinite coordinate raises ``DomainError`` instead of giving NaN defects:
 ``clifford_frame`` and the helicoid record, which every check reads,
-refuse it.
+refuse it; a point where a chart degenerates raises ``DegenerateMetric``
+from their ``metric``.
 
 All frame data comes from ``CliffordBlock.join_pair`` on the halves
 ``charts.block_charts`` embeds, one pass per chart spec and batch,

@@ -791,14 +791,13 @@ def reciprocal(x):
 
     Both ways compute the same value 1.0 / x, so a map that multiplies by
     ``reciprocal(d)`` gives ``position`` the bits of ``eval``.  It is the
-    only way a map divides: jets have no ``/``.
+    only way a map divides: jets have no ``/``.  At an exact zero it
+    raises nothing: the value is ±inf and the slopes inf or NaN, as the
+    array's are, and the guards exclude that point.
     """
     if not isinstance(x, Jet2):
         return 1.0 / x
-    v = x.value
-    if np.any(v == 0.0):
-        raise DomainError("division by zero")
-    inv = 1.0 / v
+    inv = 1.0 / x.value
     return _chain(x, inv, -inv * inv,
                   None if x.hess is None else 2.0 * inv * inv * inv)
 
@@ -808,7 +807,8 @@ def atan2(y, x):
 
     The gradient and Hessian are assembled from the closed-form partials of
     θ = atan2(y, x) (first order: ∂θ = (x ∂y − y ∂x)/(x²+y²)) and the Hessian
-    is symmetrized on write.
+    is symmetrized on write.  At the origin it raises nothing: the value is
+    ``np.arctan2``'s and the derivatives NaN, which the guards exclude.
     """
     if not isinstance(y, Jet2) and not isinstance(x, Jet2):
         return np.arctan2(y, x)
@@ -820,8 +820,6 @@ def atan2(y, x):
     sup, xg, xh, yg, yh = _aligned(x, y)
     xv, yv = x.value, y.value
     s = xv * xv + yv * yv
-    if np.any(s == 0.0):
-        raise DomainError("atan2 at the origin")
     num = xv[..., None] * yg - yv[..., None] * xg
     grad = num / s[..., None]
     hess = None

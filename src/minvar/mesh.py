@@ -9,10 +9,9 @@ vertices costs one first-order jet pass, which gives both the positions
 and the guards' mask (``Immersion.excluded``'s): the pass always
 differentiates the map for the metric floor, so a component map must be
 written in the jet primitives, and one that calls numpy functions such as
-``np.sin`` on its parameters raises.  A block whose jet pass raises a
-DomainError falls back to plain positions, then the guards on its finite
-vertices, so a vertex at an exact zero denominator (``reciprocal``,
-``atan2``) is detached; a chart singularity raises ``ChartDomainError``.
+``np.sin`` on its parameters raises.  A degenerate vertex, at an exact
+zero denominator of ``reciprocal`` or ``atan2`` or at a chart
+singularity, has a non-finite position or Jacobian, so it is detached.
 
 Output is a plain v/f OBJ stream, so identical inputs produce
 byte-identical files.  Its decimals come from a numpy kernel that runs
@@ -30,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainError, SpecError
+from .errors import DimensionMismatch, SpecError
 from .families import _finite_box, _finite_float, build_immersion
 from .geometry import Immersion
 from .streams import _mul64
@@ -143,9 +142,8 @@ def tessellate(source, resolution=(64, 64), axes=(0, 1), fixed=None,
     ``"last-axis"`` preset (coord 0, coord 1, final coordinate as height).
 
     The grid runs ``_RENDER_ROWS`` vertices at a time, each block through
-    one first-order pass for its positions and mask; a block whose pass
-    raises a DomainError takes the two-pass fallback (``_positions_first``),
-    and a grid that meets a chart singularity raises.
+    one first-order pass for its positions and mask (``Immersion._guarded``);
+    a vertex whose position is not finite is masked too.
     """
     imm = source if isinstance(source, Immersion) else build_immersion(source)
     nu, nv = _check_resolution(resolution)
@@ -193,10 +191,7 @@ def tessellate(source, resolution=(64, 64), axes=(0, 1), fixed=None,
     masked = np.empty(len(flat), dtype=bool)
     for start in range(0, len(flat), _RENDER_ROWS):
         rows = slice(start, start + _RENDER_ROWS)
-        try:
-            mask, position = imm._guarded(flat[rows])
-        except DomainError:
-            mask, position = _positions_first(imm, flat[rows])
+        mask, position = imm._guarded(flat[rows])
         mask |= ~np.all(np.isfinite(position), axis=-1)
         masked[rows] = mask
         vertices[rows] = np.where(mask[:, None], 0.0, position[:, list(proj)])
@@ -215,21 +210,6 @@ def tessellate(source, resolution=(64, 64), axes=(0, 1), fixed=None,
     faces[:, 2] = faces[:, 4] = a + nv + 1
     faces[:, 5] = a + 1
     return MeshData(vertices=vertices, faces=faces.reshape(-1, 3))
-
-
-def _positions_first(imm: Immersion, p: np.ndarray) -> tuple:
-    """(mask, positions) of a block whose jet pass raised a DomainError.
-
-    Plain numpy maps a singular point to inf or nan where a jet pass
-    raises, so the positions come first and the guards see the finite
-    vertices only; the caller masks the others.
-    """
-    with np.errstate(all="ignore"):
-        position = imm.position(p)
-    finite = np.all(np.isfinite(position), axis=-1)
-    mask = np.zeros(len(p), dtype=bool)
-    mask[finite] = imm.excluded(p[finite])
-    return mask, position
 
 
 # Shortest round-trip decimals, Ryu's d2d on uint64 lanes.  Ryu writes a

@@ -15,7 +15,7 @@ from minvar.charts import (
     matrix_tuple,
     rotate_block,
 )
-from minvar.errors import ChartDomainError, SpecError
+from minvar.errors import DegenerateMetric, SpecError
 from minvar.geometry import metric
 from minvar.jets import StepPolicy, fd_jet
 
@@ -79,12 +79,46 @@ def test_chart_immersions_are_nondegenerate_on_their_boxes():
             assert np.all(met.det_g > 0.0)
 
 
-def test_trigonometric_guard_raises_near_axis():
+def _slots(x) -> list:
+    """A chart image's value, gradient and Hessian; an array is its value."""
+    if not isinstance(x, jets.Jet2):
+        return [x]
+    return [a for a in (x.value, x.grad, x.hess) if a is not None]
+
+
+def test_trigonometric_guard_nans_rows_near_axis():
+    # a point whose interior sine vanishes (|sin φ| < SIN_GUARD, signed
+    # zero and π included) gets NaN rows instead of raising, at every
+    # order; the other points of its batch keep their bits, signed zeros
+    # too, and the final angle is unguarded
     chart = SphereChart(dim=2, kind="trigonometric")
-    with pytest.raises(ChartDomainError):
-        chart.embed(jets.Columns(np.array([1e-12, 0.4]), 0))
-    # the final angle is unguarded
-    chart.embed(jets.Columns(np.array([0.5, 0.0]), 0))
+    p = np.array([[0.5, -0.0], [1e-12, 0.4], [-0.0, 0.4], [1.1, 0.7],
+                  [np.pi, 0.4], [0.5, 0.0]])
+    singular = np.array([False, True, True, False, True, False])
+    regular = np.where(singular[:, None], [1.0, 0.3], p)
+    for order in (0, 1, 2):
+        got = _slots(chart.embed(jets.Columns(p, order)))
+        want = _slots(chart.embed(jets.Columns(regular, order)))
+        assert len(got) == order + 1
+        for a, b in zip(got, want):
+            assert np.isnan(a[singular]).all()
+            assert a[~singular].tobytes() == b[~singular].tobytes()
+    assert chart.build().excluded(p).tolist() == singular.tolist()
+
+
+def test_metric_at_a_chart_singularity_is_a_typed_error():
+    # an unguarded eval at φ₁ ∈ {0, −0.0, 1e-9} has NaN rows, which
+    # ``metric`` refuses with DegenerateMetric, without a numpy warning
+    trig = SphereChart(dim=2, kind="trigonometric")
+    imm = CliffordBlock(trig, trig).immersion()
+    regular = np.array([1.0, 0.3, 1.0, 0.4])
+    metric(imm.eval(regular))
+    for phi in (0.0, -0.0, 1e-9):
+        p = regular.copy()
+        p[0] = phi
+        for q in (p, np.stack([regular, p])):
+            with pytest.raises(DegenerateMetric, match="non-finite"):
+                metric(imm.eval(q))
 
 
 def test_chart_rotation_applied_and_validated():
@@ -602,17 +636,30 @@ def test_grouped_charts_equal_their_own_embeddings(batch, order, scale):
             assert x.support == tuple(range(lo, hi))
 
 
-def test_a_degenerate_member_fails_its_whole_group():
+def test_a_degenerate_member_leaves_its_group_intact():
+    # only the singular member's rows are non-finite: the members grouped
+    # with it keep the bytes of their own embeddings
     trig = SphereChart(dim=2, kind="trigonometric")
+    charts = (trig, SphereChart(dim=1), trig)
     cols = jets.Columns(np.array([1.0, 0.4, 1e-12, 0.4, 0.3]), 2)
-    with pytest.raises(ChartDomainError):
-        embed_charts((trig, SphereChart(dim=1), trig),
-                     (cols[0:2], cols[4:5], cols[2:4]))
-    # as the block refuses it, whichever of its charts degenerates
+    ranges = (cols[0:2], cols[4:5], cols[2:4])
+    got = embed_charts(charts, ranges)
+    assert all(np.isnan(a).all() for a in _slots(got[2]))
+    for k in (0, 1):
+        assert _slot_bytes(got[k]) == _slot_bytes(charts[k].embed(ranges[k]))
+    # as in a block, whichever of its charts degenerates: that chart's
+    # half of C is NaN and the other half has the bytes it has beside a
+    # regular chart
     block = CliffordBlock(trig, trig)
-    for p in ([1.0, 0.4, 1e-12, 0.4], [1e-12, 0.4, 1.0, 0.4]):
-        with pytest.raises(ChartDomainError):
-            block.embed(jets.Columns(np.array(p), 2))
+    for p, nan in (([1.0, 0.4, 1e-12, 0.4], slice(3, 6)),
+                   ([1e-12, 0.4, 1.0, 0.4], slice(0, 3))):
+        kept = slice(3 - nan.start, 6 - nan.start)
+        got = block.embed(jets.Columns(np.array(p), 2))
+        want = block.embed(jets.Columns(np.array([1.0, 0.4, 1.0, 0.4]), 2))
+        assert got.support == want.support
+        assert np.isnan(got.value[nan]).all()
+        for a, b in zip(_slots(got), _slots(want)):
+            assert a[kept].tobytes() == b[kept].tobytes()
 
 
 def test_grouped_charts_check_each_arity():

@@ -18,7 +18,7 @@ import pytest
 import minvar
 from minvar import geometry, harness
 from minvar.cli import _write_json, load_reports, main, parse_config
-from minvar.errors import NotSpherical, SpecError
+from minvar.errors import NotSpherical, SamplingExhausted, SpecError
 from minvar.families import build_immersion, spec_from_json
 from minvar.harness import (
     IdentitiesReport,
@@ -33,6 +33,9 @@ HELICOID = {"kind": "GenHelicoidA",
             "blocks": [BLOCK]}
 TORUS = {"kind": "CliffordTorus", "block": BLOCK}
 LATITUDE = {"kind": "LatitudeCircle", "height": 0.5}
+TRIG = {"chart_kind": "trigonometric", "dim": 2}
+TRIG_TORUS = {"kind": "CliffordTorus",
+              "block": {"chart_x": TRIG, "chart_y": TRIG}}
 
 
 def write_config(tmp_path, name="config.json", **doc):
@@ -138,6 +141,20 @@ class TestVerifyCommand:
         # screw invariance is undefined for a family without a sweep angle
         cfg = write_config(tmp_path, family=TORUS, checks=["screw"])
         assert main(["verify", cfg]) == 2
+
+    def test_a_plan_inside_a_chart_singularity_exits_two(self, tmp_path,
+                                                         capsys):
+        # every draw has sin φ₁ ≈ 0, so every draw is excluded and the
+        # sampler gives up with SamplingExhausted
+        box = [[-1e-9, 1e-9], [-3.0, 3.0], [1.0, 2.0], [-1.0, 1.0]]
+        plan = {"count": 5, "box": box, "max_rejects": 20}
+        cfg = write_config(tmp_path, family=TRIG_TORUS, plan=plan,
+                           checks=["minimality"])
+        with pytest.raises(SamplingExhausted, match="20 consecutive"):
+            harness.verify_minimality(spec_from_json(TRIG_TORUS),
+                                      harness.SamplePlan.from_json(plan))
+        assert main(["verify", cfg]) == 2
+        assert "20 consecutive draws excluded" in capsys.readouterr().err
 
     def test_missing_file_exits_two(self, tmp_path, capsys):
         assert main(["verify", str(tmp_path / "absent.json")]) == 2
@@ -266,6 +283,18 @@ class TestMeshCommand:
         lines = out.read_text().splitlines()
         assert sum(1 for l in lines if l.startswith("v ")) == 4096
         assert sum(1 for l in lines if l.startswith("f ")) == 7938
+
+    def test_a_chart_singularity_is_detached(self, tmp_path):
+        # the grid row at φ₁ = 0 has no chart: its 5 vertices are detached
+        out = tmp_path / "torus.obj"
+        box = [[-0.5, 0.5], [-3.0, 3.0], [1.0, 2.0], [-1.0, 1.0]]
+        cfg = write_config(tmp_path, family=TRIG_TORUS, resolution=[5, 5],
+                           box=box, output={"mesh": str(out)})
+        assert main(["mesh", cfg]) == 0
+        lines = out.read_text().splitlines()
+        assert sum(1 for l in lines if l.startswith("v ")) == 25
+        assert sum(1 for l in lines if l.startswith("f ")) == 16
+        assert lines[10:15] == ["v 0.0 0.0 0.0"] * 5
 
     def test_byte_identical_across_runs(self, tmp_path):
         out = tmp_path / "mesh.obj"

@@ -775,24 +775,35 @@ def test_finite_position_with_a_nonfinite_jacobian_is_excluded():
 
 
 def test_guards_exclude_an_overflowing_point_without_warnings():
-    # the slope of 1/(u + 1e-160) overflows at u = 0: the guards exclude
-    # that point quietly, with warnings as errors, while eval still warns
+    # the slope of 1/(u + 1e-160) overflows at u = 0, 1/u has a pole there
+    # and atan2(v, u) no slope at the origin: the guards exclude that point
+    # quietly, with warnings as errors, while eval still warns
     from minvar.mesh import tessellate
-    imm = Immersion(param_dim=2, ambient_dim=3,
-                    components=lambda cols: [
-                        cols[0], cols[1], jets.reciprocal(cols[0] + 1e-160)],
-                    domain=((0.0, 1.0), (0.0, 1.0)), name="steep")
-    p = np.array([[0.0, 0.3], [0.5, 0.3]])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert imm.excluded(p).tolist() == [True, False]
-        mask, pe = imm.screen(p)
-        assert mask.tolist() == [True, False]
-        assert pe.position.tobytes() == imm.position(p).tobytes()
-        mesh = tessellate(imm, resolution=(5, 5), projection=(0, 1, 2))
-        assert mesh.faces.shape == (24, 3)
-        with pytest.raises(RuntimeWarning, match="overflow"):
-            imm.eval(p)
+    unit, square = ((0.0, 1.0), (0.0, 1.0)), ((-1.0, 1.0), (-1.0, 1.0))
+    cases = [
+        ("steep", lambda cols: jets.reciprocal(cols[0] + 1e-160), unit,
+         [0.0, 0.3], "overflow"),
+        ("pole", lambda cols: jets.reciprocal(cols[0]), unit,
+         [0.0, 0.3], "divide by zero"),
+        ("angle", lambda cols: jets.atan2(cols[1], cols[0]), square,
+         [0.0, 0.0], "invalid value")]
+    for name, height, domain, bad, warning in cases:
+        imm = Immersion(param_dim=2, ambient_dim=3,
+                        components=lambda cols, h=height:
+                            [cols[0], cols[1], h(cols)],
+                        domain=domain, name=name)
+        p = np.array([bad, [0.5, 0.3]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert imm.excluded(p).tolist() == [True, False], name
+            mask, pe = imm.screen(p)
+            assert mask.tolist() == [True, False], name
+            with np.errstate(divide="ignore", invalid="ignore"):
+                assert pe.position.tobytes() == imm.position(p).tobytes()
+            mesh = tessellate(imm, resolution=(5, 5), projection=(0, 1, 2))
+            assert mesh.faces.shape == (24, 3), name
+            with pytest.raises(RuntimeWarning, match=warning):
+                imm.eval(p)
 
 
 def test_every_evaluation_assembles_once(monkeypatch):

@@ -25,7 +25,8 @@ from minvar.charts import (
     apply_complex_structure,
     clifford_frame,
 )
-from minvar.errors import DimensionMismatch, DomainError, SpecError
+from minvar.errors import DegenerateMetric, DimensionMismatch, DomainError, \
+    SpecError
 from minvar.families import (
     ChoeHoppe,
     GenHelicoidA,
@@ -691,6 +692,27 @@ def test_non_finite_points_raise(cold, name, bad):
             call(p)
         with pytest.raises(DomainError):
             call(np.stack([good, p]))
+
+
+TRIG_BLOCK = standard_block(2, "trigonometric")
+
+
+@pytest.mark.parametrize("call, regular", [
+    (lambda p: lemma_magic_residuals(TRIG_BLOCK, p), [1.0, 0.3, 1.0, 0.4]),
+    (lambda p: helicoid_algebra(GenHelicoidA(
+        pitch=PitchVector(0.8, (1.2,)), blocks=(TRIG_BLOCK,)), p),
+     [1.0, 0.3, 1.0, 0.4, 0.5, 0.7])])
+def test_a_chart_singularity_raises_degenerate_metric(cold, call, regular):
+    # at φ₁ = 1e-9 the trigonometric chart's rows are NaN: the checks raise
+    # the typed error, alone or beside a regular point, and never return
+    # NaN defects
+    regular = np.array(regular)
+    singular = regular.copy()
+    singular[0] = 1e-9
+    call(regular)
+    for p in (singular, np.stack([regular, singular])):
+        with pytest.raises(DegenerateMetric, match="non-finite"):
+            call(p)
 
 
 @pytest.mark.parametrize("t", [True, False, 1.0, "1", None])

@@ -10,7 +10,8 @@ A private function or class counts as used if any other top-level
 statement of the package names it.  Every absolute import names the
 standard library, numpy or the package itself: numpy is the only
 runtime dependency.  An ``__all__`` entry that names nothing is checked
-by star-importing the package and each module.
+by star-importing the package and each module, and every public error
+class but the ``MinvarError`` base must be raised somewhere.
 """
 
 import ast
@@ -152,3 +153,25 @@ def test_package_exports_are_exported_where_defined():
         if name not in getattr(home, "__all__", ()):
             missing.append(f"{home.__name__}.{name}")
     assert not missing, f"exported names missing from __all__: {missing}"
+
+
+def _raised(node: ast.AST) -> set[str]:
+    """Names of the exceptions a syntax subtree raises, ``raise X(...)``."""
+    names = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Raise) and n.exc is not None:
+            exc = n.exc.func if isinstance(n.exc, ast.Call) else n.exc
+            if isinstance(exc, ast.Name | ast.Attribute):
+                names.add(exc.id if isinstance(exc, ast.Name) else exc.attr)
+    return names
+
+
+def test_every_public_error_is_raised():
+    # a public error class that nothing raises is dead API, which a
+    # deleted raise leaves behind; the base class is caught, not raised
+    from minvar import errors
+    raised = set().union(*(_raised(ast.parse(path.read_text(encoding="utf-8")))
+                           for path in MODULES))
+    unraised = [name for name in errors.__all__
+                if name != "MinvarError" and name not in raised]
+    assert not unraised, f"public errors nothing raises: {unraised}"

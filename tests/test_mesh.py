@@ -18,9 +18,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from minvar import jets
-from minvar import mesh as mesh_module
-from minvar.errors import ChartDomainError, DimensionMismatch, DomainError, \
-    SpecError
+from minvar.errors import DimensionMismatch, SpecError
 from minvar.families import ChoeHoppe, CliffordTorus, GenHelicoidA, \
     LawsonSurface, PitchVector, build_immersion, standard_block
 from minvar.geometry import Immersion
@@ -261,18 +259,13 @@ def _assemble_orders(monkeypatch):
     return calls
 
 
-def _two_pass(monkeypatch, source, **kwargs):
-    """``tessellate`` with every block on the positions-first fallback."""
-    guarded = Immersion._guarded
-
-    def raising(self, p):
-        raise DomainError("forced")
-
-    with monkeypatch.context() as m:
-        # the fallback's guard is excluded's mask, from the real pass
-        m.setattr(Immersion, "excluded", lambda self, p: guarded(self, p)[0])
-        m.setattr(Immersion, "_guarded", raising)
-        return tessellate(source, **kwargs)
+def _grid(imm, n):
+    """The n × n grid ``tessellate`` samples on axes 0, 1, row-major."""
+    dom = np.asarray(imm.domain)
+    p = np.broadcast_to(dom.mean(axis=1), (n, n, imm.param_dim)).copy()
+    p[..., 0] = np.linspace(dom[0, 0], dom[0, 1], n)[:, None]
+    p[..., 1] = np.linspace(dom[1, 0], dom[1, 1], n)[None, :]
+    return p.reshape(-1, imm.param_dim)
 
 
 def _pinhole():
@@ -291,14 +284,21 @@ class TestSinglePass:
     @pytest.mark.parametrize("name, spec", [
         (name, spec) for name, spec in default_campaign()
         if build_immersion(spec).param_dim >= 2])
-    def test_equals_the_two_pass_route(self, monkeypatch, name, spec):
+    def test_equals_the_two_pass_route(self, name, spec):
         # positions from the guard's first-order pass have the bits of the
-        # order-0 pass, and the mask is the same on every vertex; 70² spans
-        # two render blocks
+        # order-0 pass, and the mask is ``excluded``'s on every vertex; 70²
+        # spans two render blocks
+        imm = build_immersion(spec)
+        p = _grid(imm, 70)
+        position = imm.position(p)
+        mask = imm.excluded(p) | ~np.isfinite(position).all(axis=-1)
         got = tessellate(spec, resolution=70)
-        want = _two_pass(monkeypatch, spec, resolution=70)
-        assert got.vertices.tobytes() == want.vertices.tobytes()
-        assert got.faces.tobytes() == want.faces.tobytes()
+        want = np.where(mask[:, None], 0.0, position[:, :3])
+        assert got.vertices.tobytes() == want.tobytes()
+        kept = ~mask.reshape(70, 70)
+        quads = kept[:-1, :-1] & kept[1:, :-1] & kept[1:, 1:] & kept[:-1, 1:]
+        assert len(got.faces) == 2 * quads.sum()
+        assert not np.isin(got.faces, np.flatnonzero(mask)).any()
 
     def test_nonfinite_positions_of_a_passing_jet_pass_are_detached(self):
         # a plain-array part carries no derivative, so the metric floor
@@ -318,42 +318,40 @@ class TestSinglePass:
                          (1, (10_000 - 2 * _RENDER_ROWS,))]
 
     def test_a_singular_block_falls_back_alone(self, monkeypatch):
+        # the middle block meets the pole at the origin in its one jet
+        # pass like the others: 1/0 is an inf row that the guard excludes
+        # quietly, so no block needs a second pass
         grid = np.linspace(-1.0, 1.0, 101)
         assert grid[50] == 0.0
         calls = _assemble_orders(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             mesh = tessellate(_pinhole(), resolution=101)
-        # the middle block's jet pass raises in the map at the origin,
-        # before it assembles, then runs positions first and the guard on
-        # its 4095 finite vertices
-        assert calls == [(1, (4096,)), (0, (4096,)), (1, (4095,)),
-                         (1, (10201 - 8192,))]
+        assert calls == [(1, (4096,)), (1, (4096,)), (1, (10201 - 8192,))]
         assert np.array_equal(mesh.vertices[5100], np.zeros(3))
         assert not np.isin(mesh.faces, [5100]).any()
         assert len(mesh.faces) == 2 * (100 * 100 - 4)
-        calls.clear()
-        want = _two_pass(monkeypatch, _pinhole(), resolution=101)
-        assert [order for order, _ in calls] == [0, 1] * 3
-        assert mesh.vertices.tobytes() == want.vertices.tobytes()
-        assert mesh.faces.tobytes() == want.faces.tobytes()
+        # the vertex and face bytes are pinned: no vertex moved
+        assert hashlib.sha256(mesh.vertices.tobytes()).hexdigest() == (
+            "a225f5a480239699f0563897133ee899fdfda258321cf87e447701d025b1ca32")
+        assert hashlib.sha256(mesh.faces.tobytes()).hexdigest() == (
+            "9cb9f34e50b6f8e104c6365bbe46576f687f63a65d49015af0dec30bda77cb73")
 
-    def test_a_chart_singularity_raises(self, monkeypatch):
-        # the fallback's plain positions raise at a vanishing interior sine
-        # as the jet pass does, so the grid raises instead of detaching
+    def test_a_chart_singularity_is_detached(self, monkeypatch):
+        # the grid row at φ₁ = 0, where an interior sine vanishes, has NaN
+        # coordinates in the one jet pass, so the guard detaches it
         spec = CliffordTorus(standard_block(2, "trigonometric"))
         box = list(build_immersion(spec).domain)
         box[0] = (-0.5, 0.5)                # the grid meets sin φ = 0
-        fallbacks = []
-        positions_first = mesh_module._positions_first
-
-        def counted(imm, p):
-            fallbacks.append(len(p))
-            return positions_first(imm, p)
-        monkeypatch.setattr(mesh_module, "_positions_first", counted)
-        with pytest.raises(ChartDomainError, match="interior sine"):
-            tessellate(spec, resolution=5, box=box)
-        assert fallbacks == [25]
+        calls = _assemble_orders(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mesh = tessellate(spec, resolution=5, box=box)
+        assert calls == [(1, (25,))]
+        assert np.array_equal(mesh.vertices[10:15], np.zeros((5, 3)))
+        assert np.isfinite(mesh.vertices).all()
+        assert not np.isin(mesh.faces, np.arange(10, 15)).any()
+        assert mesh.faces.shape == (16, 3)
 
 
 class TestObjOutput:
