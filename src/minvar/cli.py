@@ -270,13 +270,14 @@ def cmd_identities(config: IdentitiesConfig) -> int:
         columns, tols, rows, rejected = _lemma_rows(config)
     else:
         columns, tols, rows, rejected = _helicoid_rows(config)
-    _write_csv(columns, rows, config.output.csv)
-
+    # every column is judged before the CSV is written: a non-finite
+    # residual exits 2 with no partial answer on disk
     checks = [
         _summarize(name, rows[:, j], tols[j], "PASS", rejected,
                    config.tolerances.tol_negative)
         for j, name in enumerate(columns)
     ]
+    _write_csv(columns, rows, config.output.csv)
     report = IdentitiesReport(family=spec_to_json(config.family),
                               plan=config.plan.to_json(),
                               tolerances=config.tolerances.to_json(),

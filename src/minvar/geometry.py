@@ -19,8 +19,12 @@ and ∂g restricted to each block's support, so it never forms a dense
 ``MetricEval.dg`` are the dense tensors, formed on first read; the
 divergence form, the identities and the cross-checks read them.
 
-``metric`` assembles g, g⁻¹ and det g once; every operator below reads
-that ``MetricEval``.  The divergence form is g^{ij}∂ᵢ∂ⱼF + Σⱼ(Δ_g u_j)∂ⱼF.
+One predicate decides that a metric is degenerate: ``_below_floor``, the
+det g / Π g_ii ratio at or below a floor, non-finite entries included.
+The guard of every ``Immersion`` applies it at METRIC_RATIO_FLOOR and
+``metric`` raises by it at RANK_TOL.  ``metric`` assembles g⁻¹ once from
+``PointEval.gram``; every operator below reads that ``MetricEval``.  The
+divergence form is g^{ij}∂ᵢ∂ⱼF + Σⱼ(Δ_g u_j)∂ⱼF.
 The mean curvature vector H = Δ_g F is normal to the immersion, which
 ``mean_curvature``'s tangential residual quantifies.  For maps into the unit
 sphere, minimality is Δ_g F = −n·F (``sphere_residual_from_pointeval``).
@@ -31,7 +35,7 @@ All operations accept batched points (leading axes broadcast through).
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass, replace
+from dataclasses import InitVar, dataclass
 from functools import cached_property, lru_cache
 from typing import Callable, NamedTuple, Sequence
 
@@ -59,8 +63,9 @@ __all__ = [
 # Scale-invariant rank threshold: for a positive-definite g, Hadamard's
 # inequality gives det g ≤ Π g_ii, so det g / Π g_ii ∈ (0, 1] measures
 # conditioning independently of the metric's overall scale.  ``metric``
-# raises below RANK_TOL; the guards of ``Immersion`` exclude a draw below
-# the larger METRIC_RATIO_FLOOR, so an accepted draw never reaches it.
+# raises at or below RANK_TOL; the guards of ``Immersion`` exclude a draw
+# at or below the larger METRIC_RATIO_FLOOR, so an accepted draw never
+# reaches it.  Both go through ``_below_floor``.
 RANK_TOL = 1e-12
 METRIC_RATIO_FLOOR = 1e-10
 SPHERE_TOL = 1e-12     # how far a sphere residual lets a point leave S^n
@@ -100,15 +105,19 @@ class PointEval:
     covers have none.  ``second`` is the dense tensor, formed on first
     read, with zeros off the blocks; a single block over every row and
     column is returned as is.  ``gram`` is (g = JᵀJ, det g, Π g_ii) of
-    ``jacobian`` when ``Immersion.screen`` formed it for its metric-floor
-    test, else None (a plain ``eval`` forms none); ``metric`` reads it
-    instead of forming g again.
+    ``jacobian`` (``_gram``), formed quietly on first read, so the
+    metric-floor test of ``Immersion.screen`` and ``metric`` share it.
     """
 
     position: np.ndarray  # (..., K)
     jacobian: np.ndarray  # (..., K, n)
     blocks: tuple         # (Block, ...)
-    gram: tuple | None = None
+
+    @cached_property
+    def gram(self) -> tuple:
+        """(g, det g, Π g_ii) of ``jacobian``; overflow and NaN are quiet."""
+        with np.errstate(**_QUIET):
+            return _gram(self.jacobian)
 
     @cached_property
     def second(self) -> np.ndarray:
@@ -174,7 +183,7 @@ class MeanCurvatureEval:
 
 @dataclass(frozen=True)
 class Immersion:
-    """A component map over an open box with degeneracy guards.
+    """A component map over an open box with a degeneracy guard.
 
     ``components`` receives the parameter columns (``jets.Columns``) and
     returns its parts, built from the jet primitives: a list of scalars
@@ -183,10 +192,9 @@ class Immersion:
     ``CliffordBlock.embed``); see ``jets.place``.  ``Columns`` are the
     map's only input.  ``position``, ``excluded``, ``eval`` and ``screen``
     each run one ``assemble`` pass, at order 0, 1, 2 and 2, so
-    ``position`` has ``eval``'s position bits.  ``exclusions`` are
-    named predicates mapping a point batch (..., n) to a boolean exclusion
-    mask.  Every immersion's guard also excludes points whose induced metric is
-    near rank-deficient: det g / Π g_ii at or below METRIC_RATIO_FLOOR
+    ``position`` has ``eval``'s position bits.  The guard is the metric
+    floor alone: it excludes points whose induced metric is near
+    rank-deficient, det g / Π g_ii at or below METRIC_RATIO_FLOOR
     (``_below_floor``), which also excludes a non-finite Jacobian: a
     degenerate point (a chart singularity, an exact zero denominator of
     ``reciprocal`` or ``atan2``) is a NaN or inf row, not a raise.
@@ -201,14 +209,12 @@ class Immersion:
     ambient_dim: int
     components: Callable[[Columns], Sequence]
     domain: tuple[tuple[float, float], ...]
-    exclusions: tuple[tuple[str, Callable[[np.ndarray], np.ndarray]], ...] = ()
     name: str = ""
 
     def _assembled(self, p, order: int) -> tuple:
         """``assemble`` of ``components`` on ``Columns(p, order)``.
 
-        p's shape is checked first, before the map or any exclusion
-        predicate runs.
+        p's shape is checked first, before the map runs.
         """
         p = np.asarray(p, dtype=np.float64)
         if p.ndim == 0 or p.shape[-1] != self.param_dim:
@@ -228,7 +234,7 @@ class Immersion:
         ``outs`` is what ``components(cols)`` returns, or parts built the
         same way from shared jets, laid out as vectors by ``jets.place``.
         Each part's value and gradient go straight into its rows of the
-        dense (..., K) and (..., K, n) arrays (``_scatter_vector``); its
+        dense (..., K) and (..., K, n) arrays (``_write_part``); its
         Hessian stays on its support (``_blocks``).  The Jacobian is None
         at order 0, and the blocks below order 2.
         """
@@ -241,7 +247,7 @@ class Immersion:
         jacobian = None if cols.order == 0 else \
             np.zeros(cols.batch + (self.ambient_dim, self.param_dim))
         for part, rows in placed:
-            _scatter_vector(part, rows, position, jacobian)
+            _write_part(part, rows, position, jacobian)
         return position, jacobian, _blocks(placed) if cols.order == 2 else None
 
     def eval(self, p) -> PointEval:
@@ -253,31 +259,21 @@ class Immersion:
         """
         return PointEval(*self._assembled(p, 2))
 
-    def _guard(self, p, gram: tuple) -> np.ndarray:
-        """OR of the named exclusion predicates and the metric floor."""
-        p = np.asarray(p, dtype=np.float64)
-        mask = np.zeros(p.shape[:-1], dtype=bool)
-        for _, predicate in self.exclusions:
-            mask |= np.asarray(predicate(p), dtype=bool)
-        mask |= _below_floor(gram)
-        return mask
-
     def screen(self, p) -> tuple[np.ndarray, PointEval]:
         """(exclusion mask, PointEval of every point of ``p``).
 
-        The mask ORs the predicates and the metric floor, which is tested
-        on the batch's one second-order ``eval``; that PointEval is
-        returned so a caller can keep its accepted rows.  It carries the
-        floor test's ``gram``, so ``metric`` does not form g again.  Jets
-        that overflow are excluded without a warning (``_QUIET``).
+        The mask is the metric floor, tested on the batch's one
+        second-order ``eval``; that PointEval is returned so a caller can
+        keep its accepted rows.  The floor test reads its ``gram``, so
+        ``metric`` does not form g again.  Jets that overflow are excluded
+        without a warning (``_QUIET``).
         """
         with np.errstate(**_QUIET):
             pe = self.eval(p)
-            gram = _gram(pe.jacobian)
-            return self._guard(p, gram), replace(pe, gram=gram)
+        return _below_floor(pe.gram, METRIC_RATIO_FLOOR), pe
 
     def excluded(self, p) -> np.ndarray:
-        """Boolean mask of points rejected by any degeneracy guard.
+        """Boolean mask of points rejected by the metric floor.
 
         The same mask as ``screen``, from first-order work only: the metric
         floor needs the Jacobian, which a value+gradient jet pass gives
@@ -293,11 +289,11 @@ class Immersion:
         """
         with np.errstate(**_QUIET):
             position, jacobian, _ = self._assembled(p, 1)
-            return self._guard(p, _gram(jacobian)), position
+            return _below_floor(_gram(jacobian), METRIC_RATIO_FLOOR), position
 
 
-def _scatter_vector(out, rows: slice, position: np.ndarray,
-                    jacobian: np.ndarray | None) -> None:
+def _write_part(out, rows: slice, position: np.ndarray,
+                jacobian: np.ndarray | None) -> None:
     """Write one placed part's value and gradient into its ``rows``.
 
     ``out`` is a vector, a jet or a plain array.  Its gradient goes to
@@ -361,7 +357,9 @@ def _gram(jacobian: np.ndarray):
     order and gives ``...ki,...kj->...ij``'s bits on a C-ordered J.  At
     n = 1 that einsum reduces a contiguous run of K entries, which it
     groups otherwise, so n = 1 keeps it, and so do small batches, where
-    the copies cost more than they save.
+    the copies cost more than they save.  Both layouts give the same
+    bits, so a point's Gram does not depend on its batch: the Gram of
+    rows gathered from several batches equals the gathered Grams.
     """
     *batch, K, n = jacobian.shape
     size = math.prod(batch)
@@ -376,40 +374,40 @@ def _gram(jacobian: np.ndarray):
     return g, np.linalg.det(g), np.prod(np.einsum("...ii->...i", g), axis=-1)
 
 
-def _below_floor(gram: tuple) -> np.ndarray:
+def _below_floor(gram: tuple, floor: float) -> np.ndarray:
     """Mask of points whose metric g = JᵀJ is close to rank-deficient.
 
-    Flags det g ≤ METRIC_RATIO_FLOOR · Π g_ii (the scale-free Hadamard
-    ratio that RANK_TOL also bounds), any non-positive determinant, and a
-    NaN one: the mask is the complement of the passing comparisons, which
-    a NaN fails, so a Jacobian holding NaN or inf is excluded, not kept.
+    This is minvar's one test of a degenerate metric.  It flags
+    det g ≤ floor · Π g_ii (the scale-free Hadamard ratio), any
+    non-positive determinant, and a NaN one: the mask is the complement
+    of the passing comparisons, which a NaN fails, so a Jacobian holding
+    NaN or inf is flagged, not kept.
     """
     _, det, hadamard = gram
-    return ~((det > 0.0) & (det > METRIC_RATIO_FLOOR * hadamard))
+    return ~((det > 0.0) & (det > floor * hadamard))
 
 
 def metric(pe: PointEval) -> MetricEval:
     """First fundamental form g = JᵀJ with inverse and determinant.
 
-    g and det g come from ``pe.gram`` when ``screen`` carried them; ∂g is
-    formed on first read of ``MetricEval.dg``.  A non-finite Jacobian (a
-    chart singularity, an exact pole) raises ``DegenerateMetric``, not a
-    numpy warning: g is formed quietly (``_QUIET``).
+    g and det g come from ``pe.gram``; ∂g is formed on first read of
+    ``MetricEval.dg``.  Where ``_below_floor`` flags a point at RANK_TOL,
+    a non-finite Jacobian (a chart singularity, an exact pole) included,
+    it raises ``DegenerateMetric``, not a numpy warning.
     """
-    with np.errstate(**_QUIET):
-        g, det, hadamard = _gram(pe.jacobian) if pe.gram is None else pe.gram
-    if not np.all(np.isfinite(det)):
-        bad = np.extract(~np.isfinite(det), det)
-        raise DegenerateMetric(f"non-finite metric: det g = {bad[0]} at "
-                               f"{bad.size} point(s)")
-    # a vanishing Jacobian column makes Π g_ii = 0: report the ratio as 0
-    ratio = np.divide(det, hadamard, out=np.zeros(np.shape(det)),
-                      where=hadamard != 0.0)
-    if np.any(det <= 0.0) or np.any(ratio <= RANK_TOL):
-        worst = float(np.min(ratio))
+    g, det, hadamard = pe.gram
+    bad = _below_floor(pe.gram, RANK_TOL)
+    if np.any(bad):
+        nonfinite = np.extract(~np.isfinite(det), det)
+        if nonfinite.size:
+            raise DegenerateMetric(f"non-finite metric: det g = {nonfinite[0]}"
+                                   f" at {nonfinite.size} point(s)")
+        # a vanishing Jacobian column makes Π g_ii = 0: report the ratio as 0
+        ratio = np.divide(det, hadamard, out=np.zeros(np.shape(det)),
+                          where=hadamard != 0.0)
         raise DegenerateMetric(
-            f"rank-deficient metric: det/Hadamard ratio {worst:.3e} "
-            f"<= {RANK_TOL:.1e}")
+            f"rank-deficient metric: det/Hadamard ratio "
+            f"{np.min(np.extract(bad, ratio)):.3e} <= {RANK_TOL:.1e}")
     return MetricEval(g=g, g_inv=np.linalg.inv(g), det_g=det, pe=pe)
 
 

@@ -12,8 +12,7 @@ streams, so no per-point ``Generator`` is built.  Positive families must
 PASS; registered negative controls must FAIL by a wide margin
 (FAIL-EXPECTED), so a trivially-agreeing engine cannot slip through.  Each
 draw is evaluated once: the ``PointEval`` that screening computed for the
-accepted draws, with the Gram matrix of the metric-floor test that guards
-every immersion, feeds the residual stage, and every residual reads
+accepted draws feeds the residual stage, and every residual reads
 H = Δ_g F (``laplace_from_pointeval``; ``mean_curvature`` where the
 tangential residual is judged too).
 Reports serialize to versioned JSON and are deterministic for a fixed
@@ -285,8 +284,8 @@ def sample_points(imm: Immersion, plan: SamplePlan):
     next candidate of every pending point, draws r n to (r + 1) n of its
     stream for n parameters, in one ``rows_from_words`` call on the seed
     words formed once per sample, and screens the stacked batch once
-    (``imm.excluded``: the predicates and the metric floor that guards
-    every immersion, from first-order work); only rejected rows stay
+    (``imm.excluded``: the metric floor that guards every immersion,
+    from first-order work); only rejected rows stay
     pending.  Points and reject counts match a point-by-point loop over
     numpy's generators bit for bit.  A campaign that reads H runs the same
     loop through ``imm.screen``, whose mask is the same, and keeps the
@@ -299,9 +298,11 @@ def sample_points(imm: Immersion, plan: SamplePlan):
 def _sample(imm: Immersion, plan: SamplePlan, evaluate: bool = True):
     """The rejection loop of ``sample_points``; returns (points, rejected, pe).
 
-    ``pe`` is the PointEval of ``points`` that screening computed, with
-    the floor test's ``gram``; without ``evaluate`` the rounds screen
-    with ``imm.excluded`` and ``pe`` is None.
+    ``pe`` is the PointEval of ``points`` that screening computed; its
+    ``gram`` is the floor test's when round 1 accepted every point, else
+    formed again on first read, with the same bits (``geometry._gram``).
+    Without ``evaluate`` the rounds screen with ``imm.excluded`` and
+    ``pe`` is None.
     """
     box = np.asarray(plan.box if plan.box is not None else imm.domain,
                      dtype=float)
@@ -344,8 +345,8 @@ def _sample(imm: Immersion, plan: SamplePlan, evaluate: bool = True):
 def _in_point_order(pieces: list, count: int) -> PointEval:
     """One PointEval of all points from each round's accepted rows.
 
-    Each block's Hessians and the screen's ``gram`` are gathered with the
-    other rows; every round has the same blocks.
+    Each block's Hessians are gathered with the other rows; every round
+    has the same blocks.
     """
     if len(pieces) == 1:
         return pieces[0][1]             # round 1 accepted every point
@@ -361,8 +362,7 @@ def _in_point_order(pieces: list, count: int) -> PointEval:
         for b, (rows, support, _) in enumerate(pes[0].blocks))
     return PointEval(position=gather([pe.position for pe in pes]),
                      jacobian=gather([pe.jacobian for pe in pes]),
-                     blocks=blocks,
-                     gram=tuple(map(gather, zip(*(pe.gram for pe in pes)))))
+                     blocks=blocks)
 
 
 def _aux_stream(plan: SamplePlan, label: int) -> np.random.Generator:

@@ -20,18 +20,18 @@ Hessians are symmetrized on write, so the symmetry invariant holds exactly.
 Supports follow the forward-mode sparsity propagation of Griewank & Walther
 (*Evaluating Derivatives*, 2nd ed., ch. 7): unary maps and scalar operations
 keep their operand's support, and a binary operation on equal supports runs
-the dense formulas above.  On unequal supports each operand's terms are
-computed on its own support and written straight into the union-sized
-result, with layouts memoized per support pair:
+the dense formulas above.  On unequal supports the result lies on the
+union of the supports, with layouts memoized per support pair:
 
-* a sum or difference scatters each operand onto the union; a position
-  neither operand covers holds −0.0;
-* a product on disjoint supports S, T is the block matrix
+* a product on disjoint supports S, T writes each operand's terms on its
+  own block of the union: the block matrix
   [[b H_a, g_a ⊗ g_b], [g_b ⊗ g_a, a H_b]] with gradient [b g_a, a g_b];
   when every variable of one support precedes every variable of the
   other, as in the helicoid layout, the blocks are plain slices;
-* a product on nested or overlapping supports (and ``atan2``) widens the
-  operands onto the union with −0.0 and runs the dense formulas.
+* every other binary operation (a sum or difference, a product on nested
+  or overlapping supports, ``atan2``) widens the operands onto the union
+  with −0.0, the additive identity (``_aligned``), and runs the dense
+  formulas.
 
 ``variables`` seeds every jet on the full support, so ``jet_eval`` and
 ``fd_jet`` return dense (..., n) and (..., n, n) derivatives;
@@ -116,7 +116,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainError, SpecError
+from .errors import DimensionMismatch, SpecError
 
 __all__ = [
     "Jet2",
@@ -186,21 +186,6 @@ def _batch(*shapes) -> tuple:
     return np.broadcast_shapes(*shapes)
 
 
-def _scatter(a, b, index_a, index_b, shape, op) -> np.ndarray:
-    """op(a, b) of two union-indexed slots, each on its own positions.
-
-    Every position starts as −0.0, the additive identity (x + −0.0 = x
-    and −0.0 − x = −x exactly), so a position only a covers holds a, one
-    only b covers holds op(−0.0, b), shared ones op(a, b), and positions
-    neither covers −0.0: the bytes of widening both operands with −0.0
-    and applying op.
-    """
-    out = np.full(shape, -0.0)
-    out[index_a] = a
-    out[index_b] = op(out[index_b], b)
-    return out
-
-
 def _widen(grad: np.ndarray, hess, m: int, grad_index, hess_index):
     """grad and hess (or None) filled with −0.0 onto an m-variable union."""
     batch = grad.shape[:-1]
@@ -242,19 +227,11 @@ def _jet(value, grad, hess, support) -> "Jet2":
 def _sum(a: "Jet2", b: "Jet2", op) -> "Jet2":
     """a + b or a − b (op is np.add or np.subtract) of two jets.
 
-    Unequal supports scatter each operand onto the union (``_scatter``).
+    Unequal supports are widened onto their union (``_aligned``).
     """
-    value = op(a.value, b.value)
-    if a.support is b.support or a.support == b.support:
-        return _jet(value, op(a.grad, b.grad),
-                    None if a.hess is None else op(a.hess, b.hess), a.support)
-    plan = _union_plan(a.support, b.support)
-    m = len(plan.support)
-    batch = _batch(a.grad.shape[:-1], b.grad.shape[:-1])
-    grad = _scatter(a.grad, b.grad, *plan.grad, batch + (m,), op)
-    hess = None if a.hess is None else \
-        _scatter(a.hess, b.hess, *plan.hess[:2], batch + (m, m), op)
-    return _jet(value, grad, hess, plan.support)
+    support, ag, ah, bg, bh = _aligned(a, b)
+    return _jet(op(a.value, b.value), op(ag, bg),
+                None if ah is None else op(ah, bh), support)
 
 
 def _disjoint_product(a: "Jet2", b: "Jet2", plan: _Union) -> "Jet2":
@@ -844,7 +821,7 @@ def variables(p) -> list[Jet2]:
     """
     p = np.asarray(p, dtype=np.float64)
     if p.ndim == 0:
-        raise DomainError("variables() needs a trailing coordinate axis")
+        raise DimensionMismatch("variables() needs a trailing coordinate axis")
     n = p.shape[-1]
     grad, hess = _seed_slots(p.shape[:-1], n)
     return [Jet2(p[..., i], grad[..., i, :], hess[..., i, :, :],
@@ -902,7 +879,7 @@ def fd_jet(f, p, policy: StepPolicy | None = None) -> Jet2:
     policy = policy or StepPolicy()
     p = np.asarray(p, dtype=np.float64)
     if p.ndim == 0:
-        raise DomainError("fd_jet needs a trailing coordinate axis")
+        raise DimensionMismatch("fd_jet needs a trailing coordinate axis")
     n = p.shape[-1]
 
     def ev(q):

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import minvar
-from minvar import geometry, harness
+from minvar import cli, geometry, harness
 from minvar.cli import _write_json, load_reports, main, parse_config
 from minvar.errors import NotSpherical, SamplingExhausted, SpecError
 from minvar.families import build_immersion, spec_from_json
@@ -259,6 +259,27 @@ class TestIdentitiesCommand:
         text_a = out.read_text()
         main(["identities", cfg])
         assert out.read_text() == text_a
+
+    def test_non_finite_residual_exits_two_without_csv(
+            self, tmp_path, monkeypatch, capsys):
+        # the columns are judged before the CSV is written, so a NaN
+        # leaves no partial answer on disk
+        rows = cli._helicoid_rows
+
+        def one_nan(config):
+            columns, tols, values, rejected = rows(config)
+            values[1, 0] = np.nan
+            return columns, tols, values, rejected
+        monkeypatch.setattr(cli, "_helicoid_rows", one_nan)
+        out = tmp_path / "residuals.csv"
+        cfg = write_config(tmp_path, family=HELICOID,
+                           plan={"count": 3, "seed": 2},
+                           checks=["helicoid-algebra"],
+                           output={"csv": str(out)})
+        assert main(["identities", cfg]) == 2
+        assert "det_defect: 1 of 3 residuals are not finite" \
+            in capsys.readouterr().err
+        assert not out.exists()
 
     def test_report_output(self, tmp_path):
         rep = tmp_path / "identities.json"

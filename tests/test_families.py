@@ -12,6 +12,7 @@ from minvar import families, geometry, jets
 from minvar.charts import CliffordBlock, SphereChart, matrix_tuple
 from minvar.errors import (
     BranchLocusError,
+    DegenerateMetric,
     DimensionMismatch,
     SpecError,
 )
@@ -397,13 +398,33 @@ def test_lifted_guards_test_the_base_metric(monkeypatch, lifted, base_spec,
     monkeypatch.setattr(geometry, "METRIC_RATIO_FLOOR", floor)
     base = build_immersion(base_spec)
     imm = build_immersion(lifted(base_spec))
-    assert imm.exclusions == ()
     pts = sample_box(imm, 200, seed=8, keep=False)
     want = base.excluded(pts[:, :base.param_dim])
     assert want.any()
     if floor < 1.0:
         assert not want.all()
     np.testing.assert_array_equal(imm.excluded(pts), want)
+
+
+def test_guard_and_metric_refuse_the_same_points(monkeypatch):
+    # the guard and metric share one degeneracy test (_below_floor): at one
+    # common threshold, metric raises exactly at the points the guard
+    # excludes; 0.3 splits a batch of the slice
+    monkeypatch.setattr(geometry, "METRIC_RATIO_FLOOR", 0.3)
+    monkeypatch.setattr(geometry, "RANK_TOL", 0.3)
+    imm = build_immersion(SLICE_BASE)
+    pts = sample_box(imm, 100, seed=8, keep=False)
+    excluded = imm.excluded(pts)
+    assert excluded.any() and not excluded.all()
+    refused = []
+    for i in range(len(pts)):
+        try:
+            geometry.metric(imm.eval(pts[i:i + 1]))
+        except DegenerateMetric:
+            refused.append(True)
+        else:
+            refused.append(False)
+    np.testing.assert_array_equal(refused, excluded)
 
 
 def test_graph_function_values_and_homogeneity():

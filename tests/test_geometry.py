@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from minvar import geometry, jets
+from minvar.charts import clifford_frame
 from minvar.errors import DegenerateMetric, DimensionMismatch, NotSpherical
+from minvar.families import GenHelicoidA, PitchVector, standard_block
 from minvar.geometry import (
     Block,
     Immersion,
@@ -19,6 +21,8 @@ from minvar.geometry import (
     metric_derivative,
     sphere_residual_from_pointeval,
 )
+from minvar.identities import helicoid_algebra, lemma_magic_residuals, \
+    proof_terms, theta_harmonicity
 from minvar.jets import StepPolicy, fd_jet
 
 
@@ -413,18 +417,32 @@ def test_dimension_mismatch_errors():
         bad.eval(np.array([0.1, 0.2]))
 
 
-def test_exclusion_masks_union():
-    imm = Immersion(
-        param_dim=2, ambient_dim=3,
-        components=lambda cols: [cols[0], cols[1], 0.0],
-        domain=((-1.0, 1.0), (-1.0, 1.0)),
-        exclusions=(
-            ("near-diagonal", lambda p: np.abs(p[..., 0] - p[..., 1]) < 0.1),
-            ("right-edge", lambda p: p[..., 0] > 0.9),
-        ))
-    pts = np.array([[0.0, 0.5], [0.3, 0.35], [0.95, -0.5], [0.2, -0.2]])
-    np.testing.assert_array_equal(imm.excluded(pts),
-                                  [False, True, True, False])
+_BLOCK = standard_block(1)
+_SPEC = GenHelicoidA(pitch=PitchVector(0.8, (1.2,)), blocks=(_BLOCK,))
+_POINTLESS = {
+    "variables": jets.variables,
+    "jet_eval": lambda p: jets.jet_eval(lambda u: u * u, p),
+    "fd_jet": lambda p: fd_jet(lambda u: u * u, p),
+    "Columns": lambda p: jets.Columns(p, 2),
+    "Immersion.eval": lambda p: helicoid().eval(p),
+    "Immersion.position": lambda p: helicoid().position(p),
+    "Immersion.excluded": lambda p: helicoid().excluded(p),
+    "Immersion.screen": lambda p: helicoid().screen(p),
+    "clifford_frame": lambda p: clifford_frame(_BLOCK, p),
+    "lemma_magic_residuals": lambda p: lemma_magic_residuals(_BLOCK, p),
+    "helicoid_algebra": lambda p: helicoid_algebra(_SPEC, p),
+    "theta_harmonicity": lambda p: theta_harmonicity(_SPEC, p),
+    "proof_terms": lambda p: proof_terms(_SPEC, 1, p),
+}
+
+
+@pytest.mark.parametrize("entry", list(_POINTLESS.values()),
+                         ids=list(_POINTLESS))
+def test_a_point_without_a_coordinate_axis_is_a_dimension_mismatch(entry):
+    # a 0-d point has no coordinate axis to read n from; every entry point
+    # that takes points names that one way
+    with pytest.raises(DimensionMismatch):
+        entry(np.float64(0.5))
 
 
 # ---- sparse-support evaluation against dense seeding ------------------------
@@ -465,7 +483,7 @@ def dense_eval(imm, p):
     """The components run on ``DenseColumns``, written into dense arrays.
 
     Every jet part lies on the full support, so its slots fill its rows
-    whole: no support bookkeeping, no ``_scatter_vector``.
+    whole: no support bookkeeping, no ``_write_part``.
     """
     cols = DenseColumns(p, 2)
     batch, n, K = cols.batch, imm.param_dim, imm.ambient_dim
@@ -750,7 +768,8 @@ def test_nonfinite_jacobian_is_excluded_and_has_no_metric(bad):
     pe = PointEval(position=np.zeros((2, 3)), jacobian=jac,
                    blocks=(Block.full(np.zeros((2, 3, 2, 2))),))
     with np.errstate(invalid="ignore"):
-        floor = geometry._below_floor(geometry._gram(jac))
+        floor = geometry._below_floor(geometry._gram(jac),
+                                      geometry.METRIC_RATIO_FLOOR)
         assert floor.tolist() == [False, True]
         with pytest.raises(DegenerateMetric,
                            match=r"non-finite metric: det g = nan at 1 point"):

@@ -53,14 +53,18 @@ from minvar.harness import (
 
 
 def square_patch(threshold=None):
-    """Identity immersion of the unit square, with an optional u-cutoff."""
-    exclusions = ()
-    if threshold is not None:
-        exclusions = (("low-u", lambda p: p[..., 0] < threshold),)
-    return Immersion(param_dim=2, ambient_dim=2,
-                     components=lambda cols: [cols[0], cols[1]],
-                     domain=((0.0, 1.0), (0.0, 1.0)),
-                     exclusions=exclusions, name="patch")
+    """Identity immersion of the unit square, with an optional u-cutoff.
+
+    Below the cutoff the second Jacobian column is zero, so the metric
+    floor rejects exactly the points with u < threshold.
+    """
+    def components(cols):
+        if threshold is None:
+            return [cols[0], cols[1]]
+        return [cols[0],
+                cols[1] * np.where(cols.p[..., 0] < threshold, 0.0, 1.0)]
+    return Immersion(param_dim=2, ambient_dim=2, components=components,
+                     domain=((0.0, 1.0), (0.0, 1.0)), name="patch")
 
 
 def serial_sample_points(imm, plan):
@@ -360,7 +364,7 @@ class TestOneEvaluationPerDraw:
                                                  floor):
         spec = None
         if floor is None:
-            # rejects come from a predicate; the metric floor never binds
+            # rejects come from the patch's zeroed column below u = 0.25
             imm = square_patch(threshold=0.25)
         else:
             spec = dict(default_campaign())[label]
@@ -385,9 +389,11 @@ class TestOneEvaluationPerDraw:
             assert (got.rows, got.support) == (want.rows, want.support)
             assert got.hess.shape == want.hess.shape
             assert got.hess.tobytes() == want.hess.tobytes()
-        # the floor test's Gram rides along, gathered in point order
-        for got, want in zip(pe.gram, geometry._gram(pe.jacobian)):
-            assert got.tobytes() == want.tobytes()
+        # a point's Gram does not depend on its batch, so the Gram formed
+        # on the gathered rows is the one each round's floor tested
+        for i in range(plan.count):
+            for got, want in zip(pe.gram, geometry._gram(pe.jacobian[i])):
+                assert got[i].tobytes() == want.tobytes()
         if spec is not None:
             got = harness._minimality_residuals(spec, pe)
             want = harness._minimality_residuals(spec, ref)

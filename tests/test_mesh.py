@@ -30,13 +30,18 @@ HELICOID = ChoeHoppe(sphere_dim=1, pitch=0.5)
 
 
 def patch(threshold=None, components=None):
-    exclusions = ()
-    if threshold is not None:
-        exclusions = (("low-u", lambda p: p[..., 0] < threshold),)
-    comps = components or (lambda cols: [cols[0], cols[1], cols[0] + cols[1]])
-    return Immersion(param_dim=2, ambient_dim=3, components=comps,
-                     domain=((0.0, 1.0), (0.0, 1.0)),
-                     exclusions=exclusions, name="patch")
+    """A plane patch; below a u-cutoff its second column is zeroed.
+
+    The zero column puts those points under the metric floor, so the
+    guard masks exactly u < threshold.
+    """
+    def plane(cols):
+        v = cols[1] if threshold is None else \
+            cols[1] * np.where(cols.p[..., 0] < threshold, 0.0, 1.0)
+        return [cols[0], v, cols[0] + v]
+    return Immersion(param_dim=2, ambient_dim=3,
+                     components=components or plane,
+                     domain=((0.0, 1.0), (0.0, 1.0)), name="patch")
 
 
 def reference_obj_text(imm, nu, nv, vertices):
@@ -373,18 +378,17 @@ class TestObjOutput:
             assert got == [float(x) for x in vertex]
 
     def test_matches_reference_renderer_byte_for_byte(self):
-        # scattered exclusions plus a non-finite column mask interior
-        # vertices; a non-square grid catches swapped strides, and more
-        # than 4096 vertices and faces span several render blocks
-        comps = lambda cols: [jets.sin(3 * cols[0])
-                              * jets.reciprocal(cols[1] - 0.5),
-                              -cols[1], cols[0] * cols[1] - 0.3]
-        imm = Immersion(
-            param_dim=2, ambient_dim=3, components=comps,
-            domain=((0.0, 1.0), (0.0, 1.0)),
-            exclusions=(("speckle", lambda p: np.sin(40 * p[..., 0])
-                         * np.cos(31 * p[..., 1]) > 0.8),),
-            name="speckled")
+        # scattered zero Jacobian columns plus a non-finite column mask
+        # interior vertices; a non-square grid catches swapped strides,
+        # and more than 4096 vertices and faces span several render blocks
+        def comps(cols):
+            p = cols.p
+            speckle = np.sin(40 * p[..., 0]) * np.cos(31 * p[..., 1]) > 0.8
+            u = cols[0] * np.where(speckle, 0.0, 1.0)
+            return [jets.sin(3 * u) * jets.reciprocal(cols[1] - 0.5),
+                    -cols[1], u * cols[1] - 0.3]
+        imm = Immersion(param_dim=2, ambient_dim=3, components=comps,
+                        domain=((0.0, 1.0), (0.0, 1.0)), name="speckled")
         mesh = tessellate(imm, resolution=(83, 61))
         want, masked = reference_obj_text(imm, 83, 61, mesh.vertices)
         assert masked > 0 and 4096 < len(mesh.faces) < 2 * 82 * 60
