@@ -153,10 +153,12 @@ class MeshConfig(_Config):
 def _check_names(checks: tuple[str, ...], allowed: tuple[str, ...]) -> None:
     if not checks:
         raise SpecError("checks must be a non-empty list of check names")
-    for name in checks:
+    for i, name in enumerate(checks):
         if name not in allowed:
             raise SpecError(f"unknown check {name!r}; expected one of "
                             f"{', '.join(allowed)}")
+        if name in checks[:i]:
+            raise SpecError(f"check {name!r} is named more than once")
 
 
 def parse_config(doc: dict, command: str):
@@ -320,13 +322,14 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="minvar",
         description="verify minimal-submanifold families numerically")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, func, _) in _COMMANDS.items():
+    for name, (config, func, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=func.__doc__)
         p.add_argument("config", help="path to a JSON config file")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override plan.seed")
-        p.add_argument("--points", type=int, default=None,
-                       help="override plan.count")
+        if issubclass(config, _SampledConfig):
+            p.add_argument("--seed", type=int, default=None,
+                           help="override plan.seed")
+            p.add_argument("--points", type=int, default=None, dest="count",
+                           help="override plan.count")
         p.add_argument("--out", default=None,
                        help="override the command's primary output path")
     return parser
@@ -339,9 +342,9 @@ def main(argv=None) -> int:
             doc = json.load(fh)
         _, run, primary = _COMMANDS[args.command]
         config = parse_config(doc, args.command)
-        plan = {k: v for k, v in (("seed", args.seed), ("count", args.points))
-                if v is not None}
-        if plan and hasattr(config, "plan"):     # a mesh samples no plan
+        plan = {k: v for k in ("seed", "count")
+                if (v := vars(args).get(k)) is not None}
+        if plan:
             config = replace(config, plan=replace(config.plan, **plan))
         if args.out is not None:
             config = replace(config, output=replace(config.output,

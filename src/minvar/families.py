@@ -36,14 +36,15 @@ JSON path.
 Rotating a complex block by e^{iφ} in real coordinates is
 v ↦ cos(φ)·v + sin(φ)·J v with J(a; b) = (−b; a) (``charts.rotate_block``,
 on a block's component-axis jet or on arrays).  ``screw_action`` applies
-that blockwise plus the axial translation λ₀t, reading the block layout
-from the image width.  The component maps return parts (``jets.place``):
-each block r_t·e^{iλ_tΘ}C_t is one vector, weighted by its radius lifted
-to one component, Choe–Hoppe lists its pairs (Re_k, Im_k) one component
-at a time, and the maps take ``jets.Columns`` only.  ``_section`` builds
-each unit-sphere section from its cone by handing the cone's blocks the
-chart's components as radii; ``GenHelicoidA._vectors`` embeds the
-helicoid's blocks for its map and for ``SphericalSlice``.
+that to each block that the family's ``ScrewData.blocks`` declares, plus
+the axial translation λ₀t on a coordinate after them.  The component
+maps return parts (``jets.place``): each block r_t·e^{iλ_tΘ}C_t is one
+vector, weighted by its radius lifted to one component, Choe–Hoppe lists
+its pairs (Re_k, Im_k) one component at a time, and the maps take
+``jets.Columns`` only.  ``_section`` builds each unit-sphere section from
+its cone by handing the cone's blocks the chart's components as radii;
+``GenHelicoidA._vectors`` embeds the helicoid's blocks for its map and
+for ``SphericalSlice``.
 """
 
 from __future__ import annotations
@@ -268,7 +269,8 @@ class GenHelicoidA(_Family):
         return sum(b.param_dim for b in self.blocks)
 
     def screw(self) -> ScrewData:
-        return ScrewData(pitch=self.pitch, theta_index=self._theta_index)
+        return ScrewData(pitch=self.pitch, theta_index=self._theta_index,
+                         blocks=tuple(b.ambient_dim for b in self.blocks))
 
     def scaling_indices(self) -> tuple[int, ...]:
         if self.pitch.lambda0 != 0.0:
@@ -335,7 +337,8 @@ class GenHelicoidB(_Family):
         return ScrewData(
             pitch=PitchVector(lambda0=self.axial_pitch,
                               lambdas=(self.angular_pitch,) * self.rays),
-            theta_index=self.block.param_dim)
+            theta_index=self.block.param_dim,
+            blocks=(self.block.ambient_dim,) * self.rays)
 
     def scaling_indices(self) -> tuple[int, ...]:
         if self.axial_pitch != 0.0:
@@ -383,7 +386,8 @@ class ChoeHoppe(_Family):
         return ScrewData(
             pitch=PitchVector(lambda0=self.pitch,
                               lambdas=(1.0,) * self.sphere_dim),
-            theta_index=2 * self.sphere_dim - 2)
+            theta_index=2 * self.sphere_dim - 2,
+            blocks=(2,) * self.sphere_dim)
 
     def scaling_indices(self) -> tuple[int, ...]:
         return () if self.pitch != 0.0 else (2 * self.sphere_dim - 1,)
@@ -423,7 +427,8 @@ class BDJ(_Family):
         _check_pitch(self.pitch)
 
     def screw(self) -> ScrewData:
-        return ScrewData(pitch=self.pitch, theta_index=0)
+        return ScrewData(pitch=self.pitch, theta_index=0,
+                         blocks=(2,) * self.pitch.blocks)
 
     def scaling_indices(self) -> tuple[int, ...]:
         if self.pitch.lambda0 != 0.0:
@@ -466,7 +471,7 @@ class LawsonSurface(_Family):
         return ScrewData(
             pitch=PitchVector(lambda0=0.0,
                               lambdas=(self.lambda1, self.lambda2)),
-            theta_index=1)
+            theta_index=1, blocks=(2, 2))
 
     def build(self) -> Immersion:
         l1, l2 = self.lambda1, self.lambda2
@@ -539,6 +544,7 @@ class SphericalSlice(_Family):
                             f"got S^{self.chart.dim}")
 
     def screw(self) -> ScrewData:
+        # the section drops the cone's axis and keeps its blocks
         return self.inner.screw()
 
     def build(self) -> Immersion:
@@ -737,40 +743,45 @@ def build_immersion(spec: FamilySpec) -> Immersion:
 
 # --- screw motion -----------------------------------------------------------
 
-def screw_action(pitch: PitchVector, t, points) -> np.ndarray:
+@dataclass(frozen=True)
+class ScrewData:
+    """How a family realizes the screw motion in its own parametrization.
+
+    ``blocks`` are the widths of the image's rotating complex blocks, in
+    pitch order from coordinate 0; a coordinate after them is the axis.
+    """
+
+    pitch: PitchVector
+    theta_index: int
+    blocks: tuple[int, ...]
+
+
+def screw_action(screw: ScrewData, t, points) -> np.ndarray:
     """Rotate each block by e^{i λ_s t} and translate the axis by λ₀t.
 
     ``t`` is a scalar or an array of angles that broadcasts against the
-    leading (batch) axes of ``points``.  The width of ``points`` fixes the
-    layout: if it is odd, the last coordinate is the axis; the rest split
-    evenly into ``pitch.blocks`` complex blocks (a; b) ≅ a + ib, or raise
+    leading (batch) axes of ``points``.  ``screw.blocks`` lays out the
+    complex blocks (a; b) ≅ a + ib; points ``sum(blocks) + 1`` wide have
+    an axis, points of any width but that and ``sum(blocks)`` raise
     ``DimensionMismatch``.
     """
     q = np.asarray(points, dtype=np.float64)
     t = np.asarray(t, dtype=np.float64)
-    L = pitch.blocks
-    axial = q.shape[-1] % 2
-    width = q.shape[-1] - axial
-    size, rest = divmod(width, L)
-    if rest or size % 2:
+    width = sum(screw.blocks)
+    axial = q.shape[-1] - width
+    if axial not in (0, 1):
         raise DimensionMismatch(
-            f"cannot split {width} coordinates into {L} complex blocks "
-            f"of one size")
+            f"points have {q.shape[-1]} coordinates; blocks of widths "
+            f"{screw.blocks} take {width}, or {width + 1} with an axis")
     out = np.array(q, copy=True)
-    for s in range(L):
-        block = slice(s * size, (s + 1) * size)
-        out[..., block] = rotate_block(q[..., block], pitch.lambdas[s] * t)
+    lo = 0
+    for size, lam in zip(screw.blocks, screw.pitch.lambdas, strict=True):
+        block = slice(lo, lo + size)
+        out[..., block] = rotate_block(q[..., block], lam * t)
+        lo += size
     if axial:
-        out[..., -1] = q[..., -1] + pitch.lambda0 * t
+        out[..., -1] = q[..., -1] + screw.pitch.lambda0 * t
     return out
-
-
-@dataclass(frozen=True)
-class ScrewData:
-    """How a family realizes the screw motion in its own parametrization."""
-
-    pitch: PitchVector
-    theta_index: int
 
 
 def screw_data(spec: FamilySpec) -> ScrewData | None:

@@ -482,7 +482,7 @@ def _verify(spec, checks, plan: SamplePlan, tol: TolerancePolicy,
                                                   plan.count)
             shifted = np.array(points, copy=True)
             shifted[:, data.theta_index] += angles
-            moved = screw_action(data.pitch, angles, position)
+            moved = screw_action(data, angles, position)
             residuals = np.max(np.abs(imm.position(shifted) - moved), axis=-1)
             results = [summarize("screw-invariance", residuals, SCREW_TOL)]
         else:

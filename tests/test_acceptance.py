@@ -6,6 +6,7 @@ wall-clock budgets) and prints a single PASS/FAIL line per criterion so a
 captured run reads as a scoreboard.
 """
 
+import json
 import time
 
 import numpy as np
@@ -25,6 +26,8 @@ from minvar.families import (
     choe_hoppe_graph_residual,
     scaling_indices,
     screw_data,
+    spec_from_json,
+    spec_to_json,
     standard_block,
 )
 from minvar.geometry import (
@@ -270,22 +273,35 @@ def _fd_pointeval(imm, pts, policy):
         blocks=(Block.full(np.stack([j.hess for j in parts], axis=-3)),))
 
 
+def _oracle_specs():
+    """Every campaign family, plus the trigonometric-chart variant of each
+    family that takes charts."""
+    specs = []
+    for _, spec in default_campaign():
+        specs.append(spec)
+        text = json.dumps(spec_to_json(spec))
+        trig = text.replace('"stereographic"', '"trigonometric"')
+        if trig != text:
+            specs.append(spec_from_json(json.loads(trig)))
+    return specs
+
+
 def test_c8_engine_self_consistency():
+    # the oracle matrix: jets against differences of positions, per family
+    specs = _oracle_specs()
+    policy = StepPolicy(base_step=1e-4, richardson_levels=2)
+    fd_gap = 0.0
+    for seed, spec in enumerate(specs, start=880):
+        imm = build_immersion(spec)
+        pts, _ = sample_points(imm, SamplePlan(count=4, seed=seed))
+        pe, fd = imm.eval(pts), _fd_pointeval(imm, pts, policy)
+        gap = max(np.max(np.abs(fd.jacobian - pe.jacobian)),
+                  np.max(np.abs(fd.second - pe.second)))
+        fd_gap = max(fd_gap, float(gap / (1.0 + np.max(np.abs(pe.second)))))
+
     rng = np.random.default_rng(888)
-    spec = GenHelicoidA(pitch=_random_pitch(rng, 1),
-                        blocks=(standard_block(1),))
-    imm = build_immersion(spec)
-    pts, _ = sample_points(imm, SamplePlan(count=20, seed=88))
-
-    pe = imm.eval(pts)
-    fd = _fd_pointeval(imm, pts, StepPolicy(base_step=1e-4,
-                                            richardson_levels=2))
-    jac_gap = np.max(np.abs(fd.jacobian - pe.jacobian)
-                     / np.maximum(1.0, np.abs(pe.jacobian)))
-    hess_gap = np.max(np.abs(fd.second - pe.second)
-                      / np.maximum(1.0, np.abs(pe.second)))
-    fd_gap = float(max(jac_gap, hess_gap))
-
+    imm = build_immersion(GenHelicoidA(pitch=_random_pitch(rng, 1),
+                                       blocks=(standard_block(1),)))
     more, _ = sample_points(imm, SamplePlan(count=200, seed=89))
     pe = imm.eval(more)
     lap_c = laplace_from_pointeval(pe, form="contraction")
@@ -304,10 +320,11 @@ def test_c8_engine_self_consistency():
         controls_ok = (controls_ok and report.all_expected
                        and report.checks[0].verdict == "FAIL-EXPECTED")
 
-    ok = (fd_gap <= 1e-5 and form_gap <= 1e-8
+    ok = (len(specs) == 20 and fd_gap <= 1e-5 and form_gap <= 1e-8
           and curvature_gap <= 1e-3 and controls_ok)
     _verdict(8, "engine self-consistency and controls", ok,
-             f"jet vs finite-difference {fd_gap:.2e} <= 1e-05, "
+             f"jet vs finite-difference {fd_gap:.2e} <= 1e-05 "
+             f"over {len(specs)} specs, "
              f"divergence vs contraction {form_gap:.2e} <= 1e-08, "
              f"tube curvature gap {curvature_gap:.2e} <= 1e-03, "
              f"controls flagged: {controls_ok}")

@@ -351,6 +351,19 @@ class TestMeshCommand:
         assert main(["mesh", cfg, "--out", str(out)]) == 0
         assert out.read_text().startswith("v ")
 
+    @pytest.mark.parametrize("flag", ["--seed", "--points"])
+    def test_sampling_flags_are_refused(self, tmp_path, capsys, flag):
+        # a mesh samples no plan, so argparse refuses the plan overrides
+        out = tmp_path / "mesh.obj"
+        cfg = write_config(tmp_path,
+                           family={"kind": "ChoeHoppe", "sphere_dim": 1,
+                                   "pitch": 0.5}, resolution=[4, 4])
+        with pytest.raises(SystemExit) as exit_info:
+            main(["mesh", cfg, flag, "3", "--out", str(out)])
+        assert exit_info.value.code == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTakahashiCommand:
     def test_control_matches_expectation(self, tmp_path):
@@ -522,6 +535,30 @@ def test_inapplicable_checks_are_rejected_before_evaluation(
     captured = capsys.readouterr()
     assert message in captured.err
     assert not captured.out and not rep.exists()
+
+
+@pytest.mark.parametrize("command,family,checks", [
+    ("verify", LATITUDE, ["minimality", "minimality"]),
+    ("identities", HELICOID, ["helicoid-algebra", "proof-terms",
+                              "helicoid-algebra"]),
+], ids=["verify", "identities"])
+def test_a_repeated_check_is_rejected_before_evaluation(
+        tmp_path, capsys, monkeypatch, command, family, checks):
+    doc = {"version": 1, "family": family, "checks": checks}
+    message = f"check {checks[0]!r} is named more than once"
+    with pytest.raises(SpecError, match=re.escape(message)):
+        parse_config(doc, command)
+
+    def sample(*_, **__):
+        raise AssertionError("sampled before the config was checked")
+    monkeypatch.setattr(harness, "_sample", sample)
+    monkeypatch.setattr(cli, "sample_points", sample)
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, **doc, plan={"count": 5})
+    assert main([command, cfg, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert not captured.out and not out.exists()
 
 
 def test_one_sample_and_one_residual_pass_per_verify_config(tmp_path,

@@ -1,15 +1,22 @@
 """Family constructions: formulas, symmetries, equivalences, serialization."""
 
+import hashlib
 import json
 import re
 import typing
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from minvar import families, geometry, jets
-from minvar.charts import CliffordBlock, SphereChart, matrix_tuple
+from minvar.charts import (
+    CliffordBlock,
+    SphereChart,
+    matrix_tuple,
+    rotate_block,
+)
 from minvar.errors import (
     BranchLocusError,
     DegenerateMetric,
@@ -30,6 +37,7 @@ from minvar.families import (
     LRaysCliffordCone,
     LRaysCone,
     PitchVector,
+    ScrewData,
     SphericalJoin,
     SphericalSlice,
     build_immersion,
@@ -47,6 +55,7 @@ from minvar.families import (
     standard_chart,
 )
 from minvar.geometry import mean_curvature, sphere_residual_from_pointeval
+from minvar.harness import SamplePlan, verify_screw_invariance
 
 
 def assert_close(actual, expected, tol):
@@ -199,9 +208,49 @@ def test_screw_invariance(spec):
     shifted[:, data.theta_index] += ts
     lhs = imm.position(shifted)
     rhs = np.stack([
-        screw_action(data.pitch, float(ts[i]), imm.position(pts[i]))
+        screw_action(data, float(ts[i]), imm.position(pts[i]))
         for i in range(len(ts))])
     assert float(np.max(np.abs(lhs - rhs))) <= 1e-12
+
+
+@pytest.mark.parametrize("spec", SCREW_SPECS)
+def test_screw_blocks_tile_the_image(spec):
+    # one even width per angular rate, then at most the axis
+    data = screw_data(spec)
+    K = spec_dimensions(spec)[1]
+    assert len(data.blocks) == data.pitch.blocks
+    assert all(w > 0 and w % 2 == 0 for w in data.blocks)
+    assert sum(data.blocks) in (K, K - 1)
+
+
+# sha256 of the screw-invariance report (wall time fixed at 0.25) of each
+# SCREW_SPECS family from SamplePlan(count=40, seed=<its index>); a change
+# in the spans that screw_action rotates shows here as a deliberate diff
+SCREW_REPORT_DIGESTS = (
+    "c273709d70ff9482ac83fb5c19cab7983b864b2c8ed7b8fe3ed7ce3cba9cb49b",
+    "a4e24dbc4393e86c125e0ca22a90a401eb21623613a26a4c12e4f827dac3d9d8",
+    "b3c5f516a5a27483adaffaee23d84637f655fdd494e6faed211b90fd84ba2db8",
+    "7b29a9df06214a7ba77084db8a64266e4af5d49cce5d7204399175ce84e04627",
+    "a08bf38a1a2cde87430b80e3b233502d398202f7a3b0c5329606494b8522a89d",
+    "b8199e485957996d9edb965f9bf09546fedf319fbd1284c7c9e58d6353e11570",
+    "da097f8a35b03e3abd7cd77a8a4bef79ac71b425f2e5c99061ac21070ada4ddc",
+    "63eec11ca4c4ebbdd3478ff6df330bf1748e40a8d777a6e8f2c5a23cc6d3057f",
+    "234d13a3451c57e3eb7945dc559809bf8c064f09192cad56b446c5a069c24873",
+    "efabb0e0445d00ea7962682367bdc9604558f6402602060727b4d58dad59416a",
+    "db405304d0de94589686432ec33728012eaca00bb2cd02445b3a111f5a015ec3",
+    "63b97dd3be2a3d0b866adf742ccec99e33358a4f755ef2a94e118edbfea0cd2c",
+    "97505636a0ca6704c8cd5ca2fc681395f748d1303d4d4130de5d9eabd6fbb8c7",
+)
+
+
+@pytest.mark.parametrize("index", range(len(SCREW_SPECS)))
+def test_screw_report_bytes_pinned(index):
+    report = verify_screw_invariance(SCREW_SPECS[index],
+                                     SamplePlan(count=40, seed=index))
+    text = json.dumps(replace(report, wall_time=0.25).to_json())
+    assert report.all_expected
+    assert hashlib.sha256(text.encode()).hexdigest() \
+        == SCREW_REPORT_DIGESTS[index]
 
 
 SCALING_SPECS = [
@@ -259,42 +308,55 @@ def test_helicoid_with_axial_pitch_is_not_a_cone():
 
 
 def test_screw_action_basics():
-    pitch = PitchVector(lambda0=1.0, lambdas=(1.0,))
+    screw = ScrewData(PitchVector(lambda0=1.0, lambdas=(1.0,)), 0, (2,))
     q = np.array([1.0, 0.0, 0.0])
-    assert_close(screw_action(pitch, 0.0, q), q, 0.0)
-    assert_close(screw_action(pitch, np.pi / 2, q), [0.0, 1.0, np.pi / 2],
+    assert_close(screw_action(screw, 0.0, q), q, 0.0)
+    assert_close(screw_action(screw, np.pi / 2, q), [0.0, 1.0, np.pi / 2],
                  1e-12)
+
+
+def three_planes():
+    return ScrewData(PitchVector(lambda0=0.4, lambdas=(1.0, -2.0, 0.5)),
+                     0, (2, 2, 2))
 
 
 def test_screw_action_group_law():
     rng = np.random.default_rng(7)
-    pitch = PitchVector(lambda0=0.4, lambdas=(1.0, -2.0, 0.5))
+    screw = three_planes()
     q = rng.standard_normal((100, 7))
     s, t = 0.8, -1.7
-    once = screw_action(pitch, s + t, q)
-    twice = screw_action(pitch, s, screw_action(pitch, t, q))
+    once = screw_action(screw, s + t, q)
+    twice = screw_action(screw, s, screw_action(screw, t, q))
     assert float(np.max(np.abs(once - twice))) <= 1e-12
 
 
 def test_screw_action_broadcasts_angle_array():
     rng = np.random.default_rng(8)
-    pitch = PitchVector(lambda0=0.4, lambdas=(1.0, -2.0, 0.5))
+    screw = three_planes()
     q = rng.standard_normal((50, 7))
     ts = rng.uniform(-2.0, 2.0, size=50)
-    each = np.stack([screw_action(pitch, float(t), row)
+    each = np.stack([screw_action(screw, float(t), row)
                      for t, row in zip(ts, q)])
-    assert_close(screw_action(pitch, ts, q), each, 1e-15)
+    assert_close(screw_action(screw, ts, q), each, 1e-15)
+
+
+def test_screw_action_reads_unequal_blocks():
+    # blocks 4 and 8 wide, then the axis
+    pitch = PitchVector(lambda0=0.4, lambdas=(1.0, -2.0))
+    q = np.random.default_rng(9).standard_normal((20, 13))
+    t = 0.7
+    expected = np.concatenate([rotate_block(q[:, :4], 1.0 * t),
+                               rotate_block(q[:, 4:12], -2.0 * t),
+                               q[:, 12:] + 0.4 * t], axis=-1)
+    moved = screw_action(ScrewData(pitch, 0, (4, 8)), t, q)
+    assert np.array_equal(moved, expected)
 
 
 def test_screw_action_validation():
-    pitch = PitchVector(lambda0=0.0, lambdas=(1.0, 2.0))
-    with pytest.raises(DimensionMismatch):
-        screw_action(pitch, 1.0, np.zeros(6))  # 5 non-axial coords, L=2
-    with pytest.raises(DimensionMismatch):
-        screw_action(pitch, 1.0, np.zeros(7))  # 6 coords: blocks of size 3
-    with pytest.raises(DimensionMismatch):
-        screw_action(PitchVector(lambda0=0.0, lambdas=(1.0, 2.0, 3.0)), 1.0,
-                     np.zeros(9))  # 8 coords do not split into 3 blocks
+    screw = ScrewData(PitchVector(lambda0=0.0, lambdas=(1.0, 2.0)), 0, (2, 2))
+    for width in (3, 6):     # the blocks take 4 coordinates, or 5 with axis
+        with pytest.raises(DimensionMismatch):
+            screw_action(screw, 1.0, np.zeros(width))
 
 
 def test_gen_helicoid_b_zero_pitch_is_rays_cone():
